@@ -12,10 +12,8 @@ counterparts on the same synthetic data:
 
 Every timed run is first checked *differential*: the SQL-trained
 coefficients must match numpy to 1e-6 (trees must be structurally
-identical), and the parallel run (workers=8) must reproduce the serial
-model bit for bit — the exactness certificate observed end to end.
-The headline numbers are the per-iteration aggregate-query time and the
-end-to-end slowdown of pushing training into SQL.
+identical).  The headline numbers are the per-iteration aggregate-query
+time and the end-to-end slowdown of pushing training into SQL.
 
 Results go to ``BENCH_train.json``.
 
@@ -63,8 +61,8 @@ def _make_data(n_rows: int):
     return X, y
 
 
-def _make_database(X, y, workers=None) -> Database:
-    db = Database(optimize=True, workers=workers, morsel_size=1024)
+def _make_database(X, y) -> Database:
+    db = Database(optimize=True)
     columns = ", ".join(f"f{j} double precision" for j in range(N_FEATURES))
     db.execute(f"CREATE TABLE train_data ({columns}, label double precision)")
     db.catalog.table("train_data").append_columns(
@@ -150,8 +148,7 @@ def _check_parity(workload: str, model, reference) -> float:
 def run_sweep(n_rows=None) -> dict:
     n_rows = n_rows or _n_rows()
     X, y = _make_data(n_rows)
-    serial = _make_database(X, y, workers=1)
-    parallel = _make_database(X, y, workers=8)
+    db = _make_database(X, y)
     results = []
     try:
         for workload in _WORKLOADS:
@@ -160,11 +157,7 @@ def run_sweep(n_rows=None) -> dict:
                 started = time.perf_counter()
                 reference = workload["numpy"](X, y)
                 numpy_best = min(numpy_best, time.perf_counter() - started)
-            sql_best, model = _time_train(serial, workload["train"])
-            par_best, par_model = _time_train(parallel, workload["train"])
-            # bit-identical across worker counts (exact float-SUM merge)
-            assert par_model.coef == model.coef
-            assert par_model.tree == model.tree
+            sql_best, model = _time_train(db, workload["train"])
             drift = _check_parity(workload["name"], model, reference)
             # n_iter counts GD iterations (linear) or nodes grown (tree);
             # either way it is the number of query round-trips per feature
@@ -176,17 +169,14 @@ def run_sweep(n_rows=None) -> dict:
                     "features": N_FEATURES,
                     "iterations": model.n_iter,
                     "sql_seconds_best": sql_best,
-                    "sql_parallel_seconds_best": par_best,
                     "iteration_seconds_best": sql_best / model.n_iter,
                     "numpy_seconds_best": numpy_best,
                     "slowdown_vs_numpy": sql_best / numpy_best,
                     "coef_max_abs_diff": drift,
-                    "parallel_bit_identical": True,
                 }
             )
     finally:
-        serial.close()
-        parallel.close()
+        db.close()
     return {
         "benchmark": "bench_train",
         "hardware": {
@@ -213,7 +203,6 @@ def _print_report(report: dict) -> None:
             "workload",
             "iters",
             "sql (s)",
-            "parallel (s)",
             "s/iter",
             "numpy (s)",
             "slowdown",
@@ -223,7 +212,6 @@ def _print_report(report: dict) -> None:
                 entry["workload"],
                 entry["iterations"],
                 entry["sql_seconds_best"],
-                entry["sql_parallel_seconds_best"],
                 entry["iteration_seconds_best"],
                 entry["numpy_seconds_best"],
                 f"{entry['slowdown_vs_numpy']:.0f}x",
@@ -238,7 +226,6 @@ def test_train_bench_smoke():
     """Cheap correctness gate: tiny sweep, parity must hold throughout."""
     report = run_sweep(n_rows=300)
     assert len(report["results"]) == len(_WORKLOADS)
-    assert all(e["parallel_bit_identical"] for e in report["results"])
     assert all(e["coef_max_abs_diff"] <= 1e-6 for e in report["results"])
 
 

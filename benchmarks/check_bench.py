@@ -41,10 +41,9 @@ TIMING_KEYS = frozenset(
         "query_seconds_best",
         "seconds_noindex",
         "seconds_indexed",
-        "p50_seconds",
-        "p95_seconds",
+        "p50_s",
+        "p95_s",
         "sql_seconds_best",
-        "sql_parallel_seconds_best",
         "iteration_seconds_best",
         "failover_seconds",
     }

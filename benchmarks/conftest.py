@@ -8,15 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--workers",
-        action="store",
-        default=None,
-        help=(
-            "morsel-execution worker count for the SQL connectors "
-            "(exported as REPRO_SQL_WORKERS so every bench picks it up)"
-        ),
-    )
-    parser.addoption(
         "--check-bench",
         action="store_true",
         default=False,
@@ -26,9 +17,3 @@ def pytest_addoption(parser):
             "its committed baseline"
         ),
     )
-
-
-def pytest_configure(config):
-    workers = config.getoption("--workers", default=None)
-    if workers is not None:
-        os.environ["REPRO_SQL_WORKERS"] = str(workers)

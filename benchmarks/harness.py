@@ -9,11 +9,6 @@ Scale control
 ``REPRO_BENCH_SIZES``  comma list of dataset sizes (default ``100,1000``;
 the paper sweeps 10^2..10^6 — set ``100,1000,10000,100000,1000000`` to
 reproduce the full sweep).
-
-``REPRO_SQL_WORKERS``  morsel-execution worker count picked up by every
-SQL connector (also settable per run via ``run_once(..., workers=N)`` or
-``pytest benchmarks --workers N``), so the existing Fig-7/8 benches can
-be re-run as parallel variants without edits.
 """
 
 from __future__ import annotations
@@ -110,16 +105,15 @@ def make_inspector(
 def _execute(
     inspector: PipelineInspector,
     backend: str,
-    workers: Optional[int] = None,
     optimize: Optional[bool] = None,
 ):
     if backend == "python":
         return inspector.execute()
     engine, _, variant = backend.partition("-")
     connector = (
-        PostgresqlConnector(workers=workers, optimize=optimize)
+        PostgresqlConnector(optimize=optimize)
         if engine == "postgres"
-        else UmbraConnector(workers=workers, optimize=optimize)
+        else UmbraConnector(optimize=optimize)
     )
     mode = "CTE" if variant.startswith("cte") else "VIEW"
     materialize = variant.endswith("mat")
@@ -142,22 +136,18 @@ def run_once(
     with_inspection: bool = False,
     sensitive: Optional[Sequence[str]] = None,
     keep_result: bool = False,
-    workers: Optional[int] = None,
     optimize: Optional[bool] = None,
 ) -> RunOutcome:
     """One timed end-to-end run of a pipeline configuration.
 
-    ``workers=None`` defers to ``REPRO_SQL_WORKERS`` and the engine
-    profile; an explicit count forces morsel-driven parallel execution
-    on the SQL backends (``python`` ignores it).  ``optimize`` toggles
-    the statistics-driven rewrite layer on the SQL backends (None:
-    profile default, i.e. off).
+    ``optimize`` toggles the statistics-driven rewrite layer on the SQL
+    backends (None: profile default, i.e. off; ``python`` ignores it).
     """
     inspector = make_inspector(
         pipeline, size, upto, with_inspection, sensitive
     )
     started = time.perf_counter()
-    result = _execute(inspector, backend, workers=workers, optimize=optimize)
+    result = _execute(inspector, backend, optimize=optimize)
     elapsed = time.perf_counter() - started
     return RunOutcome(elapsed, result if keep_result else None)
 

@@ -261,8 +261,6 @@ class DBConnector:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         collect_exec_stats: bool = False,
         optimize: Optional[bool] = None,
         wal_path: Optional[str] = None,
@@ -277,9 +275,6 @@ class DBConnector:
         self.statement_timings: list[tuple[str, float]] = []
         #: times ``run`` re-attempted a script after a retryable SQLSTATE
         self.retries = 0
-        #: morsel-driven parallelism (None: REPRO_SQL_WORKERS, then profile)
-        self.workers = workers
-        self.morsel_size = morsel_size
         self.collect_exec_stats = collect_exec_stats
         #: statistics-driven rewrite layer (None: whatever the profile says)
         self.optimize = optimize
@@ -302,8 +297,6 @@ class DBConnector:
     def _connect(self) -> dbapi.Connection:
         return dbapi.connect(
             self._profile(),
-            workers=self.workers,
-            morsel_size=self.morsel_size,
             collect_exec_stats=self.collect_exec_stats,
             optimize=self.optimize,
             wal_path=self.wal_path,
@@ -1038,8 +1031,6 @@ class ProfileConnector(DBConnector):
     def __init__(
         self,
         profile,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         collect_exec_stats: bool = False,
         optimize: Optional[bool] = None,
         wal_path: Optional[str] = None,
@@ -1051,8 +1042,6 @@ class ProfileConnector(DBConnector):
         memory_faults: Optional[object] = None,
     ) -> None:
         super().__init__(
-            workers=workers,
-            morsel_size=morsel_size,
             collect_exec_stats=collect_exec_stats,
             optimize=optimize,
             wal_path=wal_path,

@@ -138,12 +138,11 @@ class SQLBackend(PythonBackend):
         return self.connector.plan_cache_stats
 
     def exec_stats(self) -> dict[str, dict]:
-        """Per-operator runtime counters (calls/rows/seconds/morsels) for
-        this backend's connection, aggregated over every executed query.
+        """Per-operator runtime counters (calls/rows/seconds) for this
+        backend's connection, aggregated over every executed query.
 
         Populated when the connector was built with
-        ``collect_exec_stats=True``; with morsel-driven parallelism active
-        the morsel counts show which operators actually ran in parallel.
+        ``collect_exec_stats=True``.
         """
         return self.connector.exec_stats
 

@@ -105,7 +105,7 @@ class DeadlockDetected(TransactionRollback):
 class QueryCancelled(SQLError):
     """A statement was cancelled — statement timeout or explicit
     :meth:`~repro.sqldb.engine.Database.cancel` — at a cooperative
-    checkpoint (operator or morsel boundary)."""
+    checkpoint (operator boundary)."""
 
     sqlstate = "57014"  # query_canceled
 

@@ -29,7 +29,6 @@ from repro.sqldb.engine import (
     Database,
     Result,
     resolve_timeout_ms,
-    resolve_workers,
 )
 from repro.sqldb.faults import CRASHPOINTS, NO_FAULTS, FaultInjector, SimulatedCrash
 from repro.sqldb.profile import POSTGRES, UMBRA, Profile, profile_by_name
@@ -63,5 +62,4 @@ __all__ = [
     "read_checkpoint",
     "read_wal",
     "resolve_timeout_ms",
-    "resolve_workers",
 ]

@@ -335,8 +335,6 @@ class Connection:
     def __init__(
         self,
         profile: Profile | str = POSTGRES,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         collect_exec_stats: bool = False,
         optimize: Optional[bool] = None,
         durable: bool = False,
@@ -358,8 +356,6 @@ class Connection:
             with _translating():
                 self.database = Database(
                     profile,
-                    workers=workers,
-                    morsel_size=morsel_size,
                     collect_exec_stats=collect_exec_stats,
                     optimize=optimize,
                     durable=durable,
@@ -441,8 +437,6 @@ class Connection:
 
 def connect(
     profile: Profile | str = POSTGRES,
-    workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
     collect_exec_stats: bool = False,
     optimize: Optional[bool] = None,
     durable: bool = False,
@@ -458,8 +452,6 @@ def connect(
 ) -> Connection:
     """Open a connection to a fresh in-process database.
 
-    ``workers`` > 1 enables morsel-driven parallel execution (defaults to
-    the ``REPRO_SQL_WORKERS`` environment variable, then the profile).
     ``optimize`` turns the statistics-driven rewrite layer on or off
     (None: whatever the profile says).  ``wal_path`` (or ``durable=True``
     plus a path) opts into write-ahead logging with crash recovery on
@@ -479,8 +471,6 @@ def connect(
     """
     return Connection(
         profile,
-        workers=workers,
-        morsel_size=morsel_size,
         collect_exec_stats=collect_exec_stats,
         optimize=optimize,
         durable=durable,

@@ -14,7 +14,6 @@ import os
 import threading
 import time
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Optional, Sequence
 
 from dataclasses import dataclass, field
@@ -84,11 +83,7 @@ __all__ = [
     "PlanCache",
     "Result",
     "resolve_timeout_ms",
-    "resolve_workers",
 ]
-
-#: environment variable that opts a connection into parallel execution
-WORKERS_ENV = "REPRO_SQL_WORKERS"
 
 #: statements that mutate the catalog (take the exclusive lock, are
 #: snapshot-protected for statement atomicity, and get WAL-logged)
@@ -143,23 +138,6 @@ def resolve_memory_limit(limit: Optional[int | str]) -> Optional[int]:
         except ValueError as exc:
             raise SQLExecutionError(str(exc)) from None
     return int(raw)
-
-
-def resolve_workers(workers: Optional[int], profile: Profile) -> int:
-    """Worker count from (in precedence order) argument, environment
-    variable ``REPRO_SQL_WORKERS``, then the profile default."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is not None:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise SQLExecutionError(
-                    f"{WORKERS_ENV} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            workers = profile.parallelism
-    return max(1, int(workers))
 
 
 def resolve_timeout_ms(timeout_ms: Optional[float]) -> Optional[float]:
@@ -278,8 +256,6 @@ class Database:
         self,
         profile: Profile | str = POSTGRES,
         plan_cache_size: int = 128,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         collect_exec_stats: bool = False,
         optimize: Optional[bool] = None,
         durable: bool = False,
@@ -307,12 +283,6 @@ class Database:
         self._normalized: OrderedDict[str, tuple[str, int]] = OrderedDict()
         #: cumulative wall-clock seconds spent executing statements
         self.total_execution_time = 0.0
-        #: morsel-driven parallelism (resolve_workers: arg > env > profile)
-        self.workers = resolve_workers(workers, profile)
-        self.morsel_size = (
-            profile.morsel_size if morsel_size is None else max(1, int(morsel_size))
-        )
-        self._pool: Optional[ThreadPoolExecutor] = None
         #: when set, every SELECT records per-operator runtime stats
         self.collect_exec_stats = collect_exec_stats
         #: cumulative per-operator counters across collected executions
@@ -322,7 +292,7 @@ class Database:
         #: statement timeout (arg > REPRO_SQL_TIMEOUT_MS env > off)
         self.statement_timeout_ms = resolve_timeout_ms(statement_timeout_ms)
         #: fair catalog latch: committed-state SELECTs hold the read side
-        #: for their whole execution (every in-flight morsel included);
+        #: for their whole execution;
         #: DDL, autocommit DML and the commit-time catalog swap take the
         #: exclusive side.  Fair: a queued writer blocks new readers.
         self._lock = ReadWriteLock()
@@ -426,16 +396,13 @@ class Database:
         return self._default_session if session is None else session
 
     def close(self) -> None:
-        """Release the worker pool and the WAL file handle (idempotent;
-        the database stays usable serially and will lazily recreate the
-        pool if needed — but not the WAL, mirroring a closed connection).
+        """Release the WAL file handle and the memory broker (idempotent;
+        the database stays usable in memory — but the WAL is not reopened,
+        mirroring a closed connection).
 
         Deliberately does *not* commit, checkpoint, or roll back: an open
         transaction's memory state is simply abandoned, exactly like a
         process exit, so recovery semantics stay uniform."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._wal is not None:
             self._wal.close()
         if self.memory is not None:
@@ -474,7 +441,7 @@ class Database:
         ``cancel`` shape; other sessions' queries are unaffected).
 
         Safe from any thread; the running statements observe the flag at
-        their next operator or morsel boundary and raise
+        their next operator boundary and raise
         :class:`~repro.errors.QueryCancelled`."""
         self._resolve_session(session).cancel()
 
@@ -497,16 +464,6 @@ class Database:
                 events |= session._active_cancels
         return events
 
-    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
-        if self.workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-sql-worker",
-            )
-        return self._pool
-
     def _make_context(
         self,
         params: tuple = (),
@@ -515,12 +472,12 @@ class Database:
         catalog: Optional[Catalog] = None,
         memory: Optional[MemoryGrant] = None,
     ) -> ExecContext:
-        """One execution context per statement; pools, stats and the
+        """One execution context per statement; stats and the
         cancellation deadline attach here so cached plans stay immutable
         and re-executable concurrently.  ``catalog`` selects the state to
         read: a transaction's private fork, or (default) committed."""
         if stats is None and self.collect_exec_stats:
-            stats = ExecStats(workers=self.workers)
+            stats = ExecStats()
         deadline = None
         if self.statement_timeout_ms is not None:
             deadline = time.monotonic() + self.statement_timeout_ms / 1000.0
@@ -528,9 +485,6 @@ class Database:
             self.catalog if catalog is None else catalog,
             self.profile,
             params=params,
-            workers=self.workers,
-            morsel_size=self.morsel_size,
-            pool=self._ensure_pool(),
             stats=stats,
             deadline=deadline,
             cancel_event=cancel_event,
@@ -1602,12 +1556,7 @@ class Database:
         self, sql: str, params: Optional[Sequence[Any]] = None
     ) -> str:
         """Execute a SELECT and return its plan annotated with per-operator
-        actual row counts, call/morsel counts and wall time.
-
-        For morsel-parallel operators ``calls`` counts executed morsels and
-        ``time`` sums busy time across workers (so it can exceed the
-        query's wall time, like PostgreSQL's parallel EXPLAIN ANALYZE).
-        """
+        actual row counts, call counts and (inclusive) wall time."""
         statement = parse_statement(sql)
         if not isinstance(statement, ast.Select):
             raise SQLExecutionError(
@@ -1617,7 +1566,7 @@ class Database:
             plan, rewrites = self._plan_select_rewritten(statement)
             estimates = estimate_plan_rows(plan, self.catalog)
             bound = tuple(params) if params is not None else ()
-            stats = ExecStats(workers=self.workers)
+            stats = ExecStats()
             with self._default_session.statement_guard() as cancel_event:
                 grant = None
                 try:
@@ -1645,8 +1594,7 @@ class Database:
             fired = "none"
         footer = (
             f"Rewrites: {fired}\n"
-            f"Execution time: {stats.wall_seconds * 1000.0:.3f} ms "
-            f"(workers={self.workers})"
+            f"Execution time: {stats.wall_seconds * 1000.0:.3f} ms"
         )
         return stats.annotate(plan, estimates=estimates) + "\n" + footer
 

@@ -11,9 +11,7 @@ materialisation behaviour (see :mod:`repro.sqldb.profile`):
 
 Each operator is split into a *driver* (``_exec_*``: pulls child batches
 through :func:`execute_plan`) and a *kernel* (``*_batch``: transforms
-already-materialised batches).  The kernels are what the morsel-driven
-parallel mode (:mod:`repro.sqldb.parallel`) runs per row-range, so serial
-and parallel execution share one implementation of every operator.
+already-materialised batches).
 
 When an :class:`~repro.sqldb.stats.ExecStats` recorder is attached to the
 context, every operator dispatch records rows and (inclusive) wall time —
@@ -69,7 +67,6 @@ __all__ = [
     "filter_batch",
     "join_batches",
     "project_batch",
-    "slice_batch",
     "copy_batch",
 ]
 
@@ -82,19 +79,14 @@ class ExecContext:
     subquery_cache: dict[int, Any] = field(default_factory=dict)
     #: positional statement parameters bound to ``?`` / ``%s`` placeholders
     params: tuple = ()
-    #: morsel-driven parallelism: worker count and shared thread pool
-    #: (``pool is None`` keeps every plan on the serial path)
-    workers: int = 1
-    morsel_size: int = 65536
-    pool: Any = None
     #: optional per-operator runtime statistics recorder
     stats: Optional[ExecStats] = None
     #: cooperative cancellation: absolute ``time.monotonic()`` deadline
     #: (statement timeout) and an externally settable cancel flag, both
-    #: checked at operator and morsel boundaries
+    #: checked at operator boundaries
     deadline: Optional[float] = None
     cancel_event: Optional[threading.Event] = None
-    #: guards the shared caches when morsel workers evaluate expressions
+    #: guards the statement's shared caches (scalar subqueries, CTEs)
     lock: threading.RLock = field(default_factory=threading.RLock)
     #: this statement's :class:`~repro.sqldb.memory.MemoryGrant`
     #: (``None`` = unlimited: every reserve succeeds, nothing spills)
@@ -164,16 +156,15 @@ class ExecContext:
     def scalar_subquery(self, plan: PlanNode) -> Any:
         """Execute an uncorrelated scalar subquery once, caching the value.
 
-        Thread-safe: morsel workers evaluating the same expression race to
-        this cache, so the compute-and-store is serialised on the context
-        lock (re-entrant — a subquery may itself contain subqueries).
+        The compute-and-store is serialised on the context lock
+        (re-entrant — a subquery may itself contain subqueries).
         """
         key = id(plan)
         if key in self.subquery_cache:
             return self.subquery_cache[key]
         with self.lock:
             if key not in self.subquery_cache:
-                batch = execute_plan(plan, self.serial())
+                batch = execute_plan(plan, self)
                 visible = [out for out in plan.schema if not out.hidden]
                 if len(visible) != 1:
                     raise SQLExecutionError(
@@ -189,32 +180,6 @@ class ExecContext:
                     self.subquery_cache[key] = batch.columns[visible[0].key].item(0)
         return self.subquery_cache[key]
 
-    def serial(self) -> "ExecContext":
-        """A view of this context with parallel dispatch disabled.
-
-        Shares every cache (and the lock) with the parent; used inside
-        morsel workers so nested plan executions never re-enter the pool
-        (re-submission from a worker thread could deadlock a full pool).
-        """
-        if self.pool is None:
-            return self
-        clone = ExecContext(
-            self.catalog,
-            self.profile,
-            cte_cache=self.cte_cache,
-            subquery_cache=self.subquery_cache,
-            params=self.params,
-            workers=1,
-            morsel_size=self.morsel_size,
-            pool=None,
-            stats=self.stats,
-            deadline=self.deadline,
-            cancel_event=self.cancel_event,
-            memory=self.memory,
-        )
-        clone.lock = self.lock
-        return clone
-
 
 def execute_plan(plan: PlanNode, ctx: ExecContext) -> Batch:
     """Execute *plan* to completion and return its output batch."""
@@ -226,22 +191,15 @@ def execute_plan(plan: PlanNode, ctx: ExecContext) -> Batch:
 
 def _dispatch(plan: PlanNode, ctx: ExecContext) -> Batch:
     ctx.check_cancelled()
-    if ctx.pool is not None:
-        # morsel-driven parallel mode: eligible pipelines execute per-morsel
-        from repro.sqldb.parallel import try_parallel
-
-        batch = try_parallel(plan, ctx)
-        if batch is not None:
-            return batch
     if ctx.stats is None:
-        return _dispatch_serial(plan, ctx)
+        return _dispatch_operator(plan, ctx)
     started = time.perf_counter()
-    batch = _dispatch_serial(plan, ctx)
+    batch = _dispatch_operator(plan, ctx)
     ctx.stats.record(plan, batch.length, time.perf_counter() - started)
     return batch
 
 
-def _dispatch_serial(plan: PlanNode, ctx: ExecContext) -> Batch:
+def _dispatch_operator(plan: PlanNode, ctx: ExecContext) -> Batch:
     if isinstance(plan, ScanTable):
         return _exec_scan_table(plan, ctx)
     if isinstance(plan, IndexScan):
@@ -273,18 +231,6 @@ def _dispatch_serial(plan: PlanNode, ctx: ExecContext) -> Batch:
     if isinstance(plan, OneRow):
         return Batch(1, {})
     raise SQLExecutionError(f"cannot execute plan node {type(plan).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# batch helpers shared with the parallel executor
-# ---------------------------------------------------------------------------
-
-
-def slice_batch(batch: Batch, lo: int, hi: int) -> Batch:
-    """A zero-copy view of rows ``[lo, hi)`` (numpy slices share storage)."""
-    return Batch(
-        hi - lo, {k: Vector(v.values[lo:hi], v.nulls[lo:hi]) for k, v in batch.columns.items()}
-    )
 
 
 def copy_batch(batch: Batch) -> Batch:
@@ -691,11 +637,9 @@ def _grace_join_positions(
 def join_batches(
     plan: Join, left: Batch, right: Batch, ctx: ExecContext
 ) -> Batch:
-    """Join two materialised batches (the probe kernel of morsel mode).
+    """Join two materialised batches.
 
-    Output rows are ordered by left row (then right row within a key),
-    so probing morsels of the left side in order and concatenating
-    reproduces the serial output exactly.
+    Output rows are ordered by left row (then right row within a key).
     """
     if plan.left_keys:
         left_vectors = [k(left, ctx) for k in plan.left_keys]
@@ -905,7 +849,7 @@ def _spill_aggregate(
 
 
 # ---------------------------------------------------------------------------
-# pipeline breakers (always serial)
+# pipeline breakers
 # ---------------------------------------------------------------------------
 
 

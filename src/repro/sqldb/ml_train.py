@@ -24,10 +24,7 @@ table) and JoinBoost (trees grown using only SQL aggregates):
   on the same data.
 
 Everything flows through the hosting engine via an injected ``run``
-callback, so MVCC snapshots, WAL logging, indexes and parallel execution
-apply unchanged — and because the engine's parallel aggregation falls
-back to an exact serial merge for float sums (the exactness certificate),
-training is bit-for-bit deterministic across worker counts.
+callback, so MVCC snapshots, WAL logging and indexes apply unchanged.
 
 Deliberately out of scope: no neural networks in SQL — backprop through
 matrix-shaped hidden layers has no reasonable aggregate-query form here.

@@ -2,10 +2,9 @@
 
 Concurrency contract: once built (and pruned by the optimizer), a plan is
 immutable.  The executor never mutates plan nodes, which is what makes a
-cached plan safe to re-execute — including concurrently from morsel worker
-threads, which share one plan while the driving thread dispatches row
-ranges (see :mod:`repro.sqldb.parallel`).  Per-execution state lives in
-``ExecContext`` and ``Batch`` objects only.
+cached plan safe to re-execute — including concurrently from several
+sessions' threads.  Per-execution state lives in ``ExecContext`` and
+``Batch`` objects only.
 """
 
 from __future__ import annotations

@@ -30,13 +30,6 @@ class Profile:
     materialize_ctes_by_default: bool
     #: copy operator outputs (simulates tuple materialisation)
     copy_operator_output: bool
-    #: default worker count for morsel-driven parallel execution; 1 keeps
-    #: every plan on the serial path (both stock profiles stay serial so
-    #: existing shapes are unchanged — ``Database(workers=...)`` or
-    #: ``REPRO_SQL_WORKERS`` opt in per connection)
-    parallelism: int = 1
-    #: rows per morsel when parallel execution is active
-    morsel_size: int = 65536
     #: enable the statistics-driven rewrite layer (constant folding,
     #: predicate pushdown, conjunct reordering, join build-side choice);
     #: off by default so stock profiles keep their documented plan shapes —

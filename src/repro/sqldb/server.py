@@ -87,6 +87,29 @@ def _force_close(sock: socket.socket) -> None:
         pass
 
 
+def _close_listener(listener: socket.socket) -> None:
+    """Close a listening socket whose acceptor is parked in ``accept()``.
+
+    As with :func:`_force_close`, ``close()`` alone never wakes the blocked
+    syscall.  ``shutdown(SHUT_RDWR)`` fails it with ``OSError`` on Linux;
+    where a listening socket refuses that (ENOTCONN on BSD), a loopback
+    self-connect makes ``accept()`` return once and the loop's next call
+    hits the closed descriptor."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        try:
+            socket.create_connection(
+                listener.getsockname()[:2], timeout=1.0
+            ).close()
+        except OSError:
+            pass
+    try:
+        listener.close()
+    except OSError:
+        pass
+
+
 class _StatementWatchdog:
     """Re-arming cooperative cancel for one request's execution.
 
@@ -667,7 +690,7 @@ class DatabaseServer:
             try:
                 sock, peer = self._listener.accept()
             except OSError:
-                return  # listener closed: shutting down
+                return  # listener shut down or closed: stopping
             if self._draining:
                 self._shed(sock, AdminShutdown("the server is shutting down"))
                 continue
@@ -772,10 +795,7 @@ class DatabaseServer:
             self._draining = True
             handlers = list(self._handlers)
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _close_listener(self._listener)
         # idle connections can go immediately — shutting the socket down
         # pops their blocking recv and their teardown rolls back open txns
         for handler in handlers:
@@ -817,7 +837,6 @@ def main(argv: Optional[list[str]] = None) -> None:
     parser.add_argument(
         "--profile", default="umbra", choices=("postgres", "umbra")
     )
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--auth-token", default=None)
     parser.add_argument("--max-connections", type=int, default=64)
     parser.add_argument("--statement-timeout-ms", type=float, default=None)
@@ -829,9 +848,7 @@ def main(argv: Optional[list[str]] = None) -> None:
     )
     args = parser.parse_args(argv)
 
-    database = Database(
-        args.profile, workers=args.workers, wal_path=args.wal_path
-    )
+    database = Database(args.profile, wal_path=args.wal_path)
     if args.init:
         with open(args.init, "r", encoding="utf-8") as handle:
             database.run_script(handle.read())

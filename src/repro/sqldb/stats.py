@@ -2,14 +2,12 @@
 
 An :class:`ExecStats` instance rides along in the execution context and
 accumulates, per plan node, how often the operator ran, how many rows it
-produced and how much wall time it spent.  Serial execution records one
-sample per operator; morsel-driven parallel execution records one sample
-per morsel, so ``calls`` doubles as the morsel count and ``seconds`` is
-the *summed* busy time across workers (it can exceed the query's wall
-time, exactly like the per-worker totals of PostgreSQL's parallel
-EXPLAIN ANALYZE).
+produced and how much wall time it spent — one sample per operator
+dispatch.
 
-The recorder is thread-safe: morsel workers share one instance.
+The recorder is thread-safe: it is published on the ``Database``
+(``last_exec_stats``, folded into ``operator_counters``) where every
+session's thread can reach it.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ class OpStats:
     calls: int = 0
     rows: int = 0
     seconds: float = 0.0
-    #: morsels executed in parallel (0 for serial-only operators)
-    parallel_morsels: int = 0
     #: largest memory reservation this operator held at once
     peak_bytes: int = 0
     #: bytes this operator wrote to spill files
@@ -44,7 +40,6 @@ class OpStats:
             "calls": self.calls,
             "rows": self.rows,
             "seconds": self.seconds,
-            "parallel_morsels": self.parallel_morsels,
             "peak_bytes": self.peak_bytes,
             "spilled_bytes": self.spilled_bytes,
         }
@@ -57,11 +52,10 @@ class ExecStats:
     nodes: dict[int, OpStats] = field(default_factory=dict)
     #: wall-clock seconds of the whole execution (set by the caller)
     wall_seconds: float = 0.0
-    workers: int = 1
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(self, plan: PlanNode, rows: int, seconds: float) -> None:
-        """Add one operator execution sample (one call or one morsel)."""
+        """Add one operator execution sample."""
         key = id(plan)
         with self._lock:
             entry = self.nodes.get(key)
@@ -86,16 +80,6 @@ class ExecStats:
                 entry.peak_bytes = peak_bytes
             entry.spilled_bytes += spilled_bytes
 
-    def mark_parallel(self, plan: PlanNode, morsels: int) -> None:
-        """Tag *plan* (and its stats entry) as morsel-parallel executed."""
-        key = id(plan)
-        with self._lock:
-            entry = self.nodes.get(key)
-            if entry is None:
-                entry = OpStats(plan.label())
-                self.nodes[key] = entry
-            entry.parallel_morsels += morsels
-
     # -- reporting -----------------------------------------------------------
 
     def annotate(
@@ -119,8 +103,6 @@ class ExecStats:
                 f"  (actual rows={entry.rows} calls={entry.calls} "
                 f"time={entry.seconds * 1000.0:.3f}ms"
             )
-            if entry.parallel_morsels:
-                line += f" morsels={entry.parallel_morsels}"
             if entry.peak_bytes:
                 line += f" peak_bytes={entry.peak_bytes}"
             if entry.spilled_bytes:
@@ -144,7 +126,6 @@ class ExecStats:
                         "calls": 0,
                         "rows": 0,
                         "seconds": 0.0,
-                        "parallel_morsels": 0,
                         "peak_bytes": 0,
                         "spilled_bytes": 0,
                     },
@@ -152,7 +133,6 @@ class ExecStats:
                 agg["calls"] += entry.calls
                 agg["rows"] += entry.rows
                 agg["seconds"] += entry.seconds
-                agg["parallel_morsels"] += entry.parallel_morsels
                 agg["peak_bytes"] = max(agg["peak_bytes"], entry.peak_bytes)
                 agg["spilled_bytes"] += entry.spilled_bytes
         return out
@@ -169,7 +149,6 @@ def merge_operator_counters(
                 "calls": 0,
                 "rows": 0,
                 "seconds": 0.0,
-                "parallel_morsels": 0,
                 "peak_bytes": 0,
                 "spilled_bytes": 0,
             },

@@ -1,0 +1,26 @@
+"""The benchmark regression gate must read the keys the benches write."""
+
+import importlib.util
+import os
+
+_CHECK_BENCH = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "check_bench.py"
+)
+
+
+def _load_check_bench():
+    spec = importlib.util.spec_from_file_location("check_bench", _CHECK_BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_server_latency_keys_are_gated():
+    """``bench_server`` writes ``p50_s``/``p95_s``; a 2x p50 regression
+    trips the gate, the unchanged p95 does not."""
+    check_bench = _load_check_bench()
+    baseline = {"latency": {"p50_s": 0.001, "p95_s": 0.002}}
+    current = {"latency": {"p50_s": 0.002, "p95_s": 0.002}}
+    assert check_bench.find_regressions(baseline, current) == [
+        ("latency.p50_s", 0.001, 0.002)
+    ]

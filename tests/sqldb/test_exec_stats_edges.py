@@ -1,15 +1,9 @@
-"""Regression tests for runtime-stats edges left untested by the
-parallel-execution work: the exact EXPLAIN ANALYZE output shape, counter
-accumulation across repeated cursor reuse, and strict parsing of the
-``REPRO_SQL_WORKERS`` environment variable."""
+"""Regression tests for runtime-stats edges: the exact EXPLAIN ANALYZE
+output shape and counter accumulation across repeated cursor reuse."""
 
 import re
 
-import pytest
-
-from repro.errors import SQLExecutionError
 from repro.sqldb import Database, connect
-from repro.sqldb.engine import WORKERS_ENV, resolve_workers
 from repro.sqldb.profile import UMBRA
 
 
@@ -29,7 +23,7 @@ def _fill(db, n=60):
 _NODE_LINE = re.compile(
     r"^(  )*\w+.*"  # indented operator label
     r"  \(estimated rows=\d+\)"
-    r"  \((actual rows=\d+ calls=\d+ time=\d+\.\d{3}ms( morsels=\d+)?"
+    r"  \((actual rows=\d+ calls=\d+ time=\d+\.\d{3}ms"
     r"|never executed)\)$"
 )
 
@@ -41,9 +35,7 @@ def test_explain_analyze_output_shape():
     lines = text.splitlines()
     # trailer: a rewrites summary then the timing footer, in that order
     assert lines[-2] == "Rewrites: none"  # optimizer off on stock profiles
-    assert re.fullmatch(
-        r"Execution time: \d+\.\d{3} ms \(workers=1\)", lines[-1]
-    )
+    assert re.fullmatch(r"Execution time: \d+\.\d{3} ms", lines[-1])
     node_lines = lines[:-2]
     assert node_lines, "no plan nodes in EXPLAIN ANALYZE output"
     for line in node_lines:
@@ -88,23 +80,25 @@ def test_exec_stats_accumulate_across_cursor_reuse():
     connection.close()
 
 
-def test_workers_env_invalid_values(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "banana")
-    with pytest.raises(SQLExecutionError, match="REPRO_SQL_WORKERS"):
-        resolve_workers(None, UMBRA)
-    monkeypatch.setenv(WORKERS_ENV, "2.5")
-    with pytest.raises(SQLExecutionError):
-        resolve_workers(None, UMBRA)
-    monkeypatch.setenv(WORKERS_ENV, "")
-    with pytest.raises(SQLExecutionError):
-        resolve_workers(None, UMBRA)
-    # explicit argument always wins over a broken environment
-    assert resolve_workers(3, UMBRA) == 3
-    # non-positive values clamp to serial rather than erroring
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert resolve_workers(None, UMBRA) == 1
-    monkeypatch.setenv(WORKERS_ENV, "-4")
-    assert resolve_workers(None, UMBRA) == 1
-    # int() tolerates surrounding whitespace, so "  2  " is fine
-    monkeypatch.setenv(WORKERS_ENV, "  2  ")
-    assert resolve_workers(None, UMBRA) == 2
+def test_explain_analyze_reports_counts():
+    db = Database("umbra")
+    _fill(db, n=300)
+    text = db.explain_analyze("SELECT id FROM t WHERE val > 0")
+    # the filter ran once and kept the 149 positive values of -150..149
+    assert re.search(r"Filter.*\(actual rows=149 calls=1 time=", text)
+    assert re.search(r"^Execution time: \d+\.\d{3} ms$", text, re.M)
+    # cumulative counters aggregate by operator label
+    assert db.operator_counters
+    assert any("Filter" in label for label in db.operator_counters)
+    db.close()
+
+
+def test_explain_analyze_serial_database():
+    db = Database("postgres")
+    _fill(db, n=40)
+    text = db.explain_analyze("SELECT grp, count(*) FROM t GROUP BY grp")
+    expected = db.execute("SELECT count(DISTINCT grp) FROM t").scalar()
+    assert re.search(
+        rf"\(actual rows={expected} calls=1 time=\d+\.\d{{3}}ms\)$", text, re.M
+    )
+    db.close()

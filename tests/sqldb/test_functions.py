@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SQLBindError, SQLExecutionError
 from repro.sqldb import Database
+from repro.sqldb.executor import _expand_unnest
+from repro.sqldb.vector import from_values
 
 
 @pytest.fixture
@@ -178,3 +180,46 @@ class TestAggregateEdgeCases:
     def test_nested_aggregate_rejected(self, db):
         with pytest.raises(SQLBindError):
             db.execute("SELECT sum(count(*)) FROM t")
+
+
+class TestVectorisedUnnest:
+    def test_unnest_basic_expansion(self):
+        db = Database("umbra")
+        db.execute("CREATE TABLE s (g text)")
+        db.execute("INSERT INTO s VALUES ('a'), ('b'), ('a')")
+        result = db.execute(
+            "SELECT u.val FROM (SELECT unnest(array_agg(g)) AS val FROM s) u"
+        )
+        assert [r[0] for r in result.rows] == ["a", "b", "a"]
+
+    def test_unnest_empty_arrays(self):
+        db = Database("umbra")
+        db.execute("CREATE TABLE s (g text, k int)")
+        db.execute("INSERT INTO s VALUES ('a', 1), ('b', 2)")
+        # array_agg FILTER produces an empty list for every group: zero rows out
+        result = db.execute(
+            "SELECT unnest(array_agg(g) FILTER (WHERE k > 5)) AS v, k FROM s "
+            "GROUP BY k"
+        )
+        assert result.rows == []
+
+    def test_unnest_all_null_lead(self):
+        columns = {
+            "u": from_values([None, None]),
+            "k": from_values([1, 2]),
+        }
+        batch = _expand_unnest(2, columns, ["u"])
+        assert batch.length == 0
+
+    def test_unnest_mismatched_lengths(self):
+        columns = {
+            "a": from_values([[1, 2], [3]]),
+            "b": from_values([[1], [2]]),
+        }
+        with pytest.raises(SQLExecutionError, match="mismatched"):
+            _expand_unnest(2, columns, ["a", "b"])
+
+    def test_unnest_non_array_argument(self):
+        columns = {"a": from_values(["not-a-list", [1]])}
+        with pytest.raises(SQLExecutionError, match="not an array"):
+            _expand_unnest(2, columns, ["a"])

@@ -4,12 +4,10 @@ A grammar-based generator produces random SELECTs (filters with mixed
 conjuncts, inner/left joins up to three tables, group-by + having,
 order-by, limit/offset) over random small tables, and every query must
 return identical rows — same values, same nulls, same Python value
-types — across seven engine configurations:
+types — across five engine configurations:
 
-* the serial reference with the optimizer off,
-* the optimizer on (serial), after ``ANALYZE``,
-* the optimizer off with morsel-parallel execution (workers=4),
-* the optimizer on with morsel-parallel execution (workers=4),
+* the reference with the optimizer off,
+* the optimizer on, after ``ANALYZE``,
 * the optimizer on with secondary indexes, whose set is churned by
   random CREATE/DROP INDEX between queries (index-aware access paths,
   index-nested-loop joins and plan-cache epoch invalidation all fire),
@@ -172,15 +170,10 @@ def _deny_all_degradable():
 
 
 def _configs(profile, t_rows, u_rows, w_rows=((), ())):
-    """(name, db) pairs: the serial/optimizer-off reference first."""
+    """(name, db) pairs: the optimizer-off reference first."""
     configs = [
         ("reference", Database(profile)),
         ("opt-serial", Database(profile, optimize=True)),
-        ("off-parallel", Database(profile, workers=4, morsel_size=5)),
-        (
-            "opt-parallel",
-            Database(profile, workers=4, morsel_size=5, optimize=True),
-        ),
         ("opt-indexed", Database(profile, optimize=True)),
         ("opt-models", Database(profile, optimize=True)),
         ("off-spill", Database(profile, memory_faults=_deny_all_degradable())),

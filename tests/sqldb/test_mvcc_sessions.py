@@ -274,7 +274,7 @@ class TestSessionScopedCancel:
             handle.write("a,b\n")
             for i in range(20_000):
                 handle.write(f"{i % 977},{i % 31}\n")
-        db = Database("umbra", workers=2, morsel_size=256)
+        db = Database("umbra")
         db.execute("CREATE TABLE big (a int, b int)")
         db.execute(f"COPY big FROM '{path}' WITH (FORMAT CSV, HEADER TRUE)")
         a, b = db.session(), db.session()

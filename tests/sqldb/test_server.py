@@ -296,10 +296,9 @@ def big_csv(tmp_path_factory):
 
 @pytest.fixture
 def busy_server(big_csv):
-    """A server whose engine morselizes aggregates (workers=2, small
-    morsels) over a table big enough that cancellation checkpoints are
-    actually reached mid-statement."""
-    db = Database("umbra", workers=2, morsel_size=512)
+    """A server over a table big enough that a statement is still in
+    flight when a cancel or a timeout arrives."""
+    db = Database("umbra")
     db.execute("CREATE TABLE big (a int, b int)")
     db.execute(f"COPY big FROM '{big_csv}' WITH (FORMAT CSV, HEADER TRUE)")
     server = DatabaseServer(db).start()
@@ -410,6 +409,24 @@ class TestShutdown:
         # back to normal once draining ends
         with connect(server) as conn:
             assert conn.cursor().execute("SELECT 1").fetchone() == (1,)
+
+    def test_shutdown_is_prompt_and_joins_the_acceptor(self):
+        """``listener.close()`` alone never wakes an acceptor parked in
+        ``accept()``: shutdown used to burn its whole 5 s join timeout
+        and leave the thread behind."""
+        db = Database("umbra")
+        server = DatabaseServer(db).start()
+        try:
+            with connect(server) as conn:
+                assert conn.cursor().execute("SELECT 1").fetchone() == (1,)
+            started = time.monotonic()
+            server.shutdown(drain_s=0.1)
+            elapsed = time.monotonic() - started
+            assert elapsed < 1.0, f"shutdown took {elapsed:.2f} s"
+            assert not server._acceptor.is_alive()
+        finally:
+            server.shutdown(drain_s=0.1)
+            db.close()
 
     def test_shutdown_cancels_inflight_straggler(self, busy_server):
         server, db = busy_server

@@ -303,45 +303,6 @@ class TestProperties:
                 database.close()
         assert losses[12] <= losses[1] + 1e-9
 
-    @given(rows=_training_sets(), lr=st.floats(min_value=0.05, max_value=0.5))
-    @settings(max_examples=8, deadline=None)
-    def test_training_deterministic_across_workers(self, rows, lr):
-        """workers=1 vs workers=8 must produce bit-identical models (the
-        parallel float-SUM exactness certificate, observed end to end)."""
-        models = []
-        for workers in (1, 8):
-            database = Database(optimize=True, workers=workers, morsel_size=5)
-            try:
-                _load_xy(database, [r[:2] for r in rows], [r[2] for r in rows])
-                database.execute(
-                    "TRAIN m USING (SELECT f0, f1, label FROM pts) WITH ("
-                    f"max_iter = 8, lr = {lr!r})"
-                )
-                models.append(database.model("m"))
-            finally:
-                database.close()
-        serial, parallel = models
-        assert serial.coef == parallel.coef  # bitwise, not approx
-        assert serial.intercept == parallel.intercept
-        assert serial.loss == parallel.loss
-        assert serial.n_iter == parallel.n_iter
-
-    def test_tree_deterministic_across_workers(self):
-        X, y = _toy_classification(n=80, seed=23)
-        trees = []
-        for workers in (1, 8):
-            database = Database(optimize=True, workers=workers, morsel_size=7)
-            try:
-                _load_xy(database, X.tolist(), y.tolist())
-                database.execute(
-                    "TRAIN t USING (SELECT f0, f1, f2, label FROM pts) "
-                    "WITH (estimator = 'decision_tree', max_depth = 4)"
-                )
-                trees.append(database.model("t").tree)
-            finally:
-                database.close()
-        assert trees[0] == trees[1]
-
 
 # -- statement surface & errors -----------------------------------------------
 

@@ -91,15 +91,15 @@ class TestCancellation:
         assert db.execute("SELECT count(*) FROM t").scalar() == 0
 
     def test_cancel_inflight_statement(self, tmp_path):
-        """cancel() from another thread stops a running query at a
-        morsel boundary."""
+        """cancel() from another thread stops a running query at an
+        operator boundary."""
         path = tmp_path / "big.csv"
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["a", "b"])
             for i in range(200_000):
                 writer.writerow([i % 977, i % 31])
-        db = Database("umbra", workers=2, morsel_size=512)
+        db = Database("umbra")
         db.execute("CREATE TABLE t (a int, b int)")
         db.execute(f"COPY t FROM '{path}' WITH (FORMAT CSV, HEADER TRUE)")
 
@@ -122,7 +122,7 @@ class TestCancellation:
         db.cancel()
         thread.join(timeout=30)
         assert not thread.is_alive()
-        # the query either observed the cancel at a morsel/operator
+        # the query either observed the cancel at an operator
         # boundary, or had already produced its result — never hangs,
         # never errors with anything else
         assert outcome.keys() <= {"cancelled", "result"} and outcome
