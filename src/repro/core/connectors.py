@@ -259,54 +259,21 @@ class DBConnector:
 
     profile_name = "postgres"
 
-    def __init__(
-        self,
-        collect_exec_stats: bool = False,
-        optimize: Optional[bool] = None,
-        wal_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        statement_timeout_ms: Optional[float] = None,
-        memory_limit: Optional[int | str] = None,
-        query_memory_limit: Optional[int | str] = None,
-        spill_dir: Optional[str] = None,
-        memory_faults: Optional[object] = None,
-    ) -> None:
+    def __init__(self, **database_kwargs: Any) -> None:
         self._connection: Optional[dbapi.Connection] = None
         self.statement_timings: list[tuple[str, float]] = []
         #: times ``run`` re-attempted a script after a retryable SQLSTATE
         self.retries = 0
-        self.collect_exec_stats = collect_exec_stats
-        #: statistics-driven rewrite layer (None: whatever the profile says)
-        self.optimize = optimize
-        #: opt-in durability: WAL + checkpoints, recovered on connect
-        self.wal_path = wal_path
-        self.checkpoint_every = checkpoint_every
-        #: cooperative statement timeout (None: REPRO_SQL_TIMEOUT_MS, then off)
-        self.statement_timeout_ms = statement_timeout_ms
-        #: memory governor budgets (None: REPRO_SQL_MEMORY_LIMIT, then off)
-        self.memory_limit = memory_limit
-        self.query_memory_limit = query_memory_limit
-        self.spill_dir = spill_dir
-        #: MemoryFaultInjector shared across reconnects (tests/chaos runs)
-        self.memory_faults = memory_faults
+        #: engine options, handed to every ``Database`` this connector
+        #: opens (``repro.sqldb.engine.Database`` declares them)
+        self.database_kwargs = database_kwargs
 
     @property
     def name(self) -> str:
         return self.profile_name
 
     def _connect(self) -> dbapi.Connection:
-        return dbapi.connect(
-            self._profile(),
-            collect_exec_stats=self.collect_exec_stats,
-            optimize=self.optimize,
-            wal_path=self.wal_path,
-            checkpoint_every=self.checkpoint_every,
-            statement_timeout_ms=self.statement_timeout_ms,
-            memory_limit=self.memory_limit,
-            query_memory_limit=self.query_memory_limit,
-            spill_dir=self.spill_dir,
-            memory_faults=self.memory_faults,
-        )
+        return dbapi.connect(self._profile(), **self.database_kwargs)
 
     @property
     def connection(self) -> dbapi.Connection:
@@ -329,8 +296,9 @@ class DBConnector:
         previous = self._connection
         if previous is not None:
             previous.close()
-        if self.wal_path is not None:
-            for path in (self.wal_path, self.wal_path + ".ckpt"):
+        wal_path = self.database_kwargs.get("wal_path")
+        if wal_path is not None:
+            for path in (wal_path, wal_path + ".ckpt"):
                 try:
                     os.remove(path)
                 except FileNotFoundError:
@@ -453,7 +421,8 @@ class RemoteConnector(DBConnector):
         statement_timeout_ms: Optional[float] = None,
         connect_timeout: float = 10.0,
     ) -> None:
-        super().__init__(statement_timeout_ms=statement_timeout_ms)
+        super().__init__()
+        self.statement_timeout_ms = statement_timeout_ms
         self.host = host
         self.port = port
         self.auth_token = auth_token
@@ -749,7 +718,7 @@ class MultiEndpointConnector(DBConnector):
         base_delay: float = 0.01,
         max_delay: float = 0.5,
     ) -> None:
-        super().__init__(statement_timeout_ms=statement_timeout_ms)
+        super().__init__()
         self.topology = Topology(
             endpoints,
             auth_token=auth_token,
@@ -1028,30 +997,8 @@ class RemoteConnectionPool:
 class ProfileConnector(DBConnector):
     """Connector over an arbitrary engine profile (for ablation studies)."""
 
-    def __init__(
-        self,
-        profile,
-        collect_exec_stats: bool = False,
-        optimize: Optional[bool] = None,
-        wal_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        statement_timeout_ms: Optional[float] = None,
-        memory_limit: Optional[int | str] = None,
-        query_memory_limit: Optional[int | str] = None,
-        spill_dir: Optional[str] = None,
-        memory_faults: Optional[object] = None,
-    ) -> None:
-        super().__init__(
-            collect_exec_stats=collect_exec_stats,
-            optimize=optimize,
-            wal_path=wal_path,
-            checkpoint_every=checkpoint_every,
-            statement_timeout_ms=statement_timeout_ms,
-            memory_limit=memory_limit,
-            query_memory_limit=query_memory_limit,
-            spill_dir=spill_dir,
-            memory_faults=memory_faults,
-        )
+    def __init__(self, profile, **database_kwargs: Any) -> None:
+        super().__init__(**database_kwargs)
         self._custom_profile = profile
         self.profile_name = profile.name
 

@@ -43,7 +43,6 @@ from repro.errors import (
     UniqueViolation,
 )
 from repro.sqldb.engine import Database, Result
-from repro.sqldb.faults import FaultInjector
 from repro.sqldb.profile import POSTGRES, Profile
 from repro.sqldb.session import Session
 
@@ -335,18 +334,9 @@ class Connection:
     def __init__(
         self,
         profile: Profile | str = POSTGRES,
-        collect_exec_stats: bool = False,
-        optimize: Optional[bool] = None,
-        durable: bool = False,
-        wal_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        statement_timeout_ms: Optional[float] = None,
-        faults: Optional[FaultInjector] = None,
-        memory_limit: Optional[int | str] = None,
-        query_memory_limit: Optional[int | str] = None,
-        spill_dir: Optional[str] = None,
-        memory_faults: Optional[Any] = None,
+        *,
         database: Optional[Database] = None,
+        **database_kwargs: Any,
     ) -> None:
         if database is not None:
             self.database = database
@@ -354,20 +344,7 @@ class Connection:
             self.session: Session = database.session()
         else:
             with _translating():
-                self.database = Database(
-                    profile,
-                    collect_exec_stats=collect_exec_stats,
-                    optimize=optimize,
-                    durable=durable,
-                    wal_path=wal_path,
-                    checkpoint_every=checkpoint_every,
-                    statement_timeout_ms=statement_timeout_ms,
-                    faults=faults,
-                    memory_limit=memory_limit,
-                    query_memory_limit=query_memory_limit,
-                    spill_dir=spill_dir,
-                    memory_faults=memory_faults,
-                )
+                self.database = Database(profile, **database_kwargs)
             self._owns_database = True
             self.session = self.database._default_session
         self._closed = False
@@ -437,50 +414,22 @@ class Connection:
 
 def connect(
     profile: Profile | str = POSTGRES,
-    collect_exec_stats: bool = False,
-    optimize: Optional[bool] = None,
-    durable: bool = False,
-    wal_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    statement_timeout_ms: Optional[float] = None,
-    faults: Optional[FaultInjector] = None,
-    memory_limit: Optional[int | str] = None,
-    query_memory_limit: Optional[int | str] = None,
-    spill_dir: Optional[str] = None,
-    memory_faults: Optional[Any] = None,
+    *,
     database: Optional[Database] = None,
+    **database_kwargs: Any,
 ) -> Connection:
     """Open a connection to a fresh in-process database.
 
-    ``optimize`` turns the statistics-driven rewrite layer on or off
-    (None: whatever the profile says).  ``wal_path`` (or ``durable=True``
-    plus a path) opts into write-ahead logging with crash recovery on
-    connect; ``statement_timeout_ms`` arms a cooperative per-statement
-    timeout (``REPRO_SQL_TIMEOUT_MS`` supplies a default).
-
-    ``memory_limit`` / ``query_memory_limit`` (bytes, or strings like
-    ``"64mb"``; ``REPRO_SQL_MEMORY_LIMIT`` supplies a global default)
-    arm the memory governor: queries account their hash tables, sort
-    buffers, and materialisations against the budget and degrade to
-    spill-to-disk execution under ``spill_dir`` when a grant is denied.
+    ``database_kwargs`` go to :class:`~repro.sqldb.engine.Database`
+    unchanged — its signature is the one declaration of the engine's
+    options: ``wal_path`` opts into write-ahead logging with crash
+    recovery on connect, ``statement_timeout_ms`` arms a cooperative
+    per-statement timeout, ``memory_limit`` / ``query_memory_limit`` arm
+    the memory governor, ``optimize`` turns the rewrite layer on.
 
     ``database=`` connects to an *existing* :class:`Database` instead,
-    opening a new concurrent session over it (every other keyword is
+    opening a new concurrent session over it (every other argument is
     ignored — the shared engine's configuration applies); this is how
     multi-session MVCC clients and the connection pool attach.
     """
-    return Connection(
-        profile,
-        collect_exec_stats=collect_exec_stats,
-        optimize=optimize,
-        durable=durable,
-        wal_path=wal_path,
-        checkpoint_every=checkpoint_every,
-        statement_timeout_ms=statement_timeout_ms,
-        faults=faults,
-        memory_limit=memory_limit,
-        query_memory_limit=query_memory_limit,
-        spill_dir=spill_dir,
-        memory_faults=memory_faults,
-        database=database,
-    )
+    return Connection(profile, database=database, **database_kwargs)

@@ -14,7 +14,9 @@ import os
 import threading
 import time
 from collections import Counter, OrderedDict
-from typing import Any, Iterable, Optional, Sequence
+from contextlib import nullcontext
+from functools import partial
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from dataclasses import dataclass, field
 
@@ -84,23 +86,6 @@ __all__ = [
     "Result",
     "resolve_timeout_ms",
 ]
-
-#: statements that mutate the catalog (take the exclusive lock, are
-#: snapshot-protected for statement atomicity, and get WAL-logged)
-_WRITE_TYPES = (
-    ast.CreateTable,
-    ast.CreateView,
-    ast.CreateIndex,
-    ast.Insert,
-    ast.Copy,
-    ast.Update,
-    ast.Delete,
-    ast.Drop,
-    ast.DropIndex,
-    ast.Train,
-    ast.DropModel,
-    ast.Analyze,
-)
 
 #: transaction-control statements (exclusive lock, never WAL-logged
 #: themselves — only committed work reaches the log)
@@ -257,8 +242,7 @@ class Database:
         profile: Profile | str = POSTGRES,
         plan_cache_size: int = 128,
         collect_exec_stats: bool = False,
-        optimize: Optional[bool] = None,
-        durable: bool = False,
+        optimize: bool = False,
         wal_path: Optional[str] = None,
         wal_sync: str = "commit",
         wal_group_every: int = 8,
@@ -274,8 +258,10 @@ class Database:
         if isinstance(profile, str):
             profile = profile_by_name(profile)
         self.profile = profile
-        #: statistics-driven rewrite layer (argument overrides the profile)
-        self.optimize = profile.optimize if optimize is None else bool(optimize)
+        #: statistics-driven rewrite layer (constant folding, predicate
+        #: pushdown, conjunct reordering, join build-side choice); off by
+        #: default so stock profiles keep their documented plan shapes
+        self.optimize = bool(optimize)
         self.catalog = Catalog()
         self.plan_cache = PlanCache(plan_cache_size)
         #: exact-text memo in front of the normalizer; normalization is
@@ -337,8 +323,8 @@ class Database:
                 spill_dir=spill_dir,
                 faults=memory_faults,
             )
-        #: durability: opt in with durable=True/wal_path=...
-        self.durable = bool(durable) or wal_path is not None
+        #: durability: opt in with wal_path=...
+        self.durable = wal_path is not None
         self.wal_path = wal_path
         if wal_sync not in WAL_SYNC_POLICIES:
             raise DurabilityError(
@@ -350,7 +336,6 @@ class Database:
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
         self._wal: Optional[WriteAheadLog] = None
-        self._replaying = False
         #: read-only mode: every client write raises 25006 (a streaming
         #: replica's SQL surface); the replication applier bypasses it
         #: through :meth:`apply_replicated_commit`
@@ -363,11 +348,9 @@ class Database:
         #: commit id of the newest replicated commit applied here (a
         #: replica's replay position; 0 on a primary)
         self.last_applied_commit_id = 0
-        #: parsed-statement memo for replicated replay (sql -> stmts)
-        self._replay_parsed: OrderedDict[str, list] = OrderedDict()
+        #: parsed-statement memo of the redo applier (sql -> stmts)
+        self._redo_parsed: OrderedDict[str, list] = OrderedDict()
         if self.durable:
-            if not wal_path:
-                raise DurabilityError("durable=True requires wal_path")
             self._recover()
             self._wal = WriteAheadLog(
                 wal_path,
@@ -586,92 +569,149 @@ class Database:
         (DB-API ``executemany`` semantics).
         """
         session = self._resolve_session(session)
-        txn = session.txn
         self._check_not_aborted(session)
+        # before parsing: a read-only replica answers 25006 whatever the script
         self._check_writable()
         entry = self._prepare(sql, params=True, catalog=self._active_catalog(session))
-        targets: list[str] = []
-        for cached in entry.statements:
-            if not isinstance(cached.statement, _WRITE_TYPES):
-                raise SQLExecutionError(
-                    "executemany only supports DDL/DML statements"
-                )
-            names, _ = self._write_targets(
-                cached.statement, self._active_catalog(session)
+        statements = [cached.statement for cached in entry.statements]
+        if not all(type(statement) in _WRITES for statement in statements):
+            raise SQLExecutionError(
+                "executemany only supports DDL/DML statements"
             )
-            targets.extend(names)
         started = time.perf_counter()
-        total = 0
-        logged_rows: list[list] = []
-        acquired = self._acquire_locks(session, targets)
         try:
-            if txn is not None:
-                catalog = txn.catalog
+            return self._run_write(
+                session,
+                sql,
+                statements,
+                (bind_parameters(row, entry.n_params) for row in seq_of_params),
+            ).rowcount
+        finally:
+            self.total_execution_time += time.perf_counter() - started
+
+    def _run_write(
+        self,
+        session: Session,
+        sql: str,
+        statements: list[ast.Statement],
+        rows: Iterable[tuple],
+        index: Optional[int] = None,
+    ) -> Result:
+        """The one write path: apply *statements* once per parameter row,
+        atomically, then buffer the redo records on the session's open
+        transaction or commit them.
+
+        ``index`` is the position of a single statement in its script
+        *sql*; ``None`` marks an ``executemany`` batch (every statement of
+        the script runs for every row).  Table locks are waited for under
+        the session's cancel scope; autocommit releases them with the
+        statement, a transaction holds them to its end."""
+        # an empty script is a batch of nothing: no targets, no records
+        self._check_writable(statements[0] if statements else None)
+        txn = session.txn
+        catalog = self._active_catalog(session)
+        targets: list[str] = []
+        checks: list[str] = []
+        for statement in statements:
+            names, reads = _WRITES[type(statement)].targets(statement, catalog)
+            targets += names
+            checks += reads
+        with session.statement_guard() as cancel_event:
+            acquired = self._acquire_locks(session, targets, cancel_event)
+        try:
+            # a transaction's fork is private to its session; committed
+            # state is written (and, as ``reset_storage`` swaps it, looked
+            # up) under the exclusive latch
+            with nullcontext() if txn is not None else self._lock.write():
+                catalog = self.catalog if txn is None else txn.catalog
+                # redo records are buffered for whoever consumes them: the
+                # WAL (durability) and commit hooks (replication feeds)
+                capturing = self._wal is not None or bool(self._commit_hooks)
+                positions = range(len(statements)) if index is None else (index,)
+                entries: list[tuple[str, int, list]] = []
+                total = 0
                 memento = catalog.snapshot()
-                mark = len(txn.records)
                 try:
-                    for params in seq_of_params:
-                        bound = bind_parameters(params, entry.n_params)
-                        for cached in entry.statements:
-                            total += self._apply_write(
-                                cached.statement, bound, catalog
+                    for params in rows:
+                        for statement in statements:
+                            total += _WRITES[type(statement)].apply(
+                                self, statement, params, catalog
                             ).rowcount
-                        if self._capturing_records:
-                            for index in range(len(entry.statements)):
-                                txn.records.append((sql, index, list(bound)))
+                        if capturing:
+                            bound = list(params)
+                            entries += [(sql, at, bound) for at in positions]
                 except Exception:
+                    # statement-level atomicity: a failing statement (or
+                    # batch row) leaves the catalog exactly as it was
                     catalog.restore(memento)
-                    del txn.records[mark:]
                     raise
-                finally:
-                    self.total_execution_time += time.perf_counter() - started
-                txn.write_set.update(targets)
-                return total
-            with self._lock.write():
-                memento = self.catalog.snapshot()
-                try:
-                    for params in seq_of_params:
-                        bound = bind_parameters(params, entry.n_params)
-                        for cached in entry.statements:
-                            total += self._apply_write(
-                                cached.statement, bound, self.catalog
-                            ).rowcount
-                        if self._capturing_records:
-                            logged_rows.append(list(bound))
-                except Exception:
-                    self.catalog.restore(memento)
-                    raise
-                finally:
-                    self.total_execution_time += time.perf_counter() - started
-                commit_id = self._next_txn
-                self._next_txn += 1
-                records = (
-                    self._batch_records(
-                        sql, len(entry.statements), logged_rows, commit_id
+                if txn is not None:
+                    txn.write_set.update(targets)
+                    txn.check_set.update(checks)
+                    txn.records.extend(entries)
+                else:
+                    # an autocommit statement is one self-committing record,
+                    # a single-statement batch one compressed record
+                    shape = (
+                        "auto" if index is not None
+                        else "many" if len(statements) == 1
+                        else "stmt"
                     )
-                    if logged_rows
-                    else []
-                )
-                durable = records and self._wal is not None
-                if durable:
-                    self._write_wal_commit(commit_id, records)
-                for name in targets:
-                    self.catalog.note_write(name)
-                session.last_commit_id = commit_id
-                if records:
-                    self._notify_commit_hooks(commit_id, records)
-                if durable:
-                    self._note_commit()
-            return total
+                    self._commit(
+                        session,
+                        targets,
+                        lambda commit_id: _redo_records(commit_id, entries, shape),
+                    )
         finally:
             if txn is None:
+                # autocommit locks are transient: release exactly what this
+                # statement newly took
                 self.locks.release(session.session_id, acquired)
+        return Result(rowcount=total)
+
+    def _commit(
+        self,
+        session: Optional[Session],
+        targets: Iterable[str],
+        build_records: Callable[[int], list[dict]],
+        install: Optional[Callable[[], None]] = None,
+        commit_id: Optional[int] = None,
+    ) -> None:
+        """The one commit tail; the caller holds the write latch, so
+        commit-id order == WAL order == hook order.
+
+        Allocates the commit id (or adopts a replicated one: *commit_id*
+        given, *session* None), makes ``build_records(commit_id)`` durable,
+        passes the ``commit.install`` crashpoint, runs *install* (``COMMIT``
+        moves its fork in; a replicated one repeats the matview refresh),
+        stamps the written relations' versions and the commit position,
+        feeds the commit hooks and counts toward the auto-checkpoint."""
+        if commit_id is None:
+            commit_id = self._next_txn
+        self._next_txn = max(self._next_txn, commit_id + 1)
+        records = build_records(commit_id)
+        durable = bool(records) and self._wal is not None
+        if durable:
+            self._write_wal_commit(commit_id, records)
+        self.faults.check("commit.install")
+        if install is not None:
+            install()
+        for name in targets:
+            self.catalog.note_write(name)
+        if session is None:
+            self.last_applied_commit_id = commit_id
+        else:
+            session.last_commit_id = commit_id
+        if records:
+            self._notify_commit_hooks(commit_id, records)
+        if durable:
+            self._note_commit()
 
     def _acquire_locks(
         self,
         session: Session,
         targets: list[str],
-        cancel_event: Optional[threading.Event] = None,
+        cancel_event: threading.Event,
     ) -> list[str]:
         """Take per-table locks for one statement's targets; a deadlock
         aborts the session's transaction (40P01) before propagating."""
@@ -694,15 +734,6 @@ class Database:
             raise
 
     # -- commit records and hooks ------------------------------------------------
-
-    @property
-    def _capturing_records(self) -> bool:
-        """Whether writes must buffer redo records: a WAL needs them for
-        durability, commit hooks (replication feeds) need them for
-        streaming — replicated replay itself must not re-capture."""
-        return (
-            self._wal is not None or bool(self._commit_hooks)
-        ) and not self._replaying
 
     def _check_writable(self, statement: Optional[ast.Statement] = None) -> None:
         if self.read_only:
@@ -739,20 +770,6 @@ class Database:
                 hook(commit_id, records)
             except Exception:  # pragma: no cover - defensive
                 logger.exception("commit hook failed (commit %d)", commit_id)
-
-    @staticmethod
-    def _batch_records(
-        sql: str, n_statements: int, rows: list[list], txn_id: int
-    ) -> list[dict]:
-        """Redo records for an autocommitted ``executemany`` batch."""
-        if n_statements == 1:
-            # compressed batch record: one entry for the whole batch
-            return [{"t": "many", "txn": txn_id, "sql": sql, "rows": rows}]
-        return [
-            {"t": "stmt", "txn": txn_id, "sql": sql, "i": index, "p": bound}
-            for bound in rows
-            for index in range(n_statements)
-        ]
 
     def _write_wal_commit(self, commit_id: int, records: list[dict]) -> None:
         """Append one commit's redo records (with begin/commit framing
@@ -880,9 +897,9 @@ class Database:
                         )
             elif isinstance(statement, _TXN_TYPES):
                 result = self._execute_txn_control(statement, session)
-            elif isinstance(statement, _WRITE_TYPES):
-                result = self._execute_write(
-                    statement, sql, index, params, session
+            elif type(statement) in _WRITES:
+                result = self._run_write(
+                    session, sql, [statement], [params], index
                 )
             else:
                 raise SQLExecutionError(
@@ -892,137 +909,6 @@ class Database:
             self.total_execution_time += time.perf_counter() - started
         result.statement = sql.strip().split("\n", 1)[0][:120]
         return result
-
-    def _write_targets(
-        self, statement: ast.Statement, catalog: Catalog
-    ) -> tuple[list[str], list[str]]:
-        """(locked-and-installed, conflict-checked-only) relation names of
-        one write statement.  A view's referenced relations land in the
-        check set: the view's stored text is replayed at commit-order
-        position, so the relations it reads must not have been rewritten
-        by a concurrent committer."""
-        if isinstance(statement, ast.CreateTable):
-            return [statement.name], []
-        if isinstance(statement, ast.CreateView):
-            return (
-                [statement.name],
-                sorted(_referenced_relations(statement.query)),
-            )
-        if isinstance(statement, ast.Insert):
-            return [statement.table], []
-        if isinstance(statement, ast.Copy):
-            return [statement.table], []
-        if isinstance(statement, (ast.Update, ast.Delete)):
-            return [statement.table], []
-        if isinstance(statement, ast.CreateIndex):
-            return [statement.table], []
-        if isinstance(statement, ast.DropIndex):
-            # locking the indexed table serialises the drop against DML
-            if catalog.has_index(statement.name):
-                return [catalog.index(statement.name).table], []
-            return [], []  # missing index: IF EXISTS no-op or a plain error
-        if isinstance(statement, ast.Drop):
-            return [statement.name], []
-        if isinstance(statement, ast.Train):
-            # the model name is installed; the relations the training
-            # query reads are conflict-checked (first-committer-wins,
-            # like a view's referenced relations)
-            return (
-                [statement.name],
-                sorted(_referenced_relations(statement.query)),
-            )
-        if isinstance(statement, ast.DropModel):
-            return [statement.name], []
-        if isinstance(statement, ast.Analyze):
-            if statement.table is not None:
-                return [statement.table], []
-            return list(catalog.table_names), []
-        raise SQLExecutionError(
-            f"unsupported statement {type(statement).__name__}"
-        )
-
-    def _execute_write(
-        self,
-        statement: ast.Statement,
-        sql: str,
-        index: int,
-        params: tuple,
-        session: Session,
-    ) -> Result:
-        self._check_writable(statement)
-        txn = session.txn
-        targets, checks = self._write_targets(
-            statement, self._active_catalog(session)
-        )
-        with session.statement_guard() as cancel_event:
-            acquired = self._acquire_locks(session, targets, cancel_event)
-        if txn is not None:
-            memento = txn.catalog.snapshot()
-            try:
-                result = self._apply_write(statement, params, txn.catalog)
-            except Exception:
-                # statement-level atomicity: a failing DML/DDL statement
-                # leaves the fork exactly as it was before it started
-                txn.catalog.restore(memento)
-                raise
-            txn.write_set.update(targets)
-            txn.check_set.update(checks)
-            if self._capturing_records:
-                txn.records.append((sql, index, list(params)))
-            return result
-        try:
-            with self._lock.write():
-                memento = self.catalog.snapshot()
-                try:
-                    result = self._apply_write(statement, params, self.catalog)
-                except Exception:
-                    self.catalog.restore(memento)
-                    raise
-                self._log_write(sql, index, params, session, targets)
-            return result
-        finally:
-            # autocommit locks are transient: release exactly what this
-            # statement newly took (a surrounding txn's locks persist)
-            self.locks.release(session.session_id, acquired)
-
-    def _apply_write(
-        self,
-        statement: ast.Statement,
-        params: tuple = (),
-        catalog: Optional[Catalog] = None,
-    ) -> Result:
-        catalog = self.catalog if catalog is None else catalog
-        if isinstance(statement, ast.CreateTable):
-            return self._execute_create_table(statement, catalog)
-        if isinstance(statement, ast.CreateView):
-            return self._execute_create_view(statement, catalog)
-        if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params, catalog)
-        if isinstance(statement, ast.Copy):
-            return self._execute_copy(statement, catalog)
-        if isinstance(statement, ast.Update):
-            return self._execute_update(statement, params, catalog)
-        if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, params, catalog)
-        if isinstance(statement, ast.CreateIndex):
-            return self._execute_create_index(statement, catalog)
-        if isinstance(statement, ast.DropIndex):
-            catalog.drop_index(statement.name, statement.if_exists)
-            return Result()
-        if isinstance(statement, ast.Drop):
-            catalog.drop(statement.name, statement.kind, statement.if_exists)
-            return Result()
-        if isinstance(statement, ast.Train):
-            return self._execute_train(statement, params, catalog)
-        if isinstance(statement, ast.DropModel):
-            catalog.drop_model(statement.name, statement.if_exists)
-            return Result()
-        if isinstance(statement, ast.Analyze):
-            names = catalog.analyze(statement.table)
-            return Result(rowcount=len(names))
-        raise SQLExecutionError(
-            f"unsupported statement {type(statement).__name__}"
-        )
 
     def _execute_txn_control(
         self, statement: ast.Statement, session: Session
@@ -1105,10 +991,20 @@ class Database:
             # quietly (reports ROLLBACK) instead of raising again
             self._rollback_session(session)
             return
-        names = sorted(txn.write_set | txn.check_set)
+        written = sorted(txn.write_set)
+
+        def install() -> None:
+            for name in written:
+                self.catalog.adopt_relation(name, txn.catalog)
+            if txn.catalog.stats_version != txn.start_stats_version:
+                self.catalog.stats_version += 1
+            self._refresh_committed_matviews(txn.write_set)
+
         try:
             with self._lock.write():
-                for name in names:
+                # first committer wins: nothing this transaction wrote or
+                # depends on may have been committed by a peer since BEGIN
+                for name in sorted(txn.write_set | txn.check_set):
                     if self.catalog.table_versions.get(
                         name
                     ) != txn.start_versions.get(name):
@@ -1117,29 +1013,13 @@ class Database:
                             f"update of relation {name!r}; retry the "
                             f"transaction"
                         )
-                commit_id = self._next_txn
-                self._next_txn += 1
-                records = [
-                    {"t": "stmt", "txn": commit_id, "sql": sql, "i": index,
-                     "p": bound}
-                    for sql, index, bound in txn.records
-                ]
-                flushed = bool(records) and self._wal is not None
-                if flushed:
-                    self._write_wal_commit(commit_id, records)
-                self.faults.check("commit.install")
-                for name in sorted(txn.write_set):
-                    self.catalog.adopt_relation(name, txn.catalog)
-                    self.catalog.note_write(name)
-                if txn.catalog.stats_version != txn.start_stats_version:
-                    self.catalog.stats_version += 1
-                self._refresh_committed_matviews(txn.write_set)
-                session.last_commit_id = commit_id
+                self._commit(
+                    session,
+                    written,
+                    lambda commit_id: _redo_records(commit_id, txn.records),
+                    install,
+                )
                 session.txn = None
-                if records:
-                    self._notify_commit_hooks(commit_id, records)
-                if flushed:
-                    self._note_commit()
         except SerializationFailure:
             session.txn = None
             raise
@@ -1186,38 +1066,6 @@ class Database:
 
     # -- durability -------------------------------------------------------------
 
-    def _log_write(
-        self,
-        sql: str,
-        index: int,
-        params: tuple,
-        session: Session,
-        targets: list[str],
-    ) -> None:
-        """WAL-commit one autocommitted write and stamp its commit id
-        (explicit transactions buffer records and flush at COMMIT)."""
-        commit_id = self._next_txn
-        self._next_txn += 1
-        # "auto" compresses begin+stmt+commit into one self-committing
-        # record
-        records = (
-            [{"t": "auto", "txn": commit_id, "sql": sql, "i": index,
-              "p": list(params)}]
-            if self._capturing_records
-            else []
-        )
-        durable = bool(records) and self._wal is not None
-        if durable:
-            self._write_wal_commit(commit_id, records)
-        self.faults.check("commit.install")
-        for name in targets:
-            self.catalog.note_write(name)
-        session.last_commit_id = commit_id
-        if records:
-            self._notify_commit_hooks(commit_id, records)
-        if durable:
-            self._note_commit()
-
     def _note_commit(self) -> None:
         self._commits_since_checkpoint += 1
         if (
@@ -1236,16 +1084,9 @@ class Database:
                 "CHECKPOINT cannot run inside a transaction", sqlstate="25001"
             )
         self.faults.check("checkpoint.begin")
-        tables, views, stats, indexes, models = self.catalog.export_state()
-        payload = {
-            "tables": tables,
-            "views": views,
-            "stats": stats,
-            "indexes": indexes,
-            "models": models,
-            "last_txn": self._next_txn - 1,
-        }
-        write_checkpoint(self.wal_path + ".ckpt", payload, self.faults)
+        write_checkpoint(
+            self.wal_path + ".ckpt", self._export_state(), self.faults
+        )
         # a crash between the rename above and this reset replays the old
         # WAL over the new snapshot; the recorded last_txn makes those
         # already-folded transactions no-ops
@@ -1259,18 +1100,8 @@ class Database:
         Replays every transaction with a commit (or self-committing)
         record, in commit order; anything after the last complete,
         checksum-valid record — a torn tail — is truncated away."""
-        ckpt_path = self.wal_path + ".ckpt"
-        last_txn = 0
-        ckpt = read_checkpoint(ckpt_path)
-        if ckpt is not None:
-            self.catalog.install(
-                ckpt["tables"],
-                ckpt["views"],
-                ckpt["stats"],
-                ckpt.get("indexes", {}),  # pre-index checkpoints lack the key
-                ckpt.get("models", {}),  # pre-model checkpoints likewise
-            )
-            last_txn = int(ckpt["last_txn"])
+        ckpt = read_checkpoint(self.wal_path + ".ckpt")
+        last_txn = 0 if ckpt is None else self._install_state(ckpt)
         records, valid_size = read_wal(self.wal_path)
         if valid_size is not None:
             truncate_wal(self.wal_path, valid_size)
@@ -1290,38 +1121,46 @@ class Database:
             elif kind in ("auto", "many"):
                 statements[txn_id] = [record]
                 committed.append(txn_id)
-        parsed: dict[str, list[ast.Statement]] = {}
-        self._replaying = True
-        try:
-            for txn_id in committed:
-                if txn_id <= last_txn:
-                    continue  # already folded into the checkpoint snapshot
-                for record in statements.get(txn_id, []):
-                    self._replay_record(record, parsed)
-        finally:
-            self._replaying = False
+        for txn_id in committed:
+            if txn_id <= last_txn:
+                continue  # already folded into the checkpoint snapshot
+            for record in statements.get(txn_id, []):
+                try:
+                    self._apply_record(record)
+                except Exception as exc:
+                    raise DurabilityError(
+                        f"WAL replay failed for {record.get('sql')!r}: {exc}"
+                    ) from exc
         self._next_txn = highest + 1
 
-    def _replay_record(
-        self, record: dict, parsed: dict[str, list[ast.Statement]]
-    ) -> None:
+    def _apply_record(self, record: dict) -> set[str]:
+        """Apply one redo record (``auto``/``stmt``: one statement of its
+        script; ``many``: the whole script per row) to the committed
+        catalog — WAL recovery and replicated apply both replay through
+        here.  Returns the relation names the record wrote."""
         sql = record["sql"]
-        try:
-            stmts = parsed.get(sql)
-            if stmts is None:
-                stmts = parse_script(sql)
-                parsed[sql] = stmts
-            if record["t"] == "many":
-                for row in record["rows"]:
-                    for statement in stmts:
-                        self._apply_write(statement, tuple(row))
-            else:
-                statement = stmts[int(record["i"])]
-                self._apply_write(statement, tuple(record.get("p", ())))
-        except Exception as exc:
-            raise DurabilityError(
-                f"WAL replay failed for {sql!r}: {exc}"
-            ) from exc
+        stmts = self._redo_parsed.get(sql)
+        if stmts is None:
+            stmts = parse_script(sql)
+            self._redo_parsed[sql] = stmts
+            while len(self._redo_parsed) > 256:
+                self._redo_parsed.popitem(last=False)
+        else:
+            self._redo_parsed.move_to_end(sql)
+        if record["t"] == "many":
+            rows = record["rows"]
+        else:
+            stmts = [stmts[int(record["i"])]]
+            rows = [record.get("p", ())]
+        targets: set[str] = set()
+        for statement in stmts:
+            targets.update(_WRITES[type(statement)].targets(statement, self.catalog)[0])
+        for row in rows:
+            for statement in stmts:
+                _WRITES[type(statement)].apply(
+                    self, statement, tuple(row), self.catalog
+                )
+        return targets
 
     # -- replication (replica-side apply) ---------------------------------------
 
@@ -1335,15 +1174,32 @@ class Database:
         committed catalog plus the commit id the export reflects.  Taken
         under the read latch, so no committer is mid-install."""
         with self._lock.read():
-            tables, views, stats, indexes, models = self.catalog.export_state()
-            return {
-                "tables": tables,
-                "views": views,
-                "stats": stats,
-                "indexes": indexes,
-                "models": models,
-                "last_txn": self._next_txn - 1,
-            }
+            return self._export_state()
+
+    def _export_state(self) -> dict:
+        """The committed catalog plus the commit id it reflects — the one
+        payload shape of checkpoints and replication snapshots."""
+        tables, views, stats, indexes, models = self.catalog.export_state()
+        return {
+            "tables": tables,
+            "views": views,
+            "stats": stats,
+            "indexes": indexes,
+            "models": models,
+            "last_txn": self._next_txn - 1,
+        }
+
+    def _install_state(self, payload: dict) -> int:
+        """Replace the committed catalog with an exported payload; returns
+        the commit id it reflects."""
+        self.catalog.install(
+            payload["tables"],
+            payload["views"],
+            payload["stats"],
+            payload.get("indexes", {}),  # pre-index checkpoints lack the key
+            payload.get("models", {}),  # pre-model checkpoints likewise
+        )
+        return int(payload["last_txn"])
 
     def install_replica_snapshot(self, snapshot: dict) -> None:
         """Adopt a primary's full-state export wholesale (replica
@@ -1352,19 +1208,12 @@ class Database:
         commit id; a durable replica folds the snapshot into its local
         checkpoint so a restart recovers to it without the stream."""
         with self._lock.write():
-            self.catalog.install(
-                snapshot["tables"],
-                snapshot["views"],
-                snapshot["stats"],
-                snapshot.get("indexes", {}),
-                snapshot.get("models", {}),
-            )
+            last = self._install_state(snapshot)
             for name in self.catalog.table_names:
                 self.catalog.note_write(name)
-            last = int(snapshot["last_txn"])
             self.last_applied_commit_id = last
             self._next_txn = max(self._next_txn, last + 1)
-            self._replay_parsed.clear()
+            self._redo_parsed.clear()
             if self._wal is not None:
                 self._checkpoint_locked()
 
@@ -1388,53 +1237,24 @@ class Database:
             targets: set[str] = set()
             try:
                 for record in records:
-                    targets |= self._apply_replicated_record(record)
+                    targets |= self._apply_record(record)
             except Exception as exc:
                 self.catalog.restore(memento)
                 raise DurabilityError(
                     f"replicated replay failed for commit {commit_id}: {exc}"
                 ) from exc
-            durable = self._wal is not None
-            if durable:
-                self._write_wal_commit(commit_id, records)
-            for name in sorted(targets):
-                self.catalog.note_write(name)
-            self._refresh_committed_matviews(targets)
-            self.last_applied_commit_id = commit_id
-            self._next_txn = max(self._next_txn, commit_id + 1)
-            # relay: a promoted (or cascading) node re-streams to its own
-            # subscribers in the same commit order
-            self._notify_commit_hooks(commit_id, records)
-            if durable:
-                self._note_commit()
+            # the records landed on the committed catalog directly.  Only a
+            # framed transaction has an install step: it may have written a
+            # matview's input by DDL alone (no DML epilogue), which the
+            # primary's COMMIT answered with the same refresh.  Hooks relay:
+            # a promoted (or cascading) node re-streams in commit order
+            install = None
+            if any(record["t"] == "stmt" for record in records):
+                install = partial(self._refresh_committed_matviews, targets)
+            self._commit(
+                None, sorted(targets), lambda _: records, install, commit_id
+            )
         return True
-
-    def _apply_replicated_record(self, record: dict) -> set[str]:
-        """Apply one redo record to the committed catalog; returns the
-        relation names whose versions must be bumped."""
-        sql = record["sql"]
-        stmts = self._replay_parsed.get(sql)
-        if stmts is None:
-            stmts = parse_script(sql)
-            self._replay_parsed[sql] = stmts
-            while len(self._replay_parsed) > 256:
-                self._replay_parsed.popitem(last=False)
-        else:
-            self._replay_parsed.move_to_end(sql)
-        targets: set[str] = set()
-        if record["t"] == "many":
-            for statement in stmts:
-                names, _ = self._write_targets(statement, self.catalog)
-                targets.update(names)
-            for row in record["rows"]:
-                for statement in stmts:
-                    self._apply_write(statement, tuple(row))
-        else:
-            statement = stmts[int(record["i"])]
-            names, _ = self._write_targets(statement, self.catalog)
-            targets.update(names)
-            self._apply_write(statement, tuple(record.get("p", ())))
-        return targets
 
     # -- SELECT -------------------------------------------------------------------
 
@@ -1446,30 +1266,13 @@ class Database:
         re-optimize against the fresh statistics."""
         session = self._resolve_session(session)
         self._check_not_aborted(session)
-        self._check_writable()
-        target = f'ANALYZE "{table}"' if table is not None else "ANALYZE"
-        txn = session.txn
-        if txn is not None:
-            targets = (
-                [table] if table is not None else list(txn.catalog.table_names)
-            )
-            self._acquire_locks(session, targets)
-            names = txn.catalog.analyze(table)
-            txn.write_set.update(targets)
-            if self._capturing_records:
-                txn.records.append((target, 0, []))
-            return names
-        targets = (
-            [table] if table is not None else list(self.catalog.table_names)
+        statement = ast.Analyze(table)
+        names, _ = _WRITES[ast.Analyze].targets(
+            statement, self._active_catalog(session)
         )
-        acquired = self._acquire_locks(session, targets)
-        try:
-            with self._lock.write():
-                names = self.catalog.analyze(table)
-                self._log_write(target, 0, (), session, targets)
-            return names
-        finally:
-            self.locks.release(session.session_id, acquired)
+        sql = f'ANALYZE "{table}"' if table is not None else "ANALYZE"
+        self._run_write(session, sql, [statement], [()], 0)
+        return names
 
     def _plan_select(
         self, statement: ast.Select, catalog: Optional[Catalog] = None
@@ -1601,7 +1404,7 @@ class Database:
     # -- DDL / DML --------------------------------------------------------------------
 
     def _execute_create_table(
-        self, statement: ast.CreateTable, catalog: Catalog
+        self, statement: ast.CreateTable, params: tuple, catalog: Catalog
     ) -> Result:
         names = [c.name for c in statement.columns]
         types = [normalise_type(c.type_name) for c in statement.columns]
@@ -1609,32 +1412,17 @@ class Database:
         return Result()
 
     def _execute_create_view(
-        self, statement: ast.CreateView, catalog: Catalog
+        self, statement: ast.CreateView, params: tuple, catalog: Catalog
     ) -> Result:
         view = View(statement.name, statement.query, statement.materialized)
         if statement.materialized:
-            plan = self._plan_select(statement.query, catalog)
-            batch = execute_plan(plan, self._make_context(catalog=catalog))
-            names: list[str] = []
-            data: dict[str, Vector] = {}
-            for out in plan.schema:
-                if out.hidden:
-                    continue
-                if out.name in data:
-                    raise SQLExecutionError(
-                        f"materialized view {view.name!r} has duplicate "
-                        f"column {out.name!r}"
-                    )
-                names.append(out.name)
-                data[out.name] = batch.columns[out.key]
-            view.snapshot = (names, data, batch.length)
+            self._recompute_snapshot(view, catalog)
         catalog.create_view(view)
         return Result()
 
     def _execute_insert(
-        self, statement: ast.Insert, params: tuple = (), catalog: Optional[Catalog] = None
+        self, statement: ast.Insert, params: tuple, catalog: Catalog
     ) -> Result:
-        catalog = self.catalog if catalog is None else catalog
         table = catalog.table(statement.table)
         columns = statement.columns or [
             name
@@ -1653,15 +1441,12 @@ class Database:
                 row[name] = _literal_value(expr, params)
             rows.append(row)
         table.append_rows(rows)
-        catalog.refresh_indexes(statement.table)
-        catalog.bump_version()
-        self._invalidate_dependent_snapshots(statement.table, catalog)
+        self._finish_dml(statement.table, catalog)
         return Result(rowcount=len(rows))
 
     def _execute_copy(
-        self, statement: ast.Copy, catalog: Optional[Catalog] = None
+        self, statement: ast.Copy, params: tuple, catalog: Catalog
     ) -> Result:
-        catalog = self.catalog if catalog is None else catalog
         table = catalog.table(statement.table)
         columns = statement.columns or list(table.column_names)
         with open(statement.path, newline="") as handle:
@@ -1686,13 +1471,11 @@ class Database:
                 for row in raw_rows
             ]
         table.append_columns(data, len(raw_rows))
-        catalog.refresh_indexes(statement.table)
-        catalog.bump_version()
-        self._invalidate_dependent_snapshots(statement.table, catalog)
+        self._finish_dml(statement.table, catalog)
         return Result(rowcount=len(raw_rows))
 
     def _execute_create_index(
-        self, statement: ast.CreateIndex, catalog: Catalog
+        self, statement: ast.CreateIndex, params: tuple, catalog: Catalog
     ) -> Result:
         table = catalog.table(statement.table)
         columns = tuple(statement.columns)
@@ -1713,7 +1496,7 @@ class Database:
         The trainer's iteration/histogram queries execute against
         *catalog* (the transaction's fork, or committed state under the
         write latch) through a runner that never re-takes the catalog
-        latch — `_apply_write` already holds whatever protection the
+        latch — the write path already holds whatever protection the
         calling path needs.  Retraining an existing model name replaces
         it (statement atomicity makes a failed retrain keep the old one).
         """
@@ -1823,9 +1606,7 @@ class Database:
                         None if raw is None else coerce_to_type(raw, storage)
                     )
                 table.columns[column] = from_values(merged)
-        catalog.refresh_indexes(statement.table)
-        catalog.bump_version()
-        self._invalidate_dependent_snapshots(statement.table, catalog)
+        self._finish_dml(statement.table, catalog)
         return Result(rowcount=affected)
 
     def _execute_delete(
@@ -1842,25 +1623,36 @@ class Database:
                 # fresh vectors: forks/mementos sharing the old ones are safe
                 table.columns[name] = gather(table.columns[name], keep)
             table.n_rows = len(keep)
-        catalog.refresh_indexes(statement.table)
-        catalog.bump_version()
-        self._invalidate_dependent_snapshots(statement.table, catalog)
+        self._finish_dml(statement.table, catalog)
         return Result(rowcount=removed)
 
+    def _finish_dml(self, table_name: str, catalog: Catalog) -> None:
+        """What every row-changing statement owes the catalog: rebuilt
+        indexes (the unique check raises here, before the statement's
+        memento is dropped), a plan-invalidating version bump, and
+        refreshed dependent materialised views."""
+        catalog.refresh_indexes(table_name)
+        catalog.bump_version()
+        self._invalidate_dependent_snapshots(table_name, catalog)
+
     def _recompute_snapshot(self, view: View, catalog: Catalog) -> None:
-        """Re-materialise one view's cached result against *catalog*."""
+        """(Re-)materialise one view's cached result against *catalog*."""
         plan = self._plan_select(view.query, catalog)
         batch = execute_plan(plan, self._make_context(catalog=catalog))
-        names = [out.name for out in plan.schema if not out.hidden]
-        data = {
-            out.name: batch.columns[out.key]
-            for out in plan.schema
-            if not out.hidden
-        }
-        view.snapshot = (names, data, batch.length)
+        data: dict[str, Vector] = {}
+        for out in plan.schema:
+            if out.hidden:
+                continue
+            if out.name in data:
+                raise SQLExecutionError(
+                    f"materialized view {view.name!r} has duplicate "
+                    f"column {out.name!r}"
+                )
+            data[out.name] = batch.columns[out.key]
+        view.snapshot = (list(data), data, batch.length)
 
     def _invalidate_dependent_snapshots(
-        self, changed_table: str, catalog: Optional[Catalog] = None
+        self, changed_table: str, catalog: Catalog
     ) -> None:
         """Refresh materialised views that (transitively) read a table.
 
@@ -1869,7 +1661,6 @@ class Database:
         views over them, so eager dependency-aware refresh is a safe
         simplification.
         """
-        catalog = self.catalog if catalog is None else catalog
         dirty = {changed_table}
         # views may reference other views; iterate until fixpoint
         ordered = list(catalog.view_names)
@@ -1908,6 +1699,28 @@ class Database:
                 if isinstance(view, View) and view.materialized:
                     self._recompute_snapshot(view, self.catalog)
             self._invalidate_dependent_snapshots(name, self.catalog)
+
+
+def _redo_records(
+    commit_id: int, entries: list[tuple[str, int, list]], shape: str = "stmt"
+) -> list[dict]:
+    """One commit's redo records from its ``(sql, statement index,
+    params)`` entries: a ``stmt`` per entry (the WAL frames them with
+    begin/commit), or one self-committing record — ``auto`` for a single
+    statement, ``many`` for the rows of a single-statement batch."""
+    if not entries:
+        return []  # nothing captured (no WAL, no hooks) or an empty batch
+    sql, index, bound = entries[0]
+    if shape == "auto":
+        return [{"t": "auto", "txn": commit_id, "sql": sql, "i": index,
+                 "p": bound}]
+    if shape == "many":
+        return [{"t": "many", "txn": commit_id, "sql": sql,
+                 "rows": [row for _, _, row in entries]}]
+    return [
+        {"t": "stmt", "txn": commit_id, "sql": sql, "i": index, "p": bound}
+        for sql, index, bound in entries
+    ]
 
 
 def _referenced_relations(select: ast.Select) -> set[str]:
@@ -2020,3 +1833,86 @@ def _batch_to_result(plan: PlanNode, batch: Batch) -> Result:
         converted.append(as_object)
     rows = list(zip(*converted)) if converted else []
     return Result(columns=columns, rows=rows, rowcount=batch.length)
+
+
+# -- the write statements -----------------------------------------------------------
+
+
+_Targets = tuple[list[str], list[str]]
+
+
+class _Write(NamedTuple):
+    """How one write-statement type takes part in the write path."""
+
+    #: ``(statement, catalog) -> (locked-and-installed, conflict-checked-
+    #: only)`` relation names
+    targets: Callable[[Any, Catalog], _Targets]
+    #: ``(database, statement, params, catalog) -> Result``
+    apply: Callable[[Database, Any, tuple, Catalog], Result]
+
+
+def _targets_name(statement, catalog: Catalog) -> _Targets:
+    return [statement.name], []
+
+
+def _targets_table(statement, catalog: Catalog) -> _Targets:
+    return [statement.table], []
+
+
+def _targets_query(statement, catalog: Catalog) -> _Targets:
+    # the view/model name is installed; the relations its query reads are
+    # conflict-checked (first-committer-wins): the stored text is replayed
+    # at commit-order position, so they must not have been rewritten by a
+    # concurrent committer
+    return [statement.name], sorted(_referenced_relations(statement.query))
+
+
+def _targets_drop_index(statement: ast.DropIndex, catalog: Catalog) -> _Targets:
+    # locking the indexed table serialises the drop against DML
+    if catalog.has_index(statement.name):
+        return [catalog.index(statement.name).table], []
+    return [], []  # missing index: IF EXISTS no-op or a plain error
+
+
+def _targets_analyze(statement: ast.Analyze, catalog: Catalog) -> _Targets:
+    if statement.table is not None:
+        return [statement.table], []
+    return list(catalog.table_names), []
+
+
+def _drop(database, statement: ast.Drop, params, catalog) -> Result:
+    catalog.drop(statement.name, statement.kind, statement.if_exists)
+    return Result()
+
+
+def _drop_index(database, statement: ast.DropIndex, params, catalog) -> Result:
+    catalog.drop_index(statement.name, statement.if_exists)
+    return Result()
+
+
+def _drop_model(database, statement: ast.DropModel, params, catalog) -> Result:
+    catalog.drop_model(statement.name, statement.if_exists)
+    return Result()
+
+
+def _analyze(database, statement: ast.Analyze, params, catalog) -> Result:
+    return Result(rowcount=len(catalog.analyze(statement.table)))
+
+
+#: every statement type that mutates the catalog: these take table locks,
+#: are memento-protected for statement atomicity, and reach the WAL and
+#: the commit hooks as redo records
+_WRITES: dict[type, _Write] = {
+    ast.CreateTable: _Write(_targets_name, Database._execute_create_table),
+    ast.CreateView: _Write(_targets_query, Database._execute_create_view),
+    ast.CreateIndex: _Write(_targets_table, Database._execute_create_index),
+    ast.Insert: _Write(_targets_table, Database._execute_insert),
+    ast.Copy: _Write(_targets_table, Database._execute_copy),
+    ast.Update: _Write(_targets_table, Database._execute_update),
+    ast.Delete: _Write(_targets_table, Database._execute_delete),
+    ast.Drop: _Write(_targets_name, _drop),
+    ast.DropIndex: _Write(_targets_drop_index, _drop_index),
+    ast.Train: _Write(_targets_query, Database._execute_train),
+    ast.DropModel: _Write(_targets_name, _drop_model),
+    ast.Analyze: _Write(_targets_analyze, _analyze),
+}

@@ -537,6 +537,11 @@ def _equi_join_positions(
     return left_pos, right_pos
 
 
+#: fan-out of the spill paths (Grace hash join, partitioned
+#: aggregation/distinct) when the memory governor denies a reservation
+_SPILL_PARTITIONS = 8
+
+
 def _spill_append(
     ctx: ExecContext, plan: Any, spill: Any, payload: Any, point: str
 ) -> None:
@@ -571,18 +576,17 @@ def _grace_join_positions(
     ascending right position — exactly the in-memory contract.
     """
     grant = ctx.memory
-    n_parts = max(2, int(getattr(ctx.profile, "spill_partitions", 8)))
     chunk = ctx.mem_chunk()
     ctx.mem_require(chunk, "join.partition", plan)
     left_file = grant.spill_file("join-left")
     right_file = grant.spill_file("join-right")
     try:
         need_right = plan.kind in ("right", "full")
-        for part in range(n_parts):
+        for part in range(_SPILL_PARTITIONS):
             # numpy's mod follows Python: invalid codes (-1) land in the
             # last partition and match nothing there, as in memory
-            lsel = np.flatnonzero(left_codes % n_parts == part)
-            rsel = np.flatnonzero(right_codes % n_parts == part)
+            lsel = np.flatnonzero(left_codes % _SPILL_PARTITIONS == part)
+            rsel = np.flatnonzero(right_codes % _SPILL_PARTITIONS == part)
             if not len(lsel) and not (need_right and len(rsel)):
                 continue
             _spill_append(
@@ -779,15 +783,14 @@ def _spill_aggregate(
     outputs are stitched back by their global group ids.
     """
     grant = ctx.memory
-    n_parts = max(2, int(getattr(ctx.profile, "spill_partitions", 8)))
     chunk = ctx.mem_chunk()
     ctx.mem_require(chunk, "agg.partition", plan)
     part_file = grant.spill_file("agg")
     try:
         codes, positions = hashing.group_codes(group_vectors)
         n_groups = len(positions)
-        for part in range(n_parts):
-            sel = np.flatnonzero(codes % n_parts == part)
+        for part in range(_SPILL_PARTITIONS):
+            sel = np.flatnonzero(codes % _SPILL_PARTITIONS == part)
             if not len(sel):
                 continue
             payload = (
@@ -880,14 +883,13 @@ def _spill_distinct_positions(
     order, so a partition-local first occurrence is the global one.
     """
     grant = ctx.memory
-    n_parts = max(2, int(getattr(ctx.profile, "spill_partitions", 8)))
     chunk = ctx.mem_chunk()
     ctx.mem_require(chunk, "distinct.partition", plan)
     part_file = grant.spill_file("distinct")
     try:
         codes, _ = hashing.group_codes(vectors)
-        for part in range(n_parts):
-            sel = np.flatnonzero(codes % n_parts == part)
+        for part in range(_SPILL_PARTITIONS):
+            sel = np.flatnonzero(codes % _SPILL_PARTITIONS == part)
             if not len(sel):
                 continue
             _spill_append(

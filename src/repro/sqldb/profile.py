@@ -30,14 +30,6 @@ class Profile:
     materialize_ctes_by_default: bool
     #: copy operator outputs (simulates tuple materialisation)
     copy_operator_output: bool
-    #: enable the statistics-driven rewrite layer (constant folding,
-    #: predicate pushdown, conjunct reordering, join build-side choice);
-    #: off by default so stock profiles keep their documented plan shapes —
-    #: ``Database(optimize=True)`` opts in per connection
-    optimize: bool = False
-    #: fan-out of the spill paths (Grace hash join, partitioned
-    #: aggregation/distinct) when the memory governor denies a reservation
-    spill_partitions: int = 8
 
 
 POSTGRES = Profile("postgres", materialize_ctes_by_default=True, copy_operator_output=True)

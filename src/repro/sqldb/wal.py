@@ -1,6 +1,6 @@
 """Write-ahead log and snapshot checkpoints for the sqldb engine.
 
-Durability is opt-in (``Database(durable=True, wal_path=...)``) and uses
+Durability is opt-in (``Database(wal_path=...)``) and uses
 logical redo logging: every committed transaction's DDL/DML statements
 are appended to an append-only log and replayed on the next open.  The
 in-memory engine never pages, so there is no undo to log — a crash simply

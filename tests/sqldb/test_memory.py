@@ -721,15 +721,13 @@ class TestLifecycle:
         """Spill files carry only intra-query operator state: deleting
         every one of them after a commit loses nothing on recovery."""
         wal = str(tmp_path / "db.wal")
-        db = Database(query_memory_limit=_LIMIT, wal_path=wal, durable=True)
+        db = Database(query_memory_limit=_LIMIT, wal_path=wal)
         _load(db)
         total = db.execute("SELECT count(*) FROM big").rows[0][0]
         db.execute(_WORKLOAD[0])  # spills, after the inserts committed
         db.memory.spill.cleanup_all()  # simulate losing every temp file
         db.close()
-        recovered = Database(
-            query_memory_limit=_LIMIT, wal_path=wal, durable=True
-        )
+        recovered = Database(query_memory_limit=_LIMIT, wal_path=wal)
         try:
             assert (
                 recovered.execute("SELECT count(*) FROM big").rows[0][0]

@@ -122,6 +122,8 @@ class TestStreaming:
         db.execute("CREATE TABLE t (a int, b text)")
         replica = make_replica(primary, name="r-read")
         try:
+            # the prefix the read may land on starts after CREATE TABLE
+            assert wait_until(lambda: caught_up(primary, replica))
             for i in range(20):
                 db.execute(f"INSERT INTO t VALUES ({i}, 'v{i}')")
             # a replica read never sees a torn commit: the row count is
@@ -476,3 +478,56 @@ class TestManagerEdges:
             manager.next_batch(sub, timeout=0.1)
         manager.close()
         db.close()
+
+
+class TestReplicaApply:
+    def test_dependent_matview_materialised_once_per_commit(self, monkeypatch):
+        # engine level, no sockets: the primary's commit hook feeds the
+        # replica's applier directly
+        primary_db = Database("umbra")
+        replica_db = Database("umbra", read_only=True)
+        primary_db.add_commit_hook(replica_db.apply_replicated_commit)
+        primary_db.execute("CREATE TABLE t (a int)")
+        primary_db.execute(
+            "CREATE MATERIALIZED VIEW mv AS SELECT count(*) AS n FROM t"
+        )
+        recomputed = []
+        original = Database._recompute_snapshot
+
+        def counting(self, view, catalog):
+            if self is replica_db:
+                recomputed.append(view.name)
+            return original(self, view, catalog)
+
+        monkeypatch.setattr(Database, "_recompute_snapshot", counting)
+        primary_db.execute("INSERT INTO t VALUES (7)")
+        # the record lands on the replica's committed catalog, whose DML
+        # epilogue already refreshed the view: no second install pass
+        assert recomputed == ["mv"]
+        assert (
+            replica_db.execute("SELECT n FROM mv").rows
+            == primary_db.execute("SELECT n FROM mv").rows
+            == [(1,)]
+        )
+
+    def test_transactional_ddl_refreshes_matview_like_the_primary(self):
+        # a transaction that rewrites a matview's input by DDL only has no
+        # DML epilogue to refresh it: the primary refreshes in COMMIT's
+        # install step, and the replica must do the same for the framed
+        # commit or it diverges for good
+        primary_db = Database("umbra")
+        replica_db = Database("umbra", read_only=True)
+        primary_db.add_commit_hook(replica_db.apply_replicated_commit)
+        primary_db.execute("CREATE TABLE t (a int)")
+        primary_db.execute("INSERT INTO t VALUES (1)")
+        primary_db.execute(
+            "CREATE MATERIALIZED VIEW mv AS SELECT count(*) AS n FROM t"
+        )
+        primary_db.run_script(
+            "BEGIN; DROP TABLE t; CREATE TABLE t (a int); COMMIT"
+        )
+        assert (
+            replica_db.execute("SELECT n FROM mv").rows
+            == primary_db.execute("SELECT n FROM mv").rows
+            == [(0,)]
+        )

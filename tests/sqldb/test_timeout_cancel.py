@@ -127,3 +127,42 @@ class TestCancellation:
         # never errors with anything else
         assert outcome.keys() <= {"cancelled", "result"} and outcome
         db.close()
+
+    @pytest.mark.parametrize("how", ["execute", "executemany"])
+    def test_cancel_unblocks_lock_blocked_write(self, how):
+        """A write waiting for a peer's table lock is cancellable: it
+        raises 57014 while the peer's transaction is still open and
+        leaves no lock behind — single statements and batches alike."""
+        db = Database("umbra")
+        db.execute("CREATE TABLE t (a int)")
+        holder, blocked = db.session(), db.session()
+        holder.begin()
+        holder.execute("INSERT INTO t (a) VALUES (1)")
+        outcome = {}
+
+        def write():
+            try:
+                if how == "execute":
+                    blocked.execute("INSERT INTO t (a) VALUES (?)", (2,))
+                else:
+                    blocked.executemany("INSERT INTO t (a) VALUES (?)", [(2,)])
+                outcome["returned"] = True
+            except QueryCancelled as exc:
+                outcome["sqlstate"] = exc.sqlstate
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while not blocked.has_active_statements and time.monotonic() < deadline:
+            time.sleep(0.001)
+        db.cancel(session=blocked)
+        thread.join(timeout=1.0)
+        hung = thread.is_alive()
+        still_open = holder.in_transaction
+        holder.rollback()  # unblocks a hung writer so the test can end
+        thread.join(timeout=10)
+        assert not hung, f"lock-blocked {how} ignored cancel()"
+        assert still_open
+        assert outcome == {"sqlstate": "57014"}
+        assert db.locks.held_by(blocked.session_id) == set()
+        db.close()

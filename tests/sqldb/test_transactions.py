@@ -257,6 +257,20 @@ class TestStatementAtomicity:
         with pytest.raises(SQLExecutionError):
             db.executemany("SELECT * FROM t WHERE a = ?", [(1,), (2,)])
 
+    def test_executemany_empty_script_is_a_batch_of_nothing(self, db):
+        before = rows(db)
+        assert db.executemany("", [(), ()]) == 0
+        assert rows(db) == before
+
+    def test_executemany_on_read_only_database_is_25006_first(self):
+        from repro.errors import ReadOnlySQLTransaction
+
+        replica = Database("umbra", read_only=True)
+        # the read-only refusal wins over the statement-type check
+        with pytest.raises(ReadOnlySQLTransaction):
+            replica.executemany("SELECT 1", [()])
+        replica.close()
+
     def test_executemany_success_counts_rows(self, db):
         total = db.executemany(
             "INSERT INTO t (a, b) VALUES (?, ?)", [(3, "z"), (4, "w")]

@@ -121,10 +121,6 @@ class TestBasicRecovery:
             assert all_rows(db) == [(1,)]
             db.close()
 
-    def test_durable_requires_wal_path(self):
-        with pytest.raises(DurabilityError):
-            Database("umbra", durable=True)
-
     def test_analyze_survives_reopen(self, wal_path):
         db = open_db(wal_path)
         db.execute("CREATE TABLE t (a int)")
@@ -371,6 +367,26 @@ class TestRecoveryUnderConcurrency:
         db2 = open_db(wal_path)
         assert all_rows(db2) == [(1,)]
         assert all_rows(db2, "u") == []  # b never committed
+        db2.close()
+
+    def test_autocommit_batch_reaches_commit_install(self, wal_path):
+        # every commit passes the crashpoint between "durable" and
+        # "acknowledged" — an autocommit executemany batch included
+        from repro.sqldb.faults import FaultInjector, SimulatedCrash
+
+        faults = FaultInjector()
+        db = open_db(wal_path, faults=faults)
+        db.execute("CREATE TABLE t (a int)")
+        del faults.trace[:]
+        db.executemany("INSERT INTO t (a) VALUES (?)", [(1,), (2,)])
+        assert "commit.install" in faults.trace
+        faults.arm("commit.install")
+        with pytest.raises(SimulatedCrash):
+            db.executemany("INSERT INTO t (a) VALUES (?)", [(3,), (4,)])
+        del db
+        db2 = open_db(wal_path)
+        # the batch record was durable before the crashpoint
+        assert all_rows(db2) == [(1,), (2,), (3,), (4,)]
         db2.close()
 
     def test_serialization_loser_never_reaches_the_wal(self, wal_path):
