@@ -46,6 +46,8 @@ TIMING_KEYS = frozenset(
         "sql_seconds_best",
         "iteration_seconds_best",
         "failover_seconds",
+        "replay_seconds_best",
+        "from_checkpoint_seconds_best",
     }
 )
 

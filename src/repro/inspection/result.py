@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.inspection.checks import Check, CheckResult, CheckStatus
 from repro.inspection.inspections import Inspection
 from repro.inspection.operators import DagNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["InspectorResult"]
 

@@ -13,8 +13,6 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-import networkx as nx
-
 from repro.frame import missing
 from repro.frame.dataframe import DataFrame
 from repro.frame.merge import merge_from_positions, merge_with_positions
@@ -34,6 +32,11 @@ class PythonBackend(InspectionBackend):
     def __init__(self, inspections: Iterable[Inspection]) -> None:
         super().__init__()
         self.inspections = list(inspections)
+        # imported on first use: networkx costs ~21 MB and ~0.2 s, which a
+        # process that only imports the package (the SQL engine's users,
+        # every connector) should not pay
+        import networkx as nx
+
         self.dag = nx.DiGraph()
         self.inspection_results: dict[DagNode, dict[Inspection, Any]] = {}
         self._node_counter = 0

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from repro.errors import CatalogError, SQLExecutionError, UniqueViolation
 from repro.sqldb import ast_nodes as ast
-from repro.sqldb.vector import Vector, from_values
+from repro.sqldb.vector import Vector, concat_vectors
 
 __all__ = [
     "Table",
@@ -29,6 +29,7 @@ __all__ = [
     "TableStats",
     "CTID",
     "build_index",
+    "extend_index",
     "coerce_to_type",
     "normalise_type",
 ]
@@ -96,7 +97,14 @@ def coerce_to_type(raw: Any, storage: str) -> Any:
 
 
 def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
-    """Coerce one COPY column to its storage class, vectorised."""
+    """Build the typed vector of one column's new values.
+
+    The dtype comes from the declared storage class alone, never from the
+    values: float64 (NaN under NULL) for ``int``/``serial``/``float``, bool
+    for ``bool``, object (None under NULL) for ``text``/``array`` — so an
+    empty or all-NULL batch has the same dtype as any other and appending
+    never flips a column's dtype.
+    """
     n = len(raw)
     if storage in ("int", "serial", "float"):
         try:
@@ -110,12 +118,22 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
                 f"column {name!r}: cannot interpret a value as a number "
                 f"({exc})"
             ) from None
-        nulls = np.isnan(values)
-        return Vector(values, nulls)
-    if storage == "bool":
-        return from_values([coerce_to_type(v, storage) for v in raw])
-    values = np.array(raw, dtype=object)
+        return Vector(values, np.isnan(values))
     nulls = np.fromiter((v is None for v in raw), dtype=bool, count=n)
+    if storage == "bool":
+        values = np.fromiter(
+            (coerce_to_type(v, storage) or False for v in raw),
+            dtype=bool,
+            count=n,
+        )
+        return Vector(values, nulls)
+    values = np.empty(n, dtype=object)
+    if storage == "array":
+        # cell by cell: numpy would unpack equally long lists into a matrix
+        for i, v in enumerate(raw):
+            values[i] = v
+    else:
+        values[:] = raw
     return Vector(values, nulls)
 
 
@@ -137,8 +155,8 @@ class Table:
             if name == CTID:
                 raise CatalogError("'ctid' is reserved for the system column")
         if not self.columns:
-            for name in self.column_names:
-                self.columns[name] = from_values([])
+            for name, storage in zip(self.column_names, self.column_types):
+                self.columns[name] = _coerce_column([], storage, name)
 
     @property
     def ctid(self) -> Vector:
@@ -154,12 +172,15 @@ class Table:
             ) from None
 
     def append_columns(self, data: dict[str, list[Any]], n_new: int) -> None:
-        """Columnar bulk append (the COPY fast path).
+        """The one append: ``data`` maps provided column names to equally
+        long value lists; absent serial columns are auto-numbered, other
+        absent columns fill with NULL.
 
-        ``data`` maps provided column names to equally long value lists;
-        absent serial columns are auto-numbered, other absent columns fill
-        with NULL.  Coercion is done column-at-a-time without per-cell
-        function dispatch.
+        Only the new batch is coerced (column-at-a-time, to the declared
+        storage class); it is then concatenated onto the existing typed
+        arrays, so the cost is O(batch) Python plus one memcpy.  Every
+        column gets a fresh vector — mementos, forks and snapshots keep
+        the old ones.
         """
         for name, storage in zip(self.column_names, self.column_types):
             if name in data:
@@ -176,36 +197,43 @@ class Table:
                 self._next_serial[name] = counter + n_new
                 vector = Vector(values, np.zeros(n_new, dtype=bool))
             else:
-                vector = Vector(
-                    np.full(n_new, np.nan), np.ones(n_new, dtype=bool)
-                )
+                vector = _coerce_column([None] * n_new, storage, name)
             if self.n_rows:
-                from repro.sqldb.vector import concat_vectors
-
-                self.columns[name] = concat_vectors(
-                    [self.columns[name], vector]
-                )
-            else:
-                self.columns[name] = vector
+                vector = concat_vectors([self.columns[name], vector])
+            self.columns[name] = vector
         self.n_rows += n_new
 
     def append_rows(self, rows: list[dict[str, Any]]) -> None:
-        """Append row dicts; absent serial columns are auto-numbered."""
-        new_data: dict[str, list[Any]] = {name: [] for name in self.column_names}
-        for row in rows:
-            for name, storage in zip(self.column_names, self.column_types):
-                if name in row:
-                    new_data[name].append(coerce_to_type(row[name], storage))
-                elif storage == "serial":
-                    counter = self._next_serial.get(name, 0)
-                    new_data[name].append(counter)
-                    self._next_serial[name] = counter + 1
-                else:
-                    new_data[name].append(None)
-        for name in self.column_names:
-            existing = self.columns[name].tolist() if self.n_rows else []
-            self.columns[name] = from_values(existing + new_data[name])
-        self.n_rows += len(rows)
+        """Append row dicts sharing one key set (INSERT, and through it
+        replicated apply and WAL replay): each cell is coerced to its
+        column's storage class and the batch transposed into
+        :meth:`append_columns`."""
+        if not rows:
+            return
+        data = {
+            name: [coerce_to_type(row[name], storage) for row in rows]
+            for name, storage in zip(self.column_names, self.column_types)
+            if name in rows[0]
+        }
+        self.append_columns(data, len(rows))
+
+    def patch_column(
+        self, name: str, positions: np.ndarray, cells: list[Any]
+    ) -> None:
+        """Replace the cells of column *name* at *positions* (UPDATE).
+
+        The new cells are coerced like appended ones and written into a
+        copy of the column; the old vector stays untouched for the
+        mementos, forks and snapshots sharing it."""
+        storage = self.storage_of(name)
+        patch = _coerce_column(
+            [coerce_to_type(cell, storage) for cell in cells], storage, name
+        )
+        old = self.columns[name]
+        values, nulls = old.values.copy(), old.nulls.copy()
+        values[positions] = patch.values
+        nulls[positions] = patch.nulls
+        self.columns[name] = Vector(values, nulls)
 
 
 # -- secondary indexes --------------------------------------------------------
@@ -226,7 +254,8 @@ class Index:
     them, and PostgreSQL's unique indexes likewise admit repeated NULLs.
 
     An ``Index`` is immutable once built: maintenance *replaces* the whole
-    object (see :meth:`Catalog.refresh_indexes`), the same copy-on-write
+    object, sharing no array it would have to write into (see
+    :meth:`Catalog.refresh_indexes`), the same copy-on-write
     contract the column vectors follow, which is what makes catalog
     mementos, transaction forks and checkpoint pickles valid by sharing.
 
@@ -349,20 +378,7 @@ def _resolve_index_method(method: Optional[str], n_columns: int) -> str:
     return resolved
 
 
-def build_index(
-    name: str,
-    table: Table,
-    columns: tuple[str, ...],
-    unique: bool,
-    method: str,
-) -> Index:
-    """Build a fresh index over *table*'s current rows.
-
-    Raises :class:`UniqueViolation` (SQLSTATE 23505) when ``unique`` and
-    the data already holds duplicate non-null keys — this is both the
-    CREATE UNIQUE INDEX validation and, because maintenance rebuilds
-    through here, the constraint check on every DML statement.
-    """
+def _key_vectors(table: Table, columns: tuple[str, ...]) -> list[Vector]:
     vectors = []
     for column in columns:
         if table.storage_of(column) == "array":
@@ -370,45 +386,53 @@ def build_index(
                 f"cannot index array column {column!r} of table {table.name!r}"
             )
         vectors.append(table.columns[column])
-    present = ~vectors[0].nulls
+    return vectors
+
+
+def _indexed_positions(vectors: list[Vector], start: int) -> np.ndarray:
+    """Positions >= *start* whose key has no NULL part (the indexed rows)."""
+    present = ~vectors[0].nulls[start:]
     for vector in vectors[1:]:
-        present = present & ~vector.nulls
-    positions = np.flatnonzero(present).astype(np.int64)
+        present = present & ~vector.nulls[start:]
+    return np.flatnonzero(present).astype(np.int64) + start
 
-    if method == "sorted":
-        vector = vectors[0]
-        if vector.values.dtype == object:
-            keys = vector.values[positions]
-        else:
-            keys = vector.values[positions].astype(np.float64, copy=False)
-        try:
-            order = np.argsort(keys, kind="stable")
-        except TypeError:
-            raise SQLExecutionError(
-                f"index {name!r}: column {columns[0]!r} holds values that "
-                "do not sort consistently; use USING hash"
-            ) from None
-        sorted_keys = keys[order]
-        sorted_positions = positions[order]
-        if unique and len(sorted_keys) > 1:
-            duplicated = sorted_keys[1:] == sorted_keys[:-1]
-            if np.asarray(duplicated, dtype=bool).any():
-                at = int(np.flatnonzero(duplicated)[0])
-                raise UniqueViolation(
-                    f"duplicate key value violates unique index {name!r}: "
-                    f"({', '.join(columns)})=({sorted_keys[at]!r})"
-                )
-        return Index(
-            name,
-            table.name,
-            columns,
-            unique,
-            method,
-            table.n_rows,
-            sorted_keys=sorted_keys,
-            sorted_positions=sorted_positions,
-        )
 
+def _unique_violation(
+    name: str, columns: tuple[str, ...], key: Any
+) -> UniqueViolation:
+    return UniqueViolation(
+        f"duplicate key value violates unique index {name!r}: "
+        f"({', '.join(columns)})=({key!r})"
+    )
+
+
+def _unsortable(name: str, columns: tuple[str, ...]) -> SQLExecutionError:
+    return SQLExecutionError(
+        f"index {name!r}: column {columns[0]!r} holds values that "
+        "do not sort consistently; use USING hash"
+    )
+
+
+def _sorted_entries(
+    name: str, columns: tuple[str, ...], vector: Vector, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys at *positions* in ascending order (position-ascending
+    within equal keys) next to their positions."""
+    keys = vector.values[positions]
+    if keys.dtype != object:
+        keys = keys.astype(np.float64, copy=False)
+    try:
+        order = np.argsort(keys, kind="stable")
+    except TypeError:
+        raise _unsortable(name, columns) from None
+    return keys[order], positions[order]
+
+
+def _hash_buckets(
+    name: str, vectors: list[Vector], positions: np.ndarray
+) -> dict[Any, list[int]]:
+    """Group *positions* (ascending) by key: scalar, or tuple when
+    composite."""
     key_columns = [vec.values[positions].tolist() for vec in vectors]
     keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
     buckets: dict[Any, list[int]] = {}
@@ -419,21 +443,104 @@ def build_index(
         raise SQLExecutionError(
             f"index {name!r}: unhashable key values; cannot build hash index"
         ) from None
+    return buckets
+
+
+def build_index(
+    name: str,
+    table: Table,
+    columns: tuple[str, ...],
+    unique: bool,
+    method: str,
+) -> Index:
+    """Build a fresh index over *table*'s current rows.
+
+    Raises :class:`UniqueViolation` (SQLSTATE 23505) when ``unique`` and
+    the data already holds duplicate non-null keys — the CREATE UNIQUE
+    INDEX validation, the constraint check of every DML statement that
+    rebuilds (see :meth:`Catalog.refresh_indexes`), and the oracle that
+    :func:`extend_index` is tested against.
+    """
+    vectors = _key_vectors(table, columns)
+    positions = _indexed_positions(vectors, 0)
+    if method == "sorted":
+        keys, positions = _sorted_entries(name, columns, vectors[0], positions)
+        if unique and len(keys) > 1:
+            duplicated = np.asarray(keys[1:] == keys[:-1], dtype=bool)
+            if duplicated.any():
+                raise _unique_violation(
+                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
+                )
+        return Index(
+            name, table.name, columns, unique, method, table.n_rows,
+            sorted_keys=keys, sorted_positions=positions,
+        )
     hash_map: dict[Any, np.ndarray] = {}
-    for key, rows in buckets.items():
+    for key, rows in _hash_buckets(name, vectors, positions).items():
         if unique and len(rows) > 1:
-            raise UniqueViolation(
-                f"duplicate key value violates unique index {name!r}: "
-                f"({', '.join(columns)})=({key!r})"
-            )
+            raise _unique_violation(name, columns, key)
         hash_map[key] = np.asarray(rows, dtype=np.int64)
     return Index(
-        name,
-        table.name,
-        columns,
-        unique,
-        method,
-        table.n_rows,
+        name, table.name, columns, unique, method, table.n_rows,
+        hash_map=hash_map,
+    )
+
+
+def extend_index(index: Index, table: Table) -> Index:
+    """A new index covering *table* after an append: rows
+    ``index.n_rows..`` are new, the earlier ones are exactly what *index*
+    was built over.
+
+    Field for field what :func:`build_index` returns for the grown table,
+    at the cost of the batch: ``sorted`` bisects the new keys into a copy
+    of the key/position arrays (new positions exceed every old one, so
+    going after equal keys keeps equal keys position-ascending), ``hash``
+    updates only the buckets of the new keys in a shallow copy of the
+    map.  *index* itself is never written; a unique violation — against
+    the old keys or inside the batch — raises before anything is built.
+    """
+    name, columns = index.name, index.columns
+    vectors = _key_vectors(table, columns)
+    positions = _indexed_positions(vectors, index.n_rows)
+    if index.method == "sorted":
+        old_keys = index.sorted_keys
+        keys, positions = _sorted_entries(name, columns, vectors[0], positions)
+        if keys.dtype != old_keys.dtype:
+            # a column restored from a pre-typed-storage checkpoint may
+            # change dtype on its first append
+            return build_index(name, table, columns, index.unique, "sorted")
+        try:
+            at = np.searchsorted(old_keys, keys, side="right")
+            first = (
+                np.searchsorted(old_keys, keys, side="left")
+                if index.unique
+                else at
+            )
+        except TypeError:
+            raise _unsortable(name, columns) from None
+        if index.unique:
+            duplicated = first < at
+            duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
+            if duplicated.any():
+                raise _unique_violation(
+                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
+                )
+        return Index(
+            name, table.name, columns, index.unique, "sorted", table.n_rows,
+            sorted_keys=np.insert(old_keys, at, keys),
+            sorted_positions=np.insert(index.sorted_positions, at, positions),
+        )
+    hash_map = dict(index.hash_map)
+    for key, rows in _hash_buckets(name, vectors, positions).items():
+        bucket = hash_map.get(key)
+        if index.unique and (bucket is not None or len(rows) > 1):
+            raise _unique_violation(name, columns, key)
+        fresh = np.asarray(rows, dtype=np.int64)
+        hash_map[key] = (
+            fresh if bucket is None else np.concatenate([bucket, fresh])
+        )
+    return Index(
+        name, table.name, columns, index.unique, "hash", table.n_rows,
         hash_map=hash_map,
     )
 
@@ -461,7 +568,7 @@ class TableStats:
     table: str
     n_rows: int
     columns: dict[str, ColumnStats]
-    #: catalog schema version at collection time (staleness indicator)
+    #: catalog schema version (the DDL clock) at collection time
     schema_version: int
 
 
@@ -548,8 +655,8 @@ class CatalogSnapshot:
 
     Holds the live ``Table``/``View`` objects by identity plus shallow
     copies of their mutable containers.  Valid because every data
-    mutation path *replaces* column vectors (``append_rows`` /
-    ``append_columns`` build fresh vectors) and view refreshes replace
+    mutation path *replaces* column vectors (``append_columns`` /
+    ``patch_column`` build fresh vectors) and view refreshes replace
     the whole ``snapshot`` tuple — nothing writes into a captured
     container.  A memento can be restored any number of times
     (``restore`` re-copies its containers on the way back in).
@@ -581,14 +688,16 @@ class Catalog:
         #: of the plan-cache key: two forks at the same schema_version
         #: may have diverged)
         self.uid = 0
-        #: per-relation last-write version (the schema_version at the
-        #: most recent committed write, kept as a tombstone across DROP);
-        #: MVCC first-committer-wins compares these at COMMIT
+        #: per-relation last-write version (the id of the most recent
+        #: commit that wrote it, kept as a tombstone across DROP); MVCC
+        #: first-committer-wins compares these at COMMIT
         self.table_versions: dict[str, int] = {}
         #: monotonically increasing counter, bumped on every change that can
-        #: invalidate a cached plan (DDL always; the engine also bumps it on
-        #: INSERT/COPY).  Plan-cache keys embed it, so stale entries simply
-        #: stop matching and age out of the LRU.
+        #: invalidate a cached plan: DDL, a restore that undid some, a
+        #: checkpoint/snapshot install — never by row-changing statements
+        #: (plans resolve relations by name when they run).  Plan-cache keys
+        #: embed it, so stale entries simply stop matching and age out of
+        #: the LRU.
         self.schema_version = 0
         self._fingerprint = 0
         self._fingerprint_version = -1
@@ -611,11 +720,10 @@ class Catalog:
     def bump_version(self) -> None:
         self.schema_version += 1
 
-    def note_write(self, name: str) -> None:
-        """Record a committed write to relation *name*: bump the schema
-        version and stamp the relation's last-write version with it."""
-        self.bump_version()
-        self.table_versions[name] = self.schema_version
+    def note_write(self, name: str, commit_id: int) -> None:
+        """Record a committed write to relation *name*: stamp its
+        last-write version with the (monotonic) id of the commit."""
+        self.table_versions[name] = commit_id
 
     # -- transactional mementos ---------------------------------------------
 
@@ -944,22 +1052,37 @@ class Catalog:
     def index_names(self) -> list[str]:
         return sorted(self._indexes)
 
-    def refresh_indexes(self, table_name: str) -> None:
-        """Rebuild every index on *table_name* from its current rows.
+    def refresh_indexes(
+        self,
+        table_name: str,
+        appended: bool = False,
+        assigned: Optional[Iterable[str]] = None,
+    ) -> None:
+        """Bring every index on *table_name* in line with its current rows.
 
         Called by the engine after each DML statement that touched the
-        table.  Rebuilding replaces the ``Index`` objects (copy-on-write:
-        mementos and forks captured earlier keep the old ones), and the
-        unique check inside :func:`build_index` raises
-        :class:`UniqueViolation` *before* any index is swapped in — the
-        engine's statement memento then rolls the data change back too.
+        table, with what the statement did: ``appended`` — rows were only
+        added at the end (INSERT, COPY), so each index is extended by the
+        new keys (:func:`extend_index`); ``assigned`` — rows stayed in
+        place and only these columns were rewritten (UPDATE), so an index
+        over none of them is kept as it is; otherwise (DELETE, or an
+        UPDATE of a key column) the index is rebuilt.  Maintenance
+        replaces the ``Index`` objects (copy-on-write: mementos and forks
+        captured earlier keep the old ones), and a
+        :class:`UniqueViolation` raises *before* any index is swapped in —
+        the engine's statement memento then rolls the data change back
+        too.
         """
         table = self._tables[table_name]
-        rebuilt = [
-            build_index(ix.name, table, ix.columns, ix.unique, ix.method)
-            for ix in self.indexes_on(table_name)
-        ]
-        for index in rebuilt:
+        fresh = []
+        for ix in self.indexes_on(table_name):
+            if appended:
+                fresh.append(extend_index(ix, table))
+            elif assigned is None or not set(assigned).isdisjoint(ix.columns):
+                fresh.append(
+                    build_index(ix.name, table, ix.columns, ix.unique, ix.method)
+                )
+        for index in fresh:
             self._indexes[index.name] = index
 
     # -- trained models ------------------------------------------------------

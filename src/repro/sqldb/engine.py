@@ -40,7 +40,6 @@ from repro.sqldb.catalog import (
     View,
     _resolve_index_method,
     build_index,
-    coerce_to_type,
     normalise_type,
 )
 from repro.sqldb.executor import ExecContext, execute_plan
@@ -76,7 +75,7 @@ from repro.sqldb.planner import Planner, Scope, ScopeEntry
 from repro.sqldb.prepared import bind_parameters, normalize_sql
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
-from repro.sqldb.vector import Vector, from_values, gather
+from repro.sqldb.vector import Vector, gather
 
 logger = logging.getLogger(__name__)
 
@@ -186,13 +185,18 @@ class PlanCache:
     """LRU cache of parsed statements and pruned logical plans.
 
     Keys are ``(normalized SQL, profile name, optimizer flag, catalog
-    schema version, statistics version, schema fingerprint)``: any DDL —
-    and, conservatively, INSERT/COPY — bumps the schema version and any
-    ``ANALYZE`` bumps the statistics version, so entries planned against
-    a stale catalog (or optimized under stale statistics) stop matching
-    and age out; the fingerprint keeps a cache shared across reconnects
-    from matching a differently shaped schema.  ``maxsize=0`` (or
-    ``enabled=False``) disables caching entirely.
+    schema version, statistics version, index epoch, schema fingerprint,
+    catalog uid)``: DDL (and a catalog restore or snapshot install) bumps
+    the schema version, ``ANALYZE`` the statistics version and CREATE /
+    DROP INDEX the index epoch, so entries planned against a stale
+    catalog (or optimized under stale statistics or access paths) stop
+    matching and age out; the fingerprint keeps a cache shared across
+    reconnects from matching a differently shaped schema, and the uid
+    keeps transaction forks apart.  Row-changing statements change none
+    of these: plans resolve relations by name when they run, so a cached
+    entry reads live data and a repeated parameterised INSERT / UPDATE /
+    DELETE / SELECT is a hit.  ``maxsize=0`` (or ``enabled=False``)
+    disables caching entirely.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -348,8 +352,6 @@ class Database:
         #: commit id of the newest replicated commit applied here (a
         #: replica's replay position; 0 on a primary)
         self.last_applied_commit_id = 0
-        #: parsed-statement memo of the redo applier (sql -> stmts)
-        self._redo_parsed: OrderedDict[str, list] = OrderedDict()
         if self.durable:
             self._recover()
             self._wal = WriteAheadLog(
@@ -684,7 +686,8 @@ class Database:
         given, *session* None), makes ``build_records(commit_id)`` durable,
         passes the ``commit.install`` crashpoint, runs *install* (``COMMIT``
         moves its fork in; a replicated one repeats the matview refresh),
-        stamps the written relations' versions and the commit position,
+        stamps the written relations' versions with the commit id (the
+        first-committer-wins clock) and the commit position,
         feeds the commit hooks and counts toward the auto-checkpoint."""
         if commit_id is None:
             commit_id = self._next_txn
@@ -697,7 +700,7 @@ class Database:
         if install is not None:
             install()
         for name in targets:
-            self.catalog.note_write(name)
+            self.catalog.note_write(name, commit_id)
         if session is None:
             self.last_applied_commit_id = commit_id
         else:
@@ -802,8 +805,9 @@ class Database:
     ) -> _CacheEntry:
         """Fetch the cached parse/plan state for *sql*, or build it.
 
-        The cache key embeds the catalog schema version, so entries made
-        against a dropped/recreated schema never resurface.  ``catalog``
+        The cache key embeds the catalog schema version (DDL, never DML),
+        so entries made against a dropped/recreated schema never resurface
+        while row-changing statements leave every entry valid.  ``catalog``
         is the state the statement will read (a transaction's fork or the
         committed catalog); its ``uid`` is part of the key, so two forks
         at the same schema version — which may have diverged — can never
@@ -982,6 +986,7 @@ class Database:
             fork,
             dict(fork.table_versions),
             start_stats_version=fork.stats_version,
+            start_schema_version=fork.schema_version,
         )
 
     def _commit_session(self, session: Session) -> None:
@@ -998,6 +1003,10 @@ class Database:
                 self.catalog.adopt_relation(name, txn.catalog)
             if txn.catalog.stats_version != txn.start_stats_version:
                 self.catalog.stats_version += 1
+            if txn.catalog.schema_version != txn.start_schema_version:
+                # the transaction ran DDL: plans cached against the old
+                # committed schema must stop matching
+                self.catalog.bump_version()
             self._refresh_committed_matviews(txn.write_set)
 
         try:
@@ -1105,32 +1114,29 @@ class Database:
         records, valid_size = read_wal(self.wal_path)
         if valid_size is not None:
             truncate_wal(self.wal_path, valid_size)
-        statements: dict[int, list[dict]] = {}
-        committed: list[int] = []
+        # one pass in log order == commit order: a transaction's records
+        # are adjacent, so only the open one is ever buffered
+        pending: dict[int, list[dict]] = {}
         highest = last_txn
         for record in records:
             kind = record["t"]
             txn_id = int(record["txn"])
             highest = max(highest, txn_id)
             if kind == "begin":
-                statements[txn_id] = []
+                pending[txn_id] = []
             elif kind == "stmt":
-                statements.setdefault(txn_id, []).append(record)
-            elif kind == "commit":
-                committed.append(txn_id)
-            elif kind in ("auto", "many"):
-                statements[txn_id] = [record]
-                committed.append(txn_id)
-        for txn_id in committed:
-            if txn_id <= last_txn:
-                continue  # already folded into the checkpoint snapshot
-            for record in statements.get(txn_id, []):
-                try:
-                    self._apply_record(record)
-                except Exception as exc:
-                    raise DurabilityError(
-                        f"WAL replay failed for {record.get('sql')!r}: {exc}"
-                    ) from exc
+                pending.setdefault(txn_id, []).append(record)
+            elif kind in ("commit", "auto", "many"):
+                redo = pending.pop(txn_id, []) if kind == "commit" else [record]
+                if txn_id <= last_txn:
+                    continue  # already folded into the checkpoint snapshot
+                for entry in redo:
+                    try:
+                        self._apply_record(entry)
+                    except Exception as exc:
+                        raise DurabilityError(
+                            f"WAL replay failed for {entry.get('sql')!r}: {exc}"
+                        ) from exc
         self._next_txn = highest + 1
 
     def _apply_record(self, record: dict) -> set[str]:
@@ -1138,15 +1144,10 @@ class Database:
         script; ``many``: the whole script per row) to the committed
         catalog — WAL recovery and replicated apply both replay through
         here.  Returns the relation names the record wrote."""
-        sql = record["sql"]
-        stmts = self._redo_parsed.get(sql)
-        if stmts is None:
-            stmts = parse_script(sql)
-            self._redo_parsed[sql] = stmts
-            while len(self._redo_parsed) > 256:
-                self._redo_parsed.popitem(last=False)
-        else:
-            self._redo_parsed.move_to_end(sql)
+        stmts = [
+            cached.statement
+            for cached in self._prepare(record["sql"]).statements
+        ]
         if record["t"] == "many":
             rows = record["rows"]
         else:
@@ -1210,10 +1211,9 @@ class Database:
         with self._lock.write():
             last = self._install_state(snapshot)
             for name in self.catalog.table_names:
-                self.catalog.note_write(name)
+                self.catalog.note_write(name, last)
             self.last_applied_commit_id = last
             self._next_txn = max(self._next_txn, last + 1)
-            self._redo_parsed.clear()
             if self._wal is not None:
                 self._checkpoint_locked()
 
@@ -1441,7 +1441,7 @@ class Database:
                 row[name] = _literal_value(expr, params)
             rows.append(row)
         table.append_rows(rows)
-        self._finish_dml(statement.table, catalog)
+        self._finish_dml(statement.table, catalog, appended=True)
         return Result(rowcount=len(rows))
 
     def _execute_copy(
@@ -1471,7 +1471,7 @@ class Database:
                 for row in raw_rows
             ]
         table.append_columns(data, len(raw_rows))
-        self._finish_dml(statement.table, catalog)
+        self._finish_dml(statement.table, catalog, appended=True)
         return Result(rowcount=len(raw_rows))
 
     def _execute_create_index(
@@ -1596,17 +1596,12 @@ class Database:
             for column, expr in statement.assignments:
                 # all assignments see the pre-statement row images
                 compiled = planner.compile_expr(expr, scope, {})
-                fresh = compiled(batch, ctx)
-                storage = table.storage_of(column)
-                old = table.columns[column]
-                merged = old.tolist()
-                for pos in positions:
-                    raw = fresh.item(int(pos))
-                    merged[int(pos)] = (
-                        None if raw is None else coerce_to_type(raw, storage)
-                    )
-                table.columns[column] = from_values(merged)
-        self._finish_dml(statement.table, catalog)
+                # only the touched cells pass through Python
+                fresh = gather(compiled(batch, ctx), positions)
+                table.patch_column(column, positions, fresh.tolist())
+        self._finish_dml(
+            statement.table, catalog, assigned=seen if affected else ()
+        )
         return Result(rowcount=affected)
 
     def _execute_delete(
@@ -1626,13 +1621,20 @@ class Database:
         self._finish_dml(statement.table, catalog)
         return Result(rowcount=removed)
 
-    def _finish_dml(self, table_name: str, catalog: Catalog) -> None:
-        """What every row-changing statement owes the catalog: rebuilt
-        indexes (the unique check raises here, before the statement's
-        memento is dropped), a plan-invalidating version bump, and
-        refreshed dependent materialised views."""
-        catalog.refresh_indexes(table_name)
-        catalog.bump_version()
+    def _finish_dml(
+        self,
+        table_name: str,
+        catalog: Catalog,
+        appended: bool = False,
+        assigned: Optional[Iterable[str]] = None,
+    ) -> None:
+        """What every row-changing statement owes the catalog: maintained
+        indexes (told what the statement did, see
+        :meth:`Catalog.refresh_indexes`; the unique check raises here,
+        before the statement's memento is dropped) and refreshed dependent
+        materialised views.  No version bump: cached plans read live
+        data."""
+        catalog.refresh_indexes(table_name, appended, assigned)
         self._invalidate_dependent_snapshots(table_name, catalog)
 
     def _recompute_snapshot(self, view: View, catalog: Catalog) -> None:

@@ -78,3 +78,5 @@ class Transaction:
     aborted: bool = False
     #: stats_version of the fork at BEGIN (detects in-txn ANALYZE)
     start_stats_version: int = 0
+    #: schema_version of the fork at BEGIN (detects in-txn DDL)
+    start_schema_version: int = 0

@@ -124,11 +124,15 @@ def concat_vectors(parts: list[Vector]) -> Vector:
         return from_values([])
     kinds = {p.values.dtype.kind for p in parts}
     if kinds <= {"f", "i", "u"}:
-        values = np.concatenate([p.values.astype(np.float64) for p in parts])
+        values = np.concatenate(
+            [p.values.astype(np.float64, copy=False) for p in parts]
+        )
     elif kinds == {"b"}:
         values = np.concatenate([p.values for p in parts])
     else:
-        values = np.concatenate([p.values.astype(object) for p in parts])
+        values = np.concatenate(
+            [p.values.astype(object, copy=False) for p in parts]
+        )
     nulls = np.concatenate([p.nulls for p in parts])
     return Vector(values, nulls)
 

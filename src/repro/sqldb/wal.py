@@ -63,6 +63,7 @@ import os
 import pickle
 import struct
 import zlib
+from collections.abc import Sequence
 from typing import Any, Optional
 
 from repro.errors import DurabilityError
@@ -231,14 +232,32 @@ class WriteAheadLog:
             self._file.close()
 
 
-def read_wal(path: str) -> tuple[list[dict], Optional[int]]:
-    """Decode the intact record prefix of the WAL at *path*.
+class _Records(Sequence):
+    """The intact records of one WAL image, decoded on access: a replay
+    walks the log holding one decoded record at a time, not all of them
+    (decoded, a record is about six times its bytes in the file)."""
 
-    Returns ``(records, valid_size)`` where ``valid_size`` is the byte
-    offset of the end of the last intact record — the caller truncates
-    the file there to drop a torn tail.  A missing file yields
-    ``([], None)``; a file whose *header* is unrecognisable (not a torn
-    prefix of it) raises :class:`DurabilityError`.
+    def __init__(self, data: bytes, bounds: list[tuple[int, int]]) -> None:
+        self._data = data
+        self._bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __getitem__(self, index: int) -> dict:
+        start, end = self._bounds[index]
+        return json.loads(self._data[start:end])
+
+
+def read_wal(path: str) -> tuple[Sequence[dict], Optional[int]]:
+    """Validate the intact record prefix of the WAL at *path*.
+
+    Returns ``(records, valid_size)``: a sequence that decodes each
+    record when it is read, and the byte offset of the end of the last
+    intact record — the caller truncates the file there to drop a torn
+    tail.  A missing file yields ``([], None)``; a file whose *header* is
+    unrecognisable (not a torn prefix of it) raises
+    :class:`DurabilityError`.
     """
     if not os.path.exists(path):
         return [], None
@@ -250,7 +269,7 @@ def read_wal(path: str) -> tuple[list[dict], Optional[int]]:
         raise DurabilityError(f"{path}: not a repro WAL file")
     if not data.startswith(_WAL_MAGIC):
         raise DurabilityError(f"{path}: not a repro WAL file")
-    records: list[dict] = []
+    bounds: list[tuple[int, int]] = []
     offset = len(_WAL_MAGIC)
     n = len(data)
     while offset + _HEADER.size <= n:
@@ -263,12 +282,12 @@ def read_wal(path: str) -> tuple[list[dict], Optional[int]]:
         if zlib.crc32(payload) != crc:
             break  # torn or corrupt tail: checksum mismatch
         try:
-            record = json.loads(payload.decode("utf-8"))
+            json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             break  # checksummed garbage — treat as tail corruption
-        records.append(record)
+        bounds.append((start, end))
         offset = end
-    return records, offset
+    return _Records(data, bounds), offset
 
 
 def truncate_wal(path: str, valid_size: int) -> None:

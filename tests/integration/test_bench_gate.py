@@ -24,3 +24,25 @@ def test_server_latency_keys_are_gated():
     assert check_bench.find_regressions(baseline, current) == [
         ("latency.p50_s", 0.001, 0.002)
     ]
+
+
+def test_recovery_keys_are_gated():
+    """``bench_durability`` writes ``replay_seconds_best`` and
+    ``from_checkpoint_seconds_best``; a 2x replay regression trips the
+    gate, the unchanged checkpoint load does not."""
+    check_bench = _load_check_bench()
+    baseline = {
+        "recovery": {
+            "replay_seconds_best": 0.2,
+            "from_checkpoint_seconds_best": 0.01,
+        }
+    }
+    current = {
+        "recovery": {
+            "replay_seconds_best": 0.4,
+            "from_checkpoint_seconds_best": 0.01,
+        }
+    }
+    assert check_bench.find_regressions(baseline, current) == [
+        ("recovery.replay_seconds_best", 0.2, 0.4)
+    ]

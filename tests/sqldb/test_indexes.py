@@ -8,8 +8,13 @@ incremental maintenance and a cold rebuild ever disagree, a lookup could
 silently return wrong rows, so equality here is the load-bearing check.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError, SQLExecutionError, UniqueViolation
 from repro.sqldb import Database
@@ -18,19 +23,29 @@ from repro.sqldb.catalog import build_index
 pytestmark = pytest.mark.indexes
 
 
-def assert_index_matches_rebuild(db, name):
-    """The live index must equal one rebuilt from current table contents."""
-    live = db.catalog.index(name)
-    table = db.catalog.table(live.table)
+def assert_index_matches_rebuild(db, name, catalog=None):
+    """The live index must equal, field for field, one rebuilt from the
+    table's current contents (*catalog*: a transaction's fork)."""
+    catalog = db.catalog if catalog is None else catalog
+    live = catalog.index(name)
+    table = catalog.table(live.table)
     oracle = build_index(
         live.name, table, live.columns, live.unique, live.method
     )
+    assert (live.name, live.table, live.columns, live.unique, live.method) == (
+        oracle.name, oracle.table, oracle.columns, oracle.unique, oracle.method
+    )
     assert live.n_rows == oracle.n_rows == table.n_rows
     if live.method == "hash":
+        assert live.sorted_keys is None and live.sorted_positions is None
         assert set(live.hash_map) == set(oracle.hash_map)
         for key, positions in oracle.hash_map.items():
+            assert live.hash_map[key].dtype == positions.dtype
             np.testing.assert_array_equal(live.hash_map[key], positions)
     else:
+        assert live.hash_map is None
+        assert live.sorted_keys.dtype == oracle.sorted_keys.dtype
+        assert live.sorted_positions.dtype == oracle.sorted_positions.dtype
         np.testing.assert_array_equal(live.sorted_keys, oracle.sorted_keys)
         np.testing.assert_array_equal(
             live.sorted_positions, oracle.sorted_positions
@@ -244,3 +259,120 @@ class TestDmlSemantics:
         db.execute("DELETE FROM t")
         assert db.execute("SELECT count(*) FROM t").rows == [(0,)]
         assert_index_matches_rebuild(db, "t_id")
+
+
+# -- random DML streams against the rebuild oracle ----------------------------
+
+STREAM_INDEXES = ("s_id", "s_grp", "s_c")
+
+_ids = st.one_of(st.none(), st.integers(-2, 12))
+_grps = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
+_slots = st.one_of(st.none(), st.integers(0, 3))
+_row = st.tuples(_ids, _grps, _slots, st.integers(0, 99))
+
+_statement = st.one_of(
+    # multi-row batches over a small key domain: duplicates against the
+    # table and in the middle of a batch are the common case
+    st.tuples(st.just("insert"), st.lists(_row, min_size=1, max_size=4)),
+    st.tuples(st.just("update_key"), st.integers(-2, 12), st.integers(-2, 12)),
+    st.tuples(st.just("update_part"), _grps, st.integers(-2, 12)),
+    st.tuples(st.just("update_plain"), st.integers(0, 99), _grps),
+    st.tuples(st.just("delete"), st.integers(-2, 12), st.integers(0, 6)),
+)
+_step = st.one_of(
+    _statement,
+    st.tuples(st.just("savepoint"), st.lists(_statement, max_size=4)),
+    st.tuples(st.just("recover"), st.none()),
+)
+
+
+def _render(statement):
+    kind = statement[0]
+    if kind == "insert":
+        rows = statement[1]
+        values = ", ".join("(?, ?, ?, ?)" for _ in rows)
+        return f"INSERT INTO s VALUES {values}", [c for row in rows for c in row]
+    if kind == "update_key":
+        return "UPDATE s SET id = ? WHERE id = ?", list(statement[1:])
+    if kind == "update_part":
+        return "UPDATE s SET grp = ? WHERE id = ?", list(statement[1:])
+    if kind == "update_plain":
+        grp = statement[2]
+        if grp is None:
+            return "UPDATE s SET val = ? WHERE grp IS NULL", [statement[1]]
+        return "UPDATE s SET val = ? WHERE grp = ?", list(statement[1:])
+    low, width = statement[1:]
+    return "DELETE FROM s WHERE id >= ? AND id < ?", [low, low + width]
+
+
+def _contents(db):
+    return db.execute("SELECT id, grp, slot, val, ctid FROM s").rows
+
+
+def _check_stream_state(db, catalog=None):
+    catalog = db.catalog if catalog is None else catalog
+    table = catalog.table("s")
+    for name in STREAM_INDEXES:
+        assert_index_matches_rebuild(db, name, catalog)
+        index = catalog.index(name)
+        present = np.ones(table.n_rows, dtype=bool)
+        for column in index.columns:
+            present &= ~table.columns[column].nulls
+        indexed = (
+            sum(len(p) for p in index.hash_map.values())
+            if index.method == "hash"
+            else len(index.sorted_positions)
+        )
+        assert indexed == int(present.sum())  # NULL keys stay unindexed
+
+
+def _run_statement(db, statement):
+    """Run one statement; a 23505 must leave the table's vectors and
+    every index object exactly as they were."""
+    catalog = (
+        db._default_session.txn.catalog if db.in_transaction else db.catalog
+    )
+    columns = dict(catalog.table("s").columns)
+    indexes = {name: catalog.index(name) for name in STREAM_INDEXES}
+    sql, params = _render(statement)
+    try:
+        db.execute(sql, params)
+    except UniqueViolation as exc:
+        assert exc.sqlstate == "23505"
+        assert all(catalog.table("s").columns[c] is columns[c] for c in columns)
+        assert all(catalog.index(n) is indexes[n] for n in indexes)
+    _check_stream_state(db, catalog)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_step, min_size=1, max_size=14))
+def test_random_dml_stream_matches_rebuild(steps):
+    with tempfile.TemporaryDirectory() as directory:
+        wal = os.path.join(directory, "wal.log")
+        db = Database(wal_path=wal, wal_sync="off")
+        try:
+            db.execute("CREATE TABLE s (id int, grp text, slot int, val float)")
+            db.execute("CREATE UNIQUE INDEX s_id ON s USING btree (id)")
+            db.execute("CREATE INDEX s_grp ON s USING btree (grp)")
+            db.execute("CREATE UNIQUE INDEX s_c ON s USING hash (grp, slot)")
+            for step in steps:
+                if step[0] == "savepoint":
+                    before = _contents(db)
+                    db.execute("BEGIN")
+                    db.execute("SAVEPOINT sp")
+                    for statement in step[1]:
+                        _run_statement(db, statement)
+                    db.execute("ROLLBACK TO SAVEPOINT sp")
+                    _check_stream_state(db, db._default_session.txn.catalog)
+                    db.execute("COMMIT")
+                    assert _contents(db) == before
+                elif step[0] == "recover":
+                    before = _contents(db)
+                    db.close()
+                    db = Database(wal_path=wal, wal_sync="off")
+                    assert _contents(db) == before
+                else:
+                    _run_statement(db, step)
+                _check_stream_state(db)
+        finally:
+            db.close()

@@ -78,6 +78,53 @@ class TestInvalidation:
         db.execute("INSERT INTO t VALUES (9, 'z')")
         assert db.execute(sql).rows == [(5,)]
 
+    def test_parameterised_autocommit_dml_hits(self):
+        """Row-changing statements leave the cache key alone: a repeated
+        parameterised INSERT / UPDATE / DELETE / SELECT is parsed once."""
+        db = _make_db()
+        before = db.plan_cache.stats
+        for i in range(100):
+            db.execute("INSERT INTO t VALUES (?, ?)", (100 + i, "p"))
+        after = db.plan_cache.stats
+        assert after["hits"] - before["hits"] >= 98
+        assert after["misses"] - before["misses"] <= 2
+        statements = [
+            ("UPDATE t SET s = ? WHERE n = ?", ("q", 100)),
+            ("SELECT s FROM t WHERE n = ?", (100,)),
+            ("DELETE FROM t WHERE n = ?", (101,)),
+        ]
+        for sql, params in statements:
+            db.execute(sql, params)
+        misses = db.plan_cache.stats["misses"]
+        for _ in range(5):
+            for sql, params in statements:
+                db.execute(sql, params)
+        assert db.plan_cache.stats["misses"] == misses
+        assert db.execute("SELECT s FROM t WHERE n = ?", (100,)).rows == [("q",)]
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE other (x int)",
+            "DROP TABLE spare",
+            "CREATE INDEX t_n ON t (n)",
+            "DROP INDEX spare_x",
+            "ANALYZE",
+        ],
+    )
+    def test_ddl_still_misses(self, ddl):
+        db = _make_db()
+        db.run_script("CREATE TABLE spare (x int); CREATE INDEX spare_x ON spare (x)")
+        sql = "SELECT count(*) FROM t"
+        db.execute(sql)
+        misses = db.plan_cache.stats["misses"]
+        db.execute(sql)
+        assert db.plan_cache.stats["misses"] == misses
+        db.execute(ddl)
+        misses = db.plan_cache.stats["misses"]
+        assert db.execute(sql).rows == [(4,)]
+        assert db.plan_cache.stats["misses"] == misses + 1
+
     def test_view_replacement_not_stale(self):
         db = _make_db()
         db.execute("CREATE VIEW v AS SELECT n FROM t WHERE n > 1")
