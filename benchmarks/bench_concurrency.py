@@ -33,7 +33,7 @@ import threading
 import time
 
 from harness import print_table
-from repro.core.connectors import retry_backoff
+from repro.sqldb.client import retry_backoff
 from repro.sqldb.engine import Database
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_concurrency.json")

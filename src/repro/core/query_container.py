@@ -70,9 +70,6 @@ class SQLQueryContainer:
             keyword = "MATERIALIZED VIEW" if materialized else "VIEW"
             self.connector.run(f"CREATE {keyword} {name} AS {body}")
 
-    def has_block(self, name: str) -> bool:
-        return any(block.name == name for block in self.blocks)
-
     # -- query assembly ------------------------------------------------------
 
     def _with_prefix(self, upto: str | None = None) -> str:

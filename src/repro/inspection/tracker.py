@@ -63,9 +63,6 @@ class PythonBackend(InspectionBackend):
     def lineage_of(self, obj: Any) -> Optional[Lineage]:
         return self._lineages.get(id(obj))
 
-    def node_of(self, obj: Any) -> Optional[DagNode]:
-        return self._object_nodes.get(id(obj))
-
     def _record(
         self,
         operator_type: OperatorType,

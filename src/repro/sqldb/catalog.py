@@ -1115,9 +1115,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"model {name!r} does not exist") from None
 
-    def has_model(self, name: str) -> bool:
-        return name in self._models
-
     @property
     def model_names(self) -> list[str]:
         return sorted(self._models)

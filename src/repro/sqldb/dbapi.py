@@ -133,7 +133,7 @@ _ERROR_MAP: tuple[tuple[type, type], ...] = (
     (DurabilityError, OperationalError),
     # network front-end errors (server/client): connection-scoped
     # operational failures, psycopg2-style.  53300 (load shed) is
-    # retryable — see connectors.RETRYABLE_SQLSTATES
+    # retryable — see client.RETRYABLE_SQLSTATES
     (TooManyConnections, OperationalError),
     (AdminShutdown, OperationalError),
     # replication topology errors: 25006 (write hit a read-only replica)
@@ -201,19 +201,19 @@ def _translating():
 
 
 class Cursor:
-    """Minimal DB-API cursor.
+    """The DB-API cursor of every connection kind.
 
-    Statements run on the owning connection's :class:`Session`, so every
-    cursor of one connection shares that connection's transaction state
-    while cursors of *different* connections over a shared database run
-    under snapshot isolation from each other.
+    It talks only to the owning connection's ``run_script`` /
+    ``executemany`` — the in-process :class:`Connection`, the network
+    driver's and the topology-routed connection of
+    :mod:`repro.sqldb.client` all hand out this class — so every cursor
+    of one connection shares that connection's transaction state while
+    cursors of *different* connections over a shared database run under
+    snapshot isolation from each other.
     """
 
-    def __init__(
-        self, database: Database, session: Optional[Session] = None
-    ) -> None:
-        self._database = database
-        self._session = session
+    def __init__(self, connection: Any) -> None:
+        self._connection = connection
         self._result: Optional[Result] = None
         self._position = 0
         self._failed = False
@@ -229,6 +229,12 @@ class Cursor:
     def rowcount(self) -> int:
         return -1 if self._result is None else self._result.rowcount
 
+    def _settle(self, result: Optional[Result], failed: bool = False) -> "Cursor":
+        self._result = result
+        self._position = 0
+        self._failed = failed
+        return self
+
     def execute(self, sql: str, parameters: Sequence[Any] | None = None) -> "Cursor":
         """Execute *sql*, binding ``?`` / ``%s`` placeholders to *parameters*.
 
@@ -236,21 +242,13 @@ class Cursor:
         never spliced into the SQL text.
         """
         try:
-            with _translating():
-                results = self._database.run_script(
-                    sql, parameters, session=self._session
-                )
+            results = self._connection.run_script(sql, parameters)
         except Exception:
             # a failed execute must not leave the previous statement's
             # rows fetchable: fetches now raise until the next execute
-            self._result = None
-            self._position = 0
-            self._failed = True
+            self._settle(None, failed=True)
             raise
-        self._result = results[-1] if results else None
-        self._position = 0
-        self._failed = False
-        return self
+        return self._settle(results[-1] if results else None)
 
     def executemany(
         self, sql: str, seq_of_parameters: Sequence[Sequence[Any]]
@@ -259,19 +257,11 @@ class Cursor:
 
         The batch is atomic — a failure on any row undoes the whole call."""
         try:
-            with _translating():
-                total = self._database.executemany(
-                    sql, seq_of_parameters, session=self._session
-                )
+            total = self._connection.executemany(sql, seq_of_parameters)
         except Exception:
-            self._result = None
-            self._position = 0
-            self._failed = True
+            self._settle(None, failed=True)
             raise
-        self._result = Result(rowcount=total)
-        self._position = 0
-        self._failed = False
-        return self
+        return self._settle(Result(rowcount=total))
 
     def _check_fetchable(self) -> None:
         if self._failed:
@@ -308,8 +298,7 @@ class Cursor:
         return rows
 
     def close(self) -> None:
-        self._result = None
-        self._failed = False
+        self._settle(None)
 
     def __enter__(self) -> "Cursor":
         return self
@@ -324,11 +313,16 @@ class Connection:
     A connection built the classic way owns a fresh private
     :class:`Database` and drives its *default* session (so code that
     reaches through ``connection.database.execute(...)`` shares the
-    connection's transaction state — the connector layer does exactly
-    that).  ``connect(database=shared_db)`` instead opens a **new**
-    session over an existing database: many such connections run
-    concurrently under snapshot isolation, each with its own transaction
-    state, cancel scope and lock identity.
+    connection's transaction state).  ``connect(database=shared_db)``
+    instead opens a **new** session over an existing database: many such
+    connections run concurrently under snapshot isolation, each with its
+    own transaction state, cancel scope and lock identity.
+
+    Beyond PEP 249 it carries the statement surface the network driver's
+    connection has — ``run_script`` / ``executemany`` / ``explain_analyze``
+    / ``analyze`` / ``server_stats``, each raising PEP 249 errors — which
+    is all the cursor, the connection pool and the connectors use, so
+    they work over either kind.
     """
 
     def __init__(
@@ -360,7 +354,44 @@ class Connection:
     def cursor(self) -> Cursor:
         if self.closed:
             raise InterfaceError("connection is closed")
-        return Cursor(self.database, self.session)
+        return Cursor(self)
+
+    def run_script(
+        self, sql: str, params: Optional[Sequence[Any]] = None
+    ) -> list[Result]:
+        """Execute a ``;``-script on this connection's session; one
+        :class:`Result` per statement."""
+        with _translating():
+            return self.database.run_script(sql, params, session=self.session)
+
+    def executemany(
+        self, sql: str, seq_of_parameters: Sequence[Sequence[Any]]
+    ) -> int:
+        """One atomic batch of a DDL/DML statement; the summed rowcount."""
+        with _translating():
+            return self.database.executemany(
+                sql, seq_of_parameters, session=self.session
+            )
+
+    def explain_analyze(
+        self, sql: str, params: Optional[Sequence[Any]] = None
+    ) -> str:
+        """Run one SELECT and return its plan with actual row/time stats."""
+        with _translating():
+            return self.database.explain_analyze(sql, params)
+
+    def analyze(self, table: Optional[str] = None) -> list[str]:
+        """Collect planner statistics (``ANALYZE``) on one or all tables."""
+        with _translating():
+            return self.database.analyze(table, session=self.session)
+
+    def server_stats(self) -> dict:
+        """Plan-cache and per-operator counters of the engine behind this
+        connection, in the shape of the network server's ``stats`` frame."""
+        return {
+            "plan_cache": self.database.plan_cache.stats,
+            "operators": self.database.operator_counters,
+        }
 
     def begin(self) -> None:
         """Open an explicit transaction (``BEGIN``)."""

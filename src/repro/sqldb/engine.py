@@ -1820,9 +1820,15 @@ def _batch_to_result(plan: PlanNode, batch: Batch) -> Result:
         values = vector.values
         if values.dtype.kind == "f":
             # integral floats surface as Python ints (like psycopg2 would
-            # for INT columns); done vectorised for large results
+            # for INT columns); done vectorised for large results.  Only
+            # inside the int64 range: the cast wraps anything beyond it
+            # (1e19 -> -2**63), which stays the float it is
             as_object = values.astype(object)
-            integral = np.isfinite(values) & (np.floor(values) == values)
+            integral = (
+                (np.floor(values) == values)
+                & (values >= -(2.0 ** 63))
+                & (values < 2.0 ** 63)
+            )
             if integral.any():
                 ints = values[integral].astype(np.int64)
                 as_object[integral] = ints

@@ -52,7 +52,13 @@ from repro.sqldb.plan import (
 )
 from repro.sqldb.profile import Profile
 from repro.sqldb.stats import ExecStats
-from repro.sqldb.vector import Vector, concat_vectors, from_values, gather
+from repro.sqldb.vector import (
+    Vector,
+    concat_vectors,
+    from_values,
+    gather,
+    truthy_rows,
+)
 from repro.sqldb import functions, hashing
 from repro.sqldb.memory import (
     HASH_ROW_BYTES,
@@ -349,8 +355,7 @@ def index_join_batch(plan: IndexJoin, left: Batch, ctx: ExecContext) -> Batch:
                 "index join residuals require an inner join"
             )
         predicate = plan.residual(batch, ctx)
-        keep = predicate.values.astype(bool, copy=False) & ~predicate.nulls
-        positions = np.flatnonzero(keep)
+        positions = truthy_rows(predicate)
         batch = Batch(
             len(positions),
             {k: gather(v, positions) for k, v in batch.columns.items()},
@@ -457,10 +462,9 @@ def filter_batch(plan: Filter, child: Batch, ctx: ExecContext) -> Batch:
         batch = child
         for conjunct in plan.conjuncts:
             predicate = conjunct(batch, ctx)
-            keep = predicate.values.astype(bool, copy=False) & ~predicate.nulls
-            if keep.all():
+            positions = truthy_rows(predicate)
+            if len(positions) == batch.length:
                 continue
-            positions = np.flatnonzero(keep)
             batch = Batch(
                 len(positions),
                 {k: gather(v, positions) for k, v in batch.columns.items()},
@@ -469,8 +473,7 @@ def filter_batch(plan: Filter, child: Batch, ctx: ExecContext) -> Batch:
             return Batch(child.length, dict(child.columns))
         return batch
     predicate = plan.predicate(child, ctx)
-    keep = predicate.values.astype(bool, copy=False) & ~predicate.nulls
-    positions = np.flatnonzero(keep)
+    positions = truthy_rows(predicate)
     columns = {k: gather(v, positions) for k, v in child.columns.items()}
     return Batch(len(positions), columns)
 
@@ -685,8 +688,7 @@ def join_batches(
                 "non-equality conditions on outer joins are not supported"
             )
         predicate = plan.residual(batch, ctx)
-        keep = predicate.values.astype(bool, copy=False) & ~predicate.nulls
-        positions = np.flatnonzero(keep)
+        positions = truthy_rows(predicate)
         batch = Batch(
             len(positions),
             {k: gather(v, positions) for k, v in batch.columns.items()},
@@ -716,8 +718,7 @@ def aggregate_item_inputs(
         # dropping (rather than null-masking) keeps count(*)/array_agg
         # semantics right, since both observe null inputs
         predicate = item.where(child, ctx)
-        keep = predicate.values.astype(bool, copy=False) & ~predicate.nulls
-        kept = np.flatnonzero(keep)
+        kept = truthy_rows(predicate)
         item_codes = codes[kept]
         if arg is not None:
             arg = gather(arg, kept)

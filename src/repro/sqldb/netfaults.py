@@ -213,11 +213,6 @@ class FaultProxy:
         with self._mutex:
             self._links.discard(link)
 
-    @property
-    def active_links(self) -> int:
-        with self._mutex:
-            return len(self._links)
-
     def kill_links(self) -> None:
         """Reset every proxied connection (both sockets, mid-whatever)."""
         with self._mutex:

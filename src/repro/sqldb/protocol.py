@@ -63,6 +63,7 @@ __all__ = [
     "encode_frame",
     "send_frame",
     "recv_frame",
+    "client_handshake",
     "result_to_wire",
     "result_from_wire",
     "error_to_wire",
@@ -151,6 +152,43 @@ def recv_frame(
     ):
         raise ProtocolViolation("frame payload must be an object with a 'type'")
     return message
+
+
+def client_handshake(
+    sock: socket.socket,
+    auth_token: Optional[str] = None,
+    options: Optional[dict] = None,
+    max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> dict:
+    """The client half of the versioned hello/auth handshake — the query
+    driver and the replication stream both open with it.  Returns the
+    server's ``hello_ok`` frame.
+
+    The server's typed refusal (bad token, 53300 load shed, ...) is
+    raised as the matching engine exception; EOF before any reply is a
+    :class:`ConnectionError`, any other reply a
+    :class:`ProtocolViolation`."""
+    hello: dict = {"type": "hello", "version": PROTOCOL_VERSION}
+    if auth_token is not None:
+        hello["auth"] = auth_token
+    if options:
+        hello["options"] = options
+    try:
+        send_frame(sock, hello)
+    except OSError:
+        # a shedding server may close before reading the hello — its
+        # typed refusal frame is still there to read
+        pass
+    reply = recv_frame(sock, max_bytes)
+    if reply is None:
+        raise ConnectionError("server closed the connection mid-handshake")
+    if reply["type"] == "error":
+        raise exception_from_wire(reply)
+    if reply["type"] != "hello_ok":
+        raise ProtocolViolation(
+            f"unexpected handshake reply {reply['type']!r}"
+        )
+    return reply
 
 
 # -- engine type <-> wire shapes ----------------------------------------------

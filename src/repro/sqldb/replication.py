@@ -76,7 +76,7 @@ from repro.errors import (
 from repro.sqldb.engine import Database
 from repro.sqldb.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    client_handshake,
     exception_from_wire,
     recv_frame,
     send_frame,
@@ -519,19 +519,9 @@ class Replica:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.recv_timeout_s)
-            hello: dict = {"type": "hello", "version": PROTOCOL_VERSION}
-            if self.auth_token is not None:
-                hello["auth"] = self.auth_token
-            send_frame(sock, hello)
-            reply = recv_frame(sock, self.max_frame_bytes)
-            if reply is None:
-                raise OSError("primary closed during handshake")
-            if reply["type"] == "error":
-                raise exception_from_wire(reply)
-            if reply["type"] != "hello_ok":
-                raise ProtocolViolation(
-                    f"unexpected handshake reply {reply['type']!r}"
-                )
+            client_handshake(
+                sock, self.auth_token, max_bytes=self.max_frame_bytes
+            )
             send_frame(
                 sock,
                 {

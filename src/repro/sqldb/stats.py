@@ -34,16 +34,6 @@ class OpStats:
     #: bytes this operator wrote to spill files
     spilled_bytes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "calls": self.calls,
-            "rows": self.rows,
-            "seconds": self.seconds,
-            "peak_bytes": self.peak_bytes,
-            "spilled_bytes": self.spilled_bytes,
-        }
-
 
 @dataclass
 class ExecStats:

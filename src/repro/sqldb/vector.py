@@ -33,10 +33,6 @@ class Vector:
         return len(self.values)
 
     @property
-    def is_numeric(self) -> bool:
-        return self.values.dtype.kind in ("f", "i", "u")
-
-    @property
     def is_bool(self) -> bool:
         return self.values.dtype.kind == "b"
 

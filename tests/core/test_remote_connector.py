@@ -12,8 +12,8 @@ import time
 import pytest
 
 from repro.core.connectors import RemoteConnector
-from repro.errors import CatalogError
-from repro.sqldb import dbapi
+from repro.errors import CatalogError, QueryCancelled
+from repro.sqldb import client
 from repro.sqldb.engine import Database
 from repro.sqldb.server import DatabaseServer
 
@@ -136,19 +136,47 @@ class TestRemoteConnector:
         stats = connector.plan_cache_stats
         assert set(stats) >= {"hits", "misses"}
 
-    def test_pool_is_not_supported(self, connector):
-        with pytest.raises(dbapi.NotSupportedError):
-            connector.pool()
+    def test_shed_at_admission_is_retried_while_dialling(self):
+        # the bugfix: the dial happens inside the retry loop, so a 53300
+        # load-shed at connect ("backoff and reconnect") is retried until
+        # the server has a slot instead of propagating on attempt one
+        db = Database("umbra")
+        server = DatabaseServer(db, max_connections=1).start()
+        holder = client.connect(*server.address)
+        remote = RemoteConnector(*server.address)
+        timer = threading.Timer(0.05, holder.close)
+        timer.start()
+        try:
+            assert remote.run("SELECT 1").scalar() == 1
+            assert remote.retries >= 1
+        finally:
+            timer.join()
+            remote.close()
+            holder.close()
+            server.shutdown(drain_s=2.0)
+            db.close()
 
-    def test_cursor_error_state_through_remote_connection(self, connector):
+    def test_retry_after_the_connection_died_redials(self, served, connector):
+        # a retryable error whose connection died with it must not be
+        # retried on the corpse the first attempt captured
+        server, db = served
         connector.run("CREATE TABLE t (a int)")
-        connector.run("INSERT INTO t (a) VALUES (4)")
-        cursor = connector.connection.cursor()
-        assert cursor.execute("SELECT a FROM t").fetchall() == [(4,)]
-        with pytest.raises(dbapi.ProgrammingError):
-            cursor.execute("SELECT nope FROM t")
-        with pytest.raises(dbapi.InterfaceError):
-            cursor.fetchall()
+        first = connector.connection
+        real = first.run_script
+        state = {"failed": False}
+
+        def dies_once(sql, params=None):
+            if not state["failed"]:
+                state["failed"] = True
+                first.close()
+                raise QueryCancelled("cancelled as the session went away")
+            return real(sql, params)
+
+        first.run_script = dies_once
+        connector.run("INSERT INTO t (a) VALUES (1)")
+        assert connector.retries == 1
+        assert connector.connection is not first
+        assert db.execute("SELECT a FROM t").rows == [(1,)]
 
     def test_parallel_connectors_multiplex_one_server(self, served):
         server, db = served

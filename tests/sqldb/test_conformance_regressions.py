@@ -157,3 +157,16 @@ class TestAggregateFilter:
         result = db.execute("SELECT count(*) filter FROM t")
         assert result.columns == ["filter"]
         assert result.rows == [(5,)]
+
+
+class TestResultFetchConversion:
+    @pytest.mark.filterwarnings("error")
+    def test_integral_float_beyond_int64_stays_a_float(self, db):
+        # integral floats surface as ints, but only inside the int64
+        # range: 1e19 used to come back as -9223372036854775808 (with a
+        # numpy "invalid value encountered in cast" RuntimeWarning)
+        db.execute("CREATE TABLE big (x float)")
+        db.execute("INSERT INTO big VALUES (1e19), (2.0)")
+        rows = db.execute("SELECT x FROM big").rows
+        assert rows == [(1e19,), (2,)]
+        assert [type(x) for (x,) in rows] == [float, int]

@@ -233,49 +233,3 @@ class TestDbApi:
             with conn.cursor() as cursor:
                 cursor.execute("SELECT 1")
                 assert cursor.fetchall() == [(1,)]
-
-
-class TestCursorErrorState:
-    """Regression: a cursor whose last execute raised must not serve the
-    *previous* statement's rows to a later fetch — silently feeding a
-    harness stale results on error is the worst failure mode a driver
-    can have."""
-
-    @pytest.fixture
-    def cursor(self, db):
-        db.execute("CREATE TABLE t (a int)")
-        db.execute("INSERT INTO t (a) VALUES (1), (2)")
-        return connect(database=db).cursor()
-
-    def test_fetch_after_failed_execute_raises(self, cursor):
-        from repro.sqldb.dbapi import InterfaceError, ProgrammingError
-
-        assert cursor.execute("SELECT a FROM t ORDER BY a").fetchone() == (1,)
-        with pytest.raises(ProgrammingError):
-            cursor.execute("SELECT nope FROM t")
-        with pytest.raises(InterfaceError):
-            cursor.fetchone()
-        with pytest.raises(InterfaceError):
-            cursor.fetchmany(2)
-        with pytest.raises(InterfaceError):
-            cursor.fetchall()
-        assert cursor.description is None
-        assert cursor.rowcount == -1
-
-    def test_successful_execute_clears_error_state(self, cursor):
-        from repro.sqldb.dbapi import ProgrammingError
-
-        with pytest.raises(ProgrammingError):
-            cursor.execute("SELEKT 1")
-        rows = cursor.execute("SELECT a FROM t ORDER BY a").fetchall()
-        assert rows == [(1,), (2,)]
-
-    def test_failed_executemany_sets_error_state(self, cursor):
-        from repro.sqldb.dbapi import InterfaceError
-
-        with pytest.raises(SQLError):
-            cursor.executemany(
-                "INSERT INTO nosuch (a) VALUES (%s)", [(1,), (2,)]
-            )
-        with pytest.raises(InterfaceError):
-            cursor.fetchall()

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.core.connectors import RETRYABLE_SQLSTATES, is_retryable
+from repro.sqldb.client import RETRYABLE_SQLSTATES, is_retryable
 from repro.errors import (
     ConfigurationLimitExceeded,
     OutOfMemory,

@@ -22,14 +22,10 @@ import time
 
 import pytest
 
-from repro.core.connectors import (
-    MultiEndpointConnector,
-    RemoteConnectionPool,
-    RETRYABLE_SQLSTATES,
-    Topology,
-)
+from repro.core.connectors import MultiEndpointConnector
 from repro.errors import CannotConnectNow, ReadOnlySQLTransaction
 from repro.sqldb import client, dbapi
+from repro.sqldb.client import ConnectionPool, RETRYABLE_SQLSTATES, Topology
 from repro.sqldb.engine import Database
 from repro.sqldb.replication import Primary, Replica, ReplicationManager
 
@@ -377,6 +373,13 @@ class TestTopologyRouting:
                 for s in primary.manager.subscriber_status()
             }
             assert served == {"rr-1", "rr-2"}
+            # the connector's pool hands out further routed connections
+            pool = conn.pool(size=1)
+            with pool.connection() as pooled:
+                assert pooled is not conn.connection
+                rows = pooled.run_script("SELECT count(*) FROM t")[-1].rows
+            pool.close()
+            assert rows == [(2,)]
         finally:
             conn.close()
             r1.close()
@@ -425,10 +428,20 @@ class TestTopologyRouting:
         finally:
             r1.close()
 
-    def test_remote_pool_replaces_dead_connections(self, primary):
+    def test_pool_over_a_topology_heals_onto_the_survivor(self, primary):
+        # the topology-factory case of the one ConnectionPool (the other
+        # connection kinds: tests/core/test_pool_retry.py): checkout
+        # validation replaces a dead connection by dialling through the
+        # *current* topology
         r1 = make_replica(primary, name="pool-1")
         topo = Topology([primary.address, r1.address], probe_ttl_s=0.2)
-        pool = RemoteConnectionPool(topo, size=2, prefer="replica")
+
+        def dial_reader():
+            return topo.connect(
+                topo.next_replica_endpoint() or topo.primary_endpoint()
+            )
+
+        pool = ConnectionPool(dial_reader, size=2)
         try:
             primary.database.execute("CREATE TABLE t (a int)")
             primary.database.execute("INSERT INTO t VALUES (1)")
@@ -449,6 +462,7 @@ class TestTopologyRouting:
             except dbapi.Error:
                 rows = read_count()
             assert rows == [(1,)]
+            assert pool.stats["dead_sessions_replaced"] == 1
         finally:
             pool.close()
             r1.close()

@@ -21,7 +21,7 @@ from repro.errors import (
     SQLSyntaxError,
     TooManyConnections,
 )
-from repro.core.connectors import is_retryable
+from repro.sqldb.client import is_retryable
 from repro.sqldb import client, dbapi
 from repro.sqldb.engine import Database
 from repro.sqldb.server import DatabaseServer
@@ -102,17 +102,6 @@ class TestQueries:
                 cur.fetchall()
             # ...and the very same connection keeps working
             assert cur.execute("SELECT count(*) FROM t").fetchone() == (2,)
-
-    def test_fetch_after_failed_execute_raises_not_stale(self, served):
-        server, db = served
-        with connect(server) as conn:
-            cur = conn.cursor().execute("SELECT a FROM t ORDER BY a")
-            assert cur.fetchone() == (1,)
-            with pytest.raises(dbapi.ProgrammingError):
-                cur.execute("SELECT nope FROM t")
-            for fetch in (cur.fetchone, cur.fetchmany, cur.fetchall):
-                with pytest.raises(dbapi.InterfaceError):
-                    fetch()
 
 
 class TestTransactions:

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.core.connectors import is_retryable, retry_backoff
+from repro.sqldb.client import is_retryable, retry_backoff
 from repro.errors import SQLError
 from repro.sqldb.engine import Database
 from repro.sqldb.faults import CRASHPOINTS, FaultInjector, SimulatedCrash
