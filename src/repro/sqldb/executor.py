@@ -9,9 +9,11 @@ materialisation behaviour (see :mod:`repro.sqldb.profile`):
 * materialised CTEs are computed once per query and cached in the
   execution context.
 
-Each operator is split into a *driver* (``_exec_*``: pulls child batches
-through :func:`execute_plan`) and a *kernel* (``*_batch``: transforms
-already-materialised batches).
+Every operator is one ``_exec_*`` function that pulls its child batches
+through :func:`execute_plan`.  The blocking operators (join, aggregate,
+DISTINCT, sort, window ordering) have one implementation each, written
+over the partitions — sort: runs — that :func:`_reserve_or_chunk` grants
+them; running in memory is the one-partition case of the same code.
 
 When an :class:`~repro.sqldb.stats.ExecStats` recorder is attached to the
 context, every operator dispatch records rows and (inclusive) wall time —
@@ -23,8 +25,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -66,15 +69,7 @@ from repro.sqldb.memory import (
     batch_bytes,
 )
 
-__all__ = [
-    "ExecContext",
-    "execute_plan",
-    "aggregate_batch",
-    "filter_batch",
-    "join_batches",
-    "project_batch",
-    "copy_batch",
-]
+__all__ = ["ExecContext", "execute_plan"]
 
 
 @dataclass
@@ -101,7 +96,7 @@ class ExecContext:
     # -- memory accounting ---------------------------------------------------
 
     def mem_reserve(self, nbytes: int, point: str, plan: Any = None) -> bool:
-        """Try a degradable reservation; ``False`` = take the spill path."""
+        """Try a degradable reservation; ``False`` = work in partitions."""
         if self.memory is None:
             return True
         ok = self.memory.reserve(int(nbytes), point)
@@ -130,8 +125,9 @@ class ExecContext:
             self.stats.record_memory(plan, spilled_bytes=int(nbytes))
 
     def mem_chunk(self) -> int:
-        """Working-chunk size for spill paths (a quarter of the tightest
-        budget, so run generation and partition passes always fit)."""
+        """Working-chunk size of a denied reservation (a quarter of the
+        tightest budget, so run generation and partition passes always
+        fit)."""
         if self.memory is None:
             return 1 << 20
         broker = self.memory.broker
@@ -191,7 +187,10 @@ def execute_plan(plan: PlanNode, ctx: ExecContext) -> Batch:
     """Execute *plan* to completion and return its output batch."""
     batch = _dispatch(plan, ctx)
     if ctx.profile.copy_operator_output:
-        batch = copy_batch(batch)
+        # deep-copy all vectors: the postgres profile's tuple materialisation
+        batch = Batch(
+            batch.length, {k: v.copy() for k, v in batch.columns.items()}
+        )
     return batch
 
 
@@ -217,13 +216,13 @@ def _dispatch_operator(plan: PlanNode, ctx: ExecContext) -> Batch:
     if isinstance(plan, CteRef):
         return _exec_cte_ref(plan, ctx)
     if isinstance(plan, Project):
-        return project_batch(plan, execute_plan(plan.child, ctx), ctx)
+        return _exec_project(plan, ctx)
     if isinstance(plan, Filter):
-        return filter_batch(plan, execute_plan(plan.child, ctx), ctx)
+        return _exec_filter(plan, ctx)
     if isinstance(plan, Join):
         return _exec_join(plan, ctx)
     if isinstance(plan, Aggregate):
-        return aggregate_batch(plan, execute_plan(plan.child, ctx), ctx)
+        return _exec_aggregate(plan, ctx)
     if isinstance(plan, Distinct):
         return _exec_distinct(plan, ctx)
     if isinstance(plan, Sort):
@@ -239,9 +238,12 @@ def _dispatch_operator(plan: PlanNode, ctx: ExecContext) -> Batch:
     raise SQLExecutionError(f"cannot execute plan node {type(plan).__name__}")
 
 
-def copy_batch(batch: Batch) -> Batch:
-    """Deep-copy all vectors (the postgres profile's tuple materialisation)."""
-    return Batch(batch.length, {k: v.copy() for k, v in batch.columns.items()})
+def _take_rows(batch: Batch, positions: np.ndarray) -> Batch:
+    """The rows of *batch* at *positions*, in that order."""
+    return Batch(
+        len(positions),
+        {k: gather(v, positions) for k, v in batch.columns.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +300,13 @@ def _exec_index_scan(plan: IndexScan, ctx: ExecContext) -> Batch:
 
 
 def _exec_index_join(plan: IndexJoin, ctx: ExecContext) -> Batch:
-    left = execute_plan(plan.left, ctx)
-    return index_join_batch(plan, left, ctx)
-
-
-def index_join_batch(plan: IndexJoin, left: Batch, ctx: ExecContext) -> Batch:
     """Probe the inner index once per left row (the INLJ kernel).
 
     Output rows are ordered by left row, then ascending inner position
     within a key — exactly the hash join's contract, so swapping the
     operators never changes results.
     """
+    left = execute_plan(plan.left, ctx)
     table, index = _resolve_index(plan.table_name, plan.index_name, ctx)
     key_vectors = [expr(left, ctx) for expr in plan.left_keys]
     n = left.length
@@ -354,12 +352,7 @@ def index_join_batch(plan: IndexJoin, left: Batch, ctx: ExecContext) -> Batch:
             raise SQLExecutionError(
                 "index join residuals require an inner join"
             )
-        predicate = plan.residual(batch, ctx)
-        positions = truthy_rows(predicate)
-        batch = Batch(
-            len(positions),
-            {k: gather(v, positions) for k, v in batch.columns.items()},
-        )
+        batch = _take_rows(batch, truthy_rows(plan.residual(batch, ctx)))
     return batch
 
 
@@ -392,7 +385,8 @@ def _exec_cte_ref(plan: CteRef, ctx: ExecContext) -> Batch:
 # ---------------------------------------------------------------------------
 
 
-def project_batch(plan: Project, child: Batch, ctx: ExecContext) -> Batch:
+def _exec_project(plan: Project, ctx: ExecContext) -> Batch:
+    child = execute_plan(plan.child, ctx)
     columns: dict[str, Vector] = {}
     for out, expr in plan.items:
         columns[out.key] = expr(child, ctx)
@@ -452,7 +446,8 @@ def _expand_unnest(
 # ---------------------------------------------------------------------------
 
 
-def filter_batch(plan: Filter, child: Batch, ctx: ExecContext) -> Batch:
+def _exec_filter(plan: Filter, ctx: ExecContext) -> Batch:
+    child = execute_plan(plan.child, ctx)
     if len(plan.conjuncts) > 1:
         # sequential conjunct evaluation: each part runs on the survivors
         # of the previous one.  Rows kept = rows where every conjunct is
@@ -461,21 +456,66 @@ def filter_batch(plan: Filter, child: Batch, ctx: ExecContext) -> Batch:
         # fewer rows
         batch = child
         for conjunct in plan.conjuncts:
-            predicate = conjunct(batch, ctx)
-            positions = truthy_rows(predicate)
+            positions = truthy_rows(conjunct(batch, ctx))
             if len(positions) == batch.length:
                 continue
-            batch = Batch(
-                len(positions),
-                {k: gather(v, positions) for k, v in batch.columns.items()},
-            )
+            batch = _take_rows(batch, positions)
         if batch is child:
             return Batch(child.length, dict(child.columns))
         return batch
-    predicate = plan.predicate(child, ctx)
-    positions = truthy_rows(predicate)
-    columns = {k: gather(v, positions) for k, v in child.columns.items()}
-    return Batch(len(positions), columns)
+    return _take_rows(child, truthy_rows(plan.predicate(child, ctx)))
+
+
+# ---------------------------------------------------------------------------
+# partitions: the one shape every blocking operator runs in
+# ---------------------------------------------------------------------------
+
+#: partitions (sort: at least this many runs) a blocking operator works
+#: in when the memory governor denies its whole working set
+_SPILL_PARTITIONS = 8
+
+
+@contextmanager
+def _reserve_or_chunk(
+    ctx: ExecContext, plan: PlanNode, nbytes: int, point: str, chunk_point: str
+) -> Iterator[int]:
+    """Hold a blocking operator's memory; yield its partition count.
+
+    Granted *nbytes* at *point*, the operator runs over its whole input:
+    one partition.  Denied, it holds one working chunk at *chunk_point*
+    instead (non-degradable: raises 53400/53200 on refusal) and works
+    through the input in ``_SPILL_PARTITIONS`` partitions.
+    """
+    if ctx.mem_reserve(nbytes, point, plan):
+        held, parts = nbytes, 1
+    else:
+        held, parts = ctx.mem_chunk(), _SPILL_PARTITIONS
+        ctx.mem_require(held, chunk_point, plan)
+    try:
+        yield parts
+    finally:
+        ctx.mem_release(held)
+
+
+def _partitions(
+    codes: np.ndarray, parts: int
+) -> Iterator[tuple[Optional[np.ndarray], np.ndarray]]:
+    """Split rows by ``code % parts``: yields ``(rows, codes)`` per partition.
+
+    Codes are global, so all rows of one key land in one partition, in
+    row order.  ``rows`` are the partition's row positions and its codes
+    are re-based to ``code // parts``, which keeps dense codes dense and
+    the invalid code -1 (numpy's mod and floor-div follow Python: it
+    lands in the last partition) invalid.  One partition is the input
+    itself: ``rows`` is ``None`` and *codes* pass through untouched.
+    """
+    if parts == 1:
+        yield None, codes
+        return
+    bucket = codes % parts
+    for part in range(parts):
+        rows = np.flatnonzero(bucket == part)
+        yield rows, codes[rows] // parts
 
 
 # ---------------------------------------------------------------------------
@@ -540,114 +580,50 @@ def _equi_join_positions(
     return left_pos, right_pos
 
 
-#: fan-out of the spill paths (Grace hash join, partitioned
-#: aggregation/distinct) when the memory governor denies a reservation
-_SPILL_PARTITIONS = 8
-
-
-def _spill_append(
-    ctx: ExecContext, plan: Any, spill: Any, payload: Any, point: str
-) -> None:
-    """Frame one payload into *spill*, accounting the bytes to *point*."""
-    ctx.memory.require(0, "spill.write")  # fault point: stall/fail arms
-    nbytes = spill.append(payload)
-    ctx.mem_spilled(nbytes, point, plan)
-    ctx.check_cancelled()
-
-
-def _spill_records(ctx: ExecContext, spill: Any):
-    """Stream payloads back, touching the spill.read fault point each."""
-    for payload in spill.records():
-        ctx.memory.require(0, "spill.read")
-        yield payload
-
-
-def _grace_join_positions(
-    plan: Join,
+def _join_positions(
     left_codes: np.ndarray,
     right_codes: np.ndarray,
+    kind: str,
+    parts: int,
     ctx: ExecContext,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grace-partitioned equi join, byte-identical to the in-memory kernel.
+    """Equi-join row positions over *parts* partitions of the key codes.
 
-    Key codes are factorised globally first (the partitioning scan), so
-    every row of one join key lands in exactly one partition; both sides
-    are spilled per partition, each partition is joined independently by
-    :func:`_equi_join_positions`, and the per-partition positions are
-    stitched back into the serial output order: matched and left-padded
-    rows stable-sorted by left position, right/full padding appended in
-    ascending right position — exactly the in-memory contract.
+    Key codes are factorised globally, so every row of one join key
+    lands in exactly one partition and each partition is joined
+    independently by :func:`_equi_join_positions`; with one partition
+    that is the whole join.  Several are stitched back into its output
+    order: matched and left-padded rows stable-sorted by left position
+    (a left row's matches sit in one partition, already in right-row
+    order), right/full padding after them in ascending right position.
     """
-    grant = ctx.memory
-    chunk = ctx.mem_chunk()
-    ctx.mem_require(chunk, "join.partition", plan)
-    left_file = grant.spill_file("join-left")
-    right_file = grant.spill_file("join-right")
-    try:
-        need_right = plan.kind in ("right", "full")
-        for part in range(_SPILL_PARTITIONS):
-            # numpy's mod follows Python: invalid codes (-1) land in the
-            # last partition and match nothing there, as in memory
-            lsel = np.flatnonzero(left_codes % _SPILL_PARTITIONS == part)
-            rsel = np.flatnonzero(right_codes % _SPILL_PARTITIONS == part)
-            if not len(lsel) and not (need_right and len(rsel)):
-                continue
-            _spill_append(
-                ctx, plan, left_file,
-                (left_codes[lsel], lsel), "join.partition",
-            )
-            _spill_append(
-                ctx, plan, right_file,
-                (right_codes[rsel], rsel), "join.partition",
-            )
-        main_left: list[np.ndarray] = []
-        main_right: list[np.ndarray] = []
-        pad_right: list[np.ndarray] = []
-        for (lcodes, lsel), (rcodes, rsel) in zip(
-            _spill_records(ctx, left_file), _spill_records(ctx, right_file)
-        ):
-            lp, rp = _equi_join_positions(lcodes, rcodes, plan.kind)
-            glp = np.full(len(lp), -1, dtype=np.int64)
-            grp = np.full(len(rp), -1, dtype=np.int64)
-            lvalid = lp >= 0
-            rvalid = rp >= 0
-            glp[lvalid] = lsel[lp[lvalid]]
-            grp[rvalid] = rsel[rp[rvalid]]
-            has_left = glp >= 0
-            main_left.append(glp[has_left])
-            main_right.append(grp[has_left])
-            if not has_left.all():
-                pad_right.append(grp[~has_left])
-            ctx.check_cancelled()
-        if main_left:
-            lp_out = np.concatenate(main_left)
-            rp_out = np.concatenate(main_right)
-        else:
-            lp_out = np.empty(0, dtype=np.int64)
-            rp_out = np.empty(0, dtype=np.int64)
-        order = np.argsort(lp_out, kind="stable")
-        lp_out = lp_out[order]
-        rp_out = rp_out[order]
-        if pad_right:
-            padded = np.sort(np.concatenate(pad_right))
-            lp_out = np.concatenate(
-                [lp_out, np.full(len(padded), -1, dtype=np.int64)]
-            )
-            rp_out = np.concatenate([rp_out, padded])
-        return lp_out, rp_out
-    finally:
-        ctx.mem_release(chunk)
-        grant.release_spill_file(left_file)
-        grant.release_spill_file(right_file)
+    lefts: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
+    for (lrows, lcodes), (rrows, rcodes) in zip(
+        _partitions(left_codes, parts), _partitions(right_codes, parts)
+    ):
+        lp, rp = _equi_join_positions(lcodes, rcodes, kind)
+        if parts > 1:
+            # partition-local to global rows; -1 (padding) indexes the
+            # appended sentinel and stays -1
+            lp, rp = np.append(lrows, -1)[lp], np.append(rrows, -1)[rp]
+        lefts.append(lp)
+        rights.append(rp)
+        ctx.check_cancelled()
+    if parts == 1:
+        return lefts[0], rights[0]
+    lp = np.concatenate(lefts)
+    rp = np.concatenate(rights)
+    order = np.argsort(
+        np.where(lp >= 0, lp, len(left_codes) + rp), kind="stable"
+    )
+    return lp[order], rp[order]
 
 
-def join_batches(
-    plan: Join, left: Batch, right: Batch, ctx: ExecContext
-) -> Batch:
-    """Join two materialised batches.
-
-    Output rows are ordered by left row (then right row within a key).
-    """
+def _exec_join(plan: Join, ctx: ExecContext) -> Batch:
+    """Output rows are ordered by left row (then right row within a key)."""
+    left = execute_plan(plan.left, ctx)
+    right = execute_plan(plan.right, ctx)
     if plan.left_keys:
         left_vectors = [k(left, ctx) for k in plan.left_keys]
         right_vectors = [k(right, ctx) for k in plan.right_keys]
@@ -656,16 +632,11 @@ def join_batches(
         )
         # build side: the hashed right rows plus per-row table state
         build_est = batch_bytes(right) + HASH_ROW_BYTES * right.length
-        if ctx.mem_reserve(build_est, "join.build", plan):
-            try:
-                lp, rp = _equi_join_positions(
-                    left_codes, right_codes, plan.kind
-                )
-            finally:
-                ctx.mem_release(build_est)
-        else:
-            lp, rp = _grace_join_positions(
-                plan, left_codes, right_codes, ctx
+        with _reserve_or_chunk(
+            ctx, plan, build_est, "join.build", "join.partition"
+        ) as parts:
+            lp, rp = _join_positions(
+                left_codes, right_codes, plan.kind, parts, ctx
             )
     else:
         if plan.kind not in ("cross", "inner"):
@@ -687,270 +658,154 @@ def join_batches(
             raise SQLExecutionError(
                 "non-equality conditions on outer joins are not supported"
             )
-        predicate = plan.residual(batch, ctx)
-        positions = truthy_rows(predicate)
-        batch = Batch(
-            len(positions),
-            {k: gather(v, positions) for k, v in batch.columns.items()},
-        )
+        batch = _take_rows(batch, truthy_rows(plan.residual(batch, ctx)))
     return batch
 
 
-def _exec_join(plan: Join, ctx: ExecContext) -> Batch:
-    left = execute_plan(plan.left, ctx)
-    right = execute_plan(plan.right, ctx)
-    return join_batches(plan, left, right, ctx)
-
-
 # ---------------------------------------------------------------------------
-# aggregation
+# aggregation and DISTINCT
 # ---------------------------------------------------------------------------
 
 
-def aggregate_item_inputs(
-    item: AggregateItem, child: Batch, ctx: ExecContext, codes: np.ndarray
-) -> tuple[np.ndarray, Optional[Vector]]:
-    """(group codes, argument vector) for one aggregate, FILTER applied."""
-    arg = item.arg(child, ctx) if item.arg is not None else None
-    item_codes = codes
-    if item.where is not None:
-        # FILTER (WHERE ...) drops rows from this aggregate's input only;
-        # dropping (rather than null-masking) keeps count(*)/array_agg
-        # semantics right, since both observe null inputs
-        predicate = item.where(child, ctx)
-        kept = truthy_rows(predicate)
-        item_codes = codes[kept]
-        if arg is not None:
-            arg = gather(arg, kept)
-    return item_codes, arg
-
-
-def aggregate_batch(plan: Aggregate, child: Batch, ctx: ExecContext) -> Batch:
-    group_vectors = [expr(child, ctx) for _, expr in plan.groups]
-    if group_vectors:
-        # accumulator state scales with input rows (codes, argsorts,
-        # per-group buffers); scalar aggregates are O(1) and never spill
-        table_est = batch_bytes(child) + HASH_ROW_BYTES * child.length
-        if not ctx.mem_reserve(table_est, "agg.hashtable", plan):
-            return _spill_aggregate(plan, child, ctx, group_vectors)
-        try:
-            codes, positions = hashing.group_codes(group_vectors)
-            n_groups = len(positions)
-            return _aggregate_output(
-                plan, child, ctx, group_vectors, codes, positions, n_groups
-            )
-        finally:
-            ctx.mem_release(table_est)
-    codes = np.zeros(child.length, dtype=np.int64)
-    positions = np.zeros(0, dtype=np.int64)
-    return _aggregate_output(
-        plan, child, ctx, group_vectors, codes, positions, 1
-    )
-
-
-def _aggregate_output(
-    plan: Aggregate,
+def _grouped(
     child: Batch,
     ctx: ExecContext,
-    group_vectors: list[Vector],
-    codes: np.ndarray,
-    positions: np.ndarray,
-    n_groups: int,
-) -> Batch:
-    columns: dict[str, Vector] = {}
-    for (out, _), vec in zip(plan.groups, group_vectors):
-        columns[out.key] = gather(vec, positions)
-    for item in plan.aggregates:
-        item_codes, arg = aggregate_item_inputs(item, child, ctx, codes)
-        columns[item.out.key] = functions.compute_aggregate(
-            item.func, arg, item_codes, n_groups, item.distinct
-        )
-    return Batch(n_groups, columns)
+    vectors: list[Vector],
+    aggregates: list[AggregateItem],
+    parts: int,
+) -> tuple[np.ndarray, dict[str, Vector]]:
+    """Group *child* by *vectors* over *parts* partitions of the group codes.
 
-
-def _spill_aggregate(
-    plan: Aggregate,
-    child: Batch,
-    ctx: ExecContext,
-    group_vectors: list[Vector],
-) -> Batch:
-    """Partitioned aggregation, byte-identical to the in-memory twin.
-
-    The global group codes double as the output ordering (dense ids in
-    ascending combined-code order — exactly what the in-memory path
-    emits) and as the partitioning function, so every group's rows land
-    wholly in one partition and partition-local aggregation sees the
-    same inputs, in the same row order, as the global pass.  Partition
-    outputs are stitched back by their global group ids.
+    Returns the first row of every group — groups in ascending key-code
+    order, :func:`hashing.group_codes`' contract — and one column per
+    aggregate.  The global codes double as the output order and as the
+    partitioning function: a group's rows land wholly in one partition,
+    in row order, so partition-local aggregation sees the same inputs in
+    the same order as a global pass — which is what one partition is.
+    Partition ``p`` holds groups ``p, p + parts, ...`` under local ids
+    ``0, 1, ...``; several partitions' outputs are interleaved back.
     """
-    grant = ctx.memory
-    chunk = ctx.mem_chunk()
-    ctx.mem_require(chunk, "agg.partition", plan)
-    part_file = grant.spill_file("agg")
-    try:
-        codes, positions = hashing.group_codes(group_vectors)
-        n_groups = len(positions)
-        for part in range(_SPILL_PARTITIONS):
-            sel = np.flatnonzero(codes % _SPILL_PARTITIONS == part)
-            if not len(sel):
-                continue
-            payload = (
-                sel,
-                {
-                    key: (vec.values[sel], vec.nulls[sel])
-                    for key, vec in child.columns.items()
-                },
-            )
-            _spill_append(ctx, plan, part_file, payload, "agg.partition")
-
-        # group-key output columns come straight from the global first
-        # positions — no per-partition work needed
-        columns: dict[str, Vector] = {}
-        for (out, _), vec in zip(plan.groups, group_vectors):
-            columns[out.key] = gather(vec, positions)
-
-        group_ids: list[np.ndarray] = []
-        item_parts: dict[str, list[Vector]] = {
-            item.out.key: [] for item in plan.aggregates
-        }
-        for sel, part_columns in _spill_records(ctx, part_file):
-            sub = Batch(
-                len(sel),
-                {
-                    key: Vector(values, nulls)
-                    for key, (values, nulls) in part_columns.items()
-                },
-            )
-            # local dense codes keep their global ascending order, so
-            # local group g is global group uniq[g]
-            uniq, local = np.unique(codes[sel], return_inverse=True)
-            local = local.astype(np.int64, copy=False)
-            group_ids.append(uniq)
-            for item in plan.aggregates:
-                item_codes, arg = aggregate_item_inputs(item, sub, ctx, local)
-                item_parts[item.out.key].append(
-                    functions.compute_aggregate(
-                        item.func, arg, item_codes, len(uniq), item.distinct
-                    )
+    if vectors:
+        codes, firsts = hashing.group_codes(vectors)
+        n_groups = len(firsts)
+    else:  # scalar aggregate: one group, even over no rows
+        codes = np.zeros(child.length, dtype=np.int64)
+        firsts = np.zeros(0, dtype=np.int64)
+        n_groups = 1
+    if not aggregates:  # DISTINCT: first rows are global, no partition work
+        return firsts, {}
+    pieces: list[list[Vector]] = [[] for _ in aggregates]
+    for part, (rows, local) in enumerate(_partitions(codes, parts)):
+        sub = child if rows is None else _take_rows(child, rows)
+        n_local = len(range(part, n_groups, parts))
+        for item, piece in zip(aggregates, pieces):
+            arg = item.arg(sub, ctx) if item.arg is not None else None
+            item_codes = local
+            if item.where is not None:
+                # FILTER (WHERE ...) drops rows from this aggregate's input
+                # only; dropping (rather than null-masking) keeps count(*)/
+                # array_agg semantics right, since both observe null inputs
+                kept = truthy_rows(item.where(sub, ctx))
+                item_codes = local[kept]
+                if arg is not None:
+                    arg = gather(arg, kept)
+            piece.append(
+                functions.compute_aggregate(
+                    item.func, arg, item_codes, n_local, item.distinct
                 )
-            ctx.check_cancelled()
-        if group_ids:
-            all_ids = np.concatenate(group_ids)
-            order = np.argsort(all_ids, kind="stable")
-            for item in plan.aggregates:
-                merged = concat_vectors(item_parts[item.out.key])
-                columns[item.out.key] = gather(merged, order)
-        else:  # no input rows: no partitions were written
-            for item in plan.aggregates:
-                item_codes, arg = aggregate_item_inputs(item, child, ctx, codes)
-                columns[item.out.key] = functions.compute_aggregate(
-                    item.func, arg, item_codes, n_groups, item.distinct
-                )
-        return Batch(n_groups, columns)
-    finally:
-        ctx.mem_release(chunk)
-        grant.release_spill_file(part_file)
+            )
+        ctx.check_cancelled()
+    if parts == 1:
+        merged = [piece[0] for piece in pieces]
+    else:
+        order = np.argsort(
+            np.concatenate(
+                [np.arange(part, n_groups, parts) for part in range(parts)]
+            )
+        )
+        merged = [gather(concat_vectors(piece), order) for piece in pieces]
+    return firsts, {
+        item.out.key: column for item, column in zip(aggregates, merged)
+    }
 
 
-# ---------------------------------------------------------------------------
-# pipeline breakers
-# ---------------------------------------------------------------------------
+def _exec_aggregate(plan: Aggregate, ctx: ExecContext) -> Batch:
+    child = execute_plan(plan.child, ctx)
+    vectors = [expr(child, ctx) for _, expr in plan.groups]
+    if vectors:
+        # accumulator state scales with input rows (codes, argsorts,
+        # per-group buffers)
+        table_est = batch_bytes(child) + HASH_ROW_BYTES * child.length
+        with _reserve_or_chunk(
+            ctx, plan, table_est, "agg.hashtable", "agg.partition"
+        ) as parts:
+            firsts, aggregated = _grouped(
+                child, ctx, vectors, plan.aggregates, parts
+            )
+    else:  # scalar aggregates are O(1) and never partition
+        firsts, aggregated = _grouped(child, ctx, vectors, plan.aggregates, 1)
+    columns = {
+        out.key: gather(vec, firsts)
+        for (out, _), vec in zip(plan.groups, vectors)
+    }
+    columns.update(aggregated)
+    return Batch(len(firsts) if vectors else 1, columns)
 
 
 def _exec_distinct(plan: Distinct, ctx: ExecContext) -> Batch:
+    """DISTINCT is GROUP BY over every column with nothing aggregated."""
     child = execute_plan(plan.child, ctx)
     if child.length == 0:
         return child
     vectors = [child.columns[out.key] for out in plan.schema]
-    table_est = HASH_ROW_BYTES * child.length
-    if ctx.mem_reserve(table_est, "distinct.hashtable", plan):
-        try:
-            _, positions = hashing.group_codes(vectors)
-        finally:
-            ctx.mem_release(table_est)
-    else:
-        positions = _spill_distinct_positions(plan, vectors, ctx)
-    columns = {k: gather(v, positions) for k, v in child.columns.items()}
-    return Batch(len(positions), columns)
+    with _reserve_or_chunk(
+        ctx, plan, HASH_ROW_BYTES * child.length,
+        "distinct.hashtable", "distinct.partition",
+    ) as parts:
+        firsts, _ = _grouped(child, ctx, vectors, [], parts)
+    return _take_rows(child, firsts)
 
 
-def _spill_distinct_positions(
-    plan: Distinct, vectors: list[Vector], ctx: ExecContext
-) -> np.ndarray:
-    """Partitioned DISTINCT: the first position of every group, ordered by
-    ascending combined code — exactly :func:`hashing.group_codes`' output.
+# ---------------------------------------------------------------------------
+# sort (ORDER BY and window ordering)
+# ---------------------------------------------------------------------------
 
-    Groups live wholly in one partition and partitions preserve row
-    order, so a partition-local first occurrence is the global one.
+def _sort_keys(
+    keys: list[tuple[Vector, bool, Optional[bool]]]
+) -> list[tuple[Callable[[int], tuple], bool]]:
+    """``(row -> comparable, ascending)`` per ``(vector, ascending,
+    nulls_first)`` key.
+
+    A non-null row maps to ``(0, value)`` and a null row to ``(marker,
+    None)``, the marker chosen so that after a descending key's order
+    inversion nulls land on the requested side (``nulls_first=None`` is
+    the PostgreSQL default: NULLS LAST ascending, NULLS FIRST
+    descending).  A key whose non-null values cannot be sorted without a
+    ``TypeError`` (mixed int/text, arrays holding NULLs) compares as
+    text.  That is decided here by a trial sort of the whole column —
+    of 1-tuples, which compare the way the decorated keys do — so the
+    answer cannot depend on how the rows are later cut into runs.
     """
-    grant = ctx.memory
-    chunk = ctx.mem_chunk()
-    ctx.mem_require(chunk, "distinct.partition", plan)
-    part_file = grant.spill_file("distinct")
-    try:
-        codes, _ = hashing.group_codes(vectors)
-        for part in range(_SPILL_PARTITIONS):
-            sel = np.flatnonzero(codes % _SPILL_PARTITIONS == part)
-            if not len(sel):
-                continue
-            _spill_append(
-                ctx, plan, part_file, (codes[sel], sel), "distinct.partition"
-            )
-        ids: list[np.ndarray] = []
-        firsts: list[np.ndarray] = []
-        for part_codes, sel in _spill_records(ctx, part_file):
-            uniq, first = np.unique(part_codes, return_index=True)
-            ids.append(uniq)
-            firsts.append(sel[first])
-            ctx.check_cancelled()
-        all_ids = np.concatenate(ids)
-        all_firsts = np.concatenate(firsts)
-        return all_firsts[np.argsort(all_ids, kind="stable")]
-    finally:
-        ctx.mem_release(chunk)
-        grant.release_spill_file(part_file)
-
-
-def _exec_sort(plan: Sort, ctx: ExecContext) -> Batch:
-    child = execute_plan(plan.child, ctx)
-    sort_est = SORT_KEY_BYTES * child.length * max(1, len(plan.keys))
-    if ctx.mem_reserve(sort_est, "sort.buffer", plan):
-        try:
-            positions = _in_memory_sort_positions(plan, child, ctx)
-        finally:
-            ctx.mem_release(sort_est)
-    else:
-        positions = _external_sort_positions(plan, child, ctx)
-    columns = {k: gather(v, positions) for k, v in child.columns.items()}
-    return Batch(child.length, columns)
-
-
-def _in_memory_sort_positions(
-    plan: Sort, child: Batch, ctx: ExecContext
-) -> np.ndarray:
-    order = list(range(child.length))
-    # multi-key sort with per-key direction: stable sorts from last key first
-    for expr, asc, nulls_first in reversed(plan.keys):
-        vec = expr(child, ctx)
-        # PostgreSQL default: NULLS LAST for ASC, NULLS FIRST for DESC
+    specs = []
+    for vec, asc, nulls_first in keys:
         nf = (not asc) if nulls_first is None else nulls_first
-        # marker for null rows relative to the 0 of non-null rows, chosen so
-        # that after the per-key ``reverse`` nulls land on the requested side
         marker = (-1 if nf else 1) if asc else (1 if nf else -1)
-
-        def single_key(i: int, v=vec, m=marker):
-            if v.nulls[i]:
-                return (m, None)
-            return (0, v.values[i])
-
-        try:
-            order.sort(key=single_key, reverse=not asc)
-        except TypeError:
-            order.sort(key=lambda i, v=vec, m=marker: (
-                m if v.nulls[i] else 0,
-                "" if v.nulls[i] else str(v.values[i]),
-            ), reverse=not asc)
-    return np.asarray(order, dtype=np.int64)
+        as_text = False
+        if vec.values.dtype == object:
+            present = vec.values[~vec.nulls]
+            if not set(map(type, present)) <= {str}:
+                try:
+                    sorted(zip(present))
+                except TypeError:
+                    as_text = True
+        if as_text:
+            def key(i: int, v=vec.values, n=vec.nulls, m=marker) -> tuple:
+                return (m, "") if n[i] else (0, str(v[i]))
+        else:
+            def key(i: int, v=vec.values, n=vec.nulls, m=marker) -> tuple:
+                return (m, None) if n[i] else (0, v[i])
+        specs.append((key, asc))
+    return specs
 
 
 class _Desc:
@@ -958,8 +813,8 @@ class _Desc:
 
     Sequences of stable single-key sorts with ``reverse=True`` are
     equivalent to one stable sort on the composite key with each
-    descending component's order inverted — which is what lets the
-    external sort produce byte-identical output in a single pass.
+    descending component's order inverted — which is what lets sorted
+    runs be merged into byte-identical output in a single pass.
     """
 
     __slots__ = ("key",)
@@ -974,127 +829,96 @@ class _Desc:
         return isinstance(other, _Desc) and other.key == self.key
 
 
-def _key_needs_str(vec: Vector, force: bool) -> bool:
-    """Should this key use the in-memory path's ``str()`` fallback?
-
-    The in-memory sort falls back per key when a comparison raises
-    ``TypeError``.  The external sort must decide *before* decorating
-    runs: mixed-type object columns always raise there, single exotic
-    types only raise if their values are incomparable (*force* is set
-    after an attempt actually raised).
-    """
-    if vec.values.dtype != object:
-        return False
-    types = {
-        type(value)
-        for value, null in zip(vec.values, vec.nulls)
-        if not null
-    }
-    if not types or types == {str}:
-        return False
-    if all(t in (int, float, bool) for t in types):
-        return False
-    if len(types) > 1:
-        return True
-    return force
-
-
-#: rows framed together in one external-sort spill record, so the merge
+#: rows framed together in one spilled sort-run record, so the merge
 #: holds one block per run instead of whole runs
 _SORT_BLOCK_ROWS = 256
 
 
-def _external_sort_positions(
-    plan: Sort, child: Batch, ctx: ExecContext
+def _sort_positions(
+    ctx: ExecContext,
+    plan: PlanNode,
+    specs: list[tuple[Callable[[int], tuple], bool]],
+    n: int,
+    parts: int,
+    point: str,
 ) -> np.ndarray:
-    try:
-        return _external_sort_attempt(plan, child, ctx, force_str=False)
-    except TypeError:
-        # some key's values are incomparable: redo with the in-memory
-        # path's str() fallback applied to the ambiguous keys
-        return _external_sort_attempt(plan, child, ctx, force_str=True)
+    """Stable multi-key sort of rows ``0..n-1``; *parts* bounds the runs.
 
-
-def _external_sort_attempt(
-    plan: Sort, child: Batch, ctx: ExecContext, force_str: bool
-) -> np.ndarray:
-    """External merge sort: run generation + k-way merge.
-
-    Runs are consecutive row ranges sorted in memory on the composite
-    key and spilled as (key, row) records; the merge is keyed on
-    ``(composite key, run index, in-run position)`` so ties resolve to
-    original row order — the stability contract of the in-memory sort.
+    Rows are cut into runs of consecutive rows and every run is sorted
+    by one stable pass per key, last key first.  ``parts == 1`` (the
+    whole sort buffer was granted) makes one run, which is the answer.
+    Otherwise there are at least *parts* runs, each small enough for the
+    working chunk; they are decorated with their composite key, spilled
+    (accounted to *point*) and k-way merged on ``(composite key, run
+    index)``, so ties resolve to original row order — the stability
+    contract of the one-run sort.
     """
-    import heapq
+    run_rows = max(1, n)
+    if parts > 1:
+        fit = ctx.mem_chunk() // (SORT_KEY_BYTES * max(1, len(specs)))
+        run_rows = max(1, min(-(-n // parts), fit))
 
-    n = child.length
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    specs = []
-    for expr, asc, nulls_first in plan.keys:
-        vec = expr(child, ctx)
-        nf = (not asc) if nulls_first is None else nulls_first
-        marker = (-1 if nf else 1) if asc else (1 if nf else -1)
-        specs.append((vec, asc, marker, _key_needs_str(vec, force_str)))
+    def sorted_runs() -> Iterator[list[int]]:
+        for lo in range(0, n, run_rows):
+            rows = list(range(lo, min(n, lo + run_rows)))
+            for key, asc in reversed(specs):
+                rows.sort(key=key, reverse=not asc)
+            yield rows
+
+    if n <= run_rows:
+        return np.asarray(next(sorted_runs(), []), dtype=np.int64)
 
     def composite(i: int) -> tuple:
-        parts = []
-        for vec, asc, marker, use_str in specs:
-            if vec.nulls[i]:
-                base: tuple = (marker, "") if use_str else (marker, None)
-            else:
-                value = vec.values[i]
-                base = (0, str(value)) if use_str else (0, value)
-            parts.append(base if asc else _Desc(base))
-        return tuple(parts)
+        return tuple(key(i) if asc else _Desc(key(i)) for key, asc in specs)
 
     grant = ctx.memory
-    chunk = ctx.mem_chunk()
-    ctx.mem_require(chunk, "sort.run", plan)
-    run_rows = max(1, chunk // (SORT_KEY_BYTES * max(1, len(specs))))
-    runs = []
+    spills: list[Any] = []
+
+    def stream(spill: Any) -> Iterator[tuple]:
+        for block in spill.records():
+            grant.require(0, "spill.read")  # fault point: stall/fail arms
+            ctx.check_cancelled()
+            yield from block
+
     try:
-        for lo in range(0, n, run_rows):
-            hi = min(n, lo + run_rows)
-            decorated = [(composite(i), i) for i in range(lo, hi)]
-            decorated.sort(key=lambda pair: pair[0])  # TypeError → retry
-            run = grant.spill_file(f"sort-run-{len(runs)}")
-            runs.append(run)
-            for block_lo in range(0, len(decorated), _SORT_BLOCK_ROWS):
-                _spill_append(
-                    ctx, plan, run,
-                    decorated[block_lo : block_lo + _SORT_BLOCK_ROWS],
-                    "sort.run",
+        for rows in sorted_runs():
+            spill = grant.spill_file(f"sort-run-{len(spills)}")
+            spills.append(spill)
+            for lo in range(0, len(rows), _SORT_BLOCK_ROWS):
+                block = rows[lo : lo + _SORT_BLOCK_ROWS]
+                grant.require(0, "spill.write")  # fault point, as above
+                nbytes = spill.append(
+                    [(composite(i), len(spills), i) for i in block]
                 )
-
-        def run_stream(run):
-            for block in _spill_records(ctx, run):
-                yield from block
-
-        heap: list = []
-        streams = []
-        for run_idx, run in enumerate(runs):
-            stream = run_stream(run)
-            streams.append(stream)
-            first = next(stream, None)
-            if first is not None:
-                heapq.heappush(heap, (first[0], run_idx, first[1]))
-        order = np.empty(n, dtype=np.int64)
-        out = 0
-        while heap:
-            key, run_idx, row = heapq.heappop(heap)
-            order[out] = row
-            out += 1
-            nxt = next(streams[run_idx], None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], run_idx, nxt[1]))
-            if out % 4096 == 0:
+                ctx.mem_spilled(nbytes, point, plan)
                 ctx.check_cancelled()
-        return order
+        import heapq  # only the cold merge needs it (CHANGES.md, PR 18)
+
+        merged = heapq.merge(*map(stream, spills))
+        return np.fromiter(
+            (row for _, _, row in merged), dtype=np.int64, count=n
+        )
     finally:
-        ctx.mem_release(chunk)
-        for run in runs:
-            grant.release_spill_file(run)
+        for spill in spills:
+            grant.release_spill_file(spill)
+
+
+def _exec_sort(plan: Sort, ctx: ExecContext) -> Batch:
+    child = execute_plan(plan.child, ctx)
+    sort_est = SORT_KEY_BYTES * child.length * max(1, len(plan.keys))
+    with _reserve_or_chunk(
+        ctx, plan, sort_est, "sort.buffer", "sort.run"
+    ) as parts:
+        specs = _sort_keys(
+            [
+                (expr(child, ctx), asc, nulls_first)
+                for expr, asc, nulls_first in plan.keys
+            ]
+        )
+        positions = _sort_positions(
+            ctx, plan, specs, child.length, parts, "sort.run"
+        )
+    return _take_rows(child, positions)
 
 
 def _exec_limit(plan: Limit, ctx: ExecContext) -> Batch:
@@ -1102,84 +926,62 @@ def _exec_limit(plan: Limit, ctx: ExecContext) -> Batch:
     start = plan.offset
     stop = child.length if plan.count is None else min(start + plan.count, child.length)
     positions = np.arange(start, max(stop, start), dtype=np.int64)
-    columns = {k: gather(v, positions) for k, v in child.columns.items()}
-    return Batch(len(positions), columns)
+    return _take_rows(child, positions)
 
 
 def _exec_window(plan: Window, ctx: ExecContext) -> Batch:
+    """row_number / rank / dense_rank of every row within its partition."""
     child = execute_plan(plan.child, ctx)
     columns = dict(child.columns)
     n = child.length
-    # partition codes + per-partition order state.  Ranking windows
-    # stream one partition at a time, so under pressure the hold shrinks
-    # to a working chunk instead of failing the query
+    # partition codes + per-partition order state; a denied reservation
+    # shrinks the hold to a working chunk and the ordering to merged runs
     window_est = (HASH_ROW_BYTES + SORT_KEY_BYTES) * n * max(
         1, len(plan.windows)
     )
-    if ctx.mem_reserve(window_est, "window.partition", plan):
-        held = window_est
-    else:
-        held = ctx.mem_chunk()
-        ctx.mem_require(held, "window.partition", plan)
-    try:
-        return _window_output(plan, child, ctx, columns, n)
-    finally:
-        ctx.mem_release(held)
-
-
-def _window_output(
-    plan: Window, child: Batch, ctx: ExecContext,
-    columns: dict[str, Vector], n: int,
-) -> Batch:
-    for item in plan.windows:
-        if item.partition:
-            part_codes, _ = hashing.group_codes(
-                [expr(child, ctx) for expr in item.partition]
+    with _reserve_or_chunk(
+        ctx, plan, window_est, "window.partition", "window.partition"
+    ) as parts:
+        for item in plan.windows:
+            if item.partition:
+                part_codes, _ = hashing.group_codes(
+                    [expr(child, ctx) for expr in item.partition]
+                )
+            else:
+                part_codes = np.zeros(n, dtype=np.int64)
+            # window order is ORDER BY partition, then the window's own keys
+            partition = Vector(part_codes, np.zeros(n, dtype=bool))
+            specs = _sort_keys(
+                [(partition, True, None)]
+                + [(expr(child, ctx), asc, None) for expr, asc in item.order]
             )
-        else:
-            part_codes = np.zeros(n, dtype=np.int64)
-        order_vectors = [(expr(child, ctx), asc) for expr, asc in item.order]
-        positions = list(range(n))
-        # stable multi-key sort: last key first, partition last
-        for vec, asc in reversed(order_vectors):
-            positions.sort(
-                key=lambda i, v=vec: (
-                    (1 if v.nulls[i] else 0, v.values[i])
-                    if not v.nulls[i]
-                    else (1, None)
-                ),
-                reverse=not asc,
+            positions = _sort_positions(
+                ctx, plan, specs, n, parts, "window.partition"
             )
-        positions.sort(key=lambda i: part_codes[i])
+            order_keys = [key for key, _ in specs[1:]]
 
-        def order_key(i: int) -> tuple:
-            return tuple(
-                (bool(vec.nulls[i]), None if vec.nulls[i] else vec.values[i])
-                for vec, _ in order_vectors
-            )
-
-        out = np.zeros(n, dtype=np.float64)
-        current_partition = None
-        row_number = rank = dense = 0
-        previous_key: Any = object()
-        for i in positions:
-            if part_codes[i] != current_partition:
-                current_partition = part_codes[i]
-                row_number = rank = dense = 0
-                previous_key = object()
-            row_number += 1
-            key = order_key(i)
-            if key != previous_key:
-                rank = row_number
-                dense += 1
-                previous_key = key
-            if item.func == "row_number":
-                out[i] = row_number
-            elif item.func == "rank":
-                out[i] = rank
-            else:  # dense_rank
-                out[i] = dense
-        columns[item.out.key] = Vector(out, np.zeros(n, dtype=bool))
+            out = np.zeros(n, dtype=np.float64)
+            current_partition = None
+            row_number = rank = dense = 0
+            previous_key: Any = object()
+            for i in positions:
+                if part_codes[i] != current_partition:
+                    current_partition = part_codes[i]
+                    row_number = rank = dense = 0
+                    previous_key = object()
+                row_number += 1
+                key = [order_key(i) for order_key in order_keys]
+                if key != previous_key:  # not a peer of the previous row
+                    rank = row_number
+                    dense += 1
+                    previous_key = key
+                if item.func == "row_number":
+                    out[i] = row_number
+                elif item.func == "rank":
+                    out[i] = rank
+                else:  # dense_rank
+                    out[i] = dense
+            columns[item.out.key] = Vector(out, np.zeros(n, dtype=bool))
     return Batch(n, columns)
 
 

@@ -342,14 +342,12 @@ def compute_aggregate(
         nulls = arg.nulls[order] if has_null else None
         for g in range(n_groups):
             lo, hi = int(boundaries[g]), int(boundaries[g + 1])
-            segment = values[lo:hi]
+            # tolist() on either branch: elements are Python scalars,
+            # never numpy ones
+            bucket = values[lo:hi].tolist()
             if has_null:
-                bucket = [
-                    None if nulls[lo + k] else segment[k]
-                    for k in range(hi - lo)
-                ]
-            else:
-                bucket = segment.tolist()
+                for k in np.flatnonzero(nulls[lo:hi]):
+                    bucket[k] = None
             out[g] = bucket
         return Vector(out, np.zeros(n_groups, dtype=bool))
 

@@ -8,9 +8,10 @@ Two budgets apply:
 
 * ``query_memory_limit`` — one query's working set.  A *degradable*
   allocation (:meth:`MemoryGrant.reserve`) that would exceed it is
-  **denied** and the operator switches to its spill twin — external
-  merge sort, Grace-partitioned hash join, partitioned aggregation —
-  each byte-identical to the in-memory path.  A *non-degradable*
+  **denied** and the operator holds one working chunk and runs the same
+  code over partitions of its input (join, aggregation, DISTINCT) or
+  over sorted runs merged through spill files (sort, window ordering),
+  byte-identical to the one-partition result.  A *non-degradable*
   allocation (:meth:`MemoryGrant.require`: CTE cache, window state,
   result batch, spill working chunks) that exceeds it raises
   :class:`~repro.errors.ConfigurationLimitExceeded` (SQLSTATE 53400).
@@ -24,7 +25,8 @@ Two budgets apply:
   allocations that cannot be served from the pool raise 53200 too, so a
   saturated server always sheds instead of deadlocking.
 
-Spilled state goes through the :class:`SpillManager`: length- and
+Spilled state — the sort's decorated runs, the only operator state that
+exists nowhere else — goes through the :class:`SpillManager`: length- and
 CRC-framed pickled payloads (the WAL's corruption-detection shape) in a
 per-database spill directory, tracked per grant so cancellation, errors
 and rollback reclaim every temp file.  Acked commits never depend on
@@ -34,7 +36,7 @@ are deleted at statement end, before any commit acknowledgement.
 The :class:`MemoryFaultInjector` is the allocation-level sibling of
 :class:`~repro.sqldb.faults.FaultInjector` (process crashes) and
 :class:`~repro.sqldb.netfaults` (wire faults): it forces a *denial*
-(→ the operator must spill), a *hard failure* (→ 53200 surfaces), or an
+(→ the operator must degrade), a *hard failure* (→ 53200 surfaces), or an
 artificial *stall* (→ deterministic cancellation windows) at named
 allocation points (:data:`ALLOCATION_POINTS`).
 """
@@ -88,14 +90,14 @@ HASH_ROW_BYTES = 64
 #: plan order.  Property tests sweep this registry, so adding a point
 #: here automatically adds it to the deny-at-every-point differential.
 ALLOCATION_POINTS: tuple[str, ...] = (
-    "sort.buffer",       # decorated keys + order array of an in-memory sort
-    "sort.run",          # one external-sort run (working chunk)
+    "sort.buffer",       # decorated keys + order array of a one-run sort
+    "sort.run",          # one run of a merged sort (working chunk)
     "join.build",        # hash-join build side + code tables
-    "join.partition",    # one Grace partition's working chunk
+    "join.partition",    # one join partition's working chunk
     "agg.hashtable",     # aggregate group codes + accumulator state
-    "agg.partition",     # one spilled aggregation partition's chunk
+    "agg.partition",     # one aggregation partition's working chunk
     "distinct.hashtable",  # distinct's group-code table
-    "distinct.partition",  # one spilled distinct partition's chunk
+    "distinct.partition",  # distinct's working chunk once that is denied
     "window.partition",  # window partition codes + per-partition order
     "cte.materialize",   # a materialised CTE cached for the query
     "result.batch",      # the final result batch handed to the client
@@ -151,7 +153,7 @@ class MemoryFaultInjector:
     """Forces allocation outcomes at named allocation points.
 
     * :meth:`deny` — the next *hits* reservations at a point are refused,
-      so the operator must take its spill path even under no real
+      so the operator must work in partitions even under no real
       pressure (``hits=None`` denies forever).
     * :meth:`fail` — the n-th allocation at a point raises
       :class:`~repro.errors.OutOfMemory` outright, modelling a pool that
@@ -455,7 +457,7 @@ class MemoryGrant:
         self.reserved_bytes = 0
         self.peak_bytes = 0
         self.spilled_bytes = 0
-        #: allocation points that degraded to their spill path
+        #: allocation points that wrote spill files
         self.spill_events: list[str] = []
         self.closed = False
 
@@ -463,7 +465,7 @@ class MemoryGrant:
     # under the broker's one condition variable
 
     def reserve(self, nbytes: int, point: str) -> bool:
-        """Try a degradable allocation; False = take the spill path."""
+        """Try a degradable allocation; False = work in partitions."""
         return self.broker._reserve(self, nbytes, point, degradable=True)
 
     def require(self, nbytes: int, point: str) -> None:

@@ -1,10 +1,12 @@
 """Tests for scalar SQL functions and expression semantics."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SQLBindError, SQLExecutionError
 from repro.sqldb import Database
 from repro.sqldb.executor import _expand_unnest
+from repro.sqldb.functions import compute_aggregate
 from repro.sqldb.vector import from_values
 
 
@@ -180,6 +182,27 @@ class TestAggregateEdgeCases:
     def test_nested_aggregate_rejected(self, db):
         with pytest.raises(SQLBindError):
             db.execute("SELECT sum(count(*)) FROM t")
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [1.5, 2.0, 3.25, 4.0],
+            [True, False, True, True],
+            ["a", "b", "c", "d"],
+        ],
+        ids=["float", "boolean", "text"],
+    )
+    def test_array_agg_elements_are_python_scalars(self, items):
+        """With or without NULLs in the argument, ``array_agg`` elements
+        are Python values — never numpy scalars, which compare and print
+        differently and which ``json.dumps`` rejects."""
+        codes = np.array([0, 1, 0, 1], dtype=np.int64)
+        for column in (items, [None] + items[1:]):
+            out = compute_aggregate("array_agg", from_values(column), codes, 2)
+            assert out.values.tolist() == [column[0::2], column[1::2]]
+            for bucket in out.values:
+                for element in bucket:
+                    assert element is None or type(element) is type(items[1])
 
 
 class TestVectorisedUnnest:

@@ -15,11 +15,10 @@ types — across five engine configurations:
   statements (plus DML on a scratch table feeding a TRAIN) interleave
   with the compared queries — training reads the shared tables and
   bumps catalog versions, so it must never perturb query results,
-* the memory governor with every degradable grant denied: sorts,
-  hash-join builds, aggregate and DISTINCT hash tables all take the
-  spill-to-disk path (external sort, Grace partitioned join,
-  partitioned aggregation), which must stay byte-identical to the
-  in-memory operators.
+* the memory governor with every degradable grant denied: hash-join
+  builds, aggregate and DISTINCT hash tables run over 8 partitions and
+  sorts over runs merged through spill files, which must stay
+  byte-identical to the same operators' one-partition (in-memory) run.
 
 Queries whose ORDER BY covers every output column compare as exact
 sequences; all others compare as sorted multisets (the rewrite layer is
@@ -159,7 +158,7 @@ def _churn_models(db, rng):
 
 
 def _deny_all_degradable():
-    """Every degradable memory grant is denied: spill paths always run."""
+    """Every degradable memory grant is denied: operators always partition."""
     return (
         MemoryFaultInjector()
         .deny("sort.buffer")

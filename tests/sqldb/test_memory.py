@@ -1,9 +1,10 @@
 """The memory governor: accounting, admission, spill execution, faults.
 
-The load-bearing property is *oracle identity*: a query that degrades to
-spill-to-disk execution (external merge sort, Grace-partitioned hash
-join, partitioned aggregation / DISTINCT) must return rows byte-identical
-to the unbounded in-memory twin — same values, same nulls, same Python
+The load-bearing property is *oracle identity*: a query whose operators
+are denied their working set and run over partitions instead (join,
+aggregation, DISTINCT) or over sorted runs merged through spill files
+(sort, window ordering) must return rows byte-identical to the
+unbounded one-partition run — same values, same nulls, same Python
 value types, same order where SQL pins one.  ``--memory-rounds N``
 raises the randomized-differential budget.
 
@@ -98,6 +99,11 @@ _WORKLOAD = [
     "SELECT DISTINCT s, g FROM big ORDER BY s NULLS LAST, g",
     "SELECT k, row_number() OVER (PARTITION BY s ORDER BY v, k) "
     "AS rn FROM big ORDER BY k, rn",
+    "SELECT k, v, rank() OVER (PARTITION BY g ORDER BY v DESC, s) AS r "
+    "FROM big ORDER BY k, r, v",
+    # array keys: x sorts as arrays, y (its arrays hold NULLs) as text
+    "SELECT k, array_agg(g) AS x, array_agg(v) AS y FROM big "
+    "WHERE k < 200 GROUP BY k ORDER BY x, y DESC, k",
     "WITH c AS (SELECT k, v FROM big WHERE v > 0) "
     "SELECT a.k, a.v, b.v FROM c a JOIN c b ON a.k = b.k "
     "ORDER BY a.k, a.v, b.v",
@@ -263,7 +269,9 @@ class TestSpillDifferential:
                 db.close()
 
     def test_degradable_points_degrade_not_fail(self):
-        """The four degradable reserves must *spill*, not error."""
+        """The four degradable reserves must *degrade*, not error — and
+        the workload then reaches every allocation point in the registry
+        (none of the 13 names is dead)."""
         degradable = (
             "sort.buffer",
             "join.build",
@@ -280,13 +288,40 @@ class TestSpillDifferential:
             _load(db)
             for sql in _WORKLOAD:
                 _assert_identical(_rows(reference, sql), _rows(db, sql), sql)
-            for point in degradable:
-                assert point in faults.trace, sorted(set(faults.trace))
+            assert set(faults.trace) == set(ALLOCATION_POINTS)
             assert db.memory.spill.total_spilled_bytes > 0
             _assert_quiesced(db)
         finally:
             reference.close()
             db.close()
+
+    def test_array_key_sort_order_is_mode_independent(self):
+        """``ORDER BY x, y`` over array keys where only ``y`` holds a
+        NULL: ``x`` compares as arrays and ``y`` as text whether the sort
+        runs in one run or in merged runs (the external sort used to
+        force text on *every* array key once any key needed it)."""
+        sql = (
+            "SELECT g, array_agg(a) AS x, array_agg(b) AS y FROM t "
+            "GROUP BY g ORDER BY x, y"
+        )
+        orders = []
+        for faults in (None, MemoryFaultInjector().deny("sort.buffer")):
+            db = Database(memory_faults=faults)
+            try:
+                db.execute("CREATE TABLE t (g integer, a integer, b integer)")
+                db.executemany(
+                    "INSERT INTO t VALUES (?, ?, ?)",
+                    [
+                        (1, 9, 1), (1, 1, 2), (2, 10, None), (2, 2, 5),
+                        (3, 10, 0), (3, 2, 9), (4, 10, 1), (4, 3, 1),
+                    ],
+                )
+                orders.append([row[0] for row in _rows(db, sql)])
+            finally:
+                db.close()
+        # [9, 1] < [10, 2] as arrays (as text "[10..." sorts first); the
+        # x tie between groups 2 and 3 breaks on y as text
+        assert orders == [[1, 3, 2, 4], [1, 3, 2, 4]]
 
     def test_randomized_differential(self, memory_rounds):
         """Random queries over random data: limited == unbounded."""
@@ -318,7 +353,7 @@ class TestSpillDifferential:
         def order(col):
             return f"{col} {rng.choice(dirs)} {rng.choice(nulls)}"
 
-        kind = rng.randrange(4)
+        kind = rng.randrange(6)
         if kind == 0:  # multi-key sort with a filter
             return (
                 "SELECT k, v FROM big "
@@ -339,10 +374,25 @@ class TestSpillDifferential:
                 "SELECT g, count(*) AS c, sum(v) AS t, max(s) AS m "
                 f"FROM big GROUP BY g {having}ORDER BY g"
             )
-        return (  # distinct
-            "SELECT DISTINCT s, g FROM big "
-            f"WHERE k < {rng.randint(300, 600)} "
-            f"ORDER BY {order('s')}, g DESC"
+        if kind == 3:  # distinct
+            return (
+                "SELECT DISTINCT s, g FROM big "
+                f"WHERE k < {rng.randint(300, 600)} "
+                f"ORDER BY {order('s')}, g DESC"
+            )
+        if kind == 4:  # window: partitions + multi-key ordering
+            func = rng.choice(["row_number", "rank", "dense_rank"])
+            return (
+                f"SELECT k, v, {func}() OVER (PARTITION BY "
+                f"{rng.choice(['s', 'g', 's, g'])} ORDER BY "
+                f"v {rng.choice(dirs)}, k {rng.choice(dirs)}) AS w "
+                f"FROM big WHERE k < {rng.randint(300, 600)} "
+                "ORDER BY k, w, v"
+            )
+        return (  # sort on array keys (y's arrays hold NULLs)
+            "SELECT k, array_agg(g) AS x, array_agg(v) AS y FROM big "
+            f"WHERE k < {rng.randint(100, 200)} GROUP BY k "
+            f"ORDER BY {order('x')}, {order('y')}, k"
         )
 
 

@@ -67,6 +67,19 @@ class TestWindowFunctions:
         )
         assert result.rows[0][1] == 20
 
+    def test_mixed_type_column_orders_like_order_by(self, db):
+        """Window ordering is the ORDER BY sorter: a mixed int/text key
+        falls back to text order instead of raising ``TypeError``."""
+        mixed = "(SELECT v AS x FROM scores UNION ALL SELECT g FROM scores) u"
+        ordered = db.execute(f"SELECT x FROM {mixed} ORDER BY x").column("x")
+        result = db.execute(
+            "SELECT x, row_number() OVER (ORDER BY x) AS rn, "
+            f"rank() OVER (ORDER BY x) AS r FROM {mixed} ORDER BY rn"
+        )
+        assert result.column("x") == ordered
+        assert ordered == [10, 20, 20, 5, 7, "a", "a", "a", "b", "b"]
+        assert result.column("r") == [1, 2, 2, 4, 5, 6, 6, 6, 9, 9]
+
     def test_window_in_where_rejected(self, db):
         with pytest.raises(SQLBindError):
             db.execute(
