@@ -4,7 +4,9 @@ One selection (``passenger_count > 1``) over the taxi data while the
 number of inspected sensitive columns grows from 1 to 5.  The paper's
 shape: the PostgreSQL CTE mode grows linearly with the column count (each
 inspection query re-runs the whole chain), the VIEW mode grows more slowly
-(holistic optimisation), Umbra's modes coincide.
+(holistic optimisation), Umbra's modes coincide.  Here every histogram is
+an arm of one statement that runs the chain once, so a column adds arms,
+not chain executions (DESIGN.md §6).
 """
 
 import pytest

@@ -1,9 +1,10 @@
 """Figure 7c — preprocessing with bias inspection enabled.
 
 The NoBiasIntroducedFor check measures sensitive-column ratios after every
-operator; n inspection steps imply n re-executions of the first operation
-in the non-materialised SQL modes (§6.3), which is why materialisation
-matters most here.
+operator.  In the paper n inspection steps imply n re-executions of the
+first operation in the non-materialised SQL modes (§6.3), which is why
+materialisation matters most there; here every histogram is an arm of one
+statement that runs each table expression once (DESIGN.md §6).
 """
 
 import pytest

@@ -1,10 +1,9 @@
 """Plan cache — repeated statement execution, cold vs. warm.
 
-Inspection re-runs issue byte-identical query texts (one per table
-expression per inspection), so after the first pass every statement is a
-cache hit: lexing, parsing, binding and planning are skipped entirely.
-This bench measures that saving on a representative analytical workload
-over a small table, where per-statement preparation dominates execution.
+A statement text repeated against an unchanged schema is a cache hit:
+lexing, parsing, binding and planning are skipped entirely.  This bench
+measures that saving on a representative analytical workload over a
+small table, where per-statement preparation dominates execution.
 """
 
 import time

@@ -1,9 +1,9 @@
 """Figure-11 style micro-study: cost of inspecting more columns.
 
 One selection over the taxi data while the number of inspected sensitive
-columns grows; prints the runtime per engine/mode so the linear growth of
-the PostgreSQL CTE mode (each inspection re-runs the chain) is visible
-against the view modes.
+columns grows; prints the runtime per engine/mode.  In the paper the
+PostgreSQL CTE mode grows linearly (each inspection re-runs the chain);
+here all inspections are one statement, so a column only adds arms.
 
 Run:  python examples/taxi_column_scaling.py  [n_rows]
 """

@@ -77,13 +77,11 @@ class DBConnector:
         return self.profile_name
 
     def reset(self) -> None:
-        """Drop all data by reconnecting to a fresh database.
+        """Drop all data by reconnecting to a fresh database (with a fresh
+        plan cache).
 
-        The statement cache survives the reconnect, so re-running the
-        same pipeline replays its DDL and then hits cached plans for
-        every inspection query.  For a durable connector the WAL and
-        checkpoint files are removed too — reset means "fresh database",
-        not "recover the old one".
+        For a durable connector the WAL and checkpoint files are removed
+        too — reset means "fresh database", not "recover the old one".
         """
         previous = self._connection
         if previous is not None:
@@ -96,8 +94,6 @@ class DBConnector:
                 except FileNotFoundError:
                     pass
         self._connection = self._connect()
-        if previous is not None:
-            self._connection.database.adopt_plan_cache(previous.database)
         self.statement_timings = []
 
     def close(self) -> None:
@@ -112,9 +108,9 @@ class DBConnector:
     ) -> Result:
         """Execute a script, returning the last statement's result.
 
-        ``params`` binds positional placeholders; repeated statement texts
-        hit the engine's plan cache, so re-running the same transpiled
-        query skips lexing/parsing/planning entirely.
+        ``params`` binds positional placeholders; a statement text repeated
+        since the last reset hits the engine's plan cache and skips
+        lexing/parsing/planning.
 
         When the script fails with a retryable SQLSTATE
         (:data:`repro.sqldb.client.RETRYABLE_SQLSTATES`) and the
@@ -258,9 +254,8 @@ class RemoteConnector(DBConnector):
     run = DBConnector.run
 
     def reset(self) -> None:
-        """Drop all server-side data (the remote twin of the in-process
-        reconnect-based reset; the server's plan cache survives, so a
-        replayed pipeline still warm-hits)."""
+        """Drop all server-side data and cached plans (the remote twin of
+        the in-process reconnect-based reset)."""
         self.connection.reset()
         self.statement_timings = []
 

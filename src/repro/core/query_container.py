@@ -40,11 +40,6 @@ class SQLQueryContainer:
     blocks: list[_Block] = field(default_factory=list)
     #: log of every inspection/extraction query issued (for to_sql output)
     issued_queries: list[str] = field(default_factory=list)
-    #: memoised WITH prefixes keyed on (upto, block count).  Blocks are
-    #: append-only, so a prefix is stable once built; byte-identical query
-    #: text is what lets repeated inspection queries hit the engine's plan
-    #: cache.
-    _prefix_cache: dict[tuple, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("CTE", "VIEW"):
@@ -73,19 +68,13 @@ class SQLQueryContainer:
     # -- query assembly ------------------------------------------------------
 
     def _with_prefix(self, upto: str | None = None) -> str:
-        key = (upto, len(self.blocks))
-        cached = self._prefix_cache.get(key)
-        if cached is not None:
-            return cached
         keyword = "AS NOT MATERIALIZED" if self.cte_not_materialized else "AS"
         parts = []
         for block in self.blocks:
             parts.append(f"{block.name} {keyword} ({block.body})")
             if block.name == upto:
                 break
-        prefix = "WITH " + ",\n".join(parts) + "\n" if parts else ""
-        self._prefix_cache[key] = prefix
-        return prefix
+        return "WITH " + ",\n".join(parts) + "\n" if parts else ""
 
     def wrap_query(self, select_sql: str, upto: str | None = None) -> str:
         """Make *select_sql* executable in the current mode.

@@ -7,9 +7,13 @@ pipeline so downstream calls can be intercepted and schemas deduced.  The
 SQL mapping (``self.mapping``) associates each dummy with its
 :class:`~repro.core.table_info.TableInfo` / :class:`SeriesExpr`.
 
-Inspections are delegated to the database (``SQLHistogramForColumns``
-et al.) and their results injected into the same structures the Python
-backend fills, so checks evaluate identically.
+Inspections are delegated to the database and their results injected
+into the same structures the Python backend fills, so checks evaluate
+identically.  Each DAG node records which inspections it owes; ``finish()``
+evaluates them once the pipeline has run: every histogram of every node in
+one ``UNION ALL`` statement (``SQLHistogramForColumns.batch_query``), which
+in CTE mode carries the ``WITH`` chain once instead of once per node and
+sensitive column, and the row inspections one query per node.
 
 At the extraction boundary (``train_test_split``, ``fit``, ``score``, or
 any call without a translation) the real data is fetched from the database
@@ -102,9 +106,9 @@ class SQLBackend(PythonBackend):
         self.names = NameGenerator()
         self.mapping: dict[int, TableInfo | SeriesExpr] = {}
         self.column_owners: dict[str, ColumnOwner] = {}
-        self.sql_histograms = SQLHistogramForColumns(
-            self.container, self.column_owners
-        )
+        self.sql_histograms = SQLHistogramForColumns(self.column_owners)
+        #: inspections owed by table-expression nodes, run by finish()
+        self._pending: list[tuple[DagNode, TableInfo, Inspection]] = []
         self.sample_rows = sample_rows
         self.fitted: dict[int, sklearn_ops.FittedTransformer] = {}
         self._materialized: dict[int, Any] = {}
@@ -129,12 +133,8 @@ class SQLBackend(PythonBackend):
         return self.container.full_script(self._final_select)
 
     def plan_cache_stats(self) -> dict[str, int]:
-        """Engine plan-cache counters for this backend's connection.
-
-        Inspection queries are byte-identical across re-runs of the same
-        pipeline, so the hit count shows how much parsing/planning the
-        cache saved.
-        """
+        """Engine plan-cache counters for this backend's connection (the
+        cache starts empty with the fresh database of every run)."""
         return self.connector.plan_cache_stats
 
     def exec_stats(self) -> dict[str, dict]:
@@ -146,7 +146,7 @@ class SQLBackend(PythonBackend):
         """
         return self.connector.exec_stats
 
-    # -- DAG recording with SQL-side inspections ------------------------------------
+    # -- DAG recording; inspections run in finish() ---------------------------------
 
     def _record_sql(
         self,
@@ -177,22 +177,52 @@ class SQLBackend(PythonBackend):
                 self._register(output, info)
         results: dict[Inspection, Any] = {}
         for inspection in self.inspections:
-            results[inspection] = self._run_sql_inspection(inspection, info)
+            # a histogram dict is filled in place by finish()
+            histogram = isinstance(inspection, HistogramForColumns)
+            results[inspection] = {} if histogram else None
+            if isinstance(info, TableInfo):
+                self._pending.append((node, info, inspection))
         self.inspection_results[node] = results
         return node
 
-    def _run_sql_inspection(
-        self, inspection: Inspection, info: TableInfo | SeriesExpr | None
-    ) -> Any:
-        if not isinstance(info, TableInfo):
-            return {} if isinstance(inspection, HistogramForColumns) else None
-        if isinstance(inspection, HistogramForColumns):
-            histograms: dict[str, dict[Any, int]] = {}
+    def _run_histograms(self) -> None:
+        """Every owed histogram, from one statement."""
+        owed = [
+            (node, info, inspection)
+            for node, info, inspection in self._pending
+            if isinstance(inspection, HistogramForColumns)
+        ]
+        infos = {node: info for node, info, _ in owed}
+        columns = list(
+            dict.fromkeys(
+                column
+                for _, _, inspection in owed
+                for column in inspection.sensitive_columns
+            )
+        )
+        query, tags = self.sql_histograms.batch_query(infos.items(), columns)
+        if not tags:
+            return
+        # CTE mode: the chain ends at the last block an arm reads
+        read = {infos[node].name for node, _ in tags.values()}
+        last = next(
+            b.name for b in reversed(self.container.blocks) if b.name in read
+        )
+        counts: dict[tuple[DagNode, str], dict[Any, int]] = {
+            arm: {} for arm in tags.values()
+        }
+        for row in self.container.run_query(query, upto=last).rows:
+            value = next((v for v in row[1:-1] if v is not None), None)
+            counts[tags[row[0]]][value] = int(row[-1])
+        for node, _, inspection in owed:
+            histograms = self.inspection_results[node][inspection]
             for column in inspection.sensitive_columns:
-                counts = self.sql_histograms.compute(info, column)
-                if counts is not None:
-                    histograms[column] = counts
-            return histograms
+                if (node, column) in counts:
+                    histograms[column] = counts[node, column]
+
+    def _run_row_inspection(
+        self, inspection: Inspection, info: TableInfo
+    ) -> Any:
         if isinstance(inspection, MaterializeFirstOutputRows):
             query = first_rows_query(info, inspection.row_count)
             return self.container.run_query(query, upto=info.name).rows
@@ -249,11 +279,19 @@ class SQLBackend(PythonBackend):
 
     def finish(self) -> None:
         """Force execution of the final table expression when the pipeline
-        never reached an extraction boundary (preprocessing-only runs)."""
+        never reached an extraction boundary (preprocessing-only runs), then
+        evaluate every inspection the DAG nodes owe."""
         if not self._did_extract and self.container.blocks:
             last = self.container.blocks[-1].name
             self._final_select = f"SELECT * FROM {last}"
             self.container.run_query(self._final_select, upto=last)
+        self._run_histograms()
+        for node, info, inspection in self._pending:
+            if not isinstance(inspection, HistogramForColumns):
+                self.inspection_results[node][inspection] = (
+                    self._run_row_inspection(inspection, info)
+                )
+        self._pending = []
 
     # -- pandas hooks --------------------------------------------------------------------
 
@@ -285,9 +323,10 @@ class SQLBackend(PythonBackend):
             {c.name for c in schema.columns if c.nullable},
             index_column="index_" if schema.has_index_column else None,
         )
-        owner = ColumnOwner(ctid_view, ctid_view)
         for column in visible:
-            self.sql_histograms.register_column(column, owner)
+            self.sql_histograms.register_column(
+                column, ColumnOwner(ctid_view, ctid_view, info.type_of(column))
+            )
         with self.suppress():
             dummy = original(path, na_values=na_values, nrows=self.sample_rows)
         self._record_sql(

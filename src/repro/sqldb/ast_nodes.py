@@ -238,7 +238,9 @@ class Select:
     limit: Optional[int] = None
     offset: Optional[int] = None
     distinct: bool = False
-    union_all_with: Optional["Select"] = None
+    #: the arms after this one of a ``UNION ALL`` chain (each without CTEs,
+    #: ORDER BY or LIMIT: those belong to this head and apply to the union)
+    union_all: list["Select"] = field(default_factory=list)
 
 
 # -- statements ---------------------------------------------------------------

@@ -673,8 +673,8 @@ class CatalogSnapshot:
 
 
 #: unique ids for transaction forks; the committed catalog is always
-#: uid 0, so plan-cache entries keyed on it stay shareable across
-#: databases while fork-built entries can never collide with each other
+#: uid 0, so fork-built plan-cache entries can never collide with each
+#: other or with committed-state ones
 _fork_ids = itertools.count(1)
 
 
@@ -699,8 +699,6 @@ class Catalog:
         #: embed it, so stale entries simply stop matching and age out of
         #: the LRU.
         self.schema_version = 0
-        self._fingerprint = 0
-        self._fingerprint_version = -1
         #: ANALYZE-collected statistics per base table; PostgreSQL-style,
         #: they go stale on data change and refresh only on the next ANALYZE
         self._table_stats: dict[str, TableStats] = {}
@@ -926,38 +924,6 @@ class Catalog:
     @property
     def analyzed_tables(self) -> list[str]:
         return sorted(self._table_stats)
-
-    def schema_fingerprint(self) -> int:
-        """Stable digest of every relation's schema (not its data).
-
-        Plan-cache keys embed it alongside ``schema_version`` so that a
-        cache shared across reconnects can only serve an entry to a
-        database whose relations have identical shapes.  Recomputed
-        lazily, at most once per version.
-        """
-        if self._fingerprint_version != self.schema_version:
-            parts: list[tuple] = []
-            for name in sorted(self._tables):
-                table = self._tables[name]
-                parts.append(
-                    (name, tuple(table.column_names), tuple(table.column_types))
-                )
-            for name in sorted(self._views):
-                view = self._views[name]
-                parts.append((name, view.materialized, repr(view.query)))
-            for name in sorted(self._indexes):
-                index = self._indexes[name]
-                parts.append(
-                    (name, index.table, index.columns, index.unique, index.method)
-                )
-            for name in sorted(self._models):
-                model = self._models[name]
-                parts.append(
-                    (name, model.estimator, model.features, model.target)
-                )
-            self._fingerprint = hash(tuple(parts))
-            self._fingerprint_version = self.schema_version
-        return self._fingerprint
 
     def create_table(self, table: Table) -> None:
         if (

@@ -184,19 +184,20 @@ class _CacheEntry:
 class PlanCache:
     """LRU cache of parsed statements and pruned logical plans.
 
-    Keys are ``(normalized SQL, profile name, optimizer flag, catalog
-    schema version, statistics version, index epoch, schema fingerprint,
-    catalog uid)``: DDL (and a catalog restore or snapshot install) bumps
-    the schema version, ``ANALYZE`` the statistics version and CREATE /
-    DROP INDEX the index epoch, so entries planned against a stale
-    catalog (or optimized under stale statistics or access paths) stop
-    matching and age out; the fingerprint keeps a cache shared across
-    reconnects from matching a differently shaped schema, and the uid
-    keeps transaction forks apart.  Row-changing statements change none
-    of these: plans resolve relations by name when they run, so a cached
-    entry reads live data and a repeated parameterised INSERT / UPDATE /
-    DELETE / SELECT is a hit.  ``maxsize=0`` (or ``enabled=False``)
-    disables caching entirely.
+    One cache belongs to one :class:`Database`, whose profile and
+    optimizer flag are fixed, so keys are ``(normalized SQL, catalog
+    schema version, statistics version, index epoch, catalog uid)``: DDL
+    (and a catalog restore, snapshot install or storage reset) bumps the
+    schema version, ``ANALYZE`` the statistics version and CREATE / DROP
+    INDEX the index epoch, so entries planned against a stale catalog (or
+    optimized under stale statistics or access paths) stop matching and
+    age out; a committed catalog's schema version never repeats, and the
+    uid keeps transaction forks apart.  Row-changing statements
+    change none of these: plans resolve relations by name when they run,
+    so a cached entry reads live data and a repeated parameterised
+    INSERT / UPDATE / DELETE / SELECT is a hit.  ``clear()`` drops the
+    entries and keeps the cumulative hit/miss counters.  ``maxsize=0``
+    (or ``enabled=False``) disables caching entirely.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -398,24 +399,31 @@ class Database:
 
         The server-side counterpart of a connector ``reset()`` (which
         in-process simply reconnects to a fresh :class:`Database`): the
-        catalog is replaced wholesale under the write latch, so the
-        schema-version counter restarts at 0 and a replayed identical
-        DDL history re-hits the surviving plan cache, exactly like the
-        reconnect path.  Statement caches, the worker pool and session
-        registry survive.  Concurrent *open* transactions are not
-        supported across a reset (their forks reference discarded
-        state); the network server exposes this only behind its
-        ``allow_reset`` flag.  Refused on durable databases — the WAL
-        describes the old history."""
+        catalog is replaced wholesale under the write latch and the plan
+        cache is emptied, like the reconnect path's fresh database (its
+        hit/miss counters keep counting, so readers that subtract a
+        before-value stay right).  The new catalog's schema version
+        continues the old one's, so a plan a statement in flight caches
+        against the old catalog can never match the new one.  The
+        session registry survives.
+        Concurrent *open* transactions are not supported across a reset
+        (their forks reference discarded state); the network server
+        exposes this only behind its ``allow_reset`` flag.  Refused on
+        durable databases — the WAL describes the old history."""
         if self.durable:
             raise DurabilityError(
                 "reset_storage is not supported on a durable database"
             )
         self._check_writable()
         with self._lock.write():
-            self.catalog = Catalog()
+            fresh = Catalog()
+            fresh.schema_version = self.catalog.schema_version + 1
+            self.catalog = fresh
             self.operator_counters = {}
             self.last_exec_stats = None
+            self.plan_cache.clear()
+            with self._prepare_mutex:
+                self._normalized.clear()
         if self.memory is not None:
             # a reset must not strand spill files from discarded queries
             self.memory.spill.cleanup_all()
@@ -789,17 +797,6 @@ class Database:
         self._wal.commit_sync()
         self.faults.check("wal.commit.end")
 
-    def adopt_plan_cache(self, donor: "Database") -> None:
-        """Share another database's statement caches (connector reconnects).
-
-        Safe across databases: keys embed the catalog schema version and
-        fingerprint, so donor entries only match once this database has
-        replayed an identical DDL history, and plans resolve relations by
-        name at execution time.
-        """
-        self.plan_cache = donor.plan_cache
-        self._normalized = donor._normalized
-
     def _prepare(
         self, sql: str, params: Any = None, catalog: Optional[Catalog] = None
     ) -> _CacheEntry:
@@ -811,8 +808,7 @@ class Database:
         is the state the statement will read (a transaction's fork or the
         committed catalog); its ``uid`` is part of the key, so two forks
         at the same schema version — which may have diverged — can never
-        share an entry, while committed catalogs (always uid 0) keep
-        sharing across :meth:`adopt_plan_cache`.
+        share an entry.
         """
         catalog = self.catalog if catalog is None else catalog
         use_cache = self.plan_cache.enabled
@@ -832,12 +828,9 @@ class Database:
             if use_cache:
                 key = (
                     normalized,
-                    self.profile.name,
-                    self.optimize,
                     catalog.schema_version,
                     catalog.stats_version,
                     catalog.index_epoch,
-                    catalog.schema_fingerprint(),
                     catalog.uid,
                 )
                 entry = self.plan_cache.get(key)
@@ -1787,8 +1780,8 @@ def _referenced_relations(select: ast.Select) -> set[str]:
             walk_expr(node.having)
         for order in node.order_by:
             walk_expr(order.expr)
-        if node.union_all_with is not None:
-            walk_select(node.union_all_with)
+        for arm in node.union_all:
+            walk_select(arm)
 
     walk_select(select)
     return names

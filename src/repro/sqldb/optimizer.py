@@ -458,15 +458,11 @@ class _Folder:
         sources = [self._source(source) for source in select.sources]
         where = self.expr(select.where) if select.where is not None else None
         having = self.expr(select.having) if select.having is not None else None
-        union = (
-            self.select(select.union_all_with)
-            if select.union_all_with is not None
-            else None
-        )
+        union = [self.select(arm) for arm in select.union_all]
         unchanged = (
             where is select.where
             and having is select.having
-            and union is select.union_all_with
+            and all(new is old for new, old in zip(union, select.union_all))
             and all(new is old for new, old in zip(ctes, select.ctes))
             and all(new is old for new, old in zip(sources, select.sources))
         )
@@ -483,7 +479,7 @@ class _Folder:
             limit=select.limit,
             offset=select.offset,
             distinct=select.distinct,
-            union_all_with=union,
+            union_all=union,
         )
 
 

@@ -405,6 +405,35 @@ class _Parser:
         return select
 
     def _parse_select_core(self) -> ast.Select:
+        select = self._parse_select_arm()
+        # a chain is parsed in a loop, not by recursion, so its length is
+        # not bounded by the interpreter's stack
+        while self._accept_keyword("union"):
+            self._expect_keyword("all")
+            select.union_all.append(self._parse_select_arm())
+        if self._accept_keyword("order"):
+            self._expect_keyword("by")
+            while True:
+                expr = self.parse_expression()
+                ascending = True
+                if self._accept_keyword("desc"):
+                    ascending = False
+                else:
+                    self._accept_keyword("asc")
+                nulls_first = self._parse_nulls_placement()
+                select.order_by.append(
+                    ast.OrderItem(expr, ascending, nulls_first)
+                )
+                if not self._accept_punct(","):
+                    break
+        if self._accept_keyword("limit"):
+            select.limit = self._expect_int()
+        if self._accept_keyword("offset"):
+            select.offset = self._expect_int()
+        return select
+
+    def _parse_select_arm(self) -> ast.Select:
+        """``SELECT ... [HAVING ...]``: one arm of a ``UNION ALL`` chain."""
         self._expect_keyword("select")
         select = ast.Select()
         select.distinct = bool(self._accept_keyword("distinct"))
@@ -427,28 +456,6 @@ class _Parser:
                     break
         if self._accept_keyword("having"):
             select.having = self.parse_expression()
-        if self._accept_keyword("union"):
-            self._expect_keyword("all")
-            select.union_all_with = self.parse_select()
-        if self._accept_keyword("order"):
-            self._expect_keyword("by")
-            while True:
-                expr = self.parse_expression()
-                ascending = True
-                if self._accept_keyword("desc"):
-                    ascending = False
-                else:
-                    self._accept_keyword("asc")
-                nulls_first = self._parse_nulls_placement()
-                select.order_by.append(
-                    ast.OrderItem(expr, ascending, nulls_first)
-                )
-                if not self._accept_punct(","):
-                    break
-        if self._accept_keyword("limit"):
-            select.limit = self._expect_int()
-        if self._accept_keyword("offset"):
-            select.offset = self._expect_int()
         return select
 
     def _parse_nulls_placement(self) -> Optional[bool]:

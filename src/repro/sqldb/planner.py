@@ -404,13 +404,15 @@ class Planner:
         if select.distinct:
             child = Distinct(child, schema=child.schema)
 
-        if select.union_all_with is not None:
-            other = self.plan_select(select.union_all_with, env)
-            visible = [out for out in child.schema if not out.hidden]
-            other_visible = [out for out in other.schema if not out.hidden]
-            if len(visible) != len(other_visible):
-                raise SQLBindError("UNION ALL arms have different arity")
-            child = UnionAll([child, other], schema=child.schema)
+        if select.union_all:
+            width = sum(not out.hidden for out in child.schema)
+            parts = [child]
+            for arm in select.union_all:
+                other = self._plan_query_body(arm, env)
+                if sum(not out.hidden for out in other.schema) != width:
+                    raise SQLBindError("UNION ALL arms have different arity")
+                parts.append(other)
+            child = UnionAll(parts, schema=child.schema)
 
         if select.order_by:
             child = self._plan_order_by(child, scope, select, replace, env)

@@ -217,3 +217,188 @@ agg = data.groupby('age_group').agg(m=('income', 'mean'))
         )
         queries = result.extras["container"].issued_queries
         assert any("GROUP BY" in q for q in queries)
+
+
+def _two_sources(data_dir):
+    """patients and histories merged, then a patients-only selection: no
+    GROUP BY in any block, so only histogram statements contain one."""
+    return f"""
+import repro.frame as pd
+
+patients = pd.read_csv({data_dir + "/patients.csv"!r}, na_values='?')
+histories = pd.read_csv({data_dir + "/histories.csv"!r}, na_values='?')
+data = patients.merge(histories, on=['ssn'])
+data = data[['smoker', 'race', 'county']]
+kept = patients[patients['race'] == 'race1']
+"""
+
+
+def _histogram_statements(result):
+    return [
+        q for q in result.extras["container"].issued_queries if "GROUP BY" in q
+    ]
+
+
+def _plain(key):
+    return key.item() if isinstance(key, np.generic) else key
+
+
+class TestOneInspectionStatement:
+    @pytest.mark.parametrize("mode", ["CTE", "VIEW"])
+    def test_all_histograms_in_one_statement(self, data_dir, mode):
+        columns = ["race", "smoker", "county"]
+        result = _sql_run(
+            _two_sources(data_dir),
+            mode=mode,
+            checks=[NoBiasIntroducedFor(columns)],
+        )
+        assert len(_histogram_statements(result)) == 1
+        per_node = result.histograms_for(HistogramForColumns(columns))
+        with_histograms = [h for h in per_node.values() if h]
+        # read_csv x2, merge, projection, selection: 5 table expressions
+        assert len(with_histograms) == 5
+        assert sum(len(h) for h in with_histograms) == 2 + 1 + 3 + 3 + 2
+
+    def test_cte_chain_ends_at_the_last_block_an_arm_reads(self, data_dir):
+        # smoker lives in histories: the final patients-only selection
+        # cannot restore it, so no arm reads the last block
+        result = _sql_run(
+            _two_sources(data_dir),
+            mode="CTE",
+            checks=[NoBiasIntroducedFor(["smoker"])],
+        )
+        (statement,) = _histogram_statements(result)
+        names = [b.name for b in result.extras["container"].blocks]
+        assert len(names) == 5
+        for name in names[:4]:
+            assert f"{name} AS (" in statement
+        assert names[4] not in statement
+
+    def test_overlapping_histogram_inspections_share_the_statement(
+        self, data_dir
+    ):
+        inspector = PipelineInspector.on_pipeline_from_string(
+            _two_sources(data_dir), "<test>"
+        )
+        result = (
+            inspector.add_required_inspection(HistogramForColumns(["race"]))
+            .add_check(NoBiasIntroducedFor(["race", "smoker"]))
+            .execute_in_sql(dbms_connector=UmbraConnector())
+        )
+        assert len(_histogram_statements(result)) == 1
+        narrow = result.histograms_for(HistogramForColumns(["race"]))
+        wide = result.histograms_for(HistogramForColumns(["race", "smoker"]))
+        for node, histograms in narrow.items():
+            assert set(histograms) <= {"race"}
+            assert histograms.get("race") == wide[node].get("race")
+
+    @pytest.mark.parametrize("mode", ["CTE", "VIEW"])
+    def test_histograms_equal_the_python_path_key_for_key(
+        self, data_dir, mode
+    ):
+        columns = ["num_children", "smoker", "race"]
+        checks = [NoBiasIntroducedFor(columns)]
+        source = healthcare_source(data_dir, upto="sklearn")
+        inspection = HistogramForColumns(columns)
+        py = _py_run(source, checks).histograms_for(inspection)
+        sql = _sql_run(
+            source, mode=mode, checks=checks, connector=PostgresqlConnector()
+        ).histograms_for(inspection)
+        py_hist = {(n.lineno, n.operator_type.name): v for n, v in py.items()}
+        # the Python path records a ColumnTransformer as one TRANSFORMER
+        # node, the SQL path as the CONCATENATION of its branches
+        sql_hist = {
+            (n.lineno, n.operator_type.name.replace(
+                "CONCATENATION", "TRANSFORMER"
+            )): v
+            for n, v in sql.items()
+            if v
+        }
+        assert len(sql_hist) >= 10
+        for key, histograms in sql_hist.items():
+            assert histograms == py_hist[key], key
+            for column, counts in histograms.items():
+                expected = py_hist[key][column]
+                assert {k: type(k) for k in counts} == {
+                    k: type(_plain(k)) for k in expected
+                }, (key, column)
+        first = next(iter(sql.values()))  # read_csv(patients.csv)
+        # smoker is a histories column: absent there, not an empty dict
+        assert set(first) == {"num_children", "race"}
+        assert all(type(k) is int for k in first["num_children"])
+        assert any(
+            None in h["smoker"] for h in sql_hist.values() if "smoker" in h
+        )
+
+    def test_column_replaced_by_another_type_keeps_key_types(self, data_dir):
+        # num_children is INT at read_csv and BOOLEAN after the assignment:
+        # both kinds of key must come back as the Python path has them
+        source = f"""
+import repro.frame as pd
+
+data = pd.read_csv({data_dir + "/patients.csv"!r}, na_values='?')
+data['num_children'] = data['num_children'] > 1
+data = data[data['num_children']]
+"""
+        py, sql = _both_paths(source, ["num_children", "race"])
+        assert len(sql) == 3  # read_csv, assignment, selection
+        for expected, histograms in zip(py, sql):
+            assert histograms == expected
+            for column, counts in histograms.items():
+                assert {k: type(k) for k in counts} == {
+                    k: type(_plain(k)) for k in expected[column]
+                }, column
+        assert {type(k) for k in sql[0]["num_children"]} == {int}
+        assert {type(k) for k in sql[-1]["num_children"]} == {bool}
+
+    def test_more_arms_than_the_interpreter_stack_is_deep(self, data_dir):
+        # every column of both tables at 48 nodes: over 500 arms in one
+        # statement
+        source = f"""
+import repro.frame as pd
+
+patients = pd.read_csv({data_dir + "/patients.csv"!r}, na_values='?')
+histories = pd.read_csv({data_dir + "/histories.csv"!r}, na_values='?')
+data = patients.merge(histories, on=['ssn'])
+for _ in range(45):
+    data = data[data['income'] >= 0]
+"""
+        columns = [
+            "id", "first_name", "last_name", "race", "county",
+            "num_children", "income", "age_group", "ssn", "smoker",
+            "complications",
+        ]
+        py, sql = _both_paths(source, columns, statements=1)
+        assert sum(len(histograms) for histograms in sql) > 500
+        assert sql == py
+
+
+def _both_paths(source, columns, statements=None):
+    """Per-node histograms of the Python and the SQL path, in node order,
+    for the nodes that have SQL histograms."""
+    checks = [NoBiasIntroducedFor(columns)]
+    inspection = HistogramForColumns(columns)
+    py = _py_run(source, checks).histograms_for(inspection)
+    result = _sql_run(source, checks=checks, connector=PostgresqlConnector())
+    if statements is not None:
+        assert len(_histogram_statements(result)) == statements
+    sql = result.histograms_for(inspection)
+    by_id = {node.node_id: histograms for node, histograms in py.items()}
+    nodes = sorted((n for n, h in sql.items() if h), key=lambda n: n.node_id)
+    return [by_id[n.node_id] for n in nodes], [sql[n] for n in nodes]
+
+
+class TestNoInspectionStatement:
+    def test_no_table_expression_no_inspection_statement(self):
+        source = """
+from repro.frame import DataFrame
+
+data = DataFrame({'a': [1, 2, 3]})
+out = data[data['a'] > 1]
+"""
+        connector = UmbraConnector()
+        result = _sql_run(
+            source, checks=[NoBiasIntroducedFor(["a"])], connector=connector
+        )
+        assert result.extras["container"].issued_queries == []
+        assert connector.statement_timings == []

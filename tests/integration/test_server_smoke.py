@@ -75,16 +75,26 @@ def test_remote_pipeline_matches_in_process(source, server):
         remote_connector.close()
 
 
-def test_remote_rerun_hits_server_plan_cache(source, server):
+def test_remote_rerun_after_reset_reparses_and_matches(source, server):
     connector = RemoteConnector(host="127.0.0.1", port=server.port)
+    inspection = HistogramForColumns(SENSITIVE)
     try:
         connector.reset()
-        _run(source, connector)
-        first = dict(connector.plan_cache_stats)
+        start = connector.plan_cache_stats
+        first = _run(source, connector)
+        middle = connector.plan_cache_stats
         connector.reset()
-        _run(source, connector)
-        second = dict(connector.plan_cache_stats)
-        # the server-side plan cache survived the reset: the replay hits
-        assert second["hits"] > first["hits"]
+        assert connector.plan_cache_stats["size"] == 0
+        second = _run(source, connector)
+        end = connector.plan_cache_stats
+        # the reset emptied the server's plan cache: the replay parses
+        # exactly what a first run parses, and nothing is served stale
+        for counter in ("hits", "misses"):
+            assert end[counter] - middle[counter] == (
+                middle[counter] - start[counter]
+            )
+        assert list(second.histograms_for(inspection).values()) == list(
+            first.histograms_for(inspection).values()
+        )
     finally:
         connector.close()

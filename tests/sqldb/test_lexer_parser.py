@@ -176,8 +176,9 @@ class TestStatementParsing:
         assert stmt.offset == 2
 
     def test_union_all(self):
-        stmt = parse_statement("SELECT 1 UNION ALL SELECT 2")
-        assert stmt.union_all_with is not None
+        stmt = parse_statement("SELECT 1 UNION ALL SELECT 2 UNION ALL SELECT 3")
+        assert len(stmt.union_all) == 2
+        assert not any(arm.union_all for arm in stmt.union_all)
 
     def test_subquery_source(self):
         stmt = parse_statement("SELECT * FROM (SELECT 1 AS x) sub")

@@ -68,6 +68,33 @@ class TestUnionAll:
         )
         assert result.scalar() == 5
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_long_chain_does_not_recurse_per_arm(self, optimize):
+        # one arm per inspected (node, column): parser, constant folder,
+        # planner and executor must loop over a chain, not recurse
+        database = Database("postgres", optimize=optimize)
+        database.run_script(
+            "CREATE TABLE t (n int); INSERT INTO t VALUES (2), (1), (NULL)"
+        )
+        arms = [
+            f"SELECT {i}, n, count(*) FROM t WHERE 1 = 1 GROUP BY n"
+            for i in range(2500)
+        ]
+        result = database.execute(" UNION ALL ".join(arms))
+        assert result.rowcount == 2500 * 3
+        assert [row[0] for row in result.rows[::3]] == list(range(2500))
+
+    def test_order_by_and_limit_apply_to_the_whole_chain(self, db):
+        result = db.execute(
+            "SELECT n FROM t WHERE n = 1 UNION ALL SELECT n FROM t "
+            "WHERE n = 2 UNION ALL SELECT 7 ORDER BY n DESC LIMIT 3"
+        )
+        assert result.column("n") == [7, 2, 2]
+
+    def test_order_by_a_non_output_column_of_a_chain_is_rejected(self, db):
+        with pytest.raises(SQLBindError):
+            db.execute("SELECT g FROM t UNION ALL SELECT g FROM t ORDER BY n")
+
 
 class TestNestedSources:
     def test_subquery_of_subquery(self, db):

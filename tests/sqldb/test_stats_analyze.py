@@ -140,25 +140,3 @@ def test_plan_cache_invalidated_on_analyze():
     # the stats refresh changed the cache key: the old entry stops matching
     assert db.plan_cache.stats["misses"] == misses_before + 1
     db.close()
-
-
-def test_optimize_flag_partitions_the_cache():
-    """The same SQL planned with and without the rewrite layer must not
-    share one cache entry (the plans differ)."""
-    db_off = Database("postgres")
-    db_on = Database("postgres", optimize=True)
-    for db in (db_off, db_on):
-        db.run_script(
-            """
-            CREATE TABLE t (a int, b int);
-            INSERT INTO t (a, b) VALUES (1, 10), (2, 20);
-            """
-        )
-    db_on.adopt_plan_cache(db_off)  # shared cache, like a reconnect
-    query = "SELECT a FROM t WHERE a > 0 AND b > 0"
-    db_off.execute(query)
-    misses = db_on.plan_cache.stats["misses"]
-    db_on.execute(query)
-    assert db_on.plan_cache.stats["misses"] == misses + 1
-    db_off.close()
-    db_on.close()

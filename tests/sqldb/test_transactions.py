@@ -327,3 +327,18 @@ class TestPlanCacheAcrossRollback:
         v_mid = db.catalog.schema_version
         db.catalog.restore(snap)
         assert db.catalog.schema_version > v_mid
+
+    def test_schema_version_never_rewinds_on_reset_storage(self):
+        db = Database("umbra")
+        db.execute("CREATE TABLE x (a int, b text)")
+        old = db.catalog
+        db.reset_storage()
+        # a SELECT that was prepared against the discarded catalog caches
+        # its plan after the reset emptied the cache
+        entry = db._prepare("SELECT * FROM x", catalog=old)
+        cached = entry.statements[0]
+        cached.plan = db._plan_select(cached.statement, old)
+        # the same number of DDL statements, a different shape
+        db.execute("CREATE TABLE x (b text, a int)")
+        assert db.catalog.schema_version > old.schema_version
+        assert db.execute("SELECT * FROM x").columns == ["b", "a"]
