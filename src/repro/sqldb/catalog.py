@@ -133,7 +133,11 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
         for i, v in enumerate(raw):
             values[i] = v
     else:
-        values[:] = raw
+        # one object per distinct string of the batch: COPY parses a fresh
+        # str per cell, and a column of repeated (categorical) values
+        # would otherwise hold one per row
+        distinct: dict[Any, Any] = {}
+        values[:] = [distinct.setdefault(v, v) for v in raw]
     return Vector(values, nulls)
 
 

@@ -15,9 +15,18 @@ DISTINCT, sort, window ordering) have one implementation each, written
 over the partitions — sort: runs — that :func:`_reserve_or_chunk` grants
 them; running in memory is the one-partition case of the same code.
 
+An operator's output batch holds exactly the keys of its plan schema
+(late materialisation): scans read only the columns
+:func:`~repro.sqldb.optimizer.prune_plan` left them, and the row-selecting
+operators (join, index join, filter, sort, limit) read their predicate,
+residual and sort-key columns, then gather only the schema's columns
+through :func:`_take_rows`.  So the postgres profile's copy and every
+``batch_bytes`` reservation cover live columns only.
+
 When an :class:`~repro.sqldb.stats.ExecStats` recorder is attached to the
-context, every operator dispatch records rows and (inclusive) wall time —
-the substrate of ``Database.explain_analyze``.
+context, every operator dispatch records rows and (inclusive) wall time,
+the profile's copy of its output included — the substrate of
+``Database.explain_analyze``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -184,23 +193,21 @@ class ExecContext:
 
 
 def execute_plan(plan: PlanNode, ctx: ExecContext) -> Batch:
-    """Execute *plan* to completion and return its output batch."""
-    batch = _dispatch(plan, ctx)
+    """Execute *plan* to completion and return its output batch.
+
+    The recorded time covers the profile's copy of the output, so the
+    copy is charged to the operator whose output it is, not its parent.
+    """
+    ctx.check_cancelled()
+    started = time.perf_counter()
+    batch = _dispatch_operator(plan, ctx)
     if ctx.profile.copy_operator_output:
         # deep-copy all vectors: the postgres profile's tuple materialisation
         batch = Batch(
             batch.length, {k: v.copy() for k, v in batch.columns.items()}
         )
-    return batch
-
-
-def _dispatch(plan: PlanNode, ctx: ExecContext) -> Batch:
-    ctx.check_cancelled()
-    if ctx.stats is None:
-        return _dispatch_operator(plan, ctx)
-    started = time.perf_counter()
-    batch = _dispatch_operator(plan, ctx)
-    ctx.stats.record(plan, batch.length, time.perf_counter() - started)
+    if ctx.stats is not None:
+        ctx.stats.record(plan, batch.length, time.perf_counter() - started)
     return batch
 
 
@@ -238,12 +245,22 @@ def _dispatch_operator(plan: PlanNode, ctx: ExecContext) -> Batch:
     raise SQLExecutionError(f"cannot execute plan node {type(plan).__name__}")
 
 
-def _take_rows(batch: Batch, positions: np.ndarray) -> Batch:
-    """The rows of *batch* at *positions*, in that order."""
+def _take_rows(
+    batch: Batch,
+    positions: np.ndarray,
+    keys: Iterable[str],
+    missing_null: bool = False,
+) -> Batch:
+    """The rows of *batch* at *positions*, in that order, holding only the
+    columns *keys* (with *missing_null*, position -1 is a NULL row)."""
     return Batch(
         len(positions),
-        {k: gather(v, positions) for k, v in batch.columns.items()},
+        {k: gather(batch.columns[k], positions, missing_null) for k in keys},
     )
+
+
+def _schema_keys(plan: PlanNode) -> list[str]:
+    return [out.key for out in plan.schema]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +268,20 @@ def _take_rows(batch: Batch, positions: np.ndarray) -> Batch:
 # ---------------------------------------------------------------------------
 
 
+def _table_batch(table: Any, keys: dict[str, str]) -> Batch:
+    """The stored columns *keys* (storage name -> batch key) of *table*,
+    uncopied; ``ctid`` is the row-position column."""
+    return Batch(
+        table.n_rows,
+        {
+            key: table.ctid if name == CTID else table.columns[name]
+            for name, key in keys.items()
+        },
+    )
+
+
 def _exec_scan_table(plan: ScanTable, ctx: ExecContext) -> Batch:
-    table = ctx.catalog.table(plan.table_name)
-    columns: dict[str, Vector] = {}
-    for name, key in plan.keys.items():
-        columns[key] = table.ctid if name == CTID else table.columns[name]
-    return Batch(table.n_rows, columns)
+    return _table_batch(ctx.catalog.table(plan.table_name), plan.keys)
 
 
 def _resolve_index(plan_table: str, index_name: str, ctx: ExecContext):
@@ -292,11 +317,9 @@ def _index_lookup_positions(index, lookup: tuple) -> np.ndarray:
 def _exec_index_scan(plan: IndexScan, ctx: ExecContext) -> Batch:
     table, index = _resolve_index(plan.table_name, plan.index_name, ctx)
     positions = _index_lookup_positions(index, plan.lookup)
-    columns: dict[str, Vector] = {}
-    for name, key in plan.keys.items():
-        source = table.ctid if name == CTID else table.columns[name]
-        columns[key] = gather(source, positions)
-    return Batch(len(positions), columns)
+    return _take_rows(
+        _table_batch(table, plan.keys), positions, plan.keys.values()
+    )
 
 
 def _exec_index_join(plan: IndexJoin, ctx: ExecContext) -> Batch:
@@ -339,21 +362,10 @@ def _exec_index_join(plan: IndexJoin, ctx: ExecContext) -> Batch:
             left_pos = left_pos[order]
             right_pos = right_pos[order]
 
-    columns: dict[str, Vector] = {}
-    for key, vec in left.columns.items():
-        columns[key] = gather(vec, left_pos, missing_null=True)
-    for name, key in plan.keys.items():
-        source = table.ctid if name == CTID else table.columns[name]
-        columns[key] = gather(source, right_pos, missing_null=True)
-    batch = Batch(len(left_pos), columns)
-
-    if plan.residual is not None:
-        if plan.kind != "inner":
-            raise SQLExecutionError(
-                "index join residuals require an inner join"
-            )
-        batch = _take_rows(batch, truthy_rows(plan.residual(batch, ctx)))
-    return batch
+    if plan.residual is not None and plan.kind != "inner":
+        raise SQLExecutionError("index join residuals require an inner join")
+    inner = _table_batch(table, plan.keys)
+    return _join_output(plan, left, inner, left_pos, right_pos, ctx)
 
 
 def _exec_scan_snapshot(plan: ScanSnapshot, ctx: ExecContext) -> Batch:
@@ -448,22 +460,25 @@ def _expand_unnest(
 
 def _exec_filter(plan: Filter, ctx: ExecContext) -> Batch:
     child = execute_plan(plan.child, ctx)
-    if len(plan.conjuncts) > 1:
-        # sequential conjunct evaluation: each part runs on the survivors
-        # of the previous one.  Rows kept = rows where every conjunct is
-        # definitely TRUE — identical to the combined AND predicate under
-        # three-valued logic, but later (less selective) conjuncts touch
-        # fewer rows
-        batch = child
-        for conjunct in plan.conjuncts:
-            positions = truthy_rows(conjunct(batch, ctx))
-            if len(positions) == batch.length:
-                continue
-            batch = _take_rows(batch, positions)
-        if batch is child:
-            return Batch(child.length, dict(child.columns))
-        return batch
-    return _take_rows(child, truthy_rows(plan.predicate(child, ctx)))
+    # sequential conjunct evaluation: each part runs on the survivors of
+    # the previous one, reading only its own columns.  Rows kept = rows
+    # where every conjunct is definitely TRUE — identical to the combined
+    # AND predicate under three-valued logic, but later (less selective)
+    # conjuncts touch fewer rows
+    positions: Optional[np.ndarray] = None  # None = every row so far
+    for conjunct in plan.conjuncts:
+        rows = (
+            child
+            if positions is None
+            else _take_rows(child, positions, conjunct.refs)
+        )
+        kept = truthy_rows(conjunct(rows, ctx))
+        if len(kept) < rows.length:
+            positions = kept if positions is None else positions[kept]
+    keys = _schema_keys(plan)
+    if positions is None:
+        return Batch(child.length, {k: child.columns[k] for k in keys})
+    return _take_rows(child, positions, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +661,53 @@ def _exec_join(plan: Join, ctx: ExecContext) -> Batch:
         lp = np.repeat(np.arange(left.length, dtype=np.int64), right.length)
         rp = np.tile(np.arange(right.length, dtype=np.int64), left.length)
 
-    columns: dict[str, Vector] = {}
-    for key, vec in left.columns.items():
-        columns[key] = gather(vec, lp, missing_null=True)
-    for key, vec in right.columns.items():
-        columns[key] = gather(vec, rp, missing_null=True)
-    batch = Batch(len(lp), columns)
+    if plan.residual is not None and plan.kind not in ("inner", "cross"):
+        raise SQLExecutionError(
+            "non-equality conditions on outer joins are not supported"
+        )
+    return _join_output(plan, left, right, lp, rp, ctx)
 
+
+def _join_output(
+    plan: Join | IndexJoin,
+    left: Batch,
+    right: Batch,
+    lp: np.ndarray,
+    rp: np.ndarray,
+    ctx: ExecContext,
+) -> Batch:
+    """The joined rows ``(lp[i], rp[i])`` that pass *plan*'s residual,
+    holding only *plan*'s schema columns.
+
+    The residual reads its own columns at every candidate pair; the
+    schema's columns are gathered once, for the surviving pairs only.
+    """
     if plan.residual is not None:
-        if plan.kind not in ("inner", "cross"):
-            raise SQLExecutionError(
-                "non-equality conditions on outer joins are not supported"
-            )
-        batch = _take_rows(batch, truthy_rows(plan.residual(batch, ctx)))
-    return batch
+        candidates = _joined_rows(left, right, lp, rp, plan.residual.refs)
+        kept = truthy_rows(plan.residual(candidates, ctx))
+        lp, rp = lp[kept], rp[kept]
+    return _joined_rows(left, right, lp, rp, _schema_keys(plan))
+
+
+def _joined_rows(
+    left: Batch,
+    right: Batch,
+    lp: np.ndarray,
+    rp: np.ndarray,
+    keys: Iterable[str],
+) -> Batch:
+    """Columns *keys* of the row pairs ``(lp[i], rp[i])``, each from the
+    side that holds it; position -1 pads with NULL."""
+    keys = list(keys)
+    columns = _take_rows(
+        left, lp, [k for k in keys if k in left.columns], True
+    ).columns
+    columns.update(
+        _take_rows(
+            right, rp, [k for k in keys if k not in left.columns], True
+        ).columns
+    )
+    return Batch(len(lp), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +744,7 @@ def _grouped(
         return firsts, {}
     pieces: list[list[Vector]] = [[] for _ in aggregates]
     for part, (rows, local) in enumerate(_partitions(codes, parts)):
-        sub = child if rows is None else _take_rows(child, rows)
+        sub = child if rows is None else _take_rows(child, rows, child.columns)
         n_local = len(range(part, n_groups, parts))
         for item, piece in zip(aggregates, pieces):
             arg = item.arg(sub, ctx) if item.arg is not None else None
@@ -763,7 +811,7 @@ def _exec_distinct(plan: Distinct, ctx: ExecContext) -> Batch:
         "distinct.hashtable", "distinct.partition",
     ) as parts:
         firsts, _ = _grouped(child, ctx, vectors, [], parts)
-    return _take_rows(child, firsts)
+    return _take_rows(child, firsts, _schema_keys(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +966,7 @@ def _exec_sort(plan: Sort, ctx: ExecContext) -> Batch:
         positions = _sort_positions(
             ctx, plan, specs, child.length, parts, "sort.run"
         )
-    return _take_rows(child, positions)
+    return _take_rows(child, positions, _schema_keys(plan))
 
 
 def _exec_limit(plan: Limit, ctx: ExecContext) -> Batch:
@@ -926,7 +974,7 @@ def _exec_limit(plan: Limit, ctx: ExecContext) -> Batch:
     start = plan.offset
     stop = child.length if plan.count is None else min(start + plan.count, child.length)
     positions = np.arange(start, max(stop, start), dtype=np.int64)
-    return _take_rows(child, positions)
+    return _take_rows(child, positions, _schema_keys(plan))
 
 
 def _exec_window(plan: Window, ctx: ExecContext) -> Batch:
@@ -982,7 +1030,7 @@ def _exec_window(plan: Window, ctx: ExecContext) -> Batch:
                 else:  # dense_rank
                     out[i] = dense
             columns[item.out.key] = Vector(out, np.zeros(n, dtype=bool))
-    return Batch(n, columns)
+    return Batch(n, {k: columns[k] for k in _schema_keys(plan)})
 
 
 def _exec_union_all(plan: UnionAll, ctx: ExecContext) -> Batch:

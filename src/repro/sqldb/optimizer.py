@@ -112,20 +112,38 @@ def prune_shared_plans(
 
 
 def prune_plan(plan: PlanNode, needed: set[str]) -> PlanNode:
-    """Return *plan* with unneeded projection work removed.
+    """Return *plan* with unneeded columns removed.
 
-    Mutates nodes in place (plans are single-use) and returns the root.
+    Every node's schema shrinks to the keys its consumer reads (scans,
+    too: a scan reads only the stored columns left in its ``keys``), and
+    the executor emits exactly a node's schema — so a column no consumer
+    reads is never produced.  Mutates nodes in place (plans are
+    single-use) and returns the root.
     """
-    if isinstance(plan, (ScanTable, ScanSnapshot, IndexScan, OneRow)):
+    if isinstance(plan, (ScanTable, ScanSnapshot, IndexScan)):
+        plan.keys = {
+            name: key for name, key in plan.keys.items() if key in needed
+        }
+        plan.schema = [out for out in plan.schema if out.key in needed]
+        return plan
+
+    if isinstance(plan, OneRow):
         return plan
 
     if isinstance(plan, IndexJoin):
         child_needed = set(needed)
         for key_expr in plan.left_keys:
             child_needed |= key_expr.refs
+        inner_needed = set(needed)
         if plan.residual is not None:
             child_needed |= plan.residual.refs
+            inner_needed |= plan.residual.refs
         left_keys = {out.key for out in plan.left.schema}
+        plan.keys = {
+            name: key
+            for name, key in plan.keys.items()
+            if key in inner_needed
+        }
         plan.schema = [out for out in plan.schema if out.key in needed]
         plan.left = prune_plan(plan.left, child_needed & left_keys)
         return plan
@@ -140,14 +158,13 @@ def prune_plan(plan: PlanNode, needed: set[str]) -> PlanNode:
         return plan
 
     if isinstance(plan, Project):
+        # a batch carries its row count, so a Project nothing reads from
+        # keeps no item and still has its child's rows
         kept = [
             (out, expr)
             for out, expr in plan.items
             if out.key in needed or out.key in plan.unnest_keys
         ]
-        if not kept:
-            # keep one item so the row count is preserved
-            kept = plan.items[:1]
         plan.items = kept
         plan.schema = [out for out, _ in kept]
         child_needed: set[str] = set()
@@ -205,7 +222,7 @@ def prune_plan(plan: PlanNode, needed: set[str]) -> PlanNode:
         child_needed = set(needed)
         for expr, _, _ in plan.keys:
             child_needed |= expr.refs
-        plan.schema = [out for out in plan.schema if out.key in child_needed or out.key in needed]
+        plan.schema = [out for out in plan.schema if out.key in needed]
         plan.child = prune_plan(plan.child, child_needed)
         return plan
 

@@ -11,7 +11,10 @@ which are modelled structurally (no artificial delays):
 * **Operator materialisation.**  The PostgreSQL profile copies every
   operator's output columns (tuple materialisation of a disk-based,
   buffer-backed executor); the Umbra profile pipelines vectors through
-  without copies (compiled, fused execution).
+  without copies (compiled, fused execution).  In both, an operator's
+  output holds exactly its pruned schema (PostgreSQL, too, projects a
+  scan or join to its target list), so the copy covers live columns
+  only; a materialised CTE's body keeps its full width.
 """
 
 from __future__ import annotations

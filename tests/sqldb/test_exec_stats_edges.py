@@ -2,9 +2,11 @@
 output shape and counter accumulation across repeated cursor reuse."""
 
 import re
+import time
 
 from repro.sqldb import Database, connect
 from repro.sqldb.profile import UMBRA
+from repro.sqldb.vector import Vector
 
 
 def _fill(db, n=60):
@@ -90,6 +92,33 @@ def test_explain_analyze_reports_counts():
     # cumulative counters aggregate by operator label
     assert db.operator_counters
     assert any("Filter" in label for label in db.operator_counters)
+    db.close()
+
+
+def test_output_copy_is_charged_to_the_copied_operator(monkeypatch):
+    """The postgres profile copies every operator's output; that copy is
+    the producing operator's work, so it lands in that operator's time
+    and not in its parent's self time."""
+    db = Database("postgres", collect_exec_stats=True)
+    _fill(db, n=300)
+    delay = 0.05
+    copy = Vector.copy
+
+    def slow_copy(self):
+        if len(self) == 300:  # only the scan's output is that long
+            time.sleep(delay)
+        return copy(self)
+
+    monkeypatch.setattr(Vector, "copy", slow_copy)
+    db.execute("SELECT id FROM t WHERE val > 100")
+    entries = {
+        entry.label.split("(")[0]: entry
+        for entry in db.last_exec_stats.nodes.values()
+    }
+    scan, filt = entries["ScanTable"], entries["Filter"]
+    # the scan emits id and val (ctid and grp are pruned): two slow copies
+    assert scan.seconds >= 2 * delay
+    assert filt.seconds - scan.seconds < delay
     db.close()
 
 

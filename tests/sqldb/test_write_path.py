@@ -70,6 +70,19 @@ def test_insert_and_copy_store_the_same_typed_column(tmp_path, type_name, mixed)
     assert inserted.tolist() == copied.tolist() == cells
 
 
+def test_copy_stores_one_object_per_distinct_text_value(tmp_path):
+    """COPY parses a fresh string per cell; a categorical text column keeps
+    one object per distinct value instead of one per row."""
+    cells = ["red", "blue", None, "red", "blue", "red"] * 50
+    db = Database()
+    db.execute("CREATE TABLE c (a text, pad int)")
+    _copy_cells(db, tmp_path, "text", cells)
+    stored = db.catalog.table("c").columns["a"]
+    assert stored.tolist() == cells
+    present = stored.values[~stored.nulls]
+    assert len({id(value) for value in present}) == 2
+
+
 def _indexed_table(n_rows):
     db = Database()
     db.execute("CREATE TABLE t (k int, grp text, v float)")
