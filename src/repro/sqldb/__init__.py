@@ -30,13 +30,12 @@ from repro.sqldb.engine import (
     Result,
     resolve_timeout_ms,
 )
-from repro.sqldb.faults import CRASHPOINTS, NO_FAULTS, FaultInjector, SimulatedCrash
+from repro.sqldb.faults import NO_FAULTS, Faults, SimulatedCrash
 from repro.sqldb.profile import POSTGRES, UMBRA, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, OpStats
 from repro.sqldb.wal import WriteAheadLog, read_checkpoint, read_wal
 
 __all__ = [
-    "CRASHPOINTS",
     "CTID",
     "Catalog",
     "ColumnStats",
@@ -44,7 +43,7 @@ __all__ = [
     "Cursor",
     "Database",
     "ExecStats",
-    "FaultInjector",
+    "Faults",
     "NO_FAULTS",
     "OpStats",
     "POSTGRES",

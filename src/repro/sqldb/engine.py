@@ -43,10 +43,9 @@ from repro.sqldb.catalog import (
     normalise_type,
 )
 from repro.sqldb.executor import ExecContext, execute_plan
-from repro.sqldb.faults import NO_FAULTS, FaultInjector
+from repro.sqldb.faults import NO_FAULTS, Faults, crashpoint
 from repro.sqldb.memory import (
     MemoryBroker,
-    MemoryFaultInjector,
     MemoryGrant,
     batch_bytes,
     parse_memory_limit,
@@ -254,11 +253,10 @@ class Database:
         checkpoint_every: Optional[int] = None,
         statement_timeout_ms: Optional[float] = None,
         read_only: bool = False,
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[Faults] = None,
         memory_limit: Optional[int | str] = None,
         query_memory_limit: Optional[int | str] = None,
         spill_dir: Optional[str] = None,
-        memory_faults: Optional[MemoryFaultInjector] = None,
     ) -> None:
         if isinstance(profile, str):
             profile = profile_by_name(profile)
@@ -305,9 +303,11 @@ class Database:
         #: monotonic serialization of _normalized against concurrent use
         self._prepare_mutex = threading.Lock()
         self._stats_mutex = threading.Lock()
-        #: fault injection for the durability layer (inert by default)
+        #: fault injection at the durability and allocation points (inert
+        #: by default)
         self.faults = faults if faults is not None else NO_FAULTS
-        #: memory governor (arg > REPRO_SQL_MEMORY_LIMIT env > unbounded);
+        #: memory governor (arg > REPRO_SQL_MEMORY_LIMIT env > unbounded;
+        #: ``faults=`` builds one so its allocation points are reached);
         #: ``None`` keeps every statement on the zero-overhead fast path
         resolved_limit = resolve_memory_limit(memory_limit)
         resolved_query_limit = (
@@ -320,13 +320,13 @@ class Database:
             resolved_limit is not None
             or resolved_query_limit is not None
             or spill_dir is not None
-            or memory_faults is not None
+            or faults is not None
         ):
             self.memory = MemoryBroker(
                 limit=resolved_limit,
                 query_limit=resolved_query_limit,
                 spill_dir=spill_dir,
-                faults=memory_faults,
+                faults=self.faults,
             )
         #: durability: opt in with wal_path=...
         self.durable = wal_path is not None
@@ -704,7 +704,7 @@ class Database:
         durable = bool(records) and self._wal is not None
         if durable:
             self._write_wal_commit(commit_id, records)
-        self.faults.check("commit.install")
+        crashpoint(self.faults, "commit.install")
         if install is not None:
             install()
         for name in targets:
@@ -785,7 +785,7 @@ class Database:
     def _write_wal_commit(self, commit_id: int, records: list[dict]) -> None:
         """Append one commit's redo records (with begin/commit framing
         where needed) and run the configured fsync policy."""
-        self.faults.check("wal.commit.begin")
+        crashpoint(self.faults, "wal.commit.begin")
         if len(records) == 1 and records[0]["t"] in ("auto", "many"):
             # self-committing single record: no framing needed
             self._wal.append(records[0])
@@ -795,7 +795,7 @@ class Database:
                 self._wal.append(record)
             self._wal.append({"t": "commit", "txn": commit_id})
         self._wal.commit_sync()
-        self.faults.check("wal.commit.end")
+        crashpoint(self.faults, "wal.commit.end")
 
     def _prepare(
         self, sql: str, params: Any = None, catalog: Optional[Catalog] = None
@@ -1085,7 +1085,7 @@ class Database:
             raise TransactionError(
                 "CHECKPOINT cannot run inside a transaction", sqlstate="25001"
             )
-        self.faults.check("checkpoint.begin")
+        crashpoint(self.faults, "checkpoint.begin")
         write_checkpoint(
             self.wal_path + ".ckpt", self._export_state(), self.faults
         )
@@ -1093,7 +1093,7 @@ class Database:
         # WAL over the new snapshot; the recorded last_txn makes those
         # already-folded transactions no-ops
         self._wal.reset()
-        self.faults.check("checkpoint.end")
+        crashpoint(self.faults, "checkpoint.end")
         self._commits_since_checkpoint = 0
 
     def _recover(self) -> None:

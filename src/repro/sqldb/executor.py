@@ -145,10 +145,7 @@ class ExecContext:
             budget = broker.limit
         if budget is None:
             return 1 << 20
-        # under simulated allocator pressure every accounted size is
-        # scaled up; shrink the chunk so the *scaled* request still fits
-        pressure = getattr(broker.faults, "pressure", 1.0)
-        return max(256, int(budget / pressure) // 4)
+        return max(256, budget // 4)
 
     def check_cancelled(self) -> None:
         """Raise :class:`~repro.errors.QueryCancelled` if this statement

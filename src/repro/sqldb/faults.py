@@ -1,45 +1,55 @@
-"""Deterministic fault injection for the durability layer.
+"""One seeded fault injector for every named point in the engine.
 
-The WAL/checkpoint/commit code paths are threaded with *named
-crashpoints* (:data:`CRASHPOINTS`).  A :class:`FaultInjector` armed at a
-crashpoint raises :class:`SimulatedCrash` the n-th time execution reaches
-it; the test harness then abandons the :class:`~repro.sqldb.engine.Database`
-object — as if the process had died — and reopens the same WAL path to
-exercise recovery.  Two crash models are supported:
+The durability code, the memory governor and the wire are threaded with
+*named points* (:data:`POINTS`).  A :class:`Faults` instance is armed
+with an *action* at a point; every time execution passes the point, the
+site calls :meth:`Faults.hit`, which records the pass and returns the
+action that is due there (or None), and the site acts it out:
 
-* **process crash** — the WAL file is left exactly as written (buffered
-  writes are flushed to the file on every append, modelling data that
-  reached the kernel page cache);
-* **power loss** — the harness truncates the WAL to
-  :attr:`~repro.sqldb.wal.WriteAheadLog.synced_size`, modelling the loss
-  of everything after the last ``fsync``.
+* **durability points** (WAL append/fsync, commit, checkpoint) —
+  ``crash`` raises :class:`SimulatedCrash`.  The two write points,
+  ``wal.append.after`` and ``checkpoint.snapshot.written``, also take
+  ``tear``: a *prefix* of the record or snapshot reaches the file before
+  the crash, a genuinely torn tail that recovery must detect (checksum /
+  length mismatch) and truncate.  The harness then abandons the
+  :class:`~repro.sqldb.engine.Database` object — as if the process had
+  died — and reopens the WAL path, either as a **process crash** (the
+  file exactly as flushed: every append is flushed) or as **power loss**
+  (truncated to :attr:`~repro.sqldb.wal.WriteAheadLog.synced_size`, the
+  loss of everything after the last ``fsync``).
+* **allocation points** (the memory governor's) — ``deny`` refuses the
+  reservation (a degradable one partitions, a non-degradable one sheds
+  with 53200), ``fail`` raises :class:`~repro.errors.OutOfMemory`
+  outright, ``stall`` sleeps first (a deterministic window for
+  cancellation and timeout tests).
+* **wire points** (``wire.c2s``, ``wire.s2c``: the two directions of a
+  :class:`~repro.sqldb.netfaults.FaultProxy` link, one pass per protocol
+  frame) — ``drop`` loses the frame, ``duplicate`` delivers it twice,
+  ``tear`` delivers a prefix and kills the link, ``delay`` sleeps first.
+  A partition is an every-pass ``drop`` on both wire points.
 
-``*.torn`` crashpoints additionally write a *prefix* of the pending
-record before crashing, producing a genuinely torn tail that recovery
-must detect (checksum/length mismatch) and truncate.
+``stall`` and ``delay`` are served inside :meth:`Faults.hit` (outside its
+lock), so they combine with whatever else fires on the same pass.
 
-The default injector (:data:`NO_FAULTS`) is inert and shared; the fast
-path pays one attribute load and a falsy check per crashpoint.
+The default injector (:data:`NO_FAULTS`) is inert and shared: its
+:meth:`~Faults.hit` returns None without a lock or a record.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ReproError
 
-__all__ = [
-    "CRASHPOINTS",
-    "FaultInjector",
-    "NetworkFaultInjector",
-    "NO_FAULTS",
-    "SimulatedCrash",
-]
+__all__ = ["Faults", "NO_FAULTS", "POINTS", "SimulatedCrash", "crashpoint"]
 
 
 class SimulatedCrash(ReproError):
-    """Raised at an armed crashpoint; models sudden process death.
+    """Raised at a durability point; models sudden process death.
 
     Deliberately *not* an :class:`~repro.errors.SQLError`: the engine
     never catches it, so it unwinds through every layer exactly like a
@@ -51,208 +61,179 @@ class SimulatedCrash(ReproError):
         self.point = point
 
 
-#: every named crashpoint threaded through the durability code, in rough
-#: execution order.  Tests sweep this registry, so adding a crashpoint
-#: here automatically adds it to the crash-at-every-point property test.
-CRASHPOINTS: tuple[str, ...] = (
-    # WAL record append (fired for every record, including commit records)
-    "wal.append.before",
-    "wal.append.torn",
-    "wal.append.after",
+_CRASH = ("crash",)
+_WRITE = ("crash", "tear")
+_ALLOCATION = ("deny", "fail", "stall")
+_WIRE = ("drop", "duplicate", "tear", "delay")
+#: actions served by sleeping in :meth:`Faults.hit` (they take ``seconds``)
+_SLEEPS = frozenset({"stall", "delay"})
+
+#: every named point and the actions it takes, in rough execution order
+#: per kind.  Tests sweep this registry, so a point added here joins the
+#: crash-at-every-point and deny-at-every-point property tests.
+POINTS: dict[str, tuple[str, ...]] = {
+    # WAL record append (every record, commit records included); the
+    # write itself is the ".after" point
+    "wal.append.before": _CRASH,
+    "wal.append.after": _WRITE,
     # fsync of the WAL file
-    "wal.fsync.before",
-    "wal.fsync.after",
+    "wal.fsync.before": _CRASH,
+    "wal.fsync.after": _CRASH,
     # transaction commit: before any record is written / after the commit
     # record is durably on disk (but before the engine acknowledges)
-    "wal.commit.begin",
-    "wal.commit.end",
+    "wal.commit.begin": _CRASH,
+    "wal.commit.end": _CRASH,
     # between the durable commit record and the in-memory install of the
     # committed state (the MVCC catalog swap / autocommit acknowledgement)
-    "commit.install",
+    "commit.install": _CRASH,
     # checkpoint: snapshot write, atomic rename, WAL reset
-    "checkpoint.begin",
-    "checkpoint.snapshot.torn",
-    "checkpoint.snapshot.written",
-    "checkpoint.before_rename",
-    "checkpoint.after_rename",
-    "checkpoint.end",
-)
+    "checkpoint.begin": _CRASH,
+    "checkpoint.snapshot.written": _WRITE,
+    "checkpoint.before_rename": _CRASH,
+    "checkpoint.after_rename": _CRASH,
+    "checkpoint.end": _CRASH,
+    # memory-governor allocation points, in rough plan order
+    "sort.buffer": _ALLOCATION,  # decorated keys + order array of a one-run sort
+    "sort.run": _ALLOCATION,  # one run of a merged sort (working chunk)
+    "join.build": _ALLOCATION,  # hash-join build side + code tables
+    "join.partition": _ALLOCATION,  # one join partition's working chunk
+    "agg.hashtable": _ALLOCATION,  # aggregate group codes + accumulator state
+    "agg.partition": _ALLOCATION,  # one aggregation partition's working chunk
+    "distinct.hashtable": _ALLOCATION,  # distinct's group-code table
+    "distinct.partition": _ALLOCATION,  # distinct's chunk once that is denied
+    "window.partition": _ALLOCATION,  # partition codes + per-partition order
+    "cte.materialize": _ALLOCATION,  # a materialised CTE cached for the query
+    "result.batch": _ALLOCATION,  # the final result batch handed to the client
+    "spill.write": _ALLOCATION,  # serialising a spill payload
+    "spill.read": _ALLOCATION,  # reading a spill payload back
+    # one protocol frame forwarded by a FaultProxy, per direction
+    "wire.c2s": _WIRE,
+    "wire.s2c": _WIRE,
+}
+_DURABILITY = frozenset(p for p, actions in POINTS.items() if "crash" in actions)
 
-_CRASHPOINT_SET = frozenset(CRASHPOINTS)
+
+@dataclass(slots=True)
+class _Arm:
+    #: passes left until due; None = due on every pass
+    hits: Optional[int]
+    #: probability that a due pass fires (None = always)
+    p: Optional[float]
+    seconds: float
 
 
-class FaultInjector:
-    """Arms crashpoints and raises :class:`SimulatedCrash` when reached.
+class Faults:
+    """Named-point fault injector: arms, per-pass decisions, one record.
 
-    ``arm(point, hits=n)`` makes the *n*-th :meth:`check` of *point*
-    raise; earlier hits pass through (so a test can crash on the commit
-    record of the third transaction, say).  The injector records every
-    crashpoint it passes in :attr:`trace`, which tests use to assert a
-    workload actually exercised the point they armed.
+    ``arm(point, action, hits=n)`` makes the *n*-th pass through *point*
+    fire *action* (then the arm is spent); ``hits=None`` fires on every
+    pass.  ``p`` makes a due pass fire only with that probability, drawn
+    from the one RNG seeded by *seed*, so two injectors with the same
+    seed and arms decide identically over the same pass sequence.  Each
+    point holds one arm per action, re-arming replaces it; on one pass
+    every arm counts, the sleeps that fire are all served and the first
+    other action in arm order is returned (a later one due on the same
+    pass is spent without firing).
+
+    A crash ends the process: once a ``crash`` or ``tear`` has fired,
+    every later durability point crashes too (without counting as fired),
+    so a session racing the dead one cannot append after a torn record
+    and be acknowledged — nothing more reaches the WAL of a dead process.
+
+    Every pass is recorded in :attr:`trace` (so a test can assert that a
+    workload reached the point it armed) and every action that fired in
+    :attr:`fired`.  :meth:`hit` takes a lock: allocation points are
+    reached from concurrent sessions, wire points from pump threads.
     """
 
-    def __init__(self) -> None:
-        self._armed: dict[str, int] = {}
-        #: crashpoints reached, in order (armed or not)
+    def __init__(self, seed: int = 0) -> None:
+        self._rng = random.Random(seed)
+        self._mutex = threading.Lock()
+        #: False only on NO_FAULTS
+        self._live = True
+        #: a crash or tear has fired at a durability point
+        self._crashed = False
+        self._arms: dict[str, dict[str, _Arm]] = {}
+        #: points passed, in order (armed or not)
         self.trace: list[str] = []
-        #: the crashpoint that fired, once one has
-        self.fired: str | None = None
+        #: ``(point, action)`` of every action that fired, in order
+        self.fired: list[tuple[str, str]] = []
 
-    def arm(self, point: str, hits: int = 1) -> "FaultInjector":
-        if point not in _CRASHPOINT_SET:
-            raise ValueError(
-                f"unknown crashpoint {point!r}; see faults.CRASHPOINTS"
-            )
-        if hits < 1:
-            raise ValueError("hits must be >= 1")
-        self._armed[point] = hits
+    def arm(
+        self,
+        point: str,
+        action: str,
+        hits: Optional[int] = 1,
+        p: Optional[float] = None,
+        seconds: Optional[float] = None,
+    ) -> "Faults":
+        if not self._live:
+            raise ValueError("NO_FAULTS is shared and inert; build a Faults()")
+        actions = POINTS.get(point)
+        if actions is None:
+            raise ValueError(f"unknown fault point {point!r}; see faults.POINTS")
+        if action not in actions:
+            raise ValueError(f"{point!r} takes {actions}, not {action!r}")
+        if hits is not None and hits < 1:
+            raise ValueError("hits must be >= 1 (or None: every pass)")
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        if (seconds is None) == (action in _SLEEPS):
+            raise ValueError("seconds= goes with stall and delay, and only them")
+        arm = _Arm(hits, p, seconds or 0.0)
+        with self._mutex:
+            self._arms.setdefault(point, {})[action] = arm
         return self
 
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
+    def disarm(self, point: str, action: str) -> None:
+        with self._mutex:
+            self._arms.get(point, {}).pop(action, None)
 
     def clear(self) -> None:
-        self._armed.clear()
+        with self._mutex:
+            self._arms.clear()
 
-    def pending(self, point: str) -> bool:
-        """True when the next :meth:`check` of *point* would crash (used
-        by torn-write sites to do their partial write first)."""
-        return self._armed.get(point) == 1
+    def hit(self, point: str) -> Optional[str]:
+        """Record a pass through *point*; the action due there, or None."""
+        if not self._live:
+            return None
+        action = None
+        pause = 0.0
+        with self._mutex:
+            self.trace.append(point)
+            if self._crashed and point in _DURABILITY:
+                return "crash"
+            arms = self._arms.get(point)
+            for name, arm in list(arms.items()) if arms else ():
+                if arm.hits is not None:
+                    arm.hits -= 1
+                    if arm.hits:
+                        continue
+                    del arms[name]
+                sleeps = name in _SLEEPS
+                if action is not None and not sleeps:
+                    continue
+                if arm.p is not None and self._rng.random() >= arm.p:
+                    continue
+                self.fired.append((point, name))
+                if sleeps:
+                    pause += arm.seconds
+                else:
+                    action = name
+            if action is not None and point in _DURABILITY:
+                self._crashed = True
+        if pause:
+            time.sleep(pause)
+        return action
 
-    def check(self, point: str) -> None:
-        """Record passage through *point*; crash if armed and due."""
-        self.trace.append(point)
-        hits = self._armed.get(point)
-        if hits is None:
-            return
-        if hits > 1:
-            self._armed[point] = hits - 1
-            return
-        del self._armed[point]
-        self.fired = point
+
+#: the shared inert injector of a Database built without ``faults=``:
+#: :meth:`Faults.hit` returns None untouched, :meth:`Faults.arm` refuses
+NO_FAULTS = Faults()
+NO_FAULTS._live = False
+
+
+def crashpoint(faults: Faults, point: str) -> None:
+    """Pass the durability *point*; a due ``crash`` raises there."""
+    if faults.hit(point) is not None:
         raise SimulatedCrash(point)
-
-
-class _NoFaults(FaultInjector):
-    """Inert injector: no tracing, never crashes (the default)."""
-
-    def arm(self, point: str, hits: int = 1) -> "FaultInjector":
-        raise ValueError("NO_FAULTS is shared; build a FaultInjector()")
-
-    def pending(self, point: str) -> bool:
-        return False
-
-    def check(self, point: str) -> None:
-        return None
-
-
-#: shared inert injector used when a Database is built without faults
-NO_FAULTS = _NoFaults()
-
-
-class NetworkFaultInjector:
-    """Seeded per-frame fault decisions for the network layer.
-
-    The wire-level sibling of :class:`FaultInjector`: where crashpoints
-    model a dying *process*, this models a misbehaving *network* between
-    two healthy processes.  A :class:`~repro.sqldb.netfaults.FaultProxy`
-    consults :meth:`decide` once per forwarded protocol frame and acts
-    it out:
-
-    * ``drop``       — the frame silently disappears;
-    * ``duplicate``  — the frame is delivered twice back to back;
-    * ``tear``       — a *prefix* of the frame is delivered, then the
-      connection dies (the receiver sees a mid-frame disconnect — the
-      torn-frame case the protocol layer must flag, never misparse);
-    * ``pass``       — delivered intact, optionally after a delay.
-
-    Probabilities are independent per frame and drawn from one seeded
-    RNG, so a chaos round is reproducible up to thread interleaving.  A
-    **partition** (:meth:`partition`/:meth:`heal`) overrides everything:
-    every frame in both directions blackholes until healed — connections
-    appear hung, exactly like a dropped link, and both ends must recover
-    by timeout + reconnect."""
-
-    ACTIONS = ("pass", "drop", "duplicate", "tear")
-
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        drop: float = 0.0,
-        duplicate: float = 0.0,
-        tear: float = 0.0,
-        delay: float = 0.0,
-        delay_range_s: tuple[float, float] = (0.001, 0.02),
-    ) -> None:
-        for name, p in (
-            ("drop", drop), ("duplicate", duplicate),
-            ("tear", tear), ("delay", delay),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} probability must be in [0, 1]")
-        self._rng = random.Random(seed)
-        self.drop = drop
-        self.duplicate = duplicate
-        self.tear = tear
-        self.delay = delay
-        self.delay_range_s = delay_range_s
-        self._mutex = threading.Lock()
-        self._partitioned = False
-        self.stats = {
-            "frames": 0,
-            "dropped": 0,
-            "duplicated": 0,
-            "torn": 0,
-            "delayed": 0,
-            "blackholed": 0,
-        }
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partitioned
-
-    def partition(self) -> None:
-        """Blackhole every frame in both directions until :meth:`heal`."""
-        with self._mutex:
-            self._partitioned = True
-
-    def heal(self) -> None:
-        with self._mutex:
-            self._partitioned = False
-
-    def decide(self, direction: str) -> tuple[str, float]:
-        """``(action, delay_s)`` for the next frame in *direction*
-        (``"c2s"`` or ``"s2c"``; recorded for stats only — probabilities
-        apply symmetrically)."""
-        with self._mutex:
-            self.stats["frames"] += 1
-            if self._partitioned:
-                self.stats["blackholed"] += 1
-                return ("drop", 0.0)
-            roll = self._rng.random()
-            if roll < self.drop:
-                self.stats["dropped"] += 1
-                return ("drop", 0.0)
-            roll -= self.drop
-            if roll < self.duplicate:
-                self.stats["duplicated"] += 1
-                action = "duplicate"
-            else:
-                roll -= self.duplicate
-                if roll < self.tear:
-                    self.stats["torn"] += 1
-                    return ("tear", 0.0)
-                action = "pass"
-            delay_s = 0.0
-            if self.delay and self._rng.random() < self.delay:
-                lo, hi = self.delay_range_s
-                delay_s = lo + (hi - lo) * self._rng.random()
-                self.stats["delayed"] += 1
-            return (action, delay_s)
-
-    def tear_point(self, frame_len: int) -> int:
-        """How many bytes of a torn frame to deliver (at least the first
-        byte of the header, never the whole frame)."""
-        with self._mutex:
-            return self._rng.randrange(1, max(2, frame_len))

@@ -26,19 +26,17 @@ Two budgets apply:
   saturated server always sheds instead of deadlocking.
 
 Spilled state — the sort's decorated runs, the only operator state that
-exists nowhere else — goes through the :class:`SpillManager`: length- and
-CRC-framed pickled payloads (the WAL's corruption-detection shape) in a
+exists nowhere else — goes through the :class:`SpillManager`: pickled
+payloads in the WAL's record frame (:func:`~repro.sqldb.wal.frame`) in a
 per-database spill directory, tracked per grant so cancellation, errors
 and rollback reclaim every temp file.  Acked commits never depend on
 spilled state: spill files carry only *intra-query* operator state and
 are deleted at statement end, before any commit acknowledgement.
 
-The :class:`MemoryFaultInjector` is the allocation-level sibling of
-:class:`~repro.sqldb.faults.FaultInjector` (process crashes) and
-:class:`~repro.sqldb.netfaults` (wire faults): it forces a *denial*
+Every reservation passes a named allocation point of the one fault
+injector (:data:`repro.sqldb.faults.POINTS`), which can force a *denial*
 (→ the operator must degrade), a *hard failure* (→ 53200 surfaces), or an
-artificial *stall* (→ deterministic cancellation windows) at named
-allocation points (:data:`ALLOCATION_POINTS`).
+artificial *stall* (→ deterministic cancellation windows) there.
 """
 
 from __future__ import annotations
@@ -47,25 +45,18 @@ import io
 import os
 import pickle
 import shutil
-import struct
 import tempfile
 import threading
 import time
-import zlib
 from typing import Any, Iterator, Optional
 
-from repro.errors import (
-    ConfigurationLimitExceeded,
-    DurabilityError,
-    OutOfMemory,
-)
+from repro.errors import ConfigurationLimitExceeded, OutOfMemory
+from repro.sqldb.faults import NO_FAULTS, Faults
+from repro.sqldb.wal import frame, unframe
 
 __all__ = [
-    "ALLOCATION_POINTS",
     "MemoryBroker",
     "MemoryGrant",
-    "MemoryFaultInjector",
-    "NO_MEMORY_FAULTS",
     "SpillManager",
     "SpillFile",
     "batch_bytes",
@@ -84,28 +75,6 @@ SORT_KEY_BYTES = 112
 #: estimated bytes of hash-table state per build/group row (code arrays,
 #: argsort order, bucket bookkeeping)
 HASH_ROW_BYTES = 64
-
-
-#: every named allocation point threaded through the executor, in rough
-#: plan order.  Property tests sweep this registry, so adding a point
-#: here automatically adds it to the deny-at-every-point differential.
-ALLOCATION_POINTS: tuple[str, ...] = (
-    "sort.buffer",       # decorated keys + order array of a one-run sort
-    "sort.run",          # one run of a merged sort (working chunk)
-    "join.build",        # hash-join build side + code tables
-    "join.partition",    # one join partition's working chunk
-    "agg.hashtable",     # aggregate group codes + accumulator state
-    "agg.partition",     # one aggregation partition's working chunk
-    "distinct.hashtable",  # distinct's group-code table
-    "distinct.partition",  # distinct's working chunk once that is denied
-    "window.partition",  # window partition codes + per-partition order
-    "cte.materialize",   # a materialised CTE cached for the query
-    "result.batch",      # the final result batch handed to the client
-    "spill.write",       # serialising a spill payload
-    "spill.read",        # reading a spill payload back
-)
-
-_POINT_SET = frozenset(ALLOCATION_POINTS)
 
 
 def vector_bytes(vector: Any) -> int:
@@ -145,152 +114,15 @@ def parse_memory_limit(raw: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fault injection
-# ---------------------------------------------------------------------------
-
-
-class MemoryFaultInjector:
-    """Forces allocation outcomes at named allocation points.
-
-    * :meth:`deny` — the next *hits* reservations at a point are refused,
-      so the operator must work in partitions even under no real
-      pressure (``hits=None`` denies forever).
-    * :meth:`fail` — the n-th allocation at a point raises
-      :class:`~repro.errors.OutOfMemory` outright, modelling a pool that
-      vanished mid-query.
-    * :meth:`stall` — every allocation at a point sleeps first, opening
-      a deterministic window for cancellation and timeout tests.
-    * ``pressure`` — a multiplier applied to every accounted size,
-      modelling fragmentation / allocator overhead.
-
-    Like :class:`~repro.sqldb.faults.FaultInjector`, every point passed
-    is recorded in :attr:`trace` so tests can assert a workload actually
-    exercised the path they armed.
-    """
-
-    def __init__(self, pressure: float = 1.0) -> None:
-        if pressure < 1.0:
-            raise ValueError("pressure must be >= 1.0")
-        self.pressure = float(pressure)
-        self._denied: dict[str, Optional[int]] = {}
-        self._failing: dict[str, int] = {}
-        self._stalls: dict[str, float] = {}
-        self._mutex = threading.Lock()
-        #: allocation points reached, in order (armed or not)
-        self.trace: list[str] = []
-        #: the point whose ``fail`` arm fired, once one has
-        self.fired: Optional[str] = None
-
-    @staticmethod
-    def _validate(point: str) -> None:
-        if point not in _POINT_SET:
-            raise ValueError(
-                f"unknown allocation point {point!r}; "
-                "see memory.ALLOCATION_POINTS"
-            )
-
-    def deny(self, point: str, hits: Optional[int] = None) -> "MemoryFaultInjector":
-        self._validate(point)
-        if hits is not None and hits < 1:
-            raise ValueError("hits must be >= 1 (or None for always)")
-        with self._mutex:
-            self._denied[point] = hits
-        return self
-
-    def fail(self, point: str, hits: int = 1) -> "MemoryFaultInjector":
-        self._validate(point)
-        if hits < 1:
-            raise ValueError("hits must be >= 1")
-        with self._mutex:
-            self._failing[point] = hits
-        return self
-
-    def stall(self, point: str, seconds: float) -> "MemoryFaultInjector":
-        self._validate(point)
-        with self._mutex:
-            self._stalls[point] = float(seconds)
-        return self
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._denied.clear()
-            self._failing.clear()
-            self._stalls.clear()
-
-    def scaled(self, nbytes: int) -> int:
-        return int(nbytes * self.pressure)
-
-    def on_allocation(self, point: str, nbytes: int) -> bool:
-        """Record the allocation; True = forcibly denied (caller spills).
-
-        Raises :class:`~repro.errors.OutOfMemory` when the point's
-        ``fail`` arm is due.  Stalls apply before any verdict.
-        """
-        with self._mutex:
-            self.trace.append(point)
-            stall = self._stalls.get(point, 0.0)
-            fail_hits = self._failing.get(point)
-            if fail_hits is not None:
-                if fail_hits > 1:
-                    self._failing[point] = fail_hits - 1
-                    fail_hits = None
-                else:
-                    del self._failing[point]
-                    self.fired = point
-            deny = False
-            if fail_hits is None and point in self._denied:
-                remaining = self._denied[point]
-                if remaining is None:
-                    deny = True
-                elif remaining > 1:
-                    self._denied[point] = remaining - 1
-                    deny = True
-                else:
-                    del self._denied[point]
-                    deny = True
-        if stall:
-            time.sleep(stall)
-        if fail_hits is not None:
-            raise OutOfMemory(
-                f"injected allocation failure at {point!r} ({nbytes} bytes)"
-            )
-        return deny
-
-
-class _NoMemoryFaults(MemoryFaultInjector):
-    """Inert injector: no tracing, never denies (the default)."""
-
-    def deny(self, point: str, hits: Optional[int] = None) -> "MemoryFaultInjector":
-        raise ValueError("NO_MEMORY_FAULTS is shared; build a MemoryFaultInjector()")
-
-    fail = deny  # type: ignore[assignment]
-
-    def stall(self, point: str, seconds: float) -> "MemoryFaultInjector":
-        raise ValueError("NO_MEMORY_FAULTS is shared; build a MemoryFaultInjector()")
-
-    def scaled(self, nbytes: int) -> int:
-        return nbytes
-
-    def on_allocation(self, point: str, nbytes: int) -> bool:
-        return False
-
-
-#: shared inert injector used when a broker is built without faults
-NO_MEMORY_FAULTS = _NoMemoryFaults()
-
-
-# ---------------------------------------------------------------------------
 # spill files
 # ---------------------------------------------------------------------------
-
-_FRAME_HEADER = struct.Struct("<IQ")  # crc32, payload length
 
 
 class SpillFile:
     """An append-only sequence of checksummed pickled payloads.
 
-    Each record is ``crc32 | length | payload`` — the WAL's framing — so
-    a torn or corrupted spill surfaces as a hard
+    Each record is in the WAL's frame (length, crc32, payload), so a
+    torn or corrupted spill surfaces as a hard
     :class:`~repro.errors.DurabilityError` instead of silently wrong
     query results.  Writers append with :meth:`append`; readers stream
     records back in order with :meth:`records` (one at a time, so the
@@ -304,13 +136,12 @@ class SpillFile:
 
     def append(self, payload: Any) -> int:
         """Serialise and frame one payload; returns bytes written."""
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = _FRAME_HEADER.pack(zlib.crc32(blob), len(blob)) + blob
+        data = frame(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         if self._write_handle is None:
             self._write_handle = open(self.path, "ab")
-        self._write_handle.write(frame)
-        self.bytes_written += len(frame)
-        return len(frame)
+        self._write_handle.write(data)
+        self.bytes_written += len(data)
+        return len(data)
 
     def finish_writing(self) -> None:
         if self._write_handle is not None:
@@ -323,24 +154,7 @@ class SpillFile:
         if self.bytes_written == 0 and not os.path.exists(self.path):
             return  # never appended to: the file was created lazily
         with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_FRAME_HEADER.size)
-                if not header:
-                    return
-                if len(header) < _FRAME_HEADER.size:
-                    raise DurabilityError(
-                        f"torn spill frame header in {self.path!r}"
-                    )
-                crc, length = _FRAME_HEADER.unpack(header)
-                blob = handle.read(length)
-                if len(blob) < length:
-                    raise DurabilityError(
-                        f"torn spill payload in {self.path!r}"
-                    )
-                if zlib.crc32(blob) != crc:
-                    raise DurabilityError(
-                        f"spill checksum mismatch in {self.path!r}"
-                    )
+            while (blob := unframe(handle.read, self.path)) is not None:
                 yield pickle.loads(blob)
 
     def remove(self) -> None:
@@ -508,7 +322,7 @@ class MemoryBroker:
         spill_dir: Optional[str] = None,
         queue_depth: int = 16,
         grant_timeout_ms: Optional[float] = 10000.0,
-        faults: Optional[MemoryFaultInjector] = None,
+        faults: Faults = NO_FAULTS,
     ) -> None:
         if limit is not None and limit <= 0:
             raise ValueError("memory_limit must be positive (or None)")
@@ -525,7 +339,7 @@ class MemoryBroker:
         self.query_limit = query_limit
         self.queue_depth = queue_depth
         self.grant_timeout_ms = grant_timeout_ms
-        self.faults = faults if faults is not None else NO_MEMORY_FAULTS
+        self.faults = faults
         self.spill = SpillManager(spill_dir)
         self._cond = threading.Condition()
         self._grant_ids = 0
@@ -649,12 +463,13 @@ class MemoryBroker:
     def _reserve(
         self, grant: MemoryGrant, nbytes: int, point: str, degradable: bool
     ) -> bool:
-        nbytes = self.faults.scaled(int(nbytes))
-        if self.faults.on_allocation(point, nbytes):
-            if degradable:
-                return False
+        nbytes = int(nbytes)
+        action = self.faults.hit(point)
+        if action == "deny" and degradable:
+            return False
+        if action is not None:  # "fail", or a non-degradable "deny"
             raise OutOfMemory(
-                f"injected allocation denial at {point!r} ({nbytes} bytes)"
+                f"injected allocation {action} at {point!r} ({nbytes} bytes)"
             )
         with self._cond:
             over_query = (
@@ -694,9 +509,8 @@ class MemoryBroker:
             return True
 
     def _release(self, grant: MemoryGrant, nbytes: int) -> None:
-        nbytes = self.faults.scaled(int(nbytes))
         with self._cond:
-            nbytes = min(nbytes, grant.reserved_bytes)
+            nbytes = min(int(nbytes), grant.reserved_bytes)
             before = max(0, grant.reserved_bytes - grant.base_bytes)
             grant.reserved_bytes -= nbytes
             after = max(0, grant.reserved_bytes - grant.base_bytes)

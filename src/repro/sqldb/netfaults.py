@@ -3,12 +3,14 @@
 :class:`FaultProxy` sits between a client (a query connection or a
 replica's replication stream) and an upstream
 :class:`~repro.sqldb.server.DatabaseServer`, parsing the protocol's
-4-byte length-prefixed frames off each direction and acting out the
-decisions of a :class:`~repro.sqldb.faults.NetworkFaultInjector`:
-dropped frames, back-to-back duplicates, torn frames (a prefix of the
-bytes followed by a dead connection), delivery delays, and full
-partitions.  Because the proxy understands framing, every injected
-fault lands on a *message* boundary-or-worse — precisely the failure
+4-byte length-prefixed frames off each direction and acting out what a
+:class:`~repro.sqldb.faults.Faults` armed at the wire points
+(``wire.c2s``, ``wire.s2c``; one pass per frame) returns: dropped frames,
+back-to-back duplicates, torn frames (the first half of the bytes
+followed by a dead connection), delivery delays, and full partitions (an
+every-pass ``drop`` on both points).  Because the proxy understands
+framing, every injected fault lands on a *message* boundary-or-worse —
+precisely the failure
 shapes the replication stream's seq/ack/reconnect machinery and the
 client's retry loops must absorb.
 
@@ -16,13 +18,16 @@ The proxy is transparent: point the downstream side at
 ``proxy.address`` instead of the server's own, and nothing else
 changes.  Tests drive topology faults through it::
 
-    proxy = FaultProxy(primary.address, faults=NetworkFaultInjector(
-        seed=7, drop=0.02, duplicate=0.02, tear=0.01)).start()
+    faults = Faults(seed=7)
+    for point in ("wire.c2s", "wire.s2c"):
+        faults.arm(point, "drop", hits=None, p=0.02)
+        faults.arm(point, "tear", hits=None, p=0.01)
+    proxy = FaultProxy(primary.address, faults=faults).start()
     replica = Replica(proxy.address).start()
     ...
-    proxy.faults.partition()      # blackhole the link
+    faults.arm("wire.c2s", "drop", hits=None)   # blackhole one direction
     proxy.kill_links()            # or reset every connection outright
-    proxy.faults.heal()
+    faults.arm("wire.c2s", "drop", hits=None, p=0.02)   # heal it
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 from typing import Optional
 
-from repro.sqldb.faults import NetworkFaultInjector
+from repro.sqldb.faults import Faults
 
 __all__ = ["FaultProxy"]
 
@@ -83,11 +87,11 @@ class _Link:
         self._dead = threading.Event()
         self.threads = [
             threading.Thread(
-                target=self._pump, args=(client, upstream, "c2s"),
+                target=self._pump, args=(client, upstream, "wire.c2s"),
                 name="repro-faultproxy-c2s", daemon=True,
             ),
             threading.Thread(
-                target=self._pump, args=(upstream, client, "s2c"),
+                target=self._pump, args=(upstream, client, "wire.s2c"),
                 name="repro-faultproxy-s2c", daemon=True,
             ),
         ]
@@ -105,7 +109,7 @@ class _Link:
         self.proxy._forget(self)
 
     def _pump(self, src: socket.socket, dst: socket.socket,
-              direction: str) -> None:
+              point: str) -> None:
         faults = self.proxy.faults
         try:
             while not self._dead.is_set():
@@ -119,14 +123,12 @@ class _Link:
                 if payload is None and length:
                     break
                 frame = header + (payload or b"")
-                action, delay_s = faults.decide(direction)
-                if delay_s:
-                    time.sleep(delay_s)
+                action = faults.hit(point)  # a "delay" was served here
                 if action == "drop":
                     continue
                 if action == "tear":
                     try:
-                        dst.sendall(frame[: faults.tear_point(len(frame))])
+                        dst.sendall(frame[: max(1, len(frame) // 2)])
                     except OSError:
                         pass
                     break  # the link dies mid-frame
@@ -149,13 +151,13 @@ class FaultProxy:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        faults: Optional[NetworkFaultInjector] = None,
+        faults: Optional[Faults] = None,
         connect_timeout_s: float = 5.0,
     ) -> None:
         self.upstream = (str(upstream[0]), int(upstream[1]))
         self.host = host
         self._requested_port = port
-        self.faults = faults if faults is not None else NetworkFaultInjector()
+        self.faults = faults if faults is not None else Faults()
         self.connect_timeout_s = connect_timeout_s
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None

@@ -8,8 +8,9 @@ discards uncommitted memory, and recovery rebuilds committed state.
 
 File format (``wal_path``)
 --------------------------
-A 6-byte magic header (``RWAL1\\n``) followed by length-prefixed,
-CRC32-checksummed JSON records::
+A 6-byte magic header (``RWAL1\\n``) followed by JSON records, each in
+the one record frame (:func:`frame`), which checkpoint bodies and spill
+payloads use too::
 
     <u32 payload-length> <u32 crc32(payload)> <payload bytes>
 
@@ -52,34 +53,76 @@ empty header.  Recovery loads the checkpoint (if present and intact) and
 replays only WAL transactions with a higher id, so a crash between the
 rename and the WAL reset cannot double-apply.
 
-Crashpoints (see :mod:`repro.sqldb.faults`) are threaded through every
-append/fsync/checkpoint step.
+Durability points (see :mod:`repro.sqldb.faults`) are threaded through
+every append/fsync/checkpoint step; the record and snapshot writes also
+take a ``tear``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
 import struct
 import zlib
-from collections.abc import Sequence
-from typing import Any, Optional
+from collections.abc import Callable, Sequence
+from typing import Any, BinaryIO, Optional
 
 from repro.errors import DurabilityError
-from repro.sqldb.faults import NO_FAULTS, FaultInjector
+from repro.sqldb.faults import NO_FAULTS, Faults, SimulatedCrash, crashpoint
 
 __all__ = [
     "WAL_SYNC_POLICIES",
     "WriteAheadLog",
+    "frame",
     "read_checkpoint",
     "read_wal",
+    "unframe",
     "write_checkpoint",
 ]
 
 _WAL_MAGIC = b"RWAL1\n"
 _CKPT_MAGIC = b"RCKP1\n"
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
+
+
+def frame(payload: bytes) -> bytes:
+    """*payload* behind its length and CRC32: the one record frame."""
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def unframe(read: Callable[[int], bytes], where: str) -> Optional[bytes]:
+    """The payload of the next frame from *read* (a file's ``read``), or
+    None at a clean end; a torn or corrupt frame raises
+    :class:`DurabilityError` naming *where*."""
+    header = read(_HEADER.size)
+    if not header:
+        return None
+    if len(header) < _HEADER.size:
+        raise DurabilityError(f"{where}: torn frame header")
+    length, crc = _HEADER.unpack(header)
+    payload = read(length)
+    if len(payload) < length:
+        raise DurabilityError(f"{where}: torn frame")
+    if zlib.crc32(payload) != crc:
+        raise DurabilityError(f"{where}: frame checksum mismatch")
+    return payload
+
+
+def _write(handle: BinaryIO, data: bytes, faults: Faults, point: str) -> int:
+    """Write and flush *data* at the durability *point*; returns its size.
+
+    A due ``tear`` writes a prefix and a due ``crash`` all of it, then
+    :class:`SimulatedCrash` (the flushed bytes are what recovery sees)."""
+    action = faults.hit(point)
+    if action == "tear":
+        data = data[: max(1, len(data) // 2)]
+    handle.write(data)
+    handle.flush()
+    if action is not None:
+        raise SimulatedCrash(point)
+    return len(data)
 
 
 def _jsonable(value: Any) -> Any:
@@ -103,10 +146,11 @@ def _jsonable(value: Any) -> Any:
 
 
 def encode_record(record: dict) -> bytes:
-    payload = json.dumps(
-        _jsonable(record), separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame(
+        json.dumps(
+            _jsonable(record), separators=(",", ":"), ensure_ascii=False
+        ).encode("utf-8")
+    )
 
 
 #: fsync policies for :meth:`WriteAheadLog.commit_sync` — what an
@@ -139,7 +183,7 @@ class WriteAheadLog:
     def __init__(
         self,
         path: str,
-        faults: FaultInjector = NO_FAULTS,
+        faults: Faults = NO_FAULTS,
         sync_policy: str = "commit",
         group_every: int = 8,
     ) -> None:
@@ -172,28 +216,17 @@ class WriteAheadLog:
     def append(self, record: dict) -> None:
         """Append one record; flushed to the file, not yet fsynced."""
         data = encode_record(record)
-        faults = self.faults
-        faults.check("wal.append.before")
-        if faults.pending("wal.append.torn"):
-            # model a crash mid-write: a prefix of the record reaches the
-            # file (flushed so it is visible to recovery), then death
-            self._file.write(data[: max(1, len(data) // 2)])
-            self._file.flush()
-            self._size += max(1, len(data) // 2)
-            faults.check("wal.append.torn")
-        self._file.write(data)
-        self._file.flush()
-        self._size += len(data)
-        faults.check("wal.append.after")
+        crashpoint(self.faults, "wal.append.before")
+        self._size += _write(self._file, data, self.faults, "wal.append.after")
 
     def sync(self) -> None:
         """fsync the log; a commit is durable once this returns."""
-        self.faults.check("wal.fsync.before")
+        crashpoint(self.faults, "wal.fsync.before")
         os.fsync(self._file.fileno())
         self.synced_size = self._size
         self._commits_since_sync = 0
         self.sync_count += 1
-        self.faults.check("wal.fsync.after")
+        crashpoint(self.faults, "wal.fsync.after")
 
     def commit_sync(self) -> None:
         """The fsync a committing transaction performs before the engine
@@ -270,22 +303,18 @@ def read_wal(path: str) -> tuple[Sequence[dict], Optional[int]]:
     if not data.startswith(_WAL_MAGIC):
         raise DurabilityError(f"{path}: not a repro WAL file")
     bounds: list[tuple[int, int]] = []
-    offset = len(_WAL_MAGIC)
-    n = len(data)
-    while offset + _HEADER.size <= n:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > n:
-            break  # torn tail: record body clipped
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            break  # torn or corrupt tail: checksum mismatch
+    stream = io.BytesIO(data)
+    offset = stream.seek(len(_WAL_MAGIC))
+    while True:
         try:
+            payload = unframe(stream.read, path)
+            if payload is None:
+                break
             json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            break  # checksummed garbage — treat as tail corruption
-        bounds.append((start, end))
+        except (DurabilityError, UnicodeDecodeError, json.JSONDecodeError):
+            break  # torn or corrupt tail (checksummed garbage included)
+        end = stream.tell()
+        bounds.append((end - len(payload), end))
         offset = end
     return _Records(data, bounds), offset
 
@@ -300,7 +329,7 @@ def truncate_wal(path: str, valid_size: int) -> None:
 
 
 def write_checkpoint(
-    path: str, payload: Any, faults: FaultInjector = NO_FAULTS
+    path: str, payload: Any, faults: Faults = NO_FAULTS
 ) -> None:
     """Atomically publish a checkpoint snapshot at *path*.
 
@@ -309,19 +338,12 @@ def write_checkpoint(
     torn file under the published name.
     """
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    data = _CKPT_MAGIC + _HEADER.pack(len(blob), zlib.crc32(blob)) + blob
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        if faults.pending("checkpoint.snapshot.torn"):
-            handle.write(data[: max(1, len(data) // 2)])
-            handle.flush()
-            os.fsync(handle.fileno())
-            faults.check("checkpoint.snapshot.torn")
-        handle.write(data)
-        handle.flush()
-        faults.check("checkpoint.snapshot.written")
+        _write(handle, _CKPT_MAGIC + frame(blob), faults,
+               "checkpoint.snapshot.written")
         os.fsync(handle.fileno())
-    faults.check("checkpoint.before_rename")
+    crashpoint(faults, "checkpoint.before_rename")
     os.replace(tmp, path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -333,7 +355,7 @@ def write_checkpoint(
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
-    faults.check("checkpoint.after_rename")
+    crashpoint(faults, "checkpoint.after_rename")
 
 
 def read_checkpoint(path: str) -> Optional[Any]:
@@ -346,13 +368,11 @@ def read_checkpoint(path: str) -> Optional[Any]:
     if not os.path.exists(path):
         return None
     with open(path, "rb") as handle:
-        data = handle.read()
-    if not data.startswith(_CKPT_MAGIC) or len(data) < len(_CKPT_MAGIC) + _HEADER.size:
-        raise DurabilityError(f"{path}: not a repro checkpoint file")
-    length, crc = _HEADER.unpack_from(data, len(_CKPT_MAGIC))
-    blob = data[len(_CKPT_MAGIC) + _HEADER.size :]
-    if len(blob) != length or zlib.crc32(blob) != crc:
-        raise DurabilityError(f"{path}: checkpoint checksum mismatch")
+        if handle.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise DurabilityError(f"{path}: not a repro checkpoint file")
+        blob = unframe(handle.read, path)
+        if blob is None or handle.read(1):
+            raise DurabilityError(f"{path}: not one checkpoint frame")
     try:
         return pickle.loads(blob)
     except Exception as exc:  # pickle raises a zoo of error types

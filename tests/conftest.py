@@ -4,9 +4,8 @@
 differential-fuzz test (see ``tests/sqldb/test_fuzz_differential.py``).
 ``--fault-rounds N`` raises the number of randomized workloads per
 crash-recovery property test (see ``tests/sqldb/test_faults.py``).
-``--stress-rounds N`` (or the ``REPRO_STRESS_ROUNDS`` environment
-variable) raises the number of randomized concurrent rounds per MVCC
-chaos-stress test (see ``tests/sqldb/test_stress_concurrency.py``).
+``--stress-rounds N`` raises the number of randomized concurrent rounds
+per MVCC chaos-stress test (see ``tests/sqldb/test_stress_concurrency.py``).
 ``--memory-rounds N`` raises the number of randomized queries per
 memory-governor spill-differential test (see
 ``tests/sqldb/test_memory.py``).
@@ -44,8 +43,7 @@ def pytest_addoption(parser):
         type=int,
         default=None,
         help="randomized concurrent rounds per MVCC chaos-stress test "
-        "(default: a small tier-1 budget; the REPRO_STRESS_ROUNDS "
-        "environment variable also sets it)",
+        "(default: a small tier-1 budget)",
     )
     parser.addoption(
         "--memory-rounds",

@@ -2,7 +2,8 @@
 run time: the engine/driver package ``repro.sqldb`` sits below the
 paper's packages and must not reach up into them, and
 ``repro.core.connectors`` holds the connector family and nothing else —
-retry, pooling and topology routing live in ``repro.sqldb.client``."""
+retry, pooling and topology routing live in ``repro.sqldb.client`` — and
+``repro.sqldb.faults`` holds the engine's one fault injector."""
 
 import ast
 import pathlib
@@ -43,6 +44,33 @@ def test_sqldb_imports_nothing_from_the_layers_above():
         for path in modules
         for name in imported_modules(path)
         if name.startswith(UPPER_LAYERS)
+    }
+    assert not offenders, sorted(offenders)
+
+
+def _schedules_faults(cls: ast.ClassDef) -> bool:
+    """True for a class with an ``arm`` method or a ``trace`` attribute
+    (assigned on the class or on ``self``)."""
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "arm":
+                return True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name == "trace":
+                    return True
+    return False
+
+
+def test_faults_module_holds_the_only_fault_injector():
+    offenders = {
+        f"{path.name}:{node.name}"
+        for path in sorted((SRC / "sqldb").glob("*.py"))
+        if path.name != "faults.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _schedules_faults(node)
     }
     assert not offenders, sorted(offenders)
 

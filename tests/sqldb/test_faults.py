@@ -1,12 +1,14 @@
-"""Crash/fault-injection property tests for the durability layer.
+"""Crash/fault-injection property tests for the durability layer, and
+the unit tests of the one fault injector (:class:`Faults`).
 
-The central property: **crash at any crashpoint, under any workload,
+The central property: **crash (or tear a write) at any durability point,
+under any workload,
 recovery yields the state as of some acknowledged commit boundary —
 either the last acked commit, or (when the crash hit mid-commit) that
 plus the in-flight transaction.  Never a partial transaction.**
 
 The harness runs a deterministic randomized workload against a durable
-database with one crashpoint armed, mirrors every *acknowledged*
+database with one durability arm, mirrors every *acknowledged*
 statement onto a non-durable oracle database, then "crashes" (abandons
 the object), recovers from the WAL path, and compares against the
 oracle's acceptable states.  Both crash models are exercised: process
@@ -17,24 +19,32 @@ Rounds are budgeted for tier-1 by default; ``--fault-rounds 200`` (or
 more) runs the full acceptance sweep.
 """
 
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.errors import SQLError
+from repro.errors import DurabilityError, SQLError
 from repro.sqldb.engine import Database
-from repro.sqldb.faults import (
-    CRASHPOINTS,
-    NO_FAULTS,
-    FaultInjector,
-    SimulatedCrash,
-)
-from repro.sqldb.wal import truncate_wal
+from repro.sqldb.faults import NO_FAULTS, POINTS, Faults, SimulatedCrash
+from repro.sqldb.wal import read_checkpoint, read_wal, truncate_wal
 
 pytestmark = pytest.mark.faults
 
+#: every durability arm: a crash at each durability point and a tear at
+#: each of the two write points
+DURABILITY_ARMS = [
+    (point, action)
+    for point, actions in POINTS.items()
+    if "crash" in actions
+    for action in actions
+]
+
 #: rounds of the randomized workload property when --fault-rounds is not
-#: given (enough to touch every crashpoint under both crash models)
+#: given (enough to touch every durability arm under both crash models)
 DEFAULT_ROUNDS = 26
 
 
@@ -135,17 +145,13 @@ def _state(db):
 # -- the crash-at-any-point property ------------------------------------------
 
 
-def _run_round(tmp_path, seed, point, model):
-    """One randomized workload with *point* armed; returns the fired
-    crashpoint (or None when the workload never reached it)."""
+def _run_round(tmp_path, seed, point, action, model):
+    """One randomized workload with *action* armed at *point*; returns
+    what fired (empty when the workload never reached the arm)."""
     wal_path = str(tmp_path / f"round{seed}.wal")
     oracle = Database("umbra")
-    faults = FaultInjector()
     rng = random.Random(seed)
-    # torn crashpoints only fire via their pending() pre-check, which
-    # looks one hit ahead — they must be armed with hits=1
-    hits = 1 if point.endswith(".torn") else rng.randint(1, 3)
-    faults.arm(point, hits=hits)
+    faults = Faults().arm(point, action, hits=rng.randint(1, 3))
     db = Database("umbra", wal_path=wal_path, faults=faults)
 
     committed = _state(oracle)
@@ -182,7 +188,7 @@ def _run_round(tmp_path, seed, point, model):
     got = _state(recovered)
     recovered.close()
     assert got in acceptable, (
-        f"seed={seed} point={point} model={model}: recovered state "
+        f"seed={seed} arm={point}:{action} model={model}: recovered state "
         f"{got!r} is neither the last acked commit nor the in-flight "
         f"transaction's post-state {acceptable!r}"
     )
@@ -193,40 +199,43 @@ class TestCrashAtEveryPoint:
     def test_randomized_workloads_recover_consistently(
         self, tmp_path, fault_rounds
     ):
-        """The acceptance property: every crashpoint x randomized
+        """The acceptance property: every durability arm x randomized
         workloads x both crash models, recovery is never partial."""
         fired = set()
         for i in range(fault_rounds):
-            point = CRASHPOINTS[i % len(CRASHPOINTS)]
-            model = ("process", "powerloss")[(i // len(CRASHPOINTS)) % 2]
-            outcome = _run_round(tmp_path, seed=1000 + i, point=point, model=model)
-            if outcome:
-                fired.add(outcome)
-        # the sweep must actually exercise the armed points, not dodge them
-        assert len(fired) >= min(fault_rounds, len(CRASHPOINTS)) // 2
+            point, action = DURABILITY_ARMS[i % len(DURABILITY_ARMS)]
+            model = ("process", "powerloss")[(i // len(DURABILITY_ARMS)) % 2]
+            fired.update(
+                _run_round(
+                    tmp_path, seed=1000 + i, point=point, action=action,
+                    model=model,
+                )
+            )
+        # the sweep must actually exercise the arms, not dodge them
+        assert len(fired) >= min(fault_rounds, len(DURABILITY_ARMS)) // 2
 
     def test_every_crashpoint_fires_on_a_known_workload(self, tmp_path):
         """Deterministic sweep: one insert + checkpoint reaches every
-        crashpoint; recovery always yields pre- or post-state."""
-        for point in CRASHPOINTS:
-            wal_path = str(tmp_path / f"det-{point}.wal")
+        durability arm (tears included); recovery always yields pre- or
+        post-state."""
+        for point, action in DURABILITY_ARMS:
+            wal_path = str(tmp_path / f"det-{point}-{action}.wal")
             db = Database("umbra", wal_path=wal_path)
             db.execute("CREATE TABLE t (a int)")
             db.execute("INSERT INTO t (a) VALUES (1)")
             db.close()
 
-            faults = FaultInjector()
-            faults.arm(point)
+            faults = Faults().arm(point, action)
             db = Database("umbra", wal_path=wal_path, faults=faults)
             with pytest.raises(SimulatedCrash):
                 db.execute("INSERT INTO t (a) VALUES (2)")
                 db.execute("CHECKPOINT")
-            assert faults.fired == point
+            assert faults.fired == [(point, action)]
             db.close()
 
             recovered = Database("umbra", wal_path=wal_path)
             rows = sorted(recovered.execute("SELECT a FROM t").column("a"))
-            assert rows in ([1], [1, 2]), (point, rows)
+            assert rows in ([1], [1, 2]), (point, action, rows)
             recovered.close()
 
     def test_crash_during_commit_never_yields_partial_txn(self, tmp_path):
@@ -238,8 +247,7 @@ class TestCrashAtEveryPoint:
             db.execute("CREATE TABLE t (a int)")
             db.close()
 
-            faults = FaultInjector()
-            faults.arm("wal.append.after", hits=hits)
+            faults = Faults().arm("wal.append.after", "crash", hits=hits)
             db = Database("umbra", wal_path=wal_path, faults=faults)
             db.execute("BEGIN")
             db.execute("INSERT INTO t (a) VALUES (1)")
@@ -260,8 +268,7 @@ class TestCrashAtEveryPoint:
         db.execute("CREATE TABLE t (a int)")
         db.close()
 
-        faults = FaultInjector()
-        faults.arm("wal.append.torn")
+        faults = Faults().arm("wal.append.after", "tear")
         db = Database("umbra", wal_path=wal_path, faults=faults)
         db.execute("BEGIN")
         db.execute("INSERT INTO t (a) VALUES (1)")
@@ -273,6 +280,43 @@ class TestCrashAtEveryPoint:
         assert recovered.execute("SELECT count(*) FROM t").scalar() == 0
         recovered.close()
 
+    def test_tear_on_the_second_wal_append(self, tmp_path):
+        """``hits=2`` tears the second record (a torn-write arm used to
+        fire only when armed with ``hits=1``)."""
+        wal_path = str(tmp_path / "tear2.wal")
+        faults = Faults().arm("wal.append.after", "tear", hits=2)
+        db = Database("umbra", wal_path=wal_path, faults=faults)
+        db.execute("CREATE TABLE t (a int)")  # record 1
+        with pytest.raises(SimulatedCrash):
+            db.execute("INSERT INTO t (a) VALUES (1)")  # record 2 tears
+        assert faults.fired == [("wal.append.after", "tear")]
+        db.close()
+
+        records, valid_size = read_wal(wal_path)
+        assert len(records) == 1 and valid_size < os.path.getsize(wal_path)
+        recovered = Database("umbra", wal_path=wal_path)
+        assert recovered.execute("SELECT count(*) FROM t").scalar() == 0
+        recovered.close()
+
+    def test_tear_on_the_second_checkpoint_snapshot(self, tmp_path):
+        wal_path = str(tmp_path / "tear2-ckpt.wal")
+        faults = Faults().arm("checkpoint.snapshot.written", "tear", hits=2)
+        db = Database("umbra", wal_path=wal_path, faults=faults)
+        db.execute("CREATE TABLE t (a int)")
+        db.execute("CHECKPOINT")  # snapshot 1
+        db.execute("INSERT INTO t (a) VALUES (1)")
+        with pytest.raises(SimulatedCrash):
+            db.execute("CHECKPOINT")  # snapshot 2 tears
+        assert faults.fired == [("checkpoint.snapshot.written", "tear")]
+        db.close()
+
+        with pytest.raises(DurabilityError):  # the torn temp file
+            read_checkpoint(wal_path + ".ckpt.tmp")
+        # snapshot 1 is still the published one; the WAL holds the insert
+        recovered = Database("umbra", wal_path=wal_path)
+        assert recovered.execute("SELECT a FROM t").column("a") == [1]
+        recovered.close()
+
     def test_crash_between_checkpoint_rename_and_reset(self, tmp_path):
         """The WAL survives a crash right after the checkpoint rename;
         replaying it over the new snapshot must not double-apply."""
@@ -282,8 +326,7 @@ class TestCrashAtEveryPoint:
         db.execute("INSERT INTO t (a) VALUES (1)")
         db.close()
 
-        faults = FaultInjector()
-        faults.arm("checkpoint.after_rename")
+        faults = Faults().arm("checkpoint.after_rename", "crash")
         db = Database("umbra", wal_path=wal_path, faults=faults)
         with pytest.raises(SimulatedCrash):
             db.execute("CHECKPOINT")
@@ -298,30 +341,109 @@ class TestCrashAtEveryPoint:
 
 class TestFaultInjector:
     def test_unknown_crashpoint_rejected(self):
-        with pytest.raises(ValueError):
-            FaultInjector().arm("wal.bogus")
+        """``arm`` refuses an unknown point, an action the point does not
+        take, and ``seconds`` anywhere but on a sleep."""
+        faults = Faults()
+        for point, action, kwargs in (
+            ("wal.bogus", "crash", {}),
+            ("wal.fsync.before", "tear", {}),  # only write points tear
+            ("sort.buffer", "crash", {}),
+            ("wire.c2s", "explode", {}),
+            ("spill.write", "stall", {}),  # a sleep needs its seconds
+            ("join.build", "deny", {"seconds": 1.0}),
+            ("join.build", "deny", {"hits": 0}),
+            ("wire.s2c", "drop", {"p": 1.5}),
+        ):
+            with pytest.raises(ValueError):
+                faults.arm(point, action, **kwargs)
 
     def test_nth_hit_fires(self):
-        faults = FaultInjector()
-        faults.arm("wal.fsync.before", hits=3)
-        faults.check("wal.fsync.before")
-        faults.check("wal.fsync.before")
-        with pytest.raises(SimulatedCrash):
-            faults.check("wal.fsync.before")
-        assert faults.fired == "wal.fsync.before"
-        assert faults.trace == ["wal.fsync.before"] * 3
+        faults = Faults().arm("join.build", "fail", hits=3)
+        decisions = [faults.hit("join.build") for _ in range(4)]
+        assert decisions == [None, None, "fail", None]  # then spent
+        assert faults.fired == [("join.build", "fail")]
+        assert faults.trace == ["join.build"] * 4
+
+    def test_a_crash_ends_the_process(self):
+        """After a crash every durability point crashes (a dead process
+        writes nothing more); other points carry on."""
+        faults = Faults().arm("wal.fsync.before", "crash", hits=2)
+        assert faults.hit("wal.fsync.before") is None
+        assert faults.hit("wal.fsync.before") == "crash"
+        assert faults.hit("wal.append.before") == "crash"
+        assert faults.hit("commit.install") == "crash"
+        assert faults.hit("sort.buffer") is None
+        assert faults.fired == [("wal.fsync.before", "crash")]
+
+    def test_every_pass_arm_fires_every_time(self):
+        faults = Faults().arm("join.build", "deny", hits=None)
+        assert [faults.hit("join.build") for _ in range(5)] == ["deny"] * 5
+        assert faults.hit("sort.buffer") is None
+        assert faults.fired == [("join.build", "deny")] * 5
+
+    def test_sleeps_are_served_by_hit(self):
+        """A stall sleeps inside ``hit`` and combines with the action
+        that fires on the same pass."""
+        faults = Faults()
+        faults.arm("join.build", "stall", hits=None, seconds=0.01)
+        faults.arm("join.build", "fail")
+        started = time.perf_counter()
+        assert faults.hit("join.build") == "fail"
+        assert time.perf_counter() - started >= 0.01
+        assert faults.fired == [("join.build", "stall"), ("join.build", "fail")]
+
+    def test_same_seed_same_decisions(self):
+        def decisions(seed):
+            faults = Faults(seed=seed)
+            for action, p in (("drop", 0.2), ("duplicate", 0.2), ("tear", 0.1)):
+                faults.arm("wire.c2s", action, hits=None, p=p)
+            return [faults.hit("wire.c2s") for _ in range(400)]
+
+        first = decisions(7)
+        assert first == decisions(7)
+        assert {"drop", "duplicate", "tear", None} == set(first)
+        assert first != decisions(8)
+
+    def test_concurrent_hits_fire_once(self):
+        faults = Faults().arm("result.batch", "fail", hits=5)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def worker():
+            barrier.wait()
+            seen.extend(faults.hit("result.batch") for _ in range(50))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen.count("fail") == 1
+        assert faults.fired == [("result.batch", "fail")]
+        assert len(faults.trace) == 8 * 50
 
     def test_disarm_and_clear(self):
-        faults = FaultInjector()
-        faults.arm("wal.fsync.before")
-        faults.disarm("wal.fsync.before")
-        faults.check("wal.fsync.before")  # no crash
-        faults.arm("wal.fsync.after")
+        faults = Faults()
+        faults.arm("wal.fsync.before", "crash")
+        faults.disarm("wal.fsync.before", "crash")
+        assert faults.hit("wal.fsync.before") is None
+        faults.arm("wire.c2s", "drop", hits=None)
+        faults.arm("wire.c2s", "duplicate", hits=None)
+        faults.disarm("wire.c2s", "drop")  # the other arm stays
+        assert faults.hit("wire.c2s") == "duplicate"
+        faults.arm("wal.fsync.after", "crash")
         faults.clear()
-        faults.check("wal.fsync.after")
+        assert faults.hit("wal.fsync.after") is None
+        assert faults.fired == [("wire.c2s", "duplicate")]
 
     def test_no_faults_is_inert(self):
         with pytest.raises(ValueError):
-            NO_FAULTS.arm("wal.fsync.before")
-        NO_FAULTS.check("wal.fsync.before")
-        assert not NO_FAULTS.pending("wal.fsync.before")
+            NO_FAULTS.arm("wal.fsync.before", "crash")
+        assert NO_FAULTS.hit("wal.fsync.before") is None
+        assert NO_FAULTS.trace == [] and NO_FAULTS.fired == []

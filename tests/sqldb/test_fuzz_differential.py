@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SQLExecutionError
 from repro.sqldb import Database
-from repro.sqldb.memory import MemoryFaultInjector
+from repro.sqldb.faults import Faults
 
 pytestmark = pytest.mark.fuzz
 
@@ -159,13 +159,11 @@ def _churn_models(db, rng):
 
 def _deny_all_degradable():
     """Every degradable memory grant is denied: operators always partition."""
-    return (
-        MemoryFaultInjector()
-        .deny("sort.buffer")
-        .deny("join.build")
-        .deny("agg.hashtable")
-        .deny("distinct.hashtable")
-    )
+    faults = Faults()
+    for point in ("sort.buffer", "join.build", "agg.hashtable",
+                  "distinct.hashtable"):
+        faults.arm(point, "deny", hits=None)
+    return faults
 
 
 def _configs(profile, t_rows, u_rows, w_rows=((), ())):
@@ -175,7 +173,7 @@ def _configs(profile, t_rows, u_rows, w_rows=((), ())):
         ("opt-serial", Database(profile, optimize=True)),
         ("opt-indexed", Database(profile, optimize=True)),
         ("opt-models", Database(profile, optimize=True)),
-        ("off-spill", Database(profile, memory_faults=_deny_all_degradable())),
+        ("off-spill", Database(profile, faults=_deny_all_degradable())),
     ]
     for name, db in configs:
         _load_tables(db, t_rows, u_rows, w_rows)

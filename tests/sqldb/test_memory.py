@@ -30,15 +30,13 @@ from repro.errors import (
     QueryCancelled,
 )
 from repro.sqldb import Database
-from repro.sqldb.memory import (
-    ALLOCATION_POINTS,
-    MemoryBroker,
-    MemoryFaultInjector,
-    SpillFile,
-    parse_memory_limit,
-)
+from repro.sqldb.faults import POINTS, Faults
+from repro.sqldb.memory import MemoryBroker, SpillFile, parse_memory_limit
 
 pytestmark = pytest.mark.memory
+
+#: the memory governor's named allocation points (the ones that deny)
+ALLOCATION_POINTS = [p for p, actions in POINTS.items() if "deny" in actions]
 
 #: a per-query budget that forces sorts, join builds, aggregation and
 #: distinct hash tables over _ROWS-row tables to spill, while leaving
@@ -177,7 +175,7 @@ class TestParsing:
 
     def test_fault_injector_rejects_unknown_points(self):
         with pytest.raises(ValueError):
-            MemoryFaultInjector().deny("join.probe")
+            Faults().arm("join.probe", "deny")
 
 
 class TestSpillFile:
@@ -252,9 +250,10 @@ class TestSpillDifferential:
             oracle = {sql: _rows(reference, sql) for sql in _WORKLOAD}
         finally:
             reference.close()
+        assert len(ALLOCATION_POINTS) == 13
         for point in ALLOCATION_POINTS:
-            faults = MemoryFaultInjector().deny(point)
-            db = Database(memory_faults=faults)
+            faults = Faults().arm(point, "deny", hits=None)
+            db = Database(faults=faults)
             try:
                 _load(db)
                 for sql in _WORKLOAD:
@@ -278,17 +277,17 @@ class TestSpillDifferential:
             "agg.hashtable",
             "distinct.hashtable",
         )
-        faults = MemoryFaultInjector()
+        faults = Faults()
         for point in degradable:
-            faults.deny(point)
+            faults.arm(point, "deny", hits=None)
         reference = Database()
-        db = Database(memory_faults=faults)
+        db = Database(faults=faults)
         try:
             _load(reference)
             _load(db)
             for sql in _WORKLOAD:
                 _assert_identical(_rows(reference, sql), _rows(db, sql), sql)
-            assert set(faults.trace) == set(ALLOCATION_POINTS)
+            assert set(faults.trace) >= set(ALLOCATION_POINTS)
             assert db.memory.spill.total_spilled_bytes > 0
             _assert_quiesced(db)
         finally:
@@ -305,8 +304,8 @@ class TestSpillDifferential:
             "GROUP BY g ORDER BY x, y"
         )
         orders = []
-        for faults in (None, MemoryFaultInjector().deny("sort.buffer")):
-            db = Database(memory_faults=faults)
+        for faults in (None, Faults().arm("sort.buffer", "deny", hits=None)):
+            db = Database(faults=faults)
             try:
                 db.execute("CREATE TABLE t (g integer, a integer, b integer)")
                 db.executemany(
@@ -401,8 +400,8 @@ class TestSpillDifferential:
 
 class TestFaultArms:
     def test_fail_arm_surfaces_53200_then_recovers(self):
-        faults = MemoryFaultInjector().fail("join.build", hits=1)
-        db = Database(memory_faults=faults)
+        faults = Faults().arm("join.build", "fail")
+        db = Database(faults=faults)
         try:
             _load(db)
             sql = _WORKLOAD[1]
@@ -417,14 +416,11 @@ class TestFaultArms:
         finally:
             db.close()
 
-    def test_pressure_scales_reservations(self):
-        """pressure=4 makes every allocation look 4x bigger, pushing a
-        comfortably-sized query over its budget and onto the spill path."""
+    def test_smaller_budget_pushes_query_onto_spill_path(self):
+        """A budget an eighth the size pushes a comfortably-sized query
+        over it and onto the spill path, with identical rows."""
         roomy = Database(query_memory_limit="256kb")
-        squeezed = Database(
-            query_memory_limit="256kb",
-            memory_faults=MemoryFaultInjector(pressure=8.0),
-        )
+        squeezed = Database(query_memory_limit="32kb")
         try:
             _load(roomy, rows=300)
             _load(squeezed, rows=300)
@@ -437,10 +433,12 @@ class TestFaultArms:
             squeezed.close()
 
     def test_stall_arm_delays_spill_writes(self):
-        faults = MemoryFaultInjector().deny("sort.buffer").stall(
-            "spill.write", 0.01
+        faults = (
+            Faults()
+            .arm("sort.buffer", "deny", hits=None)
+            .arm("spill.write", "stall", hits=None, seconds=0.01)
         )
-        db = Database(memory_faults=faults)
+        db = Database(faults=faults)
         try:
             _load(db, rows=60)
             started = time.perf_counter()
@@ -458,11 +456,11 @@ class TestCancellation:
     def test_statement_timeout_mid_spill(self):
         """A timeout that lands inside spill writes cancels with 57014
         and reclaims every grant byte and temp file."""
-        faults = MemoryFaultInjector().stall("spill.write", 0.05)
+        faults = Faults().arm("spill.write", "stall", hits=None, seconds=0.05)
         db = Database(
             query_memory_limit=_LIMIT,
             statement_timeout_ms=20,
-            memory_faults=faults,
+            faults=faults,
         )
         try:
             _load(db)
@@ -474,8 +472,8 @@ class TestCancellation:
             db.close()
 
     def test_explicit_cancel_mid_spill(self):
-        faults = MemoryFaultInjector().stall("spill.write", 0.05)
-        db = Database(query_memory_limit=_LIMIT, memory_faults=faults)
+        faults = Faults().arm("spill.write", "stall", hits=None, seconds=0.05)
+        db = Database(query_memory_limit=_LIMIT, faults=faults)
         try:
             _load(db)
             timer = threading.Timer(0.02, db.cancel)
@@ -671,9 +669,7 @@ class TestObservability:
             db.close()
 
     def test_session_shed_counter(self):
-        db = Database(
-            memory_faults=MemoryFaultInjector().fail("join.build", hits=1)
-        )
+        db = Database(faults=Faults().arm("join.build", "fail"))
         try:
             _load(db)
             with pytest.raises(OutOfMemory):

@@ -1,10 +1,11 @@
 """Network-chaos property tests for WAL-streaming replication.
 
 Each round drives a primary/replica pair (or a failover trio) through a
-:class:`~repro.sqldb.netfaults.FaultProxy` armed with a seeded
-:class:`~repro.sqldb.faults.NetworkFaultInjector` — dropped frames,
-back-to-back duplicates, torn frames, delivery delays, partitions, link
-resets, and replica crash-restarts — while a write workload runs.  Two
+:class:`~repro.sqldb.netfaults.FaultProxy` whose seeded
+:class:`~repro.sqldb.faults.Faults` is armed at both wire points —
+dropped frames, back-to-back duplicates, torn frames, delivery delays,
+partitions, link resets, and replica crash-restarts — while a write
+workload runs.  Two
 properties must hold in every round, under every seed:
 
 * **no acknowledged commit is ever lost**: every value whose INSERT
@@ -23,13 +24,14 @@ criteria call for.
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.core.connectors import MultiEndpointConnector
 from repro.sqldb import client, dbapi
 from repro.sqldb.engine import Database
-from repro.sqldb.faults import NetworkFaultInjector
+from repro.sqldb.faults import Faults
 from repro.sqldb.netfaults import FaultProxy
 from repro.sqldb.replication import Primary, Replica
 
@@ -57,6 +59,33 @@ def table_rows(database):
     return database.execute("SELECT a, b FROM t ORDER BY a").rows
 
 
+WIRE = ("wire.c2s", "wire.s2c")
+
+
+def wire_faults(seed, seconds=0.001, **probabilities):
+    """A seeded injector with every-pass *action* arms at probability
+    ``probabilities[action]`` on both wire points."""
+    faults = Faults(seed=seed)
+    for point in WIRE:
+        for action, p in probabilities.items():
+            faults.arm(
+                point, action, hits=None, p=p,
+                seconds=seconds if action == "delay" else None,
+            )
+    return faults
+
+
+def set_drop(faults, p):
+    """Drop every frame in both directions (``p=None``: a partition) or
+    only with probability *p* (healing one)."""
+    for point in WIRE:
+        faults.arm(point, "drop", hits=None, p=p)
+
+
+def tally(faults):
+    return Counter(action for _, action in faults.fired)
+
+
 class TestStreamChaos:
     def test_stream_converges_under_faults(self, fault_rounds, tmp_path):
         """Random frame faults + partitions + crash-restarts; the
@@ -64,13 +93,14 @@ class TestStreamChaos:
         acknowledged value survives."""
         for round_no in range(fault_rounds):
             rng = random.Random(0xC4A0 + round_no)
-            faults = NetworkFaultInjector(
-                seed=rng.randrange(1 << 30),
-                drop=rng.uniform(0.0, 0.08),
+            drop = rng.uniform(0.0, 0.08)
+            faults = wire_faults(
+                rng.randrange(1 << 30),
+                seconds=rng.uniform(0.0005, 0.005),
+                drop=drop,
                 duplicate=rng.uniform(0.0, 0.08),
                 tear=rng.uniform(0.0, 0.04),
                 delay=rng.uniform(0.0, 0.3),
-                delay_range_s=(0.0005, 0.005),
             )
             primary = Primary(
                 host="127.0.0.1", port=0,
@@ -104,9 +134,11 @@ class TestStreamChaos:
                 crash_at = (
                     rng.randrange(n_commits) if rng.random() < 0.3 else None
                 )
+                partitioned = False
                 for i in range(n_commits):
                     if i == partition_at:
-                        faults.partition()
+                        set_drop(faults, None)
+                        partitioned = True
                     if i == reset_at:
                         proxy.kill_links()
                     if i == crash_at:
@@ -135,9 +167,10 @@ class TestStreamChaos:
                     else:
                         db.execute(f"INSERT INTO t VALUES ({i}, 'auto')")
                         acked.append((i, "auto"))
-                    if faults.partitioned and rng.random() < 0.5:
-                        faults.heal()
-                faults.heal()
+                    if partitioned and rng.random() < 0.5:
+                        set_drop(faults, drop)
+                        partitioned = False
+                set_drop(faults, drop)
                 assert wait_until(
                     lambda: replica.database.last_applied_commit_id
                     >= primary.manager.last_commit_id
@@ -145,13 +178,13 @@ class TestStreamChaos:
                     f"round {round_no}: replica stuck at "
                     f"{replica.database.last_applied_commit_id} / "
                     f"{primary.manager.last_commit_id} "
-                    f"(faults {faults.stats}, replica {replica.stats})"
+                    f"(faults {tally(faults)}, replica {replica.stats})"
                 )
                 primary_rows = table_rows(db)
                 replica_rows = table_rows(replica.database)
                 assert replica_rows == primary_rows, (
                     f"round {round_no}: replica diverged "
-                    f"(faults {faults.stats})"
+                    f"(faults {tally(faults)})"
                 )
                 assert sorted(acked) == sorted(primary_rows)
                 # prefix property: the replica never applied past the
@@ -171,7 +204,7 @@ class TestStreamChaos:
         """Query connections through a tearing proxy either complete or
         fail with a clean connection error — never a wrong result."""
         primary = Primary(host="127.0.0.1", port=0).start()
-        faults = NetworkFaultInjector(seed=11, tear=0.15, drop=0.05)
+        faults = wire_faults(11, tear=0.15, drop=0.05)
         proxy = FaultProxy(primary.address, faults=faults).start()
         db = primary.database
         db.execute("CREATE TABLE t (a int, b text)")
@@ -192,7 +225,7 @@ class TestStreamChaos:
                 except (dbapi.Error, OSError):
                     errors += 1
             assert ok > 0  # some queries survive the chaos
-            assert faults.stats["torn"] + faults.stats["dropped"] > 0
+            assert tally(faults)["tear"] + tally(faults)["drop"] > 0
         finally:
             proxy.close()
             primary.kill()

@@ -33,7 +33,7 @@ from repro.learn import (
     LinearRegression,
     LogisticRegression,
 )
-from repro.sqldb import Database, FaultInjector, SimulatedCrash
+from repro.sqldb import Database, Faults, SimulatedCrash
 
 pytestmark = pytest.mark.train
 
@@ -474,10 +474,10 @@ class TestDurability:
 
     def test_crash_before_append_loses_unacked_train(self, tmp_path):
         wal = str(tmp_path / "crash1.wal")
-        faults = FaultInjector()
+        faults = Faults()
         database = Database(optimize=True, wal_path=wal, faults=faults)
         _seed_points(database)
-        faults.arm("wal.append.before", hits=1)
+        faults.arm("wal.append.before", "crash")
         with pytest.raises(SimulatedCrash):
             database.execute(_TRAIN_PTS)
         database.close()
@@ -496,10 +496,10 @@ class TestDurability:
         expected = oracle.model("m").coef
         oracle.close()
 
-        faults = FaultInjector()
+        faults = Faults()
         database = Database(optimize=True, wal_path=wal, faults=faults)
         _seed_points(database)
-        faults.arm("wal.fsync.after", hits=1)
+        faults.arm("wal.fsync.after", "crash")
         with pytest.raises(SimulatedCrash):
             database.execute(_TRAIN_PTS)
         database.close()

@@ -10,18 +10,16 @@ database, validated two ways:
   run's final state exactly.  That is the definition of the snapshot
   scheduler being equivalent to *some* serial order — and of commit ids
   naming that order.
-* **crash rounds** — the same workload composed with the
-  :class:`FaultInjector` crashpoints: the process "dies" mid-workload
+* **crash rounds** — the same workload composed with a crash or a torn
+  write at a durability point: the process "dies" mid-workload
   and the WAL is reopened.  Every transaction that was *acknowledged*
   (COMMIT returned) must survive recovery in full; every transaction,
   acked or not, must be all-or-nothing (rows carry per-transaction tags,
   so partial presence is detectable).
 
-Rounds default to a small tier-1 budget; raise with ``--stress-rounds``
-or the ``REPRO_STRESS_ROUNDS`` environment variable.
+Rounds default to a small tier-1 budget; raise with ``--stress-rounds``.
 """
 
-import os
 import random
 import threading
 import time
@@ -31,7 +29,7 @@ import pytest
 from repro.sqldb.client import is_retryable, retry_backoff
 from repro.errors import SQLError
 from repro.sqldb.engine import Database
-from repro.sqldb.faults import CRASHPOINTS, FaultInjector, SimulatedCrash
+from repro.sqldb.faults import POINTS, Faults, SimulatedCrash
 
 pytestmark = pytest.mark.stress
 
@@ -42,13 +40,7 @@ TXNS_PER_WORKER = 4
 
 @pytest.fixture
 def rounds(request):
-    opt = request.config.getoption("--stress-rounds")
-    if opt is not None:
-        return opt
-    env = os.environ.get("REPRO_STRESS_ROUNDS")
-    if env:
-        return int(env)
-    return 2
+    return request.config.getoption("--stress-rounds") or 2
 
 
 def _create_tables(db):
@@ -174,10 +166,15 @@ class TestCrashDuringConcurrency:
 
     def _run_crash_round(self, seed, wal_path):
         rng0 = random.Random(seed)
-        point = rng0.choice(
-            [p for p in CRASHPOINTS if not p.endswith(".torn")]
+        point, action = rng0.choice(
+            [
+                (point, action)
+                for point, actions in POINTS.items()
+                if "crash" in actions
+                for action in actions
+            ]
         )
-        faults = FaultInjector()
+        faults = Faults()
         db = Database(
             "umbra",
             wal_path=wal_path,
@@ -190,7 +187,7 @@ class TestCrashDuringConcurrency:
         _create_tables(db)
         # arm only after setup so the crash lands inside the concurrent
         # workload, not the single-threaded CREATEs
-        faults.arm(point, hits=rng0.randint(4, 30))
+        faults.arm(point, action, hits=rng0.randint(4, 30))
 
         acked = []  # (tag, [(table, tag, val), ...]) — COMMIT returned
         all_tags = {}  # tag -> expected rows, acked or not
@@ -273,7 +270,7 @@ class TestCrashDuringConcurrency:
         for tag, expected in acked:
             assert present_rows(expected) == expected, (
                 f"acked transaction {tag} lost rows across recovery "
-                f"(crashpoint {faults.fired or point})"
+                f"(arm {point}:{action}, fired {faults.fired})"
             )
         # atomicity: every transaction is all-or-nothing after recovery
         for tag, expected in all_tags.items():

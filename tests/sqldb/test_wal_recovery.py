@@ -8,7 +8,6 @@ import pytest
 from repro.errors import DurabilityError
 from repro.sqldb.engine import Database
 from repro.sqldb.wal import (
-    _HEADER,
     _WAL_MAGIC,
     encode_record,
     read_checkpoint,
@@ -348,9 +347,9 @@ class TestRecoveryUnderConcurrency:
         # crash between the durable commit record and the in-memory
         # catalog install: the commit must survive recovery even though
         # the crashed process never acknowledged it
-        from repro.sqldb.faults import FaultInjector, SimulatedCrash
+        from repro.sqldb.faults import Faults, SimulatedCrash
 
-        faults = FaultInjector()
+        faults = Faults()
         db = open_db(wal_path, faults=faults)
         db.execute("CREATE TABLE t (a int)")
         db.execute("CREATE TABLE u (a int)")
@@ -360,7 +359,7 @@ class TestRecoveryUnderConcurrency:
         b.execute("INSERT INTO u (a) VALUES (99)")  # open at crash time
         a.begin()
         a.execute("INSERT INTO t (a) VALUES (1)")
-        faults.arm("commit.install")
+        faults.arm("commit.install", "crash")
         with pytest.raises(SimulatedCrash):
             a.commit()
         del db, a, b
@@ -372,15 +371,15 @@ class TestRecoveryUnderConcurrency:
     def test_autocommit_batch_reaches_commit_install(self, wal_path):
         # every commit passes the crashpoint between "durable" and
         # "acknowledged" — an autocommit executemany batch included
-        from repro.sqldb.faults import FaultInjector, SimulatedCrash
+        from repro.sqldb.faults import Faults, SimulatedCrash
 
-        faults = FaultInjector()
+        faults = Faults()
         db = open_db(wal_path, faults=faults)
         db.execute("CREATE TABLE t (a int)")
         del faults.trace[:]
         db.executemany("INSERT INTO t (a) VALUES (?)", [(1,), (2,)])
         assert "commit.install" in faults.trace
-        faults.arm("commit.install")
+        faults.arm("commit.install", "crash")
         with pytest.raises(SimulatedCrash):
             db.executemany("INSERT INTO t (a) VALUES (?)", [(3,), (4,)])
         del db
