@@ -30,7 +30,6 @@ class ColumnSchema:
 class CsvSchema:
     columns: tuple[ColumnSchema, ...]
     has_index_column: bool
-    n_rows: int
 
     @property
     def names(self) -> list[str]:
@@ -42,8 +41,8 @@ def sniff_csv(
 ) -> CsvSchema:
     """Analyse a CSV file and derive its SQL schema.
 
-    ``sample_limit`` bounds the rows examined for *type* inference; the row
-    count always reflects the whole file (needed to report dataset sizes).
+    ``sample_limit`` bounds the rows read: types and nullability come from
+    the first ``sample_limit`` non-empty rows (all rows when None).
     """
     nulls = {"", na_values} if na_values else {""}
     with open(path, newline="") as handle:
@@ -58,13 +57,14 @@ def sniff_csv(
         for row in reader:
             if not row:
                 continue
+            if n_rows == sample_limit:
+                break
             n_rows += 1
             if n_fields is None:
                 n_fields = len(row)
                 raw_columns = [[] for _ in range(n_fields)]
-            if sample_limit is None or n_rows <= sample_limit:
-                for j, cell in enumerate(row):
-                    raw_columns[j].append(None if cell in nulls else cell)
+            for j, cell in enumerate(row):
+                raw_columns[j].append(None if cell in nulls else cell)
     if n_fields is None:
         n_fields = len(header)
         raw_columns = [[] for _ in range(n_fields)]
@@ -79,4 +79,4 @@ def sniff_csv(
         kind = infer_column_type(raw)
         nullable = any(v is None for v in raw)
         columns.append(ColumnSchema(name, _SQL_TYPES[kind], nullable))
-    return CsvSchema(tuple(columns), has_index_column, n_rows)
+    return CsvSchema(tuple(columns), has_index_column)

@@ -91,7 +91,8 @@ def coerce_to_type(raw: Any, storage: str) -> Any:
         raise SQLExecutionError(f"cannot interpret {raw!r} as boolean")
     if storage == "array":
         if isinstance(raw, list):
-            return raw
+            # arrays are values: the table never holds the caller's list
+            return list(raw)
         raise SQLExecutionError(f"cannot interpret {raw!r} as array")
     return str(raw)
 

@@ -1831,6 +1831,12 @@ def _batch_to_result(plan: PlanNode, batch: Batch) -> Result:
             as_object = values.copy()
         if vector.nulls.any():
             as_object[vector.nulls] = None
+        if values.dtype == object and list in set(map(type, as_object)):
+            # arrays are values: the caller gets its own lists, never the
+            # ones stored (or shared between rows) inside the engine
+            as_object = [
+                list(cell) if type(cell) is list else cell for cell in as_object
+            ]
         converted.append(as_object)
     rows = list(zip(*converted)) if converted else []
     return Result(columns=columns, rows=rows, rowcount=batch.length)

@@ -7,6 +7,9 @@ paper): ``coalesce``, ``regexp_replace``, ``least``/``greatest``,
 ``floor``/``ceil``, ``array_fill``/``array_length``/``array_position``,
 ``unnest`` (handled by the executor), plus aggregates ``count``, ``sum``,
 ``avg``, ``min``, ``max``, ``stddev_pop``/``stddev_samp``, ``array_agg``.
+The ``LIKE`` and ``CAST`` operators live here too.  Every kernel whose
+work is Python per value runs once per distinct input tuple
+(:func:`~repro.sqldb.vector.per_distinct`).
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import SQLBindError, SQLExecutionError
-from repro.sqldb.vector import Vector, from_values
+from repro.sqldb.vector import Vector, per_distinct, to_python
 
 __all__ = [
     "AGGREGATE_NAMES",
     "SCALAR_FUNCTIONS",
+    "cast",
+    "cell_text",
     "compute_aggregate",
     "is_aggregate",
+    "like",
     "pg_text",
 ]
 
@@ -59,6 +65,12 @@ def pg_text(value: Any) -> Any:
     return str(value)
 
 
+def cell_text(cell: Any) -> Any:
+    """:func:`pg_text` of a stored cell, as of ``Vector.item`` of its row
+    (a numpy float that is integral prints as an integer at any size)."""
+    return pg_text(to_python(cell))
+
+
 # ---------------------------------------------------------------------------
 # scalar functions
 # ---------------------------------------------------------------------------
@@ -88,19 +100,15 @@ def _fn_coalesce(args: list[Vector]) -> Vector:
 def _fn_regexp_replace(args: list[Vector]) -> Vector:
     if len(args) != 3:
         raise SQLExecutionError("regexp_replace(text, pattern, replacement)")
-    text, pattern, replacement = args
-    out = np.empty(len(text), dtype=object)
-    nulls = text.nulls | pattern.nulls | replacement.nulls
-    cache: dict[str, re.Pattern] = {}
-    for i in np.flatnonzero(~nulls):
-        pat = pg_text(pattern.item(i))
-        compiled = cache.get(pat)
-        if compiled is None:
-            compiled = re.compile(pat)
-            cache[pat] = compiled
-        out[i] = compiled.sub(
-            pg_text(replacement.item(i)), pg_text(text.item(i)), count=1
+    nulls = args[0].nulls | args[1].nulls | args[2].nulls
+
+    def replace(text: Any, pattern: Any, replacement: Any) -> str:
+        return re.compile(cell_text(pattern)).sub(
+            cell_text(replacement), cell_text(text), count=1
         )
+
+    out = np.empty(len(nulls), dtype=object)
+    per_distinct(replace, args, np.flatnonzero(~nulls), out)
     return Vector(out, nulls)
 
 
@@ -117,16 +125,15 @@ def _extremum(args: list[Vector], pick: Callable) -> Vector:
             values = pick(masked, axis=0)
         nulls = np.isnan(values)
         return Vector(np.where(nulls, np.nan, values), nulls)
-    out = np.empty(length, dtype=object)
-    nulls = np.zeros(length, dtype=bool)
     reducer = min if pick is np.nanmin else max
-    for i in range(length):
-        candidates = [a.values[i] for a in args if not a.nulls[i]]
-        if candidates:
-            out[i] = reducer(candidates)
-        else:
-            nulls[i] = True
-    return Vector(out, nulls)
+
+    def extremum(*cells: Any) -> Any:
+        candidates = [cell for cell in cells if cell is not None]
+        return reducer(candidates) if candidates else None
+
+    out = np.empty(length, dtype=object)
+    per_distinct(extremum, args, np.arange(length), out)
+    return Vector(out, np.logical_and.reduce([a.nulls for a in args]))
 
 
 def _fn_least(args: list[Vector]) -> Vector:
@@ -166,20 +173,13 @@ def _fn_array_fill(args: list[Vector]) -> Vector:
     if len(args) != 2:
         raise SQLExecutionError("array_fill(value, count)")
     value, count = args
-    out = np.empty(len(value), dtype=object)
     nulls = count.nulls.copy()
-    counts = count.values
-    fill_values = value.values
-    fill_nulls = value.nulls
-    cache: dict[tuple, list] = {}
-    for i in np.flatnonzero(~nulls):
-        fill = None if fill_nulls[i] else value.item(i)
-        key = (fill, int(counts[i]))
-        prototype = cache.get(key)
-        if prototype is None:
-            prototype = [fill] * max(key[1], 0)
-            cache[key] = prototype
-        out[i] = list(prototype)
+
+    def fill(cell: Any, n: Any) -> list:
+        return [to_python(cell)] * max(int(n), 0)
+
+    out = np.empty(len(value), dtype=object)
+    per_distinct(fill, args, np.flatnonzero(~nulls), out)
     return Vector(out, nulls)
 
 
@@ -187,14 +187,15 @@ def _fn_array_length(args: list[Vector]) -> Vector:
     if len(args) not in (1, 2):
         raise SQLExecutionError("array_length(array[, dim])")
     arr = args[0]
-    out = np.empty(len(arr), dtype=np.float64)
-    nulls = arr.nulls.copy()
-    for i in np.flatnonzero(~nulls):
-        value = arr.values[i]
+
+    def length(value: Any) -> int:
         if not isinstance(value, list):
             raise SQLExecutionError("array_length argument is not an array")
-        out[i] = len(value)
-    return Vector(np.where(nulls, np.nan, out), nulls)
+        return len(value)
+
+    out = np.full(len(arr), np.nan)
+    per_distinct(length, [arr], np.flatnonzero(~arr.nulls), out)
+    return Vector(out, arr.nulls.copy())
 
 
 def _fn_array_position(args: list[Vector]) -> Vector:
@@ -202,25 +203,87 @@ def _fn_array_position(args: list[Vector]) -> Vector:
     if len(args) != 2:
         raise SQLExecutionError("array_position(array, element)")
     arr, element = args
-    out = np.full(len(arr), np.nan)
-    nulls = arr.nulls | element.nulls
-    for i in np.flatnonzero(~nulls):
-        value = arr.values[i]
+
+    def position(value: Any, wanted: Any) -> float:
         try:
-            out[i] = value.index(element.item(i)) + 1
+            return value.index(to_python(wanted)) + 1
         except ValueError:
-            nulls[i] = True
-    return Vector(out, nulls)
+            return np.nan
+
+    out = np.full(len(arr), np.nan)
+    per_distinct(position, args, np.flatnonzero(~(arr.nulls | element.nulls)), out)
+    return Vector(out, np.isnan(out))
 
 
-def _string_unary(args: list[Vector], func: Callable[[str], Any], name: str) -> Vector:
+def _string_unary(
+    args: list[Vector], func: Callable[[str], Any], name: str, dtype=object
+) -> Vector:
     if len(args) != 1:
         raise SQLExecutionError(f"{name} takes one argument")
     arg = args[0]
-    out = np.empty(len(arg), dtype=object)
-    for i in np.flatnonzero(~arg.nulls):
-        out[i] = func(pg_text(arg.item(i)))
+    out = np.full(len(arg), None if dtype is object else np.nan, dtype=dtype)
+    per_distinct(
+        lambda cell: func(cell_text(cell)), [arg], np.flatnonzero(~arg.nulls), out
+    )
     return Vector(out, arg.nulls.copy())
+
+
+def _like_to_regex(pattern: str) -> re.Pattern:
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    return re.compile("".join(out), re.DOTALL)
+
+
+def like(value: Vector, pattern: Vector) -> Vector:
+    """``value LIKE pattern`` (``%`` any run, ``_`` any one character)."""
+
+    def matches(subject: Any, like_pattern: Any) -> bool:
+        regex = _like_to_regex(cell_text(like_pattern))
+        return regex.fullmatch(cell_text(subject)) is not None
+
+    nulls = value.nulls | pattern.nulls
+    out = np.zeros(len(nulls), dtype=bool)
+    per_distinct(matches, [value, pattern], np.flatnonzero(~nulls), out)
+    return Vector(out, nulls)
+
+
+def _cast_bool(raw: Any) -> bool:
+    if isinstance(raw, (bool, np.bool_)):
+        return bool(raw)
+    if isinstance(raw, (int, float, np.integer, np.floating)):
+        return raw != 0
+    return str(raw).strip().lower() in ("t", "true", "1", "yes", "on")
+
+
+def cast(value: Vector, target: str) -> Vector:
+    """``CAST(value AS target)`` for the int, float, text and bool families."""
+    nulls = value.nulls.copy()
+    rows = np.flatnonzero(~nulls)
+    numeric = value.values.dtype.kind in ("f", "i", "u", "b")
+    if target in ("int", "integer", "bigint", "smallint"):
+        if numeric:
+            out = value.values.astype(np.float64)
+        else:
+            out = per_distinct(float, [value], rows, np.full(len(value), np.nan))
+        return Vector(np.rint(out), nulls)
+    if target in ("float", "real", "numeric", "decimal", "double", "double precision"):
+        if numeric:
+            return Vector(value.values.astype(np.float64), nulls)
+        out = per_distinct(float, [value], rows, np.full(len(value), np.nan))
+        return Vector(out, nulls)
+    if target in ("text", "varchar", "char"):
+        out = np.empty(len(value), dtype=object)
+        return Vector(per_distinct(cell_text, [value], rows, out), nulls)
+    if target in ("bool", "boolean"):
+        out = np.zeros(len(value), dtype=bool)
+        return Vector(per_distinct(_cast_bool, [value], rows, out), nulls)
+    raise SQLBindError(f"unsupported cast target {target!r}")
 
 
 def _fn_nullif(args: list[Vector]) -> Vector:
@@ -236,11 +299,7 @@ def _fn_nullif(args: list[Vector]) -> Vector:
 
 
 def _fn_char_length(args: list[Vector]) -> Vector:
-    vec = _string_unary(args, len, "length")
-    values = np.array(
-        [float(v) if v is not None else np.nan for v in vec.values], dtype=np.float64
-    )
-    return Vector(values, vec.nulls)
+    return _string_unary(args, len, "length", dtype=np.float64)
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[[list[Vector]], Vector]] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sqldb.vector import Vector
+from repro.sqldb.vector import Vector, first_occurrence_codes
 
 __all__ = ["INVALID", "factorize_columns", "group_codes"]
 
@@ -28,31 +28,29 @@ def _factorize_values(values: np.ndarray, nulls: np.ndarray) -> np.ndarray:
     subset = values[present]
     if subset.dtype == object:
         # dict-based factorisation: avoids O(n log n) Python-compare sorts
-        # on string columns.  Codes follow value order for determinism.
-        mapping: dict = {}
-        inverse = np.empty(len(subset), dtype=np.int64)
-        get = mapping.get
-        for i, value in enumerate(subset):
-            code = get(value)
-            if code is None:
-                code = len(mapping)
-                mapping[value] = code
-            inverse[i] = code
-        codes[present] = inverse
+        # on string columns.  Codes follow first occurrence for determinism.
+        codes[present] = first_occurrence_codes(subset.tolist())[0]
         return codes
     _, inverse = np.unique(subset, return_inverse=True)
     codes[present] = inverse.astype(np.int64)
     return codes
 
 
-def _combine(parts: list[np.ndarray]) -> np.ndarray:
-    """Mixed-radix combination of per-column codes; any -1 stays invalid."""
+def _mixed_radix(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix combination of per-column codes, and the rows where any
+    part is negative (invalid)."""
     combined = parts[0].copy()
     invalid = combined < 0
     for part in parts[1:]:
         radix = int(part.max(initial=-1)) + 1 or 1
         combined = combined * radix + part
         invalid |= part < 0
+    return combined, invalid
+
+
+def _combine(parts: list[np.ndarray]) -> np.ndarray:
+    """Dense combined codes; a row with any -1 part stays invalid."""
+    combined, invalid = _mixed_radix(parts)
     combined[invalid] = INVALID
     # densify so downstream bincounts stay small
     valid = ~invalid
@@ -106,15 +104,16 @@ def group_codes(vectors: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
     ascending key order and each representative is the first row of its
     group in that ordering.
     """
-    length = len(vectors[0])
     parts = []
     for vec in vectors:
         codes = _factorize_values(vec.values, vec.nulls)
         null_rows = codes == -2
         codes[null_rows] = codes.max(initial=-1) + 1
         parts.append(codes)
-    combined = _combine(parts)
-    uniques, first_positions, inverse = np.unique(
+    # no part is negative (null is a code of its own): one np.unique both
+    # densifies and finds the representatives
+    combined, _ = _mixed_radix(parts)
+    _, first_positions, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
     return inverse.astype(np.int64), first_positions.astype(np.int64)

@@ -16,7 +16,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -109,18 +108,6 @@ def _split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
 
 #: comparison operator when the column moves to the left-hand side
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _like_to_regex(pattern: str) -> re.Pattern:
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("".join(out), re.DOTALL)
 
 
 def _collect_aggregates(expr: ast.Expr, found: list[ast.FuncCall]) -> None:
@@ -787,21 +774,9 @@ class Planner:
                 cmp=cmp,
             )
         if op == "like":
-
-            def fn_like(batch: Batch, ctx: Any) -> Vector:
-                value = left(batch, ctx)
-                pattern = right(batch, ctx)
-                nulls = value.nulls | pattern.nulls
-                out = np.zeros(batch.length, dtype=bool)
-                cache: dict[str, re.Pattern] = {}
-                for i in np.flatnonzero(~nulls):
-                    raw = functions.pg_text(pattern.item(i))
-                    compiled = cache.setdefault(raw, _like_to_regex(raw))
-                    subject = functions.pg_text(value.item(i))
-                    out[i] = compiled.fullmatch(subject) is not None
-                return Vector(out, nulls)
-
-            return CompiledExpr(fn_like, refs, text)
+            return CompiledExpr(
+                lambda b, c: functions.like(left(b, c), right(b, c)), refs, text
+            )
         if op in ("+", "-", "*", "/", "%", "||"):
             return CompiledExpr(
                 lambda b, c: vector.arithmetic(op, left(b, c), right(b, c)), refs, text
@@ -920,59 +895,11 @@ class Planner:
     ) -> CompiledExpr:
         operand = self.compile_expr(expr.operand, scope, env, replace)
         target = expr.type_name
-
-        def fn_cast(batch: Batch, ctx: Any) -> Vector:
-            value = operand(batch, ctx)
-            if target in ("int", "integer", "bigint", "smallint"):
-                if value.values.dtype.kind in ("f", "i", "u", "b"):
-                    out = np.rint(value.values.astype(np.float64))
-                else:
-                    out = np.array(
-                        [
-                            float(v) if not value.nulls[i] else np.nan
-                            for i, v in enumerate(value.values)
-                        ]
-                    )
-                    out = np.rint(out)
-                return Vector(out, value.nulls.copy())
-            if target in (
-                "float",
-                "real",
-                "numeric",
-                "decimal",
-                "double",
-                "double precision",
-            ):
-                if value.values.dtype.kind in ("f", "i", "u", "b"):
-                    return Vector(value.values.astype(np.float64), value.nulls.copy())
-                out = np.array(
-                    [
-                        float(v) if not value.nulls[i] else np.nan
-                        for i, v in enumerate(value.values)
-                    ]
-                )
-                return Vector(out, value.nulls.copy())
-            if target in ("text", "varchar", "char"):
-                out = np.empty(batch.length, dtype=object)
-                for i in np.flatnonzero(~value.nulls):
-                    out[i] = functions.pg_text(value.item(i))
-                return Vector(out, value.nulls.copy())
-            if target in ("bool", "boolean"):
-                out = np.zeros(batch.length, dtype=bool)
-                nulls = value.nulls.copy()
-                for i in np.flatnonzero(~nulls):
-                    raw = value.values[i]
-                    if isinstance(raw, (bool, np.bool_)):
-                        out[i] = bool(raw)
-                    elif isinstance(raw, (int, float, np.integer, np.floating)):
-                        out[i] = raw != 0
-                    else:
-                        text = str(raw).strip().lower()
-                        out[i] = text in ("t", "true", "1", "yes", "on")
-                return Vector(out, nulls)
-            raise SQLBindError(f"unsupported cast target {target!r}")
-
-        return CompiledExpr(fn_cast, operand.refs, text=f"{operand.text}::{target}")
+        return CompiledExpr(
+            lambda b, c: functions.cast(operand(b, c), target),
+            operand.refs,
+            text=f"{operand.text}::{target}",
+        )
 
     def _compile_func(
         self,

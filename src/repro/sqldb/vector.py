@@ -4,18 +4,44 @@ A :class:`Vector` is a pair of numpy arrays: ``values`` and a boolean
 ``nulls`` mask.  Numeric vectors store float64 (ints are widened), booleans
 store bool, and everything else (text, arrays) stores object.  All engine
 operators exchange vectors, which keeps SQL three-valued logic explicit.
+
+Scalar kernels whose work is Python per value (text functions, arrays,
+mixed-type fallbacks) go through :func:`per_distinct`, which calls the
+kernel once per distinct input tuple and gathers the results to rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import SQLExecutionError
 
-__all__ = ["Vector", "from_values", "constant", "gather", "concat_vectors"]
+__all__ = [
+    "Vector",
+    "from_values",
+    "constant",
+    "gather",
+    "concat_vectors",
+    "first_occurrence_codes",
+    "per_distinct",
+    "to_python",
+]
+
+
+def to_python(value: Any) -> Any:
+    """The Python value of one stored cell: numpy scalars unwrapped, and
+    integral numpy floats as ``int`` (``Vector.item`` without the null)."""
+    if isinstance(value, np.floating):
+        as_float = float(value)
+        return int(as_float) if as_float.is_integer() else as_float
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    return value
 
 
 @dataclass
@@ -43,15 +69,7 @@ class Vector:
         """Python value at row *i* (None when null)."""
         if self.nulls[i]:
             return None
-        value = self.values[i]
-        if isinstance(value, np.floating):
-            as_float = float(value)
-            return int(as_float) if as_float.is_integer() else as_float
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.bool_):
-            return bool(value)
-        return value
+        return to_python(self.values[i])
 
     def tolist(self) -> list:
         return [self.item(i) for i in range(len(self))]
@@ -134,6 +152,123 @@ def concat_vectors(parts: list[Vector]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
+# per-distinct evaluation of Python-level kernels
+# ---------------------------------------------------------------------------
+
+
+def first_occurrence_codes(
+    keys: list, distinct: dict | None = None
+) -> tuple[np.ndarray, int]:
+    """Dense codes for *keys* numbered in first-occurrence order, and how
+    many distinct keys there are (dict equality decides "distinct";
+    *distinct* is ``dict.fromkeys(keys)`` when the caller has it)."""
+    if distinct is None:
+        distinct = dict.fromkeys(keys)
+    n = len(distinct)
+    # the two ends need no numbering pass: one key, or every key new
+    if n <= 1:
+        return np.zeros(len(keys), dtype=np.int64), n
+    if n == len(keys):
+        return np.arange(n, dtype=np.int64), n
+    numbering = {key: code for code, key in enumerate(distinct)}
+    codes = np.fromiter(
+        map(numbering.__getitem__, keys), dtype=np.int64, count=len(keys)
+    )
+    return codes, n
+
+
+def _object_codes(cells: list) -> tuple[np.ndarray, int]:
+    """Codes of object cells: text by value, anything else by identity.
+
+    Value keys are safe within text only: ``1``, ``1.0`` and ``True`` are
+    one dict key but render differently, and ``-0.0 == 0.0``.  When every
+    distinct key is a ``str``, every cell is one (only a string equals a
+    string), so the type check runs over the distinct keys alone — and not
+    at all when no two cells were equal, since then nothing was merged.
+    Any other cell — an array, a number in a mixed column — keys by
+    identity, which never merges two different values.
+    """
+    try:
+        distinct = dict.fromkeys(cells)
+    except TypeError:  # an array cell is unhashable
+        distinct = None
+    if distinct is not None and (
+        len(distinct) == len(cells) or set(map(type, distinct)) <= {str}
+    ):
+        return first_occurrence_codes(cells, distinct)
+    return first_occurrence_codes(list(map(id, cells)))
+
+
+def _cell_codes(vector: Vector, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense codes of *vector*'s cells at *rows* (null is one more code)
+    and the number of codes."""
+    values = vector.values[rows]
+    nulls = vector.nulls[rows]
+    has_null = bool(nulls.any())
+    if has_null:
+        values = values[~nulls]
+    if values.dtype == object:
+        codes, n = _object_codes(values.tolist())
+    else:
+        # floats by bit pattern: -0.0 is not 0.0 to str() or sign tests
+        if values.dtype.kind == "f":
+            values = values.view(f"i{values.itemsize}")
+        codes, n = first_occurrence_codes(values.tolist())
+    if not has_null:
+        return codes, n
+    full = np.full(len(rows), n, dtype=np.int64)
+    full[~nulls] = codes
+    return full, n + 1
+
+
+def per_distinct(
+    fn: Callable[..., Any],
+    vectors: Sequence[Vector],
+    rows: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``out[i] = fn(*cells of row i)`` for each position *i* in *rows*,
+    calling *fn* once per distinct tuple of input cells.
+
+    A cell is the stored value (a numpy scalar in numeric vectors), or None
+    under null.  Two cells share a call only when no kernel can tell them
+    apart: equal text, numeric cells with the same bit pattern, and any
+    other object only with itself.  Rows sharing a tuple share the one
+    result object — arrays are values inside the engine and are copied at
+    its boundary, never mutated in place.  Tuples are evaluated in order
+    of first occurrence, so the first failing row raises.
+    """
+    if len(rows) == 0:
+        return out
+    codes, n = np.zeros(len(rows), dtype=np.int64), 1
+    constant = []
+    for vector in vectors:
+        part, k = _cell_codes(vector, rows)
+        constant.append(k == 1)
+        if k == 1:
+            continue
+        if n == 1:
+            codes, n = part, k
+        else:
+            codes, n = first_occurrence_codes((codes * k + part).tolist())
+    # any row of a tuple stands for all of them
+    first = np.empty(n, dtype=np.int64)
+    first[codes] = rows
+    columns = []
+    for vector, same in zip(vectors, constant):
+        picked = rows[:1] if same else first
+        cells = vector.values[picked]
+        # numeric cells stay numpy scalars: a kernel sees the stored value
+        cells = cells.tolist() if cells.dtype == object else list(cells)
+        for j in np.flatnonzero(vector.nulls[picked]):
+            cells[j] = None
+        columns.append(cells * n if same else cells)
+    table = np.fromiter(map(fn, *columns), dtype=out.dtype, count=n)
+    out[rows] = table[codes]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # element-wise operations with SQL semantics
 # ---------------------------------------------------------------------------
 
@@ -143,18 +278,22 @@ def _as_float(vector: Vector, context: str) -> np.ndarray:
         return vector.values.astype(np.float64, copy=False)
     if vector.values.dtype.kind == "b":
         return vector.values.astype(np.float64)
-    out = np.empty(len(vector), dtype=np.float64)
-    for i, value in enumerate(vector.values):
-        if vector.nulls[i]:
-            out[i] = np.nan
-            continue
+
+    def number(value: Any) -> float:
         try:
-            out[i] = float(value)
+            return float(value)
         except (TypeError, ValueError):
             raise SQLExecutionError(
                 f"{context}: cannot interpret {value!r} as a number"
             ) from None
-    return out
+
+    rows = np.flatnonzero(~vector.nulls)
+    out = np.full(len(vector), np.nan)
+    try:
+        return per_distinct(float, [vector], rows, out)
+    except (TypeError, ValueError):
+        # again through the wrapper, which names the first bad value
+        return per_distinct(number, [vector], rows, out)
 
 
 def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
@@ -162,17 +301,17 @@ def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
     nulls = left.nulls | right.nulls
     if op == "||":
         # lazy import: functions imports this module at load time
-        from repro.sqldb.functions import pg_text
+        from repro.sqldb.functions import cell_text
 
-        out = np.empty(len(left), dtype=object)
-        for i in np.flatnonzero(~nulls):
-            a, b = left.values[i], right.values[i]
+        def concat(a: Any, b: Any) -> Any:
             if isinstance(a, list) or isinstance(b, list):
                 a_list = a if isinstance(a, list) else [a]
                 b_list = b if isinstance(b, list) else [b]
-                out[i] = a_list + b_list
-            else:
-                out[i] = pg_text(left.item(i)) + pg_text(right.item(i))
+                return a_list + b_list
+            return cell_text(a) + cell_text(b)
+
+        out = np.empty(len(left), dtype=object)
+        per_distinct(concat, [left, right], np.flatnonzero(~nulls), out)
         return Vector(out, nulls.copy())
     a = _as_float(left, op)
     b = _as_float(right, op)
@@ -231,13 +370,15 @@ def compare(op: str, left: Vector, right: Vector) -> Vector:
             out = np.asarray(raw, dtype=bool)
             out = np.where(nulls, False, out)
         except TypeError:
-            for i in np.flatnonzero(~nulls):
-                a, b = left.values[i], right.values[i]
+
+            def mixed(a: Any, b: Any) -> bool:
                 try:
-                    out[i] = bool(func(a, b))
+                    return bool(func(a, b))
                 except TypeError:
                     # mixed types (e.g. text vs numeric): compare as text
-                    out[i] = bool(func(str(a), str(b)))
+                    return bool(func(str(a), str(b)))
+
+            per_distinct(mixed, [left, right], np.flatnonzero(~nulls), out)
     return Vector(out, nulls)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for SQLQueryContainer, connectors, naming, csv sniffing."""
 
+import csv
+
 import pytest
 
 from repro.core.connectors import (
@@ -61,7 +63,24 @@ class TestCsvSniffing:
         assert by_name["b"].sql_type == "DOUBLE PRECISION"
         assert by_name["b"].nullable
         assert by_name["c"].sql_type == "TEXT"
-        assert schema.n_rows == 2
+
+    def test_sample_limit_bounds_the_rows_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("a\n" + "1\n" * 50 + "text\n")
+        assert sniff_csv(str(path)).columns[0].sql_type == "TEXT"
+        consumed = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                consumed.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        schema = sniff_csv(str(path), sample_limit=10)
+        assert schema.columns[0].sql_type == "INT"
+        # the header, the ten sampled rows and the one that ends the sample
+        assert len(consumed) == 12
 
     def test_index_column_detected(self, tmp_path):
         path = tmp_path / "x.csv"
