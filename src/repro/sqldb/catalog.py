@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "Catalog",
     "CatalogSnapshot",
     "ColumnStats",
+    "CsvColumn",
     "Index",
     "TableStats",
     "CTID",
@@ -142,12 +143,90 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
         for i, v in enumerate(raw):
             values[i] = v
     else:
-        # one object per distinct string of the batch: COPY parses a fresh
-        # str per cell, and a column of repeated (categorical) values
-        # would otherwise hold one per row
+        # one object per distinct string of the batch, as COPY stores text
+        # (CsvColumn): a column of repeated (categorical) values would
+        # otherwise hold one per row
         distinct: dict[Any, Any] = {}
         values[:] = [distinct.setdefault(v, v) for v in raw]
     return Vector(values, nulls)
+
+
+class CsvColumn:
+    """One column of a COPY, typed chunk by chunk from its CSV text cells.
+
+    :meth:`add` takes a chunk of the column's cells (the ``str``s
+    ``csv.reader`` yields) and :meth:`vector` concatenates the typed parts
+    once.  The NULL text and the empty field both read as NULL
+    (PostgreSQL's CSV-mode default).  Every pass over a chunk is a C-level
+    ``map``: numbers go through ``float()`` per cell when the chunk holds
+    no NULL and once per distinct string when it does, booleans once per
+    distinct string, and text through one dict for the whole COPY, so the
+    column stores one ``str`` per distinct value.  The result equals
+    :func:`_coerce_column` over the NULL-mapped cells, error included.
+    """
+
+    def __init__(self, name: str, storage: str, null_text: str) -> None:
+        self.name = name
+        self.storage = storage
+        self.null_keys = tuple(dict.fromkeys(("", null_text)))
+        self.parts: list[Any] = []
+        self.rows = 0
+        #: text: the one object per distinct string; bool: each string's
+        #: code (0 false, 1 true, 2 NULL)
+        self.known: dict[str, Any] = (
+            dict.fromkeys(self.null_keys, 2) if storage == "bool" else {}
+        )
+
+    def add(self, cells: Sequence[str]) -> None:
+        if self.storage in ("int", "serial", "float"):
+            part = self._numbers(cells)
+        elif self.storage == "bool":
+            known = self.known
+            for cell in dict.fromkeys(cells):
+                if cell not in known:
+                    known[cell] = int(coerce_to_type(cell, "bool"))
+            part = np.fromiter(
+                map(known.__getitem__, cells), np.int8, len(cells)
+            )
+        else:
+            part = list(map(self.known.setdefault, cells, cells))
+        self.parts.append(part)
+        self.rows += len(cells)
+
+    def _numbers(self, cells: Sequence[str]) -> np.ndarray:
+        try:
+            if all(key not in cells for key in self.null_keys):
+                return np.fromiter(map(float, cells), np.float64, len(cells))
+            parsed = dict.fromkeys(cells)
+            for cell in parsed:
+                parsed[cell] = (
+                    np.nan if cell in self.null_keys else float(cell)
+                )
+        except ValueError as exc:
+            raise SQLExecutionError(
+                f"column {self.name!r}: cannot interpret a value as a number "
+                f"({exc})"
+            ) from None
+        return np.fromiter(
+            map(parsed.__getitem__, cells), np.float64, len(cells)
+        )
+
+    def vector(self) -> Vector:
+        if self.storage in ("int", "serial", "float"):
+            values = np.concatenate([np.empty(0), *self.parts])
+            return Vector(values, np.isnan(values))
+        if self.storage == "bool":
+            codes = np.concatenate([np.empty(0, np.int8), *self.parts])
+            return Vector(codes == 1, codes == 2)
+        values = np.fromiter(
+            itertools.chain.from_iterable(self.parts), object, self.rows
+        )
+        nulls = np.zeros(self.rows, dtype=bool)
+        for key in self.null_keys:
+            if key in self.known:
+                nulls |= values == key
+        values[nulls] = None
+        return Vector(values, nulls)
 
 
 @dataclass
@@ -184,10 +263,13 @@ class Table:
                 f"table {self.name!r} has no column {column!r}"
             ) from None
 
-    def append_columns(self, data: dict[str, list[Any]], n_new: int) -> None:
+    def append_columns(
+        self, data: dict[str, list[Any] | Vector], n_new: int
+    ) -> None:
         """The one append: ``data`` maps provided column names to equally
-        long value lists; absent serial columns are auto-numbered, other
-        absent columns fill with NULL.
+        long value lists or typed vectors (COPY's :class:`CsvColumn`
+        output); absent serial columns are auto-numbered, other absent
+        columns fill with NULL.
 
         Only the new batch is coerced (column-at-a-time, to the declared
         storage class); it is then concatenated onto the existing typed
@@ -203,7 +285,10 @@ class Table:
                         f"COPY column {name!r} has {len(raw)} values, "
                         f"expected {n_new}"
                     )
-                vector = _coerce_column(raw, storage, name)
+                vector = (
+                    raw if isinstance(raw, Vector)
+                    else _coerce_column(raw, storage, name)
+                )
             elif storage == "serial":
                 counter = self._next_serial.get(name, 0)
                 values = np.arange(counter, counter + n_new, dtype=np.float64)
@@ -1162,8 +1247,21 @@ def _vector_record(vector: Vector) -> dict:
     }
 
 
-def _vector_from_record(record: dict) -> Vector:
+#: the dtype a table column of each storage class is stored in
+_STORAGE_DTYPES = {
+    "int": np.dtype(np.float64),
+    "serial": np.dtype(np.float64),
+    "float": np.dtype(np.float64),
+    "bool": np.dtype(bool),
+    "text": np.dtype(object),
+    "array": np.dtype(object),
+}
+
+
+def _vector_from_record(record: dict, rows: int) -> Vector:
     cells = record["values"]
+    if len(cells) != rows:
+        raise ValueError(f"a column of {len(cells)} cells in {rows} rows")
     dtype = np.dtype(record["dtype"])
     if dtype.kind not in "biufO":
         raise ValueError(f"unexpected column dtype {dtype}")
@@ -1174,16 +1272,41 @@ def _vector_from_record(record: dict) -> Vector:
             distinct.setdefault(cell, cell) if type(cell) is str else cell
             for cell in cells
         )
-    values = np.fromiter(cells, dtype=dtype, count=len(record["values"]))
-    nulls = np.zeros(len(values), dtype=bool)
-    nulls[record["nulls"]] = True
+    values = np.fromiter(cells, dtype=dtype, count=rows)
+    positions = record["nulls"]
+    if not all(type(p) is int and 0 <= p < rows for p in positions):
+        raise ValueError("a NULL position outside the column")
+    nulls = np.zeros(rows, dtype=bool)
+    nulls[positions] = True
     return Vector(values, nulls)
 
 
 def _columns_from(record: dict) -> dict[str, Vector]:
-    """The named vectors of a table or materialised-view record."""
-    return dict(
-        zip(record["columns"], map(_vector_from_record, record["data"]))
+    """The named vectors of a table or materialised-view record, each
+    holding the record's ``rows`` cells."""
+    names, data, rows = record["columns"], record["data"], record["rows"]
+    if type(rows) is not int:
+        raise ValueError(f"a row count of {rows!r}")
+    if len(data) != len(names):
+        raise ValueError(f"{len(data)} columns under {len(names)} names")
+    return dict(zip(names, (_vector_from_record(r, rows) for r in data)))
+
+
+def _table_from(record: dict) -> Table:
+    columns = _columns_from(record)
+    types = record["types"]
+    if len(types) != len(columns):
+        raise ValueError(f"{len(types)} types for {len(columns)} columns")
+    for storage, vector in zip(types, columns.values()):
+        if storage not in _STORAGE_DTYPES:
+            raise ValueError(f"unknown storage class {storage!r}")
+        if vector.values.dtype != _STORAGE_DTYPES[storage]:
+            raise ValueError(
+                f"a {storage} column stored as {vector.values.dtype}"
+            )
+    return Table(
+        record["name"], record["columns"], types, columns, record["rows"],
+        record["serial"],
     )
 
 
@@ -1214,10 +1337,7 @@ def decode_records(
         for record in records:
             kind = record["t"]
             if kind == "table":
-                tables[record["name"]] = Table(
-                    record["name"], record["columns"], record["types"],
-                    _columns_from(record), record["rows"], record["serial"],
-                )
+                tables[record["name"]] = _table_from(record)
             elif kind == "view":
                 query = parse_statement(record["sql"])
                 if not isinstance(query, ast.Select):

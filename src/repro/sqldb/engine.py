@@ -13,6 +13,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from collections import Counter, OrderedDict
 from contextlib import nullcontext
 from functools import partial
@@ -36,6 +37,7 @@ from repro.sqldb import ast_nodes as ast
 from repro.sqldb.catalog import (
     CTID,
     Catalog,
+    CsvColumn,
     Table,
     View,
     _resolve_index_method,
@@ -98,6 +100,11 @@ _TXN_TYPES = (
     ast.ReleaseSavepoint,
     ast.Checkpoint,
 )
+
+#: rows COPY reads, transposes and types at a time: one chunk of raw text
+#: is all COPY holds besides the typed columns (chosen by COPY time and
+#: allocation peak on compas at 10^4 rows x 54 columns; EXPERIMENTS.md)
+_COPY_CHUNK_ROWS = 256
 
 #: environment variable providing a default statement timeout (ms)
 TIMEOUT_ENV = "REPRO_SQL_TIMEOUT_MS"
@@ -295,7 +302,10 @@ class Database:
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
         self._session_mutex = threading.Lock()
-        self._default_session = Session(self, 0)
+        # the default session reaches back through a weak proxy: a strong
+        # one would make every Database a reference cycle, freed only by
+        # the cyclic collector, with every table it holds
+        self._default_session = Session(weakref.proxy(self), 0)
         self._sessions[0] = self._default_session
         #: transaction identities (deadlock reporting) — distinct from
         #: commit ids, which are allocated at COMMIT under the write
@@ -1088,9 +1098,10 @@ class Database:
                 "CHECKPOINT cannot run inside a transaction", sqlstate="25001"
             )
         crashpoint(self.faults, "checkpoint.begin")
-        write_checkpoint(
-            self.wal_path + ".ckpt", self._state_image(), self.faults
+        image = checkpoint_image(
+            self.catalog.export_records(), self.current_commit_id
         )
+        write_checkpoint(self.wal_path + ".ckpt", image, self.faults)
         # a crash between the rename above and this reset replays the old
         # WAL over the new snapshot; the recorded last_txn makes those
         # already-folded transactions no-ops
@@ -1171,18 +1182,13 @@ class Database:
     def snapshot_state(self) -> tuple[bytes, int]:
         """Consistent full-state export for replication bootstrap: the
         committed catalog as a checkpoint image, plus the commit id it
-        reflects.  Taken under the read latch, so no committer is
-        mid-install."""
+        reflects.  Only the fork of the catalog and the commit id are
+        taken under the read latch, so no committer is mid-install; the
+        image is encoded from the fork after the latch is released, so
+        committers do not wait for the encode."""
         with self._lock.read():
-            return self._state_image(), self.current_commit_id
-
-    def _state_image(self) -> bytes:
-        """The committed catalog and the commit id it reflects as a
-        checkpoint image — the one payload of checkpoints and replica
-        snapshots."""
-        return checkpoint_image(
-            self.catalog.export_records(), self.current_commit_id
-        )
+            catalog, last = self.catalog.fork(), self.current_commit_id
+        return checkpoint_image(catalog.export_records(), last), last
 
     def install_replica_snapshot(self, state: tuple, last: int) -> None:
         """Adopt a primary's full-state export wholesale (replica
@@ -1434,32 +1440,50 @@ class Database:
     def _execute_copy(
         self, statement: ast.Copy, params: tuple, catalog: Catalog
     ) -> Result:
+        """Load a CSV file in chunks of :data:`_COPY_CHUNK_ROWS` rows, each
+        transposed and typed column by column (:class:`CsvColumn`), so
+        no step is Python work per cell and only one chunk of raw text is
+        alive at a time.
+
+        Errors keep the precedence of reading the whole file first: a row
+        with the wrong number of fields anywhere wins over a value that
+        does not parse, and of those the first column in table order wins
+        — so after a typing error the rest of the file is still read, and
+        only the columns before the failed one are still typed."""
         table = catalog.table(statement.table)
         columns = statement.columns or list(table.column_names)
+        # a repeated name stores its last field; an unknown one is read
+        # but not stored
+        field_of = {name: j for j, name in enumerate(columns)}
+        loaders = [
+            (field_of[name], CsvColumn(name, storage, statement.null_text))
+            for name, storage in zip(table.column_names, table.column_types)
+            if name in field_of
+        ]
+        typed, error = len(loaders), None
+        n_rows = 0
         with open(statement.path, newline="") as handle:
             reader = csv.reader(handle, delimiter=statement.delimiter)
-            raw_rows = list(reader)
-        if statement.header and raw_rows:
-            raw_rows = raw_rows[1:]
-        raw_rows = [row for row in raw_rows if row]
-        for line_no, raw in enumerate(raw_rows, start=2):
-            if len(raw) != len(columns):
-                raise SQLExecutionError(
-                    f"{statement.path}: line {line_no} has {len(raw)} fields, "
-                    f"expected {len(columns)}"
-                )
-        null_text = statement.null_text
-        data: dict[str, list[Any]] = {}
-        for j, name in enumerate(columns):
-            # CSV format: the NULL text and the unquoted empty field both
-            # read as NULL (PostgreSQL's CSV-mode default)
-            data[name] = [
-                None if row[j] == null_text or row[j] == "" else row[j]
-                for row in raw_rows
-            ]
-        table.append_columns(data, len(raw_rows))
+            if statement.header:
+                next(reader, None)
+            rows = filter(None, reader)  # blank lines read as no row
+            while chunk := list(itertools.islice(rows, _COPY_CHUNK_ROWS)):
+                if set(map(len, chunk)) != {len(columns)}:
+                    raise _malformed_row(statement, len(columns))
+                fields = list(zip(*chunk))
+                for k, (j, loader) in enumerate(loaders[:typed]):
+                    try:
+                        loader.add(fields[j])
+                    except SQLExecutionError as exc:
+                        typed, error = k, exc
+                        break
+                n_rows += len(chunk)
+        if error is not None:
+            raise error
+        data = {loader.name: loader.vector() for _, loader in loaders}
+        table.append_columns(data, n_rows)
         self._finish_dml(statement.table, catalog, appended=True)
-        return Result(rowcount=len(raw_rows))
+        return Result(rowcount=n_rows)
 
     def _execute_create_index(
         self, statement: ast.CreateIndex, params: tuple, catalog: Catalog
@@ -1779,6 +1803,25 @@ def _referenced_relations(select: ast.Select) -> set[str]:
 
     walk_select(select)
     return names
+
+
+def _malformed_row(statement: ast.Copy, width: int) -> SQLExecutionError:
+    """The error for the first row of *statement*'s file that does not have
+    *width* fields, naming the physical line its record ends on (csv's
+    ``line_num``, which counts blank lines and newlines inside quoted
+    fields).  COPY reads in chunks without line numbers, so this reads the
+    file again, up to that row."""
+    with open(statement.path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=statement.delimiter)
+        if statement.header:
+            next(reader, None)
+        for row in reader:
+            if row and len(row) != width:
+                return SQLExecutionError(
+                    f"{statement.path}: line {reader.line_num} has "
+                    f"{len(row)} fields, expected {width}"
+                )
+    return SQLExecutionError(f"{statement.path}: changed while COPY read it")
 
 
 def _literal_value(expr: ast.Expr, params: tuple = ()) -> Any:

@@ -90,6 +90,8 @@ __all__ = [
 
 _WAL_MAGIC = b"RWAL1\n"
 _CKPT_MAGIC = b"RCKP2\n"
+#: the pickled checkpoints of older releases, refused with a rebuild hint
+_PICKLE_CKPT_MAGIC = b"RCKP1\n"
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
 
@@ -358,6 +360,12 @@ def decode_checkpoint(data: bytes, where: str) -> tuple[list[dict], int]:
     covers.  Anything else — a wrong header, a torn or corrupt frame, a
     record that is not a JSON object, a missing closing record — raises
     :class:`DurabilityError` naming *where*."""
+    if data.startswith(_PICKLE_CKPT_MAGIC):
+        raise DurabilityError(
+            f"{where}: not a repro checkpoint this release reads: RCKP1 is "
+            "the pickle format of releases before JSON checkpoints; "
+            "rebuild the database from its source data"
+        )
     if not data.startswith(_CKPT_MAGIC):
         raise DurabilityError(f"{where}: not a repro checkpoint")
     stream = io.BytesIO(data)

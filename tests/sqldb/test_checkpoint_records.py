@@ -16,6 +16,7 @@ import base64
 import json
 import os
 import pickle
+import threading
 import zlib
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.sqldb
 from repro.errors import DurabilityError, ProtocolViolation
-from repro.sqldb import Database
+from repro.sqldb import Database, engine
 from repro.sqldb.catalog import decode_records
 from repro.sqldb.memory import SpillFile
 from repro.sqldb.replication import decode_snapshot, encode_snapshot
@@ -296,6 +297,127 @@ def test_malformed_catalog_record_is_durability_error():
     ):
         with pytest.raises(DurabilityError):
             decode_records([record])
+
+
+def test_commit_completes_while_a_snapshot_encodes(monkeypatch):
+    db = Database()
+    db.execute("CREATE TABLE t (a int)")
+    db.execute("INSERT INTO t VALUES (1)")
+    encoding, release = threading.Event(), threading.Event()
+    real_image = engine.checkpoint_image
+
+    def held_image(records, last_txn):
+        encoding.set()
+        release.wait(10)
+        return real_image(records, last_txn)
+
+    monkeypatch.setattr(engine, "checkpoint_image", held_image)
+    out = {}
+    snapshotter = threading.Thread(
+        target=lambda: out.update(snapshot=db.snapshot_state())
+    )
+    snapshotter.start()
+    try:
+        assert encoding.wait(10)
+        writer = threading.Thread(
+            target=db.execute, args=("INSERT INTO t VALUES (2)",)
+        )
+        writer.start()
+        writer.join(5)
+        # the commit went through while the encode was still held
+        assert not writer.is_alive()
+    finally:
+        release.set()
+        snapshotter.join(10)
+    assert not snapshotter.is_alive()
+    image, last = out["snapshot"]
+    assert db.current_commit_id == last + 1
+    records, _ = decode_checkpoint(image, "snapshot")
+    tables, *_ = decode_records(records)
+    assert tables["t"].columns["a"].values.tolist() == [1.0]
+
+
+def _table_record(**changes) -> dict:
+    """A well-formed two-column table record, with *changes* applied."""
+    record = {
+        "t": "table", "name": "x", "columns": ["a", "b"],
+        "types": ["int", "text"], "rows": 2, "serial": {},
+        "data": [
+            {"dtype": "<f8", "values": [1.0, 2.0], "nulls": []},
+            {"dtype": "|O", "values": ["p", None], "nulls": [1]},
+        ],
+    }
+    record.update(changes)
+    return record
+
+
+def _view_record(**changes) -> dict:
+    snapshot = {
+        "columns": ["k"], "rows": 2,
+        "data": [{"dtype": "<i8", "values": [1, 2], "nulls": []}],
+    }
+    snapshot.update(changes)
+    return {
+        "t": "view", "name": "mv", "sql": "SELECT 1 AS k",
+        "materialized": True, "snapshot": snapshot,
+    }
+
+
+def test_well_formed_table_and_view_records_decode():
+    tables, views, *_ = decode_records([_table_record(), _view_record()])
+    assert tables["x"].columns["b"].nulls.tolist() == [False, True]
+    assert views["mv"].snapshot[2] == 2
+
+
+_FLOATS = {"dtype": "<f8", "values": [1.0, 2.0], "nulls": []}
+
+MALFORMED_SHAPES = {
+    "more vectors than columns": _table_record(
+        data=_table_record()["data"] + [_FLOATS]
+    ),
+    "fewer types than columns": _table_record(types=["int"]),
+    "more types than columns": _table_record(types=["int", "text", "int"]),
+    "short vector": _table_record(
+        data=[{"dtype": "<f8", "values": [1.0], "nulls": []},
+              _table_record()["data"][1]]
+    ),
+    "NULL position past the rows": _table_record(
+        data=[{"dtype": "<f8", "values": [1.0, 2.0], "nulls": [2]},
+              _table_record()["data"][1]]
+    ),
+    "negative NULL position": _table_record(
+        data=[{"dtype": "<f8", "values": [1.0, 2.0], "nulls": [-1]},
+              _table_record()["data"][1]]
+    ),
+    "row count not an integer": _table_record(rows=2.0),
+    "unknown storage class": _table_record(types=["int", "varchar"]),
+    "dtype of another storage class": _table_record(types=["int", "bool"]),
+    "short materialised-view vector": _view_record(rows=3),
+    "view vectors without names": _view_record(columns=[]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+def test_malformed_record_shape_is_refused_on_disk_and_wire(case):
+    record = MALFORMED_SHAPES[case]
+    with pytest.raises(DurabilityError, match="malformed catalog record"):
+        decode_records([record])
+    frame = encode_snapshot(checkpoint_image([record], 0))
+    with pytest.raises(ProtocolViolation) as raised:
+        decode_snapshot(frame)
+    assert raised.value.sqlstate == "08P01"
+
+
+def test_pickle_format_checkpoint_asks_for_a_rebuild(tmp_path):
+    old = b"RCKP1\n" + pickle.dumps({"last_txn": 0})
+    path = str(tmp_path / "old.ckpt")
+    with open(path, "wb") as handle:
+        handle.write(old)
+    with pytest.raises(DurabilityError, match="RCKP1.*rebuild the database"):
+        read_checkpoint(path)
+    frame = base64.b64encode(zlib.compress(old)).decode("ascii")
+    with pytest.raises(ProtocolViolation, match="rebuild the database"):
+        decode_snapshot(frame)
 
 
 def _examples(request) -> int:
