@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.errors import TranslationError
 from repro.frame.io import infer_column_type
@@ -42,7 +43,9 @@ def sniff_csv(
     """Analyse a CSV file and derive its SQL schema.
 
     ``sample_limit`` bounds the rows read: types and nullability come from
-    the first ``sample_limit`` non-empty rows (all rows when None).
+    the first ``sample_limit`` non-empty rows (all rows when None).  A
+    sampled row whose field count differs from the first one's raises
+    :class:`TranslationError` naming its line, as ``read_csv`` does.
     """
     nulls = {"", na_values} if na_values else {""}
     with open(path, newline="") as handle:
@@ -51,32 +54,27 @@ def sniff_csv(
             header = next(reader)
         except StopIteration:
             raise TranslationError(f"empty CSV file: {path}") from None
-        raw_columns: list[list[str | None]] = []
-        n_fields = None
-        n_rows = 0
-        for row in reader:
-            if not row:
-                continue
-            if n_rows == sample_limit:
-                break
-            n_rows += 1
-            if n_fields is None:
-                n_fields = len(row)
-                raw_columns = [[] for _ in range(n_fields)]
-            for j, cell in enumerate(row):
-                raw_columns[j].append(None if cell in nulls else cell)
-    if n_fields is None:
-        n_fields = len(header)
-        raw_columns = [[] for _ in range(n_fields)]
+        rows = []
+        for row in islice(filter(None, reader), sample_limit):
+            if rows and len(row) != len(rows[0]):
+                raise TranslationError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"expected {len(rows[0])}"
+                )
+            rows.append(row)
+    n_fields = len(rows[0]) if rows else len(header)
     has_index_column = n_fields == len(header) + 1
     names = (["index_"] if has_index_column else []) + list(header)
     if len(names) != n_fields:
         raise TranslationError(
             f"{path}: header has {len(header)} fields but rows have {n_fields}"
         )
+    # the type depends only on the set of values, so classify each
+    # column's distinct non-null values once
     columns = []
-    for name, raw in zip(names, raw_columns):
-        kind = infer_column_type(raw)
-        nullable = any(v is None for v in raw)
+    for name, column in zip(names, zip(*rows) if rows else [()] * n_fields):
+        distinct = dict.fromkeys(column)
+        nullable = not nulls.isdisjoint(distinct)
+        kind = infer_column_type([v for v in distinct if v not in nulls])
         columns.append(ColumnSchema(name, _SQL_TYPES[kind], nullable))
     return CsvSchema(tuple(columns), has_index_column)

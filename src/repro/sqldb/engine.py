@@ -72,10 +72,11 @@ from repro.sqldb.optimizer import (
     prune_plan,
     prune_shared_plans,
 )
+from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_script, parse_statement
 from repro.sqldb.plan import Batch, PlanNode
 from repro.sqldb.planner import Planner, Scope, ScopeEntry
-from repro.sqldb.prepared import bind_parameters, normalize_sql
+from repro.sqldb.prepared import bind_parameters, normalize_tokens
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
 from repro.sqldb.vector import Vector, gather
@@ -826,11 +827,13 @@ class Database:
         use_cache = self.plan_cache.enabled
         key: Optional[tuple] = None
         n_params: Optional[int] = None
+        tokens = None  # lexed at most once: shared by normalize and parse
         if use_cache or params is not None:
             with self._prepare_mutex:
                 memo = self._normalized.get(sql)
                 if memo is None:
-                    memo = normalize_sql(sql)
+                    tokens = tokenize(sql)
+                    memo = normalize_tokens(tokens)
                     self._normalized[sql] = memo
                     while len(self._normalized) > 4 * max(self.plan_cache.maxsize, 1):
                         self._normalized.popitem(last=False)
@@ -849,7 +852,7 @@ class Database:
                 if entry is not None:
                     return entry
         entry = _CacheEntry(
-            [_CachedStatement(s) for s in parse_script(sql)], n_params
+            [_CachedStatement(s) for s in parse_script(sql, tokens)], n_params
         )
         if key is not None:
             self.plan_cache.put(key, entry)

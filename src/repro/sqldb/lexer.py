@@ -2,14 +2,21 @@
 
 Produces a flat token stream with PostgreSQL conventions: unquoted
 identifiers are folded to lower case, double-quoted identifiers preserve
-case, single-quoted strings use ``''`` for an embedded quote, and both
-``--`` line comments and ``/* */`` block comments are skipped.
+case (``""`` inside one is an embedded ``"``), single-quoted strings use
+``''`` for an embedded quote, and both ``--`` line comments and ``/* */``
+block comments are skipped.
+
+The whole lexer is one compiled master regex with a named group per token
+class, matched at successive offsets: the regex engine skips whitespace and
+comments and finds the token's extent, and Python only builds the token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -40,12 +47,8 @@ KEYWORDS = {
     "update", "values", "view", "when", "where", "with",
 }
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "::", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = {"(", ")", ",", ";", ".", "[", "]"}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     value: str
     position: int
@@ -54,108 +57,104 @@ class Token:
         return self.kind is TokenKind.KEYWORD and self.value == word
 
 
+_MASTER_TEMPLATE = r"""
+    (?:\s+|--[^\n]*|/\*.*?\*/)*                 # skipped: whitespace, comments
+    (?:
+        (?P<word>{word_start}\w*)               # keyword or identifier
+      | (?P<punct>[(),;\[\]]|\.(?![{digits}]))
+      | (?P<operator><>|!=|<=|>=|::|\|\||[=<>+\-*]|/(?!\*)|%(?!s(?!\w)))
+      | (?P<number>(?:[{digits}]+(?:\.[{digits}]*)?|\.[{digits}]+)
+                   (?:[eE][+\-{digits}][{digits}]*)?)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))    # '' is a quote
+      | (?P<quoted>"[^"]*(?:""[^"]*)*"(?!"))    # identifier; "" is a quote
+      | (?P<param>\?|%s)
+      | (?P<end>\Z)
+      | (?P<open_string>')                      # unterminated
+      | (?P<open_quoted>")
+      | (?P<open_comment>/\*)
+      | (?P<other>.)                            # unexpected character
+    )
+"""
+
+
+@lru_cache(maxsize=64)
+def _master(odd_digits: str = "", not_word_start: str = "") -> re.Pattern:
+    """The master regex; the arguments widen its character classes so that
+    they agree with ``str.isdigit`` / ``str.isalpha`` on characters where
+    the regex classes ``\\d`` and ``\\w`` do not (see :func:`_pattern_for`)."""
+    digits = r"\d" + re.escape(odd_digits)
+    word_start = rf"[^\W\d{re.escape(not_word_start)}]"
+    return re.compile(
+        _MASTER_TEMPLATE.format(digits=digits, word_start=word_start),
+        re.VERBOSE | re.DOTALL,
+    )
+
+
+def _pattern_for(sql: str) -> re.Pattern:
+    """A token starts a number on ``str.isdigit`` and a word on
+    ``str.isalpha`` or ``_``.  On ASCII that is exactly ``\\d`` and
+    ``[^\\W\\d]``; a few non-ASCII characters (superscripts, circled and
+    Roman numerals, fractions) are word characters (``\\w``) that are not
+    decimal (``\\d``) yet are digits or not letters, so a statement holding
+    one gets a master regex that names them."""
+    if sql.isascii():
+        return _master()
+    odd = [c for c in set(sql) if c.isalnum() and not (c.isalpha() or c.isdecimal())]
+    if not odd:
+        return _master()
+    odd.sort()
+    return _master(
+        "".join(c for c in odd if c.isdigit()), "".join(odd)
+    )
+
+
+# enum attribute lookups are slow next to a global's; the loop below reads
+# each kind once per token
+_IDENT = TokenKind.IDENT
+_PUNCT = TokenKind.PUNCT
+_OPERATOR = TokenKind.OPERATOR
+_NUMBER = TokenKind.NUMBER
+_WORD_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
+_UNTERMINATED = {
+    "open_string": "unterminated string literal",
+    "open_quoted": "unterminated quoted identifier",
+    "open_comment": "unterminated block comment",
+}
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize *sql*; raises :class:`SQLSyntaxError` on malformed input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
+    append = tokens.append
     n_params = 0
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "?":
-            tokens.append(Token(TokenKind.PARAM, str(n_params), i))
+    # the pattern matches at every offset (``other`` takes any character
+    # and ``end`` the end of input), so the matches tile the statement
+    for m in _pattern_for(sql).finditer(sql):
+        group = m.lastgroup
+        start, end = m.span(group)
+        if group == "word":
+            word = sql[start:end].lower()
+            append(Token(_WORD_KINDS.get(word, _IDENT), word, start))
+        elif group == "punct":
+            append(Token(_PUNCT, sql[start], start))
+        elif group == "operator":
+            op = sql[start:end]
+            append(Token(_OPERATOR, "<>" if op == "!=" else op, start))
+        elif group == "number":
+            append(Token(_NUMBER, sql[start:end], start))
+        elif group == "string":
+            text = sql[start + 1 : end - 1].replace("''", "'")
+            append(Token(TokenKind.STRING, text, start))
+        elif group == "quoted":
+            append(Token(_IDENT, sql[start + 1 : end - 1].replace('""', '"'), start))
+        elif group == "param":
+            append(Token(TokenKind.PARAM, str(n_params), start))
             n_params += 1
-            i += 1
-            continue
-        if (
-            ch == "%"
-            and i + 1 < n
-            and sql[i + 1] == "s"
-            and (i + 2 >= n or not (sql[i + 2].isalnum() or sql[i + 2] == "_"))
-        ):
-            # psycopg2-style placeholder; ``a % score`` still lexes as modulo
-            tokens.append(Token(TokenKind.PARAM, str(n_params), i))
-            n_params += 1
-            i += 2
-            continue
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise SQLSyntaxError(f"unterminated block comment at offset {i}")
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise SQLSyntaxError(f"unterminated string literal at offset {i}")
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenKind.STRING, "".join(parts), i))
-            i = j + 1
-            continue
-        if ch == '"':
-            j = sql.find('"', i + 1)
-            if j < 0:
-                raise SQLSyntaxError(f"unterminated quoted identifier at offset {i}")
-            tokens.append(Token(TokenKind.IDENT, sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = sql[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    if j + 1 < n and (sql[j + 1].isdigit() or sql[j + 1] in "+-"):
-                        seen_exp = True
-                        j += 2
-                    else:
-                        break
-                else:
-                    break
-            tokens.append(Token(TokenKind.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j].lower()
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, i))
-            i = j
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, "<>" if op == "!=" else op, i))
-                i += len(op)
-                break
+        elif group == "end":
+            break
+        elif group == "other":
+            raise SQLSyntaxError(f"unexpected character {sql[start]!r} at offset {start}")
         else:
-            if ch in _PUNCT:
-                tokens.append(Token(TokenKind.PUNCT, ch, i))
-                i += 1
-            else:
-                raise SQLSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(Token(TokenKind.EOF, "", n))
+            raise SQLSyntaxError(f"{_UNTERMINATED[group]} at offset {start}")
+    append(Token(TokenKind.EOF, "", len(sql)))
     return tokens

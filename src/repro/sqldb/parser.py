@@ -7,6 +7,10 @@ joins (inner/left/right/full/cross), grouping/having, ordering/limit,
 ``BETWEEN``, ``IS [NOT] NULL``, ``LIKE``, and the DDL/DML statements
 ``CREATE TABLE``, ``CREATE [MATERIALIZED] VIEW``, ``INSERT``, ``COPY`` and
 ``DROP``.
+
+Statements are parsed by recursive descent; expressions by one
+precedence-climbing loop over a table of binding powers
+(:meth:`_Parser._parse_expr`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from repro.sqldb.lexer import Token, TokenKind, tokenize
 
 __all__ = ["parse_statement", "parse_script", "parse_expression"]
 
-_COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
+_LITERAL_WORDS = {"true": True, "false": False, "null": None}
+# the keyword that opens a join -> its kind (``JOIN`` alone is inner)
+_JOIN_KINDS = {
+    "cross": "cross", "inner": "inner", "left": "left", "right": "right",
+    "full": "full", "join": "inner",
+}
 _TYPE_WORDS = {
     "int", "integer", "bigint", "smallint", "serial", "bigserial", "float",
     "real", "numeric", "decimal", "double", "precision", "text", "varchar",
@@ -28,30 +37,65 @@ _TYPE_WORDS = {
 }
 
 
+# token kinds as globals: an enum member lookup costs several times more
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
+_NUMBER = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_OPERATOR = TokenKind.OPERATOR
+_PUNCT = TokenKind.PUNCT
+_PARAM = TokenKind.PARAM
+_EOF = TokenKind.EOF
+
+# Binding powers for precedence climbing, loosest first: an operator of
+# power p takes its right operand from the operators of power p + 1 and up
+# (all of them are left-associative).  Prefix NOT sits between AND and the
+# comparisons; prefix minus/plus and the postfix ``::`` cast bind tighter
+# than every infix operator.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL, _UNARY = range(1, 8)
+_OPERATOR_POWER = {
+    "=": _COMPARE, "<>": _COMPARE, "<": _COMPARE, "<=": _COMPARE,
+    ">": _COMPARE, ">=": _COMPARE,
+    "+": _ADD, "-": _ADD, "||": _ADD,
+    "*": _MUL, "/": _MUL, "%": _MUL,
+}
+_KEYWORD_POWER = {
+    "or": _OR, "and": _AND,
+    # comparison-level keywords; NOT only as NOT IN / NOT BETWEEN / NOT LIKE
+    "is": _COMPARE, "like": _COMPARE, "in": _COMPARE, "between": _COMPARE,
+    "not": _COMPARE,
+}
+
+
 class _Parser:
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: Optional[list[Token]] = None) -> None:
         self._sql = sql
-        self._tokens = tokenize(sql)
+        self._tokens = tokenize(sql) if tokens is None else tokens
         self._pos = 0
 
     # -- token helpers ------------------------------------------------------
+    #
+    # The token list ends with EOF and the position never moves past it, so
+    # ``self._tokens[self._pos]`` is always a token; a lookahead beyond it is
+    # only taken after the current token was seen not to be EOF.
 
     def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not _EOF:
             self._pos += 1
         return token
 
     def _error(self, message: str) -> SQLSyntaxError:
-        token = self._peek()
+        token = self._tokens[self._pos]
         return SQLSyntaxError(f"{message} (near {token.value!r} at offset {token.position})")
 
     def _accept_keyword(self, *words: str) -> bool:
-        if self._peek().kind is TokenKind.KEYWORD and self._peek().value in words:
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is _KEYWORD and token.value in words:
+            self._pos += 1
             return True
         return False
 
@@ -66,14 +110,16 @@ class _Parser:
         reserved in PostgreSQL, so the lexer emits them as identifiers;
         clause parsing must still recognise them positionally.
         """
-        token = self._peek()
-        if token.kind in (TokenKind.KEYWORD, TokenKind.IDENT) and token.value in words:
-            return self._advance().value
+        token = self._tokens[self._pos]
+        if (token.kind is _KEYWORD or token.kind is _IDENT) and token.value in words:
+            self._pos += 1
+            return token.value
         return None
 
     def _accept_punct(self, value: str) -> bool:
-        if self._peek().kind is TokenKind.PUNCT and self._peek().value == value:
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is _PUNCT and token.value == value:
+            self._pos += 1
             return True
         return False
 
@@ -82,14 +128,16 @@ class _Parser:
             raise self._error(f"expected {value!r}")
 
     def _accept_operator(self, *values: str) -> Optional[str]:
-        if self._peek().kind is TokenKind.OPERATOR and self._peek().value in values:
-            return self._advance().value
+        token = self._tokens[self._pos]
+        if token.kind is _OPERATOR and token.value in values:
+            self._pos += 1
+            return token.value
         return None
 
     def _expect_identifier(self, what: str = "identifier") -> str:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT:
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is _IDENT:
+            self._pos += 1
             return token.value
         # allow non-reserved keywords in identifier position (e.g. a column
         # named "view" would arrive quoted, but COPY options use keywords)
@@ -99,7 +147,7 @@ class _Parser:
 
     def parse_script(self) -> list[ast.Statement]:
         statements: list[ast.Statement] = []
-        while self._peek().kind is not TokenKind.EOF:
+        while self._peek().kind is not _EOF:
             statements.append(self.parse_statement())
             while self._accept_punct(";"):
                 pass
@@ -107,11 +155,11 @@ class _Parser:
 
     def parse_statement(self) -> ast.Statement:
         token = self._peek()
-        if token.kind is not TokenKind.KEYWORD:
+        if token.kind is not _KEYWORD:
             # TRAIN is not a reserved word (columns named "train" keep
             # working), so the lexer emits it as an identifier; dispatch
             # on it positionally like the other non-reserved clauses.
-            if token.kind is TokenKind.IDENT and token.value == "train":
+            if token.kind is _IDENT and token.value == "train":
                 return self._parse_train()
             raise self._error("expected a statement keyword")
         if token.value in ("select", "with"):
@@ -164,7 +212,7 @@ class _Parser:
 
     def _parse_analyze(self) -> ast.Analyze:
         self._expect_keyword("analyze")
-        if self._peek().kind is TokenKind.IDENT:
+        if self._peek().kind is _IDENT:
             return ast.Analyze(self._advance().value)
         return ast.Analyze()
 
@@ -214,15 +262,16 @@ class _Parser:
     def _parse_type_name(self) -> str:
         words = []
         while (
-            self._peek().kind in (TokenKind.IDENT, TokenKind.KEYWORD)
+            self._peek().kind in (_IDENT, _KEYWORD)
             and self._peek().value in _TYPE_WORDS
         ):
             words.append(self._advance().value)
         if not words:
             raise self._error("expected a type name")
-        if self._accept_punct("("):
+        if self._accept_punct("("):  # a type modifier, e.g. varchar(10): ignored
             while not self._accept_punct(")"):
-                self._advance()
+                if self._advance().kind is _EOF:
+                    raise self._error("expected ')'")
         type_name = " ".join(words)
         if self._accept_punct("["):
             self._expect_punct("]")
@@ -273,7 +322,7 @@ class _Parser:
             self._expect_punct(")")
         self._expect_keyword("from")
         path_token = self._advance()
-        if path_token.kind is not TokenKind.STRING:
+        if path_token.kind is not _STRING:
             raise self._error("expected a file path string after FROM")
         statement = ast.Copy(table, columns, path_token.value)
         if self._accept_keyword("with"):
@@ -297,7 +346,7 @@ class _Parser:
 
     def _expect_string(self) -> str:
         token = self._advance()
-        if token.kind is not TokenKind.STRING:
+        if token.kind is not _STRING:
             raise self._error("expected a string literal")
         return token.value
 
@@ -328,7 +377,7 @@ class _Parser:
         """An identifier-position word, accepting non-reserved keywords
         too (TRAIN options like ``table`` would otherwise need quoting)."""
         token = self._peek()
-        if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+        if token.kind in (_IDENT, _KEYWORD):
             return self._advance().value
         raise self._error(f"expected {what}")
 
@@ -473,59 +522,45 @@ class _Parser:
 
     def _expect_int(self) -> int:
         token = self._advance()
-        if token.kind is not TokenKind.NUMBER:
+        if token.kind is not _NUMBER:
             raise self._error("expected an integer")
         return int(float(token.value))
 
     def _parse_select_item(self) -> ast.SelectItem:
-        if self._accept_operator("*"):
+        tokens = self._tokens
+        token = tokens[self._pos]
+        if token.kind is _OPERATOR and token.value == "*":
+            self._pos += 1
             return ast.SelectItem(ast.Star())
-        # alias.*  (IDENT . *)
-        if (
-            self._peek().kind is TokenKind.IDENT
-            and self._peek(1).kind is TokenKind.PUNCT
-            and self._peek(1).value == "."
-            and self._peek(2).kind is TokenKind.OPERATOR
-            and self._peek(2).value == "*"
-        ):
-            table = self._advance().value
-            self._advance()
-            self._advance()
-            return ast.SelectItem(ast.Star(table=table))
+        if token.kind is _IDENT:  # alias.*  (IDENT . *)
+            following = tokens[self._pos + 1]
+            if following.kind is _PUNCT and following.value == ".":
+                star = tokens[self._pos + 2]
+                if star.kind is _OPERATOR and star.value == "*":
+                    self._pos += 3
+                    return ast.SelectItem(ast.Star(table=token.value))
         expr = self.parse_expression()
-        alias = None
-        if self._accept_keyword("as"):
-            alias = self._expect_identifier("alias")
-        elif self._peek().kind is TokenKind.IDENT:
-            alias = self._advance().value
-        return ast.SelectItem(expr, alias)
+        token = tokens[self._pos]
+        if token.kind is _IDENT:
+            self._pos += 1
+            return ast.SelectItem(expr, token.value)
+        if token.kind is _KEYWORD and token.value == "as":
+            self._pos += 1
+            return ast.SelectItem(expr, self._expect_identifier("alias"))
+        return ast.SelectItem(expr)
 
     def _parse_table_source(self) -> ast.TableSource:
         source = self._parse_table_primary()
         while True:
-            kind = None
-            if self._accept_keyword("cross"):
-                self._expect_keyword("join")
-                kind = "cross"
-            elif self._accept_keyword("inner"):
-                self._expect_keyword("join")
-                kind = "inner"
-            elif self._accept_keyword("left"):
-                self._accept_keyword("outer")
-                self._expect_keyword("join")
-                kind = "left"
-            elif self._accept_keyword("right"):
-                self._accept_keyword("outer")
-                self._expect_keyword("join")
-                kind = "right"
-            elif self._accept_keyword("full"):
-                self._accept_keyword("outer")
-                self._expect_keyword("join")
-                kind = "full"
-            elif self._accept_keyword("join"):
-                kind = "inner"
-            if kind is None:
+            token = self._tokens[self._pos]
+            if token.kind is not _KEYWORD or token.value not in _JOIN_KINDS:
                 return source
+            self._pos += 1
+            kind = _JOIN_KINDS[token.value]
+            if token.value != "join":
+                if kind in ("left", "right", "full"):
+                    self._accept_keyword("outer")
+                self._expect_keyword("join")
             right = self._parse_table_primary()
             condition = None
             if kind != "cross":
@@ -541,65 +576,80 @@ class _Parser:
             alias = self._expect_identifier("subquery alias")
             return ast.SubquerySource(query, alias)
         name = self._expect_identifier("table name")
-        alias = None
-        if self._accept_keyword("as"):
-            alias = self._expect_identifier("alias")
-        elif self._peek().kind is TokenKind.IDENT:
-            alias = self._advance().value
-        return ast.NamedTable(name, alias)
+        token = self._tokens[self._pos]
+        if token.kind is _IDENT:
+            self._pos += 1
+            return ast.NamedTable(name, token.value)
+        if token.kind is _KEYWORD and token.value == "as":
+            self._pos += 1
+            return ast.NamedTable(name, self._expect_identifier("alias"))
+        return ast.NamedTable(name)
 
     # -- expressions -----------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self._parse_or()
+        return self._parse_expr(_OR)
 
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._accept_keyword("or"):
-            expr = ast.BinaryOp("or", expr, self._parse_and())
-        return expr
+    def _parse_expr(self, min_power: int) -> ast.Expr:
+        """Precedence climbing: one operand, then every infix operator that
+        binds at least *min_power*, each taking its right operand from the
+        levels above its own.
 
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self._accept_keyword("and"):
-            expr = ast.BinaryOp("and", expr, self._parse_not())
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self._accept_keyword("not"):
-            return ast.UnaryOp("not", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        expr = self._parse_additive()
+        The powers of the operators applied here never rise: a binary
+        operator's right operand swallows every tighter operator after it,
+        and after a postfix one (``IS NULL``, ``IN (...)``) or a ``NOT``
+        operand a tighter operator ends the expression, as it did in the
+        level-per-function grammar this loop replaced.
+        """
+        tokens = self._tokens
+        ceiling = _UNARY
+        token = tokens[self._pos]
+        if token.kind is _OPERATOR and token.value in ("-", "+"):
+            self._pos += 1
+            expr = self._parse_expr(_UNARY)
+            if token.value == "-":
+                expr = ast.UnaryOp("-", expr)
+        elif min_power <= _NOT and token.kind is _KEYWORD and token.value == "not":
+            self._pos += 1
+            expr = ast.UnaryOp("not", self._parse_expr(_NOT))
+            ceiling = _AND  # only AND / OR may follow a NOT operand
+        else:
+            expr = self._parse_primary()
+            while self._accept_operator("::"):
+                expr = ast.Cast(expr, self._parse_type_name())
         while True:
-            op = self._accept_operator(*_COMPARISON_OPS)
-            if op:
-                expr = ast.BinaryOp(op, expr, self._parse_additive())
+            token = tokens[self._pos]
+            if token.kind is _OPERATOR:
+                power = _OPERATOR_POWER.get(token.value)
+            elif token.kind is _KEYWORD:
+                power = _KEYWORD_POWER.get(token.value)
+            else:
+                return expr
+            if power is None or not min_power <= power <= ceiling:
+                return expr
+            ceiling = power
+            op = token.value
+            if power != _COMPARE or token.kind is _OPERATOR:
+                self._pos += 1
+                expr = ast.BinaryOp(op, expr, self._parse_expr(power + 1))
                 continue
-            if self._accept_keyword("is"):
-                negated = bool(self._accept_keyword("not"))
+            negated = op == "not"
+            if negated:  # NOT IN / NOT BETWEEN / NOT LIKE; other NOTs end it
+                following = tokens[self._pos + 1]
+                op = following.value
+                if following.kind is not _KEYWORD or op not in ("in", "between", "like"):
+                    return expr
+                self._pos += 1
+            self._pos += 1
+            if op == "is":
+                negated = self._accept_keyword("not")
                 self._expect_keyword("null")
                 expr = ast.IsNull(expr, negated)
-                continue
-            if self._accept_keyword("like"):
-                expr = ast.BinaryOp("like", expr, self._parse_additive())
-                continue
-            negated = False
-            if self._peek().matches_keyword("not"):
-                lookahead = self._peek(1)
-                if lookahead.matches_keyword("in") or lookahead.matches_keyword("between"):
-                    self._advance()
-                    negated = True
-                elif lookahead.matches_keyword("like"):
-                    self._advance()
-                    self._advance()
-                    like = ast.BinaryOp("like", expr, self._parse_additive())
-                    expr = ast.UnaryOp("not", like)
-                    continue
-                else:
-                    break
-            if self._accept_keyword("in"):
+            elif op == "like":
+                expr = ast.BinaryOp("like", expr, self._parse_expr(_ADD))
+                if negated:
+                    expr = ast.UnaryOp("not", expr)
+            elif op == "in":
                 self._expect_punct("(")
                 items: list[ast.Expr] = []
                 while True:
@@ -608,121 +658,83 @@ class _Parser:
                         break
                 self._expect_punct(")")
                 expr = ast.InList(expr, tuple(items), negated)
-                continue
-            if self._accept_keyword("between"):
-                low = self._parse_additive()
+            else:  # between
+                low = self._parse_expr(_ADD)
                 self._expect_keyword("and")
-                high = self._parse_additive()
-                expr = ast.Between(expr, low, high, negated)
-                continue
-            break
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while True:
-            op = self._accept_operator("+", "-", "||")
-            if not op:
-                return expr
-            expr = ast.BinaryOp(op, expr, self._parse_multiplicative())
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while True:
-            op = self._accept_operator("*", "/", "%")
-            if not op:
-                return expr
-            expr = ast.BinaryOp(op, expr, self._parse_unary())
-
-    def _parse_unary(self) -> ast.Expr:
-        if self._accept_operator("-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        if self._accept_operator("+"):
-            return self._parse_unary()
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while self._accept_operator("::"):
-            expr = ast.Cast(expr, self._parse_type_name())
-        return expr
+                expr = ast.Between(expr, low, self._parse_expr(_ADD), negated)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind is _IDENT:
+            following = self._tokens[self._pos + 1]
+            self._pos += 1
+            if following.kind is not _PUNCT:
+                return ast.ColumnRef(token.value)
+            if following.value == ".":
+                self._pos += 1
+                column = self._expect_identifier("column name")
+                return ast.ColumnRef(column, table=token.value)
+            if following.value == "(":
+                self._pos += 1
+                return self._parse_call(token.value)
+            return ast.ColumnRef(token.value)
+        if kind is _NUMBER:
+            self._pos += 1
             text = token.value
             if "." in text or "e" in text or "E" in text:
                 return ast.Literal(float(text))
             return ast.Literal(int(text))
-        if token.kind is TokenKind.STRING:
-            self._advance()
+        if kind is _STRING:
+            self._pos += 1
             return ast.Literal(token.value)
-        if token.matches_keyword("true"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches_keyword("false"):
-            self._advance()
-            return ast.Literal(False)
-        if token.matches_keyword("null"):
-            self._advance()
-            return ast.Literal(None)
-        if token.kind is TokenKind.PARAM:
-            self._advance()
+        if kind is _PARAM:
+            self._pos += 1
             return ast.Parameter(int(token.value))
-        if token.matches_keyword("case"):
-            return self._parse_case()
-        if token.matches_keyword("cast"):
-            self._advance()
-            self._expect_punct("(")
-            operand = self.parse_expression()
-            self._expect_keyword("as")
-            type_name = self._parse_type_name()
-            self._expect_punct(")")
-            return ast.Cast(operand, type_name)
+        if kind is _KEYWORD:
+            word = token.value
+            if word in _LITERAL_WORDS:
+                self._pos += 1
+                return ast.Literal(_LITERAL_WORDS[word])
+            if word == "case":
+                return self._parse_case()
+            if word == "cast":
+                self._pos += 1
+                self._expect_punct("(")
+                operand = self.parse_expression()
+                self._expect_keyword("as")
+                type_name = self._parse_type_name()
+                self._expect_punct(")")
+                return ast.Cast(operand, type_name)
         if self._accept_punct("("):
-            if self._peek().kind is TokenKind.KEYWORD and self._peek().value in ("select", "with"):
+            token = self._tokens[self._pos]
+            if token.kind is _KEYWORD and token.value in ("select", "with"):
                 query = self.parse_select()
                 self._expect_punct(")")
                 return ast.ScalarSubquery(query)
             expr = self.parse_expression()
             self._expect_punct(")")
             return expr
-        if token.kind is TokenKind.IDENT:
-            # function call?
-            if (
-                self._peek(1).kind is TokenKind.PUNCT
-                and self._peek(1).value == "("
-            ):
-                name = self._advance().value
-                self._advance()  # (
-                if self._accept_operator("*"):
-                    self._expect_punct(")")
-                    return self._maybe_window(
-                        self._maybe_filter(ast.FuncCall(name, star=True))
-                    )
-                if self._accept_punct(")"):
-                    return self._maybe_window(
-                        self._maybe_filter(ast.FuncCall(name))
-                    )
-                distinct = bool(self._accept_keyword("distinct"))
-                args: list[ast.Expr] = []
-                while True:
-                    args.append(self.parse_expression())
-                    if not self._accept_punct(","):
-                        break
-                self._expect_punct(")")
-                return self._maybe_window(
-                    self._maybe_filter(
-                        ast.FuncCall(name, tuple(args), distinct=distinct)
-                    )
-                )
-            name = self._advance().value
-            if self._accept_punct("."):
-                column = self._expect_identifier("column name")
-                return ast.ColumnRef(column, table=name)
-            return ast.ColumnRef(name)
         raise self._error("expected an expression")
+
+    def _parse_call(self, name: str) -> ast.Expr:
+        """A function call's arguments (after ``name(``), then its optional
+        FILTER and OVER clauses."""
+        if self._accept_operator("*"):
+            self._expect_punct(")")
+            call = ast.FuncCall(name, star=True)
+        elif self._accept_punct(")"):
+            call = ast.FuncCall(name)
+        else:
+            distinct = bool(self._accept_keyword("distinct"))
+            args: list[ast.Expr] = []
+            while True:
+                args.append(self.parse_expression())
+                if not self._accept_punct(","):
+                    break
+            self._expect_punct(")")
+            call = ast.FuncCall(name, tuple(args), distinct=distinct)
+        return self._maybe_window(self._maybe_filter(call))
 
     def _maybe_filter(self, call: ast.FuncCall) -> ast.FuncCall:
         """Attach an aggregate ``FILTER (WHERE ...)`` clause if present.
@@ -732,9 +744,9 @@ class _Parser:
         """
         token = self._peek()
         if not (
-            token.kind in (TokenKind.KEYWORD, TokenKind.IDENT)
+            token.kind in (_KEYWORD, _IDENT)
             and token.value == "filter"
-            and self._peek(1).kind is TokenKind.PUNCT
+            and self._peek(1).kind is _PUNCT
             and self._peek(1).value == "("
         ):
             return call
@@ -799,20 +811,27 @@ def parse_statement(sql: str) -> ast.Statement:
     statement = parser.parse_statement()
     while parser._accept_punct(";"):
         pass
-    if parser._peek().kind is not TokenKind.EOF:
+    if parser._peek().kind is not _EOF:
         raise parser._error("unexpected trailing input")
     return statement
 
 
-def parse_script(sql: str) -> list[ast.Statement]:
-    """Parse a ``;``-separated sequence of statements."""
-    return _Parser(sql).parse_script()
+def parse_script(
+    sql: str, tokens: Optional[list[Token]] = None
+) -> list[ast.Statement]:
+    """Parse a ``;``-separated sequence of statements.
+
+    *tokens* is ``tokenize(sql)`` when the caller already has it (the engine
+    lexes a statement once for its plan-cache key and its parse); without
+    it the parser lexes *sql* itself.
+    """
+    return _Parser(sql, tokens).parse_script()
 
 
 def parse_expression(sql: str) -> ast.Expr:
     """Parse a standalone scalar expression (testing helper)."""
     parser = _Parser(sql)
     expr = parser.parse_expression()
-    if parser._peek().kind is not TokenKind.EOF:
+    if parser._peek().kind is not _EOF:
         raise parser._error("unexpected trailing input")
     return expr

@@ -79,8 +79,32 @@ class TestCsvSniffing:
         monkeypatch.setattr(csv, "reader", counting_reader)
         schema = sniff_csv(str(path), sample_limit=10)
         assert schema.columns[0].sql_type == "INT"
-        # the header, the ten sampled rows and the one that ends the sample
-        assert len(consumed) == 12
+        # the header and the ten sampled rows, nothing past the sample
+        assert len(consumed) == 11
+
+    def test_longer_row_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n\n3,4,5\n")
+        with pytest.raises(TranslationError, match="line 4 has 3 fields, expected 2"):
+            sniff_csv(str(path))
+
+    def test_shorter_row_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n3,4\n5\n")
+        with pytest.raises(TranslationError, match="line 4 has 1 fields, expected 2"):
+            sniff_csv(str(path))
+
+    def test_ragged_row_past_the_sample_not_read(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n3,4\n5\n")
+        assert sniff_csv(str(path), sample_limit=2).names == ["a", "b"]
+
+    def test_types_depend_on_distinct_values_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,c\n1,x,\n1,2.5,\n2,x,\n1,2.5,\n")
+        schema = sniff_csv(str(path))
+        assert [c.sql_type for c in schema.columns] == ["INT", "TEXT", "TEXT"]
+        assert [c.nullable for c in schema.columns] == [False, False, True]
 
     def test_index_column_detected(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -154,6 +154,49 @@ class TestPythonSqlEquivalence:
         assert np.allclose(sql_features, py_features)
 
 
+class TestQuotedColumnNames:
+    @pytest.mark.parametrize("mode", ["CTE", "VIEW"])
+    def test_column_with_a_quote_round_trips(self, tmp_path, mode):
+        # CREATE TABLE + COPY + SELECT of a CSV column named `say "hi"`:
+        # the transpiler writes it as "say ""hi""" in every statement
+        path = tmp_path / "quoted.csv"
+        path.write_text('say "hi",n\nhello,1\nworld,2\n"x, ""y""",3\n')
+        source = f"""
+import repro.frame as pd
+
+data = pd.read_csv({str(path)!r})
+kept = data[data['n'] > 1]
+words = kept[['say "hi"']]
+"""
+        checks = [NoBiasIntroducedFor(['say "hi"'])]
+        py = _py_run(source, checks)
+        sql = _sql_run(source, mode=mode, checks=checks)
+        assert 'CREATE TABLE quoted_' in sql.sql_source
+        column = 'say "hi"'
+        words = sql.extras["backend"].materialize_object(
+            sql.extras["pipeline_globals"]["words"]
+        )
+        expected = py.extras["pipeline_globals"]["words"]
+        assert list(words[column]) == list(expected[column]) == ["world", 'x, "y"']
+        # the inspection statement groups by the column too; the SQL path
+        # leaves series-level nodes (data['n'] > 1) without a histogram,
+        # quoted column or not
+        inspection = HistogramForColumns([column])
+        py_hist = {
+            (n.lineno, n.operator_type.name): v
+            for n, v in py.histograms_for(inspection).items()
+        }
+        sql_hist = {
+            (n.lineno, n.operator_type.name): v
+            for n, v in sql.histograms_for(inspection).items()
+            if v
+        }
+        assert sorted(name for _, name in sql_hist) == [
+            "DATA_SOURCE", "PROJECTION", "SELECTION"
+        ]
+        assert all(py_hist[key] == sql_hist[key] for key in sql_hist)
+
+
 class TestExtractionBoundary:
     def test_estimator_fit_materializes_real_data(self, data_dir):
         source = adult_simple_source(data_dir, upto="full")

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import SQLSyntaxError
+from repro.errors import SQLError, SQLSyntaxError
+from repro.sqldb import Database
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.lexer import TokenKind, tokenize
 from repro.sqldb.parser import parse_expression, parse_script, parse_statement
+from repro.sqldb.prepared import normalize_sql
 
 
 class TestLexer:
@@ -47,6 +49,73 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(SQLSyntaxError):
             tokenize("SELECT @")
+
+    def test_doubled_quote_inside_quoted_identifier(self):
+        tokens = tokenize('SELECT "a""b", """", "x"""')
+        idents = [t.value for t in tokens if t.kind is TokenKind.IDENT]
+        assert idents == ['a"b', '"', 'x"']
+
+    def test_odd_quote_run_leaves_identifier_open(self):
+        with pytest.raises(SQLSyntaxError, match="quoted identifier at offset 7"):
+            tokenize('SELECT """ FROM t')
+
+    def test_token_is_a_tuple(self):
+        token = tokenize("x")[0]
+        assert token == (TokenKind.IDENT, "x", 0)
+        assert token.matches_keyword("x") is False
+
+
+class TestUnclosedTypeModifier:
+    """An unclosed type modifier is a syntax error; the parser used to
+    skip tokens looking for its ``)`` and spin forever at the end."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a::varchar(10",
+            "SELECT CAST(a AS numeric(10, 2",
+            "CREATE TABLE t (a varchar(10",
+        ],
+    )
+    def test_rejected(self, sql):
+        with pytest.raises(SQLSyntaxError, match="expected '\\)'"):
+            parse_script(sql)
+
+    def test_closed_modifier_still_ignored(self):
+        statement = parse_statement("CREATE TABLE t (a varchar(10), b numeric(4, 1))")
+        assert [c.type_name for c in statement.columns] == ["varchar", "numeric"]
+
+
+class TestQuotedIdentifierQuotes:
+    """``""`` inside a quoted identifier is one ``"`` (PostgreSQL's rule),
+    not the end of one identifier and the start of the next."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.run_script(
+            'CREATE TABLE u (a int, b int, "a""b" int, "a"" ""b" int);'
+            "INSERT INTO u VALUES (1, 2, 3, 4)"
+        )
+        return db
+
+    def test_select_reads_the_quoted_column(self, db):
+        result = db.execute('SELECT "a""b" FROM u')
+        assert result.columns == ['a"b']
+        assert result.rows == [(3,)]
+
+    def test_missing_quoted_column_is_an_error(self):
+        db = Database()
+        db.execute("CREATE TABLE u (a int, b int)")
+        with pytest.raises(SQLError, match='a"b'):
+            db.execute('SELECT "a""b" FROM u')
+
+    def test_quote_in_identifier_keeps_plan_cache_keys_apart(self, db):
+        spaced, aliased = 'SELECT "a"" ""b" FROM u', 'SELECT "a" "b" FROM u'
+        assert normalize_sql(spaced) != normalize_sql(aliased)
+        assert db.execute(spaced).rows == [(4,)]
+        result = db.execute(aliased)
+        assert (result.columns, result.rows) == (["b"], [(1,)])
 
 
 class TestExpressionParsing:
