@@ -59,6 +59,7 @@ from repro.learn.preprocessing import (
     OneHotEncoder,
     StandardScaler,
 )
+from repro.sqldb.vector import Vector, first_occurrence_codes, python_cells
 
 __all__ = ["SQLBackend"]
 
@@ -256,22 +257,22 @@ class SQLBackend(PythonBackend):
                 f"SELECT {info.sql} AS value FROM {info.parent.name}{order}"
             )
             result = self.container.run_query(query, upto=info.parent.name)
-            real: Any = Series([row[0] for row in result.rows], name=info.name)
+            [values] = result.vectors
+            real: Any = Series(list(python_cells(values)), name=info.name)
         elif info.is_matrix:
             columns = ", ".join(q(c) for c in info.columns)
             query = f"SELECT {columns} FROM {info.name}{_order_by_ctids(info)}"
             result = self.container.run_query(query, upto=info.name)
-            real = _rows_to_matrix(result.rows)
+            real = _columns_to_matrix(result.vectors, result.rowcount)
         else:
             columns = ", ".join(q(c) for c in info.columns)
             query = f"SELECT {columns} FROM {info.name}{_order_by_ctids(info)}"
             result = self.container.run_query(query, upto=info.name)
-            data = {
-                name: [row[j] for row in result.rows]
-                for j, name in enumerate(info.columns)
-            }
-            real = DataFrame(data) if result.rows else DataFrame(
-                {name: [] for name in info.columns}
+            real = DataFrame(
+                {
+                    name: list(python_cells(vector))
+                    for name, vector in zip(info.columns, result.vectors)
+                }
             )
         self._materialized[id(obj)] = real
         self._keepalive.append(real)
@@ -992,21 +993,43 @@ def _order_by_ctids(info: TableInfo) -> str:
     return " ORDER BY " + ", ".join(q(c) for c in plain)
 
 
-def _rows_to_matrix(rows: list[tuple]) -> np.ndarray:
-    """Flatten fetched rows (scalars and arrays) into a float matrix."""
-    if not rows:
+def _columns_to_matrix(vectors: list[Vector], n_rows: int) -> np.ndarray:
+    """Fetched columns as one float matrix, the values a fetched row
+    holds: numbers and bools one column each, arrays one column per
+    element, NaN under NULL."""
+    if not n_rows:
         return np.zeros((0, 0))
-    flat_rows: list[list[float]] = []
-    for row in rows:
-        flat: list[float] = []
-        for cell in row:
-            if isinstance(cell, list):
-                flat.extend(float(v) for v in cell)
-            elif cell is None:
-                flat.append(float("nan"))
-            elif isinstance(cell, bool):
-                flat.append(1.0 if cell else 0.0)
-            else:
-                flat.append(float(cell))
-        flat_rows.append(flat)
-    return np.asarray(flat_rows, dtype=np.float64)
+    if not vectors:
+        return np.zeros((n_rows, 0))
+    return np.hstack([_matrix_block(vector) for vector in vectors])
+
+
+def _matrix_block(vector: Vector) -> np.ndarray:
+    values = vector.values
+    if values.dtype.kind in "fb":
+        # + 0.0 turns -0.0 into 0.0, as the fetched int 0 would be
+        column = values + 0.0
+        column[vector.nulls] = np.nan
+        return column[:, None]
+    # object cells (arrays, text) flattened once per distinct cell: the
+    # rows of one kernel call share one list
+    cells = values.tolist()
+    for k in np.flatnonzero(vector.nulls):
+        cells[k] = None
+    codes, n = first_occurrence_codes(list(map(id, cells)))
+    first = np.empty(n, dtype=np.int64)
+    first[codes] = np.arange(len(cells))
+    flats = [_flat_cell(cells[i]) for i in first.tolist()]
+    if len(set(map(len, flats))) > 1:
+        raise ValueError("array cells of different lengths in one matrix")
+    return np.array(flats, dtype=np.float64)[codes]
+
+
+def _flat_cell(cell: Any) -> list[float]:
+    if isinstance(cell, list):
+        return [float(v) for v in cell]
+    if cell is None:
+        return [float("nan")]
+    if isinstance(cell, bool):
+        return [1.0 if cell else 0.0]
+    return [float(cell)]

@@ -22,6 +22,7 @@ from repro.errors import (
     UniqueViolation,
 )
 from repro.sqldb import ast_nodes as ast
+from repro.sqldb import colcodec
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.vector import Vector, concat_vectors
 
@@ -980,10 +981,16 @@ class Catalog:
     def export_records(self) -> Iterator[dict]:
         """The catalog as JSON records, tables first: the body of a
         checkpoint and of a replica snapshot (the inverse of
-        :func:`decode_records`).  An index is stored as its definition
-        and rebuilt on load; a materialised view's snapshot is stored as
-        it is, since it can outlive a dropped input."""
+        :func:`decode_records`).  A table's or materialised view's
+        columns are :mod:`~repro.sqldb.colcodec` headers under ``"data"``
+        plus their buffers as bytes under ``"blob"``.  An index is stored
+        as its definition and rebuilt on load; a materialised view's
+        snapshot is stored as it is, since it can outlive a dropped
+        input."""
         for table in self._tables.values():
+            headers, buffers = colcodec.encode(
+                [table.columns[c] for c in table.column_names]
+            )
             yield {
                 "t": "table",
                 "name": table.name,
@@ -991,26 +998,25 @@ class Catalog:
                 "types": table.column_types,
                 "rows": table.n_rows,
                 "serial": table._next_serial,
-                "data": [
-                    _vector_record(table.columns[c]) for c in table.column_names
-                ],
+                "data": headers,
+                "blob": b"".join(buffers),
             }
         for view in self._views.values():
-            snapshot = None
-            if view.snapshot is not None:
-                names, data, length = view.snapshot
-                snapshot = {
-                    "columns": names,
-                    "rows": length,
-                    "data": [_vector_record(data[name]) for name in names],
-                }
-            yield {
+            record = {
                 "t": "view",
                 "name": view.name,
                 "sql": view.sql,
                 "materialized": view.materialized,
-                "snapshot": snapshot,
+                "snapshot": None,
             }
+            if view.snapshot is not None:
+                names, data, length = view.snapshot
+                headers, buffers = colcodec.encode([data[n] for n in names])
+                record["snapshot"] = {
+                    "columns": names, "rows": length, "data": headers,
+                }
+                record["blob"] = b"".join(buffers)
+            yield record
         for stats in self._table_stats.values():
             yield {"t": "stats", **asdict(stats)}
         for index in self._indexes.values():
@@ -1238,15 +1244,6 @@ class Catalog:
 # -- checkpoint records -------------------------------------------------------
 
 
-def _vector_record(vector: Vector) -> dict:
-    """A vector as JSON values: its dtype, its cells and its NULL rows."""
-    return {
-        "dtype": vector.values.dtype.str,
-        "values": vector.values.tolist(),
-        "nulls": np.flatnonzero(vector.nulls).tolist(),
-    }
-
-
 #: the dtype a table column of each storage class is stored in
 _STORAGE_DTYPES = {
     "int": np.dtype(np.float64),
@@ -1258,42 +1255,22 @@ _STORAGE_DTYPES = {
 }
 
 
-def _vector_from_record(record: dict, rows: int) -> Vector:
-    cells = record["values"]
-    if len(cells) != rows:
-        raise ValueError(f"a column of {len(cells)} cells in {rows} rows")
-    dtype = np.dtype(record["dtype"])
-    if dtype.kind not in "biufO":
-        raise ValueError(f"unexpected column dtype {dtype}")
-    if dtype.kind == "O":
-        # one object per distinct string, as COPY stores text
-        distinct: dict[str, str] = {}
-        cells = (
-            distinct.setdefault(cell, cell) if type(cell) is str else cell
-            for cell in cells
-        )
-    values = np.fromiter(cells, dtype=dtype, count=rows)
-    positions = record["nulls"]
-    if not all(type(p) is int and 0 <= p < rows for p in positions):
-        raise ValueError("a NULL position outside the column")
-    nulls = np.zeros(rows, dtype=bool)
-    nulls[positions] = True
-    return Vector(values, nulls)
-
-
-def _columns_from(record: dict) -> dict[str, Vector]:
-    """The named vectors of a table or materialised-view record, each
-    holding the record's ``rows`` cells."""
-    names, data, rows = record["columns"], record["data"], record["rows"]
-    if type(rows) is not int:
-        raise ValueError(f"a row count of {rows!r}")
-    if len(data) != len(names):
-        raise ValueError(f"{len(data)} columns under {len(names)} names")
-    return dict(zip(names, (_vector_from_record(r, rows) for r in data)))
+def _columns_from(columns: dict, blob: Any) -> dict[str, Vector]:
+    """The named vectors of a table record or materialised-view snapshot
+    (*columns*: its names, row count and column headers) read from the
+    record's *blob*."""
+    names, headers, rows = columns["columns"], columns["data"], columns["rows"]
+    if type(names) is not list or type(headers) is not list:
+        raise ValueError("column names or headers that are not lists")
+    if len(headers) != len(names):
+        raise ValueError(f"{len(headers)} columns under {len(names)} names")
+    if not isinstance(blob, bytes):
+        raise ValueError("a column record without its buffers")
+    return dict(zip(names, colcodec.decode(headers, rows, blob)))
 
 
 def _table_from(record: dict) -> Table:
-    columns = _columns_from(record)
+    columns = _columns_from(record, record.get("blob"))
     types = record["types"]
     if len(types) != len(columns):
         raise ValueError(f"{len(types)} types for {len(columns)} columns")
@@ -1348,7 +1325,8 @@ def decode_records(
                 snapshot = record["snapshot"]
                 if snapshot is not None:
                     view.snapshot = (
-                        snapshot["columns"], _columns_from(snapshot),
+                        snapshot["columns"],
+                        _columns_from(snapshot, record.get("blob")),
                         snapshot["rows"],
                     )
                 views[view.name] = view

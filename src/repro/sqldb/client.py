@@ -58,9 +58,9 @@ from repro.sqldb.protocol import (
     client_handshake,
     exception_from_wire,
     recv_frame,
-    result_from_wire,
     send_frame,
 )
+from repro.sqldb.vector import read_only, to_rows
 
 __all__ = [
     "connect",
@@ -269,7 +269,18 @@ class RemoteConnection:
                 "params": list(params) if params is not None else None,
             }
         )
-        return [result_from_wire(r) for r in reply.get("results", ())]
+        # rows are built from the decoded columns by the one conversion
+        # the engine uses, so they equal an in-process fetch's
+        return [
+            Result(
+                columns=r["columns"],
+                rows=to_rows(r["vectors"]),
+                rowcount=r["rowcount"],
+                statement=r["statement"],
+                vectors=list(map(read_only, r["vectors"])),
+            )
+            for r in reply["results"]
+        ]
 
     def executemany(
         self, sql: str, seq_of_parameters: Sequence[Sequence[Any]]

@@ -79,7 +79,7 @@ from repro.sqldb.planner import Planner, Scope, ScopeEntry
 from repro.sqldb.prepared import bind_parameters, normalize_tokens
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
-from repro.sqldb.vector import Vector, gather
+from repro.sqldb.vector import Vector, gather, read_only, to_rows
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +160,11 @@ class Result:
     #: rows affected / loaded for DML, row count for queries
     rowcount: int = 0
     statement: str = ""
+    #: the typed columns ``rows`` was built from (read-only; a query's
+    #: only — DML and DDL results have none)
+    vectors: list[Vector] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def scalar(self) -> Any:
         """Single value of a 1x1 result."""
@@ -1846,40 +1851,15 @@ def _literal_value(expr: ast.Expr, params: tuple = ()) -> Any:
 
 def _batch_to_result(plan: PlanNode, batch: Batch) -> Result:
     visible = [out for out in plan.schema if not out.hidden]
-    columns = [out.name for out in visible]
-    converted = []
-    for out in visible:
-        vector = batch.columns[out.key]
-        values = vector.values
-        if values.dtype.kind == "f":
-            # integral floats surface as Python ints (like psycopg2 would
-            # for INT columns); done vectorised for large results.  Only
-            # inside the int64 range: the cast wraps anything beyond it
-            # (1e19 -> -2**63), which stays the float it is
-            as_object = values.astype(object)
-            integral = (
-                (np.floor(values) == values)
-                & (values >= -(2.0 ** 63))
-                & (values < 2.0 ** 63)
-            )
-            if integral.any():
-                ints = values[integral].astype(np.int64)
-                as_object[integral] = ints
-        elif values.dtype.kind == "b":
-            as_object = values.astype(object)
-        else:
-            as_object = values.copy()
-        if vector.nulls.any():
-            as_object[vector.nulls] = None
-        if values.dtype == object and list in set(map(type, as_object)):
-            # arrays are values: the caller gets its own lists, never the
-            # ones stored (or shared between rows) inside the engine
-            as_object = [
-                list(cell) if type(cell) is list else cell for cell in as_object
-            ]
-        converted.append(as_object)
-    rows = list(zip(*converted)) if converted else []
-    return Result(columns=columns, rows=rows, rowcount=batch.length)
+    # views: stored columns are replaced, never written (copy-on-write),
+    # so a result's columns cannot change after its statement returns
+    vectors = [read_only(batch.columns[out.key]) for out in visible]
+    return Result(
+        columns=[out.name for out in visible],
+        rows=to_rows(vectors),
+        rowcount=batch.length,
+        vectors=vectors,
+    )
 
 
 # -- the write statements -----------------------------------------------------------

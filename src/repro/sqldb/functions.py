@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import SQLBindError, SQLExecutionError
-from repro.sqldb.vector import Vector, per_distinct, to_python
+from repro.sqldb.vector import Vector, per_distinct, python_list, to_python
 
 __all__ = [
     "AGGREGATE_NAMES",
@@ -396,18 +396,14 @@ def compute_aggregate(
         boundaries = np.searchsorted(
             sorted_codes, np.arange(n_groups + 1), side="left"
         )
-        has_null = arg.nulls.any()
-        values = arg.values[order]
-        nulls = arg.nulls[order] if has_null else None
+        # elements are what a fetched cell would be: Python values, and
+        # integral floats as int (to_python's rule)
+        items = python_list(arg.values[order])
+        for k in np.flatnonzero(arg.nulls[order]):
+            items[k] = None
+        bounds = boundaries.tolist()
         for g in range(n_groups):
-            lo, hi = int(boundaries[g]), int(boundaries[g + 1])
-            # tolist() on either branch: elements are Python scalars,
-            # never numpy ones
-            bucket = values[lo:hi].tolist()
-            if has_null:
-                for k in np.flatnonzero(nulls[lo:hi]):
-                    bucket[k] = None
-            out[g] = bucket
+            out[g] = items[bounds[g]:bounds[g + 1]]
         return Vector(out, np.zeros(n_groups, dtype=bool))
 
     if name in ("min", "max") and arg.values.dtype == object:

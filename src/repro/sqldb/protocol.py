@@ -1,22 +1,31 @@
 """Wire protocol shared by the socket server and the client driver.
 
-Framing is deliberately simple — the psycopg2-era shape the paper
-measures through, not a binary columnar format:
+Framing is length-prefixed; results travel as typed binary columns:
 
 * every message is one **frame**: a 4-byte big-endian unsigned length
-  followed by that many bytes of UTF-8 JSON encoding a single object;
-* the object always carries a ``"type"`` key; everything else is
-  per-message payload;
-* results, :class:`~repro.sqldb.stats.ExecStats` summaries and errors
-  have fixed wire shapes (:func:`result_to_wire`, :func:`error_to_wire`)
-  so both ends stay in lockstep with the engine's own types.
+  followed by that many bytes of payload;
+* a payload is UTF-8 JSON encoding a single object that always carries a
+  ``"type"`` key — except a ``results`` frame, which is binary: a marker
+  byte (``0x01``), a 4-byte big-endian header length, a JSON header
+  (``type``, ``in_transaction`` and per result its ``columns``,
+  ``rowcount``, ``statement`` and column headers, every buffer length
+  included), then the column buffers back to back.  The columns are
+  :mod:`repro.sqldb.colcodec`'s — the same codec checkpoint images use —
+  and the client builds each ``Result``'s rows from them with
+  :func:`~repro.sqldb.vector.to_rows`, the function the engine itself
+  uses, so remote rows equal in-process ones by construction;
+* errors and :class:`~repro.sqldb.stats.ExecStats` summaries have fixed
+  JSON shapes (:func:`error_to_wire`).
 
 The length prefix bounds the damage a confused or malicious peer can do:
 a frame longer than ``max_bytes`` raises
 :class:`~repro.errors.ProtocolViolation` *before* any allocation, and a
 disconnect in the middle of a frame is distinguished from a clean EOF at
 a frame boundary (``None``) so connection teardown is never mistaken for
-a protocol error and vice versa.
+a protocol error and vice versa.  A binary frame is checked before any
+column is read: its buffer lengths must tile the payload exactly and
+match each result's ``rowcount``; anything malformed is a
+``ProtocolViolation`` too.
 
 Message types (client → server)::
 
@@ -55,7 +64,7 @@ from typing import Any, Optional
 
 from repro import errors as _errors
 from repro.errors import ProtocolViolation, SQLError
-from repro.sqldb.engine import Result
+from repro.sqldb import colcodec
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -64,19 +73,19 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "client_handshake",
-    "result_to_wire",
-    "result_from_wire",
     "error_to_wire",
     "exception_from_wire",
 ]
 
 #: bumped on incompatible wire changes; the handshake rejects mismatches
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
-#: default ceiling on one frame's JSON payload (server and client side)
+#: default ceiling on one frame's payload (server and client side)
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+#: first payload byte of a binary ``results`` frame (JSON starts with ``{``)
+_BINARY = b"\x01"
 
 
 def _json_default(value: Any) -> Any:
@@ -93,12 +102,37 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
-def encode_frame(message: dict) -> bytes:
-    """One wire frame: length prefix + UTF-8 JSON payload."""
-    payload = json.dumps(
+def _json(message: dict) -> bytes:
+    return json.dumps(
         message, default=_json_default, separators=(",", ":")
     ).encode("utf-8")
-    return _HEADER.pack(len(payload)) + payload
+
+
+def encode_frame(message: dict) -> bytes:
+    """One wire frame: length prefix + payload.  A ``results`` message
+    carries engine ``Result`` objects under ``"results"`` and is encoded
+    as typed binary columns; every other message is JSON."""
+    if message.get("type") != "results":
+        payload = _json(message)
+        return _HEADER.pack(len(payload)) + payload
+    header = dict(message, results=[])
+    buffers: list[bytes] = []
+    for result in message["results"]:
+        vectors, data = colcodec.encode(result.vectors)
+        header["results"].append(
+            {
+                "columns": list(result.columns),
+                "rowcount": result.rowcount,
+                "statement": result.statement,
+                "vectors": vectors,
+            }
+        )
+        buffers += data
+    text = _json(header)
+    size = 1 + _HEADER.size + len(text) + sum(map(len, buffers))
+    return b"".join(
+        [_HEADER.pack(size), _BINARY, _HEADER.pack(len(text)), text, *buffers]
+    )
 
 
 def send_frame(sock: socket.socket, message: dict) -> None:
@@ -129,8 +163,10 @@ def recv_frame(
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     Raises :class:`ProtocolViolation` for an oversized length prefix, a
-    disconnect mid-frame, undecodable JSON, or a payload that is not a
-    JSON object with a string ``"type"``.
+    disconnect mid-frame, undecodable JSON, a payload that is not a JSON
+    object with a string ``"type"``, or a malformed ``results`` frame.
+    A ``results`` frame comes back with its columns decoded: each result
+    is ``{columns, rowcount, statement, vectors}``.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -143,14 +179,67 @@ def recv_frame(
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise ProtocolViolation("connection closed between header and payload")
+    if payload[:1] == _BINARY:
+        return _decode_results(payload)
+    message = _decode_json(payload)
+    if message["type"] == "results":
+        raise ProtocolViolation("a results frame must carry binary columns")
+    return message
+
+
+def _decode_json(payload: bytes) -> dict:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolViolation(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(
         message.get("type"), str
     ):
         raise ProtocolViolation("frame payload must be an object with a 'type'")
+    return message
+
+
+def _decode_results(payload: bytes) -> dict:
+    """A binary ``results`` frame, its column buffers checked against
+    the header before any of them is read."""
+    start = 1 + _HEADER.size
+    if len(payload) < start:
+        raise ProtocolViolation("results frame shorter than its header")
+    (length,) = _HEADER.unpack_from(payload, 1)
+    if start + length > len(payload):
+        raise ProtocolViolation("results header runs past the frame")
+    message = _decode_json(payload[start:start + length])
+    results = message.get("results")
+    if message["type"] != "results" or type(results) is not list:
+        raise ProtocolViolation("a binary frame must be a results frame")
+    sizes = []
+    try:
+        for result in results:
+            if type(result) is not dict:
+                raise ProtocolViolation("a result is not an object")
+            columns, vectors = result.get("columns"), result.get("vectors")
+            if (
+                type(columns) is not list
+                or not all(type(name) is str for name in columns)
+                or type(result.get("statement")) is not str
+                or type(vectors) is not list
+                or len(vectors) != len(columns)
+            ):
+                raise ProtocolViolation("a result of the wrong shape")
+            sizes.append(colcodec.payload_size(vectors, result.get("rowcount")))
+        start += length
+        if start + sum(sizes) != len(payload):
+            raise ProtocolViolation(
+                "column buffers do not tile the results frame"
+            )
+        view = memoryview(payload)
+        for result, size in zip(results, sizes):
+            result["vectors"] = colcodec.decode(
+                result["vectors"], result["rowcount"], view[start:start + size]
+            )
+            start += size
+    except colcodec.MalformedColumns as exc:
+        raise ProtocolViolation(f"malformed results frame: {exc}") from None
     return message
 
 
@@ -191,25 +280,7 @@ def client_handshake(
     return reply
 
 
-# -- engine type <-> wire shapes ----------------------------------------------
-
-
-def result_to_wire(result: Result) -> dict:
-    return {
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "rowcount": result.rowcount,
-        "statement": result.statement,
-    }
-
-
-def result_from_wire(data: dict) -> Result:
-    return Result(
-        columns=list(data.get("columns", ())),
-        rows=[tuple(row) for row in data.get("rows", ())],
-        rowcount=int(data.get("rowcount", 0)),
-        statement=data.get("statement", ""),
-    )
+# -- engine errors <-> wire shapes ---------------------------------------------
 
 
 #: engine error classes addressable by name on the wire (subset of

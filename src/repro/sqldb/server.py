@@ -60,9 +60,9 @@ from repro.sqldb.engine import Database
 from repro.sqldb.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    encode_frame,
     error_to_wire,
     recv_frame,
-    result_to_wire,
     send_frame,
 )
 
@@ -325,7 +325,9 @@ class _ClientHandler:
         ):
             watchdog = _StatementWatchdog(self.session, statement_timeout_s)
         try:
-            reply = self._dispatch(message)
+            # encoded here, so a reply that cannot be encoded is an
+            # error frame like any other failure
+            reply = encode_frame(self._dispatch(message))
         except ProtocolViolation as exc:
             self.server._count("protocol_errors")
             self._send_error(exc)
@@ -352,7 +354,7 @@ class _ClientHandler:
                 watchdog.disarm()
             self.busy = False
         try:
-            self._send(reply)
+            self.sock.sendall(reply)
         except OSError:
             return False
         return True
@@ -374,7 +376,7 @@ class _ClientHandler:
             )
             return {
                 "type": "results",
-                "results": [result_to_wire(r) for r in results],
+                "results": results,
                 "in_transaction": session.in_transaction,
             }
         if kind == "executemany":

@@ -27,7 +27,11 @@ __all__ = [
     "concat_vectors",
     "first_occurrence_codes",
     "per_distinct",
+    "python_cells",
+    "python_list",
+    "read_only",
     "to_python",
+    "to_rows",
 ]
 
 
@@ -42,6 +46,17 @@ def to_python(value: Any) -> Any:
     if isinstance(value, np.bool_):
         return bool(value)
     return value
+
+
+def python_list(values: np.ndarray) -> list:
+    """``[to_python(v) for v in values]``, at ``tolist`` speed where the
+    dtype allows: the elements an array cell is built of."""
+    items = values.tolist()
+    if values.dtype.kind == "f":
+        return [int(x) if x.is_integer() else x for x in items]
+    if values.dtype == object:
+        return list(map(to_python, items))
+    return items
 
 
 @dataclass
@@ -73,6 +88,51 @@ class Vector:
 
     def tolist(self) -> list:
         return [self.item(i) for i in range(len(self))]
+
+
+def python_cells(vector: Vector) -> np.ndarray | list:
+    """The cells of one result column as Python values (None under NULL):
+    what a fetched row holds in that column.  Integral floats surface as
+    ``int`` (like psycopg2's INT columns) inside the int64 range; beyond
+    it they stay the float they are (the cast would wrap 1e19 to -2**63).
+    Array cells are copied: the caller gets its own lists, never the ones
+    stored (or shared between rows) inside the engine."""
+    values = vector.values
+    if values.dtype.kind == "f":
+        as_object = values.astype(object)
+        integral = (
+            (np.floor(values) == values)
+            & (values >= -(2.0 ** 63))
+            & (values < 2.0 ** 63)
+        )
+        if integral.any():
+            as_object[integral] = values[integral].astype(np.int64)
+    elif values.dtype.kind == "b":
+        as_object = values.astype(object)
+    else:
+        as_object = values.copy()
+    if vector.nulls.any():
+        as_object[vector.nulls] = None
+    if values.dtype == object and list in set(map(type, as_object)):
+        return [
+            list(cell) if type(cell) is list else cell for cell in as_object
+        ]
+    return as_object
+
+
+def read_only(vector: Vector) -> Vector:
+    """A read-only view of *vector*: what a ``Result`` hands out, so no
+    caller can write the arrays behind it."""
+    values, nulls = vector.values.view(), vector.nulls.view()
+    values.flags.writeable = nulls.flags.writeable = False
+    return Vector(values, nulls)
+
+
+def to_rows(vectors: Sequence[Vector]) -> list[tuple]:
+    """Row tuples of Python values over equally long result columns: the
+    one conversion behind every ``Result.rows``, in-process or fetched
+    over the wire."""
+    return list(zip(*map(python_cells, vectors))) if vectors else []
 
 
 def from_values(items: Iterable[Any]) -> Vector:
@@ -305,8 +365,9 @@ def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
 
         def concat(a: Any, b: Any) -> Any:
             if isinstance(a, list) or isinstance(b, list):
-                a_list = a if isinstance(a, list) else [a]
-                b_list = b if isinstance(b, list) else [b]
+                # array elements are Python values, never numpy scalars
+                a_list = a if isinstance(a, list) else [to_python(a)]
+                b_list = b if isinstance(b, list) else [to_python(b)]
                 return a_list + b_list
             return cell_text(a) + cell_text(b)
 

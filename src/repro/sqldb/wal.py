@@ -45,15 +45,21 @@ flushed at commit after savepoint truncation.
 
 Checkpoints (``wal_path + ".ckpt"``)
 ------------------------------------
-A checkpoint is the full catalog as JSON records in the same frame
-(:func:`checkpoint_image`): a 6-byte magic header (``RCKP2\\n``), one
-record per table, view, statistics snapshot, index and trained model,
-then ``{"t": "checkpoint", "txn": n}`` naming the highest transaction id
-it covers.  It is written to a temp path, fsynced, then atomically
-renamed, and the WAL is reset to an empty header.  Recovery loads the
-checkpoint (if present and intact) and replays only WAL transactions
-with a higher id, so a crash between the rename and the WAL reset cannot
-double-apply.  A replica's bootstrap snapshot is the same image.
+A checkpoint is the full catalog as records in the same frame
+(:func:`checkpoint_image`): a 6-byte magic header (``RCKP3\\n``), one
+JSON record per table, view, statistics snapshot, index and trained
+model, then ``{"t": "checkpoint", "txn": n}`` naming the highest
+transaction id it covers.  A record that carries bytes under ``"blob"``
+(a table's or materialised view's columns, in
+:mod:`repro.sqldb.colcodec`'s buffers) is written as its JSON with
+``"blob": <length>``, and the bytes ride raw in the next frame, under
+that frame's CRC.  It is written to a temp path, fsynced, then
+atomically renamed, and the WAL is reset to an empty header.  Recovery
+loads the checkpoint (if present and intact) and replays only WAL
+transactions with a higher id, so a crash between the rename and the WAL
+reset cannot double-apply.  A replica's bootstrap snapshot is the same
+image.  The images of older releases (``RCKP1``, pickled; ``RCKP2``,
+per-cell JSON columns) are refused with a request to rebuild.
 
 Durability points (see :mod:`repro.sqldb.faults`) are threaded through
 every append/fsync/checkpoint step; the record and snapshot writes also
@@ -89,9 +95,13 @@ __all__ = [
 ]
 
 _WAL_MAGIC = b"RWAL1\n"
-_CKPT_MAGIC = b"RCKP2\n"
-#: the pickled checkpoints of older releases, refused with a rebuild hint
-_PICKLE_CKPT_MAGIC = b"RCKP1\n"
+_CKPT_MAGIC = b"RCKP3\n"
+#: the checkpoints of older releases, refused with a rebuild hint
+_OLD_CKPT_MAGICS = {
+    b"RCKP1\n": "the pickle format of releases before JSON checkpoints",
+    b"RCKP2\n": "the per-cell JSON format of releases before binary "
+    "columns",
+}
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
 
@@ -154,7 +164,16 @@ def encode_record(record: Any) -> bytes:
         )
     except (TypeError, ValueError) as exc:  # e.g. a non-string dict key
         raise DurabilityError(f"cannot serialise a record ({exc})") from None
-    return frame(text.encode("utf-8"))
+    # surrogatepass: a lone surrogate in text round-trips (json.loads
+    # reads bytes with it too) instead of failing the encode
+    return frame(text.encode("utf-8", "surrogatepass"))
+
+
+def _loads(payload: bytes, where: str) -> Any:
+    try:
+        return json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise DurabilityError(f"{where}: undecodable record ({exc})") from None
 
 
 def read_records(read: Callable[[int], bytes], where: str) -> Iterator[Any]:
@@ -163,12 +182,7 @@ def read_records(read: Callable[[int], bytes], where: str) -> Iterator[Any]:
     naming *where*.  Decoding is JSON only, so a hostile file or frame
     can at worst be rejected, never run code."""
     while (payload := unframe(read, where)) is not None:
-        try:
-            yield json.loads(payload)
-        except (ValueError, RecursionError) as exc:
-            raise DurabilityError(
-                f"{where}: undecodable record ({exc})"
-            ) from None
+        yield _loads(payload, where)
 
 
 #: fsync policies for :meth:`WriteAheadLog.commit_sync` — what an
@@ -346,33 +360,56 @@ def truncate_wal(path: str, valid_size: int) -> None:
             os.fsync(handle.fileno())
 
 
+def _image_record(record: dict) -> bytes:
+    blob = record.get("blob")
+    if not isinstance(blob, bytes):
+        return encode_record(record)
+    return encode_record(dict(record, blob=len(blob))) + frame(blob)
+
+
 def checkpoint_image(records: Iterable[dict], last_txn: int) -> bytes:
     """The bytes of a checkpoint: the magic header, then *records* and a
-    closing ``{"t": "checkpoint", "txn": last_txn}`` record, each framed."""
+    closing ``{"t": "checkpoint", "txn": last_txn}`` record, each framed
+    (a record's ``"blob"`` bytes in a raw frame of their own)."""
     closing = {"t": "checkpoint", "txn": last_txn}
     return _CKPT_MAGIC + b"".join(
-        map(encode_record, itertools.chain(records, [closing]))
+        map(_image_record, itertools.chain(records, [closing]))
     )
 
 
 def decode_checkpoint(data: bytes, where: str) -> tuple[list[dict], int]:
-    """The records of a :func:`checkpoint_image` and the transaction id it
-    covers.  Anything else — a wrong header, a torn or corrupt frame, a
-    record that is not a JSON object, a missing closing record — raises
-    :class:`DurabilityError` naming *where*."""
-    if data.startswith(_PICKLE_CKPT_MAGIC):
-        raise DurabilityError(
-            f"{where}: not a repro checkpoint this release reads: RCKP1 is "
-            "the pickle format of releases before JSON checkpoints; "
-            "rebuild the database from its source data"
-        )
+    """The records of a :func:`checkpoint_image` (each ``"blob"`` back as
+    bytes) and the transaction id it covers.  Anything else — a wrong
+    header, a torn or corrupt frame, a record that is not a JSON object,
+    a blob frame missing or of another length, a missing closing record
+    — raises :class:`DurabilityError` naming *where*."""
+    for magic, what in _OLD_CKPT_MAGICS.items():
+        if data.startswith(magic):
+            raise DurabilityError(
+                f"{where}: not a repro checkpoint this release reads: "
+                f"{magic[:-1].decode()} is {what}; rebuild the database "
+                "from its source data"
+            )
     if not data.startswith(_CKPT_MAGIC):
         raise DurabilityError(f"{where}: not a repro checkpoint")
     stream = io.BytesIO(data)
     stream.seek(len(_CKPT_MAGIC))
-    records = list(read_records(stream.read, where))
-    if not all(isinstance(record, dict) for record in records):
-        raise DurabilityError(f"{where}: a checkpoint record is not an object")
+    records = []
+    while (payload := unframe(stream.read, where)) is not None:
+        record = _loads(payload, where)
+        if not isinstance(record, dict):
+            raise DurabilityError(
+                f"{where}: a checkpoint record is not an object"
+            )
+        if "blob" in record:
+            size = record["blob"]
+            blob = unframe(stream.read, where)
+            if type(size) is not int or blob is None or len(blob) != size:
+                raise DurabilityError(
+                    f"{where}: a record's column buffers are missing"
+                )
+            record["blob"] = blob
+        records.append(record)
     closing = records.pop() if records else {}
     if closing.get("t") != "checkpoint" or type(closing.get("txn")) is not int:
         raise DurabilityError(f"{where}: checkpoint lacks its closing record")

@@ -7,7 +7,7 @@ from repro.errors import SQLBindError, SQLExecutionError
 from repro.sqldb import Database
 from repro.sqldb.executor import _expand_unnest
 from repro.sqldb.functions import compute_aggregate
-from repro.sqldb.vector import from_values
+from repro.sqldb.vector import from_values, to_python
 
 
 @pytest.fixture
@@ -195,14 +195,23 @@ class TestAggregateEdgeCases:
     def test_array_agg_elements_are_python_scalars(self, items):
         """With or without NULLs in the argument, ``array_agg`` elements
         are Python values — never numpy scalars, which compare and print
-        differently and which ``json.dumps`` rejects."""
+        differently and which ``json.dumps`` rejects — and follow
+        ``to_python``: an integral float is an ``int``, as a fetched
+        scalar cell is."""
         codes = np.array([0, 1, 0, 1], dtype=np.int64)
         for column in (items, [None] + items[1:]):
             out = compute_aggregate("array_agg", from_values(column), codes, 2)
             assert out.values.tolist() == [column[0::2], column[1::2]]
-            for bucket in out.values:
-                for element in bucket:
-                    assert element is None or type(element) is type(items[1])
+            expected = [
+                None if v is None else type(to_python(np.float64(v)))
+                if type(v) is float else type(v)
+                for v in column
+            ]
+            types = [
+                None if e is None else type(e)
+                for bucket in out.values for e in bucket
+            ]
+            assert types == expected[0::2] + expected[1::2]
 
 
 class TestVectorisedUnnest:
@@ -246,3 +255,34 @@ class TestVectorisedUnnest:
         columns = {"a": from_values(["not-a-list", [1]])}
         with pytest.raises(SQLExecutionError, match="not an array"):
             _expand_unnest(2, columns, ["a"])
+
+
+_ARRAY_PRODUCERS = {
+    "array_fill": "SELECT array_fill(x, 2) AS a FROM t",
+    "array || number": "SELECT array_fill(0, 1) || x AS a FROM t",
+    "number || array": "SELECT x || array_fill(0, 1) AS a FROM t",
+    "one-hot": "SELECT array_fill(0, 1) || 1 || array_fill(0, 2) AS a FROM t",
+    "array || text": "SELECT array_fill('p', 1) || s AS a FROM t",
+    "array_agg numbers": "SELECT array_agg(x) AS a FROM t",
+    "array_agg text": "SELECT array_agg(s) AS a FROM t",
+    "array_agg bools": "SELECT array_agg(x > 1) AS a FROM t",
+    "array_agg || text": "SELECT array_agg(s) || 'z' AS a FROM t",
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_ARRAY_PRODUCERS))
+def test_array_elements_are_python_values(db, producer):
+    """Every array producer's elements are what ``to_python`` gives —
+    ``int``, ``float``, ``str``, ``bool`` or None, integral floats as
+    ``int`` — in the engine's cells and in fetched rows, so the two
+    execution modes (in-process, over the wire) cannot disagree."""
+    result = db.execute(_ARRAY_PRODUCERS[producer])
+    stored = [c for c in result.vectors[0].values if c is not None]
+    fetched = [row[0] for row in result.rows if row[0] is not None]
+    assert stored and len(stored) == len(fetched)
+    for cell in stored + fetched:
+        assert type(cell) is list
+        for element in cell:
+            assert type(element) in (int, float, str, bool, type(None))
+            assert not (type(element) is float and element.is_integer())
+    assert [list(c) for c in stored] == fetched

@@ -140,8 +140,9 @@ def old_concat(left, right):
     for i in np.flatnonzero(~nulls):
         a, b = left.values[i], right.values[i]
         if isinstance(a, list) or isinstance(b, list):
-            a_list = a if isinstance(a, list) else [a]
-            b_list = b if isinstance(b, list) else [b]
+            # the non-array operand as its Python value (to_python)
+            a_list = a if isinstance(a, list) else [left.item(i)]
+            b_list = b if isinstance(b, list) else [right.item(i)]
             out[i] = a_list + b_list
         else:
             out[i] = pg_text(left.item(i)) + pg_text(right.item(i))

@@ -18,15 +18,14 @@ import pytest
 
 from repro.errors import ProtocolViolation, QueryCancelled, SQLSyntaxError
 from repro.sqldb import client
-from repro.sqldb.engine import Database, Result
+from repro.sqldb.engine import Database
+from repro.sqldb.vector import to_rows
 from repro.sqldb.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
     error_to_wire,
     exception_from_wire,
     recv_frame,
-    result_from_wire,
-    result_to_wire,
     send_frame,
 )
 from repro.sqldb.server import DatabaseServer
@@ -127,17 +126,21 @@ class TestFrameCodec:
 
 class TestResultWire:
     def test_roundtrip(self):
-        result = Result(
-            columns=["a", "b"],
-            rows=[(1, "x"), (2, None)],
-            rowcount=2,
-            statement="SELECT",
-        )
-        back = result_from_wire(result_to_wire(result))
-        assert back.columns == ["a", "b"]
-        assert back.rows == [(1, "x"), (2, None)]
-        assert back.rowcount == 2
-        assert back.statement == "SELECT"
+        db = Database()
+        db.execute("CREATE TABLE t (a int, b text)")
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, NULL)")
+        result = db.execute("SELECT a, b FROM t ORDER BY a")
+        with _Pipe() as (a, b):
+            send_frame(
+                a, {"type": "results", "results": [result], "in_transaction": 0}
+            )
+            frame = recv_frame(b)
+        assert frame["type"] == "results" and frame["in_transaction"] == 0
+        [back] = frame["results"]
+        assert back["columns"] == ["a", "b"]
+        assert to_rows(back["vectors"]) == [(1, "x"), (2, None)]
+        assert back["rowcount"] == 2
+        assert back["statement"] == result.statement
 
 
 class TestErrorWire:
@@ -281,6 +284,36 @@ class TestServerAbuse:
             assert reply["sqlstate"] == "08P01"
             assert "version" in reply["message"]
         assert _sessions_restored(db, baseline)
+        _still_serves(server)
+
+    def test_version_1_hello_refused(self, served):
+        """A v1 client expects JSON rows; v2 ships binary columns, so the
+        handshake refuses it instead of sending frames it cannot read."""
+        server, db = served
+        assert PROTOCOL_VERSION == 2
+        baseline = len(db._sessions)
+        with _raw(server) as sock:
+            send_frame(sock, {"type": "hello", "version": 1})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert reply["sqlstate"] == "08P01"
+            assert "version" in reply["message"]
+        assert _sessions_restored(db, baseline)
+        _still_serves(server)
+
+    def test_binary_results_frame_from_a_client_is_refused(self, served):
+        server, db = served
+        baseline = len(db._sessions)
+        result = db.execute("SELECT a, a > 1 AS big FROM t")
+        with _raw(server) as sock:
+            send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION})
+            assert recv_frame(sock)["type"] == "hello_ok"
+            send_frame(sock, {"type": "results", "results": [result]})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert reply["sqlstate"] == "08P01"
+        assert _sessions_restored(db, baseline)
+        # the worker survived: the server keeps serving
         _still_serves(server)
 
     def test_silent_client_times_out_at_handshake(self, served):
