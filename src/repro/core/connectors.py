@@ -167,12 +167,6 @@ class DBConnector:
         """Hit/miss/size counters of the underlying engine's plan cache."""
         return self.connection.server_stats()["plan_cache"]
 
-    @property
-    def exec_stats(self) -> dict[str, dict]:
-        """Cumulative per-operator runtime counters (rows/calls/seconds),
-        populated when the engine was built with ``collect_exec_stats``."""
-        return self.connection.server_stats()["operators"]
-
     def explain_analyze(
         self, sql: str, params: Optional[Sequence[Any]] = None
     ) -> str:

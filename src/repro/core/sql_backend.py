@@ -133,20 +133,6 @@ class SQLBackend(PythonBackend):
         """The complete generated SQL script (DDL + table expressions)."""
         return self.container.full_script(self._final_select)
 
-    def plan_cache_stats(self) -> dict[str, int]:
-        """Engine plan-cache counters for this backend's connection (the
-        cache starts empty with the fresh database of every run)."""
-        return self.connector.plan_cache_stats
-
-    def exec_stats(self) -> dict[str, dict]:
-        """Per-operator runtime counters (calls/rows/seconds) for this
-        backend's connection, aggregated over every executed query.
-
-        Populated when the connector was built with
-        ``collect_exec_stats=True``.
-        """
-        return self.connector.exec_stats
-
     # -- DAG recording; inspections run in finish() ---------------------------------
 
     def _record_sql(

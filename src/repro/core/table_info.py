@@ -14,7 +14,7 @@ pipeline with the information needed to build its SQL representation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = ["SeriesExpr", "TableInfo"]
@@ -56,15 +56,6 @@ class TableInfo:
             self.index_column,
         )
 
-    def with_column(self, column: str, sql_type: str, nullable: bool = False) -> None:
-        if column not in self.columns:
-            self.columns.append(column)
-        self.column_types[column] = sql_type
-        if nullable:
-            self.nullable.add(column)
-        else:
-            self.nullable.discard(column)
-
 
 @dataclass(frozen=True)
 class SeriesExpr:
@@ -75,6 +66,3 @@ class SeriesExpr:
     name: Optional[str] = None
     sql_type: str = "DOUBLE PRECISION"
     nullable: bool = True
-
-    def renamed(self, name: str) -> "SeriesExpr":
-        return replace(self, name=name)

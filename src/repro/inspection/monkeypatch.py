@@ -87,7 +87,7 @@ class _Patcher:
             setattr(target, attribute, original)
         self._saved.clear()
 
-    def install(self) -> None:
+    def patch(self) -> None:
         backend = self._backend
         lineno = lambda: _pipeline_lineno(self._filename)  # noqa: E731
 
@@ -297,7 +297,7 @@ def patched_libraries(
 ) -> Iterator[None]:
     """Context manager installing (and always restoring) the patches."""
     patcher = _Patcher(backend, pipeline_filename)
-    patcher.install()
+    patcher.patch()
     try:
         yield
     finally:

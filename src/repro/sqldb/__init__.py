@@ -25,11 +25,7 @@ from repro.sqldb.catalog import (
     View,
 )
 from repro.sqldb.dbapi import Connection, Cursor, connect
-from repro.sqldb.engine import (
-    Database,
-    Result,
-    resolve_timeout_ms,
-)
+from repro.sqldb.engine import Database, Result
 from repro.sqldb.faults import NO_FAULTS, Faults, SimulatedCrash
 from repro.sqldb.profile import POSTGRES, UMBRA, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, OpStats
@@ -60,5 +56,4 @@ __all__ = [
     "profile_by_name",
     "read_checkpoint",
     "read_wal",
-    "resolve_timeout_ms",
 ]

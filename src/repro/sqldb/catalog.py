@@ -31,7 +31,6 @@ __all__ = [
     "TrainedModel",
     "View",
     "Catalog",
-    "CatalogSnapshot",
     "ColumnStats",
     "CsvColumn",
     "Index",
@@ -275,8 +274,8 @@ class Table:
         Only the new batch is coerced (column-at-a-time, to the declared
         storage class); it is then concatenated onto the existing typed
         arrays, so the cost is O(batch) Python plus one memcpy.  Every
-        column gets a fresh vector — mementos, forks and snapshots keep
-        the old ones.
+        column gets a fresh vector — catalog clones and view snapshots
+        keep the old ones.
         """
         for name, storage in zip(self.column_names, self.column_types):
             if name in data:
@@ -323,7 +322,7 @@ class Table:
 
         The new cells are coerced like appended ones and written into a
         copy of the column; the old vector stays untouched for the
-        mementos, forks and snapshots sharing it."""
+        catalog clones and view snapshots sharing it."""
         storage = self.storage_of(name)
         patch = _coerce_column(
             [coerce_to_type(cell, storage) for cell in cells], storage, name
@@ -356,7 +355,7 @@ class Index:
     object, sharing no array it would have to write into (see
     :meth:`Catalog.refresh_indexes`), the same copy-on-write
     contract the column vectors follow, which is what makes catalog
-    mementos and transaction forks valid by sharing.
+    clones (:meth:`Catalog.snapshot`) valid by sharing.
 
     Positions are physical row numbers (== ``ctid``), so every lookup
     returns ascending positions and a gather reproduces exactly the rows —
@@ -725,7 +724,7 @@ class TrainedModel:
 
     Frozen and built entirely from immutable values (tuples, floats,
     strings), so models follow the same copy-on-write contract as
-    :class:`Index`: mementos and forks share the object by reference,
+    :class:`Index`: catalog clones share the object by reference,
     and retraining *replaces* it wholesale.
 
     ``coef``/``intercept`` carry linear-model weights; ``tree`` carries a
@@ -746,44 +745,32 @@ class TrainedModel:
     loss: Optional[float] = None
 
 
-@dataclass
-class CatalogSnapshot:
-    """Copy-on-write memento of the whole catalog (see ``snapshot()``).
-
-    Holds the live ``Table``/``View`` objects by identity plus shallow
-    copies of their mutable containers.  Valid because every data
-    mutation path *replaces* column vectors (``append_columns`` /
-    ``patch_column`` build fresh vectors) and view refreshes replace
-    the whole ``snapshot`` tuple — nothing writes into a captured
-    container.  A memento can be restored any number of times
-    (``restore`` re-copies its containers on the way back in).
-    """
-
-    tables: dict[str, tuple]
-    views: dict[str, tuple]
-    table_stats: dict[str, "TableStats"]
-    schema_version: int
-    stats_version: int
-    indexes: dict[str, Index] = field(default_factory=dict)
-    index_epoch: int = 0
-    models: dict[str, TrainedModel] = field(default_factory=dict)
+#: unique ids for catalog clones; the committed catalog is always uid 0,
+#: so plan-cache entries built against a transaction's clone can never
+#: collide with each other or with committed-state ones
+_clone_ids = itertools.count(1)
 
 
-#: unique ids for transaction forks; the committed catalog is always
-#: uid 0, so fork-built plan-cache entries can never collide with each
-#: other or with committed-state ones
-_fork_ids = itertools.count(1)
+def _shallow_copy(obj):
+    """A shallow copy that skips ``__init__`` / ``__post_init__``: what
+    is copied passed those checks when it was created."""
+    clone = object.__new__(type(obj))
+    clone.__dict__ = obj.__dict__.copy()
+    return clone
 
 
 class Catalog:
-    """Name → table/view registry with PostgreSQL-style single namespace."""
+    """Name → table/view registry with PostgreSQL-style single namespace.
+
+    Its state has one copy primitive: :meth:`snapshot` clones it and
+    :meth:`restore` copies a clone (or a decoded checkpoint) back."""
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, View] = {}
-        #: 0 for a committed catalog, unique per transaction fork (part
-        #: of the plan-cache key: two forks at the same schema_version
-        #: may have diverged)
+        #: 0 for a committed catalog, unique per clone (part of the
+        #: plan-cache key: two transactions' clones at the same
+        #: schema_version may have diverged)
         self.uid = 0
         #: per-relation last-write version (the id of the most recent
         #: commit that wrote it, kept as a tombstone across DROP); MVCC
@@ -791,7 +778,7 @@ class Catalog:
         self.table_versions: dict[str, int] = {}
         #: monotonically increasing counter, bumped on every change that can
         #: invalidate a cached plan: DDL, a restore that undid some, a
-        #: checkpoint/snapshot install — never by row-changing statements
+        #: replica snapshot install — never by row-changing statements
         #: (plans resolve relations by name when they run).  Plan-cache keys
         #: embed it, so stale entries simply stop matching and age out of
         #: the LRU.
@@ -820,109 +807,60 @@ class Catalog:
         last-write version with the (monotonic) id of the commit."""
         self.table_versions[name] = commit_id
 
-    # -- transactional mementos ---------------------------------------------
+    # -- copy-on-write clones ------------------------------------------------
 
-    def snapshot(self) -> CatalogSnapshot:
-        """Capture a restorable memento of the full catalog state.
+    def snapshot(self) -> "Catalog":
+        """A detached copy-on-write clone, O(relations + columns): fresh
+        ``Table``/``View`` objects over the same column vectors and view
+        snapshots, sharing the immutable indexes, statistics and models
+        — sound because every mutation path *replaces* what it changes
+        and never writes into it.  The clone keeps this catalog's
+        versions and ``table_versions`` under a fresh ``uid``: it is a
+        transaction's catalog, a statement's or savepoint's undo image
+        (:meth:`restore`), a replica export."""
+        clone = _shallow_copy(self)
+        clone.uid = next(_clone_ids)
+        clone.table_versions = dict(self.table_versions)
+        clone._copy_state(self)
+        return clone
 
-        O(relations + columns): dict/list shallow copies only — the
-        column vectors themselves are shared copy-on-write (see
-        :class:`CatalogSnapshot`)."""
-        tables = {
-            name: (
-                table,
-                list(table.column_names),
-                list(table.column_types),
-                dict(table.columns),
-                table.n_rows,
-                dict(table._next_serial),
-            )
-            for name, table in self._tables.items()
-        }
-        views = {
-            name: (view, view.snapshot) for name, view in self._views.items()
-        }
-        return CatalogSnapshot(
-            tables,
-            views,
-            dict(self._table_stats),
-            self.schema_version,
-            self.stats_version,
-            dict(self._indexes),
-            self.index_epoch,
-            dict(self._models),
-        )
+    def restore(self, other: "Catalog") -> None:
+        """Make this catalog hold a copy of *other*'s relations,
+        statistics, indexes and models (so *other* can be restored
+        again).  ``uid`` and ``table_versions`` stay this catalog's own.
 
-    def restore(self, snap: CatalogSnapshot) -> None:
-        """Roll the catalog back to *snap*.
-
-        Relations created since the memento vanish; dropped ones
-        reappear (same objects — plans resolve relations by name, so
-        identity preservation is a nicety, not a requirement).  When
-        anything actually changed since the capture, ``schema_version``
-        takes a fresh monotonic bump rather than rewinding, so plans
-        cached *inside* the rolled-back span can never be served again
-        (version values are never reused).
-        """
+        Versions never rewind: when *other* was taken at different
+        versions, ``index_epoch`` and ``schema_version`` take a fresh
+        monotonic bump, so plans cached since the capture can never be
+        served again (version values are never reused)."""
         changed = (
-            self.schema_version != snap.schema_version
-            or self.stats_version != snap.stats_version
-            or self.index_epoch != snap.index_epoch
+            self.schema_version != other.schema_version
+            or self.stats_version != other.stats_version
+            or self.index_epoch != other.index_epoch
         )
-        self._tables = {}
-        for name, (table, names, types, columns, n_rows, serials) in snap.tables.items():
-            table.column_names = list(names)
-            table.column_types = list(types)
-            table.columns = dict(columns)
-            table.n_rows = n_rows
-            table._next_serial = dict(serials)
-            self._tables[name] = table
-        self._views = {}
-        for name, (view, view_snapshot) in snap.views.items():
-            view.snapshot = view_snapshot
-            self._views[name] = view
-        self._table_stats = dict(snap.table_stats)
-        self._indexes = dict(snap.indexes)
-        self._models = dict(snap.models)
-        if self.index_epoch != snap.index_epoch:
-            # monotonic, like schema_version: epoch values are never reused
+        if self.index_epoch != other.index_epoch:
             self.index_epoch += 1
         if changed:
             self.bump_version()
+        self._copy_state(other)
 
-    def fork(self) -> "Catalog":
-        """Detached copy-on-write clone for one transaction's snapshot.
-
-        Unlike :meth:`snapshot` (a memento that restores *this* catalog
-        in place), a fork is a fully independent :class:`Catalog` whose
-        ``Table``/``View`` objects are fresh — they share the immutable
-        column vectors and view-snapshot tuples with the committed state,
-        so capturing one is O(relations + columns), but mutating the fork
-        never touches the committed objects (and vice versa).
-        """
-        clone = Catalog()
-        clone.uid = next(_fork_ids)
-        for name, table in self._tables.items():
-            clone._tables[name] = Table(
-                table.name,
-                list(table.column_names),
-                list(table.column_types),
-                dict(table.columns),
-                table.n_rows,
-                dict(table._next_serial),
-            )
-        for name, view in self._views.items():
-            twin = View(view.name, view.query, view.materialized, view.sql)
-            twin.snapshot = view.snapshot
-            clone._views[name] = twin
-        clone._table_stats = dict(self._table_stats)
-        clone._indexes = dict(self._indexes)
-        clone._models = dict(self._models)
-        clone.schema_version = self.schema_version
-        clone.stats_version = self.stats_version
-        clone.index_epoch = self.index_epoch
-        clone.table_versions = dict(self.table_versions)
-        return clone
+    def _copy_state(self, source: "Catalog") -> None:
+        """The one list of catalog state a clone or restore copies (a
+        clone's scalar fields come with its shallow copy)."""
+        self._tables = {}
+        for name, table in source._tables.items():
+            clone = self._tables[name] = _shallow_copy(table)
+            clone.column_names = list(table.column_names)
+            clone.column_types = list(table.column_types)
+            clone.columns = dict(table.columns)
+            clone._next_serial = dict(table._next_serial)
+        # a view's one changing field, its snapshot, is replaced, not written
+        self._views = {
+            name: _shallow_copy(view) for name, view in source._views.items()
+        }
+        self._table_stats = dict(source._table_stats)
+        self._indexes = dict(source._indexes)
+        self._models = dict(source._models)
 
     def adopt_relation(self, name: str, source: "Catalog") -> None:
         """Install *source*'s version of relation *name* into this
@@ -960,23 +898,6 @@ class Catalog:
         for index_name in before:
             del self._indexes[index_name]
         self._indexes.update(after)
-
-    def install(
-        self,
-        tables: dict[str, Table],
-        views: dict[str, View],
-        table_stats: dict[str, TableStats],
-        indexes: dict[str, Index],
-        models: dict[str, TrainedModel],
-    ) -> None:
-        """Adopt recovered state wholesale (:func:`decode_records`)."""
-        self._tables = dict(tables)
-        self._views = dict(views)
-        self._table_stats = dict(table_stats)
-        self._indexes = dict(indexes)
-        self._models = dict(models)
-        self.index_epoch += 1
-        self.bump_version()
 
     def export_records(self) -> Iterator[dict]:
         """The catalog as JSON records, tables first: the body of a
@@ -1164,11 +1085,11 @@ class Catalog:
         place and only these columns were rewritten (UPDATE), so an index
         over none of them is kept as it is; otherwise (DELETE, or an
         UPDATE of a key column) the index is rebuilt.  Maintenance
-        replaces the ``Index`` objects (copy-on-write: mementos and forks
-        captured earlier keep the old ones), and a
+        replaces the ``Index`` objects (copy-on-write: clones taken
+        earlier keep the old ones), and a
         :class:`UniqueViolation` raises *before* any index is swapped in —
-        the engine's statement memento then rolls the data change back
-        too.
+        the engine's statement undo clone then rolls the data change
+        back too.
         """
         table = self._tables[table_name]
         fresh = []
@@ -1292,24 +1213,16 @@ def _tuples(value: Any) -> Any:
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def decode_records(
-    records: Iterable[dict],
-) -> tuple[
-    dict[str, Table],
-    dict[str, View],
-    dict[str, TableStats],
-    dict[str, Index],
-    dict[str, TrainedModel],
-]:
-    """The catalog state :meth:`Catalog.export_records` wrote, ready for
-    :meth:`Catalog.install`.  Views are parsed from their text and
+def decode_records(records: Iterable[dict]) -> Catalog:
+    """The catalog :meth:`Catalog.export_records` wrote, ready for
+    :meth:`Catalog.restore`.  Views are parsed from their text and
     indexes rebuilt over their tables.  A record of the wrong shape
-    raises :class:`DurabilityError`, before anything is installed."""
-    tables: dict[str, Table] = {}
-    views: dict[str, View] = {}
-    stats: dict[str, TableStats] = {}
-    indexes: dict[str, Index] = {}
-    models: dict[str, TrainedModel] = {}
+    raises :class:`DurabilityError`, before anything is restored."""
+    catalog = Catalog()
+    tables, views = catalog._tables, catalog._views
+    stats, indexes, models = (
+        catalog._table_stats, catalog._indexes, catalog._models
+    )
     try:
         for record in records:
             kind = record["t"]
@@ -1354,4 +1267,4 @@ def decode_records(
         RecursionError, SQLError,
     ) as exc:
         raise DurabilityError(f"malformed catalog record ({exc!r})") from None
-    return tables, views, stats, indexes, models
+    return catalog

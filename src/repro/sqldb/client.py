@@ -53,6 +53,7 @@ from repro.sqldb import ast_nodes as _ast
 from repro.sqldb import dbapi
 from repro.sqldb.engine import Result
 from repro.sqldb.parser import parse_script
+from repro.sqldb.prepared import bind_parameters
 from repro.sqldb.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     client_handshake,
@@ -144,6 +145,12 @@ def retry_backoff(
             delay = min(base_delay * (2.0 ** attempt), max_delay)
             time.sleep(delay * (0.5 + rng.random()))
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def _params(params: Optional[Sequence[Any]]) -> Optional[list]:
+    """Parameters as the engine binds them in-process (or refuses them,
+    22023, before anything is sent)."""
+    return None if params is None else list(bind_parameters(params, None))
 
 
 class RemoteConnection:
@@ -266,7 +273,7 @@ class RemoteConnection:
             {
                 "type": "query",
                 "sql": sql,
-                "params": list(params) if params is not None else None,
+                "params": _params(params),
             }
         )
         # rows are built from the decoded columns by the one conversion
@@ -289,7 +296,7 @@ class RemoteConnection:
             {
                 "type": "executemany",
                 "sql": sql,
-                "params_seq": [list(row) for row in seq_of_parameters],
+                "params_seq": list(map(_params, seq_of_parameters)),
             }
         )
         return int(reply.get("rowcount", 0))
@@ -324,7 +331,7 @@ class RemoteConnection:
             {
                 "type": "explain_analyze",
                 "sql": sql,
-                "params": list(params) if params is not None else None,
+                "params": _params(params),
             }
         )
         return reply.get("text", "")
@@ -397,9 +404,9 @@ def connect(
     """Open a DB-API connection to a running
     :class:`~repro.sqldb.server.DatabaseServer`.
 
-    ``statement_timeout_ms`` asks the server to arm a per-statement
-    cooperative timeout for this connection (overriding the server's
-    default); admission rejection raises an error with the *retryable*
+    ``statement_timeout_ms`` becomes this connection's session timeout
+    on the server (overriding the server's default; one deadline per
+    request); admission rejection raises an error with the *retryable*
     SQLSTATE 53300, which :func:`retry_backoff` re-attempts."""
     return RemoteConnection(
         host,

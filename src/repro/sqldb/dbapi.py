@@ -454,8 +454,9 @@ def connect(
     ``database_kwargs`` go to :class:`~repro.sqldb.engine.Database`
     unchanged — its signature is the one declaration of the engine's
     options: ``wal_path`` opts into write-ahead logging with crash
-    recovery on connect, ``statement_timeout_ms`` arms a cooperative
-    per-statement timeout, ``memory_limit`` / ``query_memory_limit`` arm
+    recovery on connect, ``statement_timeout_ms`` sets the default
+    timeout of each call (one deadline for its lock waits, memory-grant
+    waits and queries), ``memory_limit`` / ``query_memory_limit`` arm
     the memory governor, ``optimize`` turns the rewrite layer on.
 
     ``database=`` connects to an *existing* :class:`Database` instead,

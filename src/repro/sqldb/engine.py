@@ -87,7 +87,6 @@ __all__ = [
     "Database",
     "PlanCache",
     "Result",
-    "resolve_timeout_ms",
 ]
 
 #: transaction-control statements (exclusive lock, never WAL-logged
@@ -106,9 +105,6 @@ _TXN_TYPES = (
 #: is all COPY holds besides the typed columns (chosen by COPY time and
 #: allocation peak on compas at 10^4 rows x 54 columns; EXPERIMENTS.md)
 _COPY_CHUNK_ROWS = 256
-
-#: environment variable providing a default statement timeout (ms)
-TIMEOUT_ENV = "REPRO_SQL_TIMEOUT_MS"
 
 #: environment variable providing a default global memory budget
 #: (bytes, or a ``kb``/``mb``/``gb``-suffixed string)
@@ -131,24 +127,6 @@ def resolve_memory_limit(limit: Optional[int | str]) -> Optional[int]:
         except ValueError as exc:
             raise SQLExecutionError(str(exc)) from None
     return int(raw)
-
-
-def resolve_timeout_ms(timeout_ms: Optional[float]) -> Optional[float]:
-    """Statement timeout from the argument, else ``REPRO_SQL_TIMEOUT_MS``.
-
-    ``None`` or a non-positive value disables the timeout (PostgreSQL's
-    ``statement_timeout = 0`` convention)."""
-    if timeout_ms is None:
-        raw = os.environ.get(TIMEOUT_ENV)
-        if raw is None:
-            return None
-        try:
-            timeout_ms = float(raw)
-        except ValueError:
-            raise SQLExecutionError(
-                f"{TIMEOUT_ENV} must be a number, got {raw!r}"
-            ) from None
-    return float(timeout_ms) if timeout_ms > 0 else None
 
 
 @dataclass
@@ -201,12 +179,12 @@ class PlanCache:
     One cache belongs to one :class:`Database`, whose profile and
     optimizer flag are fixed, so keys are ``(normalized SQL, catalog
     schema version, statistics version, index epoch, catalog uid)``: DDL
-    (and a catalog restore, snapshot install or storage reset) bumps the
+    (and a catalog restore, replica snapshot or storage reset) bumps the
     schema version, ``ANALYZE`` the statistics version and CREATE / DROP
     INDEX the index epoch, so entries planned against a stale catalog (or
     optimized under stale statistics or access paths) stop matching and
     age out; a committed catalog's schema version never repeats, and the
-    uid keeps transaction forks apart.  Row-changing statements
+    uid keeps transactions' clones apart.  Row-changing statements
     change none of these: plans resolve relations by name when they run,
     so a cached entry reads live data and a repeated parameterised
     INSERT / UPDATE / DELETE / SELECT is a hit.  ``clear()`` drops the
@@ -293,8 +271,9 @@ class Database:
         self.operator_counters: dict[str, dict] = {}
         #: stats of the most recent recorded execution
         self.last_exec_stats: Optional[ExecStats] = None
-        #: statement timeout (arg > REPRO_SQL_TIMEOUT_MS env > off)
-        self.statement_timeout_ms = resolve_timeout_ms(statement_timeout_ms)
+        #: default statement timeout of this database's sessions; None or
+        #: non-positive disables it (PostgreSQL's ``statement_timeout = 0``)
+        self.statement_timeout_ms = statement_timeout_ms
         #: fair catalog latch: committed-state SELECTs hold the read side
         #: for their whole execution;
         #: DDL, autocommit DML and the commit-time catalog swap take the
@@ -425,7 +404,7 @@ class Database:
         against the old catalog can never match the new one.  The
         session registry survives.
         Concurrent *open* transactions are not supported across a reset
-        (their forks reference discarded state); the network server
+        (their clones reference discarded state); the network server
         exposes this only behind its ``allow_reset`` flag.  Refused on
         durable databases — the WAL describes the old history."""
         if self.durable:
@@ -475,6 +454,18 @@ class Database:
                 events |= session._active_cancels
         return events
 
+    def _deadline(self, session: Session) -> Optional[float]:
+        """The one deadline of an ``execute`` / ``run_script`` /
+        ``executemany`` call starting now, which its lock waits, memory
+        grant waits and query executions all read: the session's timeout
+        (a server connection's hello), else the database's."""
+        timeout_ms = session.statement_timeout_ms
+        if timeout_ms is None:
+            timeout_ms = self.statement_timeout_ms
+        if timeout_ms is None or timeout_ms <= 0:
+            return None
+        return time.monotonic() + timeout_ms / 1000.0
+
     def _make_context(
         self,
         params: tuple = (),
@@ -482,16 +473,14 @@ class Database:
         cancel_event: Optional[threading.Event] = None,
         catalog: Optional[Catalog] = None,
         memory: Optional[MemoryGrant] = None,
+        deadline: Optional[float] = None,
     ) -> ExecContext:
         """One execution context per statement; stats and the
         cancellation deadline attach here so cached plans stay immutable
         and re-executable concurrently.  ``catalog`` selects the state to
-        read: a transaction's private fork, or (default) committed."""
+        read: a transaction's private clone, or (default) committed."""
         if stats is None and self.collect_exec_stats:
             stats = ExecStats()
-        deadline = None
-        if self.statement_timeout_ms is not None:
-            deadline = time.monotonic() + self.statement_timeout_ms / 1000.0
         return ExecContext(
             self.catalog if catalog is None else catalog,
             self.profile,
@@ -505,15 +494,14 @@ class Database:
     # -- memory grants -------------------------------------------------------
 
     def _begin_grant(
-        self, cancel_event: Optional[threading.Event] = None
+        self,
+        cancel_event: Optional[threading.Event] = None,
+        deadline: Optional[float] = None,
     ) -> Optional[MemoryGrant]:
         """Admit one statement through the memory broker (None when the
         database runs unbounded — the zero-overhead fast path)."""
         if self.memory is None:
             return None
-        deadline = None
-        if self.statement_timeout_ms is not None:
-            deadline = time.monotonic() + self.statement_timeout_ms / 1000.0
         return self.memory.begin_query(
             deadline=deadline, cancel_event=cancel_event
         )
@@ -553,13 +541,16 @@ class Database:
         omitted).
         """
         session = self._resolve_session(session)
+        deadline = self._deadline(session)
         entry = self._prepare(sql, params, self._active_catalog(session))
         if len(entry.statements) != 1:
             raise SQLExecutionError(
                 "execute() takes a single statement; use run_script()"
             )
         bound = bind_parameters(params, entry.n_params)
-        return self._execute_statement(entry.statements[0], sql, bound, 0, session)
+        return self._execute_statement(
+            entry.statements[0], sql, bound, 0, session, deadline
+        )
 
     def run_script(
         self,
@@ -569,16 +560,17 @@ class Database:
     ) -> list[Result]:
         """Execute a ``;``-separated script, returning one result each."""
         session = self._resolve_session(session)
+        deadline = self._deadline(session)
         entry = self._prepare(sql, params, self._active_catalog(session))
         bound = bind_parameters(params, entry.n_params)
         return [
-            self._execute_statement(cached, sql, bound, index, session)
+            self._execute_statement(cached, sql, bound, index, session, deadline)
             for index, cached in enumerate(entry.statements)
         ]
 
     def _active_catalog(self, session: Session) -> Catalog:
         """The catalog this session's next statement reads: its open
-        transaction's private fork, or the committed catalog."""
+        transaction's private clone, or the committed catalog."""
         txn = session.txn
         return self.catalog if txn is None else txn.catalog
 
@@ -597,6 +589,7 @@ class Database:
         (DB-API ``executemany`` semantics).
         """
         session = self._resolve_session(session)
+        deadline = self._deadline(session)
         self._check_not_aborted(session)
         # before parsing: a read-only replica answers 25006 whatever the script
         self._check_writable()
@@ -613,6 +606,8 @@ class Database:
                 sql,
                 statements,
                 (bind_parameters(row, entry.n_params) for row in seq_of_params),
+                None,
+                deadline,
             ).rowcount
         finally:
             self.total_execution_time += time.perf_counter() - started
@@ -624,6 +619,7 @@ class Database:
         statements: list[ast.Statement],
         rows: Iterable[tuple],
         index: Optional[int] = None,
+        deadline: Optional[float] = None,
     ) -> Result:
         """The one write path: apply *statements* once per parameter row,
         atomically, then buffer the redo records on the session's open
@@ -632,8 +628,11 @@ class Database:
         ``index`` is the position of a single statement in its script
         *sql*; ``None`` marks an ``executemany`` batch (every statement of
         the script runs for every row).  Table locks are waited for under
-        the session's cancel scope; autocommit releases them with the
-        statement, a transaction holds them to its end."""
+        the session's cancel scope and the call's *deadline*; autocommit
+        releases them with the statement, a transaction holds them to its
+        end.  The write's own queries (DML predicates, TRAIN and its
+        memory grant, matview refreshes) read the same *deadline*; a
+        57014 there is undone with the statement.  Replays carry none."""
         # an empty script is a batch of nothing: no targets, no records
         self._check_writable(statements[0] if statements else None)
         txn = session.txn
@@ -645,9 +644,11 @@ class Database:
             targets += names
             checks += reads
         with session.statement_guard() as cancel_event:
-            acquired = self._acquire_locks(session, targets, cancel_event)
+            acquired = self._acquire_locks(
+                session, targets, cancel_event, deadline
+            )
         try:
-            # a transaction's fork is private to its session; committed
+            # a transaction's clone is private to its session; committed
             # state is written (and, as ``reset_storage`` swaps it, looked
             # up) under the exclusive latch
             with nullcontext() if txn is not None else self._lock.write():
@@ -663,7 +664,7 @@ class Database:
                     for params in rows:
                         for statement in statements:
                             total += _WRITES[type(statement)].apply(
-                                self, statement, params, catalog
+                                self, statement, params, catalog, deadline
                             ).rowcount
                         if capturing:
                             bound = list(params)
@@ -711,7 +712,7 @@ class Database:
         Allocates the commit id (or adopts a replicated one: *commit_id*
         given, *session* None), makes ``build_records(commit_id)`` durable,
         passes the ``commit.install`` crashpoint, runs *install* (``COMMIT``
-        moves its fork in; a replicated one repeats the matview refresh),
+        moves its clone in; a replicated one repeats the matview refresh),
         stamps the written relations' versions with the commit id (the
         first-committer-wins clock) and the commit position,
         feeds the commit hooks and counts toward the auto-checkpoint."""
@@ -741,14 +742,12 @@ class Database:
         session: Session,
         targets: list[str],
         cancel_event: threading.Event,
+        deadline: Optional[float],
     ) -> list[str]:
         """Take per-table locks for one statement's targets; a deadlock
         aborts the session's transaction (40P01) before propagating."""
         if not targets:
             return []
-        deadline = None
-        if self.statement_timeout_ms is not None:
-            deadline = time.monotonic() + self.statement_timeout_ms / 1000.0
         try:
             return self.locks.acquire(
                 session.session_id,
@@ -823,8 +822,8 @@ class Database:
         The cache key embeds the catalog schema version (DDL, never DML),
         so entries made against a dropped/recreated schema never resurface
         while row-changing statements leave every entry valid.  ``catalog``
-        is the state the statement will read (a transaction's fork or the
-        committed catalog); its ``uid`` is part of the key, so two forks
+        is the state the statement will read (a transaction's clone or the
+        committed catalog); its ``uid`` is part of the key, so two clones
         at the same schema version — which may have diverged — can never
         share an entry.
         """
@@ -889,6 +888,7 @@ class Database:
         params: tuple = (),
         index: int = 0,
         session: Optional[Session] = None,
+        deadline: Optional[float] = None,
     ) -> Result:
         session = self._resolve_session(session)
         statement = cached.statement
@@ -899,24 +899,25 @@ class Database:
             if isinstance(statement, ast.Select):
                 txn = session.txn
                 if txn is not None:
-                    # the fork is private to this session: no latch needed
+                    # the clone is private to this session: no latch needed
                     if cached.plan is None:
                         cached.plan = self._plan_select(statement, txn.catalog)
                     result = self._execute_select_plan(
-                        cached.plan, params, session, txn.catalog
+                        cached.plan, params, session, txn.catalog, deadline
                     )
                 else:
                     with self._lock.read():
                         if cached.plan is None:
                             cached.plan = self._plan_select(statement)
                         result = self._execute_select_plan(
-                            cached.plan, params, session, self.catalog
+                            cached.plan, params, session, self.catalog,
+                            deadline,
                         )
             elif isinstance(statement, _TXN_TYPES):
                 result = self._execute_txn_control(statement, session)
             elif type(statement) in _WRITES:
                 result = self._run_write(
-                    session, sql, [statement], [params], index
+                    session, sql, [statement], [params], index, deadline
                 )
             else:
                 raise SQLExecutionError(
@@ -990,16 +991,15 @@ class Database:
             raise TransactionError(
                 "there is already a transaction in progress", sqlstate="25001"
             )
-        # the read latch keeps the fork capture consistent (no committer
-        # is mid-install); commit ids are allocated later, at COMMIT
+        # the read latch keeps the clone consistent (no committer is
+        # mid-install); commit ids are allocated later, at COMMIT
         with self._lock.read():
-            fork = self.catalog.fork()
+            clone = self.catalog.snapshot()
         session.txn = Transaction(
             next(self._txn_ids),
-            fork,
-            dict(fork.table_versions),
-            start_stats_version=fork.stats_version,
-            start_schema_version=fork.schema_version,
+            clone,
+            start_stats_version=clone.stats_version,
+            start_schema_version=clone.schema_version,
         )
 
     def _commit_session(self, session: Session) -> None:
@@ -1011,7 +1011,7 @@ class Database:
             return
         written = sorted(txn.write_set)
 
-        def install() -> None:
+        def move_in() -> None:
             for name in written:
                 self.catalog.adopt_relation(name, txn.catalog)
             if txn.catalog.stats_version != txn.start_stats_version:
@@ -1026,10 +1026,11 @@ class Database:
             with self._lock.write():
                 # first committer wins: nothing this transaction wrote or
                 # depends on may have been committed by a peer since BEGIN
+                # (the clone keeps BEGIN's table_versions)
                 for name in sorted(txn.write_set | txn.check_set):
                     if self.catalog.table_versions.get(
                         name
-                    ) != txn.start_versions.get(name):
+                    ) != txn.catalog.table_versions.get(name):
                         raise SerializationFailure(
                             f"could not serialize access due to concurrent "
                             f"update of relation {name!r}; retry the "
@@ -1039,7 +1040,7 @@ class Database:
                     session,
                     written,
                     lambda commit_id: _redo_records(commit_id, txn.records),
-                    install,
+                    move_in,
                 )
                 session.txn = None
         except SerializationFailure:
@@ -1050,7 +1051,7 @@ class Database:
                 self.locks.release_all(session.session_id)
 
     def _rollback_session(self, session: Session) -> None:
-        # the fork is simply discarded; committed state never saw the txn
+        # the clone is simply discarded; committed state never saw the txn
         session.txn = None
         self.locks.release_all(session.session_id)
 
@@ -1077,7 +1078,7 @@ class Database:
         # the savepoint survives and can be rolled back to again; the
         # undone statements must never reach the WAL.  write_set keeps
         # the undone targets — conservative (at worst a spurious 40001),
-        # and their fork state now equals the savepoint's.
+        # and their clone state now equals the savepoint's.
         del txn.savepoints[idx + 1 :]
         del txn.records[savepoint.record_mark :]
 
@@ -1127,7 +1128,7 @@ class Database:
         last_txn = 0
         if ckpt is not None:
             state, last_txn = ckpt
-            self.catalog.install(*decode_records(state))
+            self.catalog.restore(decode_records(state))
         records, valid_size = read_wal(self.wal_path)
         if valid_size is not None:
             truncate_wal(self.wal_path, valid_size)
@@ -1176,7 +1177,7 @@ class Database:
         for row in rows:
             for statement in stmts:
                 _WRITES[type(statement)].apply(
-                    self, statement, tuple(row), self.catalog
+                    self, statement, tuple(row), self.catalog, None
                 )
         return targets
 
@@ -1190,24 +1191,26 @@ class Database:
     def snapshot_state(self) -> tuple[bytes, int]:
         """Consistent full-state export for replication bootstrap: the
         committed catalog as a checkpoint image, plus the commit id it
-        reflects.  Only the fork of the catalog and the commit id are
+        reflects.  Only a clone of the catalog and the commit id are
         taken under the read latch, so no committer is mid-install; the
-        image is encoded from the fork after the latch is released, so
+        image is encoded from the clone after the latch is released, so
         committers do not wait for the encode."""
         with self._lock.read():
-            catalog, last = self.catalog.fork(), self.current_commit_id
+            catalog, last = self.catalog.snapshot(), self.current_commit_id
         return checkpoint_image(catalog.export_records(), last), last
 
-    def install_replica_snapshot(self, state: tuple, last: int) -> None:
+    def restore_replica_snapshot(self, state: Catalog, last: int) -> None:
         """Adopt a primary's full-state export wholesale (replica
         bootstrap, or re-sync after falling below the primary's retained
-        stream horizon): *state* is what
+        stream horizon): *state* is the catalog
         :func:`~repro.sqldb.catalog.decode_records` made of its records,
         *last* the commit id it reflects.  Resets the replay position to
         *last*; a durable replica folds the snapshot into its local
         checkpoint so a restart recovers to it without the stream."""
         with self._lock.write():
-            self.catalog.install(*state)
+            self.catalog.restore(state)
+            # another node's history: no plan cached before may match
+            self.catalog.bump_version()
             for name in self.catalog.table_names:
                 self.catalog.note_write(name, last)
             self.last_applied_commit_id = last
@@ -1269,7 +1272,9 @@ class Database:
             statement, self._active_catalog(session)
         )
         sql = f'ANALYZE "{table}"' if table is not None else "ANALYZE"
-        self._run_write(session, sql, [statement], [()], 0)
+        self._run_write(
+            session, sql, [statement], [()], 0, self._deadline(session)
+        )
         return names
 
     def _plan_select(
@@ -1320,17 +1325,19 @@ class Database:
         params: tuple = (),
         session: Optional[Session] = None,
         catalog: Optional[Catalog] = None,
+        deadline: Optional[float] = None,
     ) -> Result:
         session = self._resolve_session(session)
         with session.statement_guard() as cancel_event:
             grant = None
             try:
-                grant = self._begin_grant(cancel_event)
+                grant = self._begin_grant(cancel_event, deadline)
                 ctx = self._make_context(
                     params,
                     cancel_event=cancel_event,
                     catalog=catalog,
                     memory=grant,
+                    deadline=deadline,
                 )
                 started = time.perf_counter()
                 batch = execute_plan(plan, ctx)
@@ -1358,6 +1365,7 @@ class Database:
     ) -> str:
         """Execute a SELECT and return its plan annotated with per-operator
         actual row counts, call counts and (inclusive) wall time."""
+        deadline = self._deadline(self._default_session)
         statement = parse_statement(sql)
         if not isinstance(statement, ast.Select):
             raise SQLExecutionError(
@@ -1371,12 +1379,13 @@ class Database:
             with self._default_session.statement_guard() as cancel_event:
                 grant = None
                 try:
-                    grant = self._begin_grant(cancel_event)
+                    grant = self._begin_grant(cancel_event, deadline)
                     ctx = self._make_context(
                         bound,
                         stats=stats,
                         cancel_event=cancel_event,
                         memory=grant,
+                        deadline=deadline,
                     )
                     started = time.perf_counter()
                     batch = execute_plan(plan, ctx)
@@ -1402,7 +1411,8 @@ class Database:
     # -- DDL / DML --------------------------------------------------------------------
 
     def _execute_create_table(
-        self, statement: ast.CreateTable, params: tuple, catalog: Catalog
+        self, statement: ast.CreateTable, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         names = [c.name for c in statement.columns]
         types = [normalise_type(c.type_name) for c in statement.columns]
@@ -1410,19 +1420,21 @@ class Database:
         return Result()
 
     def _execute_create_view(
-        self, statement: ast.CreateView, params: tuple, catalog: Catalog
+        self, statement: ast.CreateView, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         view = View(
             statement.name, statement.query, statement.materialized,
             statement.sql,
         )
         if statement.materialized:
-            self._recompute_snapshot(view, catalog)
+            self._recompute_snapshot(view, catalog, deadline)
         catalog.create_view(view)
         return Result()
 
     def _execute_insert(
-        self, statement: ast.Insert, params: tuple, catalog: Catalog
+        self, statement: ast.Insert, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         table = catalog.table(statement.table)
         columns = statement.columns or [
@@ -1442,11 +1454,12 @@ class Database:
                 row[name] = _literal_value(expr, params)
             rows.append(row)
         table.append_rows(rows)
-        self._finish_dml(statement.table, catalog, appended=True)
+        self._finish_dml(statement.table, catalog, deadline, appended=True)
         return Result(rowcount=len(rows))
 
     def _execute_copy(
-        self, statement: ast.Copy, params: tuple, catalog: Catalog
+        self, statement: ast.Copy, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         """Load a CSV file in chunks of :data:`_COPY_CHUNK_ROWS` rows, each
         transposed and typed column by column (:class:`CsvColumn`), so
@@ -1490,11 +1503,12 @@ class Database:
             raise error
         data = {loader.name: loader.vector() for _, loader in loaders}
         table.append_columns(data, n_rows)
-        self._finish_dml(statement.table, catalog, appended=True)
+        self._finish_dml(statement.table, catalog, deadline, appended=True)
         return Result(rowcount=n_rows)
 
     def _execute_create_index(
-        self, statement: ast.CreateIndex, params: tuple, catalog: Catalog
+        self, statement: ast.CreateIndex, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         table = catalog.table(statement.table)
         columns = tuple(statement.columns)
@@ -1508,12 +1522,13 @@ class Database:
         return Result()
 
     def _execute_train(
-        self, statement: ast.Train, params: tuple, catalog: Catalog
+        self, statement: ast.Train, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         """Run the in-database trainer and store the fitted model.
 
         The trainer's iteration/histogram queries execute against
-        *catalog* (the transaction's fork, or committed state under the
+        *catalog* (the transaction's clone, or committed state under the
         write latch) through a runner that never re-takes the catalog
         latch — the write path already holds whatever protection the
         calling path needs.  Retraining an existing model name replaces
@@ -1528,13 +1543,14 @@ class Database:
 
         # one grant covers the whole training loop: every iteration's
         # aggregate query accounts (and may spill) against it
-        grant = self._begin_grant()
+        grant = self._begin_grant(deadline=deadline)
 
         def run(select: ast.Select) -> Result:
             plan = self._plan_select(select, catalog)
-            batch = execute_plan(
-                plan, self._make_context(params, catalog=catalog, memory=grant)
+            ctx = self._make_context(
+                params, catalog=catalog, memory=grant, deadline=deadline
             )
+            batch = execute_plan(plan, ctx)
             return _batch_to_result(plan, batch)
 
         try:
@@ -1568,6 +1584,7 @@ class Database:
         where: Optional[ast.Expr],
         params: tuple,
         catalog: Catalog,
+        deadline: Optional[float],
     ) -> tuple[np.ndarray, Batch, Scope]:
         """Evaluate a DML WHERE clause over the whole table.
 
@@ -1586,14 +1603,15 @@ class Database:
             return np.ones(table.n_rows, dtype=bool), batch, scope
         planner = Planner(catalog, self.profile)
         predicate = planner.compile_expr(where, scope, {})
-        ctx = self._make_context(params, catalog=catalog)
+        ctx = self._make_context(params, catalog=catalog, deadline=deadline)
         result = predicate(batch, ctx)
         mask = result.values.astype(bool, copy=True)
         mask &= ~result.nulls
         return mask, batch, scope
 
     def _execute_update(
-        self, statement: ast.Update, params: tuple, catalog: Catalog
+        self, statement: ast.Update, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         table = catalog.table(statement.table)
         seen: set[str] = set()
@@ -1605,12 +1623,12 @@ class Database:
                 )
             seen.add(column)
         mask, batch, scope = self._dml_predicate_mask(
-            table, statement.where, params, catalog
+            table, statement.where, params, catalog, deadline
         )
         affected = int(mask.sum())
         if affected:
             planner = Planner(catalog, self.profile)
-            ctx = self._make_context(params, catalog=catalog)
+            ctx = self._make_context(params, catalog=catalog, deadline=deadline)
             positions = np.flatnonzero(mask)
             for column, expr in statement.assignments:
                 # all assignments see the pre-statement row images
@@ -1619,31 +1637,33 @@ class Database:
                 fresh = gather(compiled(batch, ctx), positions)
                 table.patch_column(column, positions, fresh.tolist())
         self._finish_dml(
-            statement.table, catalog, assigned=seen if affected else ()
+            statement.table, catalog, deadline, assigned=seen if affected else ()
         )
         return Result(rowcount=affected)
 
     def _execute_delete(
-        self, statement: ast.Delete, params: tuple, catalog: Catalog
+        self, statement: ast.Delete, params: tuple, catalog: Catalog,
+        deadline: Optional[float],
     ) -> Result:
         table = catalog.table(statement.table)
         mask, _, _ = self._dml_predicate_mask(
-            table, statement.where, params, catalog
+            table, statement.where, params, catalog, deadline
         )
         removed = int(mask.sum())
         if removed:
             keep = np.flatnonzero(~mask)
             for name in table.column_names:
-                # fresh vectors: forks/mementos sharing the old ones are safe
+                # fresh vectors: catalog clones sharing the old ones are safe
                 table.columns[name] = gather(table.columns[name], keep)
             table.n_rows = len(keep)
-        self._finish_dml(statement.table, catalog)
+        self._finish_dml(statement.table, catalog, deadline)
         return Result(rowcount=removed)
 
     def _finish_dml(
         self,
         table_name: str,
         catalog: Catalog,
+        deadline: Optional[float],
         appended: bool = False,
         assigned: Optional[Iterable[str]] = None,
     ) -> None:
@@ -1654,12 +1674,16 @@ class Database:
         materialised views.  No version bump: cached plans read live
         data."""
         catalog.refresh_indexes(table_name, appended, assigned)
-        self._invalidate_dependent_snapshots(table_name, catalog)
+        self._invalidate_dependent_snapshots(table_name, catalog, deadline)
 
-    def _recompute_snapshot(self, view: View, catalog: Catalog) -> None:
+    def _recompute_snapshot(
+        self, view: View, catalog: Catalog, deadline: Optional[float]
+    ) -> None:
         """(Re-)materialise one view's cached result against *catalog*."""
         plan = self._plan_select(view.query, catalog)
-        batch = execute_plan(plan, self._make_context(catalog=catalog))
+        batch = execute_plan(
+            plan, self._make_context(catalog=catalog, deadline=deadline)
+        )
         data: dict[str, Vector] = {}
         for out in plan.schema:
             if out.hidden:
@@ -1673,7 +1697,7 @@ class Database:
         view.snapshot = (list(data), data, batch.length)
 
     def _invalidate_dependent_snapshots(
-        self, changed_table: str, catalog: Catalog
+        self, changed_table: str, catalog: Catalog, deadline: Optional[float]
     ) -> None:
         """Refresh materialised views that (transitively) read a table.
 
@@ -1701,14 +1725,14 @@ class Database:
                     refreshed.add(name)
                     changed = True
                     if view.materialized:
-                        self._recompute_snapshot(view, catalog)
+                        self._recompute_snapshot(view, catalog, deadline)
 
     def _refresh_committed_matviews(self, write_set: set[str]) -> None:
         """After a transaction's relations are installed, bring the
         committed catalog's materialised views back in line.
 
         A matview the transaction itself created/refreshed was computed
-        against the *fork*; concurrent committers may have changed its
+        against the *clone*; concurrent committers may have changed its
         inputs since, so its snapshot is recomputed against committed
         state — exactly what a serial replay at this commit-order
         position would produce.  Matviews *depending* on installed
@@ -1718,8 +1742,8 @@ class Database:
             if name in self.catalog.view_names:
                 view = self.catalog.resolve(name)
                 if isinstance(view, View) and view.materialized:
-                    self._recompute_snapshot(view, self.catalog)
-            self._invalidate_dependent_snapshots(name, self.catalog)
+                    self._recompute_snapshot(view, self.catalog, None)
+            self._invalidate_dependent_snapshots(name, self.catalog, None)
 
 
 def _redo_records(
@@ -1874,8 +1898,8 @@ class _Write(NamedTuple):
     #: ``(statement, catalog) -> (locked-and-installed, conflict-checked-
     #: only)`` relation names
     targets: Callable[[Any, Catalog], _Targets]
-    #: ``(database, statement, params, catalog) -> Result``
-    apply: Callable[[Database, Any, tuple, Catalog], Result]
+    #: ``(database, statement, params, catalog, deadline) -> Result``
+    apply: Callable[[Database, Any, tuple, Catalog, Optional[float]], Result]
 
 
 def _targets_name(statement, catalog: Catalog) -> _Targets:
@@ -1907,22 +1931,22 @@ def _targets_analyze(statement: ast.Analyze, catalog: Catalog) -> _Targets:
     return list(catalog.table_names), []
 
 
-def _drop(database, statement: ast.Drop, params, catalog) -> Result:
+def _drop(database, statement: ast.Drop, params, catalog, deadline) -> Result:
     catalog.drop(statement.name, statement.kind, statement.if_exists)
     return Result()
 
 
-def _drop_index(database, statement: ast.DropIndex, params, catalog) -> Result:
+def _drop_index(database, statement: ast.DropIndex, params, catalog, deadline) -> Result:
     catalog.drop_index(statement.name, statement.if_exists)
     return Result()
 
 
-def _drop_model(database, statement: ast.DropModel, params, catalog) -> Result:
+def _drop_model(database, statement: ast.DropModel, params, catalog, deadline) -> Result:
     catalog.drop_model(statement.name, statement.if_exists)
     return Result()
 
 
-def _analyze(database, statement: ast.Analyze, params, catalog) -> Result:
+def _analyze(database, statement: ast.Analyze, params, catalog, deadline) -> Result:
     return Result(rowcount=len(catalog.analyze(statement.table)))
 
 

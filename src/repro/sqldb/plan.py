@@ -89,12 +89,6 @@ class PlanNode:
     def label(self) -> str:
         return type(self).__name__
 
-    def walk(self):
-        """Yield this node and every descendant, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
     def to_text(self, indent: int = 0) -> str:
         lines = ["  " * indent + self.label()]
         for child in self.children():

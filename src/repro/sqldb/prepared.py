@@ -11,15 +11,20 @@ surrounding syntax.
 Placeholders: both ``?`` (DB-API qmark) and ``%s`` (psycopg2 style) lex to
 the same positional :class:`~repro.sqldb.ast_nodes.Parameter`; values are
 bound at execution time via ``ExecContext.params`` rather than being
-spliced into SQL text.
+spliced into SQL text.  :func:`bind_parameters` is the one parameter rule,
+applied in-process and by the network client before it sends: what the
+wire (JSON) and the WAL can carry, and nothing else.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.errors import SQLError
+import numpy as np
+
+from repro.errors import SQLError, SQLExecutionError
 from repro.sqldb.lexer import Token, TokenKind, tokenize
+from repro.sqldb.vector import to_python
 
 __all__ = ["bind_parameters", "normalize_sql", "normalize_tokens"]
 
@@ -58,16 +63,44 @@ def normalize_tokens(tokens: Sequence[Token]) -> tuple[str, int]:
     return " ".join(parts), n_params
 
 
+#: parameter types bound as they are
+_PLAIN = frozenset((type(None), bool, int, float, str))
+
+
+def _bind_value(value: Any) -> Any:
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, (list, tuple)):
+        # an array parameter; a tuple is read as a list, as JSON does
+        return list(map(_bind_value, value))
+    if isinstance(value, np.generic):
+        value = to_python(value)
+    for kind in (bool, int, float, str):  # bool first: it subclasses int
+        if isinstance(value, kind):
+            return kind(value)
+    raise SQLExecutionError(
+        f"cannot bind a parameter of type {type(value).__name__}",
+        sqlstate="22023",  # invalid_parameter_value
+    )
+
+
 def bind_parameters(
     params: Optional[Sequence[Any]], n_params: Optional[int]
 ) -> tuple:
-    """Validate a parameter sequence against a placeholder count.
+    """Normalise a parameter sequence and check it against a placeholder
+    count.
 
-    ``n_params`` is None when the statement was not normalized (cache
-    disabled and no parameters supplied); validation is then deferred to
-    execution, which raises on any unbound placeholder.
+    ``None``, ``bool``, ``int``, ``float`` and ``str`` bind as they are,
+    numpy scalars as :func:`~repro.sqldb.vector.to_python` makes them,
+    and a list or tuple of those (arrays nest) as a list; anything else
+    raises 22023 before the statement runs.  ``n_params`` is None when
+    the statement was not normalized (cache disabled and no parameters
+    supplied); the count is then checked at execution, which raises on
+    any unbound placeholder.
     """
     bound = tuple(params) if params is not None else ()
+    if not _PLAIN.issuperset(map(type, bound)):
+        bound = tuple(map(_bind_value, bound))
     if n_params is not None and len(bound) != n_params:
         raise SQLError(
             f"statement expects {n_params} parameter"

@@ -89,17 +89,13 @@ _BINARY = b"\x01"
 
 
 def _json_default(value: Any) -> Any:
-    """Last-resort JSON encoder: numpy scalars become Python scalars
-    (``.item()``), anything else its ``str``.  Rows out of the engine are
-    plain Python values, but pipeline parameters occasionally carry
-    numpy types."""
+    """numpy scalars as Python scalars.  Anything else JSON cannot carry
+    is a ``TypeError``, never its ``str``: parameters are normalised
+    before they are sent (``prepared.bind_parameters``)."""
     item = getattr(value, "item", None)
     if callable(item):
-        try:
-            return item()
-        except Exception:  # pragma: no cover - exotic .item() failures
-            pass
-    return str(value)
+        return item()
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
 
 
 def _json(message: dict) -> bytes:

@@ -73,7 +73,7 @@ from repro.errors import (
     ProtocolViolation,
     SQLError,
 )
-from repro.sqldb.catalog import decode_records
+from repro.sqldb.catalog import Catalog, decode_records
 from repro.sqldb.engine import Database
 from repro.sqldb.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -99,8 +99,8 @@ def encode_snapshot(image: bytes) -> str:
     return base64.b64encode(zlib.compress(image)).decode("ascii")
 
 
-def decode_snapshot(encoded: str) -> tuple[tuple, int]:
-    """The catalog state and commit id of a snapshot frame.  Decoding is
+def decode_snapshot(encoded: str) -> tuple[Catalog, int]:
+    """The catalog and commit id of a snapshot frame.  Decoding is
     JSON only, so a hostile frame can at worst be rejected: bad base64
     or zlib, a torn or corrupt record or a malformed catalog record all
     raise :class:`~repro.errors.ProtocolViolation` (08P01)."""
@@ -546,7 +546,7 @@ class Replica:
                     raise exception_from_wire(frame)
                 if kind == "snapshot":
                     state, last_txn = decode_snapshot(frame["state"])
-                    self.database.install_replica_snapshot(state, last_txn)
+                    self.database.restore_replica_snapshot(state, last_txn)
                     self.manager.reset(self.database.last_applied_commit_id)
                     self.stats["snapshots"] += 1
                 elif kind in ("wal_batch", "wal_heartbeat"):

@@ -15,9 +15,11 @@ Production-shaped controls, all cheap but real:
   clients; excess connections are *shed* at accept with a retryable
   SQLSTATE 53300 error frame (the client backoff loop reconnects), and
   the kernel accept queue itself is bounded by ``accept_backlog``;
-* **per-connection statement timeout** — a watchdog cooperatively
-  cancels a statement that overruns (SQLSTATE 57014), re-arming until
-  the cancel lands so a script cannot dodge it between statements;
+* **per-connection statement timeout** — the hello's
+  ``statement_timeout_ms`` (else the server's) becomes the session's
+  timeout: each request's engine call gets one deadline that its lock
+  waits, memory-grant waits and queries all read (SQLSTATE 57014), so a
+  script cannot dodge it between statements;
 * **idle timeout** — a connection that sends nothing for
   ``idle_timeout_s`` is closed and its transaction rolled back;
 * **out-of-band cancel** — the handshake returns a secret cancel key; a
@@ -110,36 +112,6 @@ def _close_listener(listener: socket.socket) -> None:
         pass
 
 
-class _StatementWatchdog:
-    """Re-arming cooperative cancel for one request's execution.
-
-    ``session.cancel()`` only reaches statements that are in flight when
-    it fires, so a single timer could slip between two statements of a
-    script; the watchdog re-fires every 100 ms after the deadline until
-    disarmed, guaranteeing the cancel lands."""
-
-    _REFIRE_S = 0.1
-
-    def __init__(self, session, timeout_s: float) -> None:
-        self._session = session
-        self._disarmed = threading.Event()
-        self._timer = threading.Timer(timeout_s, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def _fire(self) -> None:
-        if self._disarmed.is_set():
-            return
-        self._session.cancel()
-        self._timer = threading.Timer(self._REFIRE_S, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def disarm(self) -> None:
-        self._disarmed.set()
-        self._timer.cancel()
-
-
 class _ClientHandler:
     """One connected client: socket, session, worker thread."""
 
@@ -215,9 +187,8 @@ class _ClientHandler:
         timeout_ms = options.get(
             "statement_timeout_ms", server.statement_timeout_ms
         )
-        statement_timeout_s = (
-            float(timeout_ms) / 1000.0 if timeout_ms else None
-        )
+        if timeout_ms is not None:
+            self.session.statement_timeout_ms = float(timeout_ms)
 
         while True:
             self.sock.settimeout(server.idle_timeout_s)
@@ -256,7 +227,7 @@ class _ClientHandler:
                 # a downstream replica until either side drops it
                 self._serve_replication(message)
                 return
-            if not self._handle_request(message, statement_timeout_s):
+            if not self._handle_request(message):
                 return
 
     def _handshake(self, first: dict) -> bool:
@@ -313,17 +284,9 @@ class _ClientHandler:
         except OSError:
             pass
 
-    def _handle_request(
-        self, message: dict, statement_timeout_s: Optional[float]
-    ) -> bool:
+    def _handle_request(self, message: dict) -> bool:
         """Dispatch one request; ``False`` ends the connection."""
         self.busy = True
-        watchdog = None
-        if statement_timeout_s is not None and message["type"] in (
-            "query",
-            "executemany",
-        ):
-            watchdog = _StatementWatchdog(self.session, statement_timeout_s)
         try:
             # encoded here, so a reply that cannot be encoded is an
             # error frame like any other failure
@@ -350,8 +313,6 @@ class _ClientHandler:
             self.server._count("handler_errors")
             return self._send_error(exc)
         finally:
-            if watchdog is not None:
-                watchdog.disarm()
             self.busy = False
         try:
             self.sock.sendall(reply)

@@ -2,8 +2,10 @@
 
 A :class:`Session` is the engine-side identity of one client connection:
 it owns the session's open :class:`~repro.sqldb.txn.Transaction` (if
-any), its in-flight statement cancel flags, and the id used by the
-per-table :class:`~repro.sqldb.locks.LockManager`.  The
+any), its in-flight statement cancel flags, its statement timeout (each
+``execute`` / ``run_script`` / ``executemany`` call gets one deadline
+from it) and the id used by the per-table
+:class:`~repro.sqldb.locks.LockManager`.  The
 :class:`~repro.sqldb.engine.Database` keeps one *default* session for
 its direct ``execute()`` API (and for the DB-API connection that owns
 the database); additional sessions — one per pooled connection — are
@@ -41,6 +43,10 @@ class Session:
         #: reconstructs the database-wide commit order
         self.last_commit_id: Optional[int] = None
         self.closed = False
+        #: statement timeout (ms) of this session's calls; None takes the
+        #: database's, a non-positive value disables it.  A server
+        #: connection sets it from its hello.
+        self.statement_timeout_ms: Optional[float] = None
         #: cancel events of in-flight statements (guarded by the mutex)
         self._cancel_mutex = threading.Lock()
         self._active_cancels: set[threading.Event] = set()

@@ -35,12 +35,20 @@ __all__ = [
 ]
 
 
+#: integral floats in [-2**63, 2**63) surface as ``int`` (like psycopg2's
+#: INT columns); beyond it they stay the float they are (an int64 cast
+#: would wrap 1e19 to -2**63).  The one cell rule of ``to_python``,
+#: ``python_list`` and ``python_cells``.
+_INT64_LOW, _INT64_HIGH = -(2.0 ** 63), 2.0 ** 63
+
+
 def to_python(value: Any) -> Any:
     """The Python value of one stored cell: numpy scalars unwrapped, and
-    integral numpy floats as ``int`` (``Vector.item`` without the null)."""
+    integral numpy floats in the int64 range as ``int`` (``Vector.item``
+    without the null)."""
     if isinstance(value, np.floating):
-        as_float = float(value)
-        return int(as_float) if as_float.is_integer() else as_float
+        x = float(value)
+        return int(x) if x.is_integer() and _INT64_LOW <= x < _INT64_HIGH else x
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):
@@ -53,7 +61,10 @@ def python_list(values: np.ndarray) -> list:
     dtype allows: the elements an array cell is built of."""
     items = values.tolist()
     if values.dtype.kind == "f":
-        return [int(x) if x.is_integer() else x for x in items]
+        return [
+            int(x) if x.is_integer() and _INT64_LOW <= x < _INT64_HIGH else x
+            for x in items
+        ]
     if values.dtype == object:
         return list(map(to_python, items))
     return items
@@ -92,9 +103,7 @@ class Vector:
 
 def python_cells(vector: Vector) -> np.ndarray | list:
     """The cells of one result column as Python values (None under NULL):
-    what a fetched row holds in that column.  Integral floats surface as
-    ``int`` (like psycopg2's INT columns) inside the int64 range; beyond
-    it they stay the float they are (the cast would wrap 1e19 to -2**63).
+    what a fetched row holds in that column, by ``to_python``'s rule.
     Array cells are copied: the caller gets its own lists, never the ones
     stored (or shared between rows) inside the engine."""
     values = vector.values
@@ -102,8 +111,8 @@ def python_cells(vector: Vector) -> np.ndarray | list:
         as_object = values.astype(object)
         integral = (
             (np.floor(values) == values)
-            & (values >= -(2.0 ** 63))
-            & (values < 2.0 ** 63)
+            & (values >= _INT64_LOW)
+            & (values < _INT64_HIGH)
         )
         if integral.any():
             as_object[integral] = values[integral].astype(np.int64)

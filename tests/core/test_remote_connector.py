@@ -2,7 +2,7 @@
 
 The connector is the drop-in point for every harness and benchmark, so
 these tests exercise exactly the methods SQLBackend and the harnesses
-use — run/query_rows/reset/plan_cache_stats/exec_stats — against a live
+use — run/query_rows/reset/plan_cache_stats/explain_analyze — against a live
 server, plus the retry and re-dial behaviour the in-process connectors
 already guarantee."""
 
@@ -146,13 +146,25 @@ class TestRemoteConnector:
         server = DatabaseServer(db, max_connections=1).start()
         holder = client.connect(*server.address)
         remote = RemoteConnector(*server.address)
-        timer = threading.Timer(0.05, holder.close)
-        timer.start()
+        dial = remote._connect
+
+        def dial_once_the_slot_is_free():
+            # the slot is freed on an event, not on a timer that races the
+            # backoff budget: once the server has shed the first dial,
+            # the holder leaves before the retry dials again
+            if server.stats["shed"]:
+                holder.close()
+                deadline = time.monotonic() + 10.0
+                while server.active_connections:
+                    assert time.monotonic() < deadline, "the slot stayed taken"
+                    time.sleep(0.001)
+            return dial()
+
+        remote._connect = dial_once_the_slot_is_free
         try:
             assert remote.run("SELECT 1").scalar() == 1
             assert remote.retries >= 1
         finally:
-            timer.join()
             remote.close()
             holder.close()
             server.shutdown(drain_s=2.0)

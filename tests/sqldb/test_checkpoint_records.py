@@ -183,14 +183,14 @@ class TestCheckpointRoundTrip:
         state, decoded_txn = decode_snapshot(encode_snapshot(image))
         assert decoded_txn == last_txn
         replica = Database(read_only=True)
-        replica.install_replica_snapshot(state, decoded_txn)
+        replica.restore_replica_snapshot(state, decoded_txn)
         assert _state(replica) == _state(db)
         assert _answers(replica) == _answers(db)
         assert replica.last_applied_commit_id == last_txn
         # the image a checkpoint publishes is the same bytes
         wal = str(tmp_path / "db.wal")
         durable = Database(wal_path=wal)
-        durable.install_replica_snapshot(state, decoded_txn)
+        durable.restore_replica_snapshot(state, decoded_txn)
         durable.close()
         with open(wal + ".ckpt", "rb") as handle:
             records, txn = decode_checkpoint(handle.read(), "ckpt")
@@ -337,8 +337,8 @@ def test_commit_completes_while_a_snapshot_encodes(monkeypatch):
     image, last = out["snapshot"]
     assert db.current_commit_id == last + 1
     records, _ = decode_checkpoint(image, "snapshot")
-    tables, *_ = decode_records(records)
-    assert tables["t"].columns["a"].values.tolist() == [1.0]
+    catalog = decode_records(records)
+    assert catalog.table("t").columns["a"].values.tolist() == [1.0]
 
 
 def _columns(*vectors) -> tuple[list, bytes]:
@@ -373,9 +373,9 @@ def _view_record(**changes) -> dict:
 
 
 def test_well_formed_table_and_view_records_decode():
-    tables, views, *_ = decode_records([_table_record(), _view_record()])
-    assert tables["x"].columns["b"].nulls.tolist() == [False, True]
-    assert views["mv"].snapshot[2] == 2
+    catalog = decode_records([_table_record(), _view_record()])
+    assert catalog.table("x").columns["b"].nulls.tolist() == [False, True]
+    assert catalog.resolve("mv").snapshot[2] == 2
 
 
 def _text_codes(codes: list[int]) -> dict:

@@ -530,8 +530,7 @@ def _table_record(header: dict, buffers: bytes) -> dict:
 
 
 def test_genuine_columns_decode_as_a_table_record():
-    tables, *_ = decode_records([_table_record(*_split(_GENUINE))])
-    table = tables["x"]
+    table = decode_records([_table_record(*_split(_GENUINE))]).table("x")
     rows = to_rows([table.columns[c] for c in table.column_names])
     assert rows == _RESULT.rows
 

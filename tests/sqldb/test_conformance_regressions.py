@@ -170,3 +170,7 @@ class TestResultFetchConversion:
         rows = db.execute("SELECT x FROM big").rows
         assert rows == [(1e19,), (2,)]
         assert [type(x) for (x,) in rows] == [float, int]
+        # the same rule for the elements of an array
+        ((cell,),) = db.execute("SELECT array_agg(x) FROM big").rows
+        assert cell == [1e19, 2]
+        assert [type(x) for x in cell] == [float, int]

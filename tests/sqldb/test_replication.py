@@ -508,10 +508,10 @@ class TestReplicaApply:
         recomputed = []
         original = Database._recompute_snapshot
 
-        def counting(self, view, catalog):
+        def counting(self, view, catalog, deadline):
             if self is replica_db:
                 recomputed.append(view.name)
-            return original(self, view, catalog)
+            return original(self, view, catalog, deadline)
 
         monkeypatch.setattr(Database, "_recompute_snapshot", counting)
         primary_db.execute("INSERT INTO t VALUES (7)")

@@ -8,35 +8,34 @@ import pytest
 
 from repro.errors import QueryCancelled, SQLExecutionError
 from repro.sqldb import dbapi
-from repro.sqldb.engine import TIMEOUT_ENV, Database, resolve_timeout_ms
+from repro.sqldb.engine import Database
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.executor import execute_plan
 
 
 class TestResolveTimeout:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "9999")
-        assert resolve_timeout_ms(150) == 150.0
+    def test_argument_wins(self):
+        # the session's own timeout (a server hello's) beats the database's
+        db = Database("umbra", statement_timeout_ms=60000)
+        session = db.session()
+        session.statement_timeout_ms = 150
+        before = time.monotonic()
+        deadline = db._deadline(session)
+        assert before + 0.15 <= deadline <= time.monotonic() + 0.15
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "2500")
-        assert resolve_timeout_ms(None) == 2500.0
+    def test_unset_means_no_timeout(self):
+        db = Database("umbra")
+        assert db._deadline(db.session()) is None
 
-    def test_unset_means_no_timeout(self, monkeypatch):
-        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        assert resolve_timeout_ms(None) is None
-
-    def test_non_positive_disables(self, monkeypatch):
-        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        assert resolve_timeout_ms(0) is None
-        assert resolve_timeout_ms(-5) is None
-        monkeypatch.setenv(TIMEOUT_ENV, "0")
-        assert resolve_timeout_ms(None) is None
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "soon")
-        with pytest.raises(SQLExecutionError):
-            resolve_timeout_ms(None)
+    def test_non_positive_disables(self):
+        for timeout_ms in (0, -5):
+            db = Database("umbra", statement_timeout_ms=timeout_ms)
+            assert db._deadline(db.session()) is None
+        # a session's 0 switches the database's timeout off
+        db = Database("umbra", statement_timeout_ms=60000)
+        session = db.session()
+        session.statement_timeout_ms = 0
+        assert db._deadline(session) is None
 
 
 class TestStatementTimeout:
@@ -63,12 +62,89 @@ class TestStatementTimeout:
         with pytest.raises(QueryCancelled):  # both hierarchies hold
             cursor.execute("SELECT * FROM t")
 
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "0.0001")
-        db = Database("umbra")
+    def test_one_deadline_spans_the_lock_wait_and_the_query(self):
+        """The deadline is fixed when the call starts: a lock wait that
+        ends inside the timeout leaves the rest of the script only what
+        is left of it (PostgreSQL's statement_timeout covers lock waits
+        too), rather than a fresh timeout per phase."""
+        timeout_s = 0.2
+        db = Database("umbra", statement_timeout_ms=timeout_s * 1000)
         db.execute("CREATE TABLE t (a int)")
-        with pytest.raises(QueryCancelled):
-            db.execute("SELECT * FROM t")
+        holder, blocked = db.session(), db.session()
+        holder.begin()
+        holder.execute("INSERT INTO t (a) VALUES (1)")
+        outcome = {}
+
+        def script():
+            try:
+                blocked.run_script(
+                    "INSERT INTO t (a) VALUES (2); SELECT count(*) FROM t"
+                )
+                outcome["returned"] = True
+            except QueryCancelled as exc:
+                outcome["sqlstate"] = exc.sqlstate
+
+        thread = threading.Thread(target=script)
+        started = time.monotonic()
+        thread.start()
+        limit = started + 10.0
+        while blocked.session_id not in db.locks._waiting:
+            assert time.monotonic() < limit, "the INSERT never blocked"
+            time.sleep(0.001)
+        # while this thread holds the lock manager's condition, the
+        # blocked INSERT cannot wake to look at its deadline: it finds
+        # the lock free once the holder commits, however late that is
+        with db.locks._cond:
+            time.sleep(max(0.0, started + 1.5 * timeout_s - time.monotonic()))
+            holder.commit()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        # the INSERT waited and committed; the SELECT after it is past the
+        # call's deadline
+        assert outcome == {"sqlstate": "57014"}
+        assert db.execute("SELECT count(*) FROM t").scalar() == 2
+        db.close()
+
+
+    def test_a_write_runs_its_queries_under_the_call_deadline(self):
+        """A write's own queries read the call's deadline, and a 57014
+        there undoes the statement: a slow matview build, refresh or
+        TRAIN cannot hold the exclusive catalog latch past it."""
+        db = Database("umbra")
+        db.execute("CREATE TABLE t (a int, y int)")
+        db.execute("INSERT INTO t VALUES (1, 0), (2, 1)")
+        db.execute("CREATE MATERIALIZED VIEW mv AS SELECT count(*) AS n FROM t")
+        db.statement_timeout_ms = 0.0001
+        for sql in (
+            "CREATE MATERIALIZED VIEW mv2 AS SELECT a FROM t",
+            "INSERT INTO t VALUES (3, 0)",
+            "DELETE FROM t WHERE a = 1",
+            "TRAIN m USING (SELECT a, y FROM t) WITH (max_iter = 5)",
+        ):
+            with pytest.raises(QueryCancelled) as info:
+                db.execute(sql)
+            assert info.value.sqlstate == "57014"
+        db.statement_timeout_ms = None
+        assert "mv2" not in db.catalog.view_names
+        assert db.model_names() == []
+        assert db.execute("SELECT a FROM t ORDER BY a").rows == [(1,), (2,)]
+        assert db.execute("SELECT n FROM mv").rows == [(2,)]
+        db.close()
+
+    def test_recovery_replays_without_a_deadline(self, tmp_path):
+        """Replay repeats a committed write to completion: a matview
+        refresh used to take the database's timeout, so a durable
+        database with a short one could not recover its own WAL."""
+        wal_path = str(tmp_path / "db.wal")
+        db = Database("umbra", wal_path=wal_path)
+        db.execute("CREATE TABLE t (a int)")
+        db.execute("CREATE MATERIALIZED VIEW mv AS SELECT count(*) AS n FROM t")
+        db.execute("INSERT INTO t (a) VALUES (1)")
+        db.close()
+        db = Database("umbra", wal_path=wal_path, statement_timeout_ms=0.0001)
+        db.statement_timeout_ms = None
+        assert db.execute("SELECT n FROM mv").rows == [(1,)]
+        db.close()
 
 
 class TestCancellation:

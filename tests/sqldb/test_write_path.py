@@ -181,11 +181,11 @@ def test_writes_leave_captured_snapshots_byte_identical():
     # a catalog memento across autocommit writes
     memento = db.catalog.snapshot()
     frozen = _freeze(db.catalog)
-    indexes_before = dict(memento.indexes)
+    indexes_before = {n: memento.index(n) for n in memento.index_names}
     for sql, params in WRITES:
         db.execute(sql, params)
     _assert_frozen(frozen)
-    assert all(memento.indexes[n] is indexes_before[n] for n in indexes_before)
+    assert all(memento.index(n) is indexes_before[n] for n in indexes_before)
     db.catalog.restore(memento)
     assert db.execute("SELECT count(*) FROM t").rows == [(200,)]
     _assert_frozen(frozen)
