@@ -73,13 +73,14 @@ def run_write_sweep(txns: int) -> dict:
                     tables = rng.sample(TABLES, k=rng.choice((1, 1, 2)))
 
                     def attempt() -> None:
-                        session.begin()
+                        db.begin(session=session)
                         for i, table in enumerate(tables):
-                            session.execute(
+                            db.execute(
                                 f"INSERT INTO {table} (tag, val) "
-                                f"VALUES ('w{wid}t{t}', {i})"
+                                f"VALUES ('w{wid}t{t}', {i})",
+                                session=session,
                             )
-                        session.commit()
+                        db.commit(session=session)
 
                     def on_retry(_i, exc) -> None:
                         with mutex:
@@ -146,7 +147,7 @@ def run_read_sweep(txns: int) -> dict:
             barrier.wait()
             try:
                 for _ in range(txns):
-                    session.execute(query)
+                    db.execute(query, session=session)
             finally:
                 session.close()
 
@@ -188,7 +189,7 @@ def run_fairness_probe(n_probes: int = 10) -> dict:
         session = db.session()
         try:
             while not stop.is_set():
-                session.execute("SELECT count(*) FROM alpha")
+                db.execute("SELECT count(*) FROM alpha", session=session)
         finally:
             session.close()
 
@@ -204,7 +205,7 @@ def run_fairness_probe(n_probes: int = 10) -> dict:
     try:
         for i in range(n_probes):
             started = time.perf_counter()
-            writer.execute(f"INSERT INTO beta (tag, val) VALUES ('p', {i})")
+            db.execute(f"INSERT INTO beta (tag, val) VALUES ('p', {i})", session=writer)
             latencies.append(time.perf_counter() - started)
             time.sleep(0.01)
     finally:

@@ -977,27 +977,23 @@ class Catalog:
     def analyzed_tables(self) -> list[str]:
         return sorted(self._table_stats)
 
+    def _claim(self, name: str, replacing: Optional[dict] = None) -> None:
+        """Raise 42P07 unless *name* is free in the one namespace tables,
+        views, indexes and models share (an entry of the *replacing*
+        store may be overwritten)."""
+        for store in (self._tables, self._views, self._indexes, self._models):
+            if name in store and store is not replacing:
+                raise CatalogError(
+                    f"relation {name!r} already exists", sqlstate="42P07"
+                )
+
     def create_table(self, table: Table) -> None:
-        if (
-            table.name in self._tables
-            or table.name in self._views
-            or table.name in self._models
-        ):
-            raise CatalogError(
-                f"relation {table.name!r} already exists", sqlstate="42P07"
-            )
+        self._claim(table.name)
         self._tables[table.name] = table
         self.bump_version()
 
     def create_view(self, view: View) -> None:
-        if (
-            view.name in self._tables
-            or view.name in self._views
-            or view.name in self._models
-        ):
-            raise CatalogError(
-                f"relation {view.name!r} already exists", sqlstate="42P07"
-            )
+        self._claim(view.name)
         self._views[view.name] = view
         self.bump_version()
 
@@ -1024,17 +1020,8 @@ class Catalog:
     # -- secondary indexes ---------------------------------------------------
 
     def create_index(self, index: Index) -> None:
-        """Register a freshly built index (relation namespace is shared:
-        an index may not reuse a table/view/index name)."""
-        if (
-            index.name in self._indexes
-            or index.name in self._tables
-            or index.name in self._views
-            or index.name in self._models
-        ):
-            raise CatalogError(
-                f"relation {index.name!r} already exists", sqlstate="42P07"
-            )
+        """Register a freshly built index."""
+        self._claim(index.name)
         if index.table not in self._tables:
             raise CatalogError(f"table {index.table!r} does not exist")
         self._indexes[index.name] = index
@@ -1107,15 +1094,8 @@ class Catalog:
 
     def create_model(self, model: TrainedModel) -> None:
         """Store a fitted model (retraining an existing model name
-        replaces it; a table/view/index name is a 42P07 collision)."""
-        if (
-            model.name in self._tables
-            or model.name in self._views
-            or model.name in self._indexes
-        ):
-            raise CatalogError(
-                f"relation {model.name!r} already exists", sqlstate="42P07"
-            )
+        replaces it)."""
+        self._claim(model.name, replacing=self._models)
         self._models[model.name] = model
         self.bump_version()
 

@@ -378,7 +378,9 @@ class Connection:
     ) -> str:
         """Run one SELECT and return its plan with actual row/time stats."""
         with _translating():
-            return self.database.explain_analyze(sql, params)
+            return self.database.explain_analyze(
+                sql, params, session=self.session
+            )
 
     def analyze(self, table: Optional[str] = None) -> list[str]:
         """Collect planner statistics (``ANALYZE``) on one or all tables."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-import os
 import threading
 import time
 import weakref
@@ -106,27 +105,96 @@ _TXN_TYPES = (
 #: allocation peak on compas at 10^4 rows x 54 columns; EXPERIMENTS.md)
 _COPY_CHUNK_ROWS = 256
 
-#: environment variable providing a default global memory budget
-#: (bytes, or a ``kb``/``mb``/``gb``-suffixed string)
-MEMORY_ENV = "REPRO_SQL_MEMORY_LIMIT"
 
-
-def resolve_memory_limit(limit: Optional[int | str]) -> Optional[int]:
-    """Memory budget from the argument, else ``REPRO_SQL_MEMORY_LIMIT``.
-
-    Accepts plain byte counts or ``kb``/``mb``/``gb``-suffixed strings;
-    ``None`` (and no environment default) means unbounded."""
-    raw: Any = limit
-    if raw is None:
-        raw = os.environ.get(MEMORY_ENV)
-        if raw is None:
-            return None
+def _byte_limit(raw: Optional[int | str]) -> Optional[int]:
+    """A memory budget argument: bytes, or a ``kb``/``mb``/``gb``-suffixed
+    string; ``None`` means unbounded."""
     if isinstance(raw, str):
         try:
             return parse_memory_limit(raw)
         except ValueError as exc:
             raise SQLExecutionError(str(exc)) from None
-    return int(raw)
+    return None if raw is None else int(raw)
+
+
+class _StatementScope:
+    """What every query one statement runs reads: its session, the call's
+    one deadline, the statement's cancel event and, once its first query
+    asks for one, its memory grant.
+
+    Entered for the statement's whole run (``with``): the cancel event is
+    registered with the session, and on the way out the grant is
+    released and folded into the session's counters.  A replay's scope
+    is empty and never entered (:data:`_REPLAY`): no deadline, no cancel
+    event, no grant."""
+
+    __slots__ = ("session", "deadline", "broker", "cancel_event", "grant", "_guard")
+
+    def __init__(
+        self,
+        session: Optional[Session] = None,
+        deadline: Optional[float] = None,
+        broker: Optional[MemoryBroker] = None,
+    ) -> None:
+        self.session = session
+        self.deadline = deadline
+        self.broker = broker
+        self.cancel_event: Optional[threading.Event] = None
+        self.grant: Optional[MemoryGrant] = None
+
+    def __enter__(self) -> "_StatementScope":
+        self._guard = self.session.statement_guard()
+        self.cancel_event = self._guard.__enter__()
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        session, grant = self.session, self.grant
+        try:
+            if kind is not None and issubclass(
+                kind, (OutOfMemory, ConfigurationLimitExceeded)
+            ):
+                session.memory_shed += 1
+            if grant is not None:
+                self.broker.end_query(grant)
+                session.note_memory(grant.peak_bytes, grant.spilled_bytes)
+        finally:
+            self._guard.__exit__(kind, exc, traceback)
+
+    def context(
+        self,
+        catalog: Catalog,
+        profile: Profile,
+        params: tuple = (),
+        stats: Optional[ExecStats] = None,
+    ) -> ExecContext:
+        """One query's execution context over *catalog*; the statement's
+        grant is taken here, by its first query, waiting under the
+        statement's deadline and cancel event."""
+        if self.grant is None and self.broker is not None:
+            self.grant = self.broker.begin_query(
+                deadline=self.deadline, cancel_event=self.cancel_event
+            )
+        return ExecContext(
+            catalog,
+            profile,
+            params=params,
+            stats=stats,
+            deadline=self.deadline,
+            cancel_event=self.cancel_event,
+            memory=self.grant,
+        )
+
+    def hold(self, batch: Batch) -> None:
+        """Charge a client's result to the statement's grant: the batch
+        is held until the statement ends, outliving every operator (a
+        matview's snapshot is catalog state, not a held result)."""
+        if self.grant is not None:
+            self.grant.require(batch_bytes(batch), "result.batch")
+
+
+#: the scope of a replay (WAL recovery, replicated apply, the matview
+#: refresh a commit runs after its WAL write): what is durable must apply
+_REPLAY = _StatementScope()
 
 
 @dataclass
@@ -265,7 +333,8 @@ class Database:
         self._normalized: OrderedDict[str, tuple[str, int]] = OrderedDict()
         #: cumulative wall-clock seconds spent executing statements
         self.total_execution_time = 0.0
-        #: when set, every SELECT records per-operator runtime stats
+        #: when set, every plan run (a SELECT, a matview build or refresh, a
+        #: TRAIN iteration) records per-operator runtime stats
         self.collect_exec_stats = collect_exec_stats
         #: cumulative per-operator counters across collected executions
         self.operator_counters: dict[str, dict] = {}
@@ -303,25 +372,20 @@ class Database:
         #: fault injection at the durability and allocation points (inert
         #: by default)
         self.faults = faults if faults is not None else NO_FAULTS
-        #: memory governor (arg > REPRO_SQL_MEMORY_LIMIT env > unbounded;
-        #: ``faults=`` builds one so its allocation points are reached);
-        #: ``None`` keeps every statement on the zero-overhead fast path
-        resolved_limit = resolve_memory_limit(memory_limit)
-        resolved_query_limit = (
-            parse_memory_limit(query_memory_limit)
-            if isinstance(query_memory_limit, str)
-            else query_memory_limit
-        )
+        #: memory governor (``faults=`` builds one so its allocation
+        #: points are reached); ``None`` keeps every statement on the
+        #: zero-overhead fast path
+        limit, query_limit = _byte_limit(memory_limit), _byte_limit(query_memory_limit)
         self.memory: Optional[MemoryBroker] = None
         if (
-            resolved_limit is not None
-            or resolved_query_limit is not None
+            limit is not None
+            or query_limit is not None
             or spill_dir is not None
             or faults is not None
         ):
             self.memory = MemoryBroker(
-                limit=resolved_limit,
-                query_limit=resolved_query_limit,
+                limit=limit,
+                query_limit=query_limit,
                 spill_dir=spill_dir,
                 faults=self.faults,
             )
@@ -466,57 +530,6 @@ class Database:
             return None
         return time.monotonic() + timeout_ms / 1000.0
 
-    def _make_context(
-        self,
-        params: tuple = (),
-        stats: Optional[ExecStats] = None,
-        cancel_event: Optional[threading.Event] = None,
-        catalog: Optional[Catalog] = None,
-        memory: Optional[MemoryGrant] = None,
-        deadline: Optional[float] = None,
-    ) -> ExecContext:
-        """One execution context per statement; stats and the
-        cancellation deadline attach here so cached plans stay immutable
-        and re-executable concurrently.  ``catalog`` selects the state to
-        read: a transaction's private clone, or (default) committed."""
-        if stats is None and self.collect_exec_stats:
-            stats = ExecStats()
-        return ExecContext(
-            self.catalog if catalog is None else catalog,
-            self.profile,
-            params=params,
-            stats=stats,
-            deadline=deadline,
-            cancel_event=cancel_event,
-            memory=memory,
-        )
-
-    # -- memory grants -------------------------------------------------------
-
-    def _begin_grant(
-        self,
-        cancel_event: Optional[threading.Event] = None,
-        deadline: Optional[float] = None,
-    ) -> Optional[MemoryGrant]:
-        """Admit one statement through the memory broker (None when the
-        database runs unbounded — the zero-overhead fast path)."""
-        if self.memory is None:
-            return None
-        return self.memory.begin_query(
-            deadline=deadline, cancel_event=cancel_event
-        )
-
-    def _end_grant(
-        self, grant: Optional[MemoryGrant], session: Optional[Session] = None
-    ) -> None:
-        """Release a grant (bytes + spill files) and fold its counters
-        into the session; safe on every exit path and idempotent."""
-        if grant is None:
-            return
-        self.memory.end_query(grant)
-        if session is not None:
-            session.note_memory(grant.peak_bytes, grant.spilled_bytes)
-
     def memory_stats(self, session: Optional[Session] = None) -> dict:
         """Broker snapshot plus the session's peak/spilled counters
         (empty when no memory governor is configured)."""
@@ -601,25 +614,23 @@ class Database:
             )
         started = time.perf_counter()
         try:
-            return self._run_write(
-                session,
-                sql,
-                statements,
-                (bind_parameters(row, entry.n_params) for row in seq_of_params),
-                None,
-                deadline,
-            ).rowcount
+            with _StatementScope(session, deadline, self.memory) as scope:
+                return self._run_write(
+                    scope,
+                    sql,
+                    statements,
+                    (bind_parameters(row, entry.n_params) for row in seq_of_params),
+                ).rowcount
         finally:
             self.total_execution_time += time.perf_counter() - started
 
     def _run_write(
         self,
-        session: Session,
+        scope: _StatementScope,
         sql: str,
         statements: list[ast.Statement],
         rows: Iterable[tuple],
         index: Optional[int] = None,
-        deadline: Optional[float] = None,
     ) -> Result:
         """The one write path: apply *statements* once per parameter row,
         atomically, then buffer the redo records on the session's open
@@ -628,13 +639,14 @@ class Database:
         ``index`` is the position of a single statement in its script
         *sql*; ``None`` marks an ``executemany`` batch (every statement of
         the script runs for every row).  Table locks are waited for under
-        the session's cancel scope and the call's *deadline*; autocommit
-        releases them with the statement, a transaction holds them to its
-        end.  The write's own queries (DML predicates, TRAIN and its
-        memory grant, matview refreshes) read the same *deadline*; a
-        57014 there is undone with the statement.  Replays carry none."""
+        the statement's *scope* (its cancel event and the call's
+        deadline); autocommit releases them with the statement, a
+        transaction holds them to its end.  The write's own queries (DML
+        predicates, matview builds and refreshes, TRAIN) run in the same
+        scope; a 57014 or 53200 there is undone with the statement."""
         # an empty script is a batch of nothing: no targets, no records
         self._check_writable(statements[0] if statements else None)
+        session = scope.session
         txn = session.txn
         catalog = self._active_catalog(session)
         targets: list[str] = []
@@ -643,10 +655,7 @@ class Database:
             names, reads = _WRITES[type(statement)].targets(statement, catalog)
             targets += names
             checks += reads
-        with session.statement_guard() as cancel_event:
-            acquired = self._acquire_locks(
-                session, targets, cancel_event, deadline
-            )
+        acquired = self._acquire_locks(targets, scope)
         try:
             # a transaction's clone is private to its session; committed
             # state is written (and, as ``reset_storage`` swaps it, looked
@@ -664,7 +673,7 @@ class Database:
                     for params in rows:
                         for statement in statements:
                             total += _WRITES[type(statement)].apply(
-                                self, statement, params, catalog, deadline
+                                self, statement, params, catalog, scope
                             ).rowcount
                         if capturing:
                             bound = list(params)
@@ -738,22 +747,19 @@ class Database:
             self._note_commit()
 
     def _acquire_locks(
-        self,
-        session: Session,
-        targets: list[str],
-        cancel_event: threading.Event,
-        deadline: Optional[float],
+        self, targets: list[str], scope: _StatementScope
     ) -> list[str]:
         """Take per-table locks for one statement's targets; a deadlock
         aborts the session's transaction (40P01) before propagating."""
         if not targets:
             return []
+        session = scope.session
         try:
             return self.locks.acquire(
                 session.session_id,
                 targets,
-                deadline=deadline,
-                cancel_event=cancel_event,
+                deadline=scope.deadline,
+                cancel_event=scope.cancel_event,
             )
         except DeadlockDetected:
             if session.txn is not None:
@@ -862,14 +868,22 @@ class Database:
             self.plan_cache.put(key, entry)
         return entry
 
-    def explain(self, sql: str) -> str:
-        """Plan a SELECT and return the (pruned) plan tree as text."""
+    def explain(self, sql: str, session: Optional[Session] = None) -> str:
+        """Plan a SELECT as the session's next statement would and return
+        the (pruned) plan tree as text."""
+        session = self._resolve_session(session)
         statement = parse_statement(sql)
         if not isinstance(statement, ast.Select):
             raise SQLExecutionError("EXPLAIN only supports SELECT statements")
-        with self._lock.read():
-            plan = self._plan_select(statement)
+        with self._reading(session):
+            plan = self._plan_select(statement, self._active_catalog(session))
         return plan.to_text()
+
+    def _reading(self, session: Session):
+        """The latch a query of *session* reads under: none over its
+        transaction's private clone, the read side over committed state
+        (which ``reset_storage`` swaps under the write side)."""
+        return nullcontext() if session.txn is not None else self._lock.read()
 
     # -- statement dispatch -----------------------------------------------------
 
@@ -885,40 +899,32 @@ class Database:
         self,
         cached: _CachedStatement,
         sql: str,
-        params: tuple = (),
-        index: int = 0,
-        session: Optional[Session] = None,
-        deadline: Optional[float] = None,
+        params: tuple,
+        index: int,
+        session: Session,
+        deadline: Optional[float],
     ) -> Result:
-        session = self._resolve_session(session)
         statement = cached.statement
         if not isinstance(statement, (ast.Commit, ast.Rollback)):
             self._check_not_aborted(session)
         started = time.perf_counter()
         try:
-            if isinstance(statement, ast.Select):
-                txn = session.txn
-                if txn is not None:
-                    # the clone is private to this session: no latch needed
-                    if cached.plan is None:
-                        cached.plan = self._plan_select(statement, txn.catalog)
-                    result = self._execute_select_plan(
-                        cached.plan, params, session, txn.catalog, deadline
-                    )
-                else:
-                    with self._lock.read():
-                        if cached.plan is None:
-                            cached.plan = self._plan_select(statement)
-                        result = self._execute_select_plan(
-                            cached.plan, params, session, self.catalog,
-                            deadline,
-                        )
-            elif isinstance(statement, _TXN_TYPES):
+            if isinstance(statement, _TXN_TYPES):
                 result = self._execute_txn_control(statement, session)
+            elif isinstance(statement, ast.Select):
+                scope = _StatementScope(session, deadline, self.memory)
+                with scope, self._reading(session):
+                    catalog = self._active_catalog(session)
+                    if cached.plan is None:
+                        cached.plan = self._plan_select(statement, catalog)
+                    batch = self._run_plan(cached.plan, scope, catalog, params)
+                    scope.hold(batch)
+                    result = _batch_to_result(cached.plan, batch)
             elif type(statement) in _WRITES:
-                result = self._run_write(
-                    session, sql, [statement], [params], index, deadline
-                )
+                with _StatementScope(session, deadline, self.memory) as scope:
+                    result = self._run_write(
+                        scope, sql, [statement], [params], index
+                    )
             else:
                 raise SQLExecutionError(
                     f"unsupported statement {type(statement).__name__}"
@@ -1177,7 +1183,7 @@ class Database:
         for row in rows:
             for statement in stmts:
                 _WRITES[type(statement)].apply(
-                    self, statement, tuple(row), self.catalog, None
+                    self, statement, tuple(row), self.catalog, _REPLAY
                 )
         return targets
 
@@ -1266,14 +1272,14 @@ class Database:
         twin); bumps the catalog's statistics version so cached plans
         re-optimize against the fresh statistics."""
         session = self._resolve_session(session)
-        self._check_not_aborted(session)
         statement = ast.Analyze(table)
         names, _ = _WRITES[ast.Analyze].targets(
             statement, self._active_catalog(session)
         )
         sql = f'ANALYZE "{table}"' if table is not None else "ANALYZE"
-        self._run_write(
-            session, sql, [statement], [()], 0, self._deadline(session)
+        self._execute_statement(
+            _CachedStatement(statement), sql, (), 0, session,
+            self._deadline(session),
         )
         return names
 
@@ -1319,41 +1325,28 @@ class Database:
             )
         return plan, rewrites
 
-    def _execute_select_plan(
+    def _run_plan(
         self,
         plan: PlanNode,
+        scope: _StatementScope,
+        catalog: Catalog,
         params: tuple = (),
-        session: Optional[Session] = None,
-        catalog: Optional[Catalog] = None,
-        deadline: Optional[float] = None,
-    ) -> Result:
-        session = self._resolve_session(session)
-        with session.statement_guard() as cancel_event:
-            grant = None
-            try:
-                grant = self._begin_grant(cancel_event, deadline)
-                ctx = self._make_context(
-                    params,
-                    cancel_event=cancel_event,
-                    catalog=catalog,
-                    memory=grant,
-                    deadline=deadline,
-                )
-                started = time.perf_counter()
-                batch = execute_plan(plan, ctx)
-                if grant is not None:
-                    # the result batch is held until the grant closes —
-                    # it outlives every operator
-                    grant.require(batch_bytes(batch), "result.batch")
-            except (OutOfMemory, ConfigurationLimitExceeded):
-                session.memory_shed += 1
-                raise
-            finally:
-                self._end_grant(grant, session)
-        if ctx.stats is not None:
-            ctx.stats.wall_seconds = time.perf_counter() - started
-            self._record_exec_stats(ctx.stats)
-        return _batch_to_result(plan, batch)
+        stats: Optional[ExecStats] = None,
+    ) -> Batch:
+        """Run one of *scope*'s statement's queries over *catalog* — the
+        one way a plan executes: a SELECT, EXPLAIN ANALYZE, a matview
+        build or refresh, a TRAIN iteration.  Cached plans stay immutable
+        and re-executable concurrently.  Its per-operator *stats* (made
+        here under ``collect_exec_stats``) are timed and recorded."""
+        if stats is None and self.collect_exec_stats:
+            stats = ExecStats()
+        ctx = scope.context(catalog, self.profile, params, stats)
+        started = time.perf_counter()
+        batch = execute_plan(plan, ctx)
+        if stats is not None:
+            stats.wall_seconds = time.perf_counter() - started
+            self._record_exec_stats(stats)
+        return batch
 
     def _record_exec_stats(self, stats: ExecStats) -> None:
         with self._stats_mutex:
@@ -1361,40 +1354,30 @@ class Database:
             merge_operator_counters(self.operator_counters, stats.by_operator())
 
     def explain_analyze(
-        self, sql: str, params: Optional[Sequence[Any]] = None
+        self,
+        sql: str,
+        params: Optional[Sequence[Any]] = None,
+        session: Optional[Session] = None,
     ) -> str:
-        """Execute a SELECT and return its plan annotated with per-operator
-        actual row counts, call counts and (inclusive) wall time."""
-        deadline = self._deadline(self._default_session)
+        """Execute a SELECT as the session's next statement and return its
+        plan annotated with per-operator actual row counts, call counts
+        and (inclusive) wall time."""
+        session = self._resolve_session(session)
+        deadline = self._deadline(session)
+        self._check_not_aborted(session)
         statement = parse_statement(sql)
         if not isinstance(statement, ast.Select):
             raise SQLExecutionError(
                 "EXPLAIN ANALYZE only supports SELECT statements"
             )
-        with self._lock.read():
-            plan, rewrites = self._plan_select_rewritten(statement)
-            estimates = estimate_plan_rows(plan, self.catalog)
-            bound = tuple(params) if params is not None else ()
-            stats = ExecStats()
-            with self._default_session.statement_guard() as cancel_event:
-                grant = None
-                try:
-                    grant = self._begin_grant(cancel_event, deadline)
-                    ctx = self._make_context(
-                        bound,
-                        stats=stats,
-                        cancel_event=cancel_event,
-                        memory=grant,
-                        deadline=deadline,
-                    )
-                    started = time.perf_counter()
-                    batch = execute_plan(plan, ctx)
-                    if grant is not None:
-                        grant.require(batch_bytes(batch), "result.batch")
-                finally:
-                    self._end_grant(grant, self._default_session)
-                stats.wall_seconds = time.perf_counter() - started
-        self._record_exec_stats(stats)
+        bound = tuple(params) if params is not None else ()
+        stats = ExecStats()
+        scope = _StatementScope(session, deadline, self.memory)
+        with scope, self._reading(session):
+            catalog = self._active_catalog(session)
+            plan, rewrites = self._plan_select_rewritten(statement, catalog)
+            estimates = estimate_plan_rows(plan, catalog)
+            scope.hold(self._run_plan(plan, scope, catalog, bound, stats))
         if rewrites:
             counts = Counter(rewrites)
             fired = ", ".join(
@@ -1412,7 +1395,7 @@ class Database:
 
     def _execute_create_table(
         self, statement: ast.CreateTable, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         names = [c.name for c in statement.columns]
         types = [normalise_type(c.type_name) for c in statement.columns]
@@ -1421,20 +1404,20 @@ class Database:
 
     def _execute_create_view(
         self, statement: ast.CreateView, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         view = View(
             statement.name, statement.query, statement.materialized,
             statement.sql,
         )
         if statement.materialized:
-            self._recompute_snapshot(view, catalog, deadline)
+            self._recompute_snapshot(view, catalog, scope)
         catalog.create_view(view)
         return Result()
 
     def _execute_insert(
         self, statement: ast.Insert, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         table = catalog.table(statement.table)
         columns = statement.columns or [
@@ -1454,12 +1437,12 @@ class Database:
                 row[name] = _literal_value(expr, params)
             rows.append(row)
         table.append_rows(rows)
-        self._finish_dml(statement.table, catalog, deadline, appended=True)
+        self._finish_dml(statement.table, catalog, scope, appended=True)
         return Result(rowcount=len(rows))
 
     def _execute_copy(
         self, statement: ast.Copy, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         """Load a CSV file in chunks of :data:`_COPY_CHUNK_ROWS` rows, each
         transposed and typed column by column (:class:`CsvColumn`), so
@@ -1503,12 +1486,12 @@ class Database:
             raise error
         data = {loader.name: loader.vector() for _, loader in loaders}
         table.append_columns(data, n_rows)
-        self._finish_dml(statement.table, catalog, deadline, appended=True)
+        self._finish_dml(statement.table, catalog, scope, appended=True)
         return Result(rowcount=n_rows)
 
     def _execute_create_index(
         self, statement: ast.CreateIndex, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         table = catalog.table(statement.table)
         columns = tuple(statement.columns)
@@ -1523,7 +1506,7 @@ class Database:
 
     def _execute_train(
         self, statement: ast.Train, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         """Run the in-database trainer and store the fitted model.
 
@@ -1541,24 +1524,15 @@ class Database:
             for key, expr in statement.options
         }
 
-        # one grant covers the whole training loop: every iteration's
-        # aggregate query accounts (and may spill) against it
-        grant = self._begin_grant(deadline=deadline)
-
+        # every iteration's aggregate query runs in the statement's scope:
+        # one grant covers the whole training loop
         def run(select: ast.Select) -> Result:
             plan = self._plan_select(select, catalog)
-            ctx = self._make_context(
-                params, catalog=catalog, memory=grant, deadline=deadline
+            return _batch_to_result(
+                plan, self._run_plan(plan, scope, catalog, params)
             )
-            batch = execute_plan(plan, ctx)
-            return _batch_to_result(plan, batch)
 
-        try:
-            model = ml_train.train_model(
-                statement.name, statement.query, options, run
-            )
-        finally:
-            self._end_grant(grant)
+        model = ml_train.train_model(statement.name, statement.query, options, run)
         catalog.create_model(model)
         return Result(rowcount=model.n_iter)
 
@@ -1584,34 +1558,34 @@ class Database:
         where: Optional[ast.Expr],
         params: tuple,
         catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> tuple[np.ndarray, Batch, Scope]:
         """Evaluate a DML WHERE clause over the whole table.
 
         Returns the boolean row mask (true = row affected) plus the batch
-        and scope so UPDATE can reuse them for its assignment expressions.
+        and name scope so UPDATE can reuse them for its assignment
+        expressions.
         """
         entries = [
             ScopeEntry(table.name, name, name) for name in table.column_names
         ]
         entries.append(ScopeEntry(table.name, CTID, CTID, hidden=True))
-        scope = Scope(entries)
+        names = Scope(entries)
         columns = {name: table.columns[name] for name in table.column_names}
         columns[CTID] = table.ctid
         batch = Batch(table.n_rows, columns)
         if where is None:
-            return np.ones(table.n_rows, dtype=bool), batch, scope
+            return np.ones(table.n_rows, dtype=bool), batch, names
         planner = Planner(catalog, self.profile)
-        predicate = planner.compile_expr(where, scope, {})
-        ctx = self._make_context(params, catalog=catalog, deadline=deadline)
-        result = predicate(batch, ctx)
+        predicate = planner.compile_expr(where, names, {})
+        result = predicate(batch, scope.context(catalog, self.profile, params))
         mask = result.values.astype(bool, copy=True)
         mask &= ~result.nulls
-        return mask, batch, scope
+        return mask, batch, names
 
     def _execute_update(
         self, statement: ast.Update, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         table = catalog.table(statement.table)
         seen: set[str] = set()
@@ -1622,32 +1596,32 @@ class Database:
                     f"column {column!r} assigned more than once in UPDATE"
                 )
             seen.add(column)
-        mask, batch, scope = self._dml_predicate_mask(
-            table, statement.where, params, catalog, deadline
+        mask, batch, names = self._dml_predicate_mask(
+            table, statement.where, params, catalog, scope
         )
         affected = int(mask.sum())
         if affected:
             planner = Planner(catalog, self.profile)
-            ctx = self._make_context(params, catalog=catalog, deadline=deadline)
+            ctx = scope.context(catalog, self.profile, params)
             positions = np.flatnonzero(mask)
             for column, expr in statement.assignments:
                 # all assignments see the pre-statement row images
-                compiled = planner.compile_expr(expr, scope, {})
+                compiled = planner.compile_expr(expr, names, {})
                 # only the touched cells pass through Python
                 fresh = gather(compiled(batch, ctx), positions)
                 table.patch_column(column, positions, fresh.tolist())
         self._finish_dml(
-            statement.table, catalog, deadline, assigned=seen if affected else ()
+            statement.table, catalog, scope, assigned=seen if affected else ()
         )
         return Result(rowcount=affected)
 
     def _execute_delete(
         self, statement: ast.Delete, params: tuple, catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
     ) -> Result:
         table = catalog.table(statement.table)
         mask, _, _ = self._dml_predicate_mask(
-            table, statement.where, params, catalog, deadline
+            table, statement.where, params, catalog, scope
         )
         removed = int(mask.sum())
         if removed:
@@ -1656,14 +1630,14 @@ class Database:
                 # fresh vectors: catalog clones sharing the old ones are safe
                 table.columns[name] = gather(table.columns[name], keep)
             table.n_rows = len(keep)
-        self._finish_dml(statement.table, catalog, deadline)
+        self._finish_dml(statement.table, catalog, scope)
         return Result(rowcount=removed)
 
     def _finish_dml(
         self,
         table_name: str,
         catalog: Catalog,
-        deadline: Optional[float],
+        scope: _StatementScope,
         appended: bool = False,
         assigned: Optional[Iterable[str]] = None,
     ) -> None:
@@ -1674,16 +1648,14 @@ class Database:
         materialised views.  No version bump: cached plans read live
         data."""
         catalog.refresh_indexes(table_name, appended, assigned)
-        self._invalidate_dependent_snapshots(table_name, catalog, deadline)
+        self._invalidate_dependent_snapshots(table_name, catalog, scope)
 
     def _recompute_snapshot(
-        self, view: View, catalog: Catalog, deadline: Optional[float]
+        self, view: View, catalog: Catalog, scope: _StatementScope
     ) -> None:
         """(Re-)materialise one view's cached result against *catalog*."""
         plan = self._plan_select(view.query, catalog)
-        batch = execute_plan(
-            plan, self._make_context(catalog=catalog, deadline=deadline)
-        )
+        batch = self._run_plan(plan, scope, catalog)
         data: dict[str, Vector] = {}
         for out in plan.schema:
             if out.hidden:
@@ -1697,7 +1669,7 @@ class Database:
         view.snapshot = (list(data), data, batch.length)
 
     def _invalidate_dependent_snapshots(
-        self, changed_table: str, catalog: Catalog, deadline: Optional[float]
+        self, changed_table: str, catalog: Catalog, scope: _StatementScope
     ) -> None:
         """Refresh materialised views that (transitively) read a table.
 
@@ -1725,7 +1697,7 @@ class Database:
                     refreshed.add(name)
                     changed = True
                     if view.materialized:
-                        self._recompute_snapshot(view, catalog, deadline)
+                        self._recompute_snapshot(view, catalog, scope)
 
     def _refresh_committed_matviews(self, write_set: set[str]) -> None:
         """After a transaction's relations are installed, bring the
@@ -1742,8 +1714,8 @@ class Database:
             if name in self.catalog.view_names:
                 view = self.catalog.resolve(name)
                 if isinstance(view, View) and view.materialized:
-                    self._recompute_snapshot(view, self.catalog, None)
-            self._invalidate_dependent_snapshots(name, self.catalog, None)
+                    self._recompute_snapshot(view, self.catalog, _REPLAY)
+            self._invalidate_dependent_snapshots(name, self.catalog, _REPLAY)
 
 
 def _redo_records(
@@ -1898,8 +1870,8 @@ class _Write(NamedTuple):
     #: ``(statement, catalog) -> (locked-and-installed, conflict-checked-
     #: only)`` relation names
     targets: Callable[[Any, Catalog], _Targets]
-    #: ``(database, statement, params, catalog, deadline) -> Result``
-    apply: Callable[[Database, Any, tuple, Catalog, Optional[float]], Result]
+    #: ``(database, statement, params, catalog, scope) -> Result``
+    apply: Callable[[Database, Any, tuple, Catalog, _StatementScope], Result]
 
 
 def _targets_name(statement, catalog: Catalog) -> _Targets:
@@ -1931,22 +1903,22 @@ def _targets_analyze(statement: ast.Analyze, catalog: Catalog) -> _Targets:
     return list(catalog.table_names), []
 
 
-def _drop(database, statement: ast.Drop, params, catalog, deadline) -> Result:
+def _drop(database, statement: ast.Drop, params, catalog, scope) -> Result:
     catalog.drop(statement.name, statement.kind, statement.if_exists)
     return Result()
 
 
-def _drop_index(database, statement: ast.DropIndex, params, catalog, deadline) -> Result:
+def _drop_index(database, statement: ast.DropIndex, params, catalog, scope) -> Result:
     catalog.drop_index(statement.name, statement.if_exists)
     return Result()
 
 
-def _drop_model(database, statement: ast.DropModel, params, catalog, deadline) -> Result:
+def _drop_model(database, statement: ast.DropModel, params, catalog, scope) -> Result:
     catalog.drop_model(statement.name, statement.if_exists)
     return Result()
 
 
-def _analyze(database, statement: ast.Analyze, params, catalog, deadline) -> Result:
+def _analyze(database, statement: ast.Analyze, params, catalog, scope) -> Result:
     return Result(rowcount=len(catalog.analyze(statement.table)))
 
 

@@ -93,6 +93,12 @@ __all__ = [
     "decode_snapshot",
 ]
 
+#: most commits one stream frame carries
+_MAX_BATCH_COMMITS = 256
+#: a replica's reconnect backoff doubles from the minimum to the maximum
+_RECONNECT_MIN_S = 0.05
+_RECONNECT_MAX_S = 1.0
+
 
 def encode_snapshot(image: bytes) -> str:
     """Wire encoding of a checkpoint image: zlib → base64."""
@@ -143,7 +149,6 @@ class ReplicationManager:
         retain: int = 4096,
         synchronous: bool = False,
         sync_timeout_s: Optional[float] = None,
-        max_batch_commits: int = 256,
     ) -> None:
         if retain < 1:
             raise ValueError("retain must be >= 1")
@@ -154,7 +159,6 @@ class ReplicationManager:
         self.synchronous = synchronous
         #: safety valve for the synchronous wait (None = wait forever)
         self.sync_timeout_s = sync_timeout_s
-        self.max_batch_commits = max_batch_commits
         self._cond = threading.Condition()
         #: (commit_id, records) in commit order, trimmed at ``retain``
         self._entries: deque[tuple[int, list]] = deque()
@@ -272,7 +276,7 @@ class ReplicationManager:
                     if commit_id <= sub.position:
                         continue
                     commits.append({"id": commit_id, "records": records})
-                    if len(commits) >= self.max_batch_commits:
+                    if len(commits) >= _MAX_BATCH_COMMITS:
                         break
                 if commits:
                     sub.position = commits[-1]["id"]
@@ -343,8 +347,6 @@ class Replica:
         retain: int = 4096,
         connect_timeout_s: float = 5.0,
         recv_timeout_s: float = 10.0,
-        reconnect_min_s: float = 0.05,
-        reconnect_max_s: float = 1.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         self.primary_address = (str(primary_address[0]), int(primary_address[1]))
@@ -352,8 +354,6 @@ class Replica:
         self.auth_token = auth_token
         self.connect_timeout_s = connect_timeout_s
         self.recv_timeout_s = recv_timeout_s
-        self.reconnect_min_s = reconnect_min_s
-        self.reconnect_max_s = reconnect_max_s
         self.max_frame_bytes = max_frame_bytes
         if database is None:
             kwargs = dict(database_kwargs or {})
@@ -500,11 +500,11 @@ class Replica:
     # -- the stream ---------------------------------------------------------
 
     def _stream_loop(self) -> None:
-        backoff = self.reconnect_min_s
+        backoff = _RECONNECT_MIN_S
         while not self._stop.is_set():
             try:
                 self._connect_and_stream()
-                backoff = self.reconnect_min_s
+                backoff = _RECONNECT_MIN_S
             except (OSError, SQLError):
                 self.stats["stream_errors"] += 1
             finally:
@@ -513,7 +513,7 @@ class Replica:
                 return
             self.stats["reconnects"] += 1
             self._stop.wait(backoff)
-            backoff = min(backoff * 2, self.reconnect_max_s)
+            backoff = min(backoff * 2, _RECONNECT_MAX_S)
 
     def _connect_and_stream(self) -> None:
         sock = socket.create_connection(

@@ -14,7 +14,7 @@ Production-shaped controls, all cheap but real:
 * **admission control** — at most ``max_connections`` concurrent
   clients; excess connections are *shed* at accept with a retryable
   SQLSTATE 53300 error frame (the client backoff loop reconnects), and
-  the kernel accept queue itself is bounded by ``accept_backlog``;
+  the kernel accept queue itself holds at most ``_ACCEPT_BACKLOG``;
 * **per-connection statement timeout** — the hello's
   ``statement_timeout_ms`` (else the server's) becomes the session's
   timeout: each request's engine call gets one deadline that its lock
@@ -69,6 +69,9 @@ from repro.sqldb.protocol import (
 )
 
 __all__ = ["DatabaseServer", "main"]
+
+#: connections the kernel queues before the acceptor takes them
+_ACCEPT_BACKLOG = 16
 
 
 def _force_close(sock: socket.socket) -> None:
@@ -382,10 +385,11 @@ class _ClientHandler:
             text = database.explain_analyze(
                 message.get("sql", ""),
                 tuple(params) if params is not None else None,
+                session=session,
             )
             return {"type": "text", "text": text}
         if kind == "analyze":
-            names = database.analyze(message.get("table"))
+            names = database.analyze(message.get("table"), session=session)
             return {"type": "ok", "names": names}
         if kind == "promote":
             hook = server.promote_hook
@@ -536,7 +540,6 @@ class DatabaseServer:
         *,
         auth_token: Optional[str] = None,
         max_connections: int = 64,
-        accept_backlog: int = 16,
         statement_timeout_ms: Optional[float] = None,
         idle_timeout_s: Optional[float] = None,
         handshake_timeout_s: float = 5.0,
@@ -557,7 +560,6 @@ class DatabaseServer:
         self._requested_port = port
         self.auth_token = auth_token
         self.max_connections = max_connections
-        self.accept_backlog = accept_backlog
         self.statement_timeout_ms = statement_timeout_ms
         self.idle_timeout_s = idle_timeout_s
         self.handshake_timeout_s = handshake_timeout_s
@@ -640,7 +642,7 @@ class DatabaseServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))
-        listener.listen(self.accept_backlog)
+        listener.listen(_ACCEPT_BACKLOG)
         self._listener = listener
         self._acceptor = threading.Thread(
             target=self._accept_loop, name="repro-sql-acceptor", daemon=True
@@ -661,14 +663,15 @@ class DatabaseServer:
             with self._mutex:
                 admitted = len(self._handlers) < self.max_connections
                 if admitted:
+                    # started under the mutex: a shutdown that lists the
+                    # handler must find its thread joinable
                     handler = _ClientHandler(self, sock, peer)
                     self._handlers.add(handler)
+                    handler.start()
                     self.stats["accepted"] += 1
                 else:
                     self.stats["shed"] += 1
-            if admitted:
-                handler.start()
-            else:
+            if not admitted:
                 self._shed(
                     sock,
                     TooManyConnections(

@@ -10,7 +10,9 @@ from it) and the id used by the per-table
 its direct ``execute()`` API (and for the DB-API connection that owns
 the database); additional sessions — one per pooled connection — are
 opened with :meth:`Database.session() <repro.sqldb.engine.Database.session>`
-and run concurrently under snapshot isolation.
+and run concurrently under snapshot isolation.  A session is driven
+through the database (``db.execute(sql, session=s)``) or, more usually,
+through ``dbapi.connect(database=db)``, which opens one.
 
 Statements *within* one session are serial (one at a time, like a real
 connection); concurrency happens *across* sessions.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from repro.sqldb.engine import Database, Result
+    from repro.sqldb.engine import Database
     from repro.sqldb.txn import Transaction
 
 __all__ = ["Session"]
@@ -96,7 +98,7 @@ class Session:
         with self._cancel_mutex:
             return bool(self._active_cancels)
 
-    # -- convenience delegates ----------------------------------------------
+    # -- transaction state -------------------------------------------------
 
     @property
     def in_transaction(self) -> bool:
@@ -105,28 +107,6 @@ class Session:
     @property
     def in_aborted_transaction(self) -> bool:
         return self.txn is not None and self.txn.aborted
-
-    def execute(
-        self, sql: str, params: Optional[Sequence[Any]] = None
-    ) -> "Result":
-        return self.database.execute(sql, params, session=self)
-
-    def run_script(
-        self, sql: str, params: Optional[Sequence[Any]] = None
-    ) -> list["Result"]:
-        return self.database.run_script(sql, params, session=self)
-
-    def executemany(self, sql: str, seq_of_params) -> int:
-        return self.database.executemany(sql, seq_of_params, session=self)
-
-    def begin(self) -> None:
-        self.database.begin(session=self)
-
-    def commit(self) -> None:
-        self.database.commit(session=self)
-
-    def rollback(self) -> None:
-        self.database.rollback(session=self)
 
     def close(self) -> None:
         """End the session: roll back any open transaction and release

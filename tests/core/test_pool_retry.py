@@ -418,7 +418,7 @@ class TestConnectorRetry:
             original_begin(session)
             if state["conflicts"] < 1:
                 state["conflicts"] += 1
-                peer.execute("INSERT INTO t (a) VALUES (99)")
+                db.execute("INSERT INTO t (a) VALUES (99)", session=peer)
 
         db._begin = begin_with_conflict
         try:
@@ -438,7 +438,7 @@ class TestConnectorRetry:
         connector.run("BEGIN")
 
         peer = db.session()
-        peer.execute("INSERT INTO t (a) VALUES (99)")
+        db.execute("INSERT INTO t (a) VALUES (99)", session=peer)
 
         connector.run("INSERT INTO t (a) VALUES (1)")
         with pytest.raises(SerializationFailure):

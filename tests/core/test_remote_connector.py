@@ -87,7 +87,7 @@ class TestRemoteConnector:
             original_begin(session)
             if state["conflicts"] < 1:
                 state["conflicts"] += 1
-                peer.execute("INSERT INTO t (a) VALUES (99)")
+                db.execute("INSERT INTO t (a) VALUES (99)", session=peer)
 
         db._begin = begin_with_conflict
         try:
@@ -108,7 +108,7 @@ class TestRemoteConnector:
         connector.run("CREATE TABLE t (a int)")
         connector.run("BEGIN")
         peer = db.session()
-        peer.execute("INSERT INTO t (a) VALUES (99)")
+        db.execute("INSERT INTO t (a) VALUES (99)", session=peer)
         peer.close()
         connector.run("INSERT INTO t (a) VALUES (1)")
         with pytest.raises(SerializationFailure):

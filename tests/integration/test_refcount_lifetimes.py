@@ -41,7 +41,7 @@ def test_dropped_database_is_freed(no_cyclic_gc):
     )
     assert len(db.execute("SELECT * FROM v").rows) == 2
     session = db.session()
-    session.execute("SELECT a FROM t")
+    db.execute("SELECT a FROM t", session=session)
     session.close()
     ref = weakref.ref(db)
     del db, session

@@ -81,6 +81,21 @@ class TestIndexDdl:
         with pytest.raises(CatalogError):
             db.execute("DROP INDEX nope")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "CREATE TABLE t_id (b int)",
+            "CREATE VIEW t_id AS SELECT id FROM t",
+            "CREATE MATERIALIZED VIEW t_id AS SELECT id FROM t",
+        ],
+    )
+    def test_index_names_share_the_relation_namespace(self, db, sql):
+        # PostgreSQL's one namespace: tables, views, indexes and models
+        db.execute("CREATE INDEX t_id ON t (id)")
+        with pytest.raises(CatalogError) as info:
+            db.execute(sql)
+        assert info.value.sqlstate == "42P07"
+
     def test_unknown_column_rejected(self, db):
         with pytest.raises(CatalogError):
             db.execute("CREATE INDEX t_x ON t (missing)")

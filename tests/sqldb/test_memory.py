@@ -28,6 +28,7 @@ from repro.errors import (
     ConfigurationLimitExceeded,
     OutOfMemory,
     QueryCancelled,
+    SQLExecutionError,
 )
 from repro.sqldb import Database
 from repro.sqldb.faults import POINTS, Faults
@@ -147,20 +148,26 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_memory_limit(bad)
 
-    def test_env_default_arms_the_broker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MEMORY_LIMIT", "2mb")
-        db = Database()
-        try:
-            assert db.memory is not None
-            assert db.memory.limit == 2 * 1024 * 1024
-        finally:
-            db.close()
-        monkeypatch.delenv("REPRO_SQL_MEMORY_LIMIT")
+    def test_no_limit_means_no_broker(self):
         db = Database()
         try:
             assert db.memory is None  # unbounded: the zero-overhead path
         finally:
             db.close()
+
+    @pytest.mark.parametrize(
+        "argument, attribute",
+        [("memory_limit", "limit"), ("query_memory_limit", "query_limit")],
+    )
+    def test_both_limits_parse_one_way(self, argument, attribute):
+        db = Database(**{argument: "2mb"})
+        try:
+            assert getattr(db.memory, attribute) == 2 * 1024 * 1024
+        finally:
+            db.close()
+        with pytest.raises(SQLExecutionError) as err:
+            Database(**{argument: "lots"})
+        assert err.value.sqlstate == "22000"
 
     def test_query_limit_above_global_is_53400(self):
         with pytest.raises(ConfigurationLimitExceeded) as err:

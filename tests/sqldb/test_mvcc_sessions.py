@@ -15,6 +15,7 @@ from repro.errors import (
 )
 from repro.sqldb import dbapi
 from repro.sqldb.engine import Database
+from repro.sqldb.session import Session
 
 
 @pytest.fixture
@@ -25,8 +26,12 @@ def db():
     return database
 
 
-def rows(executor, table="t"):
-    return sorted(executor.execute(f"SELECT * FROM {table}").rows)
+def rows(who, table="t"):
+    """Sorted rows of *table* as *who* (a session, or a database's default
+    session) sees them."""
+    if isinstance(who, Session):
+        return sorted(who.database.execute(f"SELECT * FROM {table}", session=who).rows)
+    return sorted(who.execute(f"SELECT * FROM {table}").rows)
 
 
 def wait_until(predicate, timeout=10.0):
@@ -41,64 +46,64 @@ def wait_until(predicate, timeout=10.0):
 class TestSnapshotIsolation:
     def test_uncommitted_writes_are_invisible_to_peers(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (3, 'z')")
+        db.begin(session=a)
+        db.execute("INSERT INTO t (a, b) VALUES (3, 'z')", session=a)
         assert rows(a) == [(1, "x"), (2, "y"), (3, "z")]
         # b (autocommit) and the default session still see committed state
         assert rows(b) == [(1, "x"), (2, "y")]
         assert rows(db) == [(1, "x"), (2, "y")]
-        a.commit()
+        db.commit(session=a)
         assert rows(b) == [(1, "x"), (2, "y"), (3, "z")]
 
     def test_open_snapshot_ignores_later_commits(self, db):
         a, b = db.session(), db.session()
-        a.begin()
+        db.begin(session=a)
         assert rows(a) == [(1, "x"), (2, "y")]
-        b.execute("INSERT INTO t (a, b) VALUES (7, 'q')")
+        db.execute("INSERT INTO t (a, b) VALUES (7, 'q')", session=b)
         # a's snapshot was captured at BEGIN: the new row stays invisible
         assert rows(a) == [(1, "x"), (2, "y")]
-        a.commit()
+        db.commit(session=a)
         # after commit the session reads committed state again
         assert rows(a) == [(1, "x"), (2, "y"), (7, "q")]
 
     def test_snapshot_covers_ddl(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        b.execute("CREATE TABLE fresh (n int)")
+        db.begin(session=a)
+        db.execute("CREATE TABLE fresh (n int)", session=b)
         with pytest.raises(CatalogError):
-            a.execute("SELECT * FROM fresh")
-        a.rollback()
-        assert a.execute("SELECT * FROM fresh").rows == []
+            db.execute("SELECT * FROM fresh", session=a)
+        db.rollback(session=a)
+        assert db.execute("SELECT * FROM fresh", session=a).rows == []
 
     def test_read_only_transactions_commit_without_conflict(self, db):
         a, b = db.session(), db.session()
-        a.begin()
+        db.begin(session=a)
         rows(a)
-        b.execute("INSERT INTO t (a, b) VALUES (9, 'w')")
-        a.commit()  # no writes, no conflict check, no error
+        db.execute("INSERT INTO t (a, b) VALUES (9, 'w')", session=b)
+        db.commit(session=a)  # no writes, no conflict check, no error
 
     def test_sessions_have_independent_transaction_state(self, db):
         a, b = db.session(), db.session()
-        a.begin()
+        db.begin(session=a)
         assert a.in_transaction and not b.in_transaction
         assert not db.in_transaction  # the default session is its own
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (3, 'z')")
-        b.rollback()
-        a.commit()
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (3, 'z')", session=a)
+        db.rollback(session=b)
+        db.commit(session=a)
         assert rows(db) == [(1, "x"), (2, "y"), (3, "z")]
 
 
 class TestFirstCommitterWins:
     def test_write_write_conflict_raises_40001(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (11, 'a')")
-        a.commit()
-        b.execute("INSERT INTO t (a, b) VALUES (12, 'b')")
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (11, 'a')", session=a)
+        db.commit(session=a)
+        db.execute("INSERT INTO t (a, b) VALUES (12, 'b')", session=b)
         with pytest.raises(SerializationFailure) as excinfo:
-            b.commit()
+            db.commit(session=b)
         assert excinfo.value.sqlstate == "40001"
         assert isinstance(excinfo.value, TransactionRollback)
         # b's transaction is gone; its write never surfaced
@@ -107,74 +112,74 @@ class TestFirstCommitterWins:
 
     def test_retry_after_40001_succeeds(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (20, 'a')")
-        a.commit()  # releases t's lock; b's snapshot predates the commit
-        b.execute("INSERT INTO t (a, b) VALUES (21, 'b')")
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (20, 'a')", session=a)
+        db.commit(session=a)  # releases t's lock; b's snapshot predates the commit
+        db.execute("INSERT INTO t (a, b) VALUES (21, 'b')", session=b)
         with pytest.raises(SerializationFailure):
-            b.commit()
+            db.commit(session=b)
         # the standard client loop: re-run the transaction from BEGIN
-        b.begin()
-        b.execute("INSERT INTO t (a, b) VALUES (21, 'b')")
-        b.commit()
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (21, 'b')", session=b)
+        db.commit(session=b)
         assert (20, "a") in rows(db) and (21, "b") in rows(db)
 
     def test_disjoint_write_sets_do_not_conflict(self, db):
         db.execute("CREATE TABLE u (n int)")
         a, b = db.session(), db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (30, 'a')")
-        b.execute("INSERT INTO u (n) VALUES (1)")
-        a.commit()
-        b.commit()
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (30, 'a')", session=a)
+        db.execute("INSERT INTO u (n) VALUES (1)", session=b)
+        db.commit(session=a)
+        db.commit(session=b)
         assert (30, "a") in rows(db)
         assert rows(db, "u") == [(1,)]
 
     def test_drop_conflicts_with_concurrent_insert(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        b.execute("DROP TABLE t")
+        db.begin(session=a)
+        db.execute("DROP TABLE t", session=b)
         # a's snapshot still has t, and t's lock is free again — but the
         # committed drop left a version tombstone behind
-        a.execute("INSERT INTO t (a, b) VALUES (40, 'a')")
+        db.execute("INSERT INTO t (a, b) VALUES (40, 'a')", session=a)
         with pytest.raises(SerializationFailure):
-            a.commit()
+            db.commit(session=a)
         with pytest.raises(CatalogError):
             rows(db)
 
     def test_create_view_checks_referenced_tables(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        a.execute("CREATE MATERIALIZED VIEW mv AS SELECT a FROM t")
-        b.execute("INSERT INTO t (a, b) VALUES (50, 'n')")
+        db.begin(session=a)
+        db.execute("CREATE MATERIALIZED VIEW mv AS SELECT a FROM t", session=a)
+        db.execute("INSERT INTO t (a, b) VALUES (50, 'n')", session=b)
         # t moved under the view's feet: serial replay would materialise
         # different contents, so the commit must not succeed silently
         with pytest.raises(SerializationFailure):
-            a.commit()
+            db.commit(session=a)
 
     def test_commit_order_ids_are_monotonic(self, db):
         a, b = db.session(), db.session()
-        a.execute("INSERT INTO t (a, b) VALUES (60, 'a')")
+        db.execute("INSERT INTO t (a, b) VALUES (60, 'a')", session=a)
         first = a.last_commit_id
-        b.begin()
-        b.execute("INSERT INTO t (a, b) VALUES (61, 'b')")
-        b.commit()
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (61, 'b')", session=b)
+        db.commit(session=b)
         assert first is not None and b.last_commit_id > first
 
 
 class TestLockingAndDeadlock:
     def test_writer_blocks_writer_on_same_table(self, db):
         a, b = db.session(), db.session()
-        a.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (1, 'l')")
+        db.begin(session=a)
+        db.execute("INSERT INTO t (a, b) VALUES (1, 'l')", session=a)
         started = threading.Event()
         done = threading.Event()
 
         def blocked_insert():
             started.set()
-            b.execute("INSERT INTO t (a, b) VALUES (2, 'm')")
+            db.execute("INSERT INTO t (a, b) VALUES (2, 'm')", session=b)
             done.set()
 
         thread = threading.Thread(target=blocked_insert)
@@ -182,7 +187,7 @@ class TestLockingAndDeadlock:
         assert started.wait(5)
         # b cannot proceed while a holds t's lock
         assert not done.wait(0.3)
-        a.rollback()
+        db.rollback(session=a)
         assert done.wait(10)
         thread.join(timeout=10)
         assert (2, "m") in rows(db)
@@ -190,14 +195,14 @@ class TestLockingAndDeadlock:
     def test_deadlock_victim_gets_40p01_and_peer_proceeds(self, db):
         db.execute("CREATE TABLE u (n int)")
         a, b = db.session(), db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (1, 'a')")  # a holds t
-        b.execute("INSERT INTO u (n) VALUES (1)")  # b holds u
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (1, 'a')", session=a)  # a holds t
+        db.execute("INSERT INTO u (n) VALUES (1)", session=b)  # b holds u
         unblocked = threading.Event()
 
         def a_wants_u():
-            a.execute("INSERT INTO u (n) VALUES (2)")  # blocks on b
+            db.execute("INSERT INTO u (n) VALUES (2)", session=a)  # blocks on b
             unblocked.set()
 
         thread = threading.Thread(target=a_wants_u)
@@ -205,52 +210,52 @@ class TestLockingAndDeadlock:
         assert wait_until(lambda: a.session_id in db.locks._waiting)
         # b closing the cycle is the victim, deterministically
         with pytest.raises(DeadlockDetected) as excinfo:
-            b.execute("INSERT INTO t (a, b) VALUES (2, 'b')")
+            db.execute("INSERT INTO t (a, b) VALUES (2, 'b')", session=b)
         assert excinfo.value.sqlstate == "40P01"
         # the victim's locks were released immediately: a unblocks and
         # can commit
         assert unblocked.wait(10)
         thread.join(timeout=10)
-        a.commit()
+        db.commit(session=a)
         assert (1, "a") in rows(db)
         # b's transaction is aborted until ROLLBACK
         with pytest.raises(TransactionError) as aborted:
-            b.execute("SELECT 1")
+            db.execute("SELECT 1", session=b)
         assert aborted.value.sqlstate == "25P02"
-        b.rollback()
+        db.rollback(session=b)
         assert rows(b, "u") == [(2,)]  # only a's committed row
 
     def test_commit_of_aborted_transaction_rolls_back_quietly(self, db):
         db.execute("CREATE TABLE u (n int)")
         a, b = db.session(), db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (1, 'a')")
-        b.execute("INSERT INTO u (n) VALUES (1)")
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a, b) VALUES (1, 'a')", session=a)
+        db.execute("INSERT INTO u (n) VALUES (1)", session=b)
         blocked = threading.Thread(
-            target=lambda: a.execute("INSERT INTO u (n) VALUES (2)")
+            target=lambda: db.execute("INSERT INTO u (n) VALUES (2)", session=a)
         )
         blocked.start()
         assert wait_until(lambda: a.session_id in db.locks._waiting)
         with pytest.raises(DeadlockDetected):
-            b.execute("INSERT INTO t (a, b) VALUES (2, 'b')")
+            db.execute("INSERT INTO t (a, b) VALUES (2, 'b')", session=b)
         blocked.join(timeout=10)
-        a.commit()
+        db.commit(session=a)
         # PostgreSQL: COMMIT of an aborted transaction reports ROLLBACK
         # instead of raising again
-        b.execute("COMMIT")
+        db.execute("COMMIT", session=b)
         assert not b.in_transaction
         assert (1,) not in rows(db, "u")
 
     def test_autocommit_locks_are_transient(self, db):
         a = db.session()
-        a.execute("INSERT INTO t (a, b) VALUES (5, 'a')")
+        db.execute("INSERT INTO t (a, b) VALUES (5, 'a')", session=a)
         assert db.locks.held_by(a.session_id) == set()
 
     def test_transaction_locks_released_on_close(self, db):
         a = db.session()
-        a.begin()
-        a.execute("INSERT INTO t (a, b) VALUES (5, 'a')")
+        db.begin(session=a)
+        db.execute("INSERT INTO t (a, b) VALUES (5, 'a')", session=a)
         assert db.locks.held_by(a.session_id) == {"t"}
         a.close()
         assert db.locks.held_by(a.session_id) == set()
@@ -282,8 +287,9 @@ class TestSessionScopedCancel:
 
         def run(name, session):
             try:
-                outcome[name] = session.execute(
-                    "SELECT a, sum(b) FROM big WHERE a % 3 = 0 GROUP BY a"
+                outcome[name] = db.execute(
+                    "SELECT a, sum(b) FROM big WHERE a % 3 = 0 GROUP BY a",
+                    session=session,
                 )
             except Exception as exc:  # noqa: BLE001 - recorded for assert
                 outcome[name] = exc
@@ -362,14 +368,14 @@ class TestCloseUnblocksPeers:
         session holds — a peer blocked on one of them unblocks instead
         of waiting forever on a session that no longer exists."""
         holder, peer = db.session(), db.session()
-        holder.begin()
-        holder.execute("INSERT INTO t (a, b) VALUES (5, 'h')")
+        db.begin(session=holder)
+        db.execute("INSERT INTO t (a, b) VALUES (5, 'h')", session=holder)
         assert db.locks.held_by(holder.session_id) == {"t"}
 
         done = []
 
         def blocked_write():
-            peer.execute("INSERT INTO t (a, b) VALUES (6, 'p')")
+            db.execute("INSERT INTO t (a, b) VALUES (6, 'p')", session=peer)
             done.append(True)
 
         thread = threading.Thread(target=blocked_write)
@@ -389,7 +395,7 @@ class TestCloseUnblocksPeers:
 
     def test_close_is_idempotent_and_forgets_session(self, db):
         session = db.session()
-        session.execute("INSERT INTO t (a, b) VALUES (7, 'i')")
+        db.execute("INSERT INTO t (a, b) VALUES (7, 'i')", session=session)
         assert session.session_id in db._sessions
         session.close()
         session.close()  # second close is a no-op

@@ -99,10 +99,10 @@ class TestSerialReplayOracle:
                     body, _ = _txn_body(rng, f"w{wid}t{t}")
 
                     def attempt():
-                        session.begin()
+                        db.begin(session=session)
                         for sql in body:
-                            session.execute(sql)
-                        session.commit()
+                            db.execute(sql, session=session)
+                        db.commit(session=session)
 
                     def on_retry(_i, exc):
                         with mutex:
@@ -211,10 +211,10 @@ class TestCrashDuringConcurrency:
                         if crashed.is_set():
                             return
                         try:
-                            session.begin()
+                            db.begin(session=session)
                             for sql in body:
-                                session.execute(sql)
-                            session.commit()
+                                db.execute(sql, session=session)
+                            db.commit(session=session)
                             with mutex:
                                 acked.append((tag, expected))
                             break

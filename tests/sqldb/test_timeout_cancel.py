@@ -10,7 +10,7 @@ from repro.errors import QueryCancelled, SQLExecutionError
 from repro.sqldb import dbapi
 from repro.sqldb.engine import Database
 from repro.sqldb.parser import parse_statement
-from repro.sqldb.executor import execute_plan
+from repro.sqldb.executor import ExecContext, execute_plan
 
 
 class TestResolveTimeout:
@@ -71,14 +71,15 @@ class TestStatementTimeout:
         db = Database("umbra", statement_timeout_ms=timeout_s * 1000)
         db.execute("CREATE TABLE t (a int)")
         holder, blocked = db.session(), db.session()
-        holder.begin()
-        holder.execute("INSERT INTO t (a) VALUES (1)")
+        db.begin(session=holder)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=holder)
         outcome = {}
 
         def script():
             try:
-                blocked.run_script(
-                    "INSERT INTO t (a) VALUES (2); SELECT count(*) FROM t"
+                db.run_script(
+                    "INSERT INTO t (a) VALUES (2); SELECT count(*) FROM t",
+                    session=blocked,
                 )
                 outcome["returned"] = True
             except QueryCancelled as exc:
@@ -96,7 +97,7 @@ class TestStatementTimeout:
         # the lock free once the holder commits, however late that is
         with db.locks._cond:
             time.sleep(max(0.0, started + 1.5 * timeout_s - time.monotonic()))
-            holder.commit()
+            db.commit(session=holder)
         thread.join(timeout=10)
         assert not thread.is_alive()
         # the INSERT waited and committed; the SELECT after it is past the
@@ -155,7 +156,7 @@ class TestCancellation:
         event = threading.Event()
         event.set()
         plan = db._plan_select(parse_statement("SELECT * FROM t"))
-        ctx = db._make_context((), cancel_event=event)
+        ctx = ExecContext(db.catalog, db.profile, cancel_event=event)
         with pytest.raises(QueryCancelled):
             execute_plan(plan, ctx)
 
@@ -212,16 +213,16 @@ class TestCancellation:
         db = Database("umbra")
         db.execute("CREATE TABLE t (a int)")
         holder, blocked = db.session(), db.session()
-        holder.begin()
-        holder.execute("INSERT INTO t (a) VALUES (1)")
+        db.begin(session=holder)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=holder)
         outcome = {}
 
         def write():
             try:
                 if how == "execute":
-                    blocked.execute("INSERT INTO t (a) VALUES (?)", (2,))
+                    db.execute("INSERT INTO t (a) VALUES (?)", (2,), session=blocked)
                 else:
-                    blocked.executemany("INSERT INTO t (a) VALUES (?)", [(2,)])
+                    db.executemany("INSERT INTO t (a) VALUES (?)", [(2,)], session=blocked)
                 outcome["returned"] = True
             except QueryCancelled as exc:
                 outcome["sqlstate"] = exc.sqlstate
@@ -235,7 +236,7 @@ class TestCancellation:
         thread.join(timeout=1.0)
         hung = thread.is_alive()
         still_open = holder.in_transaction
-        holder.rollback()  # unblocks a hung writer so the test can end
+        db.rollback(session=holder)  # unblocks a hung writer so the test can end
         thread.join(timeout=10)
         assert not hung, f"lock-blocked {how} ignored cancel()"
         assert still_open

@@ -332,11 +332,11 @@ class TestRecoveryUnderConcurrency:
         db.execute("CREATE TABLE t (a int)")
         a = db.session()
         b = db.session()
-        a.begin()
-        a.execute("INSERT INTO t (a) VALUES (1)")
-        a.commit()
-        b.begin()
-        b.execute("INSERT INTO t (a) VALUES (2)")
+        db.begin(session=a)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=a)
+        db.commit(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a) VALUES (2)", session=b)
         # crash: abandon the database object with b's transaction open
         del db, a, b
         db2 = open_db(wal_path)
@@ -355,13 +355,13 @@ class TestRecoveryUnderConcurrency:
         db.execute("CREATE TABLE u (a int)")
         a = db.session()
         b = db.session()
-        b.begin()
-        b.execute("INSERT INTO u (a) VALUES (99)")  # open at crash time
-        a.begin()
-        a.execute("INSERT INTO t (a) VALUES (1)")
+        db.begin(session=b)
+        db.execute("INSERT INTO u (a) VALUES (99)", session=b)  # open at crash time
+        db.begin(session=a)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=a)
         faults.arm("commit.install", "crash")
         with pytest.raises(SimulatedCrash):
-            a.commit()
+            db.commit(session=a)
         del db, a, b
         db2 = open_db(wal_path)
         assert all_rows(db2) == [(1,)]
@@ -395,13 +395,13 @@ class TestRecoveryUnderConcurrency:
         db.execute("CREATE TABLE t (a int)")
         a = db.session()
         b = db.session()
-        a.begin()
-        b.begin()
-        a.execute("INSERT INTO t (a) VALUES (1)")
-        a.commit()  # releases t's lock; b's snapshot predates this
-        b.execute("INSERT INTO t (a) VALUES (2)")
+        db.begin(session=a)
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=a)
+        db.commit(session=a)  # releases t's lock; b's snapshot predates this
+        db.execute("INSERT INTO t (a) VALUES (2)", session=b)
         with pytest.raises(SerializationFailure):
-            b.commit()
+            db.commit(session=b)
         db.close()
         records, _ = read_wal(wal_path)
         inserted = [r for r in records if "INSERT" in r.get("sql", "")]
@@ -420,12 +420,12 @@ class TestRecoveryUnderConcurrency:
         db.execute("CREATE TABLE u (a int)")
         a = db.session()
         b = db.session()
-        a.begin()  # begins first...
-        b.begin()
-        a.execute("INSERT INTO t (a) VALUES (1)")
-        b.execute("INSERT INTO u (a) VALUES (2)")
-        b.commit()  # ...but commits second
-        a.commit()
+        db.begin(session=a)  # begins first...
+        db.begin(session=b)
+        db.execute("INSERT INTO t (a) VALUES (1)", session=a)
+        db.execute("INSERT INTO u (a) VALUES (2)", session=b)
+        db.commit(session=b)  # ...but commits second
+        db.commit(session=a)
         assert b.last_commit_id < a.last_commit_id
         db.close()
         records, _ = read_wal(wal_path)
