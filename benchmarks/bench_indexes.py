@@ -118,7 +118,7 @@ def _make_database(n_patients: int, indexed: bool) -> Database:
     if indexed:
         for ddl in INDEX_DDL:
             db.execute(ddl)
-    db.analyze()
+    db.execute("ANALYZE")
     return db
 
 
@@ -243,7 +243,13 @@ def run_sweep(n_patients=None) -> dict:
                 f"indexes changed the result of group {group['name']}"
             )
             plans = [
-                indexed.explain(sql).count("Index") for sql in group["sql"]
+                sum(
+                    line.count("Index")
+                    for line in indexed.execute("EXPLAIN " + sql).column(
+                        "QUERY PLAN"
+                    )
+                )
+                for sql in group["sql"]
             ]
             results.append(
                 {

@@ -171,7 +171,7 @@ def _make_micro_database(profile: str, rows: int, optimize: bool) -> Database:
     )
     db.catalog.bump_version()
     if optimize:
-        db.analyze()  # unlock the statistics-gated rewrites too
+        db.execute("ANALYZE")  # unlock the statistics-gated rewrites too
     return db
 
 

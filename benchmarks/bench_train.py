@@ -73,7 +73,7 @@ def _make_database(X, y) -> Database:
         len(y),
     )
     db.catalog.bump_version()
-    db.analyze()
+    db.execute("ANALYZE")
     return db
 
 

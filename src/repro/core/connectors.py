@@ -167,16 +167,6 @@ class DBConnector:
         """Hit/miss/size counters of the underlying engine's plan cache."""
         return self.connection.server_stats()["plan_cache"]
 
-    def explain_analyze(
-        self, sql: str, params: Optional[Sequence[Any]] = None
-    ) -> str:
-        """Run one SELECT and return its plan with actual row/time stats."""
-        return self.connection.explain_analyze(sql, params)
-
-    def analyze(self, table: Optional[str] = None) -> list[str]:
-        """Collect planner statistics (``ANALYZE``) on one or all tables."""
-        return self.connection.analyze(table)
-
 
 class PostgresqlConnector(DBConnector):
     """The paper's disk-based system ("blue elephant")."""

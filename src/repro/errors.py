@@ -44,7 +44,8 @@ class SQLSyntaxError(SQLError):
 
 
 class SQLBindError(SQLError):
-    """A name (table, column, function) could not be resolved."""
+    """A name (table, column, function) could not be resolved, or a
+    statement's parameters do not match its placeholders (42P02)."""
 
     sqlstate = "42703"  # undefined_column
 

@@ -8,6 +8,7 @@ expressions against select items.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional, Sequence, Union
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "Drop",
     "DropIndex",
     "DropModel",
+    "Explain",
     "Expr",
     "FuncCall",
     "InList",
@@ -145,6 +147,17 @@ class Cast:
 @dataclass(frozen=True)
 class ScalarSubquery:
     query: "Select"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a Select is a mutable dataclass, so unhashable; the planner keys
+        # dicts by expression (an aggregate or window call may contain a
+        # subquery), and equal subqueries have equal reprs.  Parsed ASTs
+        # are never mutated (the plan cache shares them), so it is cached
+        return hash(repr(self.query))
 
 
 @dataclass(frozen=True)
@@ -353,6 +366,16 @@ class DropModel:
 
 
 @dataclass
+class Explain:
+    """``EXPLAIN [ANALYZE] select`` — the query's plan as text, one row
+    per line; with ANALYZE the query runs and each operator reports its
+    actual rows, calls and time."""
+
+    query: Select
+    analyze: bool = False
+
+
+@dataclass
 class Analyze:
     """``ANALYZE [table]`` — collect planner statistics (PostgreSQL-style)."""
 
@@ -420,6 +443,7 @@ Statement = Union[
     Train,
     DropModel,
     Analyze,
+    Explain,
     Begin,
     Commit,
     Rollback,

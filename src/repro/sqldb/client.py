@@ -6,9 +6,9 @@ and everything a client builds on top of a connection.
 handshake and returns a :class:`RemoteConnection` exposing the same
 surface as :class:`repro.sqldb.dbapi.Connection` — ``cursor()`` (the one
 :class:`~repro.sqldb.dbapi.Cursor`), ``run_script``/``executemany``,
-``begin``/``commit``/``rollback``, stats/explain/analyze, context
-managers — so code written against the in-process adapter runs over the
-wire unchanged.
+``begin``/``commit``/``rollback`` (sent as SQL), ``server_stats``,
+context managers — so code written against the in-process adapter runs
+over the wire unchanged.
 
 Server-side errors arrive as typed frames and are re-raised as the same
 combined engine/PEP-249 exception classes the in-process adapter raises
@@ -302,13 +302,17 @@ class RemoteConnection:
         return int(reply.get("rowcount", 0))
 
     def begin(self) -> None:
-        self._request({"type": "begin"})
+        self.run_script("BEGIN")
 
     def commit(self) -> None:
-        self._request({"type": "commit"})
+        """``COMMIT``; a no-op outside a transaction (DB-API)."""
+        if self._in_transaction:
+            self.run_script("COMMIT")
 
     def rollback(self) -> None:
-        self._request({"type": "rollback"})
+        """``ROLLBACK``; a no-op outside a transaction (DB-API)."""
+        if self._in_transaction:
+            self.run_script("ROLLBACK")
 
     def reset(self) -> None:
         """Ask the server to drop every relation (test/bench servers)."""
@@ -323,22 +327,6 @@ class RemoteConnection:
         peak/spilled/shed counters (empty when the server runs without
         a memory governor)."""
         return dict(self.server_stats().get("memory") or {})
-
-    def explain_analyze(
-        self, sql: str, params: Optional[Sequence[Any]] = None
-    ) -> str:
-        reply = self._request(
-            {
-                "type": "explain_analyze",
-                "sql": sql,
-                "params": _params(params),
-            }
-        )
-        return reply.get("text", "")
-
-    def analyze(self, table: Optional[str] = None) -> list[str]:
-        reply = self._request({"type": "analyze", "table": table})
-        return list(reply.get("names", ()))
 
     def promote(self) -> dict:
         """Promote the server this connection points at (a streaming
@@ -739,12 +727,12 @@ class RoutedConnection:
 
     Carries the surface of :class:`RemoteConnection` over one lazily
     dialled connection per endpoint of a :class:`Topology`.  Scripts
-    whose statements are all ``SELECT`` are routed round-robin across
-    the replicas (falling back to the primary when none are up); any
-    script containing a write — and every script while an explicit
-    transaction is open — runs on the primary, as does everything that
-    is not a script (``executemany``, transaction control, ``reset``,
-    stats).  Three failure shapes are turned into what
+    whose statements are all ``SELECT`` (or plain ``EXPLAIN``) are
+    routed round-robin across the replicas (falling back to the primary
+    when none are up); any script containing a write — and every script
+    while an explicit transaction is open — runs on the primary, as does
+    everything that is not a script (``executemany``, transaction
+    control, ``reset``, stats).  Three failure shapes are turned into what
     :func:`retry_backoff` already handles:
 
     * a dead endpoint (``InterfaceError``/``OSError`` while dialling or
@@ -776,8 +764,11 @@ class RoutedConnection:
         except SQLError:
             verdict = False  # let the primary produce the real error
         else:
+            # a plain EXPLAIN only plans, so a replica can answer it
             verdict = bool(statements) and all(
-                isinstance(stmt, _ast.Select) for stmt in statements
+                isinstance(stmt, _ast.Select)
+                or (isinstance(stmt, _ast.Explain) and not stmt.analyze)
+                for stmt in statements
             )
         if len(self._read_only_memo) > 512:
             self._read_only_memo.clear()
@@ -872,8 +863,8 @@ class RoutedConnection:
 
     def __getattr__(self, name: str) -> Any:
         # everything that is not a script follows the primary:
-        # executemany, begin/commit, reset, server_stats, explain_analyze,
-        # analyze, ... (dialled on first use)
+        # executemany, begin/commit, reset, server_stats, ... (dialled on
+        # first use)
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self.primary, name)

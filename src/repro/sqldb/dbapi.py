@@ -319,10 +319,11 @@ class Connection:
     own transaction state, cancel scope and lock identity.
 
     Beyond PEP 249 it carries the statement surface the network driver's
-    connection has — ``run_script`` / ``executemany`` / ``explain_analyze``
-    / ``analyze`` / ``server_stats``, each raising PEP 249 errors — which
-    is all the cursor, the connection pool and the connectors use, so
-    they work over either kind.
+    connection has — ``run_script`` / ``executemany`` / ``server_stats``,
+    each raising PEP 249 errors — which is all the cursor, the connection
+    pool and the connectors use, so they work over either kind.  Every
+    other request (``EXPLAIN [ANALYZE]``, ``ANALYZE``, ``CHECKPOINT``) is
+    SQL text run through a cursor.
     """
 
     def __init__(
@@ -372,20 +373,6 @@ class Connection:
             return self.database.executemany(
                 sql, seq_of_parameters, session=self.session
             )
-
-    def explain_analyze(
-        self, sql: str, params: Optional[Sequence[Any]] = None
-    ) -> str:
-        """Run one SELECT and return its plan with actual row/time stats."""
-        with _translating():
-            return self.database.explain_analyze(
-                sql, params, session=self.session
-            )
-
-    def analyze(self, table: Optional[str] = None) -> list[str]:
-        """Collect planner statistics (``ANALYZE``) on one or all tables."""
-        with _translating():
-            return self.database.analyze(table, session=self.session)
 
     def server_stats(self) -> dict:
         """Plan-cache and per-operator counters of the engine behind this

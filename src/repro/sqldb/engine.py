@@ -29,6 +29,7 @@ from repro.errors import (
     OutOfMemory,
     ReadOnlySQLTransaction,
     SerializationFailure,
+    SQLBindError,
     SQLExecutionError,
     TransactionError,
 )
@@ -72,13 +73,13 @@ from repro.sqldb.optimizer import (
     prune_shared_plans,
 )
 from repro.sqldb.lexer import tokenize
-from repro.sqldb.parser import parse_script, parse_statement
+from repro.sqldb.parser import parse_script
 from repro.sqldb.plan import Batch, PlanNode
 from repro.sqldb.planner import Planner, Scope, ScopeEntry
 from repro.sqldb.prepared import bind_parameters, normalize_tokens
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
-from repro.sqldb.vector import Vector, gather, read_only, to_rows
+from repro.sqldb.vector import Vector, from_values, gather, read_only, to_rows
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +239,7 @@ class _CacheEntry:
     """Cached parse/plan state for one normalized statement text."""
 
     statements: list[_CachedStatement]
-    n_params: Optional[int] = None
+    n_params: int
 
 
 class PlanCache:
@@ -310,7 +311,6 @@ class Database:
         optimize: bool = False,
         wal_path: Optional[str] = None,
         wal_sync: str = "commit",
-        wal_group_every: int = 8,
         checkpoint_every: Optional[int] = None,
         statement_timeout_ms: Optional[float] = None,
         read_only: bool = False,
@@ -331,8 +331,6 @@ class Database:
         #: exact-text memo in front of the normalizer; normalization is
         #: schema-independent, so entries never go stale
         self._normalized: OrderedDict[str, tuple[str, int]] = OrderedDict()
-        #: cumulative wall-clock seconds spent executing statements
-        self.total_execution_time = 0.0
         #: when set, every plan run (a SELECT, a matview build or refresh, a
         #: TRAIN iteration) records per-operator runtime stats
         self.collect_exec_stats = collect_exec_stats
@@ -398,7 +396,6 @@ class Database:
                 f"expected one of {WAL_SYNC_POLICIES}"
             )
         self.wal_sync = wal_sync
-        self.wal_group_every = wal_group_every
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
         self._wal: Optional[WriteAheadLog] = None
@@ -416,12 +413,7 @@ class Database:
         self.last_applied_commit_id = 0
         if self.durable:
             self._recover()
-            self._wal = WriteAheadLog(
-                wal_path,
-                self.faults,
-                sync_policy=wal_sync,
-                group_every=wal_group_every,
-            )
+            self._wal = WriteAheadLog(wal_path, self.faults, sync_policy=wal_sync)
 
     @property
     def in_transaction(self) -> bool:
@@ -555,7 +547,7 @@ class Database:
         """
         session = self._resolve_session(session)
         deadline = self._deadline(session)
-        entry = self._prepare(sql, params, self._active_catalog(session))
+        entry = self._prepare(sql, self._active_catalog(session))
         if len(entry.statements) != 1:
             raise SQLExecutionError(
                 "execute() takes a single statement; use run_script()"
@@ -574,7 +566,7 @@ class Database:
         """Execute a ``;``-separated script, returning one result each."""
         session = self._resolve_session(session)
         deadline = self._deadline(session)
-        entry = self._prepare(sql, params, self._active_catalog(session))
+        entry = self._prepare(sql, self._active_catalog(session))
         bound = bind_parameters(params, entry.n_params)
         return [
             self._execute_statement(cached, sql, bound, index, session, deadline)
@@ -606,23 +598,19 @@ class Database:
         self._check_not_aborted(session)
         # before parsing: a read-only replica answers 25006 whatever the script
         self._check_writable()
-        entry = self._prepare(sql, params=True, catalog=self._active_catalog(session))
+        entry = self._prepare(sql, self._active_catalog(session))
         statements = [cached.statement for cached in entry.statements]
         if not all(type(statement) in _WRITES for statement in statements):
             raise SQLExecutionError(
                 "executemany only supports DDL/DML statements"
             )
-        started = time.perf_counter()
-        try:
-            with _StatementScope(session, deadline, self.memory) as scope:
-                return self._run_write(
-                    scope,
-                    sql,
-                    statements,
-                    (bind_parameters(row, entry.n_params) for row in seq_of_params),
-                ).rowcount
-        finally:
-            self.total_execution_time += time.perf_counter() - started
+        with _StatementScope(session, deadline, self.memory) as scope:
+            return self._run_write(
+                scope,
+                sql,
+                statements,
+                (bind_parameters(row, entry.n_params) for row in seq_of_params),
+            ).rowcount
 
     def _run_write(
         self,
@@ -821,7 +809,7 @@ class Database:
         crashpoint(self.faults, "wal.commit.end")
 
     def _prepare(
-        self, sql: str, params: Any = None, catalog: Optional[Catalog] = None
+        self, sql: str, catalog: Optional[Catalog] = None
     ) -> _CacheEntry:
         """Fetch the cached parse/plan state for *sql*, or build it.
 
@@ -831,53 +819,41 @@ class Database:
         is the state the statement will read (a transaction's clone or the
         committed catalog); its ``uid`` is part of the key, so two clones
         at the same schema version — which may have diverged — can never
-        share an entry.
+        share an entry.  Normalizing also counts the placeholders, so
+        every entry knows how many parameters its statements take, at any
+        cache size.
         """
         catalog = self.catalog if catalog is None else catalog
-        use_cache = self.plan_cache.enabled
         key: Optional[tuple] = None
-        n_params: Optional[int] = None
         tokens = None  # lexed at most once: shared by normalize and parse
-        if use_cache or params is not None:
-            with self._prepare_mutex:
-                memo = self._normalized.get(sql)
-                if memo is None:
-                    tokens = tokenize(sql)
-                    memo = normalize_tokens(tokens)
-                    self._normalized[sql] = memo
-                    while len(self._normalized) > 4 * max(self.plan_cache.maxsize, 1):
-                        self._normalized.popitem(last=False)
-                else:
-                    self._normalized.move_to_end(sql)
-            normalized, n_params = memo
-            if use_cache:
-                key = (
-                    normalized,
-                    catalog.schema_version,
-                    catalog.stats_version,
-                    catalog.index_epoch,
-                    catalog.uid,
-                )
-                entry = self.plan_cache.get(key)
-                if entry is not None:
-                    return entry
+        with self._prepare_mutex:
+            memo = self._normalized.get(sql)
+            if memo is None:
+                tokens = tokenize(sql)
+                memo = normalize_tokens(tokens)
+                self._normalized[sql] = memo
+                while len(self._normalized) > 4 * max(self.plan_cache.maxsize, 1):
+                    self._normalized.popitem(last=False)
+            else:
+                self._normalized.move_to_end(sql)
+        normalized, n_params = memo
+        if self.plan_cache.enabled:
+            key = (
+                normalized,
+                catalog.schema_version,
+                catalog.stats_version,
+                catalog.index_epoch,
+                catalog.uid,
+            )
+            entry = self.plan_cache.get(key)
+            if entry is not None:
+                return entry
         entry = _CacheEntry(
             [_CachedStatement(s) for s in parse_script(sql, tokens)], n_params
         )
         if key is not None:
             self.plan_cache.put(key, entry)
         return entry
-
-    def explain(self, sql: str, session: Optional[Session] = None) -> str:
-        """Plan a SELECT as the session's next statement would and return
-        the (pruned) plan tree as text."""
-        session = self._resolve_session(session)
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise SQLExecutionError("EXPLAIN only supports SELECT statements")
-        with self._reading(session):
-            plan = self._plan_select(statement, self._active_catalog(session))
-        return plan.to_text()
 
     def _reading(self, session: Session):
         """The latch a query of *session* reads under: none over its
@@ -907,30 +883,29 @@ class Database:
         statement = cached.statement
         if not isinstance(statement, (ast.Commit, ast.Rollback)):
             self._check_not_aborted(session)
-        started = time.perf_counter()
-        try:
-            if isinstance(statement, _TXN_TYPES):
-                result = self._execute_txn_control(statement, session)
-            elif isinstance(statement, ast.Select):
-                scope = _StatementScope(session, deadline, self.memory)
-                with scope, self._reading(session):
-                    catalog = self._active_catalog(session)
+        if isinstance(statement, _TXN_TYPES):
+            result = self._execute_txn_control(statement, session)
+        elif isinstance(statement, (ast.Select, ast.Explain)):
+            scope = _StatementScope(session, deadline, self.memory)
+            with scope, self._reading(session):
+                catalog = self._active_catalog(session)
+                if isinstance(statement, ast.Explain):
+                    result = self._explain(statement, scope, catalog, params)
+                else:
                     if cached.plan is None:
                         cached.plan = self._plan_select(statement, catalog)
                     batch = self._run_plan(cached.plan, scope, catalog, params)
                     scope.hold(batch)
                     result = _batch_to_result(cached.plan, batch)
-            elif type(statement) in _WRITES:
-                with _StatementScope(session, deadline, self.memory) as scope:
-                    result = self._run_write(
-                        scope, sql, [statement], [params], index
-                    )
-            else:
-                raise SQLExecutionError(
-                    f"unsupported statement {type(statement).__name__}"
+        elif type(statement) in _WRITES:
+            with _StatementScope(session, deadline, self.memory) as scope:
+                result = self._run_write(
+                    scope, sql, [statement], [params], index
                 )
-        finally:
-            self.total_execution_time += time.perf_counter() - started
+        else:
+            raise SQLExecutionError(
+                f"unsupported statement {type(statement).__name__}"
+            )
         result.statement = sql.strip().split("\n", 1)[0][:120]
         return result
 
@@ -978,12 +953,6 @@ class Database:
         session = self._resolve_session(session)
         if session.txn is not None:
             self._rollback_session(session)
-
-    def checkpoint(self, session: Optional[Session] = None) -> None:
-        """Snapshot the catalog and reset the WAL (``CHECKPOINT``)."""
-        session = self._resolve_session(session)
-        with self._lock.write():
-            self._checkpoint_locked(session)
 
     def _require_txn(self, session: Session, what: str) -> Transaction:
         if session.txn is None:
@@ -1265,24 +1234,6 @@ class Database:
 
     # -- SELECT -------------------------------------------------------------------
 
-    def analyze(
-        self, table: Optional[str] = None, session: Optional[Session] = None
-    ) -> list[str]:
-        """Collect planner statistics (the ``ANALYZE`` statement's API
-        twin); bumps the catalog's statistics version so cached plans
-        re-optimize against the fresh statistics."""
-        session = self._resolve_session(session)
-        statement = ast.Analyze(table)
-        names, _ = _WRITES[ast.Analyze].targets(
-            statement, self._active_catalog(session)
-        )
-        sql = f'ANALYZE "{table}"' if table is not None else "ANALYZE"
-        self._execute_statement(
-            _CachedStatement(statement), sql, (), 0, session,
-            self._deadline(session),
-        )
-        return names
-
     def _plan_select(
         self, statement: ast.Select, catalog: Optional[Catalog] = None
     ) -> PlanNode:
@@ -1353,43 +1304,39 @@ class Database:
             self.last_exec_stats = stats
             merge_operator_counters(self.operator_counters, stats.by_operator())
 
-    def explain_analyze(
+    def _explain(
         self,
-        sql: str,
-        params: Optional[Sequence[Any]] = None,
-        session: Optional[Session] = None,
-    ) -> str:
-        """Execute a SELECT as the session's next statement and return its
-        plan annotated with per-operator actual row counts, call counts
-        and (inclusive) wall time."""
-        session = self._resolve_session(session)
-        deadline = self._deadline(session)
-        self._check_not_aborted(session)
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise SQLExecutionError(
-                "EXPLAIN ANALYZE only supports SELECT statements"
-            )
-        bound = tuple(params) if params is not None else ()
-        stats = ExecStats()
-        scope = _StatementScope(session, deadline, self.memory)
-        with scope, self._reading(session):
-            catalog = self._active_catalog(session)
-            plan, rewrites = self._plan_select_rewritten(statement, catalog)
-            estimates = estimate_plan_rows(plan, catalog)
-            scope.hold(self._run_plan(plan, scope, catalog, bound, stats))
-        if rewrites:
-            counts = Counter(rewrites)
-            fired = ", ".join(
-                f"{name} x{count}" for name, count in sorted(counts.items())
-            )
+        statement: ast.Explain,
+        scope: _StatementScope,
+        catalog: Catalog,
+        params: tuple,
+    ) -> Result:
+        """``EXPLAIN [ANALYZE]``: the plan as one-column ``QUERY PLAN``
+        rows.  With ANALYZE the query runs as this statement (its scope's
+        session, deadline, cancel event and grant) and every operator is
+        annotated with estimated and actual rows, calls and inclusive
+        wall time, followed by the fired rewrites and the execution time."""
+        plan, rewrites = self._plan_select_rewritten(statement.query, catalog)
+        if not statement.analyze:
+            text = plan.to_text()
         else:
-            fired = "none"
-        footer = (
-            f"Rewrites: {fired}\n"
-            f"Execution time: {stats.wall_seconds * 1000.0:.3f} ms"
+            estimates = estimate_plan_rows(plan, catalog)
+            stats = ExecStats()
+            scope.hold(self._run_plan(plan, scope, catalog, params, stats))
+            counts = sorted(Counter(rewrites).items())
+            fired = ", ".join(f"{name} x{n}" for name, n in counts) or "none"
+            text = (
+                stats.annotate(plan, estimates=estimates)
+                + f"\nRewrites: {fired}"
+                + f"\nExecution time: {stats.wall_seconds * 1000.0:.3f} ms"
+            )
+        vector = read_only(from_values(text.splitlines()))
+        return Result(
+            columns=["QUERY PLAN"],
+            rows=to_rows([vector]),
+            rowcount=len(vector),
+            vectors=[vector],
         )
-        return stats.annotate(plan, estimates=estimates) + "\n" + footer
 
     # -- DDL / DML --------------------------------------------------------------------
 
@@ -1785,6 +1732,13 @@ def _referenced_relations(select: ast.Select) -> set[str]:
         elif isinstance(expr, ast.FuncCall):
             for arg in expr.args:
                 walk_expr(arg)
+            if expr.filter_where is not None:
+                walk_expr(expr.filter_where)
+        elif isinstance(expr, ast.WindowCall):
+            for part in expr.partition_by:
+                walk_expr(part)
+            for order, _ascending in expr.order_by:
+                walk_expr(order)
 
     def walk_select(node: ast.Select) -> None:
         for cte in node.ctes:
@@ -1835,8 +1789,9 @@ def _literal_value(expr: ast.Expr, params: tuple = ()) -> Any:
         try:
             return params[expr.index]
         except IndexError:
-            raise SQLExecutionError(
-                f"statement parameter ${expr.index + 1} was not bound"
+            raise SQLBindError(
+                f"statement parameter ${expr.index + 1} was not bound",
+                sqlstate="42P02",  # undefined_parameter
             ) from None
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         inner = _literal_value(expr.operand, params)

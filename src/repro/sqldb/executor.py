@@ -26,7 +26,7 @@ through :func:`_take_rows`.  So the postgres profile's copy and every
 When an :class:`~repro.sqldb.stats.ExecStats` recorder is attached to the
 context, every operator dispatch records rows and (inclusive) wall time,
 the profile's copy of its output included — the substrate of
-``Database.explain_analyze``.
+``EXPLAIN ANALYZE``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ enabled per database via the ``optimize`` knob and applies, in order:
   build-side selection by estimated cardinality.
 
 Every structural change is append-logged by rule name so
-``Database.explain_analyze`` can report which rewrites fired.
+``EXPLAIN ANALYZE`` can report which rewrites fired.
 """
 
 from __future__ import annotations

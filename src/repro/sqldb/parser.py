@@ -156,11 +156,16 @@ class _Parser:
     def parse_statement(self) -> ast.Statement:
         token = self._peek()
         if token.kind is not _KEYWORD:
-            # TRAIN is not a reserved word (columns named "train" keep
-            # working), so the lexer emits it as an identifier; dispatch
-            # on it positionally like the other non-reserved clauses.
+            # TRAIN and EXPLAIN are not reserved words (columns named
+            # "train" or "explain" keep working), so the lexer emits them
+            # as identifiers; dispatch on them positionally like the other
+            # non-reserved clauses.
             if token.kind is _IDENT and token.value == "train":
                 return self._parse_train()
+            if token.kind is _IDENT and token.value == "explain":
+                self._advance()
+                analyze = self._accept_keyword("analyze")
+                return ast.Explain(self.parse_select(), analyze)
             raise self._error("expected a statement keyword")
         if token.value in ("select", "with"):
             return self.parse_select()

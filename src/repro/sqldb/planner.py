@@ -634,8 +634,9 @@ class Planner:
                 try:
                     value = ctx.params[index]
                 except IndexError:
-                    raise SQLExecutionError(
-                        f"statement parameter ${index + 1} was not bound"
+                    raise SQLBindError(
+                        f"statement parameter ${index + 1} was not bound",
+                        sqlstate="42P02",  # undefined_parameter
                     ) from None
                 return constant(value, batch.length)
 

@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import SQLError, SQLExecutionError
+from repro.errors import SQLBindError, SQLExecutionError
 from repro.sqldb.lexer import Token, TokenKind, tokenize
 from repro.sqldb.vector import to_python
 
@@ -93,17 +93,18 @@ def bind_parameters(
     ``None``, ``bool``, ``int``, ``float`` and ``str`` bind as they are,
     numpy scalars as :func:`~repro.sqldb.vector.to_python` makes them,
     and a list or tuple of those (arrays nest) as a list; anything else
-    raises 22023 before the statement runs.  ``n_params`` is None when
-    the statement was not normalized (cache disabled and no parameters
-    supplied); the count is then checked at execution, which raises on
-    any unbound placeholder.
+    raises 22023 before the statement runs.  A count other than the
+    statement's placeholder count *n_params* raises 42P02; ``None`` (the
+    network client, which binds before the server has parsed anything)
+    skips the count.
     """
     bound = tuple(params) if params is not None else ()
     if not _PLAIN.issuperset(map(type, bound)):
         bound = tuple(map(_bind_value, bound))
     if n_params is not None and len(bound) != n_params:
-        raise SQLError(
+        raise SQLBindError(
             f"statement expects {n_params} parameter"
-            f"{'s' if n_params != 1 else ''}, {len(bound)} given"
+            f"{'s' if n_params != 1 else ''}, {len(bound)} given",
+            sqlstate="42P02",  # undefined_parameter
         )
     return bound

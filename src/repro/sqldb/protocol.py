@@ -33,15 +33,19 @@ Message types (client → server)::
     cancel       {key}                          out-of-band, first + only
     query        {sql, params?}                 run a ;-script
     executemany  {sql, params_seq}              batched DML
-    begin / commit / rollback                   transaction control
     reset        {}                             drop all relations (opt-in)
     stats        {}                             plan-cache/operator counters
-    explain_analyze {sql, params?}              annotated plan text
     promote      {}                             replica → primary flip
     replica_status {}                           replication role/lag report
     close        {}                             orderly goodbye
 
-Server → client: ``hello_ok``, ``results``, ``ok``, ``stats``, ``text``,
+Every SQL request is a ``query``: transaction control (``BEGIN``,
+``COMMIT``, ``ROLLBACK``), ``EXPLAIN [ANALYZE]`` (a one-column ``QUERY
+PLAN`` result), ``ANALYZE`` and ``CHECKPOINT`` are statements like any
+other.  Any other message type after ``hello`` is a protocol violation
+(08P01) and ends the connection.
+
+Server → client: ``hello_ok``, ``results``, ``ok``, ``stats``,
 ``promoted``, ``status``, ``error``, ``bye``.
 
 Replication subscription (after ``hello``, the connection switches into

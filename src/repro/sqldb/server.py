@@ -359,9 +359,6 @@ class _ClientHandler:
                 "rowcount": rowcount,
                 "in_transaction": session.in_transaction,
             }
-        if kind in ("begin", "commit", "rollback"):
-            getattr(database, kind)(session=session)
-            return {"type": "ok", "in_transaction": session.in_transaction}
         if kind == "reset":
             if not server.allow_reset:
                 raise SQLError(
@@ -380,17 +377,6 @@ class _ClientHandler:
                 # broker snapshot plus this connection's peak/spilled/shed
                 frame["memory"] = database.memory_stats(session)
             return frame
-        if kind == "explain_analyze":
-            params = message.get("params")
-            text = database.explain_analyze(
-                message.get("sql", ""),
-                tuple(params) if params is not None else None,
-                session=session,
-            )
-            return {"type": "text", "text": text}
-        if kind == "analyze":
-            names = database.analyze(message.get("table"), session=session)
-            return {"type": "ok", "names": names}
         if kind == "promote":
             hook = server.promote_hook
             if hook is None:

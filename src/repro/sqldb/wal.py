@@ -191,16 +191,10 @@ def read_records(read: Callable[[int], bytes], where: str) -> Iterator[Any]:
 #: ``"commit"``  fsync before every acknowledgement: an acked commit
 #:               survives power loss (the default, PostgreSQL's
 #:               ``synchronous_commit = on``).
-#: ``"group"``   fsync once every ``group_every`` commits: an acked
-#:               commit survives a *process* crash (the bytes reached
-#:               the file), but power loss may roll back up to the last
-#:               ``group_every - 1`` acked commits.  Commit order is
-#:               still never reordered — a surviving prefix is always a
-#:               valid prefix.
 #: ``"off"``     never fsync on commit (only at checkpoints/close): an
 #:               acked commit survives a process crash, while power
 #:               loss may lose anything since the last checkpoint.
-WAL_SYNC_POLICIES: tuple[str, ...] = ("commit", "group", "off")
+WAL_SYNC_POLICIES: tuple[str, ...] = ("commit", "off")
 
 
 class WriteAheadLog:
@@ -217,19 +211,14 @@ class WriteAheadLog:
         path: str,
         faults: Faults = NO_FAULTS,
         sync_policy: str = "commit",
-        group_every: int = 8,
     ) -> None:
         if sync_policy not in WAL_SYNC_POLICIES:
             raise DurabilityError(
                 f"unknown wal_sync policy {sync_policy!r}; "
                 f"expected one of {WAL_SYNC_POLICIES}"
             )
-        if group_every < 1:
-            raise DurabilityError("wal_sync group size must be >= 1")
         self.path = path
         self.sync_policy = sync_policy
-        self.group_every = group_every
-        self._commits_since_sync = 0
         #: fsyncs issued so far (tests/benchmarks compare policies by it)
         self.sync_count = 0
         self.faults = faults
@@ -256,7 +245,6 @@ class WriteAheadLog:
         crashpoint(self.faults, "wal.fsync.before")
         os.fsync(self._file.fileno())
         self.synced_size = self._size
-        self._commits_since_sync = 0
         self.sync_count += 1
         crashpoint(self.faults, "wal.fsync.after")
 
@@ -267,11 +255,6 @@ class WriteAheadLog:
         policy)."""
         if self.sync_policy == "commit":
             self.sync()
-            return
-        if self.sync_policy == "group":
-            self._commits_since_sync += 1
-            if self._commits_since_sync >= self.group_every:
-                self.sync()
 
     def reset(self) -> None:
         """Truncate to an empty header (after a checkpoint)."""
@@ -282,12 +265,11 @@ class WriteAheadLog:
         os.fsync(self._file.fileno())
         self._size = len(_WAL_MAGIC)
         self.synced_size = self._size
-        self._commits_since_sync = 0
 
     def close(self) -> None:
         if not self._file.closed:
             if self._size > self.synced_size:
-                # clean close under "group"/"off": don't leave acked
+                # clean close under "off": don't leave acked
                 # commits exposed to power loss when we had the chance
                 try:
                     os.fsync(self._file.fileno())

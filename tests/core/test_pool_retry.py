@@ -223,20 +223,68 @@ class TestConnectionContract:
         assert count(db) == 4
 
     def test_statement_surface(self, connect, db):
-        # run_script / analyze / explain_analyze / server_stats: what
-        # the connectors build their helpers on
+        # run_script / executemany / server_stats: what the connectors
+        # build their helpers on; ANALYZE and EXPLAIN are SQL like any other
         with connect() as connection:
             results = connection.run_script(
                 "INSERT INTO t (a) VALUES (%s); SELECT count(*) FROM t", (5,)
             )
             assert results[-1].rows == [(1,)]
-            assert "t" in connection.analyze()
-            assert connection.explain_analyze("SELECT a FROM t").strip()
+            assert connection.run_script("ANALYZE t")[0].rowcount == 1
+            (plan,) = connection.run_script("EXPLAIN ANALYZE SELECT a FROM t")
+            assert plan.columns == ["QUERY PLAN"]
+            assert "actual rows=1 calls=1" in plan.rows[0][0]
             stats = connection.server_stats()
             assert set(stats["plan_cache"]) >= {"hits", "misses"}
             assert isinstance(stats["operators"], dict)
             with pytest.raises(dbapi.ProgrammingError):
                 connection.run_script("SELECT nope FROM t")
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "in-process",
+        pytest.param("remote", marks=pytest.mark.server),
+        pytest.param("routed", marks=pytest.mark.server),
+    ],
+)
+def test_transaction_control_keeps_the_db_api_rules(kind, db):
+    """``commit()`` / ``rollback()`` outside a transaction are no-ops and
+    ``begin()`` inside one is 25001 on every connection kind, although the
+    network kinds send BEGIN / COMMIT / ROLLBACK as SQL text."""
+    server = None
+    if kind == "in-process":
+        conn = dbapi.connect(database=db)
+    else:
+        server = DatabaseServer(db).start()
+        conn = (
+            client.connect(*server.address) if kind == "remote"
+            else client.RoutedConnection(client.Topology([server.address]))
+        )
+    try:
+        conn.commit()
+        conn.rollback()
+        assert not conn.in_transaction
+        conn.begin()
+        with pytest.raises(dbapi.OperationalError) as info:
+            conn.begin()
+        assert info.value.sqlstate == "25001"
+        assert conn.in_transaction
+        conn.cursor().execute("INSERT INTO t (a) VALUES (1)")
+        conn.rollback()
+        assert not conn.in_transaction and count(db) == 0
+        conn.begin()
+        conn.cursor().execute("INSERT INTO t (a) VALUES (2)")
+        conn.commit()
+        assert not conn.in_transaction and count(db) == 1
+        conn.commit()
+        conn.rollback()
+        assert count(db) == 1
+    finally:
+        conn.close()
+        if server is not None:
+            server.shutdown(drain_s=2.0)
 
 
 class TestConnectionPool:

@@ -2,7 +2,7 @@
 
 The connector is the drop-in point for every harness and benchmark, so
 these tests exercise exactly the methods SQLBackend and the harnesses
-use — run/query_rows/reset/plan_cache_stats/explain_analyze — against a live
+use — run/query_rows/reset/plan_cache_stats — against a live
 server, plus the retry and re-dial behaviour the in-process connectors
 already guarantee."""
 
@@ -131,10 +131,11 @@ class TestRemoteConnector:
         server, db = served
         connector.run("CREATE TABLE t (a int)")
         connector.run("INSERT INTO t (a) VALUES (1), (2), (3)")
-        plan = connector.explain_analyze("SELECT count(*) FROM t")
-        assert plan.strip()
-        names = connector.analyze()
-        assert "t" in names
+        plan = connector.run("EXPLAIN ANALYZE SELECT count(*) FROM t")
+        assert plan.columns == ["QUERY PLAN"]
+        assert "actual rows=1 calls=1" in plan.rows[0][0]
+        assert connector.run("ANALYZE").rowcount == 1
+        assert db.catalog.analyzed_tables == ["t"]
         stats = connector.plan_cache_stats
         assert set(stats) >= {"hits", "misses"}
 

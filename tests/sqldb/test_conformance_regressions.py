@@ -2,13 +2,14 @@
 
 Each class pins one bug that produced output diverging from PostgreSQL:
 float-to-text rendering ('1.0x' where PostgreSQL says '1x'), ORDER BY
-NULLS FIRST/LAST, and aggregate FILTER (WHERE ...).
+NULLS FIRST/LAST, aggregate FILTER (WHERE ...), and scalar subqueries
+inside aggregate and window calls.
 """
 
 import pytest
 
-from repro.errors import SQLBindError, SQLSyntaxError
-from repro.sqldb import Database
+from repro.errors import SerializationFailure, SQLBindError, SQLSyntaxError
+from repro.sqldb import Database, connect
 from repro.sqldb.functions import pg_text
 
 
@@ -157,6 +158,80 @@ class TestAggregateFilter:
         result = db.execute("SELECT count(*) filter FROM t")
         assert result.columns == ["filter"]
         assert result.rows == [(5,)]
+
+
+class TestScalarSubqueryInsideCalls:
+    """A scalar subquery inside an aggregate's argument or FILTER, or a
+    window's ORDER BY: the planner keys dicts by those calls, and the
+    subquery's ``Select`` made them unhashable (a builtins TypeError)."""
+
+    SUM = "SELECT sum(a + (SELECT max(b) FROM u)) FROM t"
+    FILTER = (
+        "SELECT count(*) FILTER (WHERE a <= (SELECT max(b) FROM u)) AS c "
+        "FROM t"
+    )
+    WINDOW = (
+        "SELECT a, rank() OVER (ORDER BY a * (SELECT min(b) FROM u)) AS r "
+        "FROM t"
+    )
+
+    @pytest.fixture(autouse=True)
+    def _tables(self, db):
+        db.run_script(
+            "CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2), (3); "
+            "CREATE TABLE u (b int); INSERT INTO u VALUES (2)"
+        )
+
+    def test_inside_an_aggregate_argument(self, db):
+        assert db.execute(self.SUM).rows == [(12,)]
+
+    def test_inside_a_filter(self, db):
+        assert db.execute(self.FILTER).rows == [(2,)]
+
+    def test_inside_a_window_order_by(self, db):
+        assert sorted(db.execute(self.WINDOW).rows) == [(1, 1), (2, 2), (3, 3)]
+        db.execute("INSERT INTO u VALUES (-1)")  # a * -1 reverses the order
+        assert sorted(db.execute(self.WINDOW).rows) == [(1, 3), (2, 2), (3, 1)]
+
+    def test_grouped_by_an_expression_with_a_subquery(self, db):
+        rows = db.execute(
+            "SELECT a + (SELECT max(b) FROM u) AS k, count(*) FROM t "
+            "GROUP BY a + (SELECT max(b) FROM u)"
+        ).rows
+        assert sorted(rows) == [(3, 1), (4, 1), (5, 1)]
+
+    def test_optimized_plans_agree(self, db):
+        optimized = Database(db.profile, optimize=True)
+        optimized.run_script(
+            "CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2), (3); "
+            "CREATE TABLE u (b int); INSERT INTO u VALUES (2); ANALYZE"
+        )
+        for sql in (self.SUM, self.FILTER, self.WINDOW):
+            assert sorted(optimized.execute(sql).rows) == sorted(
+                db.execute(sql).rows
+            )
+
+    def test_a_matview_over_the_filter_form_refreshes(self, db):
+        db.execute(f"CREATE MATERIALIZED VIEW mv AS {self.FILTER}")
+        db.execute("INSERT INTO u VALUES (3)")
+        assert db.execute("SELECT c FROM mv").rows == [(3,)]
+
+    def test_a_matview_over_the_window_form_refreshes(self, db):
+        db.execute(f"CREATE MATERIALIZED VIEW mv AS {self.WINDOW}")
+        db.execute("INSERT INTO u VALUES (-1)")
+        rows = db.execute("SELECT a, r FROM mv ORDER BY a").rows
+        assert rows == [(1, 3), (2, 2), (3, 1)]
+
+    def test_a_matview_build_conflicts_with_a_write_to_its_subquery(self, db):
+        """``u`` is in the building transaction's first-committer-wins
+        check set: a peer's committed INSERT INTO u fails its COMMIT."""
+        builder = connect(database=db)
+        builder.begin()
+        builder.cursor().execute(f"CREATE MATERIALIZED VIEW mv AS {self.FILTER}")
+        db.execute("INSERT INTO u VALUES (3)")
+        with pytest.raises(SerializationFailure):
+            builder.commit()
+        builder.close()
 
 
 class TestResultFetchConversion:

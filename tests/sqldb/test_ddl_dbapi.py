@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CatalogError, SQLError, SQLExecutionError
 from repro.sqldb import Database, connect
 from repro.sqldb.profile import POSTGRES, UMBRA, profile_by_name
+from tests.sqldb.plans import explain
 
 
 @pytest.fixture
@@ -156,13 +157,13 @@ class TestProfiles:
         pg, umbra = Database("postgres"), Database("umbra")
         pg.run_script(script)
         umbra.run_script(script)
-        assert "materialized" in pg.explain(query)
-        assert "inlined" in umbra.explain(query)
+        assert "materialized" in explain(pg, query)
+        assert "inlined" in explain(umbra, query)
 
     def test_not_materialized_overrides_pg_default(self):
         pg = Database("postgres")
         pg.execute("CREATE TABLE t (a int, b int)")
-        plan = pg.explain(
+        plan = explain(pg, 
             "WITH s AS NOT MATERIALIZED (SELECT a, b FROM t) SELECT a FROM s"
         )
         assert "inlined" in plan
@@ -170,14 +171,14 @@ class TestProfiles:
     def test_pruning_through_inlined_cte(self):
         umbra = Database("umbra")
         umbra.execute("CREATE TABLE t (a int, b int, c int)")
-        plan = umbra.explain("WITH s AS (SELECT a, b, c FROM t) SELECT a FROM s")
+        plan = explain(umbra, "WITH s AS (SELECT a, b, c FROM t) SELECT a FROM s")
         # the shared CTE plan keeps only the needed column
         assert "Project(a)" in plan
 
     def test_no_pruning_through_barrier(self):
         pg = Database("postgres")
         pg.execute("CREATE TABLE t (a int, b int, c int)")
-        plan = pg.explain("WITH s AS (SELECT a, b, c FROM t) SELECT a FROM s")
+        plan = explain(pg, "WITH s AS (SELECT a, b, c FROM t) SELECT a FROM s")
         assert "Project(a, b, c)" in plan
 
 

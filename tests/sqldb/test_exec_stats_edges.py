@@ -7,6 +7,7 @@ import time
 from repro.sqldb import Database, connect
 from repro.sqldb.profile import UMBRA
 from repro.sqldb.vector import Vector
+from tests.sqldb.plans import explain
 
 
 def _fill(db, n=60):
@@ -33,7 +34,7 @@ _NODE_LINE = re.compile(
 def test_explain_analyze_output_shape():
     db = Database("postgres")
     _fill(db)
-    text = db.explain_analyze("SELECT grp, count(*) AS c FROM t GROUP BY grp")
+    text = explain(db, "SELECT grp, count(*) AS c FROM t GROUP BY grp", analyze=True)
     lines = text.splitlines()
     # trailer: a rewrites summary then the timing footer, in that order
     assert lines[-2] == "Rewrites: none"  # optimizer off on stock profiles
@@ -48,9 +49,10 @@ def test_explain_analyze_output_shape():
 def test_explain_analyze_lists_fired_rewrites():
     db = Database("postgres", optimize=True)
     _fill(db)
-    db.analyze()
-    text = db.explain_analyze(
-        "SELECT id FROM t WHERE val > 0 AND grp = 'g1' AND 1 = 1"
+    db.execute("ANALYZE")
+    text = explain(
+        db, "SELECT id FROM t WHERE val > 0 AND grp = 'g1' AND 1 = 1",
+        analyze=True,
     )
     (rewrite_line,) = [
         line for line in text.splitlines() if line.startswith("Rewrites: ")
@@ -85,7 +87,7 @@ def test_exec_stats_accumulate_across_cursor_reuse():
 def test_explain_analyze_reports_counts():
     db = Database("umbra")
     _fill(db, n=300)
-    text = db.explain_analyze("SELECT id FROM t WHERE val > 0")
+    text = explain(db, "SELECT id FROM t WHERE val > 0", analyze=True)
     # the filter ran once and kept the 149 positive values of -150..149
     assert re.search(r"Filter.*\(actual rows=149 calls=1 time=", text)
     assert re.search(r"^Execution time: \d+\.\d{3} ms$", text, re.M)
@@ -125,7 +127,7 @@ def test_output_copy_is_charged_to_the_copied_operator(monkeypatch):
 def test_explain_analyze_serial_database():
     db = Database("postgres")
     _fill(db, n=40)
-    text = db.explain_analyze("SELECT grp, count(*) FROM t GROUP BY grp")
+    text = explain(db, "SELECT grp, count(*) FROM t GROUP BY grp", analyze=True)
     expected = db.execute("SELECT count(DISTINCT grp) FROM t").scalar()
     assert re.search(
         rf"\(actual rows={expected} calls=1 time=\d+\.\d{{3}}ms\)$", text, re.M

@@ -186,7 +186,7 @@ def _configs(profile, t_rows, u_rows, w_rows=((), ())):
                 "(sa double precision, sb double precision)"
             )
         if name.startswith("opt"):
-            db.analyze()  # unlocks the statistics-gated rewrites
+            db.execute("ANALYZE")  # unlocks the statistics-gated rewrites
     return configs
 
 
@@ -498,7 +498,7 @@ def test_fuzz_differential_replica(fuzz_rounds):
         _load_tables(reference, t_rows, u_rows, w_rows)
         primary_db = Database("postgres", optimize=True)
         _load_tables(primary_db, t_rows, u_rows, w_rows)
-        primary_db.analyze()
+        primary_db.execute("ANALYZE")
         primary = Primary(primary_db, host="127.0.0.1", port=0).start()
         replica = Replica(primary.address, name="fuzz-replica").start()
         conn = None

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import CatalogError, SQLExecutionError, UniqueViolation
 from repro.sqldb import Database
 from repro.sqldb.catalog import build_index
+from tests.sqldb.plans import explain
 
 pytestmark = pytest.mark.indexes
 
@@ -192,9 +193,9 @@ class TestUniqueEnforcement:
 class TestPlanning:
     def test_point_lookup_uses_index(self, db):
         db.execute("ANALYZE")
-        assert "ScanTable" in db.explain("SELECT val FROM t WHERE id = 7")
+        assert "ScanTable" in explain(db, "SELECT val FROM t WHERE id = 7")
         db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
-        plan = db.explain("SELECT val FROM t WHERE id = 7")
+        plan = explain(db, "SELECT val FROM t WHERE id = 7")
         assert "IndexScan(t using t_id, eq)" in plan
         assert db.execute("SELECT val FROM t WHERE id = 7").rows == [(10.5,)]
 
@@ -203,10 +204,10 @@ class TestPlanning:
         sql = "SELECT val FROM t WHERE id = 7"
         assert db.execute(sql).rows == [(10.5,)]  # cached without index
         db.execute("CREATE INDEX t_id ON t (id)")
-        assert "IndexScan" in db.explain(sql)
+        assert "IndexScan" in explain(db, sql)
         assert db.execute(sql).rows == [(10.5,)]
         db.execute("DROP INDEX t_id")
-        assert "IndexScan" not in db.explain(sql)
+        assert "IndexScan" not in explain(db, sql)
         assert db.execute(sql).rows == [(10.5,)]
 
     def test_mixed_type_probe_not_taken(self, db):
@@ -214,7 +215,7 @@ class TestPlanning:
         # a sorted probe; the optimizer must keep the scan
         db.execute("CREATE INDEX t_grp ON t (grp)")
         db.execute("ANALYZE")
-        plan = db.explain("SELECT id FROM t WHERE grp = 3")
+        plan = explain(db, "SELECT id FROM t WHERE grp = 3")
         assert "IndexScan" not in plan
 
     def test_index_join_result_matches_hash_join(self, db):
@@ -229,7 +230,7 @@ class TestPlanning:
         db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
         db.execute("CREATE INDEX s_tag ON s (tag)")
         db.execute("ANALYZE")
-        assert "IndexJoin" in db.explain(sql)
+        assert "IndexJoin" in explain(db, sql)
         assert db.execute(sql).rows == baseline
 
 

@@ -326,3 +326,23 @@ class TestStatementParsing:
         """
         stmt = parse_statement(sql)
         assert len(stmt.ctes) == 2
+
+    def test_explain_is_a_statement(self):
+        plain = parse_statement("EXPLAIN SELECT a FROM t")
+        assert isinstance(plain, ast.Explain) and not plain.analyze
+        assert plain.query == parse_statement("SELECT a FROM t")
+        analyzed = parse_statement("explain analyze WITH s AS (SELECT 1) SELECT * FROM s")
+        assert isinstance(analyzed, ast.Explain) and analyzed.analyze
+        assert [cte.name for cte in analyzed.query.ctes] == ["s"]
+        with pytest.raises(SQLSyntaxError):
+            parse_statement("EXPLAIN INSERT INTO t VALUES (1)")
+
+    def test_explain_stays_a_column_name(self):
+        # EXPLAIN is not reserved: it is dispatched on only in statement
+        # position, like TRAIN
+        db = Database()
+        db.execute("CREATE TABLE t (explain int)")
+        db.execute("INSERT INTO t VALUES (4)")
+        assert db.execute("SELECT explain FROM t WHERE explain > 1").rows == [(4,)]
+        (line,) = db.execute("EXPLAIN SELECT explain FROM t").column("QUERY PLAN")[:1]
+        assert line.startswith("Project(explain)")

@@ -33,6 +33,7 @@ from repro.errors import (
 from repro.sqldb import Database
 from repro.sqldb.faults import POINTS, Faults
 from repro.sqldb.memory import MemoryBroker, SpillFile, parse_memory_limit
+from tests.sqldb.plans import explain
 
 pytestmark = pytest.mark.memory
 
@@ -633,7 +634,7 @@ class TestObservability:
         db = Database(query_memory_limit=_LIMIT)
         try:
             _load(db)
-            text = db.explain_analyze(_WORKLOAD[0])
+            text = explain(db, _WORKLOAD[0], analyze=True)
             assert "peak_bytes=" in text
             assert "spilled_bytes=" in text
         finally:
@@ -643,7 +644,7 @@ class TestObservability:
         db = Database()
         try:
             _load(db, rows=50)
-            text = db.explain_analyze(_WORKLOAD[0])
+            text = explain(db, _WORKLOAD[0], analyze=True)
             assert "spilled_bytes=" not in text
         finally:
             db.close()

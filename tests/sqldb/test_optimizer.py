@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sqldb import Database
+from tests.sqldb.plans import explain
 
 
 @pytest.fixture
@@ -15,18 +16,18 @@ def db():
 
 class TestColumnPruning:
     def test_project_prunes_unused_items(self, db):
-        plan = db.explain("SELECT a FROM (SELECT a, b, c, d, e FROM wide) s")
+        plan = explain(db, "SELECT a FROM (SELECT a, b, c, d, e FROM wide) s")
         assert "Project(a)\n" in plan + "\n"
 
     def test_filter_keeps_predicate_columns(self, db):
-        plan = db.explain(
+        plan = explain(db, 
             "SELECT a FROM (SELECT a, b, c, d, e FROM wide) s WHERE b > 1"
         )
         assert "Project(a, b)" in plan
 
     def test_join_keeps_key_columns(self, db):
         db.execute("CREATE TABLE other (a int, z int)")
-        plan = db.explain(
+        plan = explain(db, 
             "SELECT w.b FROM wide w JOIN other o ON w.a = o.a"
         )
         # only a (key) and b (output) from the wide side survive
@@ -34,7 +35,7 @@ class TestColumnPruning:
         assert "Join(inner, keys=1)" in plan
 
     def test_aggregate_prunes_unused_aggs(self, db):
-        plan = db.explain(
+        plan = explain(db, 
             "SELECT total FROM (SELECT sum(a) AS total, sum(b) AS other "
             "FROM wide) s"
         )
@@ -58,7 +59,7 @@ class TestSharedPlans:
         assert result.scalar() == 1
 
     def test_cte_referenced_twice_shares_plan(self, db):
-        plan = db.explain(
+        plan = explain(db, 
             "WITH s AS (SELECT a FROM wide) "
             "SELECT count(*) FROM s x JOIN s y ON x.a = y.a"
         )
@@ -67,11 +68,11 @@ class TestSharedPlans:
     def test_view_chain_prunes_through(self, db):
         db.execute("CREATE VIEW v1 AS SELECT a, b, c, d, e FROM wide")
         db.execute("CREATE VIEW v2 AS SELECT a, b, c FROM v1")
-        plan = db.explain("SELECT a FROM v2")
+        plan = explain(db, "SELECT a FROM v2")
         assert "Project(a)" in plan
 
     def test_union_of_needs_across_references(self, db):
-        plan = db.explain(
+        plan = explain(db, 
             "WITH s AS (SELECT a, b, c FROM wide) "
             "SELECT x.a, y.b FROM s x JOIN s y ON x.a = y.a"
         )
@@ -82,7 +83,7 @@ class TestSharedPlans:
     def test_barrier_stays_full_width(self):
         pg = Database("postgres")
         pg.execute("CREATE TABLE wide (a int, b int, c int)")
-        plan = pg.explain("WITH s AS (SELECT a, b, c FROM wide) SELECT a FROM s")
+        plan = explain(pg, "WITH s AS (SELECT a, b, c FROM wide) SELECT a FROM s")
         assert "Project(a, b, c)" in plan
 
     def test_scalar_subquery_keeps_referenced_views_alive(self, db):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SQLError
-from repro.sqldb import client
+from repro.sqldb import client, dbapi
 from repro.sqldb.engine import Database
 from repro.sqldb.server import DatabaseServer
 
@@ -92,3 +92,55 @@ def test_a_refused_parameter_leaves_no_row(tmp_path):
     recovered = Database("umbra", wal_path=wal_path)
     assert recovered.execute("SELECT count(*) FROM t").scalar() == 0
     recovered.close()
+
+
+WHERE = "SELECT x FROM (SELECT 1 AS x) s WHERE x = ?"
+
+
+def _failure(run, sql, params):
+    try:
+        run(sql, params)
+    except SQLError as exc:
+        return type(exc).__name__, exc.sqlstate, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "params", [(), (1, 2), None], ids=["none given", "two given", "None"]
+)
+def test_a_wrong_parameter_count_is_one_error_everywhere(served, params):
+    """42P02 (PEP 249 ProgrammingError, as psycopg2 reports it) in-process,
+    over the wire and with the plan cache off — where the count used to go
+    unchecked until execution found the placeholder unbound (22000)."""
+    db, conn = served
+    uncached = Database("umbra", plan_cache_size=0)
+    expected = (
+        "SQLBindError",
+        "42P02",
+        f"statement expects 1 parameter, {len(params or ())} given",
+    )
+    assert _failure(db.run_script, WHERE, params) == expected
+    assert _failure(uncached.run_script, WHERE, params) == expected
+    assert _failure(conn.run_script, WHERE, params) == expected
+    with pytest.raises(dbapi.ProgrammingError):
+        conn.cursor().execute(WHERE, params)
+    uncached.close()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [({"a": 1},), (), (1, 2), (1,)],
+    ids=["dict", "none given", "two given", "one given"],
+)
+def test_explain_analyze_binds_its_parameters_like_the_select(served, params):
+    db, conn = served
+    for run in (db.run_script, conn.run_script):
+        select = _outcome(run, WHERE, params)
+        explained = _outcome(run, "EXPLAIN ANALYZE " + WHERE, params)
+        if select[0] == "error":
+            assert explained == select
+        else:
+            assert select == ("rows", [(1,)])
+            assert explained[1][0][0].startswith("Project(x)")
+    if params == ({"a": 1},):
+        assert select == ("error", "22023")

@@ -287,11 +287,10 @@ class TestSynchronousReplication:
 
 
 class TestWalSyncPolicies:
-    @pytest.mark.parametrize("policy", ["commit", "group", "off"])
+    @pytest.mark.parametrize("policy", ["commit", "off"])
     def test_acked_commits_survive_clean_reopen(self, tmp_path, policy):
         path = tmp_path / f"wal-{policy}.jsonl"
-        db = Database("umbra", wal_path=str(path), wal_sync=policy,
-                      wal_group_every=3)
+        db = Database("umbra", wal_path=str(path), wal_sync=policy)
         db.execute("CREATE TABLE t (a int)")
         for i in range(7):
             db.execute(f"INSERT INTO t VALUES ({i})")
@@ -300,28 +299,13 @@ class TestWalSyncPolicies:
         assert again.execute("SELECT count(*) FROM t").scalar() == 7
         again.close()
 
-    def test_group_policy_batches_fsyncs(self, tmp_path):
-        grouped = Database(
-            "umbra", wal_path=str(tmp_path / "g.jsonl"),
-            wal_sync="group", wal_group_every=4,
-        )
-        every = Database(
-            "umbra", wal_path=str(tmp_path / "c.jsonl"), wal_sync="commit"
-        )
-        for db in (grouped, every):
-            db.execute("CREATE TABLE t (a int)")
-            for i in range(8):
-                db.execute(f"INSERT INTO t VALUES ({i})")
-        assert grouped._wal.sync_count < every._wal.sync_count
-        grouped.close()
-        every.close()
-
     def test_invalid_policy_rejected(self, tmp_path):
         from repro.errors import DurabilityError
 
-        with pytest.raises(DurabilityError):
-            Database("umbra", wal_path=str(tmp_path / "x.jsonl"),
-                     wal_sync="sometimes")
+        for policy in ("sometimes", "group"):
+            with pytest.raises(DurabilityError):
+                Database("umbra", wal_path=str(tmp_path / "x.jsonl"),
+                         wal_sync=policy)
 
 
 class TestDurableReplica:
@@ -353,6 +337,14 @@ class TestDurableReplica:
 
 
 class TestTopologyRouting:
+    def test_a_plain_explain_routes_like_a_select(self):
+        # classified from the text alone: nothing is dialled
+        conn = client.RoutedConnection(client.Topology([("127.0.0.1", 9)]))
+        assert conn._is_read_only_script("SELECT 1; EXPLAIN SELECT 1")
+        # EXPLAIN ANALYZE runs its query: it goes where writes go
+        assert not conn._is_read_only_script("EXPLAIN ANALYZE SELECT 1")
+        assert not conn._is_read_only_script("EXPLAIN SELECT 1; ANALYZE")
+
     def test_reads_round_robin_writes_primary(self, primary):
         r1 = make_replica(primary, name="rr-1")
         r2 = make_replica(primary, name="rr-2")

@@ -25,6 +25,7 @@ from repro.sqldb.client import is_retryable
 from repro.sqldb import client, dbapi
 from repro.sqldb.engine import Database
 from repro.sqldb.server import DatabaseServer
+from tests.sqldb.plans import explain
 
 pytestmark = pytest.mark.server
 
@@ -189,18 +190,18 @@ class TestIndexDdlOverTcp:
             with connect(server) as ddl, connect(server) as peer:
                 # the peer caches the scan-based plan first
                 assert peer.cursor().execute(sql).fetchall() == [("r7",)]
-                assert "IndexScan" not in db.explain(sql)
+                assert "IndexScan" not in explain(db, sql)
 
                 ddl.begin()
                 ddl.cursor().execute("CREATE UNIQUE INDEX t_a ON t (a)")
                 # uncommitted DDL: peers still plan (and run) scans
-                assert "IndexScan" not in db.explain(sql)
+                assert "IndexScan" not in explain(db, sql)
                 assert peer.cursor().execute(sql).fetchall() == [("r7",)]
                 ddl.commit()
 
                 # committed: the shared plan cache is stale by epoch, the
                 # peer's same statement re-plans into an index probe
-                assert "IndexScan(t using t_a, eq)" in db.explain(sql)
+                assert "IndexScan(t using t_a, eq)" in explain(db, sql)
                 assert peer.cursor().execute(sql).fetchall() == [("r7",)]
                 with pytest.raises(dbapi.IntegrityError):
                     peer.cursor().execute(

@@ -339,6 +339,22 @@ class TestServerAbuse:
         assert _sessions_restored(db, baseline)
         _still_serves(server)
 
+    @pytest.mark.parametrize(
+        "kind", ["begin", "commit", "rollback", "explain_analyze", "analyze"]
+    )
+    def test_sql_requests_have_no_frames_of_their_own(self, served, kind):
+        """Transaction control, EXPLAIN ANALYZE and ANALYZE are SQL text in
+        a ``query`` frame; a frame of their name is an unknown type."""
+        server, db = served
+        with _raw(server) as sock:
+            send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION})
+            assert recv_frame(sock)["type"] == "hello_ok"
+            send_frame(sock, {"type": kind, "sql": "SELECT a FROM t"})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert reply["sqlstate"] == "08P01"
+        _still_serves(server)
+
     def test_query_frame_without_sql_string(self, served):
         server, db = served
         with _raw(server) as sock:

@@ -109,7 +109,7 @@ def healthcare_db(tmp_path_factory):
         "INSERT INTO histories VALUES (?, ?, ?)",
         [(r[0], int(r[1]), r[2]) for r in history_rows],
     )
-    database.analyze()
+    database.execute("ANALYZE")
     yield database
     database.close()
 

@@ -91,21 +91,28 @@ def _one_row_database() -> Database:
     return db
 
 
-def _root_rows(text: str) -> str:
-    """The actual row count EXPLAIN ANALYZE reports for the plan's root."""
-    return text.splitlines()[0].split("actual rows=", 1)[1].split()[0]
+def _root_rows(cursor) -> str:
+    """The actual row count the EXPLAIN ANALYZE *cursor* just ran reports
+    for the plan's root."""
+    (root,) = cursor.fetchone()
+    return root.split("actual rows=", 1)[1].split()[0]
+
+
+EXPLAIN = "EXPLAIN ANALYZE SELECT a FROM t"
 
 
 def test_explain_analyze_runs_as_the_connections_statement():
     db = _one_row_database()
     conn = dbapi.connect(database=db)
     conn.begin()
-    conn.cursor().execute("INSERT INTO t VALUES (2)")
-    assert _root_rows(conn.explain_analyze("SELECT a FROM t")) == "2"
-    assert _root_rows(db.explain_analyze("SELECT a FROM t")) == "1"
+    cursor = conn.cursor()
+    cursor.execute("INSERT INTO t VALUES (2)")
+    assert _root_rows(cursor.execute(EXPLAIN)) == "2"
+    with dbapi.connect(database=db) as other:
+        assert _root_rows(other.cursor().execute(EXPLAIN)) == "1"
     conn.session.statement_timeout_ms = 0.0001
     with pytest.raises(QueryCancelled) as info:
-        conn.explain_analyze("SELECT a FROM t")
+        cursor.execute(EXPLAIN)
     assert info.value.sqlstate == "57014"
     conn.rollback()
     conn.close()
@@ -118,15 +125,44 @@ def test_explain_analyze_over_the_wire_runs_as_the_connections_statement():
     try:
         with client.connect("127.0.0.1", server.port) as conn:
             conn.begin()
-            conn.cursor().execute("INSERT INTO t VALUES (2)")
-            assert _root_rows(conn.explain_analyze("SELECT a FROM t")) == "2"
+            cursor = conn.cursor()
+            cursor.execute("INSERT INTO t VALUES (2)")
+            assert _root_rows(cursor.execute(EXPLAIN)) == "2"
             conn.rollback()
         with client.connect(
             "127.0.0.1", server.port, statement_timeout_ms=0.0001
         ) as conn:
             with pytest.raises(QueryCancelled) as info:
-                conn.explain_analyze("SELECT a FROM t")
+                conn.cursor().execute(EXPLAIN)
             assert info.value.sqlstate == "57014"
+    finally:
+        server.shutdown(drain_s=2.0)
+        db.close()
+
+
+def _operators(rows) -> list[str]:
+    """EXPLAIN ANALYZE's operator lines with the timings cut off."""
+    return [line.split("time=")[0] for (line,) in rows if "actual" in line]
+
+
+def test_explain_analyze_reads_alike_in_process_and_over_the_wire():
+    db = _one_row_database()
+    db.execute("INSERT INTO t VALUES (2), (2)")
+    sql = "EXPLAIN ANALYZE SELECT a, count(*) FROM t WHERE a > ? GROUP BY a"
+    server = DatabaseServer(db).start()
+    try:
+        with client.connect("127.0.0.1", server.port) as remote:
+            over_the_wire = remote.cursor().execute(sql, (0,)).fetchall()
+        in_process = db.execute(sql, (0,)).rows
+        with dbapi.connect(database=db) as conn:
+            cursor = conn.cursor().execute(sql, (0,))
+            assert cursor.description[0][0] == "QUERY PLAN"
+            through_dbapi = cursor.fetchall()
+        expected = _operators(in_process)
+        assert len(expected) == 4  # Project, Aggregate, Filter, ScanTable
+        assert _operators(through_dbapi) == expected
+        assert _operators(over_the_wire) == expected
+        assert over_the_wire[-2] == ("Rewrites: none",)
     finally:
         server.shutdown(drain_s=2.0)
         db.close()
@@ -141,8 +177,9 @@ def test_analyze_over_the_wire_runs_in_the_connections_transaction():
     try:
         with client.connect("127.0.0.1", server.port) as conn:
             conn.begin()
-            conn.cursor().execute("INSERT INTO t VALUES (2)")
-            assert conn.analyze("t") == ["t"]
+            cursor = conn.cursor()
+            cursor.execute("INSERT INTO t VALUES (2)")
+            assert cursor.execute("ANALYZE t").rowcount == 1
             conn.commit()
         assert db.catalog.table_stats("t").n_rows == 2
     finally:

@@ -31,7 +31,7 @@ def db():
 
 
 def test_numeric_column_stats(db):
-    db.analyze("people")
+    db.execute("ANALYZE people")
     stats = db.catalog.table_stats("people")
     assert isinstance(stats, TableStats)
     assert stats.n_rows == 5
@@ -45,7 +45,7 @@ def test_numeric_column_stats(db):
 
 
 def test_text_column_stats(db):
-    db.analyze("people")
+    db.execute("ANALYZE people")
     name = db.catalog.table_stats("people").columns["name"]
     assert name.n_nulls == 1
     assert name.ndv == 3
@@ -60,7 +60,7 @@ def test_all_null_and_all_equal_columns():
         INSERT INTO t (c, k) VALUES (NULL, 7), (NULL, 7), (NULL, 7);
         """
     )
-    db.analyze()
+    db.execute("ANALYZE")
     stats = db.catalog.table_stats("t")
     all_null = stats.columns["c"]
     assert all_null.n_nulls == 3
@@ -74,7 +74,7 @@ def test_all_null_and_all_equal_columns():
 
 
 def test_empty_table_stats(db):
-    db.analyze("empty_t")
+    db.execute("ANALYZE empty_t")
     stats = db.catalog.table_stats("empty_t")
     assert stats.n_rows == 0
     for column in stats.columns.values():
@@ -98,14 +98,14 @@ def test_analyze_statement(db):
 
 def test_analyze_unknown_table_raises(db):
     with pytest.raises(CatalogError):
-        db.analyze("nope")
+        db.execute("ANALYZE nope")
 
 
 def test_stats_version_bumps_and_drop_clears(db):
     assert db.catalog.stats_version == 0
-    db.analyze("people")
+    db.execute("ANALYZE people")
     assert db.catalog.stats_version == 1
-    db.analyze()
+    db.execute("ANALYZE")
     assert db.catalog.stats_version == 2
     db.execute("DROP TABLE people")
     assert db.catalog.table_stats("people") is None
@@ -113,12 +113,12 @@ def test_stats_version_bumps_and_drop_clears(db):
 
 
 def test_stats_refresh_reflects_new_data(db):
-    db.analyze("people")
+    db.execute("ANALYZE people")
     assert db.catalog.table_stats("people").n_rows == 5
     db.execute("INSERT INTO people (age, name, score) VALUES (60, 'dee', 9.0)")
     # PostgreSQL-style: stats stay stale until the next ANALYZE
     assert db.catalog.table_stats("people").n_rows == 5
-    db.analyze("people")
+    db.execute("ANALYZE people")
     assert db.catalog.table_stats("people").n_rows == 6
 
 
@@ -132,10 +132,10 @@ def test_plan_cache_invalidated_on_analyze():
     )
     query = "SELECT a FROM t WHERE a > 1 AND b < 25"
     db.execute(query)
-    misses_before = db.plan_cache.stats["misses"]
     db.execute(query)
     assert db.plan_cache.stats["hits"] >= 1  # second run hit the cache
-    db.analyze()
+    db.execute("ANALYZE")
+    misses_before = db.plan_cache.stats["misses"]
     db.execute(query)
     # the stats refresh changed the cache key: the old entry stops matching
     assert db.plan_cache.stats["misses"] == misses_before + 1

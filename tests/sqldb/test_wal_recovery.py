@@ -148,7 +148,7 @@ class TestCheckpoints:
         db = open_db(wal_path)
         db.execute("CREATE TABLE t (a int)")
         db.execute("INSERT INTO t (a) VALUES (1)")
-        db.checkpoint()
+        db.execute("CHECKPOINT")
         db.execute("INSERT INTO t (a) VALUES (2)")
         db.close()
         db2 = open_db(wal_path)
