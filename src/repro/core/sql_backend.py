@@ -60,6 +60,7 @@ from repro.learn.preprocessing import (
     StandardScaler,
 )
 from repro.sqldb.vector import Vector, first_occurrence_codes, python_cells
+from repro.sqldb.vector import cells as stored_cells
 
 __all__ = ["SQLBackend"]
 
@@ -992,14 +993,14 @@ def _columns_to_matrix(vectors: list[Vector], n_rows: int) -> np.ndarray:
 
 def _matrix_block(vector: Vector) -> np.ndarray:
     values = vector.values
-    if values.dtype.kind in "fb":
+    if vector.dictionary is None and values.dtype.kind in "fb":
         # + 0.0 turns -0.0 into 0.0, as the fetched int 0 would be
         column = values + 0.0
         column[vector.nulls] = np.nan
         return column[:, None]
     # object cells (arrays, text) flattened once per distinct cell: the
     # rows of one kernel call share one list
-    cells = values.tolist()
+    cells = stored_cells(vector).tolist()
     for k in np.flatnonzero(vector.nulls):
         cells[k] = None
     codes, n = first_occurrence_codes(list(map(id, cells)))

@@ -9,6 +9,7 @@ once in the first CTE).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -24,7 +25,14 @@ from repro.errors import (
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import colcodec
 from repro.sqldb.parser import parse_statement
-from repro.sqldb.vector import Vector, concat_vectors
+from repro.sqldb.vector import (
+    Vector,
+    align,
+    cells,
+    coded_text,
+    concat_vectors,
+    text_vector,
+)
 
 __all__ = [
     "Table",
@@ -41,6 +49,7 @@ __all__ = [
     "coerce_to_type",
     "decode_records",
     "normalise_type",
+    "referenced_relations",
 ]
 
 #: name of the system column exposing the tuple identifier
@@ -111,9 +120,10 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
 
     The dtype comes from the declared storage class alone, never from the
     values: float64 (NaN under NULL) for ``int``/``serial``/``float``, bool
-    for ``bool``, object (None under NULL) for ``text``/``array`` — so an
-    empty or all-NULL batch has the same dtype as any other and appending
-    never flips a column's dtype.
+    for ``bool``, int32 codes into a dictionary for ``text`` and object
+    (None under NULL) for ``array`` — so an empty or all-NULL batch has
+    the same dtype as any other and appending never flips a column's
+    dtype.
     """
     n = len(raw)
     if storage in ("int", "serial", "float"):
@@ -137,17 +147,12 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
             count=n,
         )
         return Vector(values, nulls)
+    if storage == "text":
+        return text_vector(raw, nulls)
+    # cell by cell: numpy would unpack equally long lists into a matrix
     values = np.empty(n, dtype=object)
-    if storage == "array":
-        # cell by cell: numpy would unpack equally long lists into a matrix
-        for i, v in enumerate(raw):
-            values[i] = v
-    else:
-        # one object per distinct string of the batch, as COPY stores text
-        # (CsvColumn): a column of repeated (categorical) values would
-        # otherwise hold one per row
-        distinct: dict[Any, Any] = {}
-        values[:] = [distinct.setdefault(v, v) for v in raw]
+    for i, v in enumerate(raw):
+        values[i] = v
     return Vector(values, nulls)
 
 
@@ -160,9 +165,11 @@ class CsvColumn:
     (PostgreSQL's CSV-mode default).  Every pass over a chunk is a C-level
     ``map``: numbers go through ``float()`` per cell when the chunk holds
     no NULL and once per distinct string when it does, booleans once per
-    distinct string, and text through one dict for the whole COPY, so the
-    column stores one ``str`` per distinct value.  The result equals
-    :func:`_coerce_column` over the NULL-mapped cells, error included.
+    distinct string, and text through one dict for the whole COPY — a
+    ``defaultdict`` numbering each new string with its own length — that
+    emits int32 codes and becomes the column's dictionary, so the NULL
+    mask is an integer compare.  The result equals :func:`_coerce_column`
+    over the NULL-mapped cells, error included.
     """
 
     def __init__(self, name: str, storage: str, null_text: str) -> None:
@@ -171,11 +178,13 @@ class CsvColumn:
         self.null_keys = tuple(dict.fromkeys(("", null_text)))
         self.parts: list[Any] = []
         self.rows = 0
-        #: text: the one object per distinct string; bool: each string's
-        #: code (0 false, 1 true, 2 NULL)
-        self.known: dict[str, Any] = (
-            dict.fromkeys(self.null_keys, 2) if storage == "bool" else {}
-        )
+        #: text: each distinct string's code, in first-occurrence order;
+        #: bool: each string's code (0 false, 1 true, 2 NULL)
+        self.known: dict[str, Any] = defaultdict()
+        if storage == "bool":
+            self.known.update(dict.fromkeys(self.null_keys, 2))
+        else:
+            self.known.default_factory = self.known.__len__
 
     def add(self, cells: Sequence[str]) -> None:
         if self.storage in ("int", "serial", "float"):
@@ -188,8 +197,15 @@ class CsvColumn:
             part = np.fromiter(
                 map(known.__getitem__, cells), np.int8, len(cells)
             )
-        else:
-            part = list(map(self.known.setdefault, cells, cells))
+        elif self.storage == "text":
+            part = np.fromiter(
+                map(self.known.__getitem__, cells), np.int32, len(cells)
+            )
+        else:  # an array column keeps each cell's text as an object
+            part = _coerce_column(
+                [None if c in self.null_keys else c for c in cells],
+                self.storage, self.name,
+            )
         self.parts.append(part)
         self.rows += len(cells)
 
@@ -218,15 +234,16 @@ class CsvColumn:
         if self.storage == "bool":
             codes = np.concatenate([np.empty(0, np.int8), *self.parts])
             return Vector(codes == 1, codes == 2)
-        values = np.fromiter(
-            itertools.chain.from_iterable(self.parts), object, self.rows
-        )
+        if self.storage != "text":
+            return concat_vectors(
+                [_coerce_column([], self.storage, self.name), *self.parts]
+            )
+        codes = np.concatenate([np.empty(0, np.int32), *self.parts])
         nulls = np.zeros(self.rows, dtype=bool)
         for key in self.null_keys:
             if key in self.known:
-                nulls |= values == key
-        values[nulls] = None
-        return Vector(values, nulls)
+                nulls |= codes == self.known[key]
+        return coded_text(codes, nulls, list(self.known))
 
 
 @dataclass
@@ -327,11 +344,11 @@ class Table:
         patch = _coerce_column(
             [coerce_to_type(cell, storage) for cell in cells], storage, name
         )
-        old = self.columns[name]
+        old, patch = align([self.columns[name], patch])
         values, nulls = old.values.copy(), old.nulls.copy()
         values[positions] = patch.values
         nulls[positions] = patch.nulls
-        self.columns[name] = Vector(values, nulls)
+        self.columns[name] = Vector(values, nulls, old.dictionary)
 
 
 # -- secondary indexes --------------------------------------------------------
@@ -516,7 +533,7 @@ def _sorted_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The keys at *positions* in ascending order (position-ascending
     within equal keys) next to their positions."""
-    keys = vector.values[positions]
+    keys = cells(vector)[positions] if vector.is_text else vector.values[positions]
     if keys.dtype != object:
         keys = keys.astype(np.float64, copy=False)
     try:
@@ -531,7 +548,11 @@ def _hash_buckets(
 ) -> dict[Any, list[int]]:
     """Group *positions* (ascending) by key: scalar, or tuple when
     composite."""
-    key_columns = [vec.values[positions].tolist() for vec in vectors]
+    key_columns = [
+        (vec.dictionary[vec.values[positions]] if vec.is_text
+         else vec.values[positions]).tolist()
+        for vec in vectors
+    ]
     keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
     buckets: dict[Any, list[int]] = {}
     try:
@@ -672,7 +693,9 @@ def _column_stats(vec: Vector, n_rows: int) -> ColumnStats:
     values = vec.values[~vec.nulls]
     if len(values) == 0:
         return ColumnStats(n_nulls, null_fraction, 0)
-    kind = vec.values.dtype.kind
+    if vec.is_text:
+        values = vec.dictionary[values]
+    kind = values.dtype.kind
     if kind in ("f", "i", "u"):
         ndv = int(len(np.unique(values)))
         return ColumnStats(
@@ -716,6 +739,88 @@ class View:
     sql: str = ""
     #: populated on first use for materialised views: (schema names, vectors)
     snapshot: Optional[tuple[list[str], dict[str, Vector], int]] = None
+    #: every relation name the query's text references, walked once here
+    #: so a write finds its dependent views without re-walking their ASTs
+    relations: frozenset[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.relations = referenced_relations(self.query)
+
+
+def referenced_relations(select: ast.Select) -> frozenset[str]:
+    """All table/view/CTE names a SELECT references (transitively in its
+    own text, not through the catalog)."""
+    names: set[str] = set()
+
+    def walk_source(source: ast.TableSource) -> None:
+        if isinstance(source, ast.NamedTable):
+            names.add(source.name)
+        elif isinstance(source, ast.SubquerySource):
+            walk_select(source.query)
+        elif isinstance(source, ast.JoinSource):
+            walk_source(source.left)
+            walk_source(source.right)
+            if source.condition is not None:
+                walk_expr(source.condition)
+
+    def walk_expr(expr: ast.Expr) -> None:
+        if isinstance(expr, ast.ScalarSubquery):
+            walk_select(expr.query)
+        elif isinstance(expr, ast.BinaryOp):
+            walk_expr(expr.left)
+            walk_expr(expr.right)
+        elif isinstance(expr, ast.UnaryOp):
+            walk_expr(expr.operand)
+        elif isinstance(expr, ast.IsNull):
+            walk_expr(expr.operand)
+        elif isinstance(expr, ast.InList):
+            walk_expr(expr.operand)
+            for item in expr.items:
+                walk_expr(item)
+        elif isinstance(expr, ast.Between):
+            walk_expr(expr.operand)
+            walk_expr(expr.low)
+            walk_expr(expr.high)
+        elif isinstance(expr, ast.Case):
+            for condition, result in expr.whens:
+                walk_expr(condition)
+                walk_expr(result)
+            if expr.else_ is not None:
+                walk_expr(expr.else_)
+        elif isinstance(expr, ast.Cast):
+            walk_expr(expr.operand)
+        elif isinstance(expr, ast.FuncCall):
+            for arg in expr.args:
+                walk_expr(arg)
+            if expr.filter_where is not None:
+                walk_expr(expr.filter_where)
+        elif isinstance(expr, ast.WindowCall):
+            for part in expr.partition_by:
+                walk_expr(part)
+            for order, _ascending in expr.order_by:
+                walk_expr(order)
+
+    def walk_select(node: ast.Select) -> None:
+        for cte in node.ctes:
+            walk_select(cte.query)
+        for source in node.sources:
+            walk_source(source)
+        for item in node.items:
+            if not isinstance(item.expr, ast.Star):
+                walk_expr(item.expr)
+        if node.where is not None:
+            walk_expr(node.where)
+        for expr in node.group_by:
+            walk_expr(expr)
+        if node.having is not None:
+            walk_expr(node.having)
+        for order in node.order_by:
+            walk_expr(order.expr)
+        for arm in node.union_all:
+            walk_select(arm)
+
+    walk_select(select)
+    return frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -1151,7 +1256,7 @@ _STORAGE_DTYPES = {
     "serial": np.dtype(np.float64),
     "float": np.dtype(np.float64),
     "bool": np.dtype(bool),
-    "text": np.dtype(object),
+    "text": np.dtype(np.int32),
     "array": np.dtype(object),
 }
 
@@ -1178,7 +1283,9 @@ def _table_from(record: dict) -> Table:
     for storage, vector in zip(types, columns.values()):
         if storage not in _STORAGE_DTYPES:
             raise ValueError(f"unknown storage class {storage!r}")
-        if vector.values.dtype != _STORAGE_DTYPES[storage]:
+        if vector.values.dtype != _STORAGE_DTYPES[storage] or (
+            vector.is_text != (storage == "text")
+        ):
             raise ValueError(
                 f"a {storage} column stored as {vector.values.dtype}"
             )

@@ -26,8 +26,9 @@ Every column header is a JSON object with a ``tag`` and the byte
   NaN, ±inf, -0.0 and fractions stay float64.  Cells under NULL are
   written as 0 and decode as NaN, the engine's convention.
 * *Text* is a dictionary in first-occurrence order plus int32 codes; a
-  NULL row's code is ``len(dict)``.  Decoding yields one ``str`` object
-  per distinct value, as COPY stores text.
+  NULL row's code is ``len(dict)``.  It is written straight from the
+  vector's own codes, remapped to the dictionary entries its rows use,
+  and decodes to a text vector over that dictionary.
 * *Arrays* are int64 end offsets plus one element column coded by the
   scalar rules, with its own bitmap; they decode to per-row lists whose
   elements are what :func:`~repro.sqldb.vector.to_python` returns.
@@ -52,7 +53,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.sqldb.vector import Vector, first_occurrence_codes, python_list
+from repro.sqldb.vector import (
+    Vector,
+    cells as stored_cells,
+    first_occurrence_codes,
+    first_occurrence_ranks,
+    gather,
+    python_list,
+    text_vector,
+)
 
 __all__ = ["MalformedColumns", "encode", "payload_size", "decode"]
 
@@ -99,6 +108,8 @@ def _bitmap(nulls: np.ndarray) -> bytes:
 
 def _encode_column(vector: Vector, buffers: list[bytes]) -> dict:
     values, nulls = vector.values, vector.nulls
+    if vector.dictionary is not None:
+        return _encode_text(vector, buffers)
     kind = values.dtype.kind
     if kind == "f" and values.dtype.itemsize == 8:
         return _encode_numbers(values, nulls, buffers)
@@ -150,12 +161,6 @@ def _encode_bools(
 def _encode_objects(cells: list, nulls: np.ndarray, buffers: list[bytes]) -> dict:
     for k in np.flatnonzero(nulls):
         cells[k] = None
-    try:
-        distinct = dict.fromkeys(cells)
-    except TypeError:  # an array cell is unhashable
-        distinct = None
-    if distinct is not None and set(map(type, distinct)) <= {str, type(None)}:
-        return _encode_text(cells, distinct, buffers)
     # arrays and other objects by identity: one per distinct object
     codes, n = first_occurrence_codes(list(map(id, cells)))
     first = np.empty(n, dtype=np.int64)
@@ -168,18 +173,20 @@ def _encode_objects(cells: list, nulls: np.ndarray, buffers: list[bytes]) -> dic
     return _encode_json(cells, nulls, buffers)
 
 
-def _encode_text(cells: list, distinct: dict, buffers: list[bytes]) -> dict:
-    """*cells* (``str`` or None) as their dictionary in first-occurrence
-    order and int32 codes, ``len(dictionary)`` for None."""
-    codes, _ = first_occurrence_codes(cells, distinct)
-    keys = list(distinct)
-    if None in distinct:
-        gap = keys.index(None)
-        del keys[gap]
-        codes = np.where(codes == gap, len(keys), codes - (codes > gap))
-    data = codes.astype(_CODES).tobytes()
-    bitmap = _bitmap(codes == len(keys))
+def _encode_text(vector: Vector, buffers: list[bytes]) -> dict:
+    """A text vector as the dictionary entries its rows use, in order of
+    first occurrence, and int32 codes into them, ``len(dict)`` under
+    NULL: a remap of the stored codes."""
+    nulls = vector.nulls
+    present = vector.values[~nulls] if nulls.any() else vector.values
+    dense, first = first_occurrence_ranks(present, len(vector.dictionary))
+    used = present[first]
+    codes = np.full(len(vector), len(used), dtype=_CODES)
+    codes[~nulls] = dense
+    data = codes.tobytes()
+    bitmap = _bitmap(nulls)
     buffers += [data, bitmap]
+    keys = vector.dictionary[used].tolist()
     return {"tag": "text", "dict": keys, "sizes": [len(data), len(bitmap)]}
 
 
@@ -205,8 +212,7 @@ def _element_vector(elements: list) -> Vector | None:
     elif kinds == {bool}:
         values = np.array([e is True for e in elements], dtype=bool)
     elif kinds == {str}:
-        values = np.empty(len(elements), dtype=object)
-        values[:] = elements
+        return text_vector(elements, nulls)
     else:
         return None
     return Vector(values, nulls)
@@ -233,9 +239,7 @@ def _encode_arrays(
     data = offsets.astype(_OFFSETS).tobytes()
     bitmap = _bitmap(np.array([c is None for c in unique], dtype=bool)[codes])
     buffers += [data, bitmap]
-    element_header = _encode_column(
-        Vector(elements.values[take], elements.nulls[take]), buffers
-    )
+    element_header = _encode_column(gather(elements, take), buffers)
     return {
         "tag": "array",
         "count": count,
@@ -393,34 +397,31 @@ def _decode_column(header: dict, rows: int, reader: _Reader) -> Vector:
         if any(cells[k] is not None for k in np.flatnonzero(nulls).tolist()):
             raise MalformedColumns("a JSON cell under NULL")
         return Vector(np.fromiter(cells, dtype=object, count=rows), nulls)
-    values, nulls = _decode_scalar(header, rows, reader)
-    return Vector(values, nulls)
+    return _decode_scalar(header, rows, reader)
 
 
-def _decode_scalar(
-    header: dict, rows: int, reader: _Reader
-) -> tuple[np.ndarray, np.ndarray]:
-    """Storage values and NULL mask of a number, bool or text column."""
+def _decode_scalar(header: dict, rows: int, reader: _Reader) -> Vector:
+    """A number, bool or text column."""
     tag, sizes = header["tag"], header["sizes"]
     data = reader.take(sizes[0])
     nulls = _unpack(reader.take(sizes[1]), rows)
     if tag in _NUMBERS:
         values = np.frombuffer(data, dtype=_NUMBERS[tag]).astype(np.float64)
         values[nulls] = np.nan
-        return values, nulls
+        return Vector(values, nulls)
     if tag == _BOOL:
         raw = np.frombuffer(data, dtype=np.uint8)
         if (raw > 1).any():
             raise MalformedColumns("a bool byte that is not 0 or 1")
-        return raw.astype(bool), nulls
+        return Vector(raw.astype(bool), nulls)
     keys = header["dict"]
     codes = np.frombuffer(data, dtype=_CODES)
     n = len(keys)
     if ((codes < 0) | (codes > n)).any() or ((codes == n) != nulls).any():
         raise MalformedColumns("a text code outside the dictionary")
-    lookup = np.empty(n + 1, dtype=object)
-    lookup[:n] = keys
-    return lookup.take(codes), nulls
+    dictionary = np.empty(n, dtype=object)
+    dictionary[:] = keys
+    return Vector(np.where(nulls, 0, codes).astype(np.int32), nulls, dictionary)
 
 
 def _equal_arrays(
@@ -479,7 +480,8 @@ def _elements(
         reader.take(sizes[0])
         nulls = _unpack(reader.take(sizes[1]), count)
         return np.frombuffer(data, dtype=_NUMBERS[tag]), nulls, data
-    values, nulls = _decode_scalar(header, count, reader)
+    elements = _decode_scalar(header, count, reader)
+    values, nulls = stored_cells(elements), elements.nulls
     if tag == "<f8":
         items = np.empty(count, dtype=object)
         items[:] = python_list(values)

@@ -44,6 +44,7 @@ from repro.sqldb.catalog import (
     build_index,
     decode_records,
     normalise_type,
+    referenced_relations,
 )
 from repro.sqldb.executor import ExecContext, execute_plan
 from repro.sqldb.faults import NO_FAULTS, Faults, crashpoint
@@ -1638,8 +1639,7 @@ class Database:
                 view = catalog.resolve(name)
                 if not isinstance(view, View):
                     continue
-                references = _referenced_relations(view.query)
-                if references & dirty:
+                if view.relations & dirty:
                     dirty.add(name)
                     refreshed.add(name)
                     changed = True
@@ -1687,80 +1687,6 @@ def _redo_records(
     ]
 
 
-def _referenced_relations(select: ast.Select) -> set[str]:
-    """All table/view/CTE names a SELECT references (transitively in its
-    own text, not through the catalog)."""
-    names: set[str] = set()
-
-    def walk_source(source: ast.TableSource) -> None:
-        if isinstance(source, ast.NamedTable):
-            names.add(source.name)
-        elif isinstance(source, ast.SubquerySource):
-            walk_select(source.query)
-        elif isinstance(source, ast.JoinSource):
-            walk_source(source.left)
-            walk_source(source.right)
-            if source.condition is not None:
-                walk_expr(source.condition)
-
-    def walk_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.ScalarSubquery):
-            walk_select(expr.query)
-        elif isinstance(expr, ast.BinaryOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.UnaryOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.IsNull):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.InList):
-            walk_expr(expr.operand)
-            for item in expr.items:
-                walk_expr(item)
-        elif isinstance(expr, ast.Between):
-            walk_expr(expr.operand)
-            walk_expr(expr.low)
-            walk_expr(expr.high)
-        elif isinstance(expr, ast.Case):
-            for condition, result in expr.whens:
-                walk_expr(condition)
-                walk_expr(result)
-            if expr.else_ is not None:
-                walk_expr(expr.else_)
-        elif isinstance(expr, ast.Cast):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                walk_expr(arg)
-            if expr.filter_where is not None:
-                walk_expr(expr.filter_where)
-        elif isinstance(expr, ast.WindowCall):
-            for part in expr.partition_by:
-                walk_expr(part)
-            for order, _ascending in expr.order_by:
-                walk_expr(order)
-
-    def walk_select(node: ast.Select) -> None:
-        for cte in node.ctes:
-            walk_select(cte.query)
-        for source in node.sources:
-            walk_source(source)
-        for item in node.items:
-            if not isinstance(item.expr, ast.Star):
-                walk_expr(item.expr)
-        if node.where is not None:
-            walk_expr(node.where)
-        for expr in node.group_by:
-            walk_expr(expr)
-        if node.having is not None:
-            walk_expr(node.having)
-        for order in node.order_by:
-            walk_expr(order.expr)
-        for arm in node.union_all:
-            walk_select(arm)
-
-    walk_select(select)
-    return names
 
 
 def _malformed_row(statement: ast.Copy, width: int) -> SQLExecutionError:
@@ -1842,7 +1768,7 @@ def _targets_query(statement, catalog: Catalog) -> _Targets:
     # conflict-checked (first-committer-wins): the stored text is replayed
     # at commit-order position, so they must not have been rewritten by a
     # concurrent committer
-    return [statement.name], sorted(_referenced_relations(statement.query))
+    return [statement.name], sorted(referenced_relations(statement.query))
 
 
 def _targets_drop_index(statement: ast.DropIndex, catalog: Catalog) -> _Targets:

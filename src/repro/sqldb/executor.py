@@ -66,7 +66,9 @@ from repro.sqldb.profile import Profile
 from repro.sqldb.stats import ExecStats
 from repro.sqldb.vector import (
     Vector,
+    cells,
     concat_vectors,
+    dictionary_ranks,
     from_values,
     gather,
     truthy_rows,
@@ -333,13 +335,15 @@ def _exec_index_join(plan: IndexJoin, ctx: ExecContext) -> Batch:
     composite = len(key_vectors) > 1
     counts = np.zeros(n, dtype=np.int64)
     parts: list[np.ndarray] = []
+    # the index holds Python keys: text decodes at this boundary
+    key_cells = [cells(vec) for vec in key_vectors]
     for i in range(n):
         if any(vec.nulls[i] for vec in key_vectors):
             continue  # SQL equality: null keys match nothing
         if composite:
-            key: Any = tuple(vec.values[i] for vec in key_vectors)
+            key: Any = tuple(values[i] for values in key_cells)
         else:
-            key = key_vectors[0].values[i]
+            key = key_cells[0][i]
         positions = index.eq_positions(key)
         if len(positions):
             counts[i] = len(positions)
@@ -544,7 +548,25 @@ def _equi_join_positions(
 
     Returns matching (left, right) row positions; -1 marks outer padding.
     Inner matches preserve left-row order (and right order within a key).
+    An inner or left join whose build side holds each key at most once
+    is a direct-address gather (a perfect-hash join): the codes are dense
+    (``hashing.factorize_columns``), so they index a lookup of build
+    positions, and one take probes it.
     """
+    if kind in ("inner", "left"):
+        top = 1 + max(
+            int(left_codes.max(initial=-1)), int(right_codes.max(initial=-1))
+        )
+        build = np.flatnonzero(right_codes >= 0)
+        if np.bincount(right_codes[build], minlength=top).max(initial=0) <= 1:
+            # slot ``top`` stays -1: the address of every invalid probe
+            lookup = np.full(top + 1, -1, dtype=np.int64)
+            lookup[right_codes[build]] = build
+            matches = lookup[np.where(left_codes < 0, top, left_codes)]
+            if kind == "left":
+                return np.arange(len(left_codes), dtype=np.int64), matches
+            hit = np.flatnonzero(matches >= 0)
+            return hit, matches[hit]
     order = np.argsort(right_codes, kind="stable")
     sorted_codes = right_codes[order]
     # discard invalid (null, non-null-safe) build rows
@@ -836,7 +858,11 @@ def _sort_keys(
         nf = (not asc) if nulls_first is None else nulls_first
         marker = (-1 if nf else 1) if asc else (1 if nf else -1)
         as_text = False
-        if vec.values.dtype == object:
+        if vec.dictionary is not None:
+            # text sorts by its dictionary's ranks, k entries sorted once
+            ranks = dictionary_ranks(vec.dictionary)
+            vec = Vector(ranks[vec.values] if len(ranks) else vec.values, vec.nulls)
+        elif vec.values.dtype == object:
             present = vec.values[~vec.nulls]
             if not set(map(type, present)) <= {str}:
                 try:

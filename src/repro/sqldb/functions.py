@@ -21,7 +21,17 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import SQLBindError, SQLExecutionError
-from repro.sqldb.vector import Vector, per_distinct, python_list, to_python
+from repro.sqldb.vector import (
+    Vector,
+    _as_float,
+    align,
+    cells,
+    dictionary_ranks,
+    per_distinct,
+    per_distinct_cells,
+    python_list,
+    to_python,
+)
 
 __all__ = [
     "AGGREGATE_NAMES",
@@ -79,6 +89,7 @@ def cell_text(cell: Any) -> Any:
 def _fn_coalesce(args: list[Vector]) -> Vector:
     if not args:
         raise SQLExecutionError("coalesce requires at least one argument")
+    args = align(args)
     result = args[0].copy()
     for candidate in args[1:]:
         still_null = result.nulls
@@ -87,7 +98,10 @@ def _fn_coalesce(args: list[Vector]) -> Vector:
         fill = still_null & ~candidate.nulls
         if not fill.any():
             continue
-        if result.values.dtype == candidate.values.dtype and result.values.dtype != object:
+        if result.dictionary is not None or (
+            result.values.dtype == candidate.values.dtype
+            and result.values.dtype != object
+        ):
             result.values[fill] = candidate.values[fill]
         else:
             merged = result.values.astype(object)
@@ -107,15 +121,16 @@ def _fn_regexp_replace(args: list[Vector]) -> Vector:
             cell_text(replacement), cell_text(text), count=1
         )
 
-    out = np.empty(len(nulls), dtype=object)
-    per_distinct(replace, args, np.flatnonzero(~nulls), out)
-    return Vector(out, nulls)
+    return per_distinct_cells(replace, args, np.flatnonzero(~nulls), nulls)
 
 
 def _extremum(args: list[Vector], pick: Callable) -> Vector:
     if not args:
         raise SQLExecutionError("least/greatest require arguments")
-    numeric = all(a.values.dtype.kind in ("f", "i", "u") for a in args)
+    numeric = all(
+        a.dictionary is None and a.values.dtype.kind in ("f", "i", "u")
+        for a in args
+    )
     length = len(args[0])
     if numeric:
         stacked = np.vstack([a.values.astype(np.float64) for a in args])
@@ -131,9 +146,10 @@ def _extremum(args: list[Vector], pick: Callable) -> Vector:
         candidates = [cell for cell in cells if cell is not None]
         return reducer(candidates) if candidates else None
 
-    out = np.empty(length, dtype=object)
-    per_distinct(extremum, args, np.arange(length), out)
-    return Vector(out, np.logical_and.reduce([a.nulls for a in args]))
+    return per_distinct_cells(
+        extremum, args, np.arange(length),
+        np.logical_and.reduce([a.nulls for a in args]),
+    )
 
 
 def _fn_least(args: list[Vector]) -> Vector:
@@ -148,7 +164,7 @@ def _numeric_unary(args: list[Vector], func: Callable, name: str) -> Vector:
     if len(args) != 1:
         raise SQLExecutionError(f"{name} takes one argument")
     arg = args[0]
-    values = arg.values.astype(np.float64, copy=False)
+    values = _as_float(arg, name)
     with np.errstate(all="ignore"):
         out = func(values)
     nulls = arg.nulls | ~np.isfinite(out)
@@ -221,11 +237,15 @@ def _string_unary(
     if len(args) != 1:
         raise SQLExecutionError(f"{name} takes one argument")
     arg = args[0]
-    out = np.full(len(arg), None if dtype is object else np.nan, dtype=dtype)
-    per_distinct(
-        lambda cell: func(cell_text(cell)), [arg], np.flatnonzero(~arg.nulls), out
-    )
-    return Vector(out, arg.nulls.copy())
+
+    def kernel(cell: Any) -> Any:
+        return func(cell_text(cell))
+
+    rows = np.flatnonzero(~arg.nulls)
+    if dtype is object:
+        return per_distinct_cells(kernel, [arg], rows, arg.nulls.copy())
+    out = np.full(len(arg), np.nan, dtype=dtype)
+    return Vector(per_distinct(kernel, [arg], rows, out), arg.nulls.copy())
 
 
 def _like_to_regex(pattern: str) -> re.Pattern:
@@ -265,7 +285,7 @@ def cast(value: Vector, target: str) -> Vector:
     """``CAST(value AS target)`` for the int, float, text and bool families."""
     nulls = value.nulls.copy()
     rows = np.flatnonzero(~nulls)
-    numeric = value.values.dtype.kind in ("f", "i", "u", "b")
+    numeric = value.dictionary is None and value.values.dtype.kind in "fiub"
     if target in ("int", "integer", "bigint", "smallint"):
         if numeric:
             out = value.values.astype(np.float64)
@@ -278,8 +298,7 @@ def cast(value: Vector, target: str) -> Vector:
         out = per_distinct(float, [value], rows, np.full(len(value), np.nan))
         return Vector(out, nulls)
     if target in ("text", "varchar", "char"):
-        out = np.empty(len(value), dtype=object)
-        return Vector(per_distinct(cell_text, [value], rows, out), nulls)
+        return per_distinct_cells(cell_text, [value], rows, nulls)
     if target in ("bool", "boolean"):
         out = np.zeros(len(value), dtype=bool)
         return Vector(per_distinct(_cast_bool, [value], rows, out), nulls)
@@ -398,13 +417,30 @@ def compute_aggregate(
         )
         # elements are what a fetched cell would be: Python values, and
         # integral floats as int (to_python's rule)
-        items = python_list(arg.values[order])
+        items = python_list(cells(arg)[order])
         for k in np.flatnonzero(arg.nulls[order]):
             items[k] = None
         bounds = boundaries.tolist()
         for g in range(n_groups):
             out[g] = items[bounds[g]:bounds[g + 1]]
         return Vector(out, np.zeros(n_groups, dtype=bool))
+
+    if name in ("min", "max") and arg.dictionary is not None:
+        # the extreme rank per group: text compares by its dictionary's
+        # ranks, and the winning rank names the winning code
+        ranks = dictionary_ranks(arg.dictionary)
+        kept_codes = codes[keep]
+        if name == "min":
+            best = np.full(n_groups, len(ranks), dtype=np.int64)
+            np.minimum.at(best, kept_codes, ranks[arg.values[keep]])
+            nulls = best == len(ranks)
+        else:
+            best = np.full(n_groups, -1, dtype=np.int64)
+            np.maximum.at(best, kept_codes, ranks[arg.values[keep]])
+            nulls = best < 0
+        by_rank = np.zeros(len(ranks) + 1, dtype=np.int32)
+        by_rank[ranks] = np.arange(len(ranks), dtype=np.int32)
+        return Vector(by_rank[np.where(nulls, 0, best)], nulls, arg.dictionary)
 
     if name in ("min", "max") and arg.values.dtype == object:
         out = np.empty(n_groups, dtype=object)
@@ -418,7 +454,7 @@ def compute_aggregate(
                 nulls[g] = False
         return Vector(out, nulls)
 
-    values = arg.values.astype(np.float64, copy=False)
+    values = _as_float(arg, name)
     kept_codes = codes[keep]
     kept_values = values[keep]
     counts = np.bincount(kept_codes, minlength=n_groups).astype(np.float64)

@@ -5,34 +5,79 @@ factorised over the union of both join sides (so equal values share codes),
 multi-column keys combine codes with mixed-radix arithmetic, and nulls
 either get their own shared code (null-safe joins, GROUP BY) or the
 invalid code -1 (plain SQL equality, which never matches null).
+
+Storage already knows most keys: text is coded by its dictionary (equal
+text, equal code), and an integral key whose range is at most about twice
+its row count — ``ctid`` always — is coded as ``value - min``.  Only other
+numbers are sorted (``np.unique``), and only arrays and mixed-type cells
+are hashed as Python objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sqldb.vector import Vector, first_occurrence_codes
+from repro.sqldb.vector import (
+    Vector,
+    cells,
+    find_codes,
+    first_occurrence_codes,
+    first_occurrence_ranks,
+)
 
 __all__ = ["INVALID", "factorize_columns", "group_codes"]
 
 INVALID = np.int64(-1)
 
+#: a code range up to this many times the row count (plus a constant) is
+#: addressed directly — counted with ``bincount`` — instead of sorted
+_DENSE_FACTOR = 2
+_DENSE_SLACK = 1024
 
-def _factorize_values(values: np.ndarray, nulls: np.ndarray) -> np.ndarray:
+
+def _small_range(top: int, rows: int) -> bool:
+    return top <= _DENSE_FACTOR * rows + _DENSE_SLACK
+
+
+def _offset_codes(values: np.ndarray) -> np.ndarray | None:
+    """``value - min`` for integral numbers whose range is small, else
+    None: ascending codes with no sort."""
+    if values.dtype.kind not in "fiu":
+        return None
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return None
+    if not _small_range(int(hi - lo) + 1, len(values)):
+        return None
+    offsets = values - lo
+    codes = offsets.astype(np.int64)
+    if not np.array_equal(codes, offsets):
+        return None  # a fraction
+    return codes
+
+
+def _factorize_values(vector: Vector) -> np.ndarray:
     """Codes >= 0 for non-null values (equal value = equal code), -2 marker
-    for nulls (callers decide their meaning)."""
-    codes = np.full(len(values), -2, dtype=np.int64)
-    present = ~nulls
+    for nulls (callers decide their meaning).
+
+    Text codes are its dictionary codes, numeric codes ascend with the
+    value, and object cells (arrays, mixed types) are numbered by value
+    in first-occurrence order."""
+    codes = np.full(len(vector), -2, dtype=np.int64)
+    present = ~vector.nulls
     if not present.any():
         return codes
-    subset = values[present]
+    subset = vector.values[present]
+    if vector.dictionary is not None:
+        codes[present] = subset
+        return codes
     if subset.dtype == object:
-        # dict-based factorisation: avoids O(n log n) Python-compare sorts
-        # on string columns.  Codes follow first occurrence for determinism.
         codes[present] = first_occurrence_codes(subset.tolist())[0]
         return codes
-    _, inverse = np.unique(subset, return_inverse=True)
-    codes[present] = inverse.astype(np.int64)
+    offsets = _offset_codes(subset)
+    if offsets is None:
+        _, offsets = np.unique(subset, return_inverse=True)
+    codes[present] = offsets.reshape(-1)
     return codes
 
 
@@ -48,16 +93,62 @@ def _mixed_radix(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return combined, invalid
 
 
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-negative *codes* renumbered ``0..m-1`` in ascending order, and
+    ``m``: ``bincount`` + ``cumsum`` over a small range, else a sort."""
+    top = int(codes.max(initial=-1)) + 1
+    if _small_range(top, len(codes)):
+        present = np.bincount(codes, minlength=top) > 0
+        rank = np.cumsum(present) - 1
+        return rank[codes], int(rank[-1]) + 1 if top else 0
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(distinct)
+
+
 def _combine(parts: list[np.ndarray]) -> np.ndarray:
     """Dense combined codes; a row with any -1 part stays invalid."""
     combined, invalid = _mixed_radix(parts)
     combined[invalid] = INVALID
-    # densify so downstream bincounts stay small
+    # densify so downstream bincounts and direct addresses stay small
     valid = ~invalid
     if valid.any():
-        _, inverse = np.unique(combined[valid], return_inverse=True)
-        combined[valid] = inverse
+        combined[valid] = _densify(combined[valid])[0]
     return combined
+
+
+def _joint_codes(left: Vector, right: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of one key column on both join sides (-2 under NULL), equal
+    values sharing a code: two dictionaries meet by remapping the right
+    one's k entries, never its rows."""
+    n_left = len(left)
+    if left.dictionary is not None and right.dictionary is not None:
+        left_codes = _factorize_values(left)
+        right_codes = _factorize_values(right)
+        if right.dictionary is not left.dictionary:
+            remap = find_codes(left.dictionary, right.dictionary.tolist())
+            absent = np.flatnonzero(remap < 0)
+            remap[absent] = len(left.dictionary) + np.arange(len(absent))
+            present = right_codes >= 0
+            right_codes[present] = remap[right_codes[present]]
+        return left_codes, right_codes
+    if any(
+        v.dictionary is not None or v.values.dtype == object
+        for v in (left, right)
+    ):
+        # text against numbers, arrays or mixed cells: equal as Python values
+        values = np.concatenate(
+            [cells(left).astype(object), cells(right).astype(object)]
+        )
+    else:
+        values = np.concatenate(
+            [
+                left.values.astype(np.float64, copy=False),
+                right.values.astype(np.float64, copy=False),
+            ]
+        )
+    nulls = np.concatenate([left.nulls, right.nulls])
+    codes = _factorize_values(Vector(values, nulls))
+    return codes[:n_left], codes[n_left:]
 
 
 def factorize_columns(
@@ -70,50 +161,41 @@ def factorize_columns(
     code, and rows whose key can never match carry ``INVALID``.
     """
     n_left = len(column_pairs[0][0])
-    left_parts: list[np.ndarray] = []
-    right_parts: list[np.ndarray] = []
+    joined: list[np.ndarray] = []
     for (left, right), safe in zip(column_pairs, null_safe):
-        if left.values.dtype == object or right.values.dtype == object:
-            values = np.concatenate(
-                [left.values.astype(object), right.values.astype(object)]
-            )
-        else:
-            values = np.concatenate(
-                [
-                    left.values.astype(np.float64, copy=False),
-                    right.values.astype(np.float64, copy=False),
-                ]
-            )
-        nulls = np.concatenate([left.nulls, right.nulls])
-        codes = _factorize_values(values, nulls)
+        codes = np.concatenate(_joint_codes(left, right))
         null_rows = codes == -2
         if safe:
             codes[null_rows] = codes.max(initial=-1) + 1
         else:
             codes[null_rows] = INVALID
-        left_parts.append(codes[:n_left])
-        right_parts.append(codes[n_left:])
-    combined = _combine([np.concatenate([l, r]) for l, r in zip(left_parts, right_parts)])
+        joined.append(codes)
+    combined = _combine(joined)
     return combined[:n_left], combined[n_left:]
 
 
 def group_codes(vectors: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
     """Dense group codes treating null as a regular value (GROUP BY).
 
-    Returns (codes, representative_positions); groups are numbered in
-    ascending key order and each representative is the first row of its
-    group in that ordering.
+    Returns (codes, representative_positions).  Groups are ordered key
+    column by key column: numbers ascending, text and other objects in
+    order of first occurrence, null after every value; each
+    representative is the first row of its group.
     """
     parts = []
     for vec in vectors:
-        codes = _factorize_values(vec.values, vec.nulls)
+        codes = _factorize_values(vec)
         null_rows = codes == -2
+        if vec.dictionary is not None and not null_rows.all():
+            present = ~null_rows
+            codes[present] = first_occurrence_ranks(
+                codes[present], len(vec.dictionary)
+            )[0]
         codes[null_rows] = codes.max(initial=-1) + 1
         parts.append(codes)
-    # no part is negative (null is a code of its own): one np.unique both
-    # densifies and finds the representatives
+    # no part is negative (null is a code of its own)
     combined, _ = _mixed_radix(parts)
-    _, first_positions, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64), first_positions.astype(np.int64)
+    inverse, m = _densify(combined)
+    first = np.full(m, len(combined), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(combined), dtype=np.int64))
+    return inverse, first

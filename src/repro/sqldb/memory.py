@@ -82,6 +82,9 @@ def vector_bytes(vector: Any) -> int:
     total = int(values.nbytes) + int(vector.nulls.nbytes)
     if values.dtype == object:
         total += _OBJECT_ELEMENT_BYTES * len(values)
+    if vector.dictionary is not None:
+        # text: int32 codes plus the (shared) dictionary's strings
+        total += (8 + _OBJECT_ELEMENT_BYTES) * len(vector.dictionary)
     return total
 
 

@@ -868,6 +868,9 @@ def _estimate(
         rows = 1.0
     else:
         rows = 1000.0
+    # at least one row, as PostgreSQL's clamp_row_est: a selectivity
+    # product never proves a result empty
+    rows = max(rows, 1.0)
     estimates[id(plan)] = rows
     return rows
 

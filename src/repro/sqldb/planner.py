@@ -855,7 +855,9 @@ class Planner:
             def assign(mask: np.ndarray, branch: Vector) -> None:
                 nonlocal out_values, out_nulls
                 if out_values is None:
-                    if branch.values.dtype.kind in ("f", "i", "u"):
+                    if branch.dictionary is not None:
+                        out_values = np.zeros(batch.length, dtype=np.int32)
+                    elif branch.values.dtype.kind in ("f", "i", "u"):
                         out_values = np.full(batch.length, np.nan)
                     elif branch.values.dtype.kind == "b":
                         out_values = np.zeros(batch.length, dtype=bool)
@@ -871,19 +873,25 @@ class Planner:
                     )[mask]
                 out_nulls[mask] = branch.nulls[mask]
 
+            picks: list[tuple[np.ndarray, Vector]] = []
             for cond, result in whens:
                 if not remaining.any():
                     break
                 predicate = cond(batch, ctx)
                 hit = predicate.values.astype(bool) & ~predicate.nulls & remaining
                 if hit.any():
-                    assign(hit, result(batch, ctx))
+                    picks.append((hit, result(batch, ctx)))
                 remaining = remaining & ~hit
             if else_compiled is not None and remaining.any():
-                assign(remaining, else_compiled(batch, ctx))
+                picks.append((remaining, else_compiled(batch, ctx)))
+            # text branches meet in one dictionary before their rows mix
+            branches = vector.align([branch for _, branch in picks])
+            for (mask, _), branch in zip(picks, branches):
+                assign(mask, branch)
             if out_values is None:
                 out_values = np.full(batch.length, np.nan)
-            return Vector(out_values, out_nulls)
+            dictionary = branches[0].dictionary if branches else None
+            return Vector(out_values, out_nulls, dictionary)
 
         return CompiledExpr(fn_case, refs, text="CASE")
 

@@ -1,19 +1,32 @@
 """Column vector model of the SQL engine.
 
-A :class:`Vector` is a pair of numpy arrays: ``values`` and a boolean
-``nulls`` mask.  Numeric vectors store float64 (ints are widened), booleans
-store bool, and everything else (text, arrays) stores object.  All engine
-operators exchange vectors, which keeps SQL three-valued logic explicit.
+A :class:`Vector` is a pair of numpy arrays, ``values`` and a boolean
+``nulls`` mask, plus a ``dictionary`` for text.  Numeric vectors store
+float64 (ints are widened) and booleans store bool.  Text stores int32
+codes into its dictionary: an object array of *distinct* strings, kept in
+first-occurrence, append-only order and never sorted, which may hold
+entries no row uses (after a filter, DELETE or rollback).  Equal text has
+equal codes, so factorising a text key is a read of its codes.  Arrays
+and genuinely mixed-type cells store object.  A code under NULL is any
+valid index (0 when the dictionary is empty).  All engine operators
+exchange vectors, which keeps SQL three-valued logic explicit.
 
 Scalar kernels whose work is Python per value (text functions, arrays,
 mixed-type fallbacks) go through :func:`per_distinct`, which calls the
-kernel once per distinct input tuple and gathers the results to rows.
+kernel once per distinct input tuple — per *used* dictionary entry for
+text — and gathers the results to rows.  Text is decoded to ``str``
+objects only at the boundary (:func:`python_cells`, index builds), with
+one ``take`` of the dictionary.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +38,16 @@ __all__ = [
     "constant",
     "gather",
     "concat_vectors",
+    "align",
+    "cells",
+    "coded_text",
+    "dictionary_ranks",
+    "find_codes",
     "first_occurrence_codes",
+    "first_occurrence_ranks",
     "per_distinct",
+    "per_distinct_cells",
+    "text_vector",
     "python_cells",
     "python_list",
     "read_only",
@@ -72,10 +93,12 @@ def python_list(values: np.ndarray) -> list:
 
 @dataclass
 class Vector:
-    """A column of SQL values with an explicit null mask."""
+    """A column of SQL values with an explicit null mask; text holds
+    int32 codes into *dictionary* (see the module docstring)."""
 
     values: np.ndarray
     nulls: np.ndarray
+    dictionary: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.nulls):
@@ -88,17 +111,41 @@ class Vector:
     def is_bool(self) -> bool:
         return self.values.dtype.kind == "b"
 
+    @property
+    def is_text(self) -> bool:
+        return self.dictionary is not None
+
     def copy(self) -> "Vector":
-        return Vector(self.values.copy(), self.nulls.copy())
+        # a dictionary is never written in place: it is shared
+        return Vector(self.values.copy(), self.nulls.copy(), self.dictionary)
 
     def item(self, i: int) -> Any:
         """Python value at row *i* (None when null)."""
         if self.nulls[i]:
             return None
+        if self.dictionary is not None:
+            return self.dictionary[self.values[i]]
         return to_python(self.values[i])
 
     def tolist(self) -> list:
         return [self.item(i) for i in range(len(self))]
+
+
+def cells(vector: Vector) -> np.ndarray:
+    """The stored cells of *vector* as one array: text decoded with one
+    ``take`` of its dictionary (the boundary decode), any other vector's
+    values as they are.  Cells under NULL are unspecified."""
+    if vector.dictionary is None:
+        return vector.values
+    if not len(vector.dictionary):
+        return np.full(len(vector), None, dtype=object)
+    return vector.dictionary.take(vector.values)
+
+
+def _object_array(items: Sequence[Any]) -> np.ndarray:
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
 
 
 def python_cells(vector: Vector) -> np.ndarray | list:
@@ -107,7 +154,9 @@ def python_cells(vector: Vector) -> np.ndarray | list:
     Array cells are copied: the caller gets its own lists, never the ones
     stored (or shared between rows) inside the engine."""
     values = vector.values
-    if values.dtype.kind == "f":
+    if vector.dictionary is not None:
+        as_object = cells(vector)
+    elif values.dtype.kind == "f":
         as_object = values.astype(object)
         integral = (
             (np.floor(values) == values)
@@ -134,7 +183,11 @@ def read_only(vector: Vector) -> Vector:
     caller can write the arrays behind it."""
     values, nulls = vector.values.view(), vector.nulls.view()
     values.flags.writeable = nulls.flags.writeable = False
-    return Vector(values, nulls)
+    dictionary = vector.dictionary
+    if dictionary is not None:  # shared with the table it came from
+        dictionary = dictionary.view()
+        dictionary.flags.writeable = False
+    return Vector(values, nulls, dictionary)
 
 
 def to_rows(vectors: Sequence[Vector]) -> list[tuple]:
@@ -142,6 +195,197 @@ def to_rows(vectors: Sequence[Vector]) -> list[tuple]:
     one conversion behind every ``Result.rows``, in-process or fetched
     over the wire."""
     return list(zip(*map(python_cells, vectors))) if vectors else []
+
+
+# ---------------------------------------------------------------------------
+# text dictionaries
+# ---------------------------------------------------------------------------
+
+#: ``id(dictionary) -> (weak reference, holder)``: the string -> code
+#: lookup of a dictionary, built once.  A holder ``[lookup, length,
+#: buffer]`` is shared along a chain of append-only extensions (each
+#: dictionary a prefix of the next), so a code found is valid for a
+#: dictionary only below its length; ``length`` is the longest dictionary
+#: the lookup covers, and only that one may extend it in place.  The
+#: chain's dictionaries are views of ``buffer``, which has spare
+#: capacity behind ``length``: appending a string costs O(1).
+_LOOKUPS: dict[int, tuple[weakref.ref, list]] = {}
+#: serialises extensions: two sessions may extend one table's dictionary
+_EXTENDING = threading.Lock()
+
+
+def _remember(dictionary: np.ndarray, holder: list) -> None:
+    key = id(dictionary)
+
+    def forget(ref: weakref.ref, key: int = key) -> None:
+        entry = _LOOKUPS.get(key)
+        if entry is not None and entry[0] is ref:
+            del _LOOKUPS[key]
+
+    _LOOKUPS[key] = (weakref.ref(dictionary, forget), holder)
+
+
+def _holder(dictionary: np.ndarray) -> list:
+    entry = _LOOKUPS.get(id(dictionary))
+    if entry is not None and entry[0]() is dictionary:
+        return entry[1]
+    lookup = dict(zip(dictionary.tolist(), range(len(dictionary))))
+    holder = [lookup, len(dictionary), None]
+    _remember(dictionary, holder)
+    return holder
+
+
+def find_codes(dictionary: np.ndarray, keys: Sequence[Any]) -> np.ndarray:
+    """The code of each of *keys* in *dictionary*, -1 where absent."""
+    lookup = _holder(dictionary)[0]
+    k = len(dictionary)
+    found = np.fromiter(
+        map(lookup.get, keys, itertools.repeat(k)), np.int64, len(keys)
+    )
+    found[found >= k] = -1
+    return found
+
+
+def _extend(
+    dictionary: np.ndarray, keys: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """*dictionary* with the new ones of (distinct) *keys* appended, and
+    every key's code in it: the append-only merge."""
+    k = len(dictionary)
+    with _EXTENDING:
+        holder = _holder(dictionary)
+        lookup, owner = holder[0], holder[1] == k
+        # a code at or past k belongs to a longer dictionary of the chain
+        added = [key for key in keys if lookup.get(key, k) >= k]
+        if not added:
+            return dictionary, np.fromiter(
+                map(lookup.__getitem__, keys), np.int32, len(keys)
+            )
+        size = k + len(added)
+        if not owner:
+            # another extension of this prefix owns the chain: copy
+            extra = dict(zip(added, range(k, size)))
+            merged = np.empty(size, dtype=object)
+            merged[:k] = dictionary
+            merged[k:] = added
+            codes = [lookup.get(key, k) for key in keys]
+            codes = [c if c < k else extra[key] for c, key in zip(codes, keys)]
+            return merged, np.array(codes, dtype=np.int32)
+        lookup.update(zip(added, range(k, size)))
+        buffer = holder[2]
+        if buffer is None or len(buffer) < size:
+            buffer = holder[2] = np.empty(2 * size, dtype=object)
+            buffer[:k] = dictionary
+        # behind every view of the chain: no dictionary sees it
+        buffer[k:size] = added
+        dictionary = buffer[:size]
+        holder[1] = size
+        _remember(dictionary, holder)
+        codes = np.fromiter(map(lookup.__getitem__, keys), np.int32, len(keys))
+    return dictionary, codes
+
+
+def text_vector(items: Sequence[Any], nulls: np.ndarray) -> Vector:
+    """A text vector of *items* (``str``, or anything under NULL): one
+    C-level pass numbers the strings in first-occurrence order."""
+    known: defaultdict = defaultdict()
+    known.default_factory = known.__len__
+    codes = np.fromiter(map(known.__getitem__, items), np.int32, len(items))
+    return coded_text(codes, nulls, list(known))
+
+
+def coded_text(codes: np.ndarray, nulls: np.ndarray, keys: list) -> Vector:
+    """The text vector of int32 *codes* into *keys*, numbered in first
+    occurrence: a key only NULL rows hold (None, the NULL text) is no
+    dictionary entry, so the entries after it are renumbered."""
+    if np.count_nonzero(nulls):
+        keep = np.zeros(len(keys), dtype=bool)
+        keep[codes[~nulls]] = True
+        if not keep.all():
+            renumber = np.cumsum(keep, dtype=np.int32) - 1
+            codes = np.where(nulls, 0, renumber[codes]).astype(np.int32)
+            keys = [key for key, kept in zip(keys, keep.tolist()) if kept]
+    return Vector(codes, nulls, _object_array(keys))
+
+
+def _shared_codes(
+    vectors: Sequence[Vector],
+) -> tuple[Optional[np.ndarray], list[np.ndarray]]:
+    """The dictionary and codes of :func:`align`'s text case, or
+    ``(None, [])`` when its vectors are not all text or all-NULL."""
+    merged = None
+    for v in vectors:
+        if v.dictionary is not None:
+            if merged is None:
+                merged = v.dictionary
+        elif not v.nulls.all():
+            return None, []
+    if merged is None:
+        return None, []
+    # the first dictionary is a prefix of the merged one: its codes stay
+    remaps: dict[int, Optional[np.ndarray]] = {id(merged): None}
+    codes = []
+    for v in vectors:
+        if v.dictionary is None or not len(v.dictionary):
+            codes.append(np.zeros(len(v), dtype=np.int32))
+            continue
+        key = id(v.dictionary)
+        if key not in remaps:
+            merged, remaps[key] = _extend(merged, v.dictionary.tolist())
+        remap = remaps[key]
+        codes.append(v.values if remap is None else remap[v.values])
+    return merged, codes
+
+
+def align(vectors: Sequence[Vector]) -> list[Vector]:
+    """*vectors* over one representation, for operators that mix their
+    rows (UNION ALL, CASE, coalesce, UPDATE): text and all-NULL vectors
+    become codes into one dictionary — the first text vector's, extended
+    with the others' entries, so a table's dictionary stays append-only.
+    When another vector holds non-NULL cells that are not text (numbers,
+    arrays), the cells are genuinely mixed and text decodes to objects."""
+    dictionary, codes = _shared_codes(vectors)
+    if dictionary is not None:
+        return [
+            Vector(part, v.nulls, dictionary) for part, v in zip(codes, vectors)
+        ]
+    return [
+        Vector(cells(v), v.nulls) if v.dictionary is not None else v
+        for v in vectors
+    ]
+
+
+def dictionary_ranks(dictionary: np.ndarray) -> np.ndarray:
+    """Each entry's rank in ascending string order (the k entries are
+    sorted once; no two are equal)."""
+    ranks = np.empty(len(dictionary), dtype=np.int64)
+    ranks[np.argsort(dictionary, kind="stable")] = np.arange(len(dictionary))
+    return ranks
+
+
+def first_occurrence_ranks(
+    codes: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer *codes* in ``[0, k)`` renumbered ``0, 1, ...`` in order of
+    first occurrence, and the first position of each: a read of the
+    codes, never of the values behind them."""
+    n = len(codes)
+    if k > 4 * n + 1024:
+        # few rows over a large code space: sort the rows instead
+        _, first, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank[inverse.reshape(-1)], first[order]
+    first = np.full(k, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    used = np.flatnonzero(first < n)
+    order = used[np.argsort(first[used], kind="stable")]
+    rank = np.zeros(k, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[codes], first[order]
 
 
 def from_values(items: Iterable[Any]) -> Vector:
@@ -161,10 +405,9 @@ def from_values(items: Iterable[Any]) -> Vector:
             [float(v) if v is not None else np.nan for v in items], dtype=np.float64
         )
         return Vector(values, nulls)
-    values = np.empty(len(items), dtype=object)
-    for i, v in enumerate(items):
-        values[i] = v
-    return Vector(values, nulls)
+    if present and all(type(v) is str for v in present):
+        return text_vector(items, nulls)
+    return Vector(_object_array(items), nulls)
 
 
 def constant(value: Any, length: int) -> Vector:
@@ -176,6 +419,10 @@ def constant(value: Any, length: int) -> Vector:
         return Vector(np.full(length, value, dtype=bool), nulls)
     if isinstance(value, (int, float, np.integer, np.floating)):
         return Vector(np.full(length, float(value)), nulls)
+    if type(value) is str:
+        return Vector(
+            np.zeros(length, dtype=np.int32), nulls, _object_array([value])
+        )
     values = np.empty(length, dtype=object)
     values[:] = [value] * length
     return Vector(values, nulls)
@@ -187,6 +434,12 @@ def gather(vector: Vector, positions: np.ndarray, missing_null: bool = False) ->
         hole = positions < 0
         if len(vector) == 0:
             # outer join against an empty side: all positions are holes
+            if vector.dictionary is not None:
+                return Vector(
+                    np.zeros(len(positions), dtype=np.int32),
+                    np.ones(len(positions), dtype=bool),
+                    vector.dictionary,
+                )
             return Vector(
                 np.full(len(positions), np.nan),
                 np.ones(len(positions), dtype=bool),
@@ -197,14 +450,28 @@ def gather(vector: Vector, positions: np.ndarray, missing_null: bool = False) ->
         if values.dtype == object:
             values = values.copy()
             values[hole] = None
-        return Vector(values, nulls)
-    return Vector(vector.values[positions], vector.nulls[positions])
+        return Vector(values, nulls, vector.dictionary)
+    return Vector(
+        vector.values[positions], vector.nulls[positions], vector.dictionary
+    )
 
 
 def concat_vectors(parts: list[Vector]) -> Vector:
-    """Stack vectors vertically, reconciling dtypes."""
+    """Stack vectors vertically, reconciling dtypes (text parts meet in
+    one dictionary: :func:`align`)."""
     if not parts:
         return from_values([])
+    if parts[0].dictionary is not None or any(
+        p.dictionary is not None for p in parts
+    ):
+        dictionary, codes = _shared_codes(parts)
+        if dictionary is not None:
+            return Vector(
+                np.concatenate(codes),
+                np.concatenate([p.nulls for p in parts]),
+                dictionary,
+            )
+        parts = align(parts)
     kinds = {p.values.dtype.kind for p in parts}
     if kinds <= {"f", "i", "u"}:
         values = np.concatenate(
@@ -246,40 +513,26 @@ def first_occurrence_codes(
     return codes, n
 
 
-def _object_codes(cells: list) -> tuple[np.ndarray, int]:
-    """Codes of object cells: text by value, anything else by identity.
-
-    Value keys are safe within text only: ``1``, ``1.0`` and ``True`` are
-    one dict key but render differently, and ``-0.0 == 0.0``.  When every
-    distinct key is a ``str``, every cell is one (only a string equals a
-    string), so the type check runs over the distinct keys alone — and not
-    at all when no two cells were equal, since then nothing was merged.
-    Any other cell — an array, a number in a mixed column — keys by
-    identity, which never merges two different values.
-    """
-    try:
-        distinct = dict.fromkeys(cells)
-    except TypeError:  # an array cell is unhashable
-        distinct = None
-    if distinct is not None and (
-        len(distinct) == len(cells) or set(map(type, distinct)) <= {str}
-    ):
-        return first_occurrence_codes(cells, distinct)
-    return first_occurrence_codes(list(map(id, cells)))
-
-
 def _cell_codes(vector: Vector, rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense codes of *vector*'s cells at *rows* (null is one more code)
-    and the number of codes."""
+    and the number of codes.
+
+    Text is coded by its dictionary codes; numeric cells by bit pattern
+    (``-0.0`` is not ``0.0`` to ``str()`` or sign tests); any other
+    object — an array, a number in a mixed column — by identity, which
+    never merges two different values (``1``, ``1.0`` and ``True`` are
+    one dict key but render differently)."""
     values = vector.values[rows]
     nulls = vector.nulls[rows]
     has_null = bool(nulls.any())
     if has_null:
         values = values[~nulls]
-    if values.dtype == object:
-        codes, n = _object_codes(values.tolist())
+    if vector.dictionary is not None:
+        codes, first = first_occurrence_ranks(values, len(vector.dictionary))
+        n = len(first)
+    elif values.dtype == object:
+        codes, n = first_occurrence_codes(list(map(id, values.tolist())))
     else:
-        # floats by bit pattern: -0.0 is not 0.0 to str() or sign tests
         if values.dtype.kind == "f":
             values = values.view(f"i{values.itemsize}")
         codes, n = first_occurrence_codes(values.tolist())
@@ -288,6 +541,44 @@ def _cell_codes(vector: Vector, rows: np.ndarray) -> tuple[np.ndarray, int]:
     full = np.full(len(rows), n, dtype=np.int64)
     full[~nulls] = codes
     return full, n + 1
+
+
+def _distinct_calls(
+    fn: Callable[..., Any],
+    vectors: Sequence[Vector],
+    rows: np.ndarray,
+    dtype: Any,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` over each distinct tuple of input cells at *rows*, in order
+    of first occurrence: the results and each row's index into them."""
+    codes, n = np.zeros(len(rows), dtype=np.int64), 1
+    constant = []
+    for vector in vectors:
+        part, k = _cell_codes(vector, rows)
+        constant.append(k == 1)
+        if k == 1:
+            continue
+        if n == 1:
+            codes, n = part, k
+        else:
+            codes, first = first_occurrence_ranks(codes * k + part, n * k)
+            n = len(first)
+    # any row of a tuple stands for all of them
+    first = np.empty(n, dtype=np.int64)
+    first[codes] = rows
+    columns = []
+    for vector, same in zip(vectors, constant):
+        picked = rows[:1] if same else first
+        if vector.dictionary is not None:
+            items = vector.dictionary[vector.values[picked]].tolist()
+        else:
+            items = vector.values[picked]
+            # numeric cells stay numpy scalars: a kernel sees the stored value
+            items = items.tolist() if items.dtype == object else list(items)
+        for j in np.flatnonzero(vector.nulls[picked]):
+            items[j] = None
+        columns.append(items * n if same else items)
+    return np.fromiter(map(fn, *columns), dtype=dtype, count=n), codes
 
 
 def per_distinct(
@@ -299,42 +590,50 @@ def per_distinct(
     """``out[i] = fn(*cells of row i)`` for each position *i* in *rows*,
     calling *fn* once per distinct tuple of input cells.
 
-    A cell is the stored value (a numpy scalar in numeric vectors), or None
-    under null.  Two cells share a call only when no kernel can tell them
-    apart: equal text, numeric cells with the same bit pattern, and any
-    other object only with itself.  Rows sharing a tuple share the one
-    result object — arrays are values inside the engine and are copied at
-    its boundary, never mutated in place.  Tuples are evaluated in order
-    of first occurrence, so the first failing row raises.
+    A cell is the stored value (a numpy scalar in numeric vectors, a
+    ``str`` for text), or None under null.  Two cells share a call only
+    when no kernel can tell them apart: equal text (one dictionary
+    entry: an entry no row at *rows* uses is never evaluated), numeric
+    cells with the same bit pattern, and any other object only with
+    itself.  Rows sharing a tuple share the one result object — arrays
+    are values inside the engine and are copied at its boundary, never
+    mutated in place.  Tuples are evaluated in order of first occurrence,
+    so the first failing row raises.
     """
     if len(rows) == 0:
         return out
-    codes, n = np.zeros(len(rows), dtype=np.int64), 1
-    constant = []
-    for vector in vectors:
-        part, k = _cell_codes(vector, rows)
-        constant.append(k == 1)
-        if k == 1:
-            continue
-        if n == 1:
-            codes, n = part, k
-        else:
-            codes, n = first_occurrence_codes((codes * k + part).tolist())
-    # any row of a tuple stands for all of them
-    first = np.empty(n, dtype=np.int64)
-    first[codes] = rows
-    columns = []
-    for vector, same in zip(vectors, constant):
-        picked = rows[:1] if same else first
-        cells = vector.values[picked]
-        # numeric cells stay numpy scalars: a kernel sees the stored value
-        cells = cells.tolist() if cells.dtype == object else list(cells)
-        for j in np.flatnonzero(vector.nulls[picked]):
-            cells[j] = None
-        columns.append(cells * n if same else cells)
-    table = np.fromiter(map(fn, *columns), dtype=out.dtype, count=n)
+    table, codes = _distinct_calls(fn, vectors, rows, out.dtype)
     out[rows] = table[codes]
     return out
+
+
+def per_distinct_cells(
+    fn: Callable[..., Any],
+    vectors: Sequence[Vector],
+    rows: np.ndarray,
+    nulls: np.ndarray,
+) -> Vector:
+    """:func:`per_distinct` for a kernel returning cells: a text vector
+    when every result is a ``str`` (its dictionary is the distinct
+    results, so no row is factorised), else an object vector.  A None
+    result is NULL; rows outside *rows* are NULL under *nulls*."""
+    n = len(nulls)
+    if len(rows) == 0:
+        return Vector(np.zeros(n, dtype=np.int32), nulls, _object_array([]))
+    table, codes = _distinct_calls(fn, vectors, rows, object)
+    results = table.tolist()
+    missing = np.equal(table, None)
+    if None in results:
+        nulls = nulls.copy()
+        nulls[rows[missing[codes]]] = True
+    if set(map(type, results)) <= {str, type(None)}:
+        words = text_vector(results, missing)
+        full = np.zeros(n, dtype=np.int32)
+        full[rows] = words.values[codes]
+        return Vector(full, nulls, words.dictionary)
+    out = np.empty(n, dtype=object)
+    out[rows] = table[codes]
+    return Vector(out, nulls)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +641,14 @@ def per_distinct(
 # ---------------------------------------------------------------------------
 
 
+def _numeric(vector: Vector) -> bool:
+    """Whether *vector* holds numbers or booleans (not text codes)."""
+    return vector.dictionary is None and vector.values.dtype.kind in "fiub"
+
+
 def _as_float(vector: Vector, context: str) -> np.ndarray:
-    if vector.values.dtype.kind in ("f", "i", "u"):
+    if _numeric(vector):
         return vector.values.astype(np.float64, copy=False)
-    if vector.values.dtype.kind == "b":
-        return vector.values.astype(np.float64)
 
     def number(value: Any) -> float:
         try:
@@ -380,9 +682,9 @@ def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
                 return a_list + b_list
             return cell_text(a) + cell_text(b)
 
-        out = np.empty(len(left), dtype=object)
-        per_distinct(concat, [left, right], np.flatnonzero(~nulls), out)
-        return Vector(out, nulls.copy())
+        return per_distinct_cells(
+            concat, [left, right], np.flatnonzero(~nulls), nulls.copy()
+        )
     a = _as_float(left, op)
     b = _as_float(right, op)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -420,11 +722,14 @@ def compare(op: str, left: Vector, right: Vector) -> Vector:
     func = _COMPARators.get(op)
     if func is None:
         raise SQLExecutionError(f"unknown comparison operator {op!r}")
-    numeric = (
-        left.values.dtype.kind in ("f", "i", "u", "b")
-        and right.values.dtype.kind in ("f", "i", "u", "b")
-    )
-    if numeric:
+    if left.dictionary is not None and right.dictionary is not None:
+        a, b = _text_keys(left, right, op in ("=", "<>"))
+        out = np.where(nulls, False, func(a, b))
+        return Vector(out, nulls)
+    if left.dictionary is not None or right.dictionary is not None:
+        # text against numbers, arrays or mixed cells: compared as objects
+        left, right = Vector(cells(left), left.nulls), Vector(cells(right), right.nulls)
+    if _numeric(left) and _numeric(right):
         with np.errstate(invalid="ignore"):
             out = func(
                 left.values.astype(np.float64, copy=False),
@@ -450,6 +755,32 @@ def compare(op: str, left: Vector, right: Vector) -> Vector:
 
             per_distinct(mixed, [left, right], np.flatnonzero(~nulls), out)
     return Vector(out, nulls)
+
+
+def _text_keys(
+    left: Vector, right: Vector, equality: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer keys of two text vectors that compare as their strings:
+    for ``=``/``<>`` the right dictionary remapped into the left one
+    (-1 where absent), else ranks over both dictionaries' k entries."""
+    if not len(left.dictionary) or not len(right.dictionary):
+        # an empty dictionary: that side is NULL on every row
+        zeros = np.zeros(len(left), dtype=np.int64)
+        return zeros, zeros
+    if left.dictionary is right.dictionary:
+        if equality:
+            return left.values, right.values
+        ranks = dictionary_ranks(left.dictionary)
+        return ranks[left.values], ranks[right.values]
+    remap = find_codes(left.dictionary, right.dictionary.tolist())
+    if equality:
+        return left.values, remap[right.values]
+    k = len(left.dictionary)
+    absent = np.flatnonzero(remap < 0)
+    remap[absent] = k + np.arange(len(absent))
+    union = np.concatenate([left.dictionary, right.dictionary[absent]])
+    ranks = dictionary_ranks(union)
+    return ranks[left.values], ranks[remap][right.values]
 
 
 def logical_and(left: Vector, right: Vector) -> Vector:

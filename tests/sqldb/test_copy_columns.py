@@ -158,6 +158,16 @@ def _assert_same(new, old, storages):
     assert list(new_cols) == list(old_cols)
     for name, old_vec in old_cols.items():
         new_vec = new_cols[name]
+        if storages[name] == "text":
+            # text is stored coded: equal cells, one dictionary entry per
+            # distinct string where the old column held one object
+            assert new_vec.values.dtype == np.int32, name
+            assert np.array_equal(new_vec.nulls, old_vec.nulls), name
+            assert new_vec.tolist() == old_vec.tolist(), name
+            present = {id(v) for v in old_vec.values if v is not None}
+            assert len(new_vec.dictionary) == len(present), name
+            assert len(set(new_vec.dictionary.tolist())) == len(present), name
+            continue
         assert new_vec.values.dtype == old_vec.values.dtype, name
         assert new_vec.nulls.dtype == old_vec.nulls.dtype == np.bool_
         assert np.array_equal(new_vec.nulls, old_vec.nulls), name
@@ -349,5 +359,6 @@ def test_text_column_stores_one_object_per_distinct_value(tmp_path):
     db, sql, _ = _copy_file(tmp_path, "a,b\n" + "\n".join(rows) + "\n")
     db.execute(sql)
     column = db.catalog.table("t").columns["b"]
-    assert len({id(v) for v in column.values if v is not None}) == 3
+    assert column.dictionary.tolist() == ["a", "b", "c"]
+    assert column.tolist()[:4] == ["a", "b", "c", "a"]
     assert column.nulls.tolist() == [False] * (3 * CHUNK + 7) + [True]

@@ -133,3 +133,23 @@ def test_explain_analyze_serial_database():
         rf"\(actual rows={expected} calls=1 time=\d+\.\d{{3}}ms\)$", text, re.M
     )
     db.close()
+
+
+def test_row_estimates_are_clamped_to_one_row():
+    """A selectivity product never proves a result empty: on an ANALYZEd
+    three-row table the filter that returns a row used to print
+    ``estimated rows=0`` next to ``actual rows=1``."""
+    db = Database("postgres")
+    db.run_script(
+        "CREATE TABLE t (a int, b text);"
+        "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z');"
+        "ANALYZE t"
+    )
+    text = explain(
+        db, "SELECT a FROM t WHERE a = 2 AND b = 'y'", analyze=True
+    )
+    estimates = [int(n) for n in re.findall(r"estimated rows=(\d+)", text)]
+    assert estimates and min(estimates) >= 1
+    assert "actual rows=1 " in text
+    empty = explain(db, "SELECT a FROM t WHERE a = 7 AND b = 'q'", analyze=True)
+    assert "estimated rows=0" not in empty

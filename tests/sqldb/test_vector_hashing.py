@@ -19,7 +19,8 @@ class TestVectorConstruction:
 
     def test_from_values_text(self):
         v = from_values(["a", None])
-        assert v.values.dtype == object
+        assert v.is_text and v.values.dtype == np.int32
+        assert v.tolist() == ["a", None]
 
     def test_item_integral_float_becomes_int(self):
         v = from_values([2.0, 2.5])

@@ -25,7 +25,7 @@ TYPED_CELLS = {
     "float": ("f", [None], [1.5, None, 2.0]),
     "serial": ("f", [None], [None, 4]),
     "bool": ("b", [None, None], [None, True, False]),
-    "text": ("O", [None], [None, "x", "y"]),
+    "text": ("i", [None], [None, "x", "y"]),  # int32 dictionary codes
     "int[]": ("O", [None], [[1, 2], None, [3, 4]]),
 }
 
@@ -79,8 +79,10 @@ def test_copy_stores_one_object_per_distinct_text_value(tmp_path):
     _copy_cells(db, tmp_path, "text", cells)
     stored = db.catalog.table("c").columns["a"]
     assert stored.tolist() == cells
+    # one dictionary entry per distinct value, rows hold its code
+    assert stored.dictionary.tolist() == ["red", "blue"]
     present = stored.values[~stored.nulls]
-    assert len({id(value) for value in present}) == 2
+    assert len({id(value) for value in stored.dictionary[present]}) == 2
 
 
 def _indexed_table(n_rows):
