@@ -62,7 +62,7 @@ def _make_data(n_rows: int):
 
 
 def _make_database(X, y) -> Database:
-    db = Database(optimize=True)
+    db = Database()
     columns = ", ".join(f"f{j} double precision" for j in range(N_FEATURES))
     db.execute(f"CREATE TABLE train_data ({columns}, label double precision)")
     db.catalog.table("train_data").append_columns(

@@ -102,18 +102,12 @@ def make_inspector(
     return inspector
 
 
-def _execute(
-    inspector: PipelineInspector,
-    backend: str,
-    optimize: Optional[bool] = None,
-):
+def _execute(inspector: PipelineInspector, backend: str):
     if backend == "python":
         return inspector.execute()
     engine, _, variant = backend.partition("-")
     connector = (
-        PostgresqlConnector(optimize=optimize)
-        if engine == "postgres"
-        else UmbraConnector(optimize=optimize)
+        PostgresqlConnector() if engine == "postgres" else UmbraConnector()
     )
     mode = "CTE" if variant.startswith("cte") else "VIEW"
     materialize = variant.endswith("mat")
@@ -136,18 +130,13 @@ def run_once(
     with_inspection: bool = False,
     sensitive: Optional[Sequence[str]] = None,
     keep_result: bool = False,
-    optimize: Optional[bool] = None,
 ) -> RunOutcome:
-    """One timed end-to-end run of a pipeline configuration.
-
-    ``optimize`` toggles the statistics-driven rewrite layer on the SQL
-    backends (None: profile default, i.e. off; ``python`` ignores it).
-    """
+    """One timed end-to-end run of a pipeline configuration."""
     inspector = make_inspector(
         pipeline, size, upto, with_inspection, sensitive
     )
     started = time.perf_counter()
-    result = _execute(inspector, backend, optimize=optimize)
+    result = _execute(inspector, backend)
     elapsed = time.perf_counter() - started
     return RunOutcome(elapsed, result if keep_result else None)
 

@@ -446,7 +446,7 @@ def connect(
     recovery on connect, ``statement_timeout_ms`` sets the default
     timeout of each call (one deadline for its lock waits, memory-grant
     waits and queries), ``memory_limit`` / ``query_memory_limit`` arm
-    the memory governor, ``optimize`` turns the rewrite layer on.
+    the memory governor.
 
     ``database=`` connects to an *existing* :class:`Database` instead,
     opening a new concurrent session over it (every other argument is

@@ -246,18 +246,18 @@ class _CacheEntry:
 class PlanCache:
     """LRU cache of parsed statements and pruned logical plans.
 
-    One cache belongs to one :class:`Database`, whose profile and
-    optimizer flag are fixed, so keys are ``(normalized SQL, catalog
-    schema version, statistics version, index epoch, catalog uid)``: DDL
-    (and a catalog restore, replica snapshot or storage reset) bumps the
-    schema version, ``ANALYZE`` the statistics version and CREATE / DROP
-    INDEX the index epoch, so entries planned against a stale catalog (or
-    optimized under stale statistics or access paths) stop matching and
-    age out; a committed catalog's schema version never repeats, and the
-    uid keeps transactions' clones apart.  Row-changing statements
-    change none of these: plans resolve relations by name when they run,
-    so a cached entry reads live data and a repeated parameterised
-    INSERT / UPDATE / DELETE / SELECT is a hit.  ``clear()`` drops the
+    One cache belongs to one :class:`Database`, whose profile is fixed
+    and whose one plan path depends on nothing else, so keys are
+    ``(normalized SQL, catalog schema version, statistics version, index
+    epoch, catalog uid)``: DDL (and a catalog restore, replica snapshot or
+    storage reset) bumps the schema version, ``ANALYZE`` the statistics
+    version and CREATE / DROP INDEX the index epoch, so entries planned
+    against a stale catalog (or with stale statistics or access paths)
+    stop matching and age out; a committed catalog's schema version never
+    repeats, and the uid keeps transactions' clones apart.  Row-changing
+    statements change none of these: plans resolve relations by name
+    when they run, so a cached entry reads live data and a repeated
+    parameterised INSERT / UPDATE / DELETE / SELECT is a hit.  ``clear()`` drops the
     entries and keeps the cumulative hit/miss counters.  ``maxsize=0``
     (or ``enabled=False``) disables caching entirely.
     """
@@ -309,7 +309,6 @@ class Database:
         profile: Profile | str = POSTGRES,
         plan_cache_size: int = 128,
         collect_exec_stats: bool = False,
-        optimize: bool = False,
         wal_path: Optional[str] = None,
         wal_sync: str = "commit",
         checkpoint_every: Optional[int] = None,
@@ -323,10 +322,6 @@ class Database:
         if isinstance(profile, str):
             profile = profile_by_name(profile)
         self.profile = profile
-        #: statistics-driven rewrite layer (constant folding, predicate
-        #: pushdown, conjunct reordering, join build-side choice); off by
-        #: default so stock profiles keep their documented plan shapes
-        self.optimize = bool(optimize)
         self.catalog = Catalog()
         self.plan_cache = PlanCache(plan_cache_size)
         #: exact-text memo in front of the normalizer; normalization is
@@ -1244,37 +1239,25 @@ class Database:
     def _plan_select_rewritten(
         self, statement: ast.Select, catalog: Optional[Catalog] = None
     ) -> tuple[PlanNode, list[str]]:
-        """Plan a SELECT against *catalog* (committed state by default);
-        with ``optimize`` on, also run the rewrite layer.
+        """Plan a SELECT against *catalog* (committed state by default) —
+        the one plan path of every SELECT, EXPLAIN, matview build and
+        TRAIN query: fold constants, plan, prune, take index access paths.
 
-        Returns the plan plus the list of fired rewrite-rule names (empty
-        when the optimizer is off or nothing applied).
+        Returns the plan plus the names of the rules that fired.
         """
         catalog = self.catalog if catalog is None else catalog
         rewrites: list[str] = []
-        if self.optimize:
-            statement, folded = fold_select(statement)
-            if folded:
-                rewrites.append("constant-folding")
+        statement, folded = fold_select(statement)
+        if folded:
+            rewrites.append("constant-folding")
         planner = Planner(catalog, self.profile)
         plan = planner.plan_select(statement)
         visible = {out.key for out in plan.schema if not out.hidden}
         plan = prune_plan(plan, visible)
         prune_shared_plans(plan, planner.shared_plans, planner.subquery_plans)
-        if self.optimize:
-            plan = optimize_select_plan(
-                plan,
-                planner.shared_plans,
-                planner.subquery_plans,
-                catalog,
-                rewrites,
-            )
-            # pushdown can strand projection columns only the (now moved)
-            # filters needed; a second pruning pass reclaims them
-            plan = prune_plan(plan, visible)
-            prune_shared_plans(
-                plan, planner.shared_plans, planner.subquery_plans
-            )
+        plan = optimize_select_plan(
+            plan, planner.subquery_plans, catalog, rewrites
+        )
         return plan, rewrites
 
     def _run_plan(

@@ -18,7 +18,7 @@ them; running in memory is the one-partition case of the same code.
 An operator's output batch holds exactly the keys of its plan schema
 (late materialisation): scans read only the columns
 :func:`~repro.sqldb.optimizer.prune_plan` left them, and the row-selecting
-operators (join, index join, filter, sort, limit) read their predicate,
+operators (join, filter, sort, limit) read their predicate,
 residual and sort-key columns, then gather only the schema's columns
 through :func:`_take_rows`.  So the postgres profile's copy and every
 ``batch_bytes`` reservation cover live columns only.
@@ -49,7 +49,6 @@ from repro.sqldb.plan import (
     CteRef,
     Distinct,
     Filter,
-    IndexJoin,
     IndexScan,
     Join,
     Limit,
@@ -66,7 +65,6 @@ from repro.sqldb.profile import Profile
 from repro.sqldb.stats import ExecStats
 from repro.sqldb.vector import (
     Vector,
-    cells,
     concat_vectors,
     dictionary_ranks,
     from_values,
@@ -215,8 +213,6 @@ def _dispatch_operator(plan: PlanNode, ctx: ExecContext) -> Batch:
         return _exec_scan_table(plan, ctx)
     if isinstance(plan, IndexScan):
         return _exec_index_scan(plan, ctx)
-    if isinstance(plan, IndexJoin):
-        return _exec_index_join(plan, ctx)
     if isinstance(plan, ScanSnapshot):
         return _exec_scan_snapshot(plan, ctx)
     if isinstance(plan, CteRef):
@@ -319,54 +315,6 @@ def _exec_index_scan(plan: IndexScan, ctx: ExecContext) -> Batch:
     return _take_rows(
         _table_batch(table, plan.keys), positions, plan.keys.values()
     )
-
-
-def _exec_index_join(plan: IndexJoin, ctx: ExecContext) -> Batch:
-    """Probe the inner index once per left row (the INLJ kernel).
-
-    Output rows are ordered by left row, then ascending inner position
-    within a key — exactly the hash join's contract, so swapping the
-    operators never changes results.
-    """
-    left = execute_plan(plan.left, ctx)
-    table, index = _resolve_index(plan.table_name, plan.index_name, ctx)
-    key_vectors = [expr(left, ctx) for expr in plan.left_keys]
-    n = left.length
-    composite = len(key_vectors) > 1
-    counts = np.zeros(n, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    # the index holds Python keys: text decodes at this boundary
-    key_cells = [cells(vec) for vec in key_vectors]
-    for i in range(n):
-        if any(vec.nulls[i] for vec in key_vectors):
-            continue  # SQL equality: null keys match nothing
-        if composite:
-            key: Any = tuple(values[i] for values in key_cells)
-        else:
-            key = key_cells[0][i]
-        positions = index.eq_positions(key)
-        if len(positions):
-            counts[i] = len(positions)
-            parts.append(positions)
-    right_pos = (
-        np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    )
-    left_pos = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if plan.kind == "left":
-        unmatched = np.flatnonzero(counts == 0)
-        if len(unmatched):
-            left_pos = np.concatenate([left_pos, unmatched])
-            right_pos = np.concatenate(
-                [right_pos, np.full(len(unmatched), -1, dtype=np.int64)]
-            )
-            order = np.argsort(left_pos, kind="stable")
-            left_pos = left_pos[order]
-            right_pos = right_pos[order]
-
-    if plan.residual is not None and plan.kind != "inner":
-        raise SQLExecutionError("index join residuals require an inner join")
-    inner = _table_batch(table, plan.keys)
-    return _join_output(plan, left, inner, left_pos, right_pos, ctx)
 
 
 def _exec_scan_snapshot(plan: ScanSnapshot, ctx: ExecContext) -> Batch:
@@ -688,7 +636,7 @@ def _exec_join(plan: Join, ctx: ExecContext) -> Batch:
 
 
 def _join_output(
-    plan: Join | IndexJoin,
+    plan: Join,
     left: Batch,
     right: Batch,
     lp: np.ndarray,

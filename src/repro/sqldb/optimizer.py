@@ -1,4 +1,5 @@
-"""Plan optimisation: column pruning and statistics-driven rewrites.
+"""The plan path every query takes after the planner: column pruning,
+constant folding and index access paths — one path, no switch.
 
 Pruning removes projection items (and aggregate outputs) whose keys are not
 needed upstream.  It flows through inlined views/CTEs, filters and joins —
@@ -7,25 +8,17 @@ than the CTE mode in PostgreSQL (§6.6 of the paper) — and deliberately
 stops at materialised-CTE boundaries (:class:`CteRef`), which is exactly
 PostgreSQL 12's optimisation barrier.
 
-The rewrite layer (:func:`fold_select`, :func:`optimize_select_plan`) is
-enabled per database via the ``optimize`` knob and applies, in order:
+:func:`fold_select` folds literal-only predicate subtrees on the AST, using
+the very vector kernels the executor would run (so folded values are
+bit-compatible with computed ones).  :func:`optimize_select_plan` turns a
+filtered base-table scan into an index probe wherever an index covers an
+equality, ``IN`` or (with ``ANALYZE`` statistics) selective range
+conjunct; a probe returns the rows a scan + filter would, in the same
+order.  :func:`estimate_plan_rows` gives the row estimates ``EXPLAIN``
+prints.
 
-* constant folding of literal-only predicate subtrees on the AST, using
-  the very vector kernels the executor would run (so folded values are
-  bit-compatible with computed ones);
-* predicate pushdown: ``Filter`` conjuncts sink through ``Project``
-  pass-throughs, ``Sort``, ``Distinct``, the preserved side of outer
-  joins, both sides of inner/cross joins, and ``Aggregate`` group keys —
-  stopping at ``Limit``, ``Window``, ``UnionAll`` and materialised-CTE
-  barriers, exactly where pruning stops;
-* inlining of single-reference non-barrier CTE/view bodies so pushdown
-  can continue into them;
-* after ``ANALYZE`` has collected statistics: conjunct reordering by
-  estimated selectivity (cheapest-most-selective first) and inner-join
-  build-side selection by estimated cardinality.
-
-Every structural change is append-logged by rule name so
-``EXPLAIN ANALYZE`` can report which rewrites fired.
+Fired rules (``constant-folding``, ``index-scan``) are append-logged by
+name so ``EXPLAIN ANALYZE`` can report them.
 """
 
 from __future__ import annotations
@@ -37,12 +30,10 @@ from repro.sqldb import vector
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.plan import (
     Aggregate,
-    Batch,
     CompiledExpr,
     CteRef,
     Distinct,
     Filter,
-    IndexJoin,
     IndexScan,
     Join,
     Limit,
@@ -54,7 +45,6 @@ from repro.sqldb.plan import (
     Sort,
     UnionAll,
     Window,
-    column_passthrough,
     combine_conjuncts,
 )
 
@@ -128,24 +118,6 @@ def prune_plan(plan: PlanNode, needed: set[str]) -> PlanNode:
         return plan
 
     if isinstance(plan, OneRow):
-        return plan
-
-    if isinstance(plan, IndexJoin):
-        child_needed = set(needed)
-        for key_expr in plan.left_keys:
-            child_needed |= key_expr.refs
-        inner_needed = set(needed)
-        if plan.residual is not None:
-            child_needed |= plan.residual.refs
-            inner_needed |= plan.residual.refs
-        left_keys = {out.key for out in plan.left.schema}
-        plan.keys = {
-            name: key
-            for name, key in plan.keys.items()
-            if key in inner_needed
-        }
-        plan.schema = [out for out in plan.schema if out.key in needed]
-        plan.left = prune_plan(plan.left, child_needed & left_keys)
         return plan
 
     if isinstance(plan, CteRef):
@@ -542,10 +514,6 @@ def _provenance(
         prov = {
             key: (plan.table_name, column) for column, key in plan.keys.items()
         }
-    elif isinstance(plan, IndexJoin):
-        prov = dict(_provenance(plan.left, memo))
-        for column, key in plan.keys.items():
-            prov[key] = (plan.table_name, column)
     elif isinstance(plan, Project):
         child = _provenance(plan.child, memo)
         for out, expr in plan.items:
@@ -779,27 +747,6 @@ def _estimate(
         rows = _table_rows(catalog, plan.table_name) * min(
             1.0, max(_index_lookup_selectivity(plan, catalog), 0.0)
         )
-    elif isinstance(plan, IndexJoin):
-        left = _estimate(plan.left, catalog, estimates, prov_memo)
-        inner_rows = _table_rows(catalog, plan.table_name)
-        prov_left = _provenance(plan.left, prov_memo)
-        table_stats = catalog.table_stats(plan.table_name)
-        pairs = []
-        try:
-            index_columns = catalog.index(plan.index_name).columns
-        except Exception:
-            index_columns = ()
-        for expr, column in zip(plan.left_keys, index_columns):
-            ndv_l = _column_ndv(expr, prov_left, catalog)
-            ndv_r = 0.0
-            if table_stats is not None:
-                column_stats = table_stats.columns.get(column)
-                if column_stats is not None:
-                    ndv_r = float(max(column_stats.ndv, 0))
-            pairs.append((ndv_l, ndv_r))
-        rows = _equi_join_rows(left, inner_rows, pairs)
-        if plan.kind == "left":
-            rows = max(rows, left)
     elif isinstance(plan, Join):
         left = _estimate(plan.left, catalog, estimates, prov_memo)
         right = _estimate(plan.right, catalog, estimates, prov_memo)
@@ -876,289 +823,7 @@ def _estimate(
 
 
 # ---------------------------------------------------------------------------
-# predicate pushdown, CTE inlining, conjunct reordering, join build side
-# ---------------------------------------------------------------------------
-
-
-def _remap_conjunct(
-    expr: CompiledExpr, mapping: dict[str, str]
-) -> CompiledExpr:
-    """Re-express a conjunct written against projection output keys in
-    terms of the child keys feeding those pass-through items.
-
-    The wrapper presents the child batch under the upper-level keys, so
-    the original compiled closure runs unchanged on the exact same
-    vectors — pushdown cannot alter evaluation semantics.
-    """
-    inner = expr
-    pairs = tuple(mapping.items())
-
-    def fn(batch: Batch, ctx: Any) -> vector.Vector:
-        view = Batch(
-            batch.length,
-            {above: batch.columns[below] for above, below in pairs},
-        )
-        return inner.fn(view, ctx)
-
-    refs = frozenset(mapping[r] for r in inner.refs)
-    cmp = inner.cmp
-    if cmp is not None and cmp[1] is not None:
-        below = mapping.get(cmp[1])
-        cmp = (cmp[0], below, cmp[2]) if below is not None else None
-    is_column = (
-        mapping.get(inner.is_column) if inner.is_column is not None else None
-    )
-    return CompiledExpr(fn, refs, text=inner.text, is_column=is_column, cmp=cmp)
-
-
-class _PendingConjunct:
-    """A conjunct travelling down the plan during pushdown."""
-
-    __slots__ = ("expr", "moved")
-
-    def __init__(self, expr: CompiledExpr, moved: bool = False) -> None:
-        self.expr = expr
-        self.moved = moved
-
-
-class _Rewriter:
-    def __init__(
-        self,
-        catalog: Catalog,
-        rewrites: list[str],
-        refcounts: dict[int, int],
-    ) -> None:
-        self.catalog = catalog
-        self.rewrites = rewrites
-        self.refcounts = refcounts
-        #: original shared-body id -> its (possibly replaced) pushed root
-        self.new_bodies: dict[int, PlanNode] = {}
-        self._prov_memo: dict[int, dict[str, tuple[str, str]]] = {}
-        #: conjunct reordering is statistics-driven: without ANALYZE data
-        #: the planner-given order (query text order) is preserved
-        self.use_stats = bool(catalog.analyzed_tables)
-
-    # -- pushdown ----------------------------------------------------------
-
-    def push(
-        self, plan: PlanNode, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        if isinstance(plan, Filter):
-            absorbed = [_PendingConjunct(c) for c in plan.conjuncts]
-            return self.push(plan.child, absorbed + pending)
-        if isinstance(plan, Project):
-            return self._push_project(plan, pending)
-        if isinstance(plan, Join):
-            return self._push_join(plan, pending)
-        if isinstance(plan, (Sort, Distinct)):
-            # stable sort commutes with filtering; DISTINCT dedups on the
-            # full row, so value-identical rows pass or fail together
-            for item in pending:
-                item.moved = True
-            plan.child = self.push(plan.child, pending)
-            return plan
-        if isinstance(plan, Aggregate):
-            return self._push_aggregate(plan, pending)
-        if isinstance(plan, CteRef):
-            return self._push_cte_ref(plan, pending)
-        if isinstance(plan, (Limit, Window, UnionAll)):
-            # barriers: filtering below a LIMIT changes which rows it
-            # keeps; Window values depend on the full partition; UNION
-            # arms use positional schemas
-            if isinstance(plan, UnionAll):
-                plan.parts = [self.push(part, []) for part in plan.parts]
-            else:
-                plan.child = self.push(plan.child, [])
-            return self._attach(plan, pending)
-        return self._attach(plan, pending)
-
-    def _push_project(
-        self, plan: Project, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        mapping: dict[str, str] = {}
-        for out, expr in plan.items:
-            if expr.is_column is not None and out.key not in plan.unnest_keys:
-                mapping.setdefault(out.key, expr.is_column)
-        down: list[_PendingConjunct] = []
-        stuck: list[_PendingConjunct] = []
-        for item in pending:
-            refs = item.expr.refs
-            if refs and all(r in mapping for r in refs):
-                item.expr = _remap_conjunct(
-                    item.expr, {r: mapping[r] for r in refs}
-                )
-                item.moved = True
-                down.append(item)
-            else:
-                stuck.append(item)
-        plan.child = self.push(plan.child, down)
-        return self._attach(plan, stuck)
-
-    def _push_join(
-        self, plan: Join, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        left_keys = {out.key for out in plan.left.schema}
-        right_keys = {out.key for out in plan.right.schema}
-        # a conjunct may only sink into a side whose rows the join
-        # preserves one-to-one: both sides of inner/cross, the row-
-        # preserved side of left/right outer joins, neither side of full
-        allow_left = plan.kind in ("inner", "cross", "left")
-        allow_right = plan.kind in ("inner", "cross", "right")
-        down_left: list[_PendingConjunct] = []
-        down_right: list[_PendingConjunct] = []
-        stuck: list[_PendingConjunct] = []
-        for item in pending:
-            refs = item.expr.refs
-            if refs and refs <= left_keys and allow_left:
-                item.moved = True
-                down_left.append(item)
-            elif refs and refs <= right_keys and allow_right:
-                item.moved = True
-                down_right.append(item)
-            else:
-                stuck.append(item)
-        plan.left = self.push(plan.left, down_left)
-        plan.right = self.push(plan.right, down_right)
-        return self._attach(plan, stuck)
-
-    def _push_aggregate(
-        self, plan: Aggregate, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        # HAVING conjuncts over pure group-key pass-throughs become WHERE:
-        # the predicate is constant within each group, so dropping the
-        # group's input rows and dropping the group row are equivalent
-        mapping: dict[str, str] = {}
-        for out, expr in plan.groups:
-            if expr.is_column is not None:
-                mapping.setdefault(out.key, expr.is_column)
-        down: list[_PendingConjunct] = []
-        stuck: list[_PendingConjunct] = []
-        for item in pending:
-            refs = item.expr.refs
-            if refs and all(r in mapping for r in refs):
-                item.expr = _remap_conjunct(
-                    item.expr, {r: mapping[r] for r in refs}
-                )
-                item.moved = True
-                down.append(item)
-            else:
-                stuck.append(item)
-        plan.child = self.push(plan.child, down)
-        return self._attach(plan, stuck)
-
-    def _push_cte_ref(
-        self, plan: CteRef, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        body = plan.plan
-        references = self.refcounts.get(id(body), 0)
-        plan.plan = self.new_bodies.get(id(body), body)
-        if plan.barrier or references != 1:
-            # materialised CTEs are optimisation barriers (PG12); multi-
-            # reference bodies execute once, so a per-reference filter
-            # cannot sink into them
-            return self._attach(plan, pending)
-        inverse = {dst: src for src, dst in plan.rename.items()}
-        items = [
-            (out, column_passthrough(inverse[out.key])) for out in plan.schema
-        ]
-        self.rewrites.append("inline-single-ref-cte")
-        project = Project(plan.plan, items, [], schema=list(plan.schema))
-        return self._push_project(project, pending)
-
-    def _attach(
-        self, node: PlanNode, pending: list[_PendingConjunct]
-    ) -> PlanNode:
-        kept: list[_PendingConjunct] = []
-        for item in pending:
-            cmp = item.expr.cmp
-            if cmp is not None and cmp[0] == "const" and cmp[2] is True:
-                self.rewrites.append("remove-trivial-filter")
-                continue
-            kept.append(item)
-        if not kept:
-            return node
-        for item in kept:
-            if item.moved:
-                self.rewrites.append("predicate-pushdown")
-        conjuncts = [item.expr for item in kept]
-        if len(conjuncts) > 1 and self.use_stats:
-            prov = _provenance(node, self._prov_memo)
-            order = sorted(
-                range(len(conjuncts)),
-                key=lambda i: _conjunct_selectivity(
-                    conjuncts[i], prov, self.catalog
-                ),
-            )
-            if order != list(range(len(conjuncts))):
-                self.rewrites.append("reorder-conjuncts")
-                conjuncts = [conjuncts[i] for i in order]
-        return Filter(
-            node,
-            combine_conjuncts(conjuncts),
-            schema=list(node.schema),
-            conjuncts=conjuncts,
-        )
-
-
-def _count_cte_refs(
-    top: PlanNode,
-    shared_plans: list[tuple[str, PlanNode, bool]],
-    subquery_plans: list[PlanNode],
-) -> dict[int, int]:
-    counts: dict[int, int] = {}
-
-    def visit(plan: PlanNode) -> None:
-        if isinstance(plan, CteRef):
-            counts[id(plan.plan)] = counts.get(id(plan.plan), 0) + 1
-            return  # body occurrences are counted via shared_plans below
-        for child in plan.children():
-            visit(child)
-
-    visit(top)
-    for sub in subquery_plans:
-        visit(sub)
-    seen: set[int] = set()
-    for _, body, _ in shared_plans:
-        if id(body) in seen:
-            continue
-        seen.add(id(body))
-        visit(body)
-    return counts
-
-
-def _swap_join_builds(
-    plan: PlanNode,
-    estimates: dict[int, float],
-    rewrites: list[str],
-    visited: set[int],
-) -> None:
-    """Make the estimated-smaller input the build (right) side of inner
-    equi-joins.  Value-preserving because join outputs are key-addressed;
-    output row *order* may change, which is why this only fires once
-    ANALYZE statistics exist (the caller gates on that)."""
-    if id(plan) in visited:
-        return
-    visited.add(id(plan))
-    if isinstance(plan, Join) and plan.kind == "inner" and plan.left_keys:
-        left_rows = estimates.get(id(plan.left))
-        right_rows = estimates.get(id(plan.right))
-        if (
-            left_rows is not None
-            and right_rows is not None
-            and right_rows > left_rows * 1.2
-        ):
-            plan.left, plan.right = plan.right, plan.left
-            plan.left_keys, plan.right_keys = (
-                plan.right_keys,
-                plan.left_keys,
-            )
-            rewrites.append("join-build-side")
-    for child in plan.children():
-        _swap_join_builds(child, estimates, rewrites, visited)
-
-
-# ---------------------------------------------------------------------------
-# physical access paths: index scans and index-nested-loop joins
+# index access paths
 # ---------------------------------------------------------------------------
 
 #: storage classes whose scan-filter comparison semantics match an index
@@ -1387,463 +1052,25 @@ def _apply_access_paths(
     return plan
 
 
-def _try_index_join(
-    join: Join,
-    catalog: Catalog,
-    estimates: dict[int, float],
-    rewrites: list[str],
-) -> Optional[IndexJoin]:
-    """Replace an equi-join with an index-nested-loop probe when the
-    build side is an indexed base table and the probe side is small."""
-    if not join.left_keys or any(join.null_safe):
-        return None
-    if join.kind not in ("inner", "left"):
-        return None
-    orientations = [(join.left, join.right, join.left_keys, join.right_keys)]
-    if join.kind == "inner":
-        # mirrored probe: output row order changes, which is fine for an
-        # unordered (set-semantics) join once statistics justify it
-        orientations.append(
-            (join.right, join.left, join.right_keys, join.left_keys)
-        )
-    for outer, inner, outer_keys, inner_keys in orientations:
-        filter_conjuncts: list[CompiledExpr] = []
-        scan = inner
-        if (
-            isinstance(scan, Filter)
-            and join.kind == "inner"
-            and isinstance(scan.child, ScanTable)
-        ):
-            filter_conjuncts = list(scan.conjuncts)
-            scan = scan.child
-        if not isinstance(scan, ScanTable):
-            continue
-        if join.kind == "left" and (
-            filter_conjuncts or join.residual is not None
-        ):
-            continue
-        key_to_column = {key: column for column, key in scan.keys.items()}
-        columns = []
-        for expr in inner_keys:
-            column = (
-                key_to_column.get(expr.is_column)
-                if expr.is_column is not None
-                else None
-            )
-            if column is None:
-                break
-            columns.append(column)
-        else:
-            index = _matching_index(catalog, scan.table_name, columns)
-            if index is None:
-                continue
-            outer_rows = estimates.get(id(outer))
-            inner_rows = estimates.get(id(inner))
-            if (
-                outer_rows is None
-                or inner_rows is None
-                or outer_rows > 1000.0
-                or inner_rows < 2.0 * outer_rows
-            ):
-                continue
-            # probe keys in index-column order
-            order = [columns.index(column) for column in index.columns]
-            left_keys = [outer_keys[i] for i in order]
-            residual_parts = list(filter_conjuncts)
-            if join.residual is not None:
-                residual_parts.append(join.residual)
-            residual = (
-                combine_conjuncts(residual_parts) if residual_parts else None
-            )
-            rewrites.append("index-join")
-            return IndexJoin(
-                outer,
-                scan.table_name,
-                index.name,
-                join.kind,
-                left_keys=left_keys,
-                keys=dict(scan.keys),
-                residual=residual,
-                schema=list(join.schema),
-            )
-    return None
-
-
-def _matching_index(catalog: Catalog, table_name: str, columns: list[str]):
-    """An index whose key columns are exactly *columns* (any order)."""
-    if not columns or len(set(columns)) != len(columns):
-        return None
-    wanted = set(columns)
-    for index in catalog.indexes_on(table_name):
-        if set(index.columns) == wanted and len(index.columns) == len(columns):
-            return index
-    return None
-
-
-def _apply_index_joins(
-    plan: PlanNode,
-    catalog: Catalog,
-    estimates: dict[int, float],
-    rewrites: list[str],
-    memo: dict[int, PlanNode],
-) -> PlanNode:
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
-    original = plan
-    if isinstance(plan, CteRef):
-        plan.plan = _apply_index_joins(
-            plan.plan, catalog, estimates, rewrites, memo
-        )
-    elif isinstance(plan, Join):
-        plan.left = _apply_index_joins(
-            plan.left, catalog, estimates, rewrites, memo
-        )
-        plan.right = _apply_index_joins(
-            plan.right, catalog, estimates, rewrites, memo
-        )
-        replaced = _try_index_join(plan, catalog, estimates, rewrites)
-        if replaced is not None:
-            # keep the parent's cost gate working on the new node
-            rows = estimates.get(id(plan))
-            if rows is not None:
-                estimates[id(replaced)] = rows
-            plan = replaced
-    elif isinstance(plan, IndexJoin):
-        plan.left = _apply_index_joins(
-            plan.left, catalog, estimates, rewrites, memo
-        )
-    elif isinstance(plan, UnionAll):
-        plan.parts = [
-            _apply_index_joins(part, catalog, estimates, rewrites, memo)
-            for part in plan.parts
-        ]
-    elif hasattr(plan, "child"):
-        plan.child = _apply_index_joins(
-            plan.child, catalog, estimates, rewrites, memo  # type: ignore[attr-defined]
-        )
-    memo[id(original)] = plan
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# cost-based join-order enumeration (left-deep DP / greedy)
-# ---------------------------------------------------------------------------
-
-#: exhaustive left-deep DP up to this many relations; greedy above
-_DP_LEAF_LIMIT = 6
-
-
-def _collect_join_region(
-    plan: PlanNode,
-    leaves: list[PlanNode],
-    edges: list[tuple[CompiledExpr, CompiledExpr, bool]],
-) -> None:
-    """Flatten a maximal region of residual-free inner/cross joins."""
-    if (
-        isinstance(plan, Join)
-        and plan.kind in ("inner", "cross")
-        and plan.residual is None
-    ):
-        _collect_join_region(plan.left, leaves, edges)
-        _collect_join_region(plan.right, leaves, edges)
-        for le, re, ns in zip(
-            plan.left_keys, plan.right_keys, plan.null_safe
-        ):
-            edges.append((le, re, ns))
-    else:
-        leaves.append(plan)
-
-
-def _reorder_join_region(
-    root: Join,
-    catalog: Catalog,
-    estimates: dict[int, float],
-    rewrites: list[str],
-    prov_memo: dict[int, dict[str, tuple[str, str]]],
-) -> PlanNode:
-    leaves: list[PlanNode] = []
-    edges: list[tuple[CompiledExpr, CompiledExpr, bool]] = []
-    _collect_join_region(root, leaves, edges)
-    n = len(leaves)
-    if n < 3:
-        return root
-
-    # map every edge endpoint to exactly one leaf; bail out on key
-    # expressions spanning several leaves (rare, and reordering them
-    # would need re-homing logic that is not worth the risk)
-    key_to_leaf: dict[str, int] = {}
-    for position, leaf in enumerate(leaves):
-        for out in leaf.schema:
-            key_to_leaf[out.key] = position
-    placed: list[tuple[CompiledExpr, CompiledExpr, bool, int, int]] = []
-    for le, re, ns in edges:
-        homes_l = {key_to_leaf.get(r) for r in le.refs}
-        homes_r = {key_to_leaf.get(r) for r in re.refs}
-        if len(homes_l) != 1 or len(homes_r) != 1:
-            return root
-        home_l = homes_l.pop()
-        home_r = homes_r.pop()
-        if home_l is None or home_r is None:
-            return root
-        placed.append((le, re, ns, home_l, home_r))
-
-    raw_rows = [estimates.get(id(leaf)) for leaf in leaves]
-    if all(rows is None or rows <= 0 for rows in raw_rows):
-        # empty or never-ANALYZEd inputs: every order costs the same on
-        # paper, so keep the syntactic order the user wrote
-        rewrites.append("join-order-fallback")
-        return root
-    leaf_rows = [
-        max(rows, 1.0) if rows is not None else 1.0 for rows in raw_rows
-    ]
-
-    def edge_factor(edge: tuple) -> float:
-        le, re, _, home_l, home_r = edge
-        ndv_l = _column_ndv(le, _provenance(leaves[home_l], prov_memo), catalog)
-        ndv_r = _column_ndv(re, _provenance(leaves[home_r], prov_memo), catalog)
-        factor = max(ndv_l, ndv_r)
-        return factor if factor > 0 else 10.0
-
-    factors = [edge_factor(edge) for edge in placed]
-
-    def subset_rows(members: frozenset) -> float:
-        rows = 1.0
-        for position in members:
-            rows *= leaf_rows[position]
-        for edge, factor in zip(placed, factors):
-            if edge[3] in members and edge[4] in members:
-                rows /= max(factor, 1.0)
-        return rows
-
-    if n <= _DP_LEAF_LIMIT:
-        order = _dp_join_order(n, subset_rows)
-    else:
-        order = _greedy_join_order(n, leaf_rows, subset_rows)
-    if order == list(range(n)):
-        return root
-
-    rewrites.append("join-reorder")
-    used: set[int] = set()
-    current = leaves[order[0]]
-    in_tree = {order[0]}
-    for position in order[1:]:
-        left_keys: list[CompiledExpr] = []
-        right_keys: list[CompiledExpr] = []
-        null_safe: list[bool] = []
-        for edge_position, (le, re, ns, home_l, home_r) in enumerate(placed):
-            if edge_position in used:
-                continue
-            if home_l in in_tree and home_r == position:
-                left_keys.append(le)
-                right_keys.append(re)
-                null_safe.append(ns)
-                used.add(edge_position)
-            elif home_r in in_tree and home_l == position:
-                left_keys.append(re)
-                right_keys.append(le)
-                null_safe.append(ns)
-                used.add(edge_position)
-        current = Join(
-            current,
-            leaves[position],
-            "inner" if left_keys else "cross",
-            left_keys=left_keys,
-            right_keys=right_keys,
-            null_safe=null_safe,
-            residual=None,
-            schema=current.schema + leaves[position].schema,
-        )
-        in_tree.add(position)
-    return current
-
-
-def _dp_join_order(n: int, subset_rows) -> list[int]:
-    """Selinger-style left-deep dynamic program minimising the summed
-    cardinality of every intermediate join result."""
-    best: dict[frozenset, tuple[float, list[int]]] = {
-        frozenset([i]): (0.0, [i]) for i in range(n)
-    }
-    for size in range(2, n + 1):
-        level: dict[frozenset, tuple[float, list[int]]] = {}
-        for members, (cost, order) in best.items():
-            if len(members) != size - 1:
-                continue
-            for position in range(n):
-                if position in members:
-                    continue
-                grown = frozenset(members | {position})
-                total = cost + subset_rows(grown)
-                entry = level.get(grown)
-                if entry is None or total < entry[0]:
-                    level[grown] = (total, order + [position])
-        best.update(level)
-    return best[frozenset(range(n))][1]
-
-
-def _greedy_join_order(n: int, leaf_rows: list[float], subset_rows) -> list[int]:
-    start = min(range(n), key=lambda i: (leaf_rows[i], i))
-    order = [start]
-    members = {start}
-    while len(order) < n:
-        choice = min(
-            (i for i in range(n) if i not in members),
-            key=lambda i: (subset_rows(frozenset(members | {i})), i),
-        )
-        order.append(choice)
-        members.add(choice)
-    return order
-
-
-def _reorder_joins(
-    plan: PlanNode,
-    catalog: Catalog,
-    estimates: dict[int, float],
-    rewrites: list[str],
-    memo: dict[int, PlanNode],
-    prov_memo: dict[int, dict[str, tuple[str, str]]],
-) -> PlanNode:
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
-    original = plan
-    if (
-        isinstance(plan, Join)
-        and plan.kind in ("inner", "cross")
-        and plan.residual is None
-    ):
-        plan = _reorder_join_region(
-            plan, catalog, estimates, rewrites, prov_memo
-        )
-        # recurse below the region's leaves (joins may hide under them)
-        leaves: list[PlanNode] = []
-        _collect_join_region(plan, leaves, [])
-        for leaf in leaves:
-            _reorder_leaf_children(
-                leaf, catalog, estimates, rewrites, memo, prov_memo
-            )
-    elif isinstance(plan, CteRef):
-        plan.plan = _reorder_joins(
-            plan.plan, catalog, estimates, rewrites, memo, prov_memo
-        )
-    elif isinstance(plan, Join):
-        plan.left = _reorder_joins(
-            plan.left, catalog, estimates, rewrites, memo, prov_memo
-        )
-        plan.right = _reorder_joins(
-            plan.right, catalog, estimates, rewrites, memo, prov_memo
-        )
-    elif isinstance(plan, UnionAll):
-        plan.parts = [
-            _reorder_joins(
-                part, catalog, estimates, rewrites, memo, prov_memo
-            )
-            for part in plan.parts
-        ]
-    elif hasattr(plan, "child"):
-        plan.child = _reorder_joins(
-            plan.child, catalog, estimates, rewrites, memo, prov_memo  # type: ignore[attr-defined]
-        )
-    memo[id(original)] = plan
-    return plan
-
-
-def _reorder_leaf_children(
-    leaf: PlanNode,
-    catalog: Catalog,
-    estimates: dict[int, float],
-    rewrites: list[str],
-    memo: dict[int, PlanNode],
-    prov_memo: dict[int, dict[str, tuple[str, str]]],
-) -> None:
-    """Recurse into a region leaf without re-treating it as a region."""
-    if isinstance(leaf, CteRef):
-        leaf.plan = _reorder_joins(
-            leaf.plan, catalog, estimates, rewrites, memo, prov_memo
-        )
-    elif isinstance(leaf, Join):
-        leaf.left = _reorder_joins(
-            leaf.left, catalog, estimates, rewrites, memo, prov_memo
-        )
-        leaf.right = _reorder_joins(
-            leaf.right, catalog, estimates, rewrites, memo, prov_memo
-        )
-    elif isinstance(leaf, UnionAll):
-        leaf.parts = [
-            _reorder_joins(
-                part, catalog, estimates, rewrites, memo, prov_memo
-            )
-            for part in leaf.parts
-        ]
-    elif hasattr(leaf, "child"):
-        leaf.child = _reorder_joins(
-            leaf.child, catalog, estimates, rewrites, memo, prov_memo  # type: ignore[attr-defined]
-        )
-
-
 def optimize_select_plan(
     top: PlanNode,
-    shared_plans: list[tuple[str, PlanNode, bool]],
     subquery_plans: list[PlanNode],
     catalog: Catalog,
     rewrites: list[str],
 ) -> PlanNode:
-    """Apply the statistics-driven rewrite rules to a planned query.
+    """Turn every filtered base-table scan an index covers into a probe.
 
     Mutates the plan in place (plans are single-use until cached) and
-    returns the possibly-new root.  Fired rule names are appended to
-    *rewrites*.  Scalar-subquery roots are never replaced — their
-    compiled closures capture the root object (planner guarantees those
-    roots are Project-like, which pushdown preserves).
+    returns the possibly-new root; ``index-scan`` is appended to
+    *rewrites* per probe.  Scalar-subquery roots are never replaced —
+    their compiled closures capture the root object (the planner
+    guarantees those roots are Project-like).  Equality and membership
+    probes are taken without statistics; a range probe needs ``ANALYZE``
+    data to show it is selective.
     """
-    refcounts = _count_cte_refs(top, shared_plans, subquery_plans)
-    rewriter = _Rewriter(catalog, rewrites, refcounts)
-    for _, body, _ in shared_plans:
-        if id(body) in rewriter.new_bodies:
-            continue
-        rewriter.new_bodies[id(body)] = rewriter.push(body, [])
-    for sub in subquery_plans:
-        rewriter.push(sub, [])
-    top = rewriter.push(top, [])
-
     use_stats = bool(catalog.analyzed_tables)
-    # equality/membership index probes are safe without statistics; only
-    # range probes consult them (inside _try_index_scan)
-    access_memo: dict[int, PlanNode] = {}
-    top = _apply_access_paths(top, catalog, rewrites, use_stats, access_memo)
+    memo: dict[int, PlanNode] = {}
+    top = _apply_access_paths(top, catalog, rewrites, use_stats, memo)
     for sub in subquery_plans:
-        # root replacement is discarded: subquery closures capture the
-        # root object, and planner guarantees roots are Project-like
-        _apply_access_paths(sub, catalog, rewrites, use_stats, access_memo)
-
-    if use_stats:
-        estimates = estimate_plan_rows(top, catalog)
-        for sub in subquery_plans:
-            estimates.update(estimate_plan_rows(sub, catalog))
-        reorder_memo: dict[int, PlanNode] = {}
-        prov_memo: dict[int, dict[str, tuple[str, str]]] = {}
-        try:
-            top = _reorder_joins(
-                top, catalog, estimates, rewrites, reorder_memo, prov_memo
-            )
-            for sub in subquery_plans:
-                _reorder_joins(
-                    sub, catalog, estimates, rewrites, reorder_memo, prov_memo
-                )
-        except Exception:
-            # cost-based reordering must never break a query; keep the
-            # syntactic join order when the model falls over
-            rewrites.append("join-order-fallback")
-        # the tree changed shape: refresh estimates for the join gates
-        estimates = estimate_plan_rows(top, catalog)
-        for sub in subquery_plans:
-            estimates.update(estimate_plan_rows(sub, catalog))
-        inlj_memo: dict[int, PlanNode] = {}
-        top = _apply_index_joins(top, catalog, estimates, rewrites, inlj_memo)
-        for sub in subquery_plans:
-            _apply_index_joins(sub, catalog, estimates, rewrites, inlj_memo)
-        visited: set[int] = set()
-        _swap_join_builds(top, estimates, rewrites, visited)
-        for sub in subquery_plans:
-            _swap_join_builds(sub, estimates, rewrites, visited)
+        _apply_access_paths(sub, catalog, rewrites, use_stats, memo)
     return top

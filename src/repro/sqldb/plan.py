@@ -24,7 +24,6 @@ __all__ = [
     "combine_conjuncts",
     "Distinct",
     "Filter",
-    "IndexJoin",
     "IndexScan",
     "Join",
     "Limit",
@@ -66,7 +65,7 @@ class CompiledExpr:
     refs: frozenset[str]
     text: str = "?"  # best-effort SQL text for EXPLAIN output
     #: source batch key when this expression is a bare column pass-through;
-    #: lets the optimizer remap predicates through projections
+    #: lets row estimates trace a key back to its base-table column
     is_column: Optional[str] = None
     #: shape metadata for selectivity estimation and index matching:
     #: ``(op, key, operand)`` where op is a comparison operator,
@@ -135,37 +134,6 @@ class IndexScan(PlanNode):
 
 
 @dataclass
-class IndexJoin(PlanNode):
-    """Index-nested-loop join: probe the inner table's index per left row.
-
-    Replaces an equi-``Join`` whose build side is a bare base-table scan
-    covered by an index on the join columns.  Output ordering matches the
-    hash join exactly: left-row order, ascending inner row positions
-    within each key.
-    """
-
-    left: PlanNode
-    table_name: str  # inner base table, reached through the index
-    index_name: str
-    kind: str  # inner | left
-    #: outer-side key expressions, one per index column (in index order)
-    left_keys: list = field(default_factory=list)
-    #: inner column name in storage -> batch key
-    keys: dict[str, str] = field(default_factory=dict)
-    residual: Optional[CompiledExpr] = None
-    schema: list[OutputColumn] = field(default_factory=list)
-
-    def children(self) -> list[PlanNode]:
-        return [self.left]
-
-    def label(self) -> str:
-        return (
-            f"IndexJoin({self.kind}, {self.table_name} "
-            f"using {self.index_name})"
-        )
-
-
-@dataclass
 class ScanSnapshot(PlanNode):
     """Scan of a materialised view's cached result."""
 
@@ -226,10 +194,10 @@ class Filter(PlanNode):
     child: PlanNode
     predicate: CompiledExpr = None  # type: ignore[assignment]
     schema: list[OutputColumn] = field(default_factory=list)
-    #: AND-split predicate parts; with two or more entries the executor
-    #: evaluates them sequentially (each on the survivors of the previous
-    #: one), which keeps results identical to the combined predicate while
-    #: letting the optimizer order them by estimated selectivity
+    #: AND-split predicate parts, in query order; with two or more entries
+    #: the executor evaluates them sequentially (each on the survivors of
+    #: the previous one), which keeps results identical to the combined
+    #: predicate, and an index probe can take over some of them
     conjuncts: list[CompiledExpr] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -243,13 +211,16 @@ class Filter(PlanNode):
         return f"Filter({self.predicate.text})"
 
 
-def column_passthrough(key: str) -> CompiledExpr:
-    """A compiled expression that reads one batch column unchanged."""
+def column_passthrough(key: str, text: Optional[str] = None) -> CompiledExpr:
+    """A compiled expression that reads one batch column unchanged; *text*
+    is the column as the query wrote it (``a``, ``t.a``) for EXPLAIN."""
 
     def fn(batch: Batch, ctx) -> Vector:
         return batch.columns[key]
 
-    return CompiledExpr(fn, frozenset([key]), text=key, is_column=key)
+    return CompiledExpr(
+        fn, frozenset([key]), text=key if text is None else text, is_column=key
+    )
 
 
 def combine_conjuncts(conjuncts: list[CompiledExpr]) -> CompiledExpr:

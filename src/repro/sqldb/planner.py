@@ -644,7 +644,8 @@ class Planner:
 
         if isinstance(expr, ast.ColumnRef):
             key = scope.resolve(expr.name, expr.table)
-            return self._column_passthrough(key)
+            written = f"{expr.table}.{expr.name}" if expr.table else expr.name
+            return column_passthrough(key, written)
 
         if isinstance(expr, ast.BinaryOp):
             return self._compile_binary(expr, scope, env, replace)

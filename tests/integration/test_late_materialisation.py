@@ -4,8 +4,7 @@
 its consumer reads, and the executor's operators gather only those keys.
 These tests probe every dispatched operator's output batch over the
 paper's four pipelines, over the differential fuzzer's ``reference`` and
-``opt-indexed`` configurations (the latter reaches ``IndexScan`` and
-``IndexJoin``), and check the two consequences that are easy to lose:
+``indexed`` configurations (the latter reaches ``IndexScan``), and check the two consequences that are easy to lose:
 a hash-join build reserves memory for its live columns only, and a scan
 pruned to no column still carries its row count.
 """
@@ -120,13 +119,13 @@ def test_fuzz_configs_operators_emit_their_schema(probe):
         configs = _configs(profile, t_rows, u_rows, w_rows)
         try:
             for name, db in configs:
-                if name in ("reference", "opt-indexed"):
+                if name in ("reference", "indexed"):
                     for sql, _ in queries:
                         db.execute(sql)
         finally:
             for _, db in configs:
                 db.close()
-    for kind in ("ScanTable", "IndexScan", "IndexJoin", "Join", "Filter"):
+    for kind in ("ScanTable", "IndexScan", "Join", "Filter"):
         assert probe.seen.get(kind, 0) > 0, kind
     assert probe.violations == []
 

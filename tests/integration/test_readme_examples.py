@@ -35,7 +35,7 @@ BLOCKS = _blocks()
 
 
 def test_the_self_contained_blocks_are_found():
-    # the index/optimizer, TRAIN, memory, plan-cache and EXPLAIN ANALYZE
+    # the index, TRAIN, memory, plan-cache and EXPLAIN ANALYZE
     # examples at least
     assert len(BLOCKS) >= 5
 

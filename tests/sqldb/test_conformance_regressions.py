@@ -11,6 +11,7 @@ import pytest
 from repro.errors import SerializationFailure, SQLBindError, SQLSyntaxError
 from repro.sqldb import Database, connect
 from repro.sqldb.functions import pg_text
+from tests.sqldb.plans import explain
 
 
 @pytest.fixture(params=["postgres", "umbra"])
@@ -201,12 +202,21 @@ class TestScalarSubqueryInsideCalls:
         assert sorted(rows) == [(3, 1), (4, 1), (5, 1)]
 
     def test_optimized_plans_agree(self, db):
-        optimized = Database(db.profile, optimize=True)
+        # the same data with indexes and statistics: index probes inside
+        # the subquery and the outer query leave every answer unchanged
+        optimized = Database(db.profile)
         optimized.run_script(
             "CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2), (3); "
-            "CREATE TABLE u (b int); INSERT INTO u VALUES (2); ANALYZE"
+            "CREATE TABLE u (b int); INSERT INTO u VALUES (2); "
+            "CREATE INDEX t_a ON t (a); CREATE INDEX u_b ON u (b); ANALYZE"
         )
-        for sql in (self.SUM, self.FILTER, self.WINDOW):
+        probed = (
+            "SELECT sum(a + (SELECT max(b) FROM u WHERE b = 2)) FROM t "
+            "WHERE a IN (1, 3)"
+        )
+        plan = explain(optimized, probed)
+        assert "IndexScan(t using t_a, in)" in plan
+        for sql in (self.SUM, self.FILTER, self.WINDOW, probed):
             assert sorted(optimized.execute(sql).rows) == sorted(
                 db.execute(sql).rows
             )

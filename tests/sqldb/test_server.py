@@ -181,7 +181,7 @@ class TestIndexDdlOverTcp:
         to peers until commit, then peers' cached plans are invalidated
         (index epoch is part of the plan-cache key) and re-planned as
         index scans."""
-        db = Database("umbra", optimize=True)
+        db = Database("umbra")
         db.execute("CREATE TABLE t (a int, b text)")
         for i in range(50):
             db.execute("INSERT INTO t (a, b) VALUES (%s, %s)", (i, f"r{i}"))

@@ -68,11 +68,10 @@ class TestUnionAll:
         )
         assert result.scalar() == 5
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_long_chain_does_not_recurse_per_arm(self, optimize):
+    def test_long_chain_does_not_recurse_per_arm(self):
         # one arm per inspected (node, column): parser, constant folder,
         # planner and executor must loop over a chain, not recurse
-        database = Database("postgres", optimize=optimize)
+        database = Database("postgres")
         database.run_script(
             "CREATE TABLE t (n int); INSERT INTO t VALUES (2), (1), (NULL)"
         )

@@ -70,7 +70,7 @@ def _toy_classification(n=120, seed=3):
 
 @pytest.fixture
 def db():
-    database = Database(optimize=True)
+    database = Database()
     yield database
     database.close()
 
@@ -87,7 +87,7 @@ def healthcare_db(tmp_path_factory):
     """patients + histories loaded as SQL tables (small, fast slice)."""
     directory = tmp_path_factory.mktemp("hc")
     paths = generate_healthcare(str(directory), n_patients=150, seed=7)
-    database = Database(optimize=True)
+    database = Database()
     database.execute(
         "CREATE TABLE patients (id int, first_name text, last_name text, "
         "race text, county text, num_children int, income double precision, "
@@ -291,7 +291,7 @@ class TestProperties:
         """
         losses = {}
         for iters in (1, 12):
-            database = Database(optimize=True)
+            database = Database()
             try:
                 _load_xy(database, [r[:2] for r in rows], [r[2] for r in rows])
                 database.execute(
@@ -445,12 +445,12 @@ class TestTransactions:
 class TestDurability:
     def test_committed_model_survives_reopen(self, tmp_path):
         wal = str(tmp_path / "train.wal")
-        database = Database(optimize=True, wal_path=wal)
+        database = Database(wal_path=wal)
         _seed_points(database)
         database.execute(_TRAIN_PTS)
         expected = database.model("m")
         database.close()
-        recovered = Database(optimize=True, wal_path=wal)
+        recovered = Database(wal_path=wal)
         try:
             # WAL replay re-runs TRAIN; determinism gives identical weights
             assert recovered.model("m").coef == expected.coef
@@ -460,13 +460,13 @@ class TestDurability:
 
     def test_checkpoint_carries_model(self, tmp_path):
         wal = str(tmp_path / "ckpt.wal")
-        database = Database(optimize=True, wal_path=wal)
+        database = Database(wal_path=wal)
         _seed_points(database)
         database.execute(_TRAIN_PTS)
         expected = database.model("m").coef
         database.execute("CHECKPOINT")
         database.close()
-        recovered = Database(optimize=True, wal_path=wal)
+        recovered = Database(wal_path=wal)
         try:
             assert recovered.model("m").coef == expected
         finally:
@@ -475,13 +475,13 @@ class TestDurability:
     def test_crash_before_append_loses_unacked_train(self, tmp_path):
         wal = str(tmp_path / "crash1.wal")
         faults = Faults()
-        database = Database(optimize=True, wal_path=wal, faults=faults)
+        database = Database(wal_path=wal, faults=faults)
         _seed_points(database)
         faults.arm("wal.append.before", "crash")
         with pytest.raises(SimulatedCrash):
             database.execute(_TRAIN_PTS)
         database.close()
-        recovered = Database(optimize=True, wal_path=wal)
+        recovered = Database(wal_path=wal)
         try:
             assert recovered.model_names() == []  # never acknowledged
             assert recovered.execute("SELECT count(*) FROM pts").rows == [(40,)]
@@ -490,20 +490,20 @@ class TestDurability:
 
     def test_crash_after_fsync_keeps_train(self, tmp_path):
         wal = str(tmp_path / "crash2.wal")
-        oracle = Database(optimize=True)
+        oracle = Database()
         _seed_points(oracle)
         oracle.execute(_TRAIN_PTS)
         expected = oracle.model("m").coef
         oracle.close()
 
         faults = Faults()
-        database = Database(optimize=True, wal_path=wal, faults=faults)
+        database = Database(wal_path=wal, faults=faults)
         _seed_points(database)
         faults.arm("wal.fsync.after", "crash")
         with pytest.raises(SimulatedCrash):
             database.execute(_TRAIN_PTS)
         database.close()
-        recovered = Database(optimize=True, wal_path=wal)
+        recovered = Database(wal_path=wal)
         try:
             # the fsync completed before the crash: the TRAIN is durable
             assert recovered.model("m").coef == expected

@@ -3,7 +3,7 @@
 Covers the collection edge cases (null-heavy, all-equal, all-null and
 empty columns, text min/max), the ``ANALYZE [table]`` statement, and the
 invalidation contract: a stats refresh bumps ``stats_version`` so cached
-plans optimized under the old statistics stop matching.
+plans made under the old statistics stop matching.
 """
 
 import pytest
@@ -123,7 +123,7 @@ def test_stats_refresh_reflects_new_data(db):
 
 
 def test_plan_cache_invalidated_on_analyze():
-    db = Database("postgres", optimize=True)
+    db = Database("postgres")
     db.run_script(
         """
         CREATE TABLE t (a int, b int);
