@@ -68,10 +68,12 @@ class TestUnionAll:
         )
         assert result.scalar() == 5
 
-    def test_long_chain_does_not_recurse_per_arm(self):
+    @pytest.mark.parametrize("collect_exec_stats", [False, True])
+    def test_long_chain_does_not_recurse_per_arm(self, collect_exec_stats):
         # one arm per inspected (node, column): parser, constant folder,
-        # planner and executor must loop over a chain, not recurse
-        database = Database("postgres")
+        # planner and executor, with or without per-operator runtime
+        # stats, must loop over a chain, not recurse
+        database = Database("postgres", collect_exec_stats=collect_exec_stats)
         database.run_script(
             "CREATE TABLE t (n int); INSERT INTO t VALUES (2), (1), (NULL)"
         )
