@@ -27,11 +27,9 @@ from repro.sqldb import colcodec
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.vector import (
     Vector,
-    align,
-    cells,
     coded_text,
     concat_vectors,
-    text_vector,
+    extend_dictionary,
 )
 
 __all__ = [
@@ -49,6 +47,7 @@ __all__ = [
     "coerce_to_type",
     "decode_records",
     "normalise_type",
+    "probe_compatible",
     "referenced_relations",
 ]
 
@@ -115,7 +114,9 @@ def coerce_to_type(raw: Any, storage: str) -> Any:
     return str(raw)
 
 
-def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
+def _coerce_column(
+    raw: list[Any], storage: str, name: str, onto: Optional[Vector] = None
+) -> Vector:
     """Build the typed vector of one column's new values.
 
     The dtype comes from the declared storage class alone, never from the
@@ -123,15 +124,17 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
     for ``bool``, int32 codes into a dictionary for ``text`` and object
     (None under NULL) for ``array`` — so an empty or all-NULL batch has
     the same dtype as any other and appending never flips a column's
-    dtype.
+    dtype.  Text is coded into the dictionary of *onto* (the column's
+    stored vector; a fresh one without it), extended by the new strings
+    with one lookup per distinct one, so the cells stack onto or
+    overwrite *onto*'s with no merge.
     """
     n = len(raw)
     if storage in ("int", "serial", "float"):
         try:
-            values = np.fromiter(
-                (np.nan if v is None else float(v) for v in raw),
+            values = np.array(
+                [np.nan if v is None else float(v) for v in raw],
                 dtype=np.float64,
-                count=n,
             )
         except (TypeError, ValueError) as exc:
             raise SQLExecutionError(
@@ -139,16 +142,28 @@ def _coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
                 f"({exc})"
             ) from None
         return Vector(values, np.isnan(values))
-    nulls = np.fromiter((v is None for v in raw), dtype=bool, count=n)
+    nulls = np.array([v is None for v in raw], dtype=bool)
     if storage == "bool":
-        values = np.fromiter(
-            (coerce_to_type(v, storage) or False for v in raw),
-            dtype=bool,
-            count=n,
+        values = np.array(
+            [coerce_to_type(v, storage) or False for v in raw], dtype=bool
         )
         return Vector(values, nulls)
     if storage == "text":
-        return text_vector(raw, nulls)
+        dictionary = (
+            np.empty(0, dtype=object) if onto is None else onto.dictionary
+        )
+        distinct = dict.fromkeys(raw)
+        distinct.pop(None, None)
+        if not distinct:
+            return Vector(np.zeros(n, dtype=np.int32), nulls, dictionary)
+        dictionary, values = extend_dictionary(dictionary, list(distinct))
+        if len(distinct) < n:
+            # a NULL row's code is 0, a valid index once a string is stored
+            code = dict(zip(distinct, values.tolist()))
+            values = np.fromiter(
+                map(code.get, raw, itertools.repeat(0)), np.int32, n
+            )
+        return Vector(values, nulls, dictionary)
     # cell by cell: numpy would unpack equally long lists into a matrix
     values = np.empty(n, dtype=object)
     for i, v in enumerate(raw):
@@ -289,33 +304,41 @@ class Table:
         columns fill with NULL.
 
         Only the new batch is coerced (column-at-a-time, to the declared
-        storage class); it is then concatenated onto the existing typed
-        arrays, so the cost is O(batch) Python plus one memcpy.  Every
-        column gets a fresh vector — catalog clones and view snapshots
-        keep the old ones.
+        storage class and straight into the stored form: text into codes
+        of the column's own dictionary), then concatenated onto the
+        existing arrays, so the cost is O(batch) Python plus one memcpy;
+        a typed vector is stacked on through :func:`concat_vectors`, or
+        taken as it is by an empty table.  Every column gets a fresh
+        vector — catalog clones, view snapshots and results keep the old
+        ones.
         """
         for name, storage in zip(self.column_names, self.column_types):
-            if name in data:
-                raw = data[name]
-                if len(raw) != n_new:
-                    raise SQLExecutionError(
-                        f"COPY column {name!r} has {len(raw)} values, "
-                        f"expected {n_new}"
-                    )
-                vector = (
-                    raw if isinstance(raw, Vector)
-                    else _coerce_column(raw, storage, name)
+            old = self.columns[name]
+            raw = data.get(name)
+            if raw is not None and len(raw) != n_new:
+                raise SQLExecutionError(
+                    f"COPY column {name!r} has {len(raw)} values, "
+                    f"expected {n_new}"
                 )
-            elif storage == "serial":
+            if isinstance(raw, Vector):
+                self.columns[name] = (
+                    concat_vectors([old, raw]) if self.n_rows else raw
+                )
+                continue
+            if raw is None and storage == "serial":
                 counter = self._next_serial.get(name, 0)
                 values = np.arange(counter, counter + n_new, dtype=np.float64)
                 self._next_serial[name] = counter + n_new
-                vector = Vector(values, np.zeros(n_new, dtype=bool))
+                new = Vector(values, np.zeros(n_new, dtype=bool))
             else:
-                vector = _coerce_column([None] * n_new, storage, name)
-            if self.n_rows:
-                vector = concat_vectors([self.columns[name], vector])
-            self.columns[name] = vector
+                new = _coerce_column(
+                    [None] * n_new if raw is None else raw, storage, name, old
+                )
+            self.columns[name] = Vector(
+                np.concatenate((old.values, new.values)),
+                np.concatenate((old.nulls, new.nulls)),
+                new.dictionary,
+            )
         self.n_rows += n_new
 
     def append_rows(self, rows: list[dict[str, Any]]) -> None:
@@ -341,14 +364,15 @@ class Table:
         copy of the column; the old vector stays untouched for the
         catalog clones and view snapshots sharing it."""
         storage = self.storage_of(name)
+        old = self.columns[name]
         patch = _coerce_column(
-            [coerce_to_type(cell, storage) for cell in cells], storage, name
+            [coerce_to_type(cell, storage) for cell in cells], storage, name,
+            old,
         )
-        old, patch = align([self.columns[name], patch])
         values, nulls = old.values.copy(), old.nulls.copy()
         values[positions] = patch.values
         nulls[positions] = patch.nulls
-        self.columns[name] = Vector(values, nulls, old.dictionary)
+        self.columns[name] = Vector(values, nulls, patch.dictionary)
 
 
 # -- secondary indexes --------------------------------------------------------
@@ -478,6 +502,28 @@ class Index:
         return np.sort(self.sorted_positions[start:stop])
 
 
+#: storage classes whose scan-filter comparison semantics match an index
+#: probe for a numeric (or boolean) value
+_NUMERIC_STORAGE = {"int", "serial", "float", "bool"}
+
+
+def probe_compatible(value: Any, storage: str) -> bool:
+    """True when probing an index on a *storage*-class column with
+    *value* provably returns the same rows a scan + compare would.
+
+    Mixed-type comparisons are the divergence hazard: ``text_col < 5``
+    string-compares on a scan but raises (-> empty) on a sorted probe,
+    so cross-class probes are simply never taken.
+    """
+    if value is None:
+        return False
+    if isinstance(value, bool) or isinstance(value, (int, float)):
+        return storage in _NUMERIC_STORAGE
+    if isinstance(value, str):
+        return storage == "text"
+    return False
+
+
 def _resolve_index_method(method: Optional[str], n_columns: int) -> str:
     """Normalise/choose the physical index shape."""
     if method in (None, ""):
@@ -509,7 +555,7 @@ def _indexed_positions(vectors: list[Vector], start: int) -> np.ndarray:
     present = ~vectors[0].nulls[start:]
     for vector in vectors[1:]:
         present = present & ~vector.nulls[start:]
-    return np.flatnonzero(present).astype(np.int64) + start
+    return present.nonzero()[0].astype(np.int64, copy=False) + start
 
 
 def _unique_violation(
@@ -533,11 +579,13 @@ def _sorted_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The keys at *positions* in ascending order (position-ascending
     within equal keys) next to their positions."""
-    keys = cells(vector)[positions] if vector.is_text else vector.values[positions]
+    keys = vector.values[positions]
+    if vector.is_text:
+        keys = vector.dictionary[keys]
     if keys.dtype != object:
         keys = keys.astype(np.float64, copy=False)
     try:
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
     except TypeError:
         raise _unsortable(name, columns) from None
     return keys[order], positions[order]
@@ -563,6 +611,26 @@ def _hash_buckets(
             f"index {name!r}: unhashable key values; cannot build hash index"
         ) from None
     return buckets
+
+
+def _merged(old: np.ndarray, new: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """*old* with each of *new* inserted before ``old[at[j]]`` (*at*
+    ascending, as bisecting sorted keys gives it): one slice
+    concatenation when the batch lands in one gap (a single row always
+    does), one scatter otherwise.  Index arrays are never written, so an
+    empty batch shares *old*."""
+    if not len(new):
+        return old
+    if at[0] == at[-1]:
+        cut = int(at[0])
+        return np.concatenate((old[:cut], new, old[cut:]))
+    slots = at + np.arange(len(new))
+    merged = np.empty(len(old) + len(new), dtype=old.dtype)
+    merged[slots] = new
+    rest = np.ones(len(merged), dtype=bool)
+    rest[slots] = False
+    merged[rest] = old
+    return merged
 
 
 def build_index(
@@ -611,39 +679,43 @@ def extend_index(index: Index, table: Table) -> Index:
     was built over.
 
     Field for field what :func:`build_index` returns for the grown table,
-    at the cost of the batch: ``sorted`` bisects the new keys into a copy
-    of the key/position arrays (new positions exceed every old one, so
-    going after equal keys keeps equal keys position-ascending), ``hash``
-    updates only the buckets of the new keys in a shallow copy of the
-    map.  *index* itself is never written; a unique violation — against
-    the old keys or inside the batch — raises before anything is built.
+    at the cost of the batch and a fixed number of numpy calls: ``sorted``
+    bisects the sorted new keys into the old ones (new positions exceed
+    every old one, so going after equal keys keeps equal keys
+    position-ascending), checks uniqueness against each new key's left
+    neighbour and its batch predecessor, and builds the grown arrays
+    with :func:`_merged`; ``hash`` updates only the buckets of the new
+    keys in a shallow copy of the map.  *index* itself is never written;
+    a unique violation — against the old keys or inside the batch —
+    raises before anything is built.
     """
     name, columns = index.name, index.columns
     vectors = _key_vectors(table, columns)
     positions = _indexed_positions(vectors, index.n_rows)
     if index.method == "sorted":
-        old_keys = index.sorted_keys
+        old_keys, old_positions = index.sorted_keys, index.sorted_positions
         keys, positions = _sorted_entries(name, columns, vectors[0], positions)
         try:
-            at = np.searchsorted(old_keys, keys, side="right")
-            first = (
-                np.searchsorted(old_keys, keys, side="left")
-                if index.unique
-                else at
-            )
+            at = old_keys.searchsorted(keys, side="right")
         except TypeError:
             raise _unsortable(name, columns) from None
         if index.unique:
-            duplicated = first < at
-            duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
-            if duplicated.any():
+            # the one old key that can equal a new key is left of its
+            # insertion point (at 0 that is the largest key: greater)
+            duplicated = (
+                np.asarray(old_keys[at - 1] == keys, dtype=bool)
+                if len(old_keys) else np.zeros(len(keys), dtype=bool)
+            )
+            if len(keys) > 1:
+                duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
+            if np.count_nonzero(duplicated):
                 raise _unique_violation(
-                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
+                    name, columns, keys[int(duplicated.nonzero()[0][0])]
                 )
         return Index(
             name, table.name, columns, index.unique, "sorted", table.n_rows,
-            sorted_keys=np.insert(old_keys, at, keys),
-            sorted_positions=np.insert(index.sorted_positions, at, positions),
+            sorted_keys=_merged(old_keys, keys, at),
+            sorted_positions=_merged(old_positions, positions, at),
         )
     hash_map = dict(index.hash_map)
     for key, rows in _hash_buckets(name, vectors, positions).items():

@@ -29,7 +29,6 @@ from repro.errors import (
     OutOfMemory,
     ReadOnlySQLTransaction,
     SerializationFailure,
-    SQLBindError,
     SQLExecutionError,
     TransactionError,
 )
@@ -75,8 +74,8 @@ from repro.sqldb.optimizer import (
 )
 from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_script
-from repro.sqldb.plan import Batch, PlanNode
-from repro.sqldb.planner import Planner, Scope, ScopeEntry
+from repro.sqldb.plan import Batch, PlanNode, parameter_value
+from repro.sqldb.planner import Planner, check_row_expression
 from repro.sqldb.prepared import bind_parameters, normalize_tokens
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
@@ -229,7 +228,9 @@ class Result:
 
 @dataclass
 class _CachedStatement:
-    """One parsed statement plus its lazily built (pruned) plan."""
+    """One parsed statement plus its lazily built plan: a SELECT's, or
+    the one that finds an UPDATE's or DELETE's rows (see
+    :meth:`Database._dml_rows`)."""
 
     statement: ast.Statement
     plan: Optional[PlanNode] = None
@@ -595,8 +596,7 @@ class Database:
         # before parsing: a read-only replica answers 25006 whatever the script
         self._check_writable()
         entry = self._prepare(sql, self._active_catalog(session))
-        statements = [cached.statement for cached in entry.statements]
-        if not all(type(statement) in _WRITES for statement in statements):
+        if not all(type(c.statement) in _WRITES for c in entry.statements):
             raise SQLExecutionError(
                 "executemany only supports DDL/DML statements"
             )
@@ -604,7 +604,7 @@ class Database:
             return self._run_write(
                 scope,
                 sql,
-                statements,
+                entry.statements,
                 (bind_parameters(row, entry.n_params) for row in seq_of_params),
             ).rowcount
 
@@ -612,7 +612,7 @@ class Database:
         self,
         scope: _StatementScope,
         sql: str,
-        statements: list[ast.Statement],
+        statements: list[_CachedStatement],
         rows: Iterable[tuple],
         index: Optional[int] = None,
     ) -> Result:
@@ -629,13 +629,14 @@ class Database:
         predicates, matview builds and refreshes, TRAIN) run in the same
         scope; a 57014 or 53200 there is undone with the statement."""
         # an empty script is a batch of nothing: no targets, no records
-        self._check_writable(statements[0] if statements else None)
+        self._check_writable(statements[0].statement if statements else None)
         session = scope.session
         txn = session.txn
         catalog = self._active_catalog(session)
         targets: list[str] = []
         checks: list[str] = []
-        for statement in statements:
+        for cached in statements:
+            statement = cached.statement
             names, reads = _WRITES[type(statement)].targets(statement, catalog)
             targets += names
             checks += reads
@@ -655,9 +656,9 @@ class Database:
                 memento = catalog.snapshot()
                 try:
                     for params in rows:
-                        for statement in statements:
-                            total += _WRITES[type(statement)].apply(
-                                self, statement, params, catalog, scope
+                        for cached in statements:
+                            total += _WRITES[type(cached.statement)].apply(
+                                self, cached, params, catalog, scope
                             ).rowcount
                         if capturing:
                             bound = list(params)
@@ -896,7 +897,7 @@ class Database:
         elif type(statement) in _WRITES:
             with _StatementScope(session, deadline, self.memory) as scope:
                 result = self._run_write(
-                    scope, sql, [statement], [params], index
+                    scope, sql, [cached], [params], index
                 )
         else:
             raise SQLExecutionError(
@@ -1133,22 +1134,20 @@ class Database:
         script; ``many``: the whole script per row) to the committed
         catalog — WAL recovery and replicated apply both replay through
         here.  Returns the relation names the record wrote."""
-        stmts = [
-            cached.statement
-            for cached in self._prepare(record["sql"]).statements
-        ]
+        stmts = self._prepare(record["sql"]).statements
         if record["t"] == "many":
             rows = record["rows"]
         else:
             stmts = [stmts[int(record["i"])]]
             rows = [record.get("p", ())]
         targets: set[str] = set()
-        for statement in stmts:
+        for cached in stmts:
+            statement = cached.statement
             targets.update(_WRITES[type(statement)].targets(statement, self.catalog)[0])
         for row in rows:
-            for statement in stmts:
-                _WRITES[type(statement)].apply(
-                    self, statement, tuple(row), self.catalog, _REPLAY
+            for cached in stmts:
+                _WRITES[type(cached.statement)].apply(
+                    self, cached, tuple(row), self.catalog, _REPLAY
                 )
         return targets
 
@@ -1325,18 +1324,20 @@ class Database:
     # -- DDL / DML --------------------------------------------------------------------
 
     def _execute_create_table(
-        self, statement: ast.CreateTable, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         names = [c.name for c in statement.columns]
         types = [normalise_type(c.type_name) for c in statement.columns]
         catalog.create_table(Table(statement.name, names, types))
         return Result()
 
     def _execute_create_view(
-        self, statement: ast.CreateView, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         view = View(
             statement.name, statement.query, statement.materialized,
             statement.sql,
@@ -1347,9 +1348,10 @@ class Database:
         return Result()
 
     def _execute_insert(
-        self, statement: ast.Insert, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         table = catalog.table(statement.table)
         columns = statement.columns or [
             name
@@ -1372,7 +1374,7 @@ class Database:
         return Result(rowcount=len(rows))
 
     def _execute_copy(
-        self, statement: ast.Copy, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
         """Load a CSV file in chunks of :data:`_COPY_CHUNK_ROWS` rows, each
@@ -1385,6 +1387,7 @@ class Database:
         does not parse, and of those the first column in table order wins
         — so after a typing error the rest of the file is still read, and
         only the columns before the failed one are still typed."""
+        statement = cached.statement
         table = catalog.table(statement.table)
         columns = statement.columns or list(table.column_names)
         # a repeated name stores its last field; an unknown one is read
@@ -1421,9 +1424,10 @@ class Database:
         return Result(rowcount=n_rows)
 
     def _execute_create_index(
-        self, statement: ast.CreateIndex, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         table = catalog.table(statement.table)
         columns = tuple(statement.columns)
         for column in columns:
@@ -1436,7 +1440,7 @@ class Database:
         return Result()
 
     def _execute_train(
-        self, statement: ast.Train, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
         """Run the in-database trainer and store the fitted model.
@@ -1448,6 +1452,7 @@ class Database:
         calling path needs.  Retraining an existing model name replaces
         it (statement atomicity makes a failed retrain keep the old one).
         """
+        statement = cached.statement
         from repro.sqldb import ml_train
 
         options = {
@@ -1483,41 +1488,48 @@ class Database:
 
         return ml_train.model_to_estimator(self.model(name, session))
 
-    def _dml_predicate_mask(
+    def _dml_rows(
         self,
-        table: Table,
-        where: Optional[ast.Expr],
+        cached: _CachedStatement,
         params: tuple,
         catalog: Catalog,
         scope: _StatementScope,
-    ) -> tuple[np.ndarray, Batch, Scope]:
-        """Evaluate a DML WHERE clause over the whole table.
+    ) -> tuple[np.ndarray, list[Vector]]:
+        """The ascending positions of the rows an UPDATE or DELETE
+        touches, and UPDATE's new values for them (one vector per
+        assignment, each computed from the pre-statement row images).
 
-        Returns the boolean row mask (true = row affected) plus the batch
-        and name scope so UPDATE can reuse them for its assignment
-        expressions.
-        """
-        entries = [
-            ScopeEntry(table.name, name, name) for name in table.column_names
+        The statement runs as ``SELECT ctid, <assigned expressions> FROM
+        table WHERE ...`` through the one plan path, planned once per
+        cached statement, so an indexed ``k = $1`` or ``k IN (...)``
+        probes instead of scanning and only the matched rows are
+        evaluated."""
+        statement = cached.statement
+        if cached.plan is None:
+            assignments = getattr(statement, "assignments", ())
+            for _, expr in assignments:
+                check_row_expression(expr)
+            query = ast.Select(
+                items=[
+                    ast.SelectItem(ast.ColumnRef(CTID)),
+                    *(ast.SelectItem(expr) for _, expr in assignments),
+                ],
+                sources=[ast.NamedTable(statement.table)],
+                where=statement.where,
+            )
+            cached.plan = self._plan_select(query, catalog)
+        plan = cached.plan
+        batch = self._run_plan(plan, scope, catalog, params)
+        ctid, *values = [
+            batch.columns[out.key] for out in plan.schema if not out.hidden
         ]
-        entries.append(ScopeEntry(table.name, CTID, CTID, hidden=True))
-        names = Scope(entries)
-        columns = {name: table.columns[name] for name in table.column_names}
-        columns[CTID] = table.ctid
-        batch = Batch(table.n_rows, columns)
-        if where is None:
-            return np.ones(table.n_rows, dtype=bool), batch, names
-        planner = Planner(catalog, self.profile)
-        predicate = planner.compile_expr(where, names, {})
-        result = predicate(batch, scope.context(catalog, self.profile, params))
-        mask = result.values.astype(bool, copy=True)
-        mask &= ~result.nulls
-        return mask, batch, names
+        return ctid.values.astype(np.int64), values
 
     def _execute_update(
-        self, statement: ast.Update, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         table = catalog.table(statement.table)
         seen: set[str] = set()
         for column, _ in statement.assignments:
@@ -1527,19 +1539,11 @@ class Database:
                     f"column {column!r} assigned more than once in UPDATE"
                 )
             seen.add(column)
-        mask, batch, names = self._dml_predicate_mask(
-            table, statement.where, params, catalog, scope
-        )
-        affected = int(mask.sum())
+        positions, values = self._dml_rows(cached, params, catalog, scope)
+        affected = len(positions)
         if affected:
-            planner = Planner(catalog, self.profile)
-            ctx = scope.context(catalog, self.profile, params)
-            positions = np.flatnonzero(mask)
-            for column, expr in statement.assignments:
-                # all assignments see the pre-statement row images
-                compiled = planner.compile_expr(expr, names, {})
+            for (column, _), fresh in zip(statement.assignments, values):
                 # only the touched cells pass through Python
-                fresh = gather(compiled(batch, ctx), positions)
                 table.patch_column(column, positions, fresh.tolist())
         self._finish_dml(
             statement.table, catalog, scope, assigned=seen if affected else ()
@@ -1547,22 +1551,22 @@ class Database:
         return Result(rowcount=affected)
 
     def _execute_delete(
-        self, statement: ast.Delete, params: tuple, catalog: Catalog,
+        self, cached: _CachedStatement, params: tuple, catalog: Catalog,
         scope: _StatementScope,
     ) -> Result:
+        statement = cached.statement
         table = catalog.table(statement.table)
-        mask, _, _ = self._dml_predicate_mask(
-            table, statement.where, params, catalog, scope
-        )
-        removed = int(mask.sum())
-        if removed:
-            keep = np.flatnonzero(~mask)
+        positions, _ = self._dml_rows(cached, params, catalog, scope)
+        if len(positions):
+            keep = np.ones(table.n_rows, dtype=bool)
+            keep[positions] = False
+            keep = np.flatnonzero(keep)
             for name in table.column_names:
                 # fresh vectors: catalog clones sharing the old ones are safe
                 table.columns[name] = gather(table.columns[name], keep)
             table.n_rows = len(keep)
         self._finish_dml(statement.table, catalog, scope)
-        return Result(rowcount=removed)
+        return Result(rowcount=len(positions))
 
     def _finish_dml(
         self,
@@ -1695,13 +1699,7 @@ def _literal_value(expr: ast.Expr, params: tuple = ()) -> Any:
     if isinstance(expr, ast.Literal):
         return expr.value
     if isinstance(expr, ast.Parameter):
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise SQLBindError(
-                f"statement parameter ${expr.index + 1} was not bound",
-                sqlstate="42P02",  # undefined_parameter
-            ) from None
+        return parameter_value(params, expr.index)
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         inner = _literal_value(expr.operand, params)
         if isinstance(inner, (int, float)):
@@ -1734,8 +1732,10 @@ class _Write(NamedTuple):
     #: ``(statement, catalog) -> (locked-and-installed, conflict-checked-
     #: only)`` relation names
     targets: Callable[[Any, Catalog], _Targets]
-    #: ``(database, statement, params, catalog, scope) -> Result``
-    apply: Callable[[Database, Any, tuple, Catalog, _StatementScope], Result]
+    #: ``(database, cached statement, params, catalog, scope) -> Result``
+    apply: Callable[
+        [Database, _CachedStatement, tuple, Catalog, _StatementScope], Result
+    ]
 
 
 def _targets_name(statement, catalog: Catalog) -> _Targets:
@@ -1767,23 +1767,24 @@ def _targets_analyze(statement: ast.Analyze, catalog: Catalog) -> _Targets:
     return list(catalog.table_names), []
 
 
-def _drop(database, statement: ast.Drop, params, catalog, scope) -> Result:
+def _drop(database, cached, params, catalog, scope) -> Result:
+    statement = cached.statement
     catalog.drop(statement.name, statement.kind, statement.if_exists)
     return Result()
 
 
-def _drop_index(database, statement: ast.DropIndex, params, catalog, scope) -> Result:
-    catalog.drop_index(statement.name, statement.if_exists)
+def _drop_index(database, cached, params, catalog, scope) -> Result:
+    catalog.drop_index(cached.statement.name, cached.statement.if_exists)
     return Result()
 
 
-def _drop_model(database, statement: ast.DropModel, params, catalog, scope) -> Result:
-    catalog.drop_model(statement.name, statement.if_exists)
+def _drop_model(database, cached, params, catalog, scope) -> Result:
+    catalog.drop_model(cached.statement.name, cached.statement.if_exists)
     return Result()
 
 
-def _analyze(database, statement: ast.Analyze, params, catalog, scope) -> Result:
-    return Result(rowcount=len(catalog.analyze(statement.table)))
+def _analyze(database, cached, params, catalog, scope) -> Result:
+    return Result(rowcount=len(catalog.analyze(cached.statement.table)))
 
 
 #: every statement type that mutates the catalog: these take table locks,

@@ -41,11 +41,13 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import SQLExecutionError
-from repro.sqldb.catalog import CTID, Catalog
+from repro.sqldb import ast_nodes as ast
+from repro.sqldb.catalog import CTID, Catalog, probe_compatible
 from repro.sqldb.plan import (
     Aggregate,
     AggregateItem,
     Batch,
+    CompiledExpr,
     CteRef,
     Distinct,
     Filter,
@@ -60,6 +62,7 @@ from repro.sqldb.plan import (
     Sort,
     UnionAll,
     Window,
+    parameter_value,
 )
 from repro.sqldb.profile import Profile
 from repro.sqldb.stats import ExecStats
@@ -309,9 +312,41 @@ def _index_lookup_positions(index, lookup: tuple) -> np.ndarray:
     raise SQLExecutionError(f"unknown index lookup kind {kind!r}")
 
 
+def _bound_lookup(
+    lookup: tuple, index, table, params: tuple
+) -> Optional[tuple]:
+    """*lookup* with its parameters bound, or None when a bound value
+    cannot probe the index as the compare it stands for would answer."""
+    kind, operand = lookup
+    if kind == "range" or not any(
+        isinstance(value, ast.Parameter) for value in operand
+    ):
+        return lookup
+    values = tuple(
+        parameter_value(params, value.index)
+        if isinstance(value, ast.Parameter) else value
+        for value in operand
+    )
+    columns = index.columns if kind == "eq" else index.columns * len(values)
+    if all(
+        probe_compatible(value, table.storage_of(column))
+        for value, column in zip(values, columns)
+    ):
+        return kind, values
+    return None
+
+
 def _exec_index_scan(plan: IndexScan, ctx: ExecContext) -> Batch:
     table, index = _resolve_index(plan.table_name, plan.index_name, ctx)
-    positions = _index_lookup_positions(index, plan.lookup)
+    lookup = _bound_lookup(plan.lookup, index, table, ctx.params)
+    if lookup is None:
+        # the scan and filter the probe stands for
+        batch = _table_batch(table, {**plan.conjunct_keys, **plan.keys})
+        positions = _kept_positions(plan.conjuncts, batch, ctx)
+        if positions is None:
+            positions = np.arange(batch.length)
+        return _take_rows(batch, positions, plan.keys.values())
+    positions = _index_lookup_positions(index, lookup)
     return _take_rows(
         _table_batch(table, plan.keys), positions, plan.keys.values()
     )
@@ -407,23 +442,32 @@ def _expand_unnest(
 # ---------------------------------------------------------------------------
 
 
-def _exec_filter(plan: Filter, ctx: ExecContext) -> Batch:
-    child = execute_plan(plan.child, ctx)
-    # sequential conjunct evaluation: each part runs on the survivors of
-    # the previous one, reading only its own columns.  Rows kept = rows
-    # where every conjunct is definitely TRUE — identical to the combined
-    # AND predicate under three-valued logic, but later (less selective)
-    # conjuncts touch fewer rows
+def _kept_positions(
+    conjuncts: list[CompiledExpr], batch: Batch, ctx: ExecContext
+) -> Optional[np.ndarray]:
+    """The rows of *batch* where every conjunct is TRUE, or None for all.
+
+    Sequential conjunct evaluation: each part runs on the survivors of
+    the previous one, reading only its own columns.  Rows kept = rows
+    where every conjunct is definitely TRUE — identical to the combined
+    AND predicate under three-valued logic, but later (less selective)
+    conjuncts touch fewer rows."""
     positions: Optional[np.ndarray] = None  # None = every row so far
-    for conjunct in plan.conjuncts:
+    for conjunct in conjuncts:
         rows = (
-            child
+            batch
             if positions is None
-            else _take_rows(child, positions, conjunct.refs)
+            else _take_rows(batch, positions, conjunct.refs)
         )
         kept = truthy_rows(conjunct(rows, ctx))
         if len(kept) < rows.length:
             positions = kept if positions is None else positions[kept]
+    return positions
+
+
+def _exec_filter(plan: Filter, ctx: ExecContext) -> Batch:
+    child = execute_plan(plan.child, ctx)
+    positions = _kept_positions(plan.conjuncts, child, ctx)
     keys = _schema_keys(plan)
     if positions is None:
         return Batch(child.length, {k: child.columns[k] for k in keys})

@@ -14,8 +14,9 @@ bit-compatible with computed ones).  :func:`optimize_select_plan` turns a
 filtered base-table scan into an index probe wherever an index covers an
 equality, ``IN`` or (with ``ANALYZE`` statistics) selective range
 conjunct; a probe returns the rows a scan + filter would, in the same
-order.  :func:`estimate_plan_rows` gives the row estimates ``EXPLAIN``
-prints.
+order; an equality or ``IN`` value may be a statement parameter, read
+when the probe runs.  :func:`estimate_plan_rows` gives the row estimates
+``EXPLAIN`` prints.
 
 Fired rules (``constant-folding``, ``index-scan``) are append-logged by
 name so ``EXPLAIN ANALYZE`` can report them.
@@ -27,7 +28,7 @@ from typing import Any, Optional
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import vector
-from repro.sqldb.catalog import Catalog
+from repro.sqldb.catalog import Catalog, probe_compatible
 from repro.sqldb.plan import (
     Aggregate,
     CompiledExpr,
@@ -826,26 +827,10 @@ def _estimate(
 # index access paths
 # ---------------------------------------------------------------------------
 
-#: storage classes whose scan-filter comparison semantics match an index
-#: probe for a numeric (or boolean) literal
-_NUMERIC_STORAGE = {"int", "serial", "float", "bool"}
-
-
-def _probe_compatible(value: Any, storage: str) -> bool:
-    """True when probing an index on a *storage*-class column with
-    *value* provably returns the same rows a scan + compare would.
-
-    Mixed-type comparisons are the divergence hazard: ``text_col < 5``
-    string-compares on a scan but raises (-> empty) on a sorted probe,
-    so cross-class probes are simply never taken.
-    """
-    if value is None:
-        return False
-    if isinstance(value, bool) or isinstance(value, (int, float)):
-        return storage in _NUMERIC_STORAGE
-    if isinstance(value, str):
-        return storage == "text"
-    return False
+def _probes(value: Any, storage: str) -> bool:
+    """An equality / ``IN`` value an index may answer: a compatible
+    literal, or a parameter (whose bound value the scan checks)."""
+    return isinstance(value, ast.Parameter) or probe_compatible(value, storage)
 
 
 def _try_index_scan(
@@ -881,19 +866,19 @@ def _try_index_scan(
         if column is None:
             continue
         storage = table.storage_of(column)
-        if op == "=" and _probe_compatible(operand, storage):
+        if op == "=" and _probes(operand, storage):
             eq.setdefault(column, (position, operand))
         elif op == "in" and operand and all(
-            _probe_compatible(v, storage) for v in operand
+            _probes(v, storage) for v in operand
         ):
             in_lists.setdefault(column, (position, tuple(operand)))
-        elif op in (">", ">=") and _probe_compatible(operand, storage):
+        elif op in (">", ">=") and probe_compatible(operand, storage):
             lowers.setdefault(column, (position, operand, op == ">="))
-        elif op in ("<", "<=") and _probe_compatible(operand, storage):
+        elif op in ("<", "<=") and probe_compatible(operand, storage):
             uppers.setdefault(column, (position, operand, op == "<="))
         elif op == "between":
             low, high = operand
-            if _probe_compatible(low, storage) and _probe_compatible(
+            if probe_compatible(low, storage) and probe_compatible(
                 high, storage
             ):
                 lowers.setdefault(column, (position, low, True))
@@ -942,19 +927,28 @@ def _try_index_scan(
     if best is None:
         return None
     _, index, lookup, used = best
-    probe = IndexScan(
-        scan.table_name,
-        index.name,
-        lookup,
-        schema=list(scan.schema),
-        keys=dict(scan.keys),
-    )
-    rewrites.append("index-scan")
+    absorbed = [filt.conjuncts[position] for position in sorted(used)]
     rest = [
         conjunct
         for position, conjunct in enumerate(filt.conjuncts)
         if position not in used
     ]
+    # the probe keeps what the consumer and the residual read; a key only
+    # the absorbed conjuncts read is not gathered
+    needed = {out.key for out in filt.schema}.union(
+        *(conjunct.refs for conjunct in rest)
+    )
+    read = frozenset().union(*(conjunct.refs for conjunct in absorbed))
+    probe = IndexScan(
+        scan.table_name,
+        index.name,
+        lookup,
+        schema=[out for out in scan.schema if out.key in needed],
+        keys={c: key for c, key in scan.keys.items() if key in needed},
+        conjuncts=absorbed,
+        conjunct_keys={c: key for c, key in scan.keys.items() if key in read},
+    )
+    rewrites.append("index-scan")
     if not rest:
         return probe
     return Filter(

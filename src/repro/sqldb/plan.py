@@ -10,8 +10,9 @@ sessions' threads.  Per-execution state lives in ``ExecContext`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
+from repro.errors import SQLBindError
 from repro.sqldb.vector import Vector
 
 __all__ = [
@@ -57,6 +58,17 @@ class OutputColumn:
     hidden: bool = False  # system columns (ctid) excluded from SELECT *
 
 
+def parameter_value(params: tuple, index: int) -> Any:
+    """The value bound to statement parameter ``$index+1``."""
+    try:
+        return params[index]
+    except IndexError:
+        raise SQLBindError(
+            f"statement parameter ${index + 1} was not bound",
+            sqlstate="42P02",  # undefined_parameter
+        ) from None
+
+
 @dataclass
 class CompiledExpr:
     """A bound scalar expression: batch -> vector, with its key footprint."""
@@ -70,7 +82,8 @@ class CompiledExpr:
     #: shape metadata for selectivity estimation and index matching:
     #: ``(op, key, operand)`` where op is a comparison operator,
     #: "isnull"/"notnull", "between" (operand = (lo, hi)), "in" (operand =
-    #: tuple of literal values) or "const" (operand = the literal value)
+    #: tuple of values) or "const" (operand = the literal value); a
+    #: comparison or "in" value may be an ``ast.Parameter``, bound later
     cmp: Optional[tuple] = None
 
     def __call__(self, batch: Batch, ctx) -> Vector:
@@ -113,7 +126,11 @@ class IndexScan(PlanNode):
     The executor probes the index and gathers only the matching rows; the
     ascending-position contract of :class:`~repro.sqldb.catalog.Index`
     lookups makes the output row order identical to ``ScanTable`` +
-    ``Filter`` over the same predicate.
+    ``Filter`` over the same predicate.  An ``eq`` / ``in`` value may be a
+    statement parameter (``ast.Parameter``), read from the bound
+    parameters when the scan runs; a bound value that cannot probe (NULL,
+    or text against a numeric key) runs the scan and the *conjuncts* the
+    probe stands for instead.
     """
 
     table_name: str
@@ -125,6 +142,10 @@ class IndexScan(PlanNode):
     schema: list[OutputColumn] = field(default_factory=list)
     #: column name in storage -> batch key
     keys: dict[str, str] = field(default_factory=dict)
+    #: the filter conjuncts the probe answers, and the stored columns they
+    #: read (storage name -> batch key), which *keys* need not hold
+    conjuncts: list[CompiledExpr] = field(default_factory=list)
+    conjunct_keys: dict[str, str] = field(default_factory=dict)
 
     def label(self) -> str:
         kind = self.lookup[0] if self.lookup else "?"

@@ -45,11 +45,12 @@ from repro.sqldb.plan import (
     UnionAll,
     column_passthrough,
     combine_conjuncts,
+    parameter_value,
 )
 from repro.sqldb.profile import Profile
 from repro.sqldb.vector import Vector, constant
 
-__all__ = ["Planner"]
+__all__ = ["Planner", "check_row_expression"]
 
 
 @dataclass
@@ -110,6 +111,17 @@ def _split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+def _is_value(expr: ast.Expr) -> bool:
+    """A literal or a statement parameter: a comparison operand whose
+    value is known when the statement runs (``cmp`` metadata)."""
+    return isinstance(expr, (ast.Literal, ast.Parameter))
+
+
+def _value(expr: ast.Literal | ast.Parameter) -> Any:
+    """A literal's value; a parameter stands for itself until bound."""
+    return expr.value if isinstance(expr, ast.Literal) else expr
+
+
 def _collect_aggregates(expr: ast.Expr, found: list[ast.FuncCall]) -> None:
     """Gather top-level aggregate calls (not descending into subqueries)."""
     if isinstance(expr, ast.FuncCall):
@@ -147,6 +159,21 @@ def _collect_aggregates(expr: ast.Expr, found: list[ast.FuncCall]) -> None:
             _collect_aggregates(expr.else_, found)
     elif isinstance(expr, ast.Cast):
         _collect_aggregates(expr.operand, found)
+
+
+def check_row_expression(expr: ast.Expr) -> None:
+    """Raise unless *expr* is computed row by row: an UPDATE assignment,
+    which runs as a select item, must not aggregate or window."""
+    if isinstance(expr, ast.WindowCall):
+        raise SQLBindError(
+            "window functions are only allowed as top-level select items"
+        )
+    found: list[ast.FuncCall] = []
+    _collect_aggregates(expr, found)
+    if found:
+        raise SQLBindError(
+            f"aggregate {found[0].name}() is not allowed in this context"
+        )
 
 
 def _item_name(item: ast.SelectItem) -> str:
@@ -631,14 +658,9 @@ class Planner:
             index = expr.index
 
             def fn_param(batch: Batch, ctx: Any) -> Vector:
-                try:
-                    value = ctx.params[index]
-                except IndexError:
-                    raise SQLBindError(
-                        f"statement parameter ${index + 1} was not bound",
-                        sqlstate="42P02",  # undefined_parameter
-                    ) from None
-                return constant(value, batch.length)
+                return constant(
+                    parameter_value(ctx.params, index), batch.length
+                )
 
             return CompiledExpr(fn_param, frozenset(), text=f"${index + 1}")
 
@@ -765,10 +787,10 @@ class Planner:
             )
         if op in ("=", "<>", "<", "<=", ">", ">="):
             cmp = None
-            if left.is_column is not None and isinstance(expr.right, ast.Literal):
-                cmp = (op, left.is_column, expr.right.value)
-            elif right.is_column is not None and isinstance(expr.left, ast.Literal):
-                cmp = (_FLIP[op], right.is_column, expr.left.value)
+            if left.is_column is not None and _is_value(expr.right):
+                cmp = (op, left.is_column, _value(expr.right))
+            elif right.is_column is not None and _is_value(expr.left):
+                cmp = (_FLIP[op], right.is_column, _value(expr.left))
             return CompiledExpr(
                 lambda b, c: vector.compare(op, left(b, c), right(b, c)),
                 refs,
@@ -814,13 +836,9 @@ class Planner:
         if (
             not negated
             and operand.is_column is not None
-            and all(isinstance(i, ast.Literal) for i in expr.items)
+            and all(map(_is_value, expr.items))
         ):
-            cmp = (
-                "in",
-                operand.is_column,
-                tuple(item.value for item in expr.items),
-            )
+            cmp = ("in", operand.is_column, tuple(map(_value, expr.items)))
         return CompiledExpr(fn_in, refs, text="IN (...)", cmp=cmp)
 
     def _compile_case(

@@ -42,6 +42,7 @@ __all__ = [
     "cells",
     "coded_text",
     "dictionary_ranks",
+    "extend_dictionary",
     "find_codes",
     "first_occurrence_codes",
     "first_occurrence_ranks",
@@ -246,7 +247,7 @@ def find_codes(dictionary: np.ndarray, keys: Sequence[Any]) -> np.ndarray:
     return found
 
 
-def _extend(
+def extend_dictionary(
     dictionary: np.ndarray, keys: list[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """*dictionary* with the new ones of (distinct) *keys* appended, and
@@ -331,7 +332,9 @@ def _shared_codes(
             continue
         key = id(v.dictionary)
         if key not in remaps:
-            merged, remaps[key] = _extend(merged, v.dictionary.tolist())
+            merged, remaps[key] = extend_dictionary(
+                merged, v.dictionary.tolist()
+            )
         remap = remaps[key]
         codes.append(v.values if remap is None else remap[v.values])
     return merged, codes

@@ -1,0 +1,156 @@
+"""The batch-shaped write path that the direct append replaced, kept
+verbatim as a reference oracle (``test_write_path_oracle.py``).
+
+An INSERT used to build each column's batch as its own vector (text with
+a fresh dictionary, ``text_vector``) and merge it onto the stored column
+through ``concat_vectors`` (``vector._shared_codes`` remapping the batch
+dictionary into the column's), and a sorted index grew by ``argsort``
+plus two ``np.insert``.  These are the parent versions of
+``catalog._coerce_column``, ``Table.append_columns`` (list branch),
+``Table.append_rows``, ``_sorted_entries`` and ``extend_index``, as free
+functions over a :class:`~repro.sqldb.catalog.Table` and an
+:class:`~repro.sqldb.catalog.Index`.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+import numpy as np
+
+from repro.errors import SQLExecutionError
+from repro.sqldb.catalog import (
+    Index,
+    Table,
+    _hash_buckets,
+    _indexed_positions,
+    _key_vectors,
+    _unique_violation,
+    _unsortable,
+    coerce_to_type,
+)
+from repro.sqldb.vector import Vector, cells, concat_vectors, text_vector
+
+
+def coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
+    n = len(raw)
+    if storage in ("int", "serial", "float"):
+        try:
+            values = np.fromiter(
+                (np.nan if v is None else float(v) for v in raw),
+                dtype=np.float64,
+                count=n,
+            )
+        except (TypeError, ValueError) as exc:
+            raise SQLExecutionError(
+                f"column {name!r}: cannot interpret a value as a number "
+                f"({exc})"
+            ) from None
+        return Vector(values, np.isnan(values))
+    nulls = np.fromiter((v is None for v in raw), dtype=bool, count=n)
+    if storage == "bool":
+        values = np.fromiter(
+            (coerce_to_type(v, storage) or False for v in raw),
+            dtype=bool,
+            count=n,
+        )
+        return Vector(values, nulls)
+    if storage == "text":
+        return text_vector(raw, nulls)
+    values = np.empty(n, dtype=object)
+    for i, v in enumerate(raw):
+        values[i] = v
+    return Vector(values, nulls)
+
+
+def append_columns(table: Table, data: dict[str, list[Any]], n_new: int) -> None:
+    for name, storage in zip(table.column_names, table.column_types):
+        if name in data:
+            raw = data[name]
+            if len(raw) != n_new:
+                raise SQLExecutionError(
+                    f"COPY column {name!r} has {len(raw)} values, "
+                    f"expected {n_new}"
+                )
+            vector = (
+                raw if isinstance(raw, Vector)
+                else coerce_column(raw, storage, name)
+            )
+        elif storage == "serial":
+            counter = table._next_serial.get(name, 0)
+            values = np.arange(counter, counter + n_new, dtype=np.float64)
+            table._next_serial[name] = counter + n_new
+            vector = Vector(values, np.zeros(n_new, dtype=bool))
+        else:
+            vector = coerce_column([None] * n_new, storage, name)
+        if table.n_rows:
+            vector = concat_vectors([table.columns[name], vector])
+        table.columns[name] = vector
+    table.n_rows += n_new
+
+
+def append_rows(table: Table, rows: list[dict[str, Any]]) -> None:
+    if not rows:
+        return
+    data = {
+        name: [coerce_to_type(row[name], storage) for row in rows]
+        for name, storage in zip(table.column_names, table.column_types)
+        if name in rows[0]
+    }
+    append_columns(table, data, len(rows))
+
+
+def sorted_entries(
+    name: str, columns: tuple[str, ...], vector: Vector, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    keys = cells(vector)[positions] if vector.is_text else vector.values[positions]
+    if keys.dtype != object:
+        keys = keys.astype(np.float64, copy=False)
+    try:
+        order = np.argsort(keys, kind="stable")
+    except TypeError:
+        raise _unsortable(name, columns) from None
+    return keys[order], positions[order]
+
+
+def extend_index(index: Index, table: Table) -> Index:
+    name, columns = index.name, index.columns
+    vectors = _key_vectors(table, columns)
+    positions = _indexed_positions(vectors, index.n_rows)
+    if index.method == "sorted":
+        old_keys = index.sorted_keys
+        keys, positions = sorted_entries(name, columns, vectors[0], positions)
+        try:
+            at = np.searchsorted(old_keys, keys, side="right")
+            first = (
+                np.searchsorted(old_keys, keys, side="left")
+                if index.unique
+                else at
+            )
+        except TypeError:
+            raise _unsortable(name, columns) from None
+        if index.unique:
+            duplicated = first < at
+            duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
+            if duplicated.any():
+                raise _unique_violation(
+                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
+                )
+        return Index(
+            name, table.name, columns, index.unique, "sorted", table.n_rows,
+            sorted_keys=np.insert(old_keys, at, keys),
+            sorted_positions=np.insert(index.sorted_positions, at, positions),
+        )
+    hash_map = dict(index.hash_map)
+    for key, rows in _hash_buckets(name, vectors, positions).items():
+        bucket = hash_map.get(key)
+        if index.unique and (bucket is not None or len(rows) > 1):
+            raise _unique_violation(name, columns, key)
+        fresh = np.asarray(rows, dtype=np.int64)
+        hash_map[key] = (
+            fresh if bucket is None else np.concatenate([bucket, fresh])
+        )
+    return Index(
+        name, table.name, columns, index.unique, "hash", table.n_rows,
+        hash_map=hash_map,
+    )

@@ -31,6 +31,14 @@ Queries whose ORDER BY covers every output column compare as exact
 sequences; all others compare as sorted multisets (SQL pins no row order
 there).
 
+Between queries the loop runs parameterised point statements on the
+indexed keys (``SELECT ... WHERE a = ?``, ``a IN (?, ?)``, ``s = ?`` and
+UPDATE / DELETE by the same predicates), which the ``indexed`` config
+answers through index probes bound at execution.  The bound values hit,
+miss, are NULL, or are text against the numeric key (and a number
+against the text key); rowcounts and the table left behind are compared
+with every config and with SQLite.
+
 The default round budget keeps this inside tier-1; CI's long run passes
 ``--fuzz-rounds 200`` (or more).  ``SEED_CORPUS`` replays hand-picked
 regressions — queries that exercise folding and every index probe kind
@@ -250,8 +258,11 @@ class _Sqlite:
                 f"INSERT INTO {name} VALUES ({marks})", zip(*rows)
             )
 
-    def rows(self, sql):
-        return self.connection.execute(sqlite_sql(sql)).fetchall()
+    def rows(self, sql, params=()):
+        return self.connection.execute(sqlite_sql(sql), params).fetchall()
+
+    def rowcount(self, sql, params):
+        return self.connection.execute(sql, params).rowcount
 
     def close(self):
         self.connection.close()
@@ -315,6 +326,50 @@ def _predicate(rng, num_cols, text_cols, depth=0):
         lo, hi = sorted(rng.randint(-30, 30) for _ in range(2))
         return f"{rng.choice(num_cols)} BETWEEN {lo} AND {hi}"
     return rng.choice(_FOLDABLE)
+
+
+def _bound_value(rng, key, t_rows):
+    """A value bound to a point predicate on *key* (``a`` numeric, ``s``
+    text): one *t_rows* stores, a miss, NULL, or one of the other type
+    (text that does not read as a number, so SQLite's affinity leaves it
+    text)."""
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.3:
+        return "a" if key == "a" else rng.choice([3, 0.5])
+    stored = [v for v in t_rows[0 if key == "a" else 2] if v is not None]
+    if stored and roll < 0.75:
+        return rng.choice(stored)
+    return 1000 if key == "a" else "zz"
+
+
+def _point_predicate(rng, t_rows):
+    """``(sql, params)`` of a point predicate on an indexed key of ``t``."""
+    kind = rng.randrange(4)
+    if kind == 2:
+        return "s = ?", [_bound_value(rng, "s", t_rows)]
+    a = [_bound_value(rng, "a", t_rows) for _ in range(1 + (kind == 1))]
+    if kind == 0:
+        return "a = ?", a
+    if kind == 1:
+        return "a IN (?, ?)", a
+    return "a = ? AND b > ?", [*a, rng.randint(-30, 30)]
+
+
+def _generate_point(rng, t_rows):
+    """One parameterised point statement on ``t`` whose bound values are
+    drawn against the loaded *t_rows*: ``(sql, params, is a write)``."""
+    where, params = _point_predicate(rng, t_rows)
+    kind = rng.randrange(4)
+    if kind < 2:
+        column = "ab"[kind]  # the indexed key itself, or a plain column
+        sql = f"UPDATE t SET {column} = ? WHERE {where}"
+        return sql, [rng.randint(-30, 30), *params], True
+    if kind == 2:
+        return f"DELETE FROM t WHERE {where}", params, True
+    sql = f"SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE {where}"
+    return sql, params, False
 
 
 def _where(rng, num_cols, text_cols):
@@ -396,35 +451,55 @@ def _normalised(rows, ordered):
     return values if ordered else sorted(values)
 
 
-def _run(name, db, sql, context):
+def _run(name, db, sql, context, params=()):
     try:
-        return db.execute(sql).rows
+        return db.execute(sql, params)
     except Exception as exc:  # keep the failing query visible
         raise AssertionError(
-            f"[{name}]{context} failed executing {sql!r}: {exc!r}"
+            f"[{name}]{context} failed executing {sql!r} {params!r}: {exc!r}"
         ) from exc
 
 
-def _check_query(configs, sql, ordered, context="", oracle=None):
+def _check_query(configs, sql, ordered, context="", oracle=None, params=()):
     """Every config's rows equal the reference's exactly; *oracle*'s (a
     :class:`_Sqlite`) equal them with numbers normalised."""
-    reference = _run(*configs[0], sql, context)
+    reference = _run(*configs[0], sql, context, params).rows
     expected = _canonical(reference, ordered)
     for name, db in configs[1:]:
-        got = _canonical(_run(name, db, sql, context), ordered)
+        got = _canonical(_run(name, db, sql, context, params).rows, ordered)
         assert got == expected, (
-            f"[{name}]{context} diverged from reference on {sql!r}"
+            f"[{name}]{context} diverged from reference on {sql!r} {params!r}"
         )
     if oracle is None or _sqlite_diverges(sql):
         return
     try:
-        rows = oracle.rows(sql)
+        rows = oracle.rows(sql, params)
     except sqlite3.Error as exc:
         raise AssertionError(
             f"[sqlite]{context} failed executing {sqlite_sql(sql)!r}: {exc!r}"
         ) from exc
     assert _normalised(rows, ordered) == _normalised(reference, ordered), (
         f"[sqlite]{context} diverged from reference on {sqlite_sql(sql)!r}"
+    )
+
+
+def _check_point(configs, sql, params, write, context, oracle):
+    """A point statement: a SELECT compares as a query; a write's rowcount
+    must agree everywhere, and so must the table it leaves."""
+    if not write:
+        _check_query(configs, sql, False, context, oracle, params)
+        return
+    counts = {
+        name: _run(name, db, sql, context, params).rowcount
+        for name, db in configs
+    }
+    counts["sqlite"] = oracle.rowcount(sql, params)
+    assert len(set(counts.values())) == 1, (
+        f"{context} rowcounts {counts} differ on {sql!r} {params!r}"
+    )
+    _check_query(
+        configs, "SELECT a AS c0, b AS c1, s AS c2 FROM t", False,
+        f"{context} after {sql!r} {params!r}", oracle,
     )
 
 
@@ -500,6 +575,27 @@ SEED_CORPUS = [
     ("SELECT k AS c0 FROM (SELECT DISTINCT a AS k FROM t) d ORDER BY k", True),
 ]
 
+#: parameterised point statements on the indexed keys, as ``(sql, params,
+#: is a write)``: a bound value that hits (``t`` holds a = -1, 7.75 twice,
+#: -45, -43 and s = 'a' twice, 'b', 'c'), misses, is NULL or has the other
+#: type answers (and writes) as the scan does
+POINT_CORPUS = [
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a = ?", [7.75], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a = ?", [1000], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a = ?", [None], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a = ?", ["a"], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a IN (?, ?)", [-1, None], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a IN (?, ?)", ["a", 7.75], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE s = ?", ["a"], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE s = ?", [3], False),
+    ("UPDATE t SET b = ? WHERE a = ?", [99, -1], True),
+    ("UPDATE t SET b = ? WHERE a IN (?, ?)", [98, None, 7.75], True),
+    ("UPDATE t SET a = ? WHERE s = ?", [-7, "c"], True),
+    ("DELETE FROM t WHERE a = ?", [None], True),
+    ("DELETE FROM t WHERE a IN (?, ?)", [-7, 1000], True),
+    ("DELETE FROM t WHERE s = ? AND a > ?", ["a", 0], True),
+]
+
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_seed_corpus(profile):
@@ -511,6 +607,10 @@ def test_seed_corpus(profile):
         for sql, ordered in SEED_CORPUS:
             _check_query(
                 configs, sql, ordered, f" profile={profile}", oracle
+            )
+        for sql, params, write in POINT_CORPUS:
+            _check_point(
+                configs, sql, params, write, f" profile={profile}", oracle
             )
     finally:
         _close(configs, oracle)
@@ -535,6 +635,12 @@ def test_fuzz_differential(profile, fuzz_rounds):
                     _churn_indexes(indexed, rng)
                 if rng.random() < 0.3:
                     _churn_models(indexed, rng)
+                if rng.random() < 0.3:
+                    _check_point(
+                        configs, *_generate_point(rng, t_rows),
+                        f" profile={profile}",
+                        oracle,
+                    )
                 sql, ordered = _generate_query(rng)
                 _check_query(
                     configs, sql, ordered, f" profile={profile}", oracle

@@ -14,7 +14,10 @@ import time
 
 import pytest
 
-from repro.sqldb import Database
+from repro.sqldb import Database, executor
+from repro.sqldb.parser import parse_statement
+from repro.sqldb.plan import IndexScan
+from repro.sqldb.planner import Planner
 from tests.sqldb.plans import explain
 
 pytestmark = pytest.mark.indexes
@@ -165,19 +168,140 @@ def test_index_probes_answer_as_the_scan(scenario):
         indexed.close()
 
 
-def test_default_database_plans_a_point_select_as_a_unique_probe():
+def _point_table():
     db = Database()
+    db.run_script(
+        "CREATE TABLE kv (k int, v int);"
+        "CREATE UNIQUE INDEX kv_k ON kv (k);"
+        "INSERT INTO kv VALUES (7, 70), (8, 80)"
+    )
+    return db
+
+
+POINT_SELECTS = [
+    ("SELECT v FROM kv WHERE k = 7", ()),
+    ("SELECT v FROM kv WHERE k = ?", (7,)),
+]
+
+
+def _assert_unique_probe(sql, params):
+    db = _point_table()
     try:
-        db.run_script(
-            "CREATE TABLE kv (k int, v int);"
-            "CREATE UNIQUE INDEX kv_k ON kv (k);"
-            "INSERT INTO kv VALUES (7, 70), (8, 80)"
-        )
-        sql = "SELECT v FROM kv WHERE k = 7"
-        assert explain(db, sql).splitlines() == [
+        assert explain(db, sql, params).splitlines() == [
             "Project(v)",
             "  IndexScan(kv using kv_k, eq)",
         ]
-        assert db.execute(sql).rows == [(70,)]
+        assert db.execute(sql, params).rows == [(70,)]
+    finally:
+        db.close()
+
+
+def test_default_database_plans_a_point_select_as_a_unique_probe():
+    _assert_unique_probe(*POINT_SELECTS[0])
+
+
+def test_default_database_plans_a_parameterised_point_select_as_a_unique_probe():
+    _assert_unique_probe(*POINT_SELECTS[1])
+
+
+@pytest.mark.parametrize("sql, params", POINT_SELECTS, ids=["literal", "parameter"])
+def test_a_probe_gathers_only_the_columns_its_consumer_reads(sql, params):
+    """``k`` is read by the conjunct the probe absorbed, not by the
+    query: the probe gathers ``v`` alone."""
+    db = _point_table()
+    try:
+        plan = db._plan_select(parse_statement(sql))
+        (probe,) = _nodes(plan, IndexScan)
+        assert list(probe.keys) == ["v"]
+        assert list(probe.conjunct_keys) == ["k"]
+        assert db.execute(sql, params).rows == [(70,)]
+        if params:
+            # a value that cannot probe runs the absorbed conjunct instead
+            for value, rows in ((None, []), (7.5, []), (8.0, [(80,)])):
+                assert db.execute(sql, (value,)).rows == rows
+    finally:
+        db.close()
+
+
+def _nodes(plan, kind):
+    found = [plan] if isinstance(plan, kind) else []
+    for child in plan.children():
+        found += _nodes(child, kind)
+    return found
+
+
+#: parameterised probes, the probe their plan must show, and the values
+#: bound to them: a hit, a miss, NULL, text against the numeric key, an
+#: integral and a fractional float, a boolean
+PARAM_QUERIES = [
+    ("SELECT v FROM kv WHERE k = ?", "IndexScan(kv using kv_k, eq)"),
+    ("SELECT k, v FROM kv WHERE ? = k", "IndexScan(kv using kv_k, eq)"),
+    ("SELECT k, v FROM kv WHERE k IN (?, 30)", "IndexScan(kv using kv_k, in)"),
+    ("SELECT k, v FROM kv WHERE g = ? AND k > 10", "IndexScan(kv using kv_g, eq)"),
+    ("SELECT count(*) FROM kv WHERE g IN (?, 2)", "IndexScan(kv using kv_g, in)"),
+]
+BOUND = [7, 1000, None, "7", 7.0, 7.5, True, "v7"]
+PARAM_WRITES = [
+    ("UPDATE kv SET v = ? WHERE k = ?", ("u7", 7)),
+    ("UPDATE kv SET v = ? WHERE k = ?", ("nul", None)),
+    ("UPDATE kv SET v = ? WHERE k = ?", ("txt", "8")),
+    ("UPDATE kv SET k = ? WHERE k = ?", (500, 9)),
+    ("UPDATE kv SET v = v || ? WHERE g IN (?, ?)", ("!", 3, None)),
+    ("DELETE FROM kv WHERE k IN (?, ?)", (10, None)),
+    ("DELETE FROM kv WHERE k = ?", ("11",)),
+    ("DELETE FROM kv WHERE k = ?", (12.0,)),
+    ("DELETE FROM kv WHERE g = ? AND k > ?", (4, 40)),
+]
+
+
+def test_parameter_probes_answer_as_the_scan():
+    plain, indexed = _pair()
+    try:
+        for sql, probe in PARAM_QUERIES:
+            assert probe in explain(indexed, sql, (0,)), sql
+            for value in BOUND:
+                assert (
+                    indexed.execute(sql, (value,)).rows
+                    == plain.execute(sql, (value,)).rows
+                ), (sql, value)
+        for sql, params in PARAM_WRITES:
+            assert (
+                indexed.execute(sql, params).rowcount
+                == plain.execute(sql, params).rowcount
+            ), (sql, params)
+            _assert_same_answers(plain, indexed)
+    finally:
+        plain.close()
+        indexed.close()
+
+
+def test_point_writes_probe_with_a_plan_made_once(monkeypatch):
+    """A repeated UPDATE / DELETE by key plans once per cached statement
+    and finds its row through the index instead of scanning the table."""
+    calls = {"plan": 0, "scan": 0, "probe": 0}
+    plan_select = Planner.plan_select
+    scan, probe = executor._exec_scan_table, executor._exec_index_scan
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(Planner, "plan_select", counting("plan", plan_select))
+    monkeypatch.setattr(executor, "_exec_scan_table", counting("scan", scan))
+    monkeypatch.setattr(executor, "_exec_index_scan", counting("probe", probe))
+    db = _point_table()
+    try:
+        for k in range(20, 30):
+            db.execute("INSERT INTO kv VALUES (?, ?)", (k, k))
+        for k in range(20, 25):
+            db.execute("UPDATE kv SET v = v + ? WHERE k = ?", (1, k))
+        for k in range(25, 30):
+            db.execute("DELETE FROM kv WHERE k = ?", (k,))
+        assert calls == {"plan": 2, "scan": 0, "probe": 10}
+        assert db.execute("SELECT k, v FROM kv WHERE k >= 20").rows == [
+            (k, k + 1) for k in range(20, 25)
+        ]
     finally:
         db.close()

@@ -362,35 +362,50 @@ def _run_statement(db, statement):
     _check_stream_state(db, catalog)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_step, min_size=1, max_size=14))
-def test_random_dml_stream_matches_rebuild(steps):
-    with tempfile.TemporaryDirectory() as directory:
-        wal = os.path.join(directory, "wal.log")
-        db = Database(wal_path=wal, wal_sync="off")
-        try:
-            db.execute("CREATE TABLE s (id int, grp text, slot int, val float)")
-            db.execute("CREATE UNIQUE INDEX s_id ON s USING btree (id)")
-            db.execute("CREATE INDEX s_grp ON s USING btree (grp)")
-            db.execute("CREATE UNIQUE INDEX s_c ON s USING hash (grp, slot)")
-            for step in steps:
-                if step[0] == "savepoint":
-                    before = _contents(db)
-                    db.execute("BEGIN")
-                    db.execute("SAVEPOINT sp")
-                    for statement in step[1]:
-                        _run_statement(db, statement)
-                    db.execute("ROLLBACK TO SAVEPOINT sp")
-                    _check_stream_state(db, db._default_session.txn.catalog)
-                    db.execute("COMMIT")
-                    assert _contents(db) == before
-                elif step[0] == "recover":
-                    before = _contents(db)
-                    db.close()
-                    db = Database(wal_path=wal, wal_sync="off")
-                    assert _contents(db) == before
-                else:
-                    _run_statement(db, step)
-                _check_stream_state(db)
-        finally:
-            db.close()
+@pytest.mark.fuzz
+def test_random_dml_stream_matches_rebuild(request):
+    """Random INSERT / UPDATE / DELETE streams (parameterised, so key
+    lookups run as index probes bound at execution), savepoint rollbacks
+    and WAL recoveries keep every index equal to a rebuild.  The depth
+    follows ``--fuzz-rounds`` at ten examples per round (40 without it)."""
+    rounds = request.config.getoption("--fuzz-rounds")
+
+    @settings(max_examples=40 if rounds is None else 10 * rounds,
+              deadline=None)
+    @given(st.lists(_step, min_size=1, max_size=14))
+    def check(steps):
+        with tempfile.TemporaryDirectory() as directory:
+            wal = os.path.join(directory, "wal.log")
+            db = Database(wal_path=wal, wal_sync="off")
+            try:
+                db.run_script(
+                    "CREATE TABLE s (id int, grp text, slot int, val float);"
+                    "CREATE UNIQUE INDEX s_id ON s USING btree (id);"
+                    "CREATE INDEX s_grp ON s USING btree (grp);"
+                    "CREATE UNIQUE INDEX s_c ON s USING hash (grp, slot)"
+                )
+                for step in steps:
+                    if step[0] == "savepoint":
+                        before = _contents(db)
+                        db.execute("BEGIN")
+                        db.execute("SAVEPOINT sp")
+                        for statement in step[1]:
+                            _run_statement(db, statement)
+                        db.execute("ROLLBACK TO SAVEPOINT sp")
+                        _check_stream_state(
+                            db, db._default_session.txn.catalog
+                        )
+                        db.execute("COMMIT")
+                        assert _contents(db) == before
+                    elif step[0] == "recover":
+                        before = _contents(db)
+                        db.close()
+                        db = Database(wal_path=wal, wal_sync="off")
+                        assert _contents(db) == before
+                    else:
+                        _run_statement(db, step)
+                    _check_stream_state(db)
+            finally:
+                db.close()
+
+    check()
