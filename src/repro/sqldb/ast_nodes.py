@@ -3,13 +3,18 @@
 All nodes are frozen-ish dataclasses (mutable where the planner annotates).
 Structural equality on expressions is used by the planner to match GROUP BY
 expressions against select items.
+
+Every walk over a tree goes through :func:`children` / :func:`walk` /
+:func:`map_children`, which read one per-class table of the fields that
+can hold nodes, so no walker lists the node types itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Analyze",
@@ -57,6 +62,9 @@ __all__ = [
     "UnaryOp",
     "Update",
     "WindowCall",
+    "children",
+    "map_children",
+    "walk",
 ]
 
 
@@ -452,3 +460,77 @@ Statement = Union[
     ReleaseSavepoint,
     Checkpoint,
 ]
+
+
+# -- traversal ------------------------------------------------------------------
+
+#: a field holds nodes when its annotation names a node type
+_NODE_ANNOTATION = re.compile(
+    r"\b(?:Expr|Select|SelectItem|TableSource|OrderItem|Cte)\b"
+)
+
+#: per node class, the fields that can hold nodes (alone, in a list or
+#: tuple, or inside tuples such as ``Case.whens``), in field order
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if _NODE_ANNOTATION.search(f.type))
+    for cls in list(globals().values())
+    if isinstance(cls, type) and is_dataclass(cls)
+}
+
+
+def _nodes_in(value: Any, out: list) -> None:
+    if type(value) in _CHILD_FIELDS:
+        out.append(value)
+    elif type(value) in (list, tuple):
+        for item in value:
+            _nodes_in(item, out)
+
+
+def children(node: Any) -> list:
+    """The nodes directly below *node* — sub-expressions, selects, items,
+    order items, CTEs and sources — in field order."""
+    out: list = []
+    for name in _CHILD_FIELDS[type(node)]:
+        _nodes_in(getattr(node, name), out)
+    return out
+
+
+def walk(node: Any) -> Iterator[Any]:
+    """*node* and every node below it, parents first (a loop, not a
+    recursion: a UNION ALL chain of thousands of arms is one level)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def _map_value(value: Any, fn: Callable[[Any], Any]) -> Any:
+    if type(value) in _CHILD_FIELDS:
+        return fn(value)
+    if type(value) not in (list, tuple):
+        return value  # None, or a flag beside a node (``(expr, asc)``)
+    mapped = None  # a copy from the first changed item on
+    for index, item in enumerate(value):
+        new = _map_value(item, fn)
+        if new is not item and mapped is None:
+            mapped = list(value)
+        if mapped is not None:
+            mapped[index] = new
+    return value if mapped is None else type(value)(mapped)
+
+
+def map_children(node: Any, fn: Callable[[Any], Any]) -> Any:
+    """*node* with *fn* applied to each child; a copy only when some child
+    changed (by identity), *node* itself otherwise — never mutated."""
+    changes: Optional[dict[str, Any]] = None
+    for name in _CHILD_FIELDS[type(node)]:
+        old = getattr(node, name)
+        if old is None:
+            continue
+        new = fn(old) if type(old) in _CHILD_FIELDS else _map_value(old, fn)
+        if new is not old:
+            if changes is None:
+                changes = {}
+            changes[name] = new
+    return node if changes is None else replace(node, **changes)

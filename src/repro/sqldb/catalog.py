@@ -822,77 +822,9 @@ class View:
 def referenced_relations(select: ast.Select) -> frozenset[str]:
     """All table/view/CTE names a SELECT references (transitively in its
     own text, not through the catalog)."""
-    names: set[str] = set()
-
-    def walk_source(source: ast.TableSource) -> None:
-        if isinstance(source, ast.NamedTable):
-            names.add(source.name)
-        elif isinstance(source, ast.SubquerySource):
-            walk_select(source.query)
-        elif isinstance(source, ast.JoinSource):
-            walk_source(source.left)
-            walk_source(source.right)
-            if source.condition is not None:
-                walk_expr(source.condition)
-
-    def walk_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.ScalarSubquery):
-            walk_select(expr.query)
-        elif isinstance(expr, ast.BinaryOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.UnaryOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.IsNull):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.InList):
-            walk_expr(expr.operand)
-            for item in expr.items:
-                walk_expr(item)
-        elif isinstance(expr, ast.Between):
-            walk_expr(expr.operand)
-            walk_expr(expr.low)
-            walk_expr(expr.high)
-        elif isinstance(expr, ast.Case):
-            for condition, result in expr.whens:
-                walk_expr(condition)
-                walk_expr(result)
-            if expr.else_ is not None:
-                walk_expr(expr.else_)
-        elif isinstance(expr, ast.Cast):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                walk_expr(arg)
-            if expr.filter_where is not None:
-                walk_expr(expr.filter_where)
-        elif isinstance(expr, ast.WindowCall):
-            for part in expr.partition_by:
-                walk_expr(part)
-            for order, _ascending in expr.order_by:
-                walk_expr(order)
-
-    def walk_select(node: ast.Select) -> None:
-        for cte in node.ctes:
-            walk_select(cte.query)
-        for source in node.sources:
-            walk_source(source)
-        for item in node.items:
-            if not isinstance(item.expr, ast.Star):
-                walk_expr(item.expr)
-        if node.where is not None:
-            walk_expr(node.where)
-        for expr in node.group_by:
-            walk_expr(expr)
-        if node.having is not None:
-            walk_expr(node.having)
-        for order in node.order_by:
-            walk_expr(order.expr)
-        for arm in node.union_all:
-            walk_select(arm)
-
-    walk_select(select)
-    return frozenset(names)
+    return frozenset(
+        node.name for node in ast.walk(select) if type(node) is ast.NamedTable
+    )
 
 
 @dataclass(frozen=True)

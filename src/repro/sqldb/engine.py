@@ -129,7 +129,7 @@ class _StatementScope:
     is empty and never entered (:data:`_REPLAY`): no deadline, no cancel
     event, no grant."""
 
-    __slots__ = ("session", "deadline", "broker", "cancel_event", "grant", "_guard")
+    __slots__ = ("session", "deadline", "broker", "cancel_event", "grant")
 
     def __init__(
         self,
@@ -144,8 +144,9 @@ class _StatementScope:
         self.grant: Optional[MemoryGrant] = None
 
     def __enter__(self) -> "_StatementScope":
-        self._guard = self.session.statement_guard()
-        self.cancel_event = self._guard.__enter__()
+        self.cancel_event = event = threading.Event()
+        with self.session._cancel_mutex:
+            self.session._active_cancels.add(event)
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
@@ -159,7 +160,8 @@ class _StatementScope:
                 self.broker.end_query(grant)
                 session.note_memory(grant.peak_bytes, grant.spilled_bytes)
         finally:
-            self._guard.__exit__(kind, exc, traceback)
+            with session._cancel_mutex:
+                session._active_cancels.discard(self.cancel_event)
 
     def context(
         self,
@@ -1246,10 +1248,10 @@ class Database:
         """
         catalog = self.catalog if catalog is None else catalog
         rewrites: list[str] = []
-        statement, folded = fold_select(statement)
+        planner = Planner(catalog, self.profile)
+        statement, folded = fold_select(statement, planner)
         if folded:
             rewrites.append("constant-folding")
-        planner = Planner(catalog, self.profile)
         plan = planner.plan_select(statement)
         visible = {out.key for out in plan.schema if not out.hidden}
         plan = prune_plan(plan, visible)

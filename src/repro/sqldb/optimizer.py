@@ -8,14 +8,14 @@ than the CTE mode in PostgreSQL (§6.6 of the paper) — and deliberately
 stops at materialised-CTE boundaries (:class:`CteRef`), which is exactly
 PostgreSQL 12's optimisation barrier.
 
-:func:`fold_select` folds literal-only predicate subtrees on the AST, using
-the very vector kernels the executor would run (so folded values are
-bit-compatible with computed ones).  :func:`optimize_select_plan` turns a
-filtered base-table scan into an index probe wherever an index covers an
-equality, ``IN`` or (with ``ANALYZE`` statistics) selective range
-conjunct; a probe returns the rows a scan + filter would, in the same
-order; an equality or ``IN`` value may be a statement parameter, read
-when the probe runs.  :func:`estimate_plan_rows` gives the row estimates
+:func:`fold_select` folds the constant subtrees of every expression
+position on the AST by compiling them with the planner and running them
+on one row, so a folded value is the one execution would compute.
+:func:`optimize_select_plan` turns a filtered base-table scan into an
+index probe wherever an index covers an equality, ``IN`` or (with
+``ANALYZE`` statistics) selective range conjunct; a probe returns the
+rows a scan + filter would, in the same order; an equality or ``IN``
+value may be a statement parameter, read when the probe runs.  :func:`estimate_plan_rows` gives the row estimates
 ``EXPLAIN`` prints.
 
 Fired rules (``constant-folding``, ``index-scan``) are append-logged by
@@ -24,13 +24,15 @@ name so ``EXPLAIN ANALYZE`` can report them.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, get_args
 
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import vector
 from repro.sqldb.catalog import Catalog, probe_compatible
+from repro.sqldb.functions import is_aggregate
 from repro.sqldb.plan import (
     Aggregate,
+    Batch,
     CompiledExpr,
     CteRef,
     Distinct,
@@ -48,6 +50,7 @@ from repro.sqldb.plan import (
     Window,
     combine_conjuncts,
 )
+from repro.sqldb.planner import Planner, Scope, _item_name
 
 __all__ = [
     "estimate_plan_rows",
@@ -229,258 +232,80 @@ def prune_plan(plan: PlanNode, needed: set[str]) -> PlanNode:
 # constant folding (AST level)
 # ---------------------------------------------------------------------------
 
-#: sentinel for "this subtree cannot be folded"
-_NO_FOLD = object()
+#: the expressions computed from their children alone: not a literal
+#: (folded already), nor one that reads a row, a parameter or a query, or
+#: is computed over many rows (an aggregate call is told apart by name)
+_COMPUTED = frozenset(get_args(ast.Expr)) - {
+    ast.Literal, ast.ColumnRef, ast.Parameter, ast.Star,
+    ast.ScalarSubquery, ast.WindowCall,
+}
 
 
-def _scalar(out: vector.Vector) -> Any:
-    """Python value of a length-1 vector (None when null)."""
-    return None if out.nulls[0] else out.item(0)
-
-
-def _eval_binary(op: str, left: Any, right: Any) -> Any:
-    a = vector.constant(left, 1)
-    b = vector.constant(right, 1)
+def _evaluate(expr: ast.Expr, planner: Planner) -> Optional[ast.Literal]:
+    """*expr* (whose children are literals) as the literal the planner's
+    compiled expression computes on one row; None when it raises, when
+    the literal would not rebuild the computed vector's dtype and
+    text-ness (a typed NULL), or when the value is no scalar (an array:
+    object cells)."""
     try:
-        if op in ("+", "-", "*", "/", "%", "||"):
-            return _scalar(vector.arithmetic(op, a, b))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _scalar(vector.compare(op, a, b))
-        if op == "and":
-            return _scalar(vector.logical_and(a, b))
-        if op == "or":
-            return _scalar(vector.logical_or(a, b))
+        computed = planner.compile_expr(expr, Scope(), {})(Batch(1), None)
+        value = computed.item(0)
+        rebuilt = vector.constant(value, 1)
     except Exception:
-        return _NO_FOLD
-    return _NO_FOLD
+        return None
+    if (
+        rebuilt.values.dtype != computed.values.dtype
+        or rebuilt.values.dtype == object
+        or rebuilt.is_text != computed.is_text
+    ):
+        return None
+    return ast.Literal(value)
 
 
-class _Folder:
-    """Non-mutating constant folder over predicate expressions.
+def _fold_computed(expr: ast.Expr, planner: Planner) -> ast.Expr:
+    """*expr* (its children folded) as a literal where it folds."""
+    parts = ast.children(expr)
+    if all(type(part) is ast.Literal for part in parts) and not (
+        type(expr) is ast.FuncCall and is_aggregate(expr.name)
+    ):
+        literal = _evaluate(expr, planner)
+        if literal is not None:
+            return literal
+    if type(expr) is ast.BinaryOp and expr.op in ("and", "or"):
+        absorbing = expr.op == "or"  # FALSE absorbs AND, TRUE absorbs OR
+        for part in parts:
+            if type(part) is ast.Literal and part.value is absorbing:
+                return part
+    return expr
 
-    Literal-only subtrees are evaluated through the same vector kernels
-    the executor would run on them row-by-row, so a folded literal is
-    indistinguishable from the computed value at execution time.  Only
-    type-safe short-circuits are applied to mixed subtrees (``x AND
-    FALSE``, ``x OR TRUE``); identities like ``x AND TRUE -> x`` are
-    deliberately skipped because they could change the column's dtype.
+
+def fold_select(
+    select: ast.Select, planner: Planner
+) -> tuple[ast.Select, bool]:
+    """Constant-fold every expression position of a SELECT (items, WHERE,
+    ON, GROUP BY, HAVING, ORDER BY, window specs, CTE bodies, subqueries,
+    UNION ALL arms) without mutating it: cached ASTs are shared.
+
+    Bottom-up, like PostgreSQL's ``eval_const_expressions``: a node whose
+    children are all literals is compiled by *planner* and run on one
+    row, so a folded literal is the value execution would compute, and
+    GROUP BY still matches the select list and HAVING because every
+    position folds alike.  ``x AND FALSE`` and ``x OR TRUE`` short-circuit.
+    An unaliased item that folds keeps the name it had.  Returns
+    ``(folded, changed)``; when nothing folds, *select* itself.
     """
 
-    def __init__(self) -> None:
-        self.changed = False
+    def fold(node: Any) -> Any:
+        new = ast.map_children(node, fold)
+        kind = type(new)
+        if kind in _COMPUTED:
+            return _fold_computed(new, planner)
+        if kind is ast.SelectItem and new is not node and new.alias is None:
+            new.alias = _item_name(node)
+        return new
 
-    def _mark(self, value: Any) -> ast.Literal:
-        self.changed = True
-        return ast.Literal(value)
-
-    def expr(self, e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.BinaryOp):
-            left = self.expr(e.left)
-            right = self.expr(e.right)
-            if isinstance(left, ast.Literal) and isinstance(right, ast.Literal):
-                value = _eval_binary(e.op, left.value, right.value)
-                if value is not _NO_FOLD:
-                    return self._mark(value)
-            if e.op == "and":
-                for side in (left, right):
-                    if isinstance(side, ast.Literal) and side.value is False:
-                        return self._mark(False)
-            if e.op == "or":
-                for side in (left, right):
-                    if isinstance(side, ast.Literal) and side.value is True:
-                        return self._mark(True)
-            if left is not e.left or right is not e.right:
-                return ast.BinaryOp(e.op, left, right)
-            return e
-        if isinstance(e, ast.UnaryOp):
-            operand = self.expr(e.operand)
-            if isinstance(operand, ast.Literal):
-                if e.op == "not":
-                    try:
-                        value = _scalar(
-                            vector.logical_not(vector.constant(operand.value, 1))
-                        )
-                        return self._mark(value)
-                    except Exception:
-                        pass
-                elif e.op == "-":
-                    value = _eval_binary("*", operand.value, -1)
-                    if value is not _NO_FOLD:
-                        return self._mark(value)
-            if operand is not e.operand:
-                return ast.UnaryOp(e.op, operand)
-            return e
-        if isinstance(e, ast.IsNull):
-            operand = self.expr(e.operand)
-            if isinstance(operand, ast.Literal):
-                return self._mark((operand.value is None) != e.negated)
-            if operand is not e.operand:
-                return ast.IsNull(operand, e.negated)
-            return e
-        if isinstance(e, ast.Between):
-            operand = self.expr(e.operand)
-            low = self.expr(e.low)
-            high = self.expr(e.high)
-            if all(
-                isinstance(part, ast.Literal) for part in (operand, low, high)
-            ):
-                lo = _eval_binary(">=", operand.value, low.value)
-                hi = _eval_binary("<=", operand.value, high.value)
-                if lo is not _NO_FOLD and hi is not _NO_FOLD:
-                    value = _eval_binary("and", lo, hi)
-                    if value is not _NO_FOLD:
-                        if e.negated:
-                            value = _scalar(
-                                vector.logical_not(vector.constant(value, 1))
-                            )
-                        return self._mark(value)
-            if (
-                operand is not e.operand
-                or low is not e.low
-                or high is not e.high
-            ):
-                return ast.Between(operand, low, high, e.negated)
-            return e
-        if isinstance(e, ast.InList):
-            operand = self.expr(e.operand)
-            items = tuple(self.expr(item) for item in e.items)
-            if isinstance(operand, ast.Literal) and all(
-                isinstance(item, ast.Literal) for item in items
-            ):
-                result: Any = None
-                folded = True
-                for position, item in enumerate(items):
-                    hit = _eval_binary("=", operand.value, item.value)
-                    if hit is _NO_FOLD:
-                        folded = False
-                        break
-                    result = (
-                        hit
-                        if position == 0
-                        else _eval_binary("or", result, hit)
-                    )
-                    if result is _NO_FOLD:
-                        folded = False
-                        break
-                if folded:
-                    if e.negated:
-                        result = _scalar(
-                            vector.logical_not(vector.constant(result, 1))
-                        )
-                    return self._mark(result)
-            if operand is not e.operand or any(
-                new is not old for new, old in zip(items, e.items)
-            ):
-                return ast.InList(operand, items, e.negated)
-            return e
-        if isinstance(e, ast.Case):
-            whens = tuple(
-                (self.expr(cond), self.expr(result))
-                for cond, result in e.whens
-            )
-            else_ = self.expr(e.else_) if e.else_ is not None else None
-            if else_ is not e.else_ or any(
-                new_c is not old_c or new_r is not old_r
-                for (new_c, new_r), (old_c, old_r) in zip(whens, e.whens)
-            ):
-                return ast.Case(whens, else_)
-            return e
-        if isinstance(e, ast.Cast):
-            operand = self.expr(e.operand)
-            if operand is not e.operand:
-                return ast.Cast(operand, e.type_name)
-            return e
-        if isinstance(e, ast.FuncCall):
-            args = tuple(self.expr(arg) for arg in e.args)
-            filter_where = (
-                self.expr(e.filter_where)
-                if e.filter_where is not None
-                else None
-            )
-            if filter_where is not e.filter_where or any(
-                new is not old for new, old in zip(args, e.args)
-            ):
-                return ast.FuncCall(
-                    e.name, args, e.star, e.distinct, filter_where
-                )
-            return e
-        if isinstance(e, ast.ScalarSubquery):
-            query = self.select(e.query)
-            if query is not e.query:
-                return ast.ScalarSubquery(query)
-            return e
-        return e
-
-    def _source(self, source: ast.TableSource) -> ast.TableSource:
-        if isinstance(source, ast.SubquerySource):
-            query = self.select(source.query)
-            if query is not source.query:
-                return ast.SubquerySource(query, source.alias)
-            return source
-        if isinstance(source, ast.JoinSource):
-            left = self._source(source.left)
-            right = self._source(source.right)
-            condition = (
-                self.expr(source.condition)
-                if source.condition is not None
-                else None
-            )
-            if (
-                left is not source.left
-                or right is not source.right
-                or condition is not source.condition
-            ):
-                return ast.JoinSource(left, right, source.kind, condition)
-            return source
-        return source
-
-    def select(self, select: ast.Select) -> ast.Select:
-        """Fold WHERE/HAVING/ON predicates, recursing into nested queries.
-
-        Select items, GROUP BY and ORDER BY expressions are left alone:
-        the planner matches GROUP BY expressions against items by
-        structural equality, and folding only one side would break it.
-        """
-        ctes = [
-            ast.Cte(cte.name, self.select(cte.query), cte.materialized)
-            for cte in select.ctes
-        ]
-        sources = [self._source(source) for source in select.sources]
-        where = self.expr(select.where) if select.where is not None else None
-        having = self.expr(select.having) if select.having is not None else None
-        union = [self.select(arm) for arm in select.union_all]
-        unchanged = (
-            where is select.where
-            and having is select.having
-            and all(new is old for new, old in zip(union, select.union_all))
-            and all(new is old for new, old in zip(ctes, select.ctes))
-            and all(new is old for new, old in zip(sources, select.sources))
-        )
-        if unchanged:
-            return select
-        return ast.Select(
-            items=select.items,
-            ctes=ctes,
-            sources=sources,
-            where=where,
-            group_by=select.group_by,
-            having=having,
-            order_by=select.order_by,
-            limit=select.limit,
-            offset=select.offset,
-            distinct=select.distinct,
-            union_all=union,
-        )
-
-
-def fold_select(select: ast.Select) -> tuple[ast.Select, bool]:
-    """Constant-fold a SELECT statement's predicates without mutating it.
-
-    Returns ``(folded, changed)``; when nothing folds, *select* itself is
-    returned so cached statements are never copied needlessly.
-    """
-    folder = _Folder()
-    return folder.select(select), folder.changed
+    folded = fold(select)
+    return folded, folded is not select
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +379,18 @@ def _range_fraction(value: Any, lo: Any, hi: Any) -> Optional[float]:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
+def _column_stats(
+    key: Optional[str], prov: dict[str, tuple[str, str]], catalog: Catalog
+):
+    """``ANALYZE`` statistics of the base column batch key *key* passes
+    through, None when unknown."""
+    source = prov.get(key) if key is not None else None
+    if source is None:
+        return None
+    table_stats = catalog.table_stats(source[0])
+    return None if table_stats is None else table_stats.columns.get(source[1])
+
+
 def _conjunct_selectivity(
     expr: CompiledExpr,
     prov: dict[str, tuple[str, str]],
@@ -566,12 +403,7 @@ def _conjunct_selectivity(
     op, key, operand = cmp
     if op == "const":
         return 0.0 if operand is None or operand is False else 1.0
-    stats = None
-    source = prov.get(key) if key is not None else None
-    if source is not None:
-        table_stats = catalog.table_stats(source[0])
-        if table_stats is not None:
-            stats = table_stats.columns.get(source[1])
+    stats = _column_stats(key, prov, catalog)
     if stats is None:
         return _DEFAULT_SELECTIVITY.get(op, 0.25)
     notnull = 1.0 - stats.null_fraction
@@ -607,18 +439,8 @@ def _column_ndv(
     catalog: Catalog,
 ) -> float:
     """Distinct-value count of a pass-through key expression (0 = unknown)."""
-    if expr.is_column is None:
-        return 0.0
-    source = prov.get(expr.is_column)
-    if source is None:
-        return 0.0
-    table_stats = catalog.table_stats(source[0])
-    if table_stats is None:
-        return 0.0
-    column = table_stats.columns.get(source[1])
-    if column is None:
-        return 0.0
-    return float(max(column.ndv, 0))
+    column = _column_stats(expr.is_column, prov, catalog)
+    return 0.0 if column is None else float(max(column.ndv, 0))
 
 
 def _table_rows(catalog: Catalog, table_name: str) -> float:
@@ -631,51 +453,32 @@ def _table_rows(catalog: Catalog, table_name: str) -> float:
         return 0.0
 
 
-def _index_lookup_selectivity(
-    plan: IndexScan, catalog: Catalog
-) -> float:
-    """Fraction of the table an index probe is expected to return."""
+def _index_scan_rows(plan: IndexScan, catalog: Catalog) -> float:
+    """Rows an index probe is expected to return: the table's rows times
+    what its absorbed conjuncts keep (a unique equality probe: one)."""
     kind, operand = plan.lookup
-    stats = None
-    try:
-        index = catalog.index(plan.index_name)
-        table_stats = catalog.table_stats(plan.table_name)
-        if table_stats is not None:
-            stats = table_stats.columns.get(index.columns[0])
-        unique = index.unique
-        first_column = index.columns[0]
-    except Exception:
-        return _DEFAULT_SELECTIVITY.get("=", 0.1)
-    if kind == "eq":
-        if unique:
-            rows = _table_rows(catalog, plan.table_name)
-            return 1.0 / rows if rows else 0.0
-        if stats is not None and stats.ndv:
-            return (1.0 - stats.null_fraction) / max(stats.ndv, 1)
-        return _DEFAULT_SELECTIVITY["="]
-    if kind == "in":
-        if stats is not None and stats.ndv:
-            return min(
-                1.0, len(operand) / max(stats.ndv, 1)
-            ) * (1.0 - stats.null_fraction)
-        return _DEFAULT_SELECTIVITY["in"]
+    if kind == "eq" and any(
+        index.name == plan.index_name and index.unique
+        for index in catalog.indexes_on(plan.table_name)
+    ):
+        return 1.0
+    rows = _table_rows(catalog, plan.table_name)
+    prov = {
+        key: (plan.table_name, column)
+        for column, key in {**plan.keys, **plan.conjunct_keys}.items()
+    }
     if kind == "range":
         lo, _, hi, _ = operand
-        if stats is not None:
-            f_lo = (
-                0.0
-                if lo is None
-                else _range_fraction(lo, stats.min_value, stats.max_value)
-            )
-            f_hi = (
-                1.0
-                if hi is None
-                else _range_fraction(hi, stats.min_value, stats.max_value)
-            )
-            if f_lo is not None and f_hi is not None:
-                return max(0.0, f_hi - f_lo) * (1.0 - stats.null_fraction)
-        return _DEFAULT_SELECTIVITY["between"]
-    return 0.25
+        column = prov[plan.conjuncts[0].cmp[1]][1]
+        fraction = _range_probe_fraction(
+            catalog, plan.table_name, column, lo, hi, use_stats=True
+        )
+        return rows * (
+            _DEFAULT_SELECTIVITY["between"] if fraction is None else fraction
+        )
+    for conjunct in plan.conjuncts:
+        rows *= _conjunct_selectivity(conjunct, prov, catalog)
+    return rows
 
 
 def _equi_join_rows(
@@ -721,14 +524,7 @@ def _estimate(
         return cached
     rows: float
     if isinstance(plan, ScanTable):
-        stats = catalog.table_stats(plan.table_name)
-        if stats is not None:
-            rows = float(stats.n_rows)
-        else:
-            try:
-                rows = float(catalog.table(plan.table_name).n_rows)
-            except Exception:
-                rows = 0.0
+        rows = _table_rows(catalog, plan.table_name)
     elif isinstance(plan, ScanSnapshot):
         try:
             snapshot = catalog.resolve(plan.view_name).snapshot
@@ -745,9 +541,7 @@ def _estimate(
     elif isinstance(plan, Project):
         rows = _estimate(plan.child, catalog, estimates, prov_memo)
     elif isinstance(plan, IndexScan):
-        rows = _table_rows(catalog, plan.table_name) * min(
-            1.0, max(_index_lookup_selectivity(plan, catalog), 0.0)
-        )
+        rows = _index_scan_rows(plan, catalog)
     elif isinstance(plan, Join):
         left = _estimate(plan.left, catalog, estimates, prov_memo)
         right = _estimate(plan.right, catalog, estimates, prov_memo)
@@ -785,16 +579,7 @@ def _estimate(
             product = 1.0
             known = True
             for _, expr in plan.groups:
-                source = (
-                    prov.get(expr.is_column)
-                    if expr.is_column is not None
-                    else None
-                )
-                column = None
-                if source is not None:
-                    table_stats = catalog.table_stats(source[0])
-                    if table_stats is not None:
-                        column = table_stats.columns.get(source[1])
+                column = _column_stats(expr.is_column, prov, catalog)
                 if column is None:
                     known = False
                     break
@@ -903,24 +688,15 @@ def _try_index_scan(
             column = index.columns[0]
             low = lowers.get(column)
             high = uppers.get(column)
+            lo_value, lo_inclusive = low[1:] if low else (None, False)
+            hi_value, hi_inclusive = high[1:] if high else (None, False)
             fraction = _range_probe_fraction(
-                catalog, scan.table_name, column, low, high, use_stats
+                catalog, scan.table_name, column, lo_value, hi_value, use_stats
             )
             if fraction is not None and fraction <= 0.25:
-                used = set()
-                lo_value = lo_inclusive = None
-                hi_value = hi_inclusive = None
-                if low is not None:
-                    used.add(low[0])
-                    lo_value, lo_inclusive = low[1], low[2]
-                if high is not None:
-                    used.add(high[0])
-                    hi_value, hi_inclusive = high[1], high[2]
-                lookup = (
-                    "range",
-                    (lo_value, bool(lo_inclusive), hi_value, bool(hi_inclusive)),
-                )
-                candidate = ((3, 0), index, lookup, used)
+                bounds = (lo_value, lo_inclusive, hi_value, hi_inclusive)
+                used = {bound[0] for bound in (low, high) if bound}
+                candidate = ((3, 0), index, ("range", bounds), used)
         if candidate is not None and (best is None or candidate[0] < best[0]):
             best = candidate
 
@@ -963,8 +739,8 @@ def _range_probe_fraction(
     catalog: Catalog,
     table_name: str,
     column: str,
-    low: Optional[tuple],
-    high: Optional[tuple],
+    low: Any,
+    high: Any,
     use_stats: bool,
 ) -> Optional[float]:
     """Estimated kept fraction of a range probe; None = not estimable.
@@ -984,12 +760,12 @@ def _range_probe_fraction(
     f_low = (
         0.0
         if low is None
-        else _range_fraction(low[1], stats.min_value, stats.max_value)
+        else _range_fraction(low, stats.min_value, stats.max_value)
     )
     f_high = (
         1.0
         if high is None
-        else _range_fraction(high[1], stats.min_value, stats.max_value)
+        else _range_fraction(high, stats.min_value, stats.max_value)
     )
     if f_low is None or f_high is None:
         return None
@@ -1011,27 +787,19 @@ def _apply_access_paths(
     cached = memo.get(id(plan))
     if cached is not None:
         return cached
+
+    def visit(node: PlanNode) -> PlanNode:
+        return _apply_access_paths(node, catalog, rewrites, use_stats, memo)
+
     original = plan
     if isinstance(plan, CteRef):
-        plan.plan = _apply_access_paths(
-            plan.plan, catalog, rewrites, use_stats, memo
-        )
+        plan.plan = visit(plan.plan)
     elif isinstance(plan, Join):
-        plan.left = _apply_access_paths(
-            plan.left, catalog, rewrites, use_stats, memo
-        )
-        plan.right = _apply_access_paths(
-            plan.right, catalog, rewrites, use_stats, memo
-        )
+        plan.left, plan.right = visit(plan.left), visit(plan.right)
     elif isinstance(plan, UnionAll):
-        plan.parts = [
-            _apply_access_paths(part, catalog, rewrites, use_stats, memo)
-            for part in plan.parts
-        ]
+        plan.parts = [visit(part) for part in plan.parts]
     elif isinstance(plan, Filter):
-        plan.child = _apply_access_paths(
-            plan.child, catalog, rewrites, use_stats, memo
-        )
+        plan.child = visit(plan.child)
         if isinstance(plan.child, ScanTable):
             replaced = _try_index_scan(
                 plan, plan.child, catalog, rewrites, use_stats
@@ -1039,9 +807,7 @@ def _apply_access_paths(
             if replaced is not None:
                 plan = replaced
     elif hasattr(plan, "child"):
-        plan.child = _apply_access_paths(
-            plan.child, catalog, rewrites, use_stats, memo  # type: ignore[attr-defined]
-        )
+        plan.child = visit(plan.child)  # type: ignore[attr-defined]
     memo[id(original)] = plan
     return plan
 

@@ -123,42 +123,20 @@ def _value(expr: ast.Literal | ast.Parameter) -> Any:
 
 
 def _collect_aggregates(expr: ast.Expr, found: list[ast.FuncCall]) -> None:
-    """Gather top-level aggregate calls (not descending into subqueries)."""
-    if isinstance(expr, ast.FuncCall):
-        if functions.is_aggregate(expr.name):
-            if expr not in found:
-                found.append(expr)
-            for arg in expr.args:
-                nested: list[ast.FuncCall] = []
-                _collect_aggregates(arg, nested)
-                if nested:
-                    raise SQLBindError("aggregate calls cannot be nested")
-            return
+    """Gather top-level aggregate calls (not descending into subqueries
+    or window calls)."""
+    if type(expr) is ast.FuncCall and functions.is_aggregate(expr.name):
+        if expr not in found:
+            found.append(expr)
+        nested: list[ast.FuncCall] = []
         for arg in expr.args:
-            _collect_aggregates(arg, found)
-    elif isinstance(expr, ast.BinaryOp):
-        _collect_aggregates(expr.left, found)
-        _collect_aggregates(expr.right, found)
-    elif isinstance(expr, ast.UnaryOp):
-        _collect_aggregates(expr.operand, found)
-    elif isinstance(expr, ast.IsNull):
-        _collect_aggregates(expr.operand, found)
-    elif isinstance(expr, ast.InList):
-        _collect_aggregates(expr.operand, found)
-        for item in expr.items:
-            _collect_aggregates(item, found)
-    elif isinstance(expr, ast.Between):
-        _collect_aggregates(expr.operand, found)
-        _collect_aggregates(expr.low, found)
-        _collect_aggregates(expr.high, found)
-    elif isinstance(expr, ast.Case):
-        for condition, result in expr.whens:
-            _collect_aggregates(condition, found)
-            _collect_aggregates(result, found)
-        if expr.else_ is not None:
-            _collect_aggregates(expr.else_, found)
-    elif isinstance(expr, ast.Cast):
-        _collect_aggregates(expr.operand, found)
+            _collect_aggregates(arg, nested)
+        if nested:
+            raise SQLBindError("aggregate calls cannot be nested")
+        return
+    if not isinstance(expr, (ast.ScalarSubquery, ast.WindowCall)):
+        for child in ast.children(expr):
+            _collect_aggregates(child, found)
 
 
 def check_row_expression(expr: ast.Expr) -> None:
@@ -359,12 +337,8 @@ class Planner:
                 and eq.op == "="
                 and isinstance(nulls, ast.BinaryOp)
                 and nulls.op == "and"
-                and isinstance(nulls.left, ast.IsNull)
-                and isinstance(nulls.right, ast.IsNull)
-                and not nulls.left.negated
-                and not nulls.right.negated
-                and {nulls.left.operand, nulls.right.operand}
-                == {eq.left, eq.right}
+                and {nulls.left, nulls.right}
+                == {ast.IsNull(eq.left), ast.IsNull(eq.right)}
             ):
                 return eq.left, eq.right, True
         return None
@@ -402,8 +376,7 @@ class Planner:
 
         agg_calls: list[ast.FuncCall] = []
         for item in select.items:
-            if not isinstance(item.expr, ast.Star):
-                _collect_aggregates(item.expr, agg_calls)
+            _collect_aggregates(item.expr, agg_calls)
         if select.having is not None:
             _collect_aggregates(select.having, agg_calls)
 

@@ -21,7 +21,6 @@ connection); concurrency happens *across* sessions.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -49,7 +48,8 @@ class Session:
         #: database's, a non-positive value disables it.  A server
         #: connection sets it from its hello.
         self.statement_timeout_ms: Optional[float] = None
-        #: cancel events of in-flight statements (guarded by the mutex)
+        #: cancel events of in-flight statements (guarded by the mutex);
+        #: each statement's ``_StatementScope`` adds and discards its own
         self._cancel_mutex = threading.Lock()
         self._active_cancels: set[threading.Event] = set()
         #: memory-governor counters across this session's statements:
@@ -73,18 +73,6 @@ class Session:
         }
 
     # -- statement lifecycle -------------------------------------------------
-
-    @contextmanager
-    def statement_guard(self):
-        """Register a fresh cancel event for one statement execution."""
-        event = threading.Event()
-        with self._cancel_mutex:
-            self._active_cancels.add(event)
-        try:
-            yield event
-        finally:
-            with self._cancel_mutex:
-                self._active_cancels.discard(event)
 
     def cancel(self) -> None:
         """Cooperatively cancel this session's in-flight statements

@@ -2,8 +2,11 @@
 run time: the engine/driver package ``repro.sqldb`` sits below the
 paper's packages and must not reach up into them, and
 ``repro.core.connectors`` holds the connector family and nothing else —
-retry, pooling and topology routing live in ``repro.sqldb.client`` — and
-``repro.sqldb.faults`` holds the engine's one fault injector."""
+retry, pooling and topology routing live in ``repro.sqldb.client`` —,
+``repro.sqldb.faults`` holds the engine's one fault injector, and no
+function outside ``ast_nodes`` and ``Planner.compile_expr`` branches on
+SQL expression node types (the generic walk of ``ast_nodes`` serves
+every other walker)."""
 
 import ast
 import pathlib
@@ -81,3 +84,72 @@ def test_connectors_module_defines_only_the_connector_family():
         node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
     }
     assert classes == CONNECTOR_FAMILY
+
+
+#: SQL expression nodes only a hand-written tree walker (or the one
+#: compiler) needs to tell apart
+WALKER_NODES = {"Between", "InList", "Case", "IsNull"}
+
+
+def _node_type_tests(tree: ast.AST):
+    """``(function, line)`` of every ``isinstance(x, ...)`` or ``type(x)
+    is ...`` naming one of :data:`WALKER_NODES`, by enclosing function
+    (``Class.method`` for methods)."""
+
+    def names(node):
+        return {
+            getattr(part, "attr", getattr(part, "id", None))
+            for part in ast.walk(node)
+        }
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            tested = None
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2
+            ):
+                tested = child.args[1]
+            elif (
+                isinstance(child, ast.Compare)
+                and isinstance(child.left, ast.Call)
+                and getattr(child.left.func, "id", None) == "type"
+            ):
+                tested = child.comparators[0]
+            if tested is not None and names(tested) & WALKER_NODES:
+                yield scope, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, "")
+
+
+def test_no_hand_written_expression_walkers():
+    offenders = sorted(
+        f"{path.relative_to(SRC)}:{line} in {function or '<module>'}"
+        for path in SRC.rglob("*.py")
+        if path.name != "ast_nodes.py"
+        for function, line in _node_type_tests(ast.parse(path.read_text()))
+        if (path.name, function) != ("planner.py", "Planner.compile_expr")
+    )
+    assert not offenders, offenders
+
+
+def test_the_walker_rule_sees_a_walker():
+    source = (
+        "def walk(e):\n"
+        "    if isinstance(e, (ast.BinaryOp, ast.Between)):\n"
+        "        return e\n"
+        "class Planner:\n"
+        "    def compile_expr(self, e):\n"
+        "        return type(e) is ast.Case\n"
+    )
+    assert list(_node_type_tests(ast.parse(source))) == [
+        ("walk", 2),
+        ("Planner.compile_expr", 6),
+    ]

@@ -573,6 +573,35 @@ SEED_CORPUS = [
         False,
     ),
     ("SELECT k AS c0 FROM (SELECT DISTINCT a AS k FROM t) d ORDER BY k", True),
+    # GROUP BY, HAVING and the select list must fold alike, or the
+    # grouped expression is not found ("column 'a' does not exist")
+    (
+        "SELECT -1 + a AS k, count(*) AS c FROM t GROUP BY -1 + a "
+        "HAVING -1 + a > 0",
+        False,
+    ),
+    (
+        "SELECT a + (2 - 1) AS k, count(*) AS c FROM t GROUP BY a + (2 - 1) "
+        "HAVING a + (2 - 1) > 2",
+        False,
+    ),
+    # constant subtrees the planner's compiler folds: functions, CASE,
+    # CAST, negative literals, NULL arithmetic, NOT IN over a NULL
+    ("SELECT a AS c0 FROM t WHERE abs(-3) = 3 AND coalesce(NULL, b) > -5", False),
+    (
+        "SELECT a AS c0, s AS c1 FROM t "
+        "WHERE CASE WHEN 1 > 2 THEN 'x' ELSE 'a' END = s",
+        False,
+    ),
+    ("SELECT a AS c0 FROM t WHERE a > CAST('-5' AS int) AND -a < 10", False),
+    ("SELECT a AS c0 FROM t WHERE a >= -2 - 3 AND (NULL + 1) IS NULL", False),
+    ("SELECT a AS c0 FROM t WHERE 1 NOT IN (2, NULL) OR a = 7.75", False),
+    ("SELECT a AS c0 FROM t WHERE 2 NOT IN (3, NULL) OR b > 0", False),
+    (
+        "SELECT upper('a') || s AS c0, length('abc') + a AS c1, "
+        "CASE WHEN NULL = 1 THEN 1 ELSE -1 END AS c2 FROM t",
+        False,
+    ),
 ]
 
 #: parameterised point statements on the indexed keys, as ``(sql, params,

@@ -14,7 +14,7 @@ from repro.errors import (
     TransactionRollback,
 )
 from repro.sqldb import dbapi
-from repro.sqldb.engine import Database
+from repro.sqldb.engine import Database, _StatementScope
 from repro.sqldb.session import Session
 
 
@@ -265,13 +265,15 @@ class TestLockingAndDeadlock:
 class TestSessionScopedCancel:
     def test_cancel_scopes_to_one_session(self, db):
         a, b = db.session(), db.session()
-        with a.statement_guard() as ea, b.statement_guard() as eb:
+        with _StatementScope(a) as sa, _StatementScope(b) as sb:
+            ea, eb = sa.cancel_event, sb.cancel_event
             db.cancel(b)
             assert eb.is_set() and not ea.is_set()
             db.cancel()  # default session only: a and b untouched
             assert not ea.is_set()
             db.cancel_all()
             assert ea.is_set()
+        assert not a.has_active_statements and not b.has_active_statements
 
     def test_cancel_one_session_leaves_peer_running(self, tmp_path):
         path = tmp_path / "big.csv"
