@@ -26,6 +26,7 @@ from repro.sqldb import ast_nodes as ast
 from repro.sqldb import colcodec
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.vector import (
+    CELL_RULES,
     Vector,
     coded_text,
     concat_vectors,
@@ -44,9 +45,7 @@ __all__ = [
     "CTID",
     "build_index",
     "extend_index",
-    "coerce_to_type",
     "decode_records",
-    "normalise_type",
     "probe_compatible",
     "referenced_relations",
 ]
@@ -54,70 +53,12 @@ __all__ = [
 #: name of the system column exposing the tuple identifier
 CTID = "ctid"
 
-_INT_TYPES = {"int", "integer", "bigint", "smallint"}
-_SERIAL_TYPES = {"serial", "bigserial"}
-_FLOAT_TYPES = {"float", "real", "numeric", "decimal", "double", "double precision"}
-_TEXT_TYPES = {"text", "varchar", "char", "date", "timestamp"}
-_BOOL_TYPES = {"boolean", "bool"}
-
-
-def normalise_type(type_name: str) -> str:
-    """Map a declared SQL type to the engine's storage class."""
-    base = type_name.strip().lower()
-    if base.endswith("[]"):
-        return "array"
-    if base in _INT_TYPES:
-        return "int"
-    if base in _SERIAL_TYPES:
-        return "serial"
-    if base in _FLOAT_TYPES:
-        return "float"
-    if base in _TEXT_TYPES:
-        return "text"
-    if base in _BOOL_TYPES:
-        return "bool"
-    raise CatalogError(f"unsupported column type {type_name!r}")
-
-
-def coerce_to_type(raw: Any, storage: str) -> Any:
-    """Coerce one Python value (from COPY/INSERT) to a storage class."""
-    if raw is None:
-        return None
-    if storage in ("int", "serial"):
-        try:
-            return int(float(raw))
-        except (TypeError, ValueError):
-            raise SQLExecutionError(
-                f"cannot interpret {raw!r} as integer", sqlstate="22P02"
-            ) from None
-    if storage == "float":
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise SQLExecutionError(
-                f"cannot interpret {raw!r} as number", sqlstate="22P02"
-            ) from None
-    if storage == "bool":
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("t", "true", "1"):
-            return True
-        if text in ("f", "false", "0"):
-            return False
-        raise SQLExecutionError(f"cannot interpret {raw!r} as boolean")
-    if storage == "array":
-        if isinstance(raw, list):
-            # arrays are values: the table never holds the caller's list
-            return list(raw)
-        raise SQLExecutionError(f"cannot interpret {raw!r} as array")
-    return str(raw)
-
-
 def _coerce_column(
-    raw: list[Any], storage: str, name: str, onto: Optional[Vector] = None
+    raw: list[Any], storage: str, onto: Optional[Vector] = None
 ) -> Vector:
-    """Build the typed vector of one column's new values.
+    """Build the typed vector of one column's new values, each non-NULL
+    cell converted by the storage class's assignment rule
+    (:data:`~repro.sqldb.vector.CELL_RULES`).
 
     The dtype comes from the declared storage class alone, never from the
     values: float64 (NaN under NULL) for ``int``/``serial``/``float``, bool
@@ -130,24 +71,14 @@ def _coerce_column(
     overwrite *onto*'s with no merge.
     """
     n = len(raw)
+    rule = CELL_RULES[storage]
+    raw = [None if v is None else rule(v) for v in raw]
     if storage in ("int", "serial", "float"):
-        try:
-            values = np.array(
-                [np.nan if v is None else float(v) for v in raw],
-                dtype=np.float64,
-            )
-        except (TypeError, ValueError) as exc:
-            raise SQLExecutionError(
-                f"column {name!r}: cannot interpret a value as a number "
-                f"({exc})"
-            ) from None
+        values = np.array(raw, dtype=np.float64)  # None reads as NaN
         return Vector(values, np.isnan(values))
     nulls = np.array([v is None for v in raw], dtype=bool)
     if storage == "bool":
-        values = np.array(
-            [coerce_to_type(v, storage) or False for v in raw], dtype=bool
-        )
-        return Vector(values, nulls)
+        return Vector(np.array(raw, dtype=bool), nulls)
     if storage == "text":
         dictionary = (
             np.empty(0, dtype=object) if onto is None else onto.dictionary
@@ -179,12 +110,13 @@ class CsvColumn:
     once.  The NULL text and the empty field both read as NULL
     (PostgreSQL's CSV-mode default).  Every pass over a chunk is a C-level
     ``map``: numbers go through ``float()`` per cell when the chunk holds
-    no NULL and once per distinct string when it does, booleans once per
-    distinct string, and text through one dict for the whole COPY — a
-    ``defaultdict`` numbering each new string with its own length — that
-    emits int32 codes and becomes the column's dictionary, so the NULL
-    mask is an integer compare.  The result equals :func:`_coerce_column`
-    over the NULL-mapped cells, error included.
+    no NULL (plus one vectorised integrality check for ``int``), and else
+    — or for booleans, or when a cell fails — through the assignment rule
+    once per distinct string; text goes through one dict for the whole
+    COPY — a ``defaultdict`` numbering each new string with its own
+    length — that emits int32 codes and becomes the column's dictionary,
+    so the NULL mask is an integer compare.  The result equals
+    :func:`_coerce_column` over the NULL-mapped cells, error included.
     """
 
     def __init__(self, name: str, storage: str, null_text: str) -> None:
@@ -192,69 +124,57 @@ class CsvColumn:
         self.storage = storage
         self.null_keys = tuple(dict.fromkeys(("", null_text)))
         self.parts: list[Any] = []
-        self.rows = 0
-        #: text: each distinct string's code, in first-occurrence order;
-        #: bool: each string's code (0 false, 1 true, 2 NULL)
-        self.known: dict[str, Any] = defaultdict()
-        if storage == "bool":
-            self.known.update(dict.fromkeys(self.null_keys, 2))
-        else:
-            self.known.default_factory = self.known.__len__
+        #: text: each distinct string's code, in first-occurrence order
+        self.known: dict[str, int] = defaultdict()
+        self.known.default_factory = self.known.__len__
 
     def add(self, cells: Sequence[str]) -> None:
-        if self.storage in ("int", "serial", "float"):
-            part = self._numbers(cells)
-        elif self.storage == "bool":
-            known = self.known
-            for cell in dict.fromkeys(cells):
-                if cell not in known:
-                    known[cell] = int(coerce_to_type(cell, "bool"))
-            part = np.fromiter(
-                map(known.__getitem__, cells), np.int8, len(cells)
-            )
-        elif self.storage == "text":
+        if self.storage == "text":
             part = np.fromiter(
                 map(self.known.__getitem__, cells), np.int32, len(cells)
             )
-        else:  # an array column keeps each cell's text as an object
-            part = _coerce_column(
-                [None if c in self.null_keys else c for c in cells],
-                self.storage, self.name,
-            )
+        elif self.storage == "array":  # each cell's text kept as an object
+            part = [None if c in self.null_keys else c for c in cells]
+        else:
+            part = self._values(cells)
         self.parts.append(part)
-        self.rows += len(cells)
 
-    def _numbers(self, cells: Sequence[str]) -> np.ndarray:
+    def _values(self, cells: Sequence[str]) -> np.ndarray:
+        """A chunk of numbers or booleans as float64, NaN under NULL."""
+        if self.storage != "bool" and all(
+            key not in cells for key in self.null_keys
+        ):
+            try:
+                part = np.fromiter(map(float, cells), np.float64, len(cells))
+            except ValueError:
+                pass  # the rule below names the first cell that fails
+            else:
+                if self.storage == "float" or (
+                    np.isfinite(part).all() and (np.rint(part) == part).all()
+                ):
+                    return part
+        rule = CELL_RULES[self.storage]
+        parsed = dict.fromkeys(cells)
         try:
-            if all(key not in cells for key in self.null_keys):
-                return np.fromiter(map(float, cells), np.float64, len(cells))
-            parsed = dict.fromkeys(cells)
             for cell in parsed:
-                parsed[cell] = (
-                    np.nan if cell in self.null_keys else float(cell)
-                )
-        except ValueError as exc:
+                parsed[cell] = np.nan if cell in self.null_keys else rule(cell)
+        except SQLExecutionError as exc:
             raise SQLExecutionError(
-                f"column {self.name!r}: cannot interpret a value as a number "
-                f"({exc})"
+                f"column {self.name!r}: {exc}", sqlstate=exc.sqlstate
             ) from None
         return np.fromiter(
             map(parsed.__getitem__, cells), np.float64, len(cells)
         )
 
     def vector(self) -> Vector:
-        if self.storage in ("int", "serial", "float"):
-            values = np.concatenate([np.empty(0), *self.parts])
-            return Vector(values, np.isnan(values))
-        if self.storage == "bool":
-            codes = np.concatenate([np.empty(0, np.int8), *self.parts])
-            return Vector(codes == 1, codes == 2)
+        if self.storage == "array":
+            return _coerce_column(list(itertools.chain(*self.parts)), "array")
         if self.storage != "text":
-            return concat_vectors(
-                [_coerce_column([], self.storage, self.name), *self.parts]
-            )
+            values = np.concatenate([np.empty(0), *self.parts])
+            nulls = np.isnan(values)
+            return Vector(values == 1 if self.storage == "bool" else values, nulls)
         codes = np.concatenate([np.empty(0, np.int32), *self.parts])
-        nulls = np.zeros(self.rows, dtype=bool)
+        nulls = np.zeros(len(codes), dtype=bool)
         for key in self.null_keys:
             if key in self.known:
                 nulls |= codes == self.known[key]
@@ -280,7 +200,7 @@ class Table:
                 raise CatalogError("'ctid' is reserved for the system column")
         if not self.columns:
             for name, storage in zip(self.column_names, self.column_types):
-                self.columns[name] = _coerce_column([], storage, name)
+                self.columns[name] = _coerce_column([], storage)
 
     @property
     def ctid(self) -> Vector:
@@ -332,7 +252,7 @@ class Table:
                 new = Vector(values, np.zeros(n_new, dtype=bool))
             else:
                 new = _coerce_column(
-                    [None] * n_new if raw is None else raw, storage, name, old
+                    [None] * n_new if raw is None else raw, storage, old
                 )
             self.columns[name] = Vector(
                 np.concatenate((old.values, new.values)),
@@ -343,14 +263,14 @@ class Table:
 
     def append_rows(self, rows: list[dict[str, Any]]) -> None:
         """Append row dicts sharing one key set (INSERT, and through it
-        replicated apply and WAL replay): each cell is coerced to its
-        column's storage class and the batch transposed into
-        :meth:`append_columns`."""
+        replicated apply and WAL replay): the batch is transposed into
+        :meth:`append_columns`, which converts each cell to its column's
+        storage class."""
         if not rows:
             return
         data = {
-            name: [coerce_to_type(row[name], storage) for row in rows]
-            for name, storage in zip(self.column_names, self.column_types)
+            name: [row[name] for row in rows]
+            for name in self.column_names
             if name in rows[0]
         }
         self.append_columns(data, len(rows))
@@ -365,10 +285,7 @@ class Table:
         catalog clones and view snapshots sharing it."""
         storage = self.storage_of(name)
         old = self.columns[name]
-        patch = _coerce_column(
-            [coerce_to_type(cell, storage) for cell in cells], storage, name,
-            old,
-        )
+        patch = _coerce_column(cells, storage, old)
         values, nulls = old.values.copy(), old.nulls.copy()
         values[positions] = patch.values
         nulls[positions] = patch.nulls
@@ -1254,17 +1171,6 @@ class Catalog:
 # -- checkpoint records -------------------------------------------------------
 
 
-#: the dtype a table column of each storage class is stored in
-_STORAGE_DTYPES = {
-    "int": np.dtype(np.float64),
-    "serial": np.dtype(np.float64),
-    "float": np.dtype(np.float64),
-    "bool": np.dtype(bool),
-    "text": np.dtype(np.int32),
-    "array": np.dtype(object),
-}
-
-
 def _columns_from(columns: dict, blob: Any) -> dict[str, Vector]:
     """The named vectors of a table record or materialised-view snapshot
     (*columns*: its names, row count and column headers) read from the
@@ -1285,10 +1191,11 @@ def _table_from(record: dict) -> Table:
     if len(types) != len(columns):
         raise ValueError(f"{len(types)} types for {len(columns)} columns")
     for storage, vector in zip(types, columns.values()):
-        if storage not in _STORAGE_DTYPES:
+        if storage not in CELL_RULES:
             raise ValueError(f"unknown storage class {storage!r}")
-        if vector.values.dtype != _STORAGE_DTYPES[storage] or (
-            vector.is_text != (storage == "text")
+        empty = _coerce_column([], storage)  # the class's stored form
+        if vector.values.dtype != empty.values.dtype or (
+            vector.is_text != empty.is_text
         ):
             raise ValueError(
                 f"a {storage} column stored as {vector.values.dtype}"

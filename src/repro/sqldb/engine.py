@@ -42,7 +42,6 @@ from repro.sqldb.catalog import (
     _resolve_index_method,
     build_index,
     decode_records,
-    normalise_type,
     referenced_relations,
 )
 from repro.sqldb.executor import ExecContext, execute_plan
@@ -75,11 +74,18 @@ from repro.sqldb.optimizer import (
 from repro.sqldb.lexer import tokenize
 from repro.sqldb.parser import parse_script
 from repro.sqldb.plan import Batch, PlanNode, parameter_value
-from repro.sqldb.planner import Planner, check_row_expression
+from repro.sqldb.planner import Planner, Scope, check_row_expression
 from repro.sqldb.prepared import bind_parameters, normalize_tokens
 from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
-from repro.sqldb.vector import Vector, from_values, gather, read_only, to_rows
+from repro.sqldb.vector import (
+    Vector,
+    from_values,
+    gather,
+    normalise_type,
+    read_only,
+    to_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -232,10 +238,11 @@ class Result:
 class _CachedStatement:
     """One parsed statement plus its lazily built plan: a SELECT's, or
     the one that finds an UPDATE's or DELETE's rows (see
-    :meth:`Database._dml_rows`)."""
+    :meth:`Database._dml_rows`) — or an INSERT's VALUES cells."""
 
     statement: ast.Statement
     plan: Optional[PlanNode] = None
+    cells: Optional[list[list[Callable]]] = None
 
 
 @dataclass
@@ -1360,20 +1367,54 @@ class Database:
             for name, storage in zip(table.column_names, table.column_types)
             if storage != "serial" or statement.columns
         ]
-        rows: list[dict[str, Any]] = []
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
-                raise SQLExecutionError(
-                    f"INSERT row has {len(row_exprs)} values, "
-                    f"expected {len(columns)}"
-                )
-            row = {}
-            for name, expr in zip(columns, row_exprs):
-                row[name] = _literal_value(expr, params)
-            rows.append(row)
+        if cached.cells is None:
+            for row in statement.rows:
+                if len(row) != len(columns):
+                    raise SQLExecutionError(
+                        f"INSERT row has {len(row)} values, "
+                        f"expected {len(columns)}"
+                    )
+            cached.cells = [
+                self._value_cells(row, catalog) for row in statement.rows
+            ]
+        context = partial(scope.context, catalog, self.profile, params)
+        rows = [
+            {name: cell(params, context) for name, cell in zip(columns, row)}
+            for row in cached.cells
+        ]
         table.append_rows(rows)
         self._finish_dml(statement.table, catalog, scope, appended=True)
         return Result(rowcount=len(rows))
+
+    def _value_cells(
+        self, exprs: Sequence[ast.Expr], catalog: Catalog
+    ) -> list[Callable[[tuple, Callable[[], ExecContext]], Any]]:
+        """VALUES cells (and TRAIN options) built through the planner's
+        compiler, once per cached statement, as functions of the
+        statement's parameters and a maker of its execution context: a
+        bare parameter reads its bound value, a cell that reads no
+        parameter and no subquery is computed here on one row (folded),
+        and any other cell is computed on one row per execution."""
+        planner = Planner(catalog, self.profile)
+        cells = []
+        for expr in exprs:
+            if type(expr) is ast.Parameter:
+                cells.append(lambda params, context, i=expr.index: (
+                    parameter_value(params, i)
+                ))
+                continue
+            run = planner.compile_expr(expr, Scope(), {})
+            if any(
+                type(node) in (ast.Parameter, ast.ScalarSubquery)
+                for node in ast.walk(expr)
+            ):
+                cells.append(lambda params, context, run=run: (
+                    run(Batch(1), context()).item(0)
+                ))
+            else:
+                value = run(Batch(1), None).item(0)
+                cells.append(lambda params, context, value=value: value)
+        return cells
 
     def _execute_copy(
         self, cached: _CachedStatement, params: tuple, catalog: Catalog,
@@ -1457,9 +1498,11 @@ class Database:
         statement = cached.statement
         from repro.sqldb import ml_train
 
+        context = partial(scope.context, catalog, self.profile, params)
+        cells = self._value_cells([expr for _, expr in statement.options], catalog)
         options = {
-            key: _literal_value(expr, params)
-            for key, expr in statement.options
+            key: cell(params, context)
+            for (key, _), cell in zip(statement.options, cells)
         }
 
         # every iteration's aggregate query runs in the statement's scope:
@@ -1695,18 +1738,6 @@ def _malformed_row(statement: ast.Copy, width: int) -> SQLExecutionError:
                     f"{len(row)} fields, expected {width}"
                 )
     return SQLExecutionError(f"{statement.path}: changed while COPY read it")
-
-
-def _literal_value(expr: ast.Expr, params: tuple = ()) -> Any:
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Parameter):
-        return parameter_value(params, expr.index)
-    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-        inner = _literal_value(expr.operand, params)
-        if isinstance(inner, (int, float)):
-            return -inner
-    raise SQLExecutionError("values must be literals or parameters")
 
 
 def _batch_to_result(plan: PlanNode, batch: Batch) -> Result:

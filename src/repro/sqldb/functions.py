@@ -7,7 +7,7 @@ paper): ``coalesce``, ``regexp_replace``, ``least``/``greatest``,
 ``floor``/``ceil``, ``array_fill``/``array_length``/``array_position``,
 ``unnest`` (handled by the executor), plus aggregates ``count``, ``sum``,
 ``avg``, ``min``, ``max``, ``stddev_pop``/``stddev_samp``, ``array_agg``.
-The ``LIKE`` and ``CAST`` operators live here too.  Every kernel whose
+The ``LIKE`` operator lives here too.  Every kernel whose
 work is Python per value runs once per distinct input tuple
 (:func:`~repro.sqldb.vector.per_distinct`).
 """
@@ -25,6 +25,7 @@ from repro.sqldb.vector import (
     Vector,
     _as_float,
     align,
+    cell_text,
     cells,
     dictionary_ranks,
     per_distinct,
@@ -36,49 +37,10 @@ from repro.sqldb.vector import (
 __all__ = [
     "AGGREGATE_NAMES",
     "SCALAR_FUNCTIONS",
-    "cast",
-    "cell_text",
     "compute_aggregate",
     "is_aggregate",
     "like",
-    "pg_text",
 ]
-
-
-# ---------------------------------------------------------------------------
-# value -> text coercion
-# ---------------------------------------------------------------------------
-
-
-def pg_text(value: Any) -> Any:
-    """Render one SQL value as PostgreSQL's text cast would.
-
-    Every value→text coercion in the engine (``||``, ``CAST .. AS TEXT``,
-    ``LIKE`` operands, string functions) routes through here so integers
-    stored in float64-backed vectors print as ``'1'`` rather than ``'1.0'``.
-    Returns None for SQL NULL.
-    """
-    if value is None:
-        return None
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        as_float = float(value)
-        if as_float.is_integer() and abs(as_float) < 1e16:
-            return str(int(as_float))
-        return repr(as_float)
-    if isinstance(value, list):
-        parts = ["NULL" if v is None else pg_text(v) for v in value]
-        return "{" + ",".join(parts) + "}"
-    return str(value)
-
-
-def cell_text(cell: Any) -> Any:
-    """:func:`pg_text` of a stored cell, as of ``Vector.item`` of its row
-    (a numpy float that is integral prints as an integer at any size)."""
-    return pg_text(to_python(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +233,6 @@ def like(value: Vector, pattern: Vector) -> Vector:
     out = np.zeros(len(nulls), dtype=bool)
     per_distinct(matches, [value, pattern], np.flatnonzero(~nulls), out)
     return Vector(out, nulls)
-
-
-def _cast_bool(raw: Any) -> bool:
-    if isinstance(raw, (bool, np.bool_)):
-        return bool(raw)
-    if isinstance(raw, (int, float, np.integer, np.floating)):
-        return raw != 0
-    return str(raw).strip().lower() in ("t", "true", "1", "yes", "on")
-
-
-def cast(value: Vector, target: str) -> Vector:
-    """``CAST(value AS target)`` for the int, float, text and bool families."""
-    nulls = value.nulls.copy()
-    rows = np.flatnonzero(~nulls)
-    numeric = value.dictionary is None and value.values.dtype.kind in "fiub"
-    if target in ("int", "integer", "bigint", "smallint"):
-        if numeric:
-            out = value.values.astype(np.float64)
-        else:
-            out = per_distinct(float, [value], rows, np.full(len(value), np.nan))
-        return Vector(np.rint(out), nulls)
-    if target in ("float", "real", "numeric", "decimal", "double", "double precision"):
-        if numeric:
-            return Vector(value.values.astype(np.float64), nulls)
-        out = per_distinct(float, [value], rows, np.full(len(value), np.nan))
-        return Vector(out, nulls)
-    if target in ("text", "varchar", "char"):
-        return per_distinct_cells(cell_text, [value], rows, nulls)
-    if target in ("bool", "boolean"):
-        out = np.zeros(len(value), dtype=bool)
-        return Vector(per_distinct(_cast_bool, [value], rows, out), nulls)
-    raise SQLBindError(f"unsupported cast target {target!r}")
 
 
 def _fn_nullif(args: list[Vector]) -> Vector:

@@ -40,6 +40,7 @@ from repro.errors import SQLExecutionError
 from repro.learn.tree import _gini
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.catalog import TrainedModel
+from repro.sqldb.vector import CELL_RULES
 
 __all__ = ["train_model", "model_to_estimator"]
 
@@ -115,24 +116,18 @@ def _value(result: Any, column: str) -> Any:
 # -- options ------------------------------------------------------------------
 
 
-def _pop_float(options: dict, key: str, default: float) -> float:
+def _pop_number(
+    options: dict, key: str, default: float, storage: str = "float"
+) -> float:
+    """Option *key* as a ``float`` (or an ``int``) by the assignment rule."""
     raw = options.pop(key, default)
     try:
-        return float(raw)
-    except (TypeError, ValueError):
+        value = CELL_RULES[storage](raw)
+        return int(value) if storage == "int" else value
+    except (SQLExecutionError, ValueError, OverflowError):
+        what = "an integer" if storage == "int" else "a number"
         raise SQLExecutionError(
-            f"TRAIN option {key!r} must be a number, got {raw!r}",
-            sqlstate="22023",
-        ) from None
-
-
-def _pop_int(options: dict, key: str, default: int) -> int:
-    raw = options.pop(key, default)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise SQLExecutionError(
-            f"TRAIN option {key!r} must be an integer, got {raw!r}",
+            f"TRAIN option {key!r} must be {what}, got {raw!r}",
             sqlstate="22023",
         ) from None
 
@@ -152,7 +147,7 @@ def _pop_learning_rate(options: dict, default: float) -> float:
             sqlstate="22023",
         )
     key = "learning_rate" if "learning_rate" in options else "lr"
-    return _pop_float(options, key, default)
+    return _pop_number(options, key, default)
 
 
 # -- schema discovery ---------------------------------------------------------
@@ -278,9 +273,9 @@ def _train_linear_family(
     step: same gradients, same update, same stopping rule — only the
     per-iteration sums come from SQL instead of numpy dot products."""
     learning_rate = _pop_learning_rate(options, 0.5 if logistic else 0.1)
-    max_iter = _pop_int(options, "max_iter", 500)
-    tol = _pop_float(options, "tol", 1e-6)
-    c_value = _pop_float(options, "c", 1.0) if logistic else None
+    max_iter = _pop_number(options, "max_iter", 500, "int")
+    tol = _pop_number(options, "tol", 1e-6)
+    c_value = _pop_number(options, "c", 1.0) if logistic else None
     _reject_unknown(options)
     if logistic and c_value is not None and c_value <= 0.0:
         raise SQLExecutionError(
@@ -464,9 +459,9 @@ def _train_tree(
     options: dict,
     run: RunQuery,
 ) -> TrainedModel:
-    max_depth = _pop_int(options, "max_depth", 8)
-    min_samples_split = _pop_int(options, "min_samples_split", 2)
-    max_thresholds = _pop_int(options, "max_thresholds", 32)
+    max_depth = _pop_number(options, "max_depth", 8, "int")
+    min_samples_split = _pop_number(options, "min_samples_split", 2, "int")
+    max_thresholds = _pop_number(options, "max_thresholds", 32, "int")
     _reject_unknown(options)
 
     n_nodes = 0

@@ -470,9 +470,7 @@ def _index_scan_rows(plan: IndexScan, catalog: Catalog) -> float:
     if kind == "range":
         lo, _, hi, _ = operand
         column = prov[plan.conjuncts[0].cmp[1]][1]
-        fraction = _range_probe_fraction(
-            catalog, plan.table_name, column, lo, hi, use_stats=True
-        )
+        fraction = _range_probe_fraction(catalog, plan.table_name, column, lo, hi)
         return rows * (
             _DEFAULT_SELECTIVITY["between"] if fraction is None else fraction
         )
@@ -623,7 +621,6 @@ def _try_index_scan(
     scan: ScanTable,
     catalog: Catalog,
     rewrites: list[str],
-    use_stats: bool,
 ) -> Optional[PlanNode]:
     """Convert ``Filter(ScanTable)`` into an index probe when an index
     covers some of the conjuncts; unmatched conjuncts stay as a residual
@@ -691,7 +688,7 @@ def _try_index_scan(
             lo_value, lo_inclusive = low[1:] if low else (None, False)
             hi_value, hi_inclusive = high[1:] if high else (None, False)
             fraction = _range_probe_fraction(
-                catalog, scan.table_name, column, lo_value, hi_value, use_stats
+                catalog, scan.table_name, column, lo_value, hi_value
             )
             if fraction is not None and fraction <= 0.25:
                 bounds = (lo_value, lo_inclusive, hi_value, hi_inclusive)
@@ -741,7 +738,6 @@ def _range_probe_fraction(
     column: str,
     low: Any,
     high: Any,
-    use_stats: bool,
 ) -> Optional[float]:
     """Estimated kept fraction of a range probe; None = not estimable.
 
@@ -749,7 +745,7 @@ def _range_probe_fraction(
     only credible with ANALYZE statistics — without them this returns
     None and the scan+filter plan stands.
     """
-    if not use_stats or (low is None and high is None):
+    if low is None and high is None:
         return None
     table_stats = catalog.table_stats(table_name)
     if table_stats is None:
@@ -776,7 +772,6 @@ def _apply_access_paths(
     plan: PlanNode,
     catalog: Catalog,
     rewrites: list[str],
-    use_stats: bool,
     memo: dict[int, PlanNode],
 ) -> PlanNode:
     """Bottom-up walk converting filtered scans into index probes.
@@ -789,7 +784,7 @@ def _apply_access_paths(
         return cached
 
     def visit(node: PlanNode) -> PlanNode:
-        return _apply_access_paths(node, catalog, rewrites, use_stats, memo)
+        return _apply_access_paths(node, catalog, rewrites, memo)
 
     original = plan
     if isinstance(plan, CteRef):
@@ -801,9 +796,7 @@ def _apply_access_paths(
     elif isinstance(plan, Filter):
         plan.child = visit(plan.child)
         if isinstance(plan.child, ScanTable):
-            replaced = _try_index_scan(
-                plan, plan.child, catalog, rewrites, use_stats
-            )
+            replaced = _try_index_scan(plan, plan.child, catalog, rewrites)
             if replaced is not None:
                 plan = replaced
     elif hasattr(plan, "child"):
@@ -828,9 +821,8 @@ def optimize_select_plan(
     probes are taken without statistics; a range probe needs ``ANALYZE``
     data to show it is selective.
     """
-    use_stats = bool(catalog.analyzed_tables)
     memo: dict[int, PlanNode] = {}
-    top = _apply_access_paths(top, catalog, rewrites, use_stats, memo)
+    top = _apply_access_paths(top, catalog, rewrites, memo)
     for sub in subquery_plans:
-        _apply_access_paths(sub, catalog, rewrites, use_stats, memo)
+        _apply_access_paths(sub, catalog, rewrites, memo)
     return top

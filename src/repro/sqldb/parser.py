@@ -21,6 +21,7 @@ from typing import Optional
 from repro.errors import SQLSyntaxError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.lexer import Token, TokenKind, tokenize
+from repro.sqldb.vector import STORAGE_CLASSES
 
 __all__ = ["parse_statement", "parse_script", "parse_expression"]
 
@@ -30,11 +31,8 @@ _JOIN_KINDS = {
     "cross": "cross", "inner": "inner", "left": "left", "right": "right",
     "full": "full", "join": "inner",
 }
-_TYPE_WORDS = {
-    "int", "integer", "bigint", "smallint", "serial", "bigserial", "float",
-    "real", "numeric", "decimal", "double", "precision", "text", "varchar",
-    "char", "boolean", "bool", "date", "timestamp",
-}
+# the words type names are made of ("double precision" is two)
+_TYPE_WORDS = {word for name in STORAGE_CLASSES for word in name.split()}
 
 
 # token kinds as globals: an enum member lookup costs several times more

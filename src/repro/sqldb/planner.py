@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import SQLBindError, SQLExecutionError
+from repro.errors import SQLBindError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import functions, vector
 from repro.sqldb.catalog import CTID, Catalog, Table, View
@@ -250,7 +250,11 @@ class Planner:
             return node, Scope(entries)
         plan = self._view_plans.get(view.name)
         if plan is None:
-            plan = self.plan_select(view.query, {})
+            # a stored body folds like the statement around it (a lazy
+            # import: the optimizer imports this module at load time)
+            from repro.sqldb.optimizer import fold_select
+
+            plan = self.plan_select(fold_select(view.query, self)[0], {})
             self._view_plans[view.name] = plan
             self.shared_plans.append((view.name, plan, False))
         return self._shared_ref(view.name, plan, binding, barrier=False)
@@ -895,11 +899,11 @@ class Planner:
         replace: Optional[dict[ast.Expr, str]],
     ) -> CompiledExpr:
         operand = self.compile_expr(expr.operand, scope, env, replace)
-        target = expr.type_name
+        storage = vector.normalise_type(expr.type_name)  # raises at plan time
         return CompiledExpr(
-            lambda b, c: functions.cast(operand(b, c), target),
+            lambda b, c: vector.assign(operand(b, c), storage),
             operand.refs,
-            text=f"{operand.text}::{target}",
+            text=f"{operand.text}::{expr.type_name}",
         )
 
     def _compile_func(

@@ -30,10 +30,16 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import SQLExecutionError
+from repro.errors import CatalogError, SQLExecutionError
 
 __all__ = [
+    "CELL_RULES",
+    "STORAGE_CLASSES",
     "Vector",
+    "assign",
+    "cell_text",
+    "normalise_type",
+    "pg_text",
     "from_values",
     "constant",
     "gather",
@@ -640,6 +646,151 @@ def per_distinct_cells(
 
 
 # ---------------------------------------------------------------------------
+# the assignment rule: a value into a storage class
+# ---------------------------------------------------------------------------
+
+#: declared SQL type name -> storage class: the one table CREATE TABLE,
+#: CAST and the parser read (a name ending in ``[]`` is an ``array``)
+STORAGE_CLASSES = {
+    **dict.fromkeys(("int", "integer", "bigint", "smallint"), "int"),
+    **dict.fromkeys(("serial", "bigserial"), "serial"),
+    **dict.fromkeys(
+        ("float", "real", "numeric", "decimal", "double", "double precision"),
+        "float",
+    ),
+    **dict.fromkeys(("text", "varchar", "char", "date", "timestamp"), "text"),
+    **dict.fromkeys(("boolean", "bool"), "bool"),
+}
+
+
+def normalise_type(type_name: str) -> str:
+    """Map a declared SQL type to the engine's storage class."""
+    base = type_name.strip().lower()
+    storage = "array" if base.endswith("[]") else STORAGE_CLASSES.get(base)
+    if storage is None:
+        raise CatalogError(f"unsupported type {type_name!r}", sqlstate="42704")
+    return storage
+
+
+def pg_text(value: Any) -> Any:
+    """Render one SQL value as PostgreSQL's text cast would.
+
+    Every value→text coercion in the engine (``||``, ``CAST .. AS TEXT``,
+    assignment to a text column, ``LIKE`` operands, string functions)
+    routes through here so integers stored in float64-backed vectors
+    print as ``'1'`` rather than ``'1.0'``.  Returns None for SQL NULL.
+    """
+    if value is None:
+        return None
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        as_float = float(value)
+        if as_float.is_integer() and abs(as_float) < 1e16:
+            return str(int(as_float))
+        return repr(as_float)
+    if isinstance(value, list):
+        parts = ["NULL" if v is None else pg_text(v) for v in value]
+        return "{" + ",".join(parts) + "}"
+    return str(value)
+
+
+def cell_text(cell: Any) -> Any:
+    """:func:`pg_text` of a stored cell, as of ``Vector.item`` of its row
+    (a numpy float that is integral prints as an integer at any size)."""
+    return cell if type(cell) is str else pg_text(to_python(cell))
+
+
+def _invalid(cell: Any, what: str) -> SQLExecutionError:
+    return SQLExecutionError(
+        f"cannot interpret {cell!r} as {what}", sqlstate="22P02"
+    )
+
+
+def _to_float(cell: Any, what: str = "a number") -> float:
+    """The ``float`` rule: a number as it is, text through ``float()``."""
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        raise _invalid(cell, what) from None
+
+
+def _to_int(cell: Any) -> float:
+    """The ``int`` rule: text must be an integral, finite number; a
+    number rounds half to even (``np.rint``, PostgreSQL's float8 → int4:
+    the engine's numbers are float64)."""
+    value = _to_float(cell, "an integer")
+    if value.is_integer():
+        return value
+    if isinstance(cell, str):
+        raise _invalid(cell, "an integer")
+    return float(np.rint(value))
+
+
+#: PostgreSQL's boolean input spellings (trimmed, any case)
+_BOOL_SPELLINGS = {
+    **dict.fromkeys(("t", "true", "y", "yes", "on", "1"), True),
+    **dict.fromkeys(("f", "false", "n", "no", "off", "0"), False),
+}
+
+
+def _to_bool(cell: Any) -> bool:
+    """The ``bool`` rule: a PostgreSQL spelling, or a number (true when
+    nonzero)."""
+    if isinstance(cell, str):
+        spelled = _BOOL_SPELLINGS.get(cell.strip().lower())
+        if spelled is not None:
+            return spelled
+    elif isinstance(cell, (int, float, np.number, np.bool_)):
+        return bool(cell != 0)
+    raise _invalid(cell, "a boolean")
+
+
+def _to_array(cell: Any) -> Any:
+    """The ``array`` rule: a copy of a list (the table never holds the
+    caller's), or text kept as the literal it is (COPY's cells)."""
+    if isinstance(cell, list):
+        return list(cell)
+    if isinstance(cell, str):
+        return cell
+    raise _invalid(cell, "an array")
+
+
+#: storage class -> the assignment rule for one non-NULL cell: the one
+#: conversion INSERT, UPDATE, COPY, CAST and arithmetic on text share;
+#: a cell it cannot convert raises 22P02 (invalid_text_representation)
+CELL_RULES: dict[str, Callable[[Any], Any]] = {
+    "int": _to_int,
+    "serial": _to_int,
+    "float": _to_float,
+    "bool": _to_bool,
+    "text": cell_text,
+    "array": _to_array,
+}
+
+
+def assign(vector: Vector, storage: str) -> Vector:
+    """*vector*'s cells converted to *storage* by :data:`CELL_RULES`:
+    numbers and booleans in whole-array passes, any other cell once per
+    distinct value (``CAST``, arithmetic on text)."""
+    nulls = vector.nulls.copy()
+    rows = np.flatnonzero(~nulls)
+    rule = CELL_RULES[storage]
+    if storage in ("text", "array"):
+        return per_distinct_cells(rule, [vector], rows, nulls)
+    if not _numeric(vector):
+        n = len(vector)
+        out = np.zeros(n, bool) if storage == "bool" else np.full(n, np.nan)
+        return Vector(per_distinct(rule, [vector], rows, out), nulls)
+    values = vector.values.astype(np.float64)
+    if storage == "bool":
+        return Vector((values != 0) & ~nulls, nulls)
+    return Vector(values if storage == "float" else np.rint(values), nulls)
+
+
+# ---------------------------------------------------------------------------
 # element-wise operations with SQL semantics
 # ---------------------------------------------------------------------------
 
@@ -650,33 +801,22 @@ def _numeric(vector: Vector) -> bool:
 
 
 def _as_float(vector: Vector, context: str) -> np.ndarray:
+    """*vector* as float64 for the operator named *context*: text cells
+    through the ``float`` assignment rule, once per distinct cell."""
     if _numeric(vector):
         return vector.values.astype(np.float64, copy=False)
-
-    def number(value: Any) -> float:
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise SQLExecutionError(
-                f"{context}: cannot interpret {value!r} as a number"
-            ) from None
-
-    rows = np.flatnonzero(~vector.nulls)
-    out = np.full(len(vector), np.nan)
     try:
-        return per_distinct(float, [vector], rows, out)
-    except (TypeError, ValueError):
-        # again through the wrapper, which names the first bad value
-        return per_distinct(number, [vector], rows, out)
+        return assign(vector, "float").values
+    except SQLExecutionError as exc:
+        raise SQLExecutionError(
+            f"{context}: {exc}", sqlstate=exc.sqlstate
+        ) from None
 
 
 def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
     """``+ - * / %`` with null propagation; ``||`` concatenates text/arrays."""
     nulls = left.nulls | right.nulls
     if op == "||":
-        # lazy import: functions imports this module at load time
-        from repro.sqldb.functions import cell_text
-
         def concat(a: Any, b: Any) -> Any:
             if isinstance(a, list) or isinstance(b, list):
                 # array elements are Python values, never numpy scalars

@@ -153,3 +153,99 @@ def test_the_walker_rule_sees_a_walker():
         ("walk", 2),
         ("Planner.compile_expr", 6),
     ]
+
+
+# -- one assignment rule -------------------------------------------------------
+
+#: modules that assign values to storage classes and must do it through
+#: the rule of ``repro.sqldb.vector`` (``CELL_RULES`` / ``assign``)
+RULE_USERS = ("catalog.py", "engine.py", "executor.py", "functions.py",
+              "ml_train.py", "planner.py")
+
+
+def _type_name_sets(tree: ast.AST, names: set[str]):
+    """Lines of every set, tuple, list or dict literal holding two or more
+    of the SQL type *names*."""
+    for node in ast.walk(tree):
+        items = (
+            node.keys if isinstance(node, ast.Dict)
+            else getattr(node, "elts", None)
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)) else None
+        )
+        if items is None:
+            continue
+        found = {
+            item.value for item in items
+            if isinstance(item, ast.Constant) and item.value in names
+        }
+        if len(found) >= 2:
+            yield node.lineno
+
+
+def test_storage_type_names_are_defined_once():
+    from repro.sqldb.vector import STORAGE_CLASSES
+
+    # the declared spellings, not the storage classes they map to
+    names = set(STORAGE_CLASSES) - set(STORAGE_CLASSES.values())
+    found = {
+        path.name
+        for path in (SRC / "sqldb").glob("*.py")
+        if any(_type_name_sets(ast.parse(path.read_text()), names))
+    }
+    assert found == {"vector.py"}, sorted(found)
+
+
+def _own_number_parses(tree: ast.AST):
+    """Lines where a module parses numbers itself: a ``float(...)`` call
+    under a ``try`` catching ``ValueError``/``TypeError``, or ``float``
+    handed to a per-distinct kernel."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try):
+            caught = {
+                getattr(part, "id", None)
+                for handler in node.handlers if handler.type is not None
+                for part in ast.walk(handler.type)
+            }
+            if caught & {"ValueError", "TypeError"}:
+                for statement in node.body:
+                    for call in ast.walk(statement):
+                        if (
+                            isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "float"
+                        ):
+                            yield call.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in (
+                "per_distinct", "per_distinct_cells"
+            )
+            and any(getattr(arg, "id", None) == "float" for arg in node.args)
+        ):
+            yield node.lineno
+
+
+def test_no_module_parses_cells_beside_the_assignment_rule():
+    offenders = sorted(
+        f"{name}:{line}"
+        for name in RULE_USERS
+        for line in _own_number_parses(
+            ast.parse((SRC / "sqldb" / name).read_text())
+        )
+    )
+    assert not offenders, offenders
+
+
+def test_the_rule_checks_see_their_targets():
+    source = (
+        "INTS = {'integer', 'bigint'}\n"
+        "def coerce(raw):\n"
+        "    try:\n"
+        "        return int(float(raw))\n"
+        "    except (TypeError, ValueError):\n"
+        "        raise\n"
+        "def cast(v, rows, out):\n"
+        "    return per_distinct(float, [v], rows, out)\n"
+    )
+    tree = ast.parse(source)
+    assert list(_type_name_sets(tree, {"integer", "bigint"})) == [1]
+    assert sorted(_own_number_parses(tree)) == [4, 8]

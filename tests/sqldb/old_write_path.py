@@ -9,7 +9,9 @@ plus two ``np.insert``.  These are the parent versions of
 ``catalog._coerce_column``, ``Table.append_columns`` (list branch),
 ``Table.append_rows``, ``_sorted_entries`` and ``extend_index``, as free
 functions over a :class:`~repro.sqldb.catalog.Table` and an
-:class:`~repro.sqldb.catalog.Index`.
+:class:`~repro.sqldb.catalog.Index`, plus the per-cell coercion they
+called, ``catalog.coerce_to_type``, which the one assignment rule
+(``vector.CELL_RULES``) replaced.
 """
 
 from __future__ import annotations
@@ -27,9 +29,43 @@ from repro.sqldb.catalog import (
     _key_vectors,
     _unique_violation,
     _unsortable,
-    coerce_to_type,
 )
 from repro.sqldb.vector import Vector, cells, concat_vectors, text_vector
+
+
+def coerce_to_type(raw: Any, storage: str) -> Any:
+    """Coerce one Python value (from COPY/INSERT) to a storage class."""
+    if raw is None:
+        return None
+    if storage in ("int", "serial"):
+        try:
+            return int(float(raw))
+        except (TypeError, ValueError):
+            raise SQLExecutionError(
+                f"cannot interpret {raw!r} as integer", sqlstate="22P02"
+            ) from None
+    if storage == "float":
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            raise SQLExecutionError(
+                f"cannot interpret {raw!r} as number", sqlstate="22P02"
+            ) from None
+    if storage == "bool":
+        if isinstance(raw, bool):
+            return raw
+        text = str(raw).strip().lower()
+        if text in ("t", "true", "1"):
+            return True
+        if text in ("f", "false", "0"):
+            return False
+        raise SQLExecutionError(f"cannot interpret {raw!r} as boolean")
+    if storage == "array":
+        if isinstance(raw, list):
+            # arrays are values: the table never holds the caller's list
+            return list(raw)
+        raise SQLExecutionError(f"cannot interpret {raw!r} as array")
+    return str(raw)
 
 
 def coerce_column(raw: list[Any], storage: str, name: str) -> Vector:

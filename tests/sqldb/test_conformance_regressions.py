@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import SerializationFailure, SQLBindError, SQLSyntaxError
 from repro.sqldb import Database, connect
-from repro.sqldb.functions import pg_text
+from repro.sqldb.vector import pg_text
 from tests.sqldb.plans import explain
 
 

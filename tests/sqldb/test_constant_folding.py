@@ -74,6 +74,19 @@ def test_a_computed_constant_probes_the_index(db, predicate):
     assert scanned
 
 
+def test_a_plain_view_body_folds_like_a_subquery(db):
+    db.execute("CREATE INDEX t_k ON t (k)")
+    body = "SELECT g, k FROM t WHERE k = abs(-5)"
+    db.execute(f"CREATE VIEW v AS {body}")
+    through_view = explain(db, "SELECT g FROM v")
+    through_subquery = explain(db, f"SELECT g FROM ({body}) s")
+    for plan in (through_view, through_subquery):
+        assert "IndexScan(t using t_k, eq)" in plan and "Filter" not in plan
+    expected = sorted(db.execute(f"SELECT g FROM ({body}) s").rows, key=repr)
+    assert sorted(db.execute("SELECT g FROM v").rows, key=repr) == expected
+    assert expected == [(2,), (3,)]
+
+
 def test_every_position_folds_and_items_keep_their_names(db):
     sql = (
         "WITH c AS (SELECT g, k * (1 + 1) AS kk FROM t WHERE k > 2 - 2) "

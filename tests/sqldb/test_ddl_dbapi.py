@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CatalogError, SQLError, SQLExecutionError
+from repro.errors import CatalogError, SQLBindError, SQLError, SQLExecutionError
 from repro.sqldb import Database, connect
 from repro.sqldb.profile import POSTGRES, UMBRA, profile_by_name
 from tests.sqldb.plans import explain
@@ -60,10 +60,15 @@ class TestInsert:
         with pytest.raises(SQLExecutionError):
             db.execute("INSERT INTO t VALUES (1)")
 
-    def test_non_literal_rejected(self, db):
+    def test_constant_expressions_are_evaluated(self, db):
+        db.execute("CREATE TABLE t (a int, b int)")
+        db.execute("INSERT INTO t VALUES (1 + 1, abs(-5))")
+        assert db.execute("SELECT * FROM t").rows == [(2, 5)]
+
+    def test_column_reference_rejected(self, db):
         db.execute("CREATE TABLE t (a int)")
-        with pytest.raises(SQLExecutionError):
-            db.execute("INSERT INTO t VALUES (1 + 1)")
+        with pytest.raises(SQLBindError, match="column 'a' does not exist"):
+            db.execute("INSERT INTO t VALUES (a + 1)")
 
 
 class TestCopy:

@@ -11,6 +11,14 @@ replaced by plain arguments).  One deliberate change: the old
 ``True`` are one dict key, so a column holding both ``1.0`` and ``True``
 got ``[1.0, 1.0]`` for the ``True`` row.  Its oracle is the loop without
 that cache; ``test_array_fill_keeps_each_fill_type`` pins the fix.
+The other deliberate change is ``CAST``, now the one assignment rule
+(:func:`repro.sqldb.vector.assign`): a cell the rule rejects — text that
+is no number, text that is no integer for ``int``, text outside
+PostgreSQL's boolean spellings, an array for a number or boolean — now
+raises 22P02 where the loop raised a bare ``ValueError``/``TypeError``,
+rounded or read false.  A column holding such a cell is compared with
+that error (named by its first such cell), every other column with the
+loop; ``test_assignment_matrix.py`` pins the answers against PostgreSQL's.
 
 Text is stored as dictionary codes, so every kernel is also fed coded
 text columns (with dictionary entries no row uses).  The oracles see the
@@ -32,8 +40,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SQLExecutionError
 from repro.sqldb import Database, functions, hashing, vector
-from repro.sqldb.functions import _like_to_regex, pg_text
-from repro.sqldb.vector import Vector
+from repro.sqldb.functions import _like_to_regex
+from repro.sqldb.vector import Vector, pg_text
 
 pytestmark = [
     pytest.mark.fuzz,
@@ -324,7 +332,7 @@ for _op in vector._COMPARators:
     )
 for _target in ("int", "float", "text", "bool"):
     KERNELS[f"cast {_target}"] = (
-        lambda a, t=_target: functions.cast(a[0], t),
+        lambda a, t=_target: vector.assign(a[0], vector.normalise_type(t)),
         lambda a, t=_target: old_cast(a[0], t),
         ("any",),
     )
@@ -493,9 +501,31 @@ def _examples(request) -> int:
     return 10 * (rounds if rounds is not None else 3)
 
 
+#: what the assignment rule calls a value it cannot convert, by CAST target
+_REJECTED_AS = {"int": "an integer", "float": "a number", "bool": "a boolean"}
+
+
+def _rejected(cell, target):
+    """Whether the assignment rule rejects one non-NULL *cell* for a CAST
+    to *target* (``int``, ``float`` or ``bool``)."""
+    if isinstance(cell, str):
+        if target == "bool":
+            return cell.strip().lower() not in (
+                "t", "true", "y", "yes", "on", "1",
+                "f", "false", "n", "no", "off", "0",
+            )
+        try:
+            number = float(cell)
+        except ValueError:
+            return True
+        return target == "int" and not number.is_integer()
+    return not isinstance(cell, (int, float, np.number, np.bool_))
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernel_matches_its_row_loop(name, request):
     new, old, kinds = KERNELS[name]
+    target = name[len("cast "):] if name.startswith("cast ") else None
 
     @settings(max_examples=_examples(request), deadline=None)
     @given(data=st.data())
@@ -503,6 +533,20 @@ def test_kernel_matches_its_row_loop(name, request):
         n = data.draw(st.integers(min_value=0, max_value=10))
         args = [data.draw(_column(kind, n)) for kind in kinds]
         old_args = [_as_objects(arg) for arg in args]
+        if target in _REJECTED_AS:
+            present = _as_objects(args[0])
+            rejected = [
+                cell
+                for cell, null in zip(present.values, present.nulls)
+                if not null and _rejected(cell, target)
+            ]
+            if rejected:
+                message = f"cannot interpret {rejected[0]!r} as "
+                assert _outcome(new, args) == (
+                    "raised", SQLExecutionError,
+                    message + _REJECTED_AS[target],
+                )
+                return
         _assert_same(_outcome(new, args), _outcome(old, old_args))
 
     check()
@@ -582,7 +626,7 @@ WORDS = ["alpha", "beta", "gamma", "delta"]
 def counted(monkeypatch):
     """Call counts of ``pg_text`` and ``re.compile`` while a kernel runs."""
     calls = {"pg_text": 0, "compile": 0}
-    real_pg_text, real_compile = functions.pg_text, re.compile
+    real_pg_text, real_compile = vector.pg_text, re.compile
 
     def counting_pg_text(value):
         calls["pg_text"] += 1
@@ -592,7 +636,7 @@ def counted(monkeypatch):
         calls["compile"] += 1
         return real_compile(*args, **kwargs)
 
-    monkeypatch.setattr(functions, "pg_text", counting_pg_text)
+    monkeypatch.setattr(vector, "pg_text", counting_pg_text)
     monkeypatch.setattr(re, "compile", counting_compile)
     return calls
 
@@ -618,7 +662,7 @@ def _words_vector():
         ),
         ("||", lambda v: vector.arithmetic("||", v, vector.constant("!", N_ROWS)), 2),
         ("like", lambda v: functions.like(v, vector.constant("%ta", N_ROWS)), 2),
-        ("cast text", lambda v: functions.cast(v, "text"), 1),
+        ("cast text", lambda v: vector.assign(v, "text"), 1),
     ],
 )
 def test_python_work_is_once_per_distinct_value(counted, name, kernel, text_args):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SQLExecutionError
 from repro.sqldb import Database, executor, hashing
 from repro.sqldb.catalog import CsvColumn
 from repro.sqldb.executor import _equi_join_positions
@@ -383,12 +384,10 @@ def _check_sql(db, rows, other, where):
             (None if x is None else _number(float(x)),) for x in s
         ]
     else:
-        with pytest.raises(Exception) as raised:
+        with pytest.raises(SQLExecutionError) as raised:
             db.execute(sql)
-        try:
-            float(bad)
-        except ValueError as exc:
-            assert str(exc) in str(raised.value)
+        assert raised.value.sqlstate == "22P02"
+        assert str(raised.value) == f"cannot interpret {bad!r} as a number"
 
 
 def _is_number(text):
