@@ -320,8 +320,7 @@ class CreateIndex:
     table: str
     columns: list[str]
     unique: bool = False
-    #: 'sorted' (btree-style, bisect lookups) or 'hash'; None = pick by
-    #: column count (sorted for one column, hash for composites)
+    #: the USING name: 'btree' and 'hash' both name the one sorted index
     method: Optional[str] = None
 
 

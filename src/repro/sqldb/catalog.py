@@ -31,6 +31,7 @@ from repro.sqldb.vector import (
     coded_text,
     concat_vectors,
     extend_dictionary,
+    to_python,
 )
 
 __all__ = [
@@ -212,7 +213,8 @@ class Table:
             return self.column_types[self.column_names.index(column)]
         except ValueError:
             raise CatalogError(
-                f"table {self.name!r} has no column {column!r}"
+                f"table {self.name!r} has no column {column!r}",
+                sqlstate="42703",
             ) from None
 
     def append_columns(
@@ -300,14 +302,16 @@ _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 @dataclass
 class Index:
-    """A secondary index over one base table.
+    """A secondary index over one base table: one sorted run.
 
-    Two physical shapes share this class: ``hash`` keeps a dict from key
-    (scalar, or tuple for composite keys) to the ascending row positions
-    holding it; ``sorted`` keeps the non-null keys in ascending order next
-    to their row positions (bisect lookups, range scans).  Rows with a
-    NULL in any key column are not indexed — SQL equality never matches
-    them, and PostgreSQL's unique indexes likewise admit repeated NULLs.
+    ``key_arrays`` holds one array per key column (float64 for numbers
+    and booleans, ``str`` objects for text), the non-null keys in
+    ascending lexicographic order, next to ``positions``, their row
+    positions — ascending within equal full keys (stable sorts).  One
+    shape serves one column and composite keys alike (``USING btree`` and
+    ``USING hash`` are spellings of it).  Rows with a NULL in any key
+    column are not indexed — SQL equality never matches them, and
+    PostgreSQL's unique indexes likewise admit repeated NULLs.
 
     An ``Index`` is immutable once built: maintenance *replaces* the whole
     object, sharing no array it would have to write into (see
@@ -323,53 +327,22 @@ class Index:
     name: str
     table: str
     columns: tuple[str, ...]
-    unique: bool = False
-    method: str = "sorted"  # 'sorted' | 'hash'
+    unique: bool
     #: table row count at build time (consistency guard for executors)
-    n_rows: int = 0
-    #: hash shape: key -> ascending int64 positions
-    hash_map: Optional[dict] = None
-    #: sorted shape: ascending non-null keys / their row positions
-    #: (position-ascending within equal keys: stable sort)
-    sorted_keys: Optional[np.ndarray] = None
-    sorted_positions: Optional[np.ndarray] = None
+    n_rows: int
+    key_arrays: tuple[np.ndarray, ...]
+    positions: np.ndarray
 
-    def _probe_key(self, value: Any) -> Any:
-        """Normalise a probe value to the stored key representation."""
-        if self.method == "sorted" and self.sorted_keys is not None:
-            if self.sorted_keys.dtype != object and not isinstance(value, str):
-                return float(value)
-            return value
-        if isinstance(value, (bool, np.bool_)):
-            return bool(value)
-        if isinstance(value, (int, float, np.integer, np.floating)):
-            return float(value)
-        return value
-
-    def eq_positions(self, key: Any) -> np.ndarray:
-        """Ascending positions of rows whose key equals *key* (single or
-        tuple for composite hash indexes)."""
-        if self.method == "hash":
-            if isinstance(key, tuple):
-                key = tuple(self._probe_key(part) for part in key)
-            else:
-                key = self._probe_key(key)
-            try:
-                return self.hash_map.get(key, _EMPTY_POSITIONS)
-            except TypeError:  # unhashable probe value
-                return _EMPTY_POSITIONS
-        key = self._probe_key(key)
-        keys = self.sorted_keys
-        try:
-            lo = int(np.searchsorted(keys, key, side="left"))
-            hi = int(np.searchsorted(keys, key, side="right"))
-        except TypeError:
-            return _EMPTY_POSITIONS
-        return self.sorted_positions[lo:hi]
+    def eq_positions(self, key: tuple) -> np.ndarray:
+        """Ascending positions of rows whose key equals *key* (one value
+        per key column)."""
+        lo, hi = _equal_span(self.key_arrays, key)
+        return self.positions[lo:hi]
 
     def in_positions(self, keys: tuple) -> np.ndarray:
-        """Ascending positions matching any of *keys* (IN-list probe)."""
-        parts = [self.eq_positions(key) for key in keys]
+        """Ascending positions matching any of *keys* (IN-list probe of a
+        one-column index)."""
+        parts = [self.eq_positions((key,)) for key in keys]
         parts = [p for p in parts if len(p)]
         if not parts:
             return _EMPTY_POSITIONS
@@ -384,39 +357,48 @@ class Index:
         hi: Any,
         hi_inclusive: bool,
     ) -> np.ndarray:
-        """Ascending positions with key in the given range (sorted only).
+        """Ascending positions with the first key column in the given
+        range.
 
         ``None`` bounds are open; inclusivity follows the flags.
         """
-        keys = self.sorted_keys
-        try:
-            start = (
-                0
-                if lo is None
-                else int(
-                    np.searchsorted(
-                        keys,
-                        self._probe_key(lo),
-                        side="left" if lo_inclusive else "right",
-                    )
-                )
-            )
-            stop = (
-                len(keys)
-                if hi is None
-                else int(
-                    np.searchsorted(
-                        keys,
-                        self._probe_key(hi),
-                        side="right" if hi_inclusive else "left",
-                    )
-                )
-            )
-        except TypeError:
-            return _EMPTY_POSITIONS
+        keys = self.key_arrays[0]
+        start = 0 if lo is None else int(keys.searchsorted(
+            _probe_key(keys, lo), side="left" if lo_inclusive else "right"
+        ))
+        stop = len(keys) if hi is None else int(keys.searchsorted(
+            _probe_key(keys, hi), side="right" if hi_inclusive else "left"
+        ))
         if stop <= start:
             return _EMPTY_POSITIONS
-        return np.sort(self.sorted_positions[start:stop])
+        return np.sort(self.positions[start:stop])
+
+
+def _probe_key(keys: np.ndarray, value: Any) -> Any:
+    """*value* as *keys* store it: text as it is, a number (or boolean)
+    as float64.  The planner probes only with values of the column's
+    storage class (:func:`probe_compatible`)."""
+    return value if keys.dtype == object else float(value)
+
+
+def _equal_span(
+    key_arrays: tuple[np.ndarray, ...], key: tuple
+) -> tuple[int, int]:
+    """The span of a sorted run whose keys equal *key* (empty at its
+    insertion point when none does): a bisect pair on the first column,
+    then one pair per further column inside the previous span."""
+    keys = key_arrays[0]
+    value = _probe_key(keys, key[0])
+    lo = int(keys.searchsorted(value, side="left"))
+    hi = int(keys.searchsorted(value, side="right"))
+    for keys, value in zip(key_arrays[1:], key[1:]):
+        run = keys[lo:hi]
+        value = _probe_key(keys, value)
+        lo, hi = (
+            lo + int(run.searchsorted(value, side="left")),
+            lo + int(run.searchsorted(value, side="right")),
+        )
+    return lo, hi
 
 
 #: storage classes whose scan-filter comparison semantics match an index
@@ -429,7 +411,7 @@ def probe_compatible(value: Any, storage: str) -> bool:
     *value* provably returns the same rows a scan + compare would.
 
     Mixed-type comparisons are the divergence hazard: ``text_col < 5``
-    string-compares on a scan but raises (-> empty) on a sorted probe,
+    string-compares on a scan but cannot bisect a key array of ``str``,
     so cross-class probes are simply never taken.
     """
     if value is None:
@@ -441,19 +423,13 @@ def probe_compatible(value: Any, storage: str) -> bool:
     return False
 
 
-def _resolve_index_method(method: Optional[str], n_columns: int) -> str:
-    """Normalise/choose the physical index shape."""
-    if method in (None, ""):
-        return "sorted" if n_columns == 1 else "hash"
-    resolved = {"btree": "sorted"}.get(method, method)
-    if resolved not in ("sorted", "hash"):
-        raise CatalogError(f"unknown index method {method!r}")
-    if resolved == "sorted" and n_columns != 1:
+def _check_index_method(method: Optional[str]) -> None:
+    """``btree`` and ``hash`` — PostgreSQL's access method names — both
+    name the one sorted index."""
+    if method not in (None, "btree", "hash"):
         raise CatalogError(
-            "sorted (btree) indexes cover exactly one column; "
-            "use USING hash for composite keys"
+            f'access method "{method}" does not exist', sqlstate="42704"
         )
-    return resolved
 
 
 def _key_vectors(table: Table, columns: tuple[str, ...]) -> list[Vector]:
@@ -461,7 +437,9 @@ def _key_vectors(table: Table, columns: tuple[str, ...]) -> list[Vector]:
     for column in columns:
         if table.storage_of(column) == "array":
             raise CatalogError(
-                f"cannot index array column {column!r} of table {table.name!r}"
+                f"cannot index array column {column!r} of table "
+                f"{table.name!r}",
+                sqlstate="0A000",
             )
         vectors.append(table.columns[column])
     return vectors
@@ -476,58 +454,45 @@ def _indexed_positions(vectors: list[Vector], start: int) -> np.ndarray:
 
 
 def _unique_violation(
-    name: str, columns: tuple[str, ...], key: Any
+    name: str, columns: tuple[str, ...], key_arrays: tuple[np.ndarray, ...],
+    at: int,
 ) -> UniqueViolation:
+    key = ", ".join(repr(to_python(keys[at])) for keys in key_arrays)
     return UniqueViolation(
         f"duplicate key value violates unique index {name!r}: "
-        f"({', '.join(columns)})=({key!r})"
-    )
-
-
-def _unsortable(name: str, columns: tuple[str, ...]) -> SQLExecutionError:
-    return SQLExecutionError(
-        f"index {name!r}: column {columns[0]!r} holds values that "
-        "do not sort consistently; use USING hash"
+        f"({', '.join(columns)})=({key})"
     )
 
 
 def _sorted_entries(
-    name: str, columns: tuple[str, ...], vector: Vector, positions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The keys at *positions* in ascending order (position-ascending
-    within equal keys) next to their positions."""
-    keys = vector.values[positions]
-    if vector.is_text:
-        keys = vector.dictionary[keys]
-    if keys.dtype != object:
-        keys = keys.astype(np.float64, copy=False)
-    try:
-        order = keys.argsort(kind="stable")
-    except TypeError:
-        raise _unsortable(name, columns) from None
-    return keys[order], positions[order]
-
-
-def _hash_buckets(
-    name: str, vectors: list[Vector], positions: np.ndarray
-) -> dict[Any, list[int]]:
-    """Group *positions* (ascending) by key: scalar, or tuple when
-    composite."""
-    key_columns = [
-        (vec.dictionary[vec.values[positions]] if vec.is_text
-         else vec.values[positions]).tolist()
-        for vec in vectors
+    vectors: list[Vector], positions: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The keys at *positions*, one array per key column, in ascending
+    lexicographic order (position-ascending within equal keys) next to
+    their positions.  A stored column holds one storage class and arrays
+    are not indexed (:func:`_key_vectors`), so every key array is float64
+    or all ``str``: the stable sorts cannot meet incomparable values."""
+    key_arrays = [
+        vector.dictionary[vector.values[positions]] if vector.is_text
+        else vector.values[positions].astype(np.float64, copy=False)
+        for vector in vectors
     ]
-    keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
-    buckets: dict[Any, list[int]] = {}
-    try:
-        for pos, key in zip(positions.tolist(), keys):
-            buckets.setdefault(key, []).append(pos)
-    except TypeError:
-        raise SQLExecutionError(
-            f"index {name!r}: unhashable key values; cannot build hash index"
-        ) from None
-    return buckets
+    # least significant column first: each stable sort keeps the order
+    # of the columns after it among equal keys
+    order = key_arrays[-1].argsort(kind="stable")
+    for keys in key_arrays[-2::-1]:
+        order = order[keys[order].argsort(kind="stable")]
+    return tuple([keys[order] for keys in key_arrays]), positions[order]
+
+
+def _equal_rows(
+    left: Sequence[np.ndarray], right: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Row-wise: whether the full keys of *left* and *right* are equal."""
+    equal = left[0] == right[0]
+    for a, b in zip(left[1:], right[1:]):
+        equal &= a == b
+    return equal
 
 
 def _merged(old: np.ndarray, new: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -555,7 +520,6 @@ def build_index(
     table: Table,
     columns: tuple[str, ...],
     unique: bool,
-    method: str,
 ) -> Index:
     """Build a fresh index over *table*'s current rows.
 
@@ -566,27 +530,20 @@ def build_index(
     :func:`extend_index` is tested against.
     """
     vectors = _key_vectors(table, columns)
-    positions = _indexed_positions(vectors, 0)
-    if method == "sorted":
-        keys, positions = _sorted_entries(name, columns, vectors[0], positions)
-        if unique and len(keys) > 1:
-            duplicated = np.asarray(keys[1:] == keys[:-1], dtype=bool)
-            if duplicated.any():
-                raise _unique_violation(
-                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
-                )
-        return Index(
-            name, table.name, columns, unique, method, table.n_rows,
-            sorted_keys=keys, sorted_positions=positions,
+    key_arrays, positions = _sorted_entries(
+        vectors, _indexed_positions(vectors, 0)
+    )
+    if unique and len(positions) > 1:
+        duplicated = _equal_rows(
+            [keys[1:] for keys in key_arrays],
+            [keys[:-1] for keys in key_arrays],
         )
-    hash_map: dict[Any, np.ndarray] = {}
-    for key, rows in _hash_buckets(name, vectors, positions).items():
-        if unique and len(rows) > 1:
-            raise _unique_violation(name, columns, key)
-        hash_map[key] = np.asarray(rows, dtype=np.int64)
+        if duplicated.any():
+            raise _unique_violation(
+                name, columns, key_arrays, int(np.flatnonzero(duplicated)[0])
+            )
     return Index(
-        name, table.name, columns, unique, method, table.n_rows,
-        hash_map=hash_map,
+        name, table.name, columns, unique, table.n_rows, key_arrays, positions
     )
 
 
@@ -596,56 +553,46 @@ def extend_index(index: Index, table: Table) -> Index:
     was built over.
 
     Field for field what :func:`build_index` returns for the grown table,
-    at the cost of the batch and a fixed number of numpy calls: ``sorted``
-    bisects the sorted new keys into the old ones (new positions exceed
-    every old one, so going after equal keys keeps equal keys
-    position-ascending), checks uniqueness against each new key's left
-    neighbour and its batch predecessor, and builds the grown arrays
-    with :func:`_merged`; ``hash`` updates only the buckets of the new
-    keys in a shallow copy of the map.  *index* itself is never written;
-    a unique violation — against the old keys or inside the batch —
-    raises before anything is built.
+    at the cost of the batch and a fixed number of numpy calls: the
+    sorted new keys are bisected into the old first column in one call,
+    and only a composite key whose first part equals an old one narrows
+    further, column by column inside that span (:func:`_equal_span`).
+    Going after equal keys keeps equal keys position-ascending, since
+    new positions exceed every old one.  Uniqueness is checked against
+    each new key's left neighbour and its batch predecessor, and the
+    grown arrays are built with :func:`_merged`.  *index* itself is
+    never written; a unique violation — against the old keys or inside
+    the batch — raises before anything is built.
     """
-    name, columns = index.name, index.columns
+    name, columns, old = index.name, index.columns, index.key_arrays
     vectors = _key_vectors(table, columns)
-    positions = _indexed_positions(vectors, index.n_rows)
-    if index.method == "sorted":
-        old_keys, old_positions = index.sorted_keys, index.sorted_positions
-        keys, positions = _sorted_entries(name, columns, vectors[0], positions)
-        try:
-            at = old_keys.searchsorted(keys, side="right")
-        except TypeError:
-            raise _unsortable(name, columns) from None
-        if index.unique:
-            # the one old key that can equal a new key is left of its
-            # insertion point (at 0 that is the largest key: greater)
-            duplicated = (
-                np.asarray(old_keys[at - 1] == keys, dtype=bool)
-                if len(old_keys) else np.zeros(len(keys), dtype=bool)
+    keys, positions = _sorted_entries(
+        vectors, _indexed_positions(vectors, index.n_rows)
+    )
+    at = old[0].searchsorted(keys[0], side="right")
+    if len(columns) > 1:
+        collided = old[0].searchsorted(keys[0], side="left") < at
+        for j in collided.nonzero()[0].tolist():
+            at[j] = _equal_span(old, tuple(k[j] for k in keys))[1]
+    if index.unique:
+        # the one old key that can equal a new key is left of its
+        # insertion point (at 0 that is the largest key: greater)
+        duplicated = (
+            _equal_rows([k[at - 1] for k in old], keys)
+            if len(index.positions) else np.zeros(len(positions), dtype=bool)
+        )
+        if len(positions) > 1:
+            duplicated[1:] |= _equal_rows(
+                [k[1:] for k in keys], [k[:-1] for k in keys]
             )
-            if len(keys) > 1:
-                duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
-            if np.count_nonzero(duplicated):
-                raise _unique_violation(
-                    name, columns, keys[int(duplicated.nonzero()[0][0])]
-                )
-        return Index(
-            name, table.name, columns, index.unique, "sorted", table.n_rows,
-            sorted_keys=_merged(old_keys, keys, at),
-            sorted_positions=_merged(old_positions, positions, at),
-        )
-    hash_map = dict(index.hash_map)
-    for key, rows in _hash_buckets(name, vectors, positions).items():
-        bucket = hash_map.get(key)
-        if index.unique and (bucket is not None or len(rows) > 1):
-            raise _unique_violation(name, columns, key)
-        fresh = np.asarray(rows, dtype=np.int64)
-        hash_map[key] = (
-            fresh if bucket is None else np.concatenate([bucket, fresh])
-        )
+        if np.count_nonzero(duplicated):
+            raise _unique_violation(
+                name, columns, keys, int(duplicated.nonzero()[0][0])
+            )
     return Index(
-        name, table.name, columns, index.unique, "hash", table.n_rows,
-        hash_map=hash_map,
+        name, table.name, columns, index.unique, table.n_rows,
+        tuple([_merged(o, k, at) for o, k in zip(old, keys)]),
+        _merged(index.positions, positions, at),
     )
 
 
@@ -973,7 +920,6 @@ class Catalog:
                 "table": index.table,
                 "columns": index.columns,
                 "unique": index.unique,
-                "method": index.method,
             }
         for model in self._models.values():
             yield {"t": "model", **asdict(model)}
@@ -1110,9 +1056,7 @@ class Catalog:
             if appended:
                 fresh.append(extend_index(ix, table))
             elif assigned is None or not set(assigned).isdisjoint(ix.columns):
-                fresh.append(
-                    build_index(ix.name, table, ix.columns, ix.unique, ix.method)
-                )
+                fresh.append(build_index(ix.name, table, ix.columns, ix.unique))
         for index in fresh:
             self._indexes[index.name] = index
 
@@ -1253,7 +1197,7 @@ def decode_records(records: Iterable[dict]) -> Catalog:
             elif kind == "index":
                 indexes[record["name"]] = build_index(
                     record["name"], tables[record["table"]],
-                    tuple(record["columns"]), record["unique"], record["method"],
+                    tuple(record["columns"]), record["unique"],
                 )
             elif kind == "model":
                 fields = {k: _tuples(v) for k, v in record.items() if k != "t"}

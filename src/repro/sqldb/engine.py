@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import (
+    CatalogError,
     ConfigurationLimitExceeded,
     DeadlockDetected,
     DurabilityError,
@@ -39,7 +40,7 @@ from repro.sqldb.catalog import (
     CsvColumn,
     Table,
     View,
-    _resolve_index_method,
+    _check_index_method,
     build_index,
     decode_records,
     referenced_relations,
@@ -1368,6 +1369,13 @@ class Database:
             if storage != "serial" or statement.columns
         ]
         if cached.cells is None:
+            for i, name in enumerate(statement.columns):
+                table.storage_of(name)  # 42703 for an unknown column
+                if name in statement.columns[:i]:
+                    raise CatalogError(
+                        f"column {name!r} specified more than once",
+                        sqlstate="42701",
+                    )
             for row in statement.rows:
                 if len(row) != len(columns):
                     raise SQLExecutionError(
@@ -1472,12 +1480,9 @@ class Database:
     ) -> Result:
         statement = cached.statement
         table = catalog.table(statement.table)
-        columns = tuple(statement.columns)
-        for column in columns:
-            table.storage_of(column)  # raises CatalogError on unknown columns
-        method = _resolve_index_method(statement.method, len(columns))
+        _check_index_method(statement.method)
         index = build_index(
-            statement.name, table, columns, statement.unique, method
+            statement.name, table, tuple(statement.columns), statement.unique
         )
         catalog.create_index(index)
         return Result()

@@ -302,8 +302,7 @@ def _resolve_index(plan_table: str, index_name: str, ctx: ExecContext):
 def _index_lookup_positions(index, lookup: tuple) -> np.ndarray:
     kind, operand = lookup
     if kind == "eq":
-        key = operand[0] if len(operand) == 1 else tuple(operand)
-        return index.eq_positions(key)
+        return index.eq_positions(operand)
     if kind == "in":
         return index.in_positions(operand)
     if kind == "range":

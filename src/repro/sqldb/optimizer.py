@@ -677,10 +677,8 @@ def _try_index_scan(
         elif len(index.columns) == 1 and index.columns[0] in in_lists:
             position, values = in_lists[index.columns[0]]
             candidate = ((2, 0), index, ("in", values), {position})
-        elif (
-            index.method == "sorted"
-            and len(index.columns) == 1
-            and (index.columns[0] in lowers or index.columns[0] in uppers)
+        elif len(index.columns) == 1 and (
+            index.columns[0] in lowers or index.columns[0] in uppers
         ):
             column = index.columns[0]
             low = lowers.get(column)

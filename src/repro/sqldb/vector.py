@@ -22,6 +22,7 @@ one ``take`` of the dictionary.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
 from collections import defaultdict
@@ -717,15 +718,22 @@ def _to_float(cell: Any, what: str = "a number") -> float:
         raise _invalid(cell, what) from None
 
 
+def _out_of_range() -> SQLExecutionError:
+    return SQLExecutionError("integer out of range", sqlstate="22003")
+
+
 def _to_int(cell: Any) -> float:
     """The ``int`` rule: text must be an integral, finite number; a
-    number rounds half to even (``np.rint``, PostgreSQL's float8 → int4:
-    the engine's numbers are float64)."""
+    finite number rounds half to even (``np.rint``, PostgreSQL's float8 →
+    int4: the engine's numbers are float64), an infinite or NaN one is
+    out of range."""
     value = _to_float(cell, "an integer")
     if value.is_integer():
         return value
     if isinstance(cell, str):
         raise _invalid(cell, "an integer")
+    if not math.isfinite(value):
+        raise _out_of_range()
     return float(np.rint(value))
 
 
@@ -787,7 +795,11 @@ def assign(vector: Vector, storage: str) -> Vector:
     values = vector.values.astype(np.float64)
     if storage == "bool":
         return Vector((values != 0) & ~nulls, nulls)
-    return Vector(values if storage == "float" else np.rint(values), nulls)
+    if storage == "float":
+        return Vector(values, nulls)
+    if not (np.isfinite(values) | nulls).all():
+        raise _out_of_range()
+    return Vector(np.rint(values), nulls)
 
 
 # ---------------------------------------------------------------------------

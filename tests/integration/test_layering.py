@@ -6,7 +6,8 @@ retry, pooling and topology routing live in ``repro.sqldb.client`` —,
 ``repro.sqldb.faults`` holds the engine's one fault injector, and no
 function outside ``ast_nodes`` and ``Planner.compile_expr`` branches on
 SQL expression node types (the generic walk of ``ast_nodes`` serves
-every other walker)."""
+every other walker), and no module but ``catalog`` reads an index's key
+or position arrays."""
 
 import ast
 import pathlib
@@ -249,3 +250,21 @@ def test_the_rule_checks_see_their_targets():
     tree = ast.parse(source)
     assert list(_type_name_sets(tree, {"integer", "bigint"})) == [1]
     assert sorted(_own_number_parses(tree)) == [4, 8]
+
+
+#: the fields that hold an index's format, read only inside ``catalog``
+INDEX_ARRAYS = {"key_arrays", "positions", "sorted_keys", "sorted_positions"}
+
+
+def test_only_the_catalog_reads_index_arrays():
+    """Other modules probe an index through its methods
+    (``eq_positions``, ``in_positions``, ``range_positions``), so the
+    index format lives behind one module."""
+    offenders = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}"
+        for path in SRC.rglob("*.py")
+        if path.relative_to(SRC) != pathlib.Path("sqldb", "catalog.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in INDEX_ARRAYS
+    )
+    assert not offenders, offenders

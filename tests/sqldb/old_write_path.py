@@ -24,11 +24,9 @@ from repro.errors import SQLExecutionError
 from repro.sqldb.catalog import (
     Index,
     Table,
-    _hash_buckets,
     _indexed_positions,
     _key_vectors,
     _unique_violation,
-    _unsortable,
 )
 from repro.sqldb.vector import Vector, cells, concat_vectors, text_vector
 
@@ -142,51 +140,29 @@ def sorted_entries(
     keys = cells(vector)[positions] if vector.is_text else vector.values[positions]
     if keys.dtype != object:
         keys = keys.astype(np.float64, copy=False)
-    try:
-        order = np.argsort(keys, kind="stable")
-    except TypeError:
-        raise _unsortable(name, columns) from None
+    order = np.argsort(keys, kind="stable")
     return keys[order], positions[order]
 
 
 def extend_index(index: Index, table: Table) -> Index:
+    """The one-column index grown by ``np.insert`` (composite keys have
+    no reference here: ``build_index`` is their oracle)."""
     name, columns = index.name, index.columns
     vectors = _key_vectors(table, columns)
     positions = _indexed_positions(vectors, index.n_rows)
-    if index.method == "sorted":
-        old_keys = index.sorted_keys
-        keys, positions = sorted_entries(name, columns, vectors[0], positions)
-        try:
-            at = np.searchsorted(old_keys, keys, side="right")
-            first = (
-                np.searchsorted(old_keys, keys, side="left")
-                if index.unique
-                else at
+    (old_keys,) = index.key_arrays
+    keys, positions = sorted_entries(name, columns, vectors[0], positions)
+    at = np.searchsorted(old_keys, keys, side="right")
+    first = np.searchsorted(old_keys, keys, side="left") if index.unique else at
+    if index.unique:
+        duplicated = first < at
+        duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
+        if duplicated.any():
+            raise _unique_violation(
+                name, columns, (keys,), int(np.flatnonzero(duplicated)[0])
             )
-        except TypeError:
-            raise _unsortable(name, columns) from None
-        if index.unique:
-            duplicated = first < at
-            duplicated[1:] |= np.asarray(keys[1:] == keys[:-1], dtype=bool)
-            if duplicated.any():
-                raise _unique_violation(
-                    name, columns, keys[int(np.flatnonzero(duplicated)[0])]
-                )
-        return Index(
-            name, table.name, columns, index.unique, "sorted", table.n_rows,
-            sorted_keys=np.insert(old_keys, at, keys),
-            sorted_positions=np.insert(index.sorted_positions, at, positions),
-        )
-    hash_map = dict(index.hash_map)
-    for key, rows in _hash_buckets(name, vectors, positions).items():
-        bucket = hash_map.get(key)
-        if index.unique and (bucket is not None or len(rows) > 1):
-            raise _unique_violation(name, columns, key)
-        fresh = np.asarray(rows, dtype=np.int64)
-        hash_map[key] = (
-            fresh if bucket is None else np.concatenate([bucket, fresh])
-        )
     return Index(
-        name, table.name, columns, index.unique, "hash", table.n_rows,
-        hash_map=hash_map,
+        name, table.name, columns, index.unique, table.n_rows,
+        (np.insert(old_keys, at, keys),),
+        np.insert(index.positions, at, positions),
     )

@@ -22,6 +22,8 @@ from repro.sqldb.planner import Planner
 
 #: a cell the rule cannot convert: invalid_text_representation
 BAD = ("error", "22P02")
+#: a number no integer holds: numeric_value_out_of_range
+RANGE = ("error", "22003")
 
 SPELLINGS = {
     "t": True, "true": True, "y": True, "yes": True, "on": True, "1": True,
@@ -57,6 +59,10 @@ MATRIX = [
     ("nan", {"int": BAD, "bool": BAD, "text": "nan"}),
     ("inf", {"int": BAD, "float": float("inf"), "bool": BAD, "text": "inf"}),
     ("x", {"int": BAD, "float": BAD, "bool": BAD, "text": "x"}),
+    # a non-finite number (PostgreSQL: "integer out of range")
+    (float("inf"), {"int": RANGE}),
+    (float("-inf"), {"int": RANGE}),
+    (float("nan"), {"int": RANGE}),
     ("1.2.3", {"int": BAD, "float": BAD, "bool": BAD, "text": "1.2.3"}),
     (True, {"int": 1, "float": 1, "bool": True, "text": "true"}),
     (False, {"int": 0, "float": 0, "bool": False, "text": "false"}),
@@ -80,6 +86,8 @@ def _literal(cell) -> str:
         return "TRUE" if cell else "FALSE"
     if isinstance(cell, str):
         return "'" + cell.replace("'", "''") + "'"
+    if cell != cell or cell in (float("inf"), float("-inf")):
+        return f"CAST('{cell}' AS float)"
     return repr(cell)
 
 
@@ -176,6 +184,30 @@ def test_copy_of_a_non_integral_number_into_an_int_column_is_22p02(tmp_path):
         _copy("2.7", "int", tmp_path)
     assert raised.value.sqlstate == "22P02"
     assert str(raised.value) == "column 'c': cannot interpret '2.7' as an integer"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "setup, sql, params",
+    [
+        ("", "INSERT INTO t VALUES (%s)", "number"),
+        ("INSERT INTO t VALUES (1)", "UPDATE t SET c = CAST(%s AS float)",
+         "text"),
+        ("", "SELECT CAST(CAST(%s AS float) AS int)", "text"),
+    ],
+    ids=["insert-parameter", "update", "cast"],
+)
+def test_a_non_finite_number_into_int_is_a_data_error_through_dbapi(
+    cell, setup, sql, params
+):
+    cursor = dbapi.connect("postgres").cursor()
+    cursor.execute("CREATE TABLE t (c int)")
+    if setup:
+        cursor.execute(setup)
+    value = float(cell) if params == "number" else cell
+    with pytest.raises(dbapi.DataError) as raised:
+        cursor.execute(sql, (value,))
+    assert raised.value.sqlstate == "22003"
 
 
 @pytest.mark.parametrize("target", ["int", "bool"])

@@ -38,7 +38,7 @@ from repro.sqldb.wal import (
     encode_record,
     read_checkpoint,
 )
-from repro.sqldb.vector import from_values
+from repro.sqldb.vector import cells, from_values
 
 ROWS = [
     (1, -0.0, "é", True, [1, 1.0, True, None, "x"]),
@@ -96,14 +96,9 @@ def _cells(vector) -> tuple:
 
 
 def _index(ix) -> tuple:
-    hashed = None
-    if ix.hash_map is not None:
-        hashed = {key: rows.tolist() for key, rows in ix.hash_map.items()}
     return (
-        ix.name, ix.table, ix.columns, ix.unique, ix.method, ix.n_rows,
-        hashed,
-        None if ix.sorted_keys is None else _cells_of(ix.sorted_keys),
-        None if ix.sorted_positions is None else ix.sorted_positions.tolist(),
+        ix.name, ix.table, ix.columns, ix.unique, ix.n_rows,
+        [_cells_of(keys) for keys in ix.key_arrays], ix.positions.tolist(),
     )
 
 
@@ -214,8 +209,35 @@ class TestCheckpointRoundTrip:
         index = next(r for r in records if r.get("name") == "th")
         assert index == {
             "t": "index", "name": "th", "table": "t", "columns": ["s", "b"],
-            "unique": False, "method": "hash",
+            "unique": False,
         }
+
+    @pytest.mark.parametrize("method", ["hash", "sorted"])
+    def test_index_records_naming_a_method_load_as_the_one_kind(self, method):
+        # records written before there was one index kind name its shape
+        db = Database()
+        _build(db)
+        records = [
+            {**record, "method": method} if record["t"] == "index" else record
+            for record in db.catalog.export_records()
+        ]
+        catalog = decode_records(records)
+        for name in ("ti", "th", "ts"):
+            assert _index(catalog.index(name)) == _index(db.catalog.index(name))
+        table = catalog.table("t")
+        rows = list(zip(*(
+            [None if null else cell for cell, null in zip(
+                cells(table.columns[c]).tolist(),
+                table.columns[c].nulls.tolist(),
+            )]
+            for c in ("i", "s", "b")
+        )))
+        for name, parts in (("ti", slice(0, 1)), ("th", slice(1, 3)),
+                            ("ts", slice(1, 2))):
+            for key in {row[parts] for row in rows if None not in row[parts]}:
+                expected = [i for i, row in enumerate(rows) if row[parts] == key]
+                got = catalog.index(name).eq_positions(key).tolist()
+                assert got == expected, (name, key)
 
 
 # -- hostile and corrupted input ------------------------------------------------

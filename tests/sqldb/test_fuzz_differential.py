@@ -32,8 +32,9 @@ sequences; all others compare as sorted multisets (SQL pins no row order
 there).
 
 Between queries the loop runs parameterised point statements on the
-indexed keys (``SELECT ... WHERE a = ?``, ``a IN (?, ?)``, ``s = ?`` and
-UPDATE / DELETE by the same predicates), which the ``indexed`` config
+indexed keys (``SELECT ... WHERE a = ?``, ``a IN (?, ?)``, ``s = ?``,
+``s = ? AND a = ?`` on the composite ``(s, a)`` index, and UPDATE /
+DELETE by the same predicates), which the ``indexed`` config
 answers through index probes bound at execution.  The bound values hit,
 miss, are NULL, or are text against the numeric key (and a number
 against the text key); rowcounts and the table left behind are compared
@@ -120,6 +121,7 @@ _INDEX_POOL = [
     ("idx_t_a", "CREATE INDEX idx_t_a ON t (a)"),
     ("idx_t_s", "CREATE INDEX idx_t_s ON t USING hash (s)"),
     ("idx_t_ab", "CREATE INDEX idx_t_ab ON t (a, b)"),
+    ("idx_t_sa", "CREATE INDEX idx_t_sa ON t (s, a)"),
     ("idx_u_a", "CREATE INDEX idx_u_a ON u (a)"),
     ("idx_w_a", "CREATE INDEX idx_w_a ON w (a)"),
 ]
@@ -346,9 +348,13 @@ def _bound_value(rng, key, t_rows):
 
 def _point_predicate(rng, t_rows):
     """``(sql, params)`` of a point predicate on an indexed key of ``t``."""
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 2:
         return "s = ?", [_bound_value(rng, "s", t_rows)]
+    if kind == 4:  # the composite (s, a) key: text and number parts
+        return "s = ? AND a = ?", [
+            _bound_value(rng, "s", t_rows), _bound_value(rng, "a", t_rows),
+        ]
     a = [_bound_value(rng, "a", t_rows) for _ in range(1 + (kind == 1))]
     if kind == 0:
         return "a = ?", a
@@ -623,6 +629,12 @@ POINT_CORPUS = [
     ("DELETE FROM t WHERE a = ?", [None], True),
     ("DELETE FROM t WHERE a IN (?, ?)", [-7, 1000], True),
     ("DELETE FROM t WHERE s = ? AND a > ?", ["a", 0], True),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE s = ? AND a = ?", ["a", 7.75], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE a = ? AND s = ?", [-1, "b"], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE s = ? AND a = ?", ["a", None], False),
+    ("SELECT a AS c0, b AS c1, s AS c2 FROM t WHERE s = ? AND a = ?", [3, "a"], False),
+    ("UPDATE t SET b = ? WHERE s = ? AND a = ?", [97, "c", -45], True),
+    ("DELETE FROM t WHERE s = ? AND a = ?", ["b", -43], True),
 ]
 
 

@@ -4,9 +4,9 @@ Every query plans its index probes (equality, ``IN``, and — with
 ``ANALYZE`` statistics — selective ranges), so a probe runs wherever a
 scan + filter used to: inside open transactions, after a savepoint
 rollback, in matview builds and refreshes, and on streaming replicas.
-Each scenario runs the same statements against a table with a unique
-hash index and a sorted index and against the same table without
-indexes, and the probed answers must equal the scanned ones row for row
+Each scenario runs the same statements against a table with two
+one-column indexes and a unique composite one and against the same
+table without indexes, and the probed answers must equal the scanned ones row for row
 (a probe returns rows in scan order).
 """
 
@@ -31,6 +31,7 @@ SETUP = [
 INDEXES = [
     "CREATE UNIQUE INDEX kv_k ON kv USING hash (k)",
     "CREATE INDEX kv_g ON kv USING btree (g)",
+    "CREATE UNIQUE INDEX kv_gk ON kv (g, k)",
     "ANALYZE",
 ]
 
@@ -41,6 +42,8 @@ QUERIES = [
     ("SELECT k, v FROM kv WHERE g = 3 AND k > 10", "IndexScan(kv using kv_g, eq)"),
     ("SELECT k FROM kv WHERE g > 8", "IndexScan(kv using kv_g, range)"),
     ("SELECT count(*) FROM kv WHERE g IN (1, 2)", "IndexScan(kv using kv_g, in)"),
+    ("SELECT k, v FROM kv WHERE g = 3 AND k = 13", "IndexScan(kv using kv_gk, eq)"),
+    ("SELECT v FROM kv WHERE k = 100 AND g = 0", "IndexScan(kv using kv_gk, eq)"),
 ]
 
 
@@ -239,6 +242,8 @@ PARAM_QUERIES = [
     ("SELECT k, v FROM kv WHERE k IN (?, 30)", "IndexScan(kv using kv_k, in)"),
     ("SELECT k, v FROM kv WHERE g = ? AND k > 10", "IndexScan(kv using kv_g, eq)"),
     ("SELECT count(*) FROM kv WHERE g IN (?, 2)", "IndexScan(kv using kv_g, in)"),
+    ("SELECT k, v FROM kv WHERE g = 7 AND k = ?", "IndexScan(kv using kv_gk, eq)"),
+    ("SELECT k, v FROM kv WHERE k = 17 AND g = ?", "IndexScan(kv using kv_gk, eq)"),
 ]
 BOUND = [7, 1000, None, "7", 7.0, 7.5, True, "v7"]
 PARAM_WRITES = [
@@ -251,6 +256,10 @@ PARAM_WRITES = [
     ("DELETE FROM kv WHERE k = ?", ("11",)),
     ("DELETE FROM kv WHERE k = ?", (12.0,)),
     ("DELETE FROM kv WHERE g = ? AND k > ?", (4, 40)),
+    ("UPDATE kv SET v = ? WHERE g = ? AND k = ?", ("gk", 5, 15)),
+    ("UPDATE kv SET v = ? WHERE g = ? AND k = ?", ("nul", None, 100)),
+    ("DELETE FROM kv WHERE g = ? AND k = ?", (6, "16")),
+    ("DELETE FROM kv WHERE g = ? AND k = ?", (6.0, 26)),
 ]
 
 

@@ -30,27 +30,17 @@ def assert_index_matches_rebuild(db, name, catalog=None):
     catalog = db.catalog if catalog is None else catalog
     live = catalog.index(name)
     table = catalog.table(live.table)
-    oracle = build_index(
-        live.name, table, live.columns, live.unique, live.method
-    )
-    assert (live.name, live.table, live.columns, live.unique, live.method) == (
-        oracle.name, oracle.table, oracle.columns, oracle.unique, oracle.method
+    oracle = build_index(live.name, table, live.columns, live.unique)
+    assert (live.name, live.table, live.columns, live.unique) == (
+        oracle.name, oracle.table, oracle.columns, oracle.unique
     )
     assert live.n_rows == oracle.n_rows == table.n_rows
-    if live.method == "hash":
-        assert live.sorted_keys is None and live.sorted_positions is None
-        assert set(live.hash_map) == set(oracle.hash_map)
-        for key, positions in oracle.hash_map.items():
-            assert live.hash_map[key].dtype == positions.dtype
-            np.testing.assert_array_equal(live.hash_map[key], positions)
-    else:
-        assert live.hash_map is None
-        assert live.sorted_keys.dtype == oracle.sorted_keys.dtype
-        assert live.sorted_positions.dtype == oracle.sorted_positions.dtype
-        np.testing.assert_array_equal(live.sorted_keys, oracle.sorted_keys)
-        np.testing.assert_array_equal(
-            live.sorted_positions, oracle.sorted_positions
-        )
+    assert len(live.key_arrays) == len(oracle.key_arrays) == len(live.columns)
+    for live_keys, oracle_keys in zip(live.key_arrays, oracle.key_arrays):
+        assert live_keys.dtype == oracle_keys.dtype
+        np.testing.assert_array_equal(live_keys, oracle_keys)
+    assert live.positions.dtype == oracle.positions.dtype
+    np.testing.assert_array_equal(live.positions, oracle.positions)
 
 
 @pytest.fixture
@@ -101,24 +91,87 @@ class TestIndexDdl:
         with pytest.raises(CatalogError):
             db.execute("CREATE INDEX t_x ON t (missing)")
 
-    def test_composite_requires_hash(self, db):
-        with pytest.raises(CatalogError):
-            db.execute("CREATE INDEX t_c ON t USING btree (id, grp)")
-        db.execute("CREATE INDEX t_c ON t (id, grp)")  # defaults to hash
-        assert db.catalog.index("t_c").method == "hash"
+    def test_composite_btree_is_the_one_kind(self, db):
+        db.execute("CREATE INDEX t_c ON t USING btree (id, grp)")
         assert_index_matches_rebuild(db, "t_c")
+        db.execute("INSERT INTO t VALUES (3, 'g0', 0.0), (3, 'a', 0.0)")
+        assert_index_matches_rebuild(db, "t_c")
+        index = db.catalog.index("t_c")
+        # lexicographic: id, then grp among equal ids
+        assert [keys.tolist()[3:6] for keys in index.key_arrays] == [
+            [3.0, 3.0, 3.0], ["a", "g0", "g3"],
+        ]
+        assert index.eq_positions((3, "g0")).tolist() == [40]
+
+    @pytest.mark.parametrize("columns", ["(id)", "(grp, id)"])
+    def test_btree_hash_and_default_build_the_same_index(self, db, columns):
+        for name, using in [("a", ""), ("b", "USING btree"), ("c", "USING hash")]:
+            db.execute(f"CREATE INDEX t_{name} ON t {using} {columns}")
+        built = [db.catalog.index(f"t_{name}") for name in "abc"]
+        for index in built[1:]:
+            assert (index.table, index.columns, index.unique, index.n_rows) == (
+                built[0].table, built[0].columns, built[0].unique,
+                built[0].n_rows,
+            )
+            for keys, first in zip(index.key_arrays, built[0].key_arrays):
+                assert keys.dtype == first.dtype
+                assert keys.tolist() == first.tolist()
+            assert index.positions.tolist() == built[0].positions.tolist()
+
+    @pytest.mark.parametrize(
+        "sql, sqlstate",
+        [
+            ("CREATE INDEX t_x ON t USING gist (id)", "42704"),
+            ("CREATE INDEX t_x ON t USING sorted (id)", "42704"),
+            ("CREATE INDEX t_x ON a (xs)", "0A000"),
+            ("CREATE INDEX t_x ON a (id, xs)", "0A000"),
+        ],
+    )
+    def test_create_index_errors_carry_sqlstates(self, db, sql, sqlstate):
+        db.execute("CREATE TABLE a (id int, xs int[])")
+        with pytest.raises(CatalogError) as info:
+            db.execute(sql)
+        assert info.value.sqlstate == sqlstate
+        assert not db.catalog.has_index("t_x")
+
+    @pytest.mark.parametrize(
+        "declared, cells",
+        [
+            ("int", [3, None, -1, 2.7, True, "7"]),
+            ("float", [1.5, None, float("inf"), -0.0, "2.5", 2]),
+            ("boolean", [True, None, False, "yes", 0]),
+            ("text", ["b", None, 7, 2.5, True, "é", ""]),
+        ],
+    )
+    def test_every_indexable_column_sorts(self, declared, cells):
+        """A stored column holds one storage class, so an index's keys
+        are float64 or all ``str``: its stable sorts never meet values
+        that do not compare, whatever was assigned to the column."""
+        db = Database()
+        db.execute(f"CREATE TABLE s (c {declared}, d int)")
+        db.execute("CREATE INDEX s_c ON s (c)")
+        db.execute("CREATE INDEX s_dc ON s (d, c)")
+        for i, cell in enumerate(cells):
+            db.execute("INSERT INTO s VALUES (?, ?)", (cell, i % 2))
+        db.execute("UPDATE s SET c = ? WHERE d = 0", (cells[-1],))
+        for name in ("s_c", "s_dc"):
+            assert_index_matches_rebuild(db, name)
+            for keys in db.catalog.index(name).key_arrays:
+                assert keys.dtype == np.float64 or all(
+                    type(key) is str for key in keys
+                )
 
     def test_nulls_not_indexed(self, db):
         db.execute("INSERT INTO t VALUES (NULL, 'g0', 1.0)")
         db.execute("CREATE INDEX t_id ON t (id)")
         index = db.catalog.index("t_id")
         assert index.n_rows == 41
-        assert len(index.sorted_keys) == 40
+        assert len(index.positions) == 40
         assert_index_matches_rebuild(db, "t_id")
 
 
 class TestMaintenance:
-    @pytest.mark.parametrize("method", ["sorted", "hash"])
+    @pytest.mark.parametrize("method", ["btree", "hash"])
     def test_insert_update_delete(self, db, method):
         db.execute(f"CREATE INDEX t_id ON t USING {method} (id)")
         db.execute("INSERT INTO t VALUES (100, 'g9', 0.0)")
@@ -336,12 +389,8 @@ def _check_stream_state(db, catalog=None):
         present = np.ones(table.n_rows, dtype=bool)
         for column in index.columns:
             present &= ~table.columns[column].nulls
-        indexed = (
-            sum(len(p) for p in index.hash_map.values())
-            if index.method == "hash"
-            else len(index.sorted_positions)
-        )
-        assert indexed == int(present.sum())  # NULL keys stay unindexed
+        # NULL keys stay unindexed
+        assert len(index.positions) == int(present.sum())
 
 
 def _run_statement(db, statement):

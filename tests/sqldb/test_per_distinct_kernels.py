@@ -505,21 +505,27 @@ def _examples(request) -> int:
 _REJECTED_AS = {"int": "an integer", "float": "a number", "bool": "a boolean"}
 
 
-def _rejected(cell, target):
-    """Whether the assignment rule rejects one non-NULL *cell* for a CAST
-    to *target* (``int``, ``float`` or ``bool``)."""
+def _rejection(cell, target):
+    """The error the assignment rule raises for one non-NULL *cell* in a
+    CAST to *target* (``int``, ``float`` or ``bool``), or None."""
+    invalid = f"cannot interpret {cell!r} as {_REJECTED_AS[target]}"
     if isinstance(cell, str):
         if target == "bool":
-            return cell.strip().lower() not in (
+            valid = cell.strip().lower() in (
                 "t", "true", "y", "yes", "on", "1",
                 "f", "false", "n", "no", "off", "0",
             )
+            return None if valid else invalid
         try:
             number = float(cell)
         except ValueError:
-            return True
-        return target == "int" and not number.is_integer()
-    return not isinstance(cell, (int, float, np.number, np.bool_))
+            return invalid
+        return invalid if target == "int" and not number.is_integer() else None
+    if not isinstance(cell, (int, float, np.number, np.bool_)):
+        return invalid
+    if target == "int" and not math.isfinite(float(cell)):
+        return "integer out of range"
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -536,15 +542,13 @@ def test_kernel_matches_its_row_loop(name, request):
         if target in _REJECTED_AS:
             present = _as_objects(args[0])
             rejected = [
-                cell
+                _rejection(cell, target)
                 for cell, null in zip(present.values, present.nulls)
-                if not null and _rejected(cell, target)
+                if not null and _rejection(cell, target)
             ]
             if rejected:
-                message = f"cannot interpret {rejected[0]!r} as "
                 assert _outcome(new, args) == (
-                    "raised", SQLExecutionError,
-                    message + _REJECTED_AS[target],
+                    "raised", SQLExecutionError, rejected[0],
                 )
                 return
         _assert_same(_outcome(new, args), _outcome(old, old_args))

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.errors import CatalogError
 from repro.sqldb import Database
 from repro.sqldb import vector as vector_module
 from repro.sqldb.vector import Vector
@@ -68,6 +69,28 @@ def test_insert_and_copy_store_the_same_typed_column(tmp_path, type_name, mixed)
     assert inserted.nulls.tolist() == copied.nulls.tolist()
     assert inserted.nulls.tolist() == [cell is None for cell in cells]
     assert inserted.tolist() == copied.tolist() == cells
+
+
+@pytest.mark.parametrize(
+    "sql, sqlstate",
+    [
+        ("INSERT INTO t (zz) VALUES (1)", "42703"),
+        ("INSERT INTO t (a, zz) VALUES (2, 3)", "42703"),
+        ("INSERT INTO t (a, a) VALUES (4, 5)", "42701"),
+        ("INSERT INTO t (b, a, b) VALUES ('y', 4, 'z')", "42701"),
+        ("UPDATE t SET zz = 1", "42703"),
+        ("CREATE INDEX i ON t (zz)", "42703"),
+    ],
+)
+def test_a_statement_names_real_columns_each_once(sql, sqlstate):
+    db = Database()
+    db.execute("CREATE TABLE t (a int, b text)")
+    db.execute("INSERT INTO t VALUES (0, 'x')")
+    for _ in range(2):  # prepared, then from the plan cache
+        with pytest.raises(CatalogError) as raised:
+            db.execute(sql)
+        assert raised.value.sqlstate == sqlstate
+    assert db.execute("SELECT a, b FROM t").rows == [(0, "x")]
 
 
 def test_copy_stores_one_object_per_distinct_text_value(tmp_path):
@@ -147,25 +170,17 @@ def _freeze(catalog):
             frozen += [(vec.values, vec.values.copy()), (vec.nulls, vec.nulls.copy())]
     for name in catalog.index_names:
         index = catalog.index(name)
-        arrays = (
-            list(index.hash_map.values())
-            if index.method == "hash"
-            else [index.sorted_keys, index.sorted_positions]
-        )
-        frozen += [(array, array.copy()) for array in arrays]
-        if index.method == "hash":
-            frozen.append((index.hash_map, dict(index.hash_map)))
+        frozen += [
+            (array, array.copy())
+            for array in [*index.key_arrays, index.positions]
+        ]
     return frozen
 
 
 def _assert_frozen(frozen):
     for live, copy in frozen:
-        if isinstance(live, dict):
-            assert live.keys() == copy.keys()
-            assert all(live[key] is copy[key] for key in copy)
-        else:
-            assert live.dtype == copy.dtype
-            assert live.tobytes() == copy.tobytes()
+        assert live.dtype == copy.dtype
+        assert live.tobytes() == copy.tobytes()
 
 
 WRITES = [

@@ -32,9 +32,9 @@ pytestmark = pytest.mark.fuzz
 
 COLUMNS = ["k", "f", "s", "b", "a", "n"]
 INDEXES = [
-    ("t_k", ("k",), True, "sorted"),
-    ("t_s", ("s",), False, "sorted"),
-    ("t_sb", ("s", "b"), False, "hash"),
+    ("t_k", ("k",), True),
+    ("t_s", ("s",), False),
+    ("t_sb", ("s", "b"), False),
 ]
 WORDS = ["", "a", "b", "ab", "é", "日本", "x y", "NA"]
 
@@ -82,8 +82,8 @@ class _Twin:
             "int", "float", "text", "bool", "array", "serial",
         ])
         self.indexes = {
-            name: build_index(name, self.table, cols, unique, method)
-            for name, cols, unique, method in INDEXES
+            name: build_index(name, self.table, cols, unique)
+            for name, cols, unique in INDEXES
         }
 
     def state(self):
@@ -105,6 +105,8 @@ class _Twin:
             old.append_rows(self.table, [dict(zip(columns, r)) for r in rows])
             self.indexes = {
                 name: old.extend_index(index, self.table)
+                if len(index.columns) == 1
+                else build_index(name, self.table, index.columns, index.unique)
                 for name, index in self.indexes.items()
             }
         except UniqueViolation:
@@ -130,19 +132,15 @@ def _assert_columns_equal(got, want, name):
 
 
 def _assert_index_equal(got, want):
-    assert (got.name, got.table, got.columns, got.unique, got.method,
-            got.n_rows) == (want.name, want.table, want.columns, want.unique,
-                            want.method, want.n_rows)
-    if want.method == "hash":
-        assert got.hash_map.keys() == want.hash_map.keys()
-        for key, positions in want.hash_map.items():
-            assert got.hash_map[key].dtype == positions.dtype
-            assert got.hash_map[key].tolist() == positions.tolist()
-        return
-    assert got.sorted_keys.dtype == want.sorted_keys.dtype
-    assert got.sorted_keys.tolist() == want.sorted_keys.tolist()
-    assert got.sorted_positions.dtype == want.sorted_positions.dtype
-    assert got.sorted_positions.tolist() == want.sorted_positions.tolist()
+    assert (got.name, got.table, got.columns, got.unique, got.n_rows) == (
+        want.name, want.table, want.columns, want.unique, want.n_rows
+    )
+    assert len(got.key_arrays) == len(want.key_arrays) == len(want.columns)
+    for got_keys, want_keys in zip(got.key_arrays, want.key_arrays):
+        assert got_keys.dtype == want_keys.dtype
+        assert got_keys.tolist() == want_keys.tolist()
+    assert got.positions.dtype == want.positions.dtype
+    assert got.positions.tolist() == want.positions.tolist()
 
 
 def _assert_matches(catalog, twin):
@@ -165,10 +163,7 @@ def _freeze(catalog):
             arrays.append(vec.dictionary)
     for name in catalog.index_names:
         index = catalog.index(name)
-        if index.method == "hash":
-            arrays += list(index.hash_map.values())
-        else:
-            arrays += [index.sorted_keys, index.sorted_positions]
+        arrays += [*index.key_arrays, index.positions]
     return [(array, array.copy()) for array in arrays]
 
 
@@ -200,10 +195,10 @@ def test_inserts_match_the_batch_shaped_path(request):
             "CREATE TABLE t (k int, f float, s text, b bool, a int[], "
             "n serial)"
         )
-        for name, cols, unique, method in INDEXES:
+        for name, cols, unique in INDEXES:
             db.execute(
                 f"CREATE {'UNIQUE ' if unique else ''}INDEX {name} ON t "
-                f"USING {method} ({', '.join(cols)})"
+                f"({', '.join(cols)})"
             )
         twin = _Twin()
         reader = db.session()
