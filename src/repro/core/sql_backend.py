@@ -59,8 +59,7 @@ from repro.learn.preprocessing import (
     OneHotEncoder,
     StandardScaler,
 )
-from repro.sqldb.vector import Vector, first_occurrence_codes, python_cells
-from repro.sqldb.vector import cells as stored_cells
+from repro.sqldb.vector import Vector, array_lengths, compact, python_cells
 
 __all__ = ["SQLBackend"]
 
@@ -992,24 +991,26 @@ def _columns_to_matrix(vectors: list[Vector], n_rows: int) -> np.ndarray:
 
 
 def _matrix_block(vector: Vector) -> np.ndarray:
-    values = vector.values
-    if vector.dictionary is None and values.dtype.kind in "fb":
+    values, elements = vector.values, vector.elements
+    if vector.dictionary is None and elements is None and values.dtype.kind in "fb":
         # + 0.0 turns -0.0 into 0.0, as the fetched int 0 would be
         column = values + 0.0
         column[vector.nulls] = np.nan
         return column[:, None]
-    # object cells (arrays, text) flattened once per distinct cell: the
-    # rows of one kernel call share one list
-    cells = stored_cells(vector).tolist()
-    for k in np.flatnonzero(vector.nulls):
-        cells[k] = None
-    codes, n = first_occurrence_codes(list(map(id, cells)))
-    first = np.empty(n, dtype=np.int64)
-    first[codes] = np.arange(len(cells))
-    flats = [_flat_cell(cells[i]) for i in first.tolist()]
+    if elements is not None and len(vector) and not vector.nulls.any():
+        vector = compact(vector)
+        elements, lengths = vector.elements, array_lengths(vector)
+        if (lengths == lengths[0]).all() and elements.elements is None and (
+            elements.dictionary is None and elements.values.dtype.kind in "fb"
+        ):
+            # arrays of one length (one-hot vectors): their elements are
+            # the block, one reshape
+            return _matrix_block(elements).reshape(len(vector), int(lengths[0]))
+    # anything else (text, ragged or NULL arrays): one flat list a row
+    flats = [_flat_cell(cell) for cell in python_cells(vector)]
     if len(set(map(len, flats))) > 1:
         raise ValueError("array cells of different lengths in one matrix")
-    return np.array(flats, dtype=np.float64)[codes]
+    return np.array(flats, dtype=np.float64).reshape(len(flats), -1)
 
 
 def _flat_cell(cell: Any) -> list[float]:

@@ -302,7 +302,7 @@ class Copy:
     path: str
     delimiter: str = ","
     null_text: str = ""
-    header: bool = True
+    header: bool = False
 
 
 @dataclass

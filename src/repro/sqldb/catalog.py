@@ -28,9 +28,13 @@ from repro.sqldb.parser import parse_statement
 from repro.sqldb.vector import (
     CELL_RULES,
     Vector,
+    array_vector,
     coded_text,
+    compact,
     concat_vectors,
     extend_dictionary,
+    gather,
+    python_cells,
     to_python,
 )
 
@@ -63,8 +67,8 @@ def _coerce_column(
 
     The dtype comes from the declared storage class alone, never from the
     values: float64 (NaN under NULL) for ``int``/``serial``/``float``, bool
-    for ``bool``, int32 codes into a dictionary for ``text`` and object
-    (None under NULL) for ``array`` — so an empty or all-NULL batch has
+    for ``bool``, int32 codes into a dictionary for ``text`` and int64
+    entries over an element vector for ``array`` — so an empty or all-NULL batch has
     the same dtype as any other and appending never flips a column's
     dtype.  Text is coded into the dictionary of *onto* (the column's
     stored vector; a fresh one without it), extended by the new strings
@@ -96,11 +100,7 @@ def _coerce_column(
                 map(code.get, raw, itertools.repeat(0)), np.int32, n
             )
         return Vector(values, nulls, dictionary)
-    # cell by cell: numpy would unpack equally long lists into a matrix
-    values = np.empty(n, dtype=object)
-    for i, v in enumerate(raw):
-        values[i] = v
-    return Vector(values, nulls)
+    return array_vector(raw)
 
 
 class CsvColumn:
@@ -134,15 +134,14 @@ class CsvColumn:
             part = np.fromiter(
                 map(self.known.__getitem__, cells), np.int32, len(cells)
             )
-        elif self.storage == "array":  # each cell's text kept as an object
-            part = [None if c in self.null_keys else c for c in cells]
         else:
             part = self._values(cells)
         self.parts.append(part)
 
-    def _values(self, cells: Sequence[str]) -> np.ndarray:
-        """A chunk of numbers or booleans as float64, NaN under NULL."""
-        if self.storage != "bool" and all(
+    def _values(self, cells: Sequence[str]) -> np.ndarray | list:
+        """A chunk of numbers or booleans as float64, NaN under NULL (or
+        of arrays as lists, None under NULL)."""
+        if self.storage not in ("bool", "array") and all(
             key not in cells for key in self.null_keys
         ):
             try:
@@ -155,21 +154,24 @@ class CsvColumn:
                 ):
                     return part
         rule = CELL_RULES[self.storage]
+        missing = None if self.storage == "array" else np.nan
         parsed = dict.fromkeys(cells)
         try:
             for cell in parsed:
-                parsed[cell] = np.nan if cell in self.null_keys else rule(cell)
+                parsed[cell] = missing if cell in self.null_keys else rule(cell)
         except SQLExecutionError as exc:
             raise SQLExecutionError(
                 f"column {self.name!r}: {exc}", sqlstate=exc.sqlstate
             ) from None
+        if self.storage == "array":
+            return list(map(parsed.__getitem__, cells))
         return np.fromiter(
             map(parsed.__getitem__, cells), np.float64, len(cells)
         )
 
     def vector(self) -> Vector:
         if self.storage == "array":
-            return _coerce_column(list(itertools.chain(*self.parts)), "array")
+            return array_vector(list(itertools.chain(*self.parts)))
         if self.storage != "text":
             values = np.concatenate([np.empty(0), *self.parts])
             nulls = np.isnan(values)
@@ -256,10 +258,13 @@ class Table:
                 new = _coerce_column(
                     [None] * n_new if raw is None else raw, storage, old
                 )
-            self.columns[name] = Vector(
-                np.concatenate((old.values, new.values)),
-                np.concatenate((old.nulls, new.nulls)),
-                new.dictionary,
+            self.columns[name] = (
+                concat_vectors([old, new]) if new.elements is not None
+                else Vector(
+                    np.concatenate((old.values, new.values)),
+                    np.concatenate((old.nulls, new.nulls)),
+                    new.dictionary,
+                )
             )
         self.n_rows += n_new
 
@@ -288,6 +293,14 @@ class Table:
         storage = self.storage_of(name)
         old = self.columns[name]
         patch = _coerce_column(cells, storage, old)
+        if patch.elements is not None:
+            # arrays: the old rows with the patched ones' runs taken instead
+            rows = np.arange(len(old))
+            rows[positions] = len(old) + np.arange(len(positions))
+            self.columns[name] = compact(
+                gather(concat_vectors([old, patch]), rows)
+            )
+            return
         values, nulls = old.values.copy(), old.nulls.copy()
         values[positions] = patch.values
         nulls[positions] = patch.nulls
@@ -626,6 +639,9 @@ class TableStats:
 def _column_stats(vec: Vector, n_rows: int) -> ColumnStats:
     n_nulls = int(vec.nulls.sum())
     null_fraction = (n_nulls / n_rows) if n_rows else 0.0
+    if vec.is_array:  # distinct arrays by representation
+        arrays = [repr(c) for c in python_cells(vec) if c is not None]
+        return ColumnStats(n_nulls, null_fraction, len(set(arrays)))
     values = vec.values[~vec.nulls]
     if len(values) == 0:
         return ColumnStats(n_nulls, null_fraction, 0)
@@ -642,12 +658,7 @@ def _column_stats(vec: Vector, n_rows: int) -> ColumnStats:
         return ColumnStats(
             n_nulls, null_fraction, ndv, bool(values.min()), bool(values.max())
         )
-    items = values.tolist()
-    try:
-        distinct = set(items)
-    except TypeError:
-        # unhashable cells (array columns): distinct by representation
-        return ColumnStats(n_nulls, null_fraction, len({repr(v) for v in items}))
+    distinct = set(values.tolist())
     if all(isinstance(v, str) for v in distinct):
         return ColumnStats(
             n_nulls, null_fraction, len(distinct), min(distinct), max(distinct)
@@ -1134,12 +1145,18 @@ def _table_from(record: dict) -> Table:
     types = record["types"]
     if len(types) != len(columns):
         raise ValueError(f"{len(types)} types for {len(columns)} columns")
-    for storage, vector in zip(types, columns.values()):
+    for storage, (name, vector) in zip(types, list(columns.items())):
         if storage not in CELL_RULES:
             raise ValueError(f"unknown storage class {storage!r}")
+        if storage == "array" and vector.values.dtype == object:
+            # an older checkpoint's array column as JSON cells: lists, or
+            # the literal text COPY and INSERT kept (22P02 if not one)
+            vector = columns[name] = _coerce_column(vector.tolist(), storage)
         empty = _coerce_column([], storage)  # the class's stored form
-        if vector.values.dtype != empty.values.dtype or (
-            vector.is_text != empty.is_text
+        if (
+            vector.values.dtype != empty.values.dtype
+            or vector.is_text != empty.is_text
+            or vector.is_array != empty.is_array
         ):
             raise ValueError(
                 f"a {storage} column stored as {vector.values.dtype}"

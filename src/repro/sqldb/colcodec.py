@@ -17,7 +17,7 @@ Every column header is a JSON object with a ``tag`` and the byte
     numbers   {"tag": "<i1" | "<i2" | "<i4" | "<f8", "sizes": [values, nulls]}
     bool      {"tag": "|b1", "sizes": [values, nulls]}      one byte a row
     text      {"tag": "text", "dict": [...], "sizes": [codes, nulls]}
-    arrays    {"tag": "array", "count": m, "elements": <scalar header>,
+    arrays    {"tag": "array", "count": m, "elements": <column header>,
                "sizes": [offsets, nulls]}   then the element buffers
     other     {"tag": "json", "cells": [...], "sizes": [nulls]}
 
@@ -29,14 +29,13 @@ Every column header is a JSON object with a ``tag`` and the byte
   NULL row's code is ``len(dict)``.  It is written straight from the
   vector's own codes, remapped to the dictionary entries its rows use,
   and decodes to a text vector over that dictionary.
-* *Arrays* are int64 end offsets plus one element column coded by the
-  scalar rules, with its own bitmap; they decode to per-row lists whose
-  elements are what :func:`~repro.sqldb.vector.to_python` returns.
-  Each distinct list object is flattened once (rows produced by one
-  kernel call share theirs).
-* Anything else — mixed-type object cells, nested arrays, array elements
-  a float64 round trip would not give back as they are — sends the
-  column's cells as JSON in the header.
+* *Arrays* are int64 end offsets plus the element column of ``m`` rows,
+  coded by these same rules (nested arrays recursively, mixed-type
+  elements as JSON): a compact array vector's own buffers (a filtered one
+  is compacted first, so only the elements its rows hold travel).
+* Mixed-type object cells send the column's cells as JSON in the header;
+  a JSON column whose cells are all lists (an array column of an older
+  image) decodes to an array column.
 
 Byte order is little-endian and written into the tag; dtypes come from a
 fixed table, so no header string ever reaches ``np.dtype``.  A ``None``
@@ -48,19 +47,17 @@ their own error class (08P01 on the wire, ``DurabilityError`` on disk).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.sqldb.vector import (
     Vector,
-    cells as stored_cells,
-    first_occurrence_codes,
+    array_column,
+    array_runs,
+    array_vector,
+    compact,
     first_occurrence_ranks,
-    gather,
-    python_list,
-    text_vector,
 )
 
 __all__ = ["MalformedColumns", "encode", "payload_size", "decode"]
@@ -83,9 +80,8 @@ _BOOL = "|b1"
 _CODES = np.dtype("<i4")
 _OFFSETS = np.dtype("<i8")
 _F8 = np.dtype("<f8")
-
-#: an exactly representable integer as float64, at most
-_EXACT_INT = 2 ** 53
+#: arrays of arrays nest at most this deep in a header
+_MAX_DEPTH = 32
 
 
 # -- encoding -------------------------------------------------------------------
@@ -110,15 +106,23 @@ def _encode_column(vector: Vector, buffers: list[bytes]) -> dict:
     values, nulls = vector.values, vector.nulls
     if vector.dictionary is not None:
         return _encode_text(vector, buffers)
+    if vector.elements is not None:
+        vector = compact(vector)
+        data = array_runs(vector)[1].astype(_OFFSETS).tobytes()
+        bitmap = _bitmap(nulls)
+        buffers += [data, bitmap]
+        return {
+            "tag": "array",
+            "count": len(vector.elements),
+            "elements": _encode_column(vector.elements, buffers),
+            "sizes": [len(data), len(bitmap)],
+        }
     kind = values.dtype.kind
     if kind == "f" and values.dtype.itemsize == 8:
         return _encode_numbers(values, nulls, buffers)
     if kind == "b":
         return _encode_bools(values, nulls, buffers)
-    cells = values.tolist()
-    if kind == "O":
-        return _encode_objects(cells, nulls, buffers)
-    return _encode_json(cells, nulls, buffers)
+    return _encode_json(values.tolist(), nulls, buffers)
 
 
 def _encode_numbers(
@@ -158,21 +162,6 @@ def _encode_bools(
     return {"tag": _BOOL, "sizes": [len(data), len(bitmap)]}
 
 
-def _encode_objects(cells: list, nulls: np.ndarray, buffers: list[bytes]) -> dict:
-    for k in np.flatnonzero(nulls):
-        cells[k] = None
-    # arrays and other objects by identity: one per distinct object
-    codes, n = first_occurrence_codes(list(map(id, cells)))
-    first = np.empty(n, dtype=np.int64)
-    first[codes] = np.arange(len(cells))
-    unique = [cells[i] for i in first.tolist()]
-    if all(type(cell) is list or cell is None for cell in unique):
-        header = _encode_arrays(unique, codes, buffers)
-        if header is not None:
-            return header
-    return _encode_json(cells, nulls, buffers)
-
-
 def _encode_text(vector: Vector, buffers: list[bytes]) -> dict:
     """A text vector as the dictionary entries its rows use, in order of
     first occurrence, and int32 codes into them, ``len(dict)`` under
@@ -188,64 +177,6 @@ def _encode_text(vector: Vector, buffers: list[bytes]) -> dict:
     buffers += [data, bitmap]
     keys = vector.dictionary[used].tolist()
     return {"tag": "text", "dict": keys, "sizes": [len(data), len(bitmap)]}
-
-
-def _element_vector(elements: list) -> Vector | None:
-    """The distinct lists' elements as one scalar column, or None when a
-    typed column would not give every element back as it is."""
-    kinds = set(map(type, elements)) - {type(None)}
-    nulls = np.fromiter(
-        (e is None for e in elements), dtype=bool, count=len(elements)
-    )
-    if kinds <= {int, float}:
-        # only what decodes to itself: to_python turns an integral float
-        # into an int, and float64 holds integers exactly up to 2**53
-        if not all(
-            -_EXACT_INT <= e <= _EXACT_INT if type(e) is int
-            else not e.is_integer()
-            for e in elements if e is not None
-        ):
-            return None
-        values = np.array(
-            [0.0 if e is None else e for e in elements], dtype=np.float64
-        )
-    elif kinds == {bool}:
-        values = np.array([e is True for e in elements], dtype=bool)
-    elif kinds == {str}:
-        return text_vector(elements, nulls)
-    else:
-        return None
-    return Vector(values, nulls)
-
-
-def _encode_arrays(
-    unique: list, codes: np.ndarray, buffers: list[bytes]
-) -> dict | None:
-    elements = _element_vector(
-        list(itertools.chain.from_iterable(c for c in unique if c is not None))
-    )
-    if elements is None:
-        return None
-    # every row's run of elements, gathered from its distinct list's run
-    unique_lengths = np.array(
-        [0 if cell is None else len(cell) for cell in unique], dtype=np.int64
-    )
-    lengths = unique_lengths[codes]
-    offsets = np.cumsum(lengths, dtype=np.int64)
-    count = int(offsets[-1]) if len(offsets) else 0
-    unique_starts = np.cumsum(unique_lengths) - unique_lengths
-    take = np.repeat(unique_starts[codes] - (offsets - lengths), lengths)
-    take += np.arange(count, dtype=np.int64)
-    data = offsets.astype(_OFFSETS).tobytes()
-    bitmap = _bitmap(np.array([c is None for c in unique], dtype=bool)[codes])
-    buffers += [data, bitmap]
-    element_header = _encode_column(gather(elements, take), buffers)
-    return {
-        "tag": "array",
-        "count": count,
-        "elements": element_header,
-        "sizes": [len(data), len(bitmap)],
-    }
 
 
 def _encode_json(cells: list, nulls: np.ndarray, buffers: list[bytes]) -> dict:
@@ -271,11 +202,11 @@ def payload_size(headers: Any, rows: Any) -> int:
         raise MalformedColumns(f"a row count of {rows!r}")
     if type(headers) is not list:
         raise MalformedColumns("column headers are not a list")
-    return sum(_column_size(header, rows, False) for header in headers)
+    return sum(_column_size(header, rows, 0) for header in headers)
 
 
-def _column_size(header: Any, rows: int, element: bool) -> int:
-    if type(header) is not dict:
+def _column_size(header: Any, rows: int, depth: int) -> int:
+    if type(header) is not dict or depth > _MAX_DEPTH:
         raise MalformedColumns("a column header is not an object")
     tag, sizes = header.get("tag"), header.get("sizes")
     bitmap = (rows + 7) // 8
@@ -300,13 +231,13 @@ def _column_size(header: Any, rows: int, element: bool) -> int:
         if len(set(keys)) != len(keys):
             raise MalformedColumns("a text dictionary with repeats")
         expected = [rows * _CODES.itemsize]
-    elif tag == "array" and not element:
+    elif tag == "array":
         count = header.get("count")
         if type(count) is not int or count < 0:
             raise MalformedColumns(f"an element count of {count!r}")
         expected = [rows * _OFFSETS.itemsize]
-        nested = _column_size(header.get("elements"), count, True)
-    elif tag == "json" and not element:
+        nested = _column_size(header.get("elements"), count, depth + 1)
+    elif tag == "json":
         cells = header.get("cells")
         if type(cells) is not list or len(cells) != rows:
             raise MalformedColumns(f"JSON cells that are not {rows} rows")
@@ -366,36 +297,25 @@ def _decode_column(header: dict, rows: int, reader: _Reader) -> Vector:
     if tag == "array":
         offsets = np.frombuffer(reader.take(sizes[0]), dtype=_OFFSETS)
         nulls = _unpack(reader.take(sizes[1]), rows)
-        starts = np.concatenate(([0], offsets[:-1])).astype(np.int64)
+        lengths = np.diff(offsets, prepend=0)
         count = header["count"]
         if (
-            (offsets < starts).any()
+            (lengths < 0).any()
             or (len(offsets) and offsets[-1] != count)
             or (not len(offsets) and count)
-            or (offsets[nulls] != starts[nulls]).any()
+            or lengths[nulls].any()
         ):
             raise MalformedColumns("array offsets that do not tile the elements")
-        elements, element_nulls, data = _elements(
-            header["elements"], count, reader
-        )
-        lengths = offsets - starts
-        if rows and not element_nulls.any() and (lengths == lengths[0]).all():
-            values = _equal_arrays(elements, data, rows, int(lengths[0]))
-        else:
-            items = elements.tolist()
-            for k in np.flatnonzero(element_nulls).tolist():
-                items[k] = None
-            cells = map(
-                items.__getitem__, map(slice, starts.tolist(), offsets.tolist())
-            )
-            values = np.fromiter(cells, dtype=object, count=rows)
-        values[nulls] = None
-        return Vector(values, nulls)
+        elements = _decode_column(header["elements"], count, reader)
+        return array_column(lengths, nulls, elements)
     if tag == "json":
         nulls = _unpack(reader.take(sizes[0]), rows)
         cells = header["cells"]
         if any(cells[k] is not None for k in np.flatnonzero(nulls).tolist()):
             raise MalformedColumns("a JSON cell under NULL")
+        present = [cell for cell in cells if cell is not None]
+        if present and all(type(cell) is list for cell in present):
+            return array_vector(cells)
         return Vector(np.fromiter(cells, dtype=object, count=rows), nulls)
     return _decode_scalar(header, rows, reader)
 
@@ -422,68 +342,3 @@ def _decode_scalar(header: dict, rows: int, reader: _Reader) -> Vector:
     dictionary = np.empty(n, dtype=object)
     dictionary[:] = keys
     return Vector(np.where(nulls, 0, codes).astype(np.int32), nulls, dictionary)
-
-
-def _equal_arrays(
-    elements: np.ndarray, data: memoryview, rows: int, width: int
-) -> np.ndarray:
-    """Arrays of one length (one-hot vectors): one list per distinct run
-    of element bytes, shared by the rows holding it — a handful of lists
-    where a per-row decode would allocate one a row."""
-    if width == 0:
-        first, codes = np.zeros(1, dtype=np.int64), np.zeros(rows, dtype=np.int64)
-    else:
-        first, codes = _equal_runs(data, rows)
-    lists = elements.reshape(rows, width)[first].tolist()
-    return np.fromiter(iter(lists), dtype=object, count=len(first))[codes]
-
-
-#: odd 64-bit multiplier of the run hash (2**64 / golden ratio)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _equal_runs(data: memoryview, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """A row standing for each distinct byte run of *data* (*rows* runs
-    of one size) and each row's index into them: runs are hashed into one
-    uint64, grouped by hash, and the grouping is checked byte for byte
-    (a collision falls back to grouping the runs' bytes in a dict)."""
-    runs = np.frombuffer(data, dtype=np.uint8).reshape(rows, -1)
-    words = np.zeros((rows, -(-runs.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :runs.shape[1]] = runs
-    words = words.view("<u8")
-    hashed = words[:, 0].copy()
-    for j in range(1, words.shape[1]):
-        hashed = hashed * _MIX ^ words[:, j]
-    distinct, codes = np.unique(hashed, return_inverse=True)
-    n = len(distinct)
-    first = np.empty(n, dtype=np.int64)
-    first[codes] = np.arange(rows)  # any row of a run stands for it
-    if (runs != runs[first[codes]]).any():  # a hash collision: by value
-        codes, n = first_occurrence_codes(
-            np.frombuffer(data, dtype=np.dtype((np.void, runs.shape[1]))).tolist()
-        )
-        first = np.empty(n, dtype=np.int64)
-        first[codes] = np.arange(rows)
-    return first, codes
-
-
-def _elements(
-    header: dict, count: int, reader: _Reader
-) -> tuple[np.ndarray, np.ndarray, memoryview]:
-    """The elements of an array column — an array whose ``tolist()`` is
-    what :func:`~repro.sqldb.vector.to_python` gives — their NULLs, and
-    their value (or code) buffer."""
-    tag, sizes = header["tag"], header["sizes"]
-    data = reader.view[reader.pos:reader.pos + sizes[0]]
-    if tag in _NUMBERS and tag != "<f8":
-        # narrowed integers: tolist() gives Python ints at C speed
-        reader.take(sizes[0])
-        nulls = _unpack(reader.take(sizes[1]), count)
-        return np.frombuffer(data, dtype=_NUMBERS[tag]), nulls, data
-    elements = _decode_scalar(header, count, reader)
-    values, nulls = stored_cells(elements), elements.nulls
-    if tag == "<f8":
-        items = np.empty(count, dtype=object)
-        items[:] = python_list(values)
-        return items, nulls, data
-    return values, nulls, data

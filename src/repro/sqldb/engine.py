@@ -81,6 +81,7 @@ from repro.sqldb.profile import POSTGRES, Profile, profile_by_name
 from repro.sqldb.stats import ExecStats, merge_operator_counters
 from repro.sqldb.vector import (
     Vector,
+    compact,
     from_values,
     gather,
     normalise_type,
@@ -1369,13 +1370,7 @@ class Database:
             if storage != "serial" or statement.columns
         ]
         if cached.cells is None:
-            for i, name in enumerate(statement.columns):
-                table.storage_of(name)  # 42703 for an unknown column
-                if name in statement.columns[:i]:
-                    raise CatalogError(
-                        f"column {name!r} specified more than once",
-                        sqlstate="42701",
-                    )
+            _check_column_list(table, statement.columns)
             for row in statement.rows:
                 if len(row) != len(columns):
                     raise SQLExecutionError(
@@ -1441,8 +1436,7 @@ class Database:
         statement = cached.statement
         table = catalog.table(statement.table)
         columns = statement.columns or list(table.column_names)
-        # a repeated name stores its last field; an unknown one is read
-        # but not stored
+        _check_column_list(table, statement.columns)
         field_of = {name: j for j, name in enumerate(columns)}
         loaders = [
             (field_of[name], CsvColumn(name, storage, statement.null_text))
@@ -1612,8 +1606,10 @@ class Database:
             keep[positions] = False
             keep = np.flatnonzero(keep)
             for name in table.column_names:
-                # fresh vectors: catalog clones sharing the old ones are safe
-                table.columns[name] = gather(table.columns[name], keep)
+                # fresh vectors: catalog clones sharing the old ones are
+                # safe; a stored array keeps no deleted row's elements
+                column = gather(table.columns[name], keep)
+                table.columns[name] = compact(column) if column.is_array else column
             table.n_rows = len(keep)
         self._finish_dml(statement.table, catalog, scope)
         return Result(rowcount=len(positions))
@@ -1724,6 +1720,17 @@ def _redo_records(
     ]
 
 
+
+
+def _check_column_list(table: Table, columns: list[str]) -> None:
+    """An INSERT's or COPY's column list names each column of *table* at
+    most once: 42703 for an unknown name, 42701 for a repeated one."""
+    for i, name in enumerate(columns):
+        table.storage_of(name)  # 42703 for an unknown column
+        if name in columns[:i]:
+            raise CatalogError(
+                f"column {name!r} specified more than once", sqlstate="42701"
+            )
 
 
 def _malformed_row(statement: ast.Copy, width: int) -> SQLExecutionError:

@@ -31,7 +31,6 @@ the profile's copy of its output included — the substrate of
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextlib import contextmanager
@@ -68,9 +67,12 @@ from repro.sqldb.profile import Profile
 from repro.sqldb.stats import ExecStats
 from repro.sqldb.vector import (
     Vector,
+    array_lengths,
+    cells,
+    compact,
     concat_vectors,
+    constant,
     dictionary_ranks,
-    from_values,
     gather,
     truthy_rows,
 )
@@ -390,50 +392,34 @@ def _exec_project(plan: Project, ctx: ExecContext) -> Batch:
     return _expand_unnest(child.length, columns, plan.unnest_keys)
 
 
-#: C-looped length extraction over an object array of lists; -1 flags rows
-#: whose value is not an array
-_ARRAY_SIZES = np.frompyfunc(
-    lambda v: len(v) if isinstance(v, list) else -1, 1, 1
-)
-
-
 def _expand_unnest(
     length: int, columns: dict[str, Vector], unnest_keys: list[str]
 ) -> Batch:
     """PostgreSQL select-list unnest: expand rows by array elements.
 
-    Vectorised: one array-length extraction pass over the lead column,
-    one ``np.repeat`` for the pass-through columns and one flatten pass
-    per unnested column (no per-row Python loop).
+    An unnested column *is* its compact element vector (each row's run,
+    in row order), and every other column is one ``gather`` of its rows
+    repeated by their array lengths.
     """
-    lead = columns[unnest_keys[0]]
-    counts = np.zeros(length, dtype=np.int64)
-    valid = ~lead.nulls
-    if valid.any():
-        sizes = _ARRAY_SIZES(lead.values[valid]).astype(np.int64)
-        if (sizes < 0).any():
-            raise SQLExecutionError("unnest argument is not an array")
-        counts[valid] = sizes
-    total = int(counts.sum())
-    repeats = np.repeat(np.arange(length), counts)
-    expanding = counts > 0
+    lengths = None
     out: dict[str, Vector] = {}
+    for key in unnest_keys:
+        vec = columns[key]
+        if vec.elements is None:
+            if not vec.nulls.all():
+                raise SQLExecutionError("unnest argument is not an array")
+            vec = gather(constant([], 1), np.full(length, -1), missing_null=True)
+        vec = compact(vec)
+        if lengths is None:
+            lengths = array_lengths(vec)
+        elif not np.array_equal(array_lengths(vec), lengths):
+            raise SQLExecutionError("unnest arrays have mismatched lengths")
+        out[key] = vec.elements
+    repeats = np.repeat(np.arange(length), lengths)
     for key, vec in columns.items():
-        if key in unnest_keys:
-            try:
-                flat = list(
-                    itertools.chain.from_iterable(vec.values[expanding])
-                )
-            except TypeError:
-                raise SQLExecutionError(
-                    "unnest argument is not an array"
-                ) from None
-            out[key] = from_values(flat)
-            if len(out[key]) != total:
-                raise SQLExecutionError("unnest arrays have mismatched lengths")
-        else:
+        if key not in out:
             out[key] = gather(vec, repeats)
-    return Batch(total, out)
+    return Batch(len(repeats), {key: out[key] for key in columns})
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +839,9 @@ def _sort_keys(
             # text sorts by its dictionary's ranks, k entries sorted once
             ranks = dictionary_ranks(vec.dictionary)
             vec = Vector(ranks[vec.values] if len(ranks) else vec.values, vec.nulls)
-        elif vec.values.dtype == object:
+        elif vec.elements is not None:  # arrays sort as Python lists
+            vec = Vector(cells(vec), vec.nulls)
+        if vec.values.dtype == object:
             present = vec.values[~vec.nulls]
             if not set(map(type, present)) <= {str}:
                 try:

@@ -7,7 +7,8 @@ paper): ``coalesce``, ``regexp_replace``, ``least``/``greatest``,
 ``floor``/``ceil``, ``array_fill``/``array_length``/``array_position``,
 ``unnest`` (handled by the executor), plus aggregates ``count``, ``sum``,
 ``avg``, ``min``, ``max``, ``stddev_pop``/``stddev_samp``, ``array_agg``.
-The ``LIKE`` operator lives here too.  Every kernel whose
+The ``LIKE`` operator lives here too.  Array kernels are arithmetic on an
+array vector's entries plus one take of its elements; every kernel whose
 work is Python per value runs once per distinct input tuple
 (:func:`~repro.sqldb.vector.per_distinct`).
 """
@@ -21,17 +22,23 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import SQLBindError, SQLExecutionError
+from repro.sqldb import hashing
 from repro.sqldb.vector import (
     Vector,
     _as_float,
     align,
+    array_column,
+    array_lengths,
+    array_runs,
     cell_text,
     cells,
+    choose,
+    compact,
+    compare,
     dictionary_ranks,
+    gather,
     per_distinct,
     per_distinct_cells,
-    python_list,
-    to_python,
 )
 
 __all__ = [
@@ -51,6 +58,11 @@ __all__ = [
 def _fn_coalesce(args: list[Vector]) -> Vector:
     if not args:
         raise SQLExecutionError("coalesce requires at least one argument")
+    if any(arg.elements is not None for arg in args):
+        # the first non-NULL argument of each row, -1 where all are NULL
+        present = ~np.vstack([arg.nulls for arg in args])
+        which = np.where(present.any(axis=0), present.argmax(axis=0), -1)
+        return choose(args, which)
     args = align(args)
     result = args[0].copy()
     for candidate in args[1:]:
@@ -89,24 +101,31 @@ def _fn_regexp_replace(args: list[Vector]) -> Vector:
 def _extremum(args: list[Vector], pick: Callable) -> Vector:
     if not args:
         raise SQLExecutionError("least/greatest require arguments")
+    length = len(args[0])
     numeric = all(
-        a.dictionary is None and a.values.dtype.kind in ("f", "i", "u")
+        a.dictionary is None and a.elements is None
+        and a.values.dtype.kind in ("f", "i", "u")
         for a in args
     )
-    length = len(args[0])
     if numeric:
-        stacked = np.vstack([a.values.astype(np.float64) for a in args])
-        null_stack = np.vstack([a.nulls for a in args])
-        masked = np.where(null_stack, np.nan, stacked)
-        with np.errstate(all="ignore"):
-            values = pick(masked, axis=0)
+        # fmin/fmax skip NaN (NULL) pairwise: an all-NULL row stays NaN
+        values = np.full(length, np.nan)
+        for a in args:
+            candidate = np.where(a.nulls, np.nan, a.values.astype(np.float64))
+            values = pick(values, candidate)
         nulls = np.isnan(values)
         return Vector(np.where(nulls, np.nan, values), nulls)
-    reducer = min if pick is np.nanmin else max
+    reducer = min if pick is np.fmin else max
 
     def extremum(*cells: Any) -> Any:
         candidates = [cell for cell in cells if cell is not None]
-        return reducer(candidates) if candidates else None
+        try:
+            return reducer(candidates) if candidates else None
+        except TypeError:
+            raise SQLExecutionError(
+                f"{'least' if reducer is min else 'greatest'} argument "
+                f"types cannot be matched", sqlstate="42804",
+            ) from None
 
     return per_distinct_cells(
         extremum, args, np.arange(length),
@@ -115,11 +134,11 @@ def _extremum(args: list[Vector], pick: Callable) -> Vector:
 
 
 def _fn_least(args: list[Vector]) -> Vector:
-    return _extremum(args, np.nanmin)
+    return _extremum(args, np.fmin)
 
 
 def _fn_greatest(args: list[Vector]) -> Vector:
-    return _extremum(args, np.nanmax)
+    return _extremum(args, np.fmax)
 
 
 def _numeric_unary(args: list[Vector], func: Callable, name: str) -> Vector:
@@ -146,50 +165,55 @@ def _fn_array_fill(args: list[Vector]) -> Vector:
     """``array_fill(value, count)`` — array of *count* copies of *value*.
 
     PostgreSQL's form takes the count wrapped in an array literal; the
-    transpiler emits the scalar-count variant for simplicity.
+    transpiler emits the scalar-count variant for simplicity.  The
+    elements are one take of *value*, each row repeated *count* times.
     """
     if len(args) != 2:
         raise SQLExecutionError("array_fill(value, count)")
     value, count = args
     nulls = count.nulls.copy()
+    counts = np.trunc(np.nan_to_num(_as_float(count, "array_fill")))
+    counts = np.where(nulls, 0, np.maximum(counts, 0)).astype(np.int64)
+    elements = gather(value, np.repeat(np.arange(len(value)), counts))
+    return array_column(counts, nulls, elements)
 
-    def fill(cell: Any, n: Any) -> list:
-        return [to_python(cell)] * max(int(n), 0)
 
-    out = np.empty(len(value), dtype=object)
-    per_distinct(fill, args, np.flatnonzero(~nulls), out)
-    return Vector(out, nulls)
+def _array_argument(arr: Vector, name: str, nulls: np.ndarray) -> None:
+    """Refuse a non-array argument with a value on a row that counts."""
+    if arr.elements is None and not nulls.all():
+        raise SQLExecutionError(f"{name} argument is not an array")
 
 
 def _fn_array_length(args: list[Vector]) -> Vector:
     if len(args) not in (1, 2):
         raise SQLExecutionError("array_length(array[, dim])")
     arr = args[0]
-
-    def length(value: Any) -> int:
-        if not isinstance(value, list):
-            raise SQLExecutionError("array_length argument is not an array")
-        return len(value)
-
-    out = np.full(len(arr), np.nan)
-    per_distinct(length, [arr], np.flatnonzero(~arr.nulls), out)
-    return Vector(out, arr.nulls.copy())
+    _array_argument(arr, "array_length", arr.nulls)
+    if arr.elements is None:
+        return Vector(np.full(len(arr), np.nan), arr.nulls.copy())
+    lengths = array_lengths(arr).astype(np.float64)
+    return Vector(np.where(arr.nulls, np.nan, lengths), arr.nulls.copy())
 
 
 def _fn_array_position(args: list[Vector]) -> Vector:
-    """1-based index of an element inside an array (null when absent)."""
+    """1-based index of the first element equal to the wanted value (null
+    when absent): the wanted value repeated along each row's run, one
+    ``=`` over all elements, and the first hit of each row."""
     if len(args) != 2:
         raise SQLExecutionError("array_position(array, element)")
     arr, element = args
-
-    def position(value: Any, wanted: Any) -> float:
-        try:
-            return value.index(to_python(wanted)) + 1
-        except ValueError:
-            return np.nan
-
+    nulls = arr.nulls | element.nulls
+    _array_argument(arr, "array_position", nulls)
     out = np.full(len(arr), np.nan)
-    per_distinct(position, args, np.flatnonzero(~(arr.nulls | element.nulls)), out)
+    if arr.elements is None:
+        return Vector(out, nulls)
+    arr = compact(arr)
+    lengths = array_lengths(arr)
+    owner = np.repeat(np.arange(len(arr)), lengths)
+    equal = compare("=", arr.elements, gather(element, owner))
+    hits = np.flatnonzero(equal.values & ~equal.nulls & ~nulls[owner])
+    rows, first = np.unique(owner[hits], return_index=True)
+    out[rows] = hits[first] - array_runs(arr)[0][rows] + 1
     return Vector(out, np.isnan(out))
 
 
@@ -325,13 +349,15 @@ def compute_aggregate(
     if distinct:
         if name != "count":
             raise SQLExecutionError("DISTINCT is only supported inside count()")
-        seen: set[tuple[int, Any]] = set()
-        counts = np.zeros(n_groups, dtype=np.float64)
-        for i in np.flatnonzero(keep):
-            key = (int(codes[i]), arg.values[i])
-            if key not in seen:
-                seen.add(key)
-                counts[int(codes[i])] += 1
+        # a group's distinct values are the GROUP BY groups of its
+        # (group, value) pairs: values by SQL equality (-0.0 is 0.0, text
+        # by its codes), and each pair's first row names its group
+        rows = np.flatnonzero(keep)
+        group = Vector(codes[rows].astype(np.float64), np.zeros(len(rows), bool))
+        _, first = hashing.group_codes([group, gather(arg, rows)])
+        counts = np.bincount(
+            codes[rows][first], minlength=n_groups
+        ).astype(np.float64)
         return Vector(counts, np.zeros(n_groups, dtype=bool))
 
     if name == "count":
@@ -339,21 +365,11 @@ def compute_aggregate(
         return Vector(counts, np.zeros(n_groups, dtype=bool))
 
     if name == "array_agg":
-        out = np.empty(n_groups, dtype=object)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.searchsorted(
-            sorted_codes, np.arange(n_groups + 1), side="left"
-        )
-        # elements are what a fetched cell would be: Python values, and
-        # integral floats as int (to_python's rule)
-        items = python_list(cells(arg)[order])
-        for k in np.flatnonzero(arg.nulls[order]):
-            items[k] = None
-        bounds = boundaries.tolist()
-        for g in range(n_groups):
-            out[g] = items[bounds[g]:bounds[g + 1]]
-        return Vector(out, np.zeros(n_groups, dtype=bool))
+        # the rows in group order (stable: row order within a group) are
+        # the elements, and the group sizes the lengths
+        counts = np.bincount(codes, minlength=n_groups)
+        elements = gather(arg, np.argsort(codes, kind="stable"))
+        return array_column(counts, np.zeros(n_groups, dtype=bool), elements)
 
     if name in ("min", "max") and arg.dictionary is not None:
         # the extreme rank per group: text compares by its dictionary's
@@ -372,17 +388,18 @@ def compute_aggregate(
         by_rank[ranks] = np.arange(len(ranks), dtype=np.int32)
         return Vector(by_rank[np.where(nulls, 0, best)], nulls, arg.dictionary)
 
-    if name in ("min", "max") and arg.values.dtype == object:
-        out = np.empty(n_groups, dtype=object)
-        nulls = np.ones(n_groups, dtype=bool)
+    if name in ("min", "max") and (
+        arg.values.dtype == object or arg.elements is not None
+    ):
+        # Python comparison of the cells; the winning row is gathered
+        values = cells(arg)
+        best = np.full(n_groups, -1, dtype=np.int64)
         better = (lambda a, b: a < b) if name == "min" else (lambda a, b: a > b)
-        for i in np.flatnonzero(keep):
+        for i in np.flatnonzero(keep).tolist():
             g = int(codes[i])
-            value = arg.values[i]
-            if nulls[g] or better(value, out[g]):
-                out[g] = value
-                nulls[g] = False
-        return Vector(out, nulls)
+            if best[g] < 0 or better(values[i], values[best[g]]):
+                best[g] = i
+        return gather(arg, best, missing_null=True)
 
     values = _as_float(arg, name)
     kept_codes = codes[keep]

@@ -9,8 +9,8 @@ invalid code -1 (plain SQL equality, which never matches null).
 Storage already knows most keys: text is coded by its dictionary (equal
 text, equal code), and an integral key whose range is at most about twice
 its row count — ``ctid`` always — is coded as ``value - min``.  Only other
-numbers are sorted (``np.unique``), and only arrays and mixed-type cells
-are hashed as Python objects.
+numbers are sorted (``np.unique``), mixed-type cells are hashed as Python
+objects, and an array is keyed by the codes of its elements.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import numpy as np
 
 from repro.sqldb.vector import (
     Vector,
+    array_runs,
     cells,
+    concat_vectors,
     find_codes,
     first_occurrence_codes,
     first_occurrence_ranks,
@@ -61,11 +63,19 @@ def _factorize_values(vector: Vector) -> np.ndarray:
     for nulls (callers decide their meaning).
 
     Text codes are its dictionary codes, numeric codes ascend with the
-    value, and object cells (arrays, mixed types) are numbered by value
-    in first-occurrence order."""
+    value, and mixed-type object cells and arrays (tuples of their
+    elements' codes) are numbered by value in first-occurrence order."""
     codes = np.full(len(vector), -2, dtype=np.int64)
     present = ~vector.nulls
     if not present.any():
+        return codes
+    if vector.elements is not None:
+        elements = _factorize_values(vector.elements).tolist()
+        starts, ends = array_runs(vector)
+        codes[present] = first_occurrence_codes([
+            tuple(elements[a:b])
+            for a, b in zip(starts[present].tolist(), ends[present].tolist())
+        ])[0]
         return codes
     subset = vector.values[present]
     if vector.dictionary is not None:
@@ -131,6 +141,9 @@ def _joint_codes(left: Vector, right: Vector) -> tuple[np.ndarray, np.ndarray]:
             present = right_codes >= 0
             right_codes[present] = remap[right_codes[present]]
         return left_codes, right_codes
+    if left.elements is not None or right.elements is not None:
+        codes = _factorize_values(concat_vectors([left, right]))
+        return codes[:n_left], codes[n_left:]
     if any(
         v.dictionary is not None or v.values.dtype == object
         for v in (left, right)

@@ -85,6 +85,8 @@ def vector_bytes(vector: Any) -> int:
     if vector.dictionary is not None:
         # text: int32 codes plus the (shared) dictionary's strings
         total += (8 + _OBJECT_ELEMENT_BYTES) * len(vector.dictionary)
+    if vector.elements is not None:  # arrays: entries plus their elements
+        total += vector_bytes(vector.elements)
     return total
 
 

@@ -245,8 +245,8 @@ def _evaluate(expr: ast.Expr, planner: Planner) -> Optional[ast.Literal]:
     """*expr* (whose children are literals) as the literal the planner's
     compiled expression computes on one row; None when it raises, when
     the literal would not rebuild the computed vector's dtype and
-    text-ness (a typed NULL), or when the value is no scalar (an array:
-    object cells)."""
+    text-ness (a typed NULL), or when the value is no scalar (an array,
+    or mixed-type object cells)."""
     try:
         computed = planner.compile_expr(expr, Scope(), {})(Batch(1), None)
         value = computed.item(0)
@@ -256,6 +256,7 @@ def _evaluate(expr: ast.Expr, planner: Planner) -> Optional[ast.Literal]:
     if (
         rebuilt.values.dtype != computed.values.dtype
         or rebuilt.values.dtype == object
+        or computed.is_array
         or rebuilt.is_text != computed.is_text
     ):
         return None

@@ -880,6 +880,12 @@ class Planner:
                 remaining = remaining & ~hit
             if else_compiled is not None and remaining.any():
                 picks.append((remaining, else_compiled(batch, ctx)))
+            if any(branch.is_array for _, branch in picks):
+                # arrays: each row's run of elements from its branch
+                which = np.full(batch.length, -1, dtype=np.int64)
+                for k, (mask, _) in enumerate(picks):
+                    which[mask] = k
+                return vector.choose([branch for _, branch in picks], which)
             # text branches meet in one dictionary before their rows mix
             branches = vector.align([branch for _, branch in picks])
             for (mask, _), branch in zip(picks, branches):

@@ -1,28 +1,42 @@
 """Column vector model of the SQL engine.
 
 A :class:`Vector` is a pair of numpy arrays, ``values`` and a boolean
-``nulls`` mask, plus a ``dictionary`` for text.  Numeric vectors store
-float64 (ints are widened) and booleans store bool.  Text stores int32
-codes into its dictionary: an object array of *distinct* strings, kept in
-first-occurrence, append-only order and never sorted, which may hold
-entries no row uses (after a filter, DELETE or rollback).  Equal text has
-equal codes, so factorising a text key is a read of its codes.  Arrays
-and genuinely mixed-type cells store object.  A code under NULL is any
-valid index (0 when the dictionary is empty).  All engine operators
-exchange vectors, which keeps SQL three-valued logic explicit.
+``nulls`` mask, plus a ``dictionary`` for text and an ``elements`` vector
+for arrays.  Numeric vectors store float64 (ints are widened) and booleans
+store bool.  Text stores int32 codes into its dictionary: an object array
+of *distinct* strings, kept in first-occurrence, append-only order and
+never sorted, which may hold entries no row uses (after a filter, DELETE
+or rollback).  Equal text has equal codes, so factorising a text key is a
+read of its codes.  A code under NULL is any valid index (0 when the
+dictionary is empty).
 
-Scalar kernels whose work is Python per value (text functions, arrays,
-mixed-type fallbacks) go through :func:`per_distinct`, which calls the
-kernel once per distinct input tuple — per *used* dictionary entry for
-text — and gathers the results to rows.  Text is decoded to ``str``
-objects only at the boundary (:func:`python_cells`, index builds), with
-one ``take`` of the dictionary.
+An array column is int64 ``(start, end)`` entries in ``values`` (shape
+``(n, 2)``) over one element vector: row *i* holds
+``elements[start:end]``, and a NULL row holds none (DuckDB's LIST layout:
+offset and length entries over one child vector).  Elements follow the
+ordinary storage rules (float64, coded text, bool, arrays of arrays), and
+only genuinely mixed-type elements store object.  A row take (filter,
+join, CASE, the postgres profile's copy) takes the entries and shares the
+elements; an array kernel — ``array_agg``, ``unnest``, ``||`` — is
+arithmetic on the entries plus one take of the elements, whose result is
+*compact* (the rows' runs back to back, in row order: :func:`compact`).
+Python lists exist only in :func:`python_cells`, at the boundary.
+Genuinely mixed-type cells (and nothing else) store object.  All engine
+operators exchange vectors, which keeps SQL three-valued logic explicit.
+
+Scalar kernels whose work is Python per value (text functions, mixed-type
+fallbacks) go through :func:`per_distinct`, which calls the kernel once
+per distinct input tuple — per *used* dictionary entry for text — and
+gathers the results to rows.  Text is decoded to ``str`` objects only at
+the boundary (:func:`python_cells`, index builds), with one ``take`` of
+the dictionary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
 import weakref
 from collections import defaultdict
@@ -46,7 +60,13 @@ __all__ = [
     "gather",
     "concat_vectors",
     "align",
+    "array_column",
+    "array_lengths",
+    "array_runs",
+    "array_vector",
     "cells",
+    "choose",
+    "compact",
     "coded_text",
     "dictionary_ranks",
     "extend_dictionary",
@@ -57,7 +77,6 @@ __all__ = [
     "per_distinct_cells",
     "text_vector",
     "python_cells",
-    "python_list",
     "read_only",
     "to_python",
     "to_rows",
@@ -66,8 +85,8 @@ __all__ = [
 
 #: integral floats in [-2**63, 2**63) surface as ``int`` (like psycopg2's
 #: INT columns); beyond it they stay the float they are (an int64 cast
-#: would wrap 1e19 to -2**63).  The one cell rule of ``to_python``,
-#: ``python_list`` and ``python_cells``.
+#: would wrap 1e19 to -2**63).  The one cell rule of ``to_python`` and
+#: ``python_cells``.
 _INT64_LOW, _INT64_HIGH = -(2.0 ** 63), 2.0 ** 63
 
 
@@ -85,28 +104,16 @@ def to_python(value: Any) -> Any:
     return value
 
 
-def python_list(values: np.ndarray) -> list:
-    """``[to_python(v) for v in values]``, at ``tolist`` speed where the
-    dtype allows: the elements an array cell is built of."""
-    items = values.tolist()
-    if values.dtype.kind == "f":
-        return [
-            int(x) if x.is_integer() and _INT64_LOW <= x < _INT64_HIGH else x
-            for x in items
-        ]
-    if values.dtype == object:
-        return list(map(to_python, items))
-    return items
-
-
 @dataclass
 class Vector:
     """A column of SQL values with an explicit null mask; text holds
-    int32 codes into *dictionary* (see the module docstring)."""
+    int32 codes into *dictionary*, an array int64 ``(start, end)``
+    entries into *elements* (see the module docstring)."""
 
     values: np.ndarray
     nulls: np.ndarray
     dictionary: Optional[np.ndarray] = None
+    elements: Optional["Vector"] = None
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.nulls):
@@ -123,9 +130,15 @@ class Vector:
     def is_text(self) -> bool:
         return self.dictionary is not None
 
+    @property
+    def is_array(self) -> bool:
+        return self.elements is not None
+
     def copy(self) -> "Vector":
-        # a dictionary is never written in place: it is shared
-        return Vector(self.values.copy(), self.nulls.copy(), self.dictionary)
+        # a dictionary or element vector is never written in place: shared
+        return Vector(
+            self.values.copy(), self.nulls.copy(), self.dictionary, self.elements
+        )
 
     def item(self, i: int) -> Any:
         """Python value at row *i* (None when null)."""
@@ -133,16 +146,24 @@ class Vector:
             return None
         if self.dictionary is not None:
             return self.dictionary[self.values[i]]
+        if self.elements is not None:
+            return python_cells(gather(self, np.array([i])))[0]
         return to_python(self.values[i])
 
     def tolist(self) -> list:
+        if self.elements is not None:
+            return python_cells(self)
         return [self.item(i) for i in range(len(self))]
 
 
 def cells(vector: Vector) -> np.ndarray:
     """The stored cells of *vector* as one array: text decoded with one
-    ``take`` of its dictionary (the boundary decode), any other vector's
-    values as they are.  Cells under NULL are unspecified."""
+    ``take`` of its dictionary (the boundary decode), arrays as one
+    Python list a row (a decode for object-level fallbacks, never
+    stored), any other vector's values as they are.  Cells under NULL
+    are unspecified."""
+    if vector.elements is not None:
+        return _object_array(python_cells(vector))
     if vector.dictionary is None:
         return vector.values
     if not len(vector.dictionary):
@@ -159,18 +180,16 @@ def _object_array(items: Sequence[Any]) -> np.ndarray:
 def python_cells(vector: Vector) -> np.ndarray | list:
     """The cells of one result column as Python values (None under NULL):
     what a fetched row holds in that column, by ``to_python``'s rule.
-    Array cells are copied: the caller gets its own lists, never the ones
-    stored (or shared between rows) inside the engine."""
+    Array cells are fresh lists: the caller gets its own, never one
+    another row (or the engine) holds."""
+    if vector.elements is not None:
+        return _array_cells(vector)
     values = vector.values
     if vector.dictionary is not None:
         as_object = cells(vector)
     elif values.dtype.kind == "f":
         as_object = values.astype(object)
-        integral = (
-            (np.floor(values) == values)
-            & (values >= _INT64_LOW)
-            & (values < _INT64_HIGH)
-        )
+        integral = _integral(values)
         if integral.any():
             as_object[integral] = values[integral].astype(np.int64)
     elif values.dtype.kind == "b":
@@ -186,6 +205,52 @@ def python_cells(vector: Vector) -> np.ndarray | list:
     return as_object
 
 
+def _element_cells(elements: Vector) -> list:
+    """The Python values of an element vector, as a list (numpy scalars
+    in mixed-type elements unwrapped too)."""
+    items = python_cells(elements)
+    if type(items) is list:
+        return items
+    if elements.values.dtype == object:
+        return list(map(to_python, items))
+    return items.tolist()
+
+
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Where float64 *values* are integers ``to_python`` returns as int."""
+    return (
+        (np.floor(values) == values)
+        & (values >= _INT64_LOW)
+        & (values < _INT64_HIGH)
+    )
+
+
+def _array_cells(vector: Vector) -> list:
+    """:func:`python_cells` of an array vector.  Arrays of one length
+    (one-hot vectors) are one C-level ``tolist`` of their elements as a
+    matrix, integral numbers straight from int64; any other array slices
+    one list of every element.  Either way each row gets a fresh list."""
+    vector = compact(vector)
+    elements, lengths = vector.elements, array_lengths(vector)
+    n = len(lengths)
+    if (
+        n
+        and lengths[0]
+        and elements.elements is None
+        and elements.values.dtype != object
+        and (lengths == lengths[0]).all()
+    ):
+        values = elements.values
+        if values.dtype.kind == "f" and _integral(values).all():
+            return values.astype(np.int64).reshape(n, -1).tolist()
+        return python_cells(elements).reshape(n, -1).tolist()
+    items = _element_cells(elements)
+    out = list(map(items.__getitem__, map(slice, *vector.values.T.tolist())))
+    for i in np.flatnonzero(vector.nulls).tolist():
+        out[i] = None
+    return out
+
+
 def read_only(vector: Vector) -> Vector:
     """A read-only view of *vector*: what a ``Result`` hands out, so no
     caller can write the arrays behind it."""
@@ -195,7 +260,10 @@ def read_only(vector: Vector) -> Vector:
     if dictionary is not None:  # shared with the table it came from
         dictionary = dictionary.view()
         dictionary.flags.writeable = False
-    return Vector(values, nulls, dictionary)
+    elements = vector.elements
+    if elements is not None:
+        elements = read_only(elements)
+    return Vector(values, nulls, dictionary, elements)
 
 
 def to_rows(vectors: Sequence[Vector]) -> list[tuple]:
@@ -203,6 +271,108 @@ def to_rows(vectors: Sequence[Vector]) -> list[tuple]:
     one conversion behind every ``Result.rows``, in-process or fetched
     over the wire."""
     return list(zip(*map(python_cells, vectors))) if vectors else []
+
+
+# ---------------------------------------------------------------------------
+# arrays: int64 (start, end) entries over one element vector
+# ---------------------------------------------------------------------------
+
+
+def array_runs(vector: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``(start, end)`` run of an array vector's elements, as
+    two int64 arrays (an empty run under NULL)."""
+    return vector.values[:, 0], vector.values[:, 1]
+
+
+def array_lengths(vector: Vector) -> np.ndarray:
+    """Each row's element count (0 under NULL) of an array vector."""
+    starts, ends = array_runs(vector)
+    return ends - starts
+
+
+def _no_elements() -> Vector:
+    return Vector(np.zeros(0), np.zeros(0, dtype=bool))
+
+
+def array_column(
+    lengths: np.ndarray, nulls: np.ndarray, elements: Vector
+) -> Vector:
+    """The compact array vector whose rows hold *lengths* elements each,
+    back to back in *elements*."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return Vector(np.column_stack((ends - lengths, ends)), nulls, None, elements)
+
+
+def array_vector(items: Sequence[Any]) -> Vector:
+    """The array vector of Python lists (None is a NULL row); elements
+    are typed like :func:`from_values` cells, all-NULL ones as numbers."""
+    nulls = np.fromiter((c is None for c in items), bool, len(items))
+    lengths = np.fromiter(
+        (0 if c is None else len(c) for c in items), np.int64, len(items)
+    )
+    flat = list(itertools.chain.from_iterable(c for c in items if c is not None))
+    elements = from_values(flat)
+    if elements.values.dtype == object and elements.nulls.all():
+        elements = Vector(np.full(len(flat), np.nan), elements.nulls)
+    return array_column(lengths, nulls, elements)
+
+
+def _run_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of runs ``[start, start + length)`` laid end to end:
+    one ``repeat`` plus an ``arange``."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+def compact(vector: Vector) -> Vector:
+    """An array vector whose elements are its rows' runs back to back, in
+    row order: *vector* itself when it is, else one take of its runs (a
+    row take shares elements, so a filtered or reordered array is not)."""
+    starts, ends = vector.values[:, 0], vector.values[:, 1]
+    last = int(ends[-1]) if len(ends) else 0
+    if (
+        last == len(vector.elements)
+        and (starts[:1] == 0).all()
+        and (starts[1:] == ends[:-1]).all()
+    ):
+        return vector
+    lengths = ends - starts
+    return array_column(
+        lengths, vector.nulls,
+        gather(vector.elements, _run_index(starts, lengths)),
+    )
+
+
+def _as_arrays(parts: Sequence[Vector]) -> list[Vector]:
+    """*parts* as array vectors: an all-NULL non-array part becomes NULL
+    arrays; a non-array part holding a value is a type error."""
+    out = []
+    for part in parts:
+        if part.elements is None:
+            if not part.nulls.all():
+                raise SQLExecutionError(
+                    "arrays and non-array values cannot be matched",
+                    sqlstate="42804",
+                )
+            part = array_column(
+                np.zeros(len(part), np.int64), part.nulls, _no_elements()
+            )
+        out.append(part)
+    return out
+
+
+def choose(vectors: Sequence[Vector], which: np.ndarray) -> Vector:
+    """Row *i* of ``vectors[which[i]]``, NULL where *which* is -1 (the
+    vectors are as long as *which*): CASE and ``coalesce`` over arrays,
+    as one concatenation and one gather."""
+    n = len(which)
+    if not vectors:
+        return constant(None, n)
+    positions = np.where(which < 0, -1, which * n + np.arange(n))
+    return gather(concat_vectors(list(vectors)), positions, missing_null=True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +587,8 @@ def from_values(items: Iterable[Any]) -> Vector:
         return Vector(values, nulls)
     if present and all(type(v) is str for v in present):
         return text_vector(items, nulls)
+    if present and all(type(v) is list for v in present):
+        return array_vector(items)
     return Vector(_object_array(items), nulls)
 
 
@@ -433,6 +605,8 @@ def constant(value: Any, length: int) -> Vector:
         return Vector(
             np.zeros(length, dtype=np.int32), nulls, _object_array([value])
         )
+    if type(value) is list:
+        return gather(array_vector([value]), np.zeros(length, dtype=np.int64))
     values = np.empty(length, dtype=object)
     values[:] = [value] * length
     return Vector(values, nulls)
@@ -440,6 +614,17 @@ def constant(value: Any, length: int) -> Vector:
 
 def gather(vector: Vector, positions: np.ndarray, missing_null: bool = False) -> Vector:
     """Reorder/duplicate rows by position; -1 yields null when allowed."""
+    if vector.elements is not None:  # the entries; elements are shared
+        if missing_null:
+            hole = positions < 0
+            if not len(vector):  # outer join against an empty side
+                vector = _as_arrays([constant(None, 1)])[0]
+            positions = np.where(hole, 0, positions)
+        entries, nulls = vector.values[positions], vector.nulls[positions]
+        if missing_null:
+            entries[hole] = 0
+            nulls = nulls | hole
+        return Vector(entries, nulls, None, vector.elements)
     if missing_null:
         hole = positions < 0
         if len(vector) == 0:
@@ -471,6 +656,16 @@ def concat_vectors(parts: list[Vector]) -> Vector:
     one dictionary: :func:`align`)."""
     if not parts:
         return from_values([])
+    if any(p.elements is not None for p in parts):
+        # each part's entries shifted past the elements before it
+        parts = _as_arrays(parts)
+        shifts = np.cumsum([0] + [len(p.elements) for p in parts[:-1]])
+        return Vector(
+            np.concatenate([p.values + shift for p, shift in zip(parts, shifts)]),
+            np.concatenate([p.nulls for p in parts]),
+            None,
+            concat_vectors([p.elements for p in parts]),
+        )
     if parts[0].dictionary is not None or any(
         p.dictionary is not None for p in parts
     ):
@@ -482,17 +677,23 @@ def concat_vectors(parts: list[Vector]) -> Vector:
                 dictionary,
             )
         parts = align(parts)
-    kinds = {p.values.dtype.kind for p in parts}
+    # an empty part (no elements in one partition) takes no part in typing
+    kinds = {p.values.dtype.kind for p in parts if len(p)} or {
+        p.values.dtype.kind for p in parts
+    }
     if kinds <= {"f", "i", "u"}:
         values = np.concatenate(
             [p.values.astype(np.float64, copy=False) for p in parts]
         )
     elif kinds == {"b"}:
-        values = np.concatenate([p.values for p in parts])
+        values = np.concatenate([p.values.astype(bool, copy=False) for p in parts])
     else:
-        values = np.concatenate(
-            [p.values.astype(object, copy=False) for p in parts]
-        )
+        # numbers become objects by to_python's rule: integral ones as int
+        values = np.concatenate([
+            python_cells(p) if p.values.dtype.kind == "f"
+            else p.values.astype(object, copy=False)
+            for p in parts
+        ])
     nulls = np.concatenate([p.nulls for p in parts])
     return Vector(values, nulls)
 
@@ -531,7 +732,18 @@ def _cell_codes(vector: Vector, rows: np.ndarray) -> tuple[np.ndarray, int]:
     (``-0.0`` is not ``0.0`` to ``str()`` or sign tests); any other
     object — an array, a number in a mixed column — by identity, which
     never merges two different values (``1``, ``1.0`` and ``True`` are
-    one dict key but render differently)."""
+    one dict key but render differently).  An array is coded by the
+    codes of its elements, in order."""
+    if vector.elements is not None:
+        taken = compact(gather(vector, rows))
+        elements, _ = _cell_codes(taken.elements, np.arange(len(taken.elements)))
+        elements = elements.tolist()
+        return first_occurrence_codes([
+            None if null else tuple(elements[start:end])
+            for (start, end), null in zip(
+                taken.values.tolist(), taken.nulls.tolist()
+            )
+        ])
     values = vector.values[rows]
     nulls = vector.nulls[rows]
     has_null = bool(nulls.any())
@@ -581,6 +793,8 @@ def _distinct_calls(
         picked = rows[:1] if same else first
         if vector.dictionary is not None:
             items = vector.dictionary[vector.values[picked]].tolist()
+        elif vector.elements is not None:
+            items = python_cells(gather(vector, picked))
         else:
             items = vector.values[picked]
             # numeric cells stay numpy scalars: a kernel sees the stored value
@@ -636,11 +850,16 @@ def per_distinct_cells(
     if None in results:
         nulls = nulls.copy()
         nulls[rows[missing[codes]]] = True
-    if set(map(type, results)) <= {str, type(None)}:
+    kinds = set(map(type, results))
+    if kinds <= {str, type(None)}:
         words = text_vector(results, missing)
         full = np.zeros(n, dtype=np.int32)
         full[rows] = words.values[codes]
         return Vector(full, nulls, words.dictionary)
+    if kinds <= {list, type(None)}:
+        positions = np.full(n, -1, dtype=np.int64)
+        positions[rows] = codes
+        return gather(array_vector(results), positions, missing_null=True)
     out = np.empty(n, dtype=object)
     out[rows] = table[codes]
     return Vector(out, nulls)
@@ -756,13 +975,81 @@ def _to_bool(cell: Any) -> bool:
     raise _invalid(cell, "a boolean")
 
 
-def _to_array(cell: Any) -> Any:
-    """The ``array`` rule: a copy of a list (the table never holds the
-    caller's), or text kept as the literal it is (COPY's cells)."""
+#: one token of an array literal: a brace, a comma, a quoted element
+#: (backslash escapes) or a bare one (inner blanks kept, outer trimmed)
+_ARRAY_TOKEN = re.compile(
+    r'\s*(?:([{}])|(,)|"((?:[^"\\]|\\.)*)"|([^{},"\s](?:[^{},"]*[^{},"\s])?))\s*',
+    re.S,
+)
+
+
+def _array_literal(text: str) -> list:
+    """PostgreSQL's array input: ``{1,2}``, ``{"a,b",NULL}``, nested
+    ``{{1},{2}}``.  Bare elements are numbers when every one reads as a
+    number and none is quoted, else text; bare ``NULL`` is NULL.
+    Anything else is 22P02, ``malformed array literal``."""
+    malformed = SQLExecutionError(
+        f"malformed array literal: {text!r}", sqlstate="22P02"
+    )
+    stack: list[list] = []
+    root: Optional[list] = None
+    bare: list[tuple[list, int]] = []
+    quoted, prev, pos = False, "", 0
+    while pos < len(text):
+        match = _ARRAY_TOKEN.match(text, pos)
+        if match is None or (root is not None and not stack):
+            raise malformed
+        pos = match.end()
+        brace, comma, string, word = match.groups()
+        level = stack[-1] if stack else []
+        if brace == "{":
+            # a level holds sub-arrays or elements, never both
+            if prev not in ("", "{", ",") or (level and prev == "," and type(level[-1]) is not list):
+                raise malformed
+            new: list = []
+            if stack:
+                stack[-1].append(new)
+            else:
+                root = new
+            stack.append(new)
+        elif brace == "}":
+            if not stack or prev == ",":
+                raise malformed
+            stack.pop()
+        elif not stack or (
+            prev not in ("v", "}") if comma
+            else prev not in ("{", ",") or (level and type(level[-1]) is list)
+        ):
+            raise malformed
+        elif string is not None:
+            stack[-1].append(re.sub(r"\\(.)", r"\1", string, flags=re.S))
+            quoted = True
+        elif word is not None:
+            null = word.upper() == "NULL"
+            if not null:
+                bare.append((stack[-1], len(stack[-1])))
+            stack[-1].append(None if null else word)
+        prev = brace or comma or "v"
+    if root is None or stack:
+        raise malformed
+    if not quoted:
+        try:
+            numbers = [float(owner[i]) for owner, i in bare]
+        except ValueError:
+            return root
+        for (owner, i), number in zip(bare, numbers):
+            owner[i] = number
+    return root
+
+
+def _to_array(cell: Any) -> list:
+    """The ``array`` rule: a list as it is (storing copies its elements
+    into the column's element vector), or text through PostgreSQL's
+    array literal (:func:`_array_literal`)."""
     if isinstance(cell, list):
-        return list(cell)
-    if isinstance(cell, str):
         return cell
+    if isinstance(cell, str):
+        return _array_literal(cell)
     raise _invalid(cell, "an array")
 
 
@@ -786,6 +1073,8 @@ def assign(vector: Vector, storage: str) -> Vector:
     nulls = vector.nulls.copy()
     rows = np.flatnonzero(~nulls)
     rule = CELL_RULES[storage]
+    if storage == "array" and vector.elements is not None:
+        return vector
     if storage in ("text", "array"):
         return per_distinct_cells(rule, [vector], rows, nulls)
     if not _numeric(vector):
@@ -808,8 +1097,13 @@ def assign(vector: Vector, storage: str) -> Vector:
 
 
 def _numeric(vector: Vector) -> bool:
-    """Whether *vector* holds numbers or booleans (not text codes)."""
-    return vector.dictionary is None and vector.values.dtype.kind in "fiub"
+    """Whether *vector* holds numbers or booleans (not text codes or
+    array entries)."""
+    return (
+        vector.dictionary is None
+        and vector.elements is None
+        and vector.values.dtype.kind in "fiub"
+    )
 
 
 def _as_float(vector: Vector, context: str) -> np.ndarray:
@@ -829,12 +1123,10 @@ def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
     """``+ - * / %`` with null propagation; ``||`` concatenates text/arrays."""
     nulls = left.nulls | right.nulls
     if op == "||":
-        def concat(a: Any, b: Any) -> Any:
-            if isinstance(a, list) or isinstance(b, list):
-                # array elements are Python values, never numpy scalars
-                a_list = a if isinstance(a, list) else [to_python(a)]
-                b_list = b if isinstance(b, list) else [to_python(b)]
-                return a_list + b_list
+        if left.elements is not None or right.elements is not None:
+            return _concat_arrays(left, right, nulls)
+
+        def concat(a: Any, b: Any) -> str:
             return cell_text(a) + cell_text(b)
 
         return per_distinct_cells(
@@ -860,6 +1152,31 @@ def arithmetic(op: str, left: Vector, right: Vector) -> Vector:
     return Vector(np.where(nulls, np.nan, values), nulls)
 
 
+def _concat_arrays(left: Vector, right: Vector, nulls: np.ndarray) -> Vector:
+    """``||`` with an array operand: each row's runs of elements end to
+    end (a scalar operand is a one-element array), as one take of both
+    operands' elements; NULL when either operand is."""
+    n = len(nulls)
+    runs = []
+    for side in (left, right):
+        if side.elements is None:  # a scalar: one element a row
+            side = array_column(np.ones(n, dtype=np.int64), side.nulls, side)
+        lengths = np.where(nulls, 0, array_lengths(side))
+        runs.append((side.values[:, 0], lengths, side.elements))
+    (left_starts, left_lengths, left_elements), (right_starts, right_lengths,
+                                                 right_elements) = runs
+    index = _run_index(
+        np.column_stack(
+            (left_starts, right_starts + len(left_elements))
+        ).reshape(-1),
+        np.column_stack((left_lengths, right_lengths)).reshape(-1),
+    )
+    return array_column(
+        left_lengths + right_lengths, nulls.copy(),
+        gather(concat_vectors([left_elements, right_elements]), index),
+    )
+
+
 _COMPARators: dict[str, Callable[[Any, Any], bool]] = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
@@ -881,8 +1198,19 @@ def compare(op: str, left: Vector, right: Vector) -> Vector:
         a, b = _text_keys(left, right, op in ("=", "<>"))
         out = np.where(nulls, False, func(a, b))
         return Vector(out, nulls)
+    if left.elements is not None or right.elements is not None:
+        # arrays compare as Python lists, once per distinct pair of rows
+        def lists(a: Any, b: Any) -> bool:
+            a, b = to_python(a), to_python(b)  # never numpy's broadcasting
+            try:
+                return bool(func(a, b))
+            except TypeError:
+                return bool(func(str(a), str(b)))
+
+        per_distinct(lists, [left, right], np.flatnonzero(~nulls), out)
+        return Vector(out, nulls)
     if left.dictionary is not None or right.dictionary is not None:
-        # text against numbers, arrays or mixed cells: compared as objects
+        # text against numbers or mixed cells: compared as objects
         left, right = Vector(cells(left), left.nulls), Vector(cells(right), right.nulls)
     if _numeric(left) and _numeric(right):
         with np.errstate(invalid="ignore"):

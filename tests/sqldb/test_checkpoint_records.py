@@ -461,6 +461,52 @@ def test_pickle_format_checkpoint_asks_for_a_rebuild(tmp_path):
         decode_snapshot(frame)
 
 
+def _json_array_record(cells: list) -> dict:
+    """A one-column ``array`` table record in the older format, where an
+    array column of nested or mixed lists, or of the literal text COPY
+    and INSERT kept, was written as JSON cells in its header."""
+    nulls = np.array([cell is None for cell in cells])
+    bitmap = (
+        np.packbits(nulls, bitorder="little").tobytes() if nulls.any() else b""
+    )
+    header = {"tag": "json", "cells": cells, "sizes": [len(bitmap)]}
+    return {
+        "t": "table", "name": "x", "columns": ["a"], "types": ["array"],
+        "rows": len(cells), "serial": {}, "data": [header], "blob": bitmap,
+    }
+
+
+@pytest.mark.parametrize("cells, fetched", [
+    ([[1, [2, 3]], None, [], ["p", 1]], [[1, [2, 3]], None, [], ["p", 1]]),
+    ([[1, 2], "{3,4}", None, '{"a b",NULL}'],
+     [[1, 2], [3, 4], None, ["a b", None]]),
+    (["{}", "{{1},{2}}"], [[], [[1], [2]]]),
+    ([None, None], [None, None]),
+])
+def test_older_json_array_columns_load_as_array_columns(cells, fetched):
+    column = decode_records([_json_array_record(cells)]).table("x").columns["a"]
+    assert column.is_array
+    assert column.tolist() == fetched
+
+
+def test_older_array_text_that_is_no_literal_is_durability_error():
+    with pytest.raises(DurabilityError, match="malformed array literal"):
+        decode_records([_json_array_record([[1], "abc"])])
+
+
+def test_json_snapshot_column_of_lists_decodes_as_arrays():
+    nested = [[[1], [2, 3]], None, [["q"]]]
+    header = {"tag": "json", "cells": nested, "sizes": [1]}
+    snapshot = {"columns": ["o"], "rows": 3, "data": [header]}
+    record = {
+        "t": "view", "name": "mv", "sql": "SELECT 1 AS o",
+        "materialized": True, "snapshot": snapshot, "blob": bytes([0b010]),
+    }
+    (column,) = decode_records([record]).resolve("mv").snapshot[1].values()
+    assert column.is_array and column.elements.is_array
+    assert column.tolist() == nested
+
+
 def _examples(request) -> int:
     rounds = request.config.getoption("--fuzz-rounds")
     return 10 * (rounds if rounds is not None else 5)

@@ -22,7 +22,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DurabilityError, ProtocolViolation
@@ -31,8 +31,10 @@ from repro.sqldb.catalog import decode_records
 from repro.sqldb.engine import Result
 from repro.sqldb.protocol import encode_frame, recv_frame
 from repro.sqldb.replication import decode_snapshot, encode_snapshot
+from repro.sqldb import vector as vector_module
 from repro.sqldb.vector import (
     Vector,
+    array_vector,
     from_values,
     gather,
     read_only,
@@ -72,6 +74,13 @@ def _round_trip(vectors: list[Vector]) -> list[Vector]:
 
 
 def _assert_round_trips(vector: Vector, back: Vector) -> None:
+    assert back.is_array == vector.is_array
+    if vector.is_array:
+        # the offsets as they are, the elements by the same rules
+        assert back.values.tolist() == vector.values.tolist()
+        assert back.nulls.tolist() == vector.nulls.tolist()
+        _assert_round_trips(vector.elements, back.elements)
+        return
     assert back.is_text == vector.is_text
     if vector.is_text:
         # text comes back coded, over the entries its rows use
@@ -116,7 +125,7 @@ _ELEMENT = st.one_of(
     st.none(),
     st.integers(-(2**53), 2**53),
     st.floats(allow_nan=True).filter(lambda f: not f.is_integer()),
-    st.sampled_from([1.0, 2**60, -0.0]),  # not canonical: JSON carries them
+    st.sampled_from([1.0, 2**60, -0.0]),  # stored as float64 elements
 )
 
 
@@ -165,6 +174,10 @@ def _vectors(draw) -> Vector:
                       st.lists(st.lists(st.integers(), max_size=2), max_size=2)),
             min_size=rows, max_size=rows,
         ))
+        # cells that are all lists are an array column, not mixed ones
+        assume(not all(
+            type(c) is list for c, null in zip(cells, nulls) if not null
+        ))
     else:
         element = {
             "arrays": _ELEMENT,
@@ -173,8 +186,12 @@ def _vectors(draw) -> Vector:
         }[kind]
         pool = draw(st.lists(st.lists(element, max_size=4), min_size=1,
                              max_size=4))
-        # rows of one kernel call share one list object
+        if draw(st.booleans()):  # arrays of arrays
+            pool = [[cell, cell[:1]] for cell in pool]
         cells = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rows)]
+        return array_vector(
+            [None if null else cell for cell, null in zip(cells, nulls)]
+        )
     for i, cell in enumerate(cells):
         values[i] = None if nulls[i] else cell
     return Vector(values, nulls)
@@ -222,35 +239,39 @@ def test_each_shape_gets_its_tag():
     vectors = [
         Vector(np.array([True, False]), np.array([False, True])),
         from_values(["a", None]),
-        objects(one_hot, one_hot),
-        objects([1.0], [2]),  # an integral float element is not canonical
+        array_vector([one_hot, one_hot]),
+        array_vector([[1.0], [2]]),  # float64 elements, as stored
         objects(1, "x"),
-        objects([[1]], None),
+        array_vector([[[1]], None]),
+        array_vector([[True, "a"], None]),
     ]
     headers, _ = colcodec.encode(vectors)
     assert [h["tag"] for h in headers] == [
-        "|b1", "text", "array", "json", "json", "json"
+        "|b1", "text", "array", "array", "json", "array", "array"
     ]
     assert headers[2]["elements"]["tag"] == "<i1"
+    assert headers[5]["elements"]["tag"] == "array"  # arrays of arrays
+    assert headers[6]["elements"]["tag"] == "json"  # mixed-type elements
     for vector, back in zip(vectors, _round_trip(vectors)):
         _assert_round_trips(vector, back)
 
 
-def test_equal_length_arrays_share_one_list_per_distinct_run(monkeypatch):
+def test_equal_length_arrays_fetch_as_one_matrix():
+    """The decode of arrays is a buffer copy, and the fetch of arrays of
+    one length (one-hot vectors) builds every row's list in one
+    ``tolist`` of the element matrix: each row its own list."""
     one_hot = [[1 if i == k else 0 for i in range(16)] for k in range(3)]
-    values = np.empty(9, dtype=object)
-    for i in range(9):
-        values[i] = one_hot[i % 3]
-    vector = Vector(values, np.zeros(9, dtype=bool))
-    [back] = _round_trip([vector])
-    _assert_round_trips(vector, back)
-    assert len({id(cell) for cell in back.values}) == 3
-    # a hash that ignores the first 8 bytes makes the runs collide: the
-    # byte-for-byte check catches it and groups by value instead
-    monkeypatch.setattr(colcodec, "_MIX", np.uint64(0))
-    [back] = _round_trip([vector])
-    _assert_round_trips(vector, back)
-    assert len({id(cell) for cell in back.values}) == 3
+    cases = [
+        ([one_hot[i % 3] for i in range(9)], [one_hot[i % 3] for i in range(9)]),
+        ([["a", "b"], ["a", "b"]], [["a", "b"], ["a", "b"]]),
+        ([[0.5, 1.0], [-0.0, 2.5]], [[0.5, 1], [0, 2.5]]),
+        ([[True, False], [False, False]], [[True, False], [False, False]]),
+    ]
+    for cells, want in cases:
+        [back] = _round_trip([array_vector(cells)])
+        fetched = vector_module.python_cells(back)
+        assert _same(fetched, want), fetched
+        assert len({id(cell) for cell in fetched}) == len(cells)
 
 
 def test_zero_rows_and_zero_columns():

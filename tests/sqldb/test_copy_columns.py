@@ -11,9 +11,10 @@ non-blank rows (``enumerate(raw_rows, start=2)``), which was off by one
 without ``HEADER`` and by one more per skipped blank line; COPY now names
 the physical line (csv's ``line_num``).  The comparison therefore masks
 the line number of a field-count error, and the targeted tests at the end
-pin the new numbers.  The other change is invisible in values: COPY now
-stores one ``str`` per distinct value in ``array`` columns too (as text),
-so the distinct-object count is compared for text columns.
+pin the new numbers.  ``array`` columns now parse PostgreSQL's array
+literals (the loop kept each cell's text): the oracle maps the literals
+it draws through a table of their arrays and raises 22P02 ``malformed
+array literal`` for any other text, and the columns compare by cells.
 
 COPY now types its cells by the one assignment rule
 (``repro.sqldb.vector.CELL_RULES``), which deliberately changes three
@@ -78,8 +79,14 @@ def old_coerce_column(raw: list[Any], storage: str, name: str) -> Vector:
         return Vector(values, nulls)
     values = np.empty(n, dtype=object)
     if storage == "array":
+        # PostgreSQL's array literals (the old loop kept the text)
         for i, v in enumerate(raw):
-            values[i] = v
+            if v is not None and v not in ARRAY_LITERALS:
+                raise SQLExecutionError(
+                    f"column {name!r}: malformed array literal: {v!r}",
+                    sqlstate="22P02",
+                )
+            values[i] = None if v is None else ARRAY_LITERALS[v]
     else:
         distinct: dict[Any, Any] = {}
         values[:] = [distinct.setdefault(v, v) for v in raw]
@@ -161,12 +168,13 @@ def _masked(message: str) -> str:
 _BAD_CELL = re.compile(
     r"could not convert string to float: (.*)\)$"
     r"|cannot interpret (.*) as (?:an? )?\w+$"
+    r"|malformed array literal: (.*)$"
 )
 
 
 def _bad_cell(message: str):
     found = _BAD_CELL.search(message)
-    return found and (found.group(1) or found.group(2))
+    return found and (found.group(1) or found.group(2) or found.group(3))
 
 
 def _assert_same(new, old, storages):
@@ -197,6 +205,11 @@ def _assert_same(new, old, storages):
             assert len(new_vec.dictionary) == len(present), name
             assert len(set(new_vec.dictionary.tolist())) == len(present), name
             continue
+        if storages[name] == "array":
+            assert new_vec.is_array, name
+            assert np.array_equal(new_vec.nulls, old_vec.nulls), name
+            assert new_vec.tolist() == old_vec.values.tolist(), name
+            continue
         assert new_vec.values.dtype == old_vec.values.dtype, name
         assert new_vec.nulls.dtype == old_vec.nulls.dtype == np.bool_
         assert np.array_equal(new_vec.nulls, old_vec.nulls), name
@@ -226,6 +239,12 @@ INT_OK = ["0", "-0", "1", "42", "1_000", " 7 ", "007", "١"]
 NUMBER_BAD = ["abc", "1__0", "0x10", "1.2.3", "_1", "--1", "1e", "t"]
 BOOL_OK = ["t", "f", "true", "FALSE", "1", "0", " True ", "T"]
 BOOL_BAD = ["2", "tru", "-0"]
+#: array literals and the cells they store
+ARRAY_LITERALS = {
+    "{1,2}": [1, 2], "{}": [], "{NULL,3.5}": [None, 3.5], " { -0 } ": [0],
+    "{a,b}": ["a", "b"], '{"x,y",z}': ["x,y", "z"], "{{1},{2,3}}": [[1], [2, 3]],
+    '{"a\\"b"}': ['a"b'],
+}
 NULL_TEXTS = ["", "NULL", "\\N", "7", "t", "na'x"]
 TEXT = st.text(alphabet=",|\t\"'\n\r abéN", max_size=5)
 
@@ -238,6 +257,9 @@ def _cell(storage: str, bad: bool) -> st.SearchStrategy[str]:
     elif storage == "bool":
         ok = st.sampled_from(BOOL_OK)
         wrong = st.sampled_from(BOOL_BAD)
+    elif storage == "array":
+        ok = st.sampled_from(sorted(ARRAY_LITERALS))
+        wrong = TEXT  # no brace: never a literal
     else:
         ok = wrong = TEXT
     return (nullish | ok | wrong) if bad else (nullish | ok)

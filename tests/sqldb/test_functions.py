@@ -201,7 +201,7 @@ class TestAggregateEdgeCases:
         codes = np.array([0, 1, 0, 1], dtype=np.int64)
         for column in (items, [None] + items[1:]):
             out = compute_aggregate("array_agg", from_values(column), codes, 2)
-            assert out.values.tolist() == [column[0::2], column[1::2]]
+            assert out.tolist() == [column[0::2], column[1::2]]
             expected = [
                 None if v is None else type(to_python(np.float64(v)))
                 if type(v) is float else type(v)
@@ -209,7 +209,7 @@ class TestAggregateEdgeCases:
             ]
             types = [
                 None if e is None else type(e)
-                for bucket in out.values for e in bucket
+                for bucket in out.tolist() for e in bucket
             ]
             assert types == expected[0::2] + expected[1::2]
 
@@ -277,7 +277,7 @@ def test_array_elements_are_python_values(db, producer):
     ``int`` — in the engine's cells and in fetched rows, so the two
     execution modes (in-process, over the wire) cannot disagree."""
     result = db.execute(_ARRAY_PRODUCERS[producer])
-    stored = [c for c in result.vectors[0].values if c is not None]
+    stored = [c for c in result.vectors[0].tolist() if c is not None]
     fetched = [row[0] for row in result.rows if row[0] is not None]
     assert stored and len(stored) == len(fetched)
     for cell in stored + fetched:

@@ -27,7 +27,7 @@ TYPED_CELLS = {
     "serial": ("f", [None], [None, 4]),
     "bool": ("b", [None, None], [None, True, False]),
     "text": ("i", [None], [None, "x", "y"]),  # int32 dictionary codes
-    "int[]": ("O", [None], [[1, 2], None, [3, 4]]),
+    "int[]": ("i", [None], [[1, 2], None, [3, 4]]),  # int64 offsets
 }
 
 
@@ -238,3 +238,31 @@ def test_writes_leave_captured_snapshots_byte_identical():
     assert all(fork.table("t").columns[c] is columns[c] for c in columns)
     assert all(fork.index(name) is indexes[name] for name in indexes)
     db.execute("COMMIT")
+
+
+@pytest.mark.parametrize(
+    "columns, sqlstate", [("(a, zz)", "42703"), ("(a, a)", "42701")]
+)
+def test_copy_names_real_columns_each_once(tmp_path, columns, sqlstate):
+    """COPY's column list follows INSERT's rule (PostgreSQL's answers)."""
+    path = tmp_path / "rows.csv"
+    path.write_text("1,x\n")
+    db = Database()
+    db.execute("CREATE TABLE t (a int, b text)")
+    with pytest.raises(CatalogError) as raised:
+        db.execute(f"COPY t {columns} FROM '{path}' WITH (FORMAT CSV)")
+    assert raised.value.sqlstate == sqlstate
+    assert db.execute("SELECT count(*) FROM t").scalar() == 0
+
+
+def test_copy_reads_no_header_unless_asked(tmp_path):
+    """``HEADER`` defaults to false, as in PostgreSQL: every line of a
+    headerless file is a row."""
+    path = tmp_path / "rows.csv"
+    path.write_text("1,x\n2,y\n")
+    db = Database()
+    db.execute("CREATE TABLE t (a int, b text)")
+    db.execute(f"COPY t FROM '{path}' WITH (FORMAT CSV)")
+    assert db.execute("SELECT a, b FROM t").rows == [(1, "x"), (2, "y")]
+    db.execute(f"COPY t FROM '{path}' WITH (FORMAT CSV, HEADER)")
+    assert db.execute("SELECT count(*) FROM t").scalar() == 3
